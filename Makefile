@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint spec-check check bench bench-parallel bench-steady bench-control benchdiff checkdocs expdiff docs cover profile scale
+.PHONY: all build test benchmark-test race vet fmt lint spec-check check bench bench-parallel bench-steady bench-control benchdiff checkdocs expdiff docs cover profile scale
 
 all: build
 
@@ -9,6 +9,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# benchmark-test vets and tests the benchmark module (its own go.mod,
+# outside ./...): it compiles against the public entry points the
+# pipeline's benchmark run probes, so a PR that breaks one fails here
+# (~25 s) rather than at that run.
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -32,7 +39,7 @@ lint:
 spec-check:
 	$(GO) run ./cmd/flexbench -spec-check examples/specs
 
-check: fmt vet lint spec-check build test race docs
+check: fmt vet lint spec-check build test benchmark-test race docs
 
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ./internal/flexbpf ./internal/telemetry
@@ -42,9 +49,9 @@ bench:
 bench-parallel:
 	$(GO) test -bench 'BenchmarkFabricParallel' -benchmem -benchtime 5x -run '^$$' .
 
-# bench-steady measures the fast-path layers on the steady-state
-# pipeline workload: serial vs batched vs batched+flow-cache (the
-# before/after table in BENCH_PR7.md comes from this target).
+# bench-steady measures the flow cache on the steady-state pipeline
+# workload: serial vs cache (the before/after table in BENCH_PR7.md
+# comes from this target).
 bench-steady:
 	$(GO) test -bench 'BenchmarkSteadyStatePipeline' -benchmem -benchtime 10x -run '^$$' .
 

@@ -401,15 +401,13 @@ func steadyClassifier(name string, rounds int) *Program {
 // benchSteadyState drives a steady 16-flow TCP load through one DRMT
 // switch running base routing plus a four-stage stateless classifier
 // pipeline (~2000 instructions per packet), and reports aggregate
-// throughput. One ingress host (and link) per flow
-// keeps the flows' CBR arrivals on identical timestamps, so the switch's
-// shard group — the unit batching amortizes over — spans all 16 flows.
-// All sub-benchmarks use one worker: the speedup measured here is the
-// fast path itself (batching + cache replay), not parallelism.
-func benchSteadyState(b *testing.B, batching, cache bool) {
+// throughput. One ingress host (and link) per flow keeps the flows' CBR
+// arrivals on identical timestamps. Both sub-benchmarks use one worker:
+// the speedup measured here is the cache replay itself, not parallelism.
+func benchSteadyState(b *testing.B, cache bool) {
 	b.Helper()
 	const flows = 16
-	bld := New(1).Workers(1).Batching(batching).FlowCache(cache)
+	bld := New(1).Workers(1).FlowCache(cache)
 	bld.Switch("sw", DRMT).Host("dst", "10.0.255.2").Link("sw", "dst")
 	for i := 0; i < flows; i++ {
 		h := fmt.Sprintf("h%d", i)
@@ -455,16 +453,14 @@ func benchSteadyState(b *testing.B, batching, cache bool) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "pkts/s")
 }
 
-// BenchmarkSteadyStatePipeline measures the fast-path layers on the
-// steady-state pipeline workload: serial is the pre-PR baseline (no
-// batching, no cache), batch adds batched execution, and batch+cache
-// adds the megaflow flow cache. Simulation output is byte-identical
-// across all three (scripts/benchdiff.sh proves it); only wall clock
-// moves. BENCH_PR7.md records the measured before/after table.
+// BenchmarkSteadyStatePipeline measures the megaflow flow cache on the
+// steady-state pipeline workload: serial runs the linked pipeline for
+// every packet, cache replays recorded outcomes. Simulation output is
+// byte-identical across both (scripts/benchdiff.sh proves it); only wall
+// clock moves. BENCH_PR7.md records the measured before/after table.
 func BenchmarkSteadyStatePipeline(b *testing.B) {
-	b.Run("serial", func(b *testing.B) { benchSteadyState(b, false, false) })
-	b.Run("batch", func(b *testing.B) { benchSteadyState(b, true, false) })
-	b.Run("batch+cache", func(b *testing.B) { benchSteadyState(b, true, true) })
+	b.Run("serial", func(b *testing.B) { benchSteadyState(b, false) })
+	b.Run("cache", func(b *testing.B) { benchSteadyState(b, true) })
 }
 
 // BenchmarkVerifier measures FlexBPF verification of a mid-size program.

@@ -42,11 +42,9 @@ func main() {
 	specDir := flag.String("spec-check", "", "validate every spec document in this directory (load + resolve + dry-run diff) instead of running the suite")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	batch := flag.Bool("batch", true, "batched switch execution (never changes output, only speed)")
 	flowcache := flag.Bool("flowcache", false, "enable the megaflow flow cache; adds flowcache.* telemetry, all other output is byte-identical")
 	flag.Parse()
 	fabric.SetDefaultWorkers(*workers)
-	fabric.SetDefaultBatching(*batch)
 	fabric.SetDefaultFlowCache(*flowcache)
 
 	if *cpuprofile != "" {

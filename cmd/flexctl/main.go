@@ -438,17 +438,13 @@ func main() {
 		os.Exit(1)
 	}
 	var resp struct {
-		OK      bool            `json:"ok"`
-		Error   string          `json:"error"`
-		Data    json.RawMessage `json:"data"`
-		Warning string          `json:"warning"`
+		OK    bool            `json:"ok"`
+		Error string          `json:"error"`
+		Data  json.RawMessage `json:"data"`
 	}
 	if err := json.Unmarshal(line, &resp); err != nil {
 		fmt.Fprintf(os.Stderr, "flexctl: malformed response: %v\n", err)
 		os.Exit(1)
-	}
-	if resp.Warning != "" {
-		fmt.Fprintf(os.Stderr, "flexctl: warning: %s\n", resp.Warning)
 	}
 	if !resp.OK {
 		fmt.Fprintf(os.Stderr, "flexctl: %s\n", resp.Error)

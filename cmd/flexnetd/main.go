@@ -153,8 +153,6 @@ type Response struct {
 	OK    bool        `json:"ok"`
 	Error string      `json:"error,omitempty"`
 	Data  interface{} `json:"data,omitempty"`
-	// Warning flags accepted-but-deprecated requests (legacy op names).
-	Warning string `json:"warning,omitempty"`
 }
 
 // Server wraps a network with a serialized API.
@@ -223,27 +221,19 @@ func planData(rep *flexnet.PlanReport) Response {
 	return Response{OK: true, Data: data}
 }
 
-// handle canonicalizes the op name via the shared table and
-// dispatches. Legacy spellings still work for one release; their
-// responses carry a deprecation warning.
+// handle checks the op name against the shared table and dispatches.
 func (s *Server) handle(req *Request) Response {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	op, wasLegacy, known := api.Canonical(req.Op)
-	if !known {
+	if !api.Known(req.Op) {
 		return Response{OK: false, Error: fmt.Sprintf("unknown op %q (have: %s)", req.Op, strings.Join(api.Names(), ", "))}
 	}
-	resp := s.dispatch(op, req)
-	if wasLegacy {
-		resp.Warning = fmt.Sprintf("op %q is deprecated; use %q", req.Op, op)
-		log.Printf("flexnetd: deprecated op %q (use %q)", req.Op, op)
-	}
-	return resp
+	return s.dispatch(req)
 }
 
-func (s *Server) dispatch(op string, req *Request) Response {
+func (s *Server) dispatch(req *Request) Response {
 	fail := func(err error) Response { return Response{OK: false, Error: err.Error()} }
-	switch op {
+	switch req.Op {
 	case api.OpStatus:
 		return Response{OK: true, Data: map[string]interface{}{
 			"sim_time_ms": s.net.Now().Milliseconds(),
@@ -309,7 +299,7 @@ func (s *Server) dispatch(op string, req *Request) Response {
 		}}
 	case api.OpScaleOut, api.OpScaleIn:
 		dir := flexnet.ScaleDirOut
-		if op == api.OpScaleIn {
+		if req.Op == api.OpScaleIn {
 			dir = flexnet.ScaleDirIn
 		}
 		rep, err := s.net.Scale(context.Background(), flexnet.ScaleRequest{
@@ -527,7 +517,7 @@ func (s *Server) dispatch(op string, req *Request) Response {
 		}
 		return Response{OK: true, Data: data}
 	default:
-		return fail(fmt.Errorf("unknown op %q", op))
+		return fail(fmt.Errorf("unknown op %q", req.Op))
 	}
 }
 
@@ -559,11 +549,9 @@ func main() {
 	topoPath := flag.String("topology", "", "topology JSON file (default: built-in 2-switch demo)")
 	topoSpec := flag.String("topo", "", "generated topology spec (e.g. fat-tree:k=8; overrides the topology file's members)")
 	workers := flag.Int("workers", 0, "parallel packet workers (0 = GOMAXPROCS; overrides the topology file)")
-	batch := flag.Bool("batch", true, "batched switch execution (never changes output, only speed)")
 	flowcache := flag.Bool("flowcache", false, "enable the megaflow flow cache; adds flowcache.* telemetry, all other output is byte-identical")
 	haReplicas := flag.Int("ha", 0, "enable controller HA with N active/standby replicas (0 = off)")
 	flag.Parse()
-	fabric.SetDefaultBatching(*batch)
 	fabric.SetDefaultFlowCache(*flowcache)
 
 	topo := &Topology{Seed: 1}

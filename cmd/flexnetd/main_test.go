@@ -248,23 +248,26 @@ func TestHandleTelemetryOps(t *testing.T) {
 	}
 }
 
-// TestLegacyOpNamesWarn asserts the old op spellings still dispatch —
-// with a deprecation warning — while canonical names stay silent.
-func TestLegacyOpNamesWarn(t *testing.T) {
+// TestLegacyOpNamesRejected asserts the pre-dash op spellings of earlier
+// releases get the ordinary unknown-op error and change nothing, while
+// the canonical names still dispatch.
+func TestLegacyOpNamesRejected(t *testing.T) {
 	s := demoServer(t)
-	r := s.handle(&Request{Op: "tenant_add", Tenant: "acme"})
-	if !r.OK {
-		t.Fatalf("legacy tenant_add: %v", r.Error)
+	for _, op := range []string{"tenant_add", "add-tenant"} {
+		r := s.handle(&Request{Op: op, Tenant: "acme"})
+		if r.OK || !strings.Contains(r.Error, "unknown op") || !strings.Contains(r.Error, "tenant-add") {
+			t.Fatalf("legacy %s: want unknown-op error listing tenant-add, got %+v", op, r)
+		}
 	}
-	if !strings.Contains(r.Warning, "deprecated") || !strings.Contains(r.Warning, "tenant-add") {
-		t.Fatalf("legacy op warning = %q", r.Warning)
+	// The rejected spellings admitted nobody: the canonical op still can.
+	if r := s.handle(&Request{Op: "tenant-add", Tenant: "acme"}); !r.OK {
+		t.Fatalf("tenant-add: %v", r.Error)
 	}
-	r = s.handle(&Request{Op: "remove-tenant", Tenant: "acme"})
-	if !r.OK || r.Warning == "" {
-		t.Fatalf("legacy remove-tenant: %+v", r)
+	if r := s.handle(&Request{Op: "remove-tenant", Tenant: "acme"}); r.OK {
+		t.Fatalf("legacy remove-tenant dispatched: %+v", r)
 	}
-	if r = s.handle(&Request{Op: "status"}); !r.OK || r.Warning != "" {
-		t.Fatalf("canonical op carried a warning: %+v", r)
+	if r := s.handle(&Request{Op: "tenant-remove", Tenant: "acme"}); !r.OK {
+		t.Fatalf("tenant-remove: %v", r.Error)
 	}
 }
 

@@ -294,16 +294,6 @@ func (b *Builder) FlowCache(v bool) *Builder {
 	return b
 }
 
-// Batching toggles batched switch execution (on by default) for switches
-// added after the call. Batching never changes simulation output, only
-// wall-clock speed.
-func (b *Builder) Batching(v bool) *Builder {
-	if b.err == nil {
-		b.fab.SetBatching(v)
-	}
-	return b
-}
-
 // DRPC enables data-plane RPC on a device at the given control IP.
 func (b *Builder) DRPC(device, ip string) *Builder {
 	if b.err == nil {

@@ -1,8 +1,7 @@
 // Package api is the single source of truth for the management-plane
 // operation names shared by flexnetd (the JSON-lines daemon) and
-// flexctl (its CLI): one canonical table of op names and summaries,
-// plus the legacy spellings accepted — with a deprecation warning —
-// for one release. See DESIGN.md §14.4 for the surface it names.
+// flexctl (its CLI): one canonical table of op names and summaries.
+// See DESIGN.md §14.4 for the surface it names.
 package api
 
 import "sort"
@@ -70,36 +69,11 @@ var Ops = map[string]string{
 	OpHAFailover:   "kill the serving leader and fail over to a standby",
 }
 
-// legacy maps op spellings from earlier releases to their canonical
-// name. Accepted for one release; flexnetd answers them with a
-// deprecation warning.
-var legacy = map[string]string{
-	// Underscore spellings predating the dashed verb convention.
-	"scale_out":     OpScaleOut,
-	"scale_in":      OpScaleIn,
-	"tenant_add":    OpTenantAdd,
-	"tenant_remove": OpTenantRemove,
-	"traffic_stop":  OpTrafficStop,
-	"heal_status":   OpHealStatus,
-	// Method-era names from the pre-options control API.
-	"deploy-app":    OpDeploy,
-	"remove-app":    OpRemove,
-	"migrate-app":   OpMigrate,
-	"add-tenant":    OpTenantAdd,
-	"remove-tenant": OpTenantRemove,
-}
-
-// Canonical resolves an op name to its canonical form. wasLegacy is
-// true when the input was an accepted old spelling; ok is false for
-// unknown ops.
-func Canonical(op string) (name string, wasLegacy, ok bool) {
-	if _, ok := Ops[op]; ok {
-		return op, false, true
-	}
-	if c, ok := legacy[op]; ok {
-		return c, true, true
-	}
-	return "", false, false
+// Known reports whether op is a canonical op name. Nothing else is
+// accepted: the pre-dash spellings of earlier releases are unknown ops.
+func Known(op string) bool {
+	_, ok := Ops[op]
+	return ok
 }
 
 // Names returns every canonical op name, sorted.

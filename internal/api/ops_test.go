@@ -2,43 +2,27 @@ package api
 
 import "testing"
 
-func TestCanonical(t *testing.T) {
-	cases := []struct {
-		in     string
-		want   string
-		legacy bool
-		ok     bool
-	}{
-		{"status", "status", false, true},
-		{"spec-apply", "spec-apply", false, true},
-		{"scale_out", "scale-out", true, true},
-		{"tenant_add", "tenant-add", true, true},
-		{"deploy-app", "deploy", true, true},
-		{"remove-tenant", "tenant-remove", true, true},
-		{"heal_status", "heal-status", true, true},
-		{"bogus", "", false, false},
-		{"", "", false, false},
+// TestKnown pins the accepted op names: canonical dashed names only. The
+// underscore and method-era spellings earlier releases tolerated are
+// unknown ops like any other typo.
+func TestKnown(t *testing.T) {
+	for _, op := range []string{"status", "spec-apply", "scale-out", "tenant-add", "heal-status"} {
+		if !Known(op) {
+			t.Errorf("Known(%q) = false, want true", op)
+		}
 	}
-	for _, tc := range cases {
-		got, legacy, ok := Canonical(tc.in)
-		if got != tc.want || legacy != tc.legacy || ok != tc.ok {
-			t.Errorf("Canonical(%q) = (%q, %v, %v), want (%q, %v, %v)",
-				tc.in, got, legacy, ok, tc.want, tc.legacy, tc.ok)
+	for _, op := range []string{
+		"scale_out", "scale_in", "tenant_add", "tenant_remove", "traffic_stop", "heal_status",
+		"deploy-app", "remove-app", "migrate-app", "add-tenant", "remove-tenant",
+		"bogus", "",
+	} {
+		if Known(op) {
+			t.Errorf("Known(%q) = true, want false", op)
 		}
 	}
 }
 
 func TestTableConsistency(t *testing.T) {
-	// Every legacy spelling must resolve to a canonical op, and no
-	// legacy spelling may shadow a canonical name.
-	for old, canon := range legacy {
-		if _, ok := Ops[canon]; !ok {
-			t.Errorf("legacy %q maps to unknown op %q", old, canon)
-		}
-		if _, clash := Ops[old]; clash {
-			t.Errorf("legacy spelling %q is also a canonical op", old)
-		}
-	}
 	// Every canonical op has a non-empty summary and Names() covers all.
 	names := Names()
 	if len(names) != len(Ops) {

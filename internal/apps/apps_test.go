@@ -32,9 +32,26 @@ func TestAllAppsVerifyAndPlaceEverywhere(t *testing.T) {
 		INTTelemetry("int", 7),
 		L2Forwarder("l2", 256),
 	}
+	// Every builtin kind at its default arguments rides along.
+	for kind := range BuiltinKinds() {
+		p, err := Builtin(kind, "builtin-"+kind, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	// Verified ⇒ links: a device has no other way to run a program.
 	for _, p := range progs {
 		if err := flexbpf.Verify(p); err != nil {
 			t.Errorf("%s does not verify: %v", p.Name, err)
+			continue
+		}
+		tables := map[string]*flexbpf.TableInstance{}
+		for _, spec := range p.Tables {
+			tables[spec.Name] = flexbpf.NewTableInstance(spec)
+		}
+		if _, err := flexbpf.Link(p, func(n string) *flexbpf.TableInstance { return tables[n] }); err != nil {
+			t.Errorf("%s verifies but does not link: %v", p.Name, err)
 		}
 	}
 	// Every app should place on SoC and host (fully fungible, general).

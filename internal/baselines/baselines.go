@@ -79,7 +79,7 @@ func NewMantis(dev *dataplane.Device, candidates []*flexbpf.Program) (*Mantis, e
 	for i, prog := range candidates {
 		sel := uint64(i + 1)
 		cond := &flexbpf.Cond{Field: "meta.mantis", Op: flexbpf.CmpEq, Value: sel}
-		if err := dev.InstallProgramFiltered(prog, cond); err != nil {
+		if err := dev.InstallProgramOpt(prog, dataplane.InstallOptions{Filter: cond}); err != nil {
 			return nil, fmt.Errorf("baselines: mantis precompile of %s: %w", prog.Name, err)
 		}
 		m.index[prog.Name] = sel

@@ -282,7 +282,6 @@ type Device struct {
 	mu         sync.Mutex
 	model      archModel
 	placements map[string]placement
-	order      []string // instance order (install order, infra first)
 	draining   atomic.Bool
 	down       atomic.Bool
 	// downAt records the simulated time of the last Crash, and downGen
@@ -314,10 +313,6 @@ type Device struct {
 	// traffic, and read lock-free on the packet path. See fastpath.go.
 	fcache *flowcache.Cache
 	fcMet  fcMetrics
-
-	// batch holds batch-mode execution state, owned by the device's
-	// serialized shard group (see BeginBatch/EndBatch in fastpath.go).
-	batch deviceBatch
 
 	// lcache, when set, memoizes install-time linking across instances
 	// (fabric-wide; see SetLinkCache and DESIGN.md §13.3). Guarded by mu
@@ -575,56 +570,18 @@ const (
 	PriorityInfra = 1000
 )
 
-// InstallProgram verifies, places, and atomically activates a program
-// while the device keeps processing traffic. This is the runtime partial
-// reconfiguration primitive of §2: the swap is hitless — packets in
-// flight complete under the old configuration; packets arriving after
-// the commit see the new one.
+// InstallProgram verifies, places, links, and atomically activates a
+// program while the device keeps processing traffic. This is the runtime
+// partial reconfiguration primitive of §2: the swap is hitless — packets
+// in flight complete under the old configuration; packets arriving after
+// the commit see the new one. It is a one-step Swap.
 func (d *Device) InstallProgram(prog *flexbpf.Program) error {
-	return d.InstallProgramOpt(prog, InstallOptions{Priority: PriorityExtension})
-}
-
-// InstallProgramFiltered installs a program guarded by a filter.
-func (d *Device) InstallProgramFiltered(prog *flexbpf.Program, cond *flexbpf.Cond) error {
-	return d.InstallProgramOpt(prog, InstallOptions{Filter: cond, Priority: PriorityExtension})
+	return d.InstallProgramOpt(prog, InstallOptions{})
 }
 
 // InstallProgramOpt installs a program with explicit options.
 func (d *Device) InstallProgramOpt(prog *flexbpf.Program, opts InstallOptions) error {
-	cond := opts.Filter
-	if err := flexbpf.Verify(prog); err != nil {
-		return fmt.Errorf("dataplane: %s: refusing unverified program: %w: %w", d.name, errdefs.ErrVerifyFailed, err)
-	}
-	if !d.caps.Satisfies(prog.Requires) {
-		return fmt.Errorf("dataplane: %s (%v) lacks capabilities for program %s", d.name, d.cfg.Arch, prog.Name)
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down.Load() {
-		return fmt.Errorf("dataplane: %s: %w", d.name, errdefs.ErrDeviceDown)
-	}
-	if _, dup := d.placements[prog.Name]; dup {
-		return fmt.Errorf("dataplane: %s: program %s already installed", d.name, prog.Name)
-	}
-	pl, err := d.model.place(prog)
-	if err != nil {
-		return fmt.Errorf("dataplane: %s: %w: %w", d.name, errdefs.ErrInsufficientResources, err)
-	}
-	inst, err := newInstance(prog, cond, d.rng, d.now, d.lcache)
-	if err != nil {
-		d.model.release(pl)
-		return err
-	}
-	inst.priority = normPriority(opts.Priority)
-	old := d.snapshot()
-	next := &config{
-		parser:    old.parser,
-		instances: sortByPriority(append(append([]*ProgramInstance(nil), old.instances...), inst)),
-	}
-	d.placements[prog.Name] = pl
-	d.order = append(d.order, prog.Name)
-	d.commit(next)
-	return nil
+	return d.Swap(func(st *StagedConfig) error { return st.InstallOpt(prog, opts) })
 }
 
 func normPriority(p int) int {
@@ -645,32 +602,7 @@ func sortByPriority(insts []*ProgramInstance) []*ProgramInstance {
 // "Tenant departures trigger program removal to trim the network and
 // release unused resources").
 func (d *Device) RemoveProgram(name string) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.down.Load() {
-		return fmt.Errorf("dataplane: %s: %w", d.name, errdefs.ErrDeviceDown)
-	}
-	pl, ok := d.placements[name]
-	if !ok {
-		return fmt.Errorf("dataplane: %s: program %s not installed", d.name, name)
-	}
-	old := d.snapshot()
-	next := &config{parser: old.parser}
-	for _, inst := range old.instances {
-		if inst.prog.Name != name {
-			next.instances = append(next.instances, inst)
-		}
-	}
-	d.model.release(pl)
-	delete(d.placements, name)
-	for i, n := range d.order {
-		if n == name {
-			d.order = append(d.order[:i], d.order[i+1:]...)
-			break
-		}
-	}
-	d.commit(next)
-	return nil
+	return d.Swap(func(st *StagedConfig) error { return st.Remove(name) })
 }
 
 // Repack defragments device resources by re-deriving all placements
@@ -687,19 +619,12 @@ func (d *Device) Repack() (int, error) {
 // Used to add/remove header support at runtime (§2: "Parser states can
 // be similarly manipulated to add and remove header types").
 func (d *Device) UpdateParser(mutate func(*packet.ParseGraph) error) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	old := d.snapshot()
-	ng := old.parser.Clone()
-	if err := mutate(ng); err != nil {
-		return fmt.Errorf("dataplane: %s: parser update rejected: %w", d.name, err)
-	}
-	if err := ng.Validate(); err != nil {
-		return fmt.Errorf("dataplane: %s: parser update invalid: %w", d.name, err)
-	}
-	next := &config{parser: ng, instances: old.instances}
-	d.commit(next)
-	return nil
+	return d.Swap(func(st *StagedConfig) error {
+		if err := mutate(st.Parser()); err != nil {
+			return fmt.Errorf("dataplane: %s: parser update rejected: %w", d.name, err)
+		}
+		return nil
+	})
 }
 
 // Parser returns the active parse graph (do not mutate; use UpdateParser).
@@ -737,7 +662,6 @@ func (d *Device) Crash() {
 		d.model.release(pl)
 	}
 	d.placements = map[string]placement{}
-	d.order = nil
 	d.commit(&config{parser: packet.StandardParseGraph()})
 }
 
@@ -808,28 +732,43 @@ func (d *Device) faultLocked(op FaultOp) error {
 func (d *Device) Swap(prepare func(stage *StagedConfig) error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.down.Load() {
-		return fmt.Errorf("dataplane: %s: %w", d.name, errdefs.ErrDeviceDown)
-	}
-	st := d.newStagedLocked()
-	if err := prepare(st); err != nil {
-		st.releaseLocked()
+	st, err := d.stageLocked(prepare)
+	if err != nil {
 		return err
 	}
 	d.applyStagedLocked(st)
 	return nil
 }
 
-// newStagedLocked starts a staged configuration from the current one.
-// Caller holds d.mu.
-func (d *Device) newStagedLocked() *StagedConfig {
-	old := d.snapshot()
-	return &StagedConfig{
+// stageLocked builds a staged configuration on top of the current one.
+// Every configuration change — Swap, PrepareChange, and the single-step
+// InstallProgram/RemoveProgram/UpdateParser wrappers — is staged here, so
+// the checks that guard a commit live here once: a down device refuses
+// changes, and a mutated parse graph must validate. On error every
+// staged placement is released and nothing is retained. Caller holds d.mu.
+func (d *Device) stageLocked(build func(stage *StagedConfig) error) (*StagedConfig, error) {
+	if d.down.Load() {
+		return nil, fmt.Errorf("dataplane: %s: %w", d.name, errdefs.ErrDeviceDown)
+	}
+	base := d.snapshot()
+	st := &StagedConfig{
 		dev:       d,
-		parser:    old.parser.Clone(),
-		instances: append([]*ProgramInstance(nil), old.instances...),
+		base:      base,
+		parser:    base.parser,
+		instances: append([]*ProgramInstance(nil), base.instances...),
 		added:     map[string]placement{},
 	}
+	err := build(st)
+	if err == nil && st.parser != base.parser {
+		if verr := st.parser.Validate(); verr != nil {
+			err = fmt.Errorf("dataplane: %s: parser update invalid: %w", d.name, verr)
+		}
+	}
+	if err != nil {
+		st.releaseLocked()
+		return nil, err
+	}
+	return st, nil
 }
 
 // releaseLocked returns all staged-but-unactivated placements to the
@@ -848,10 +787,9 @@ func (st *StagedConfig) releaseLocked() {
 // holds d.mu.
 func (d *Device) applyStagedLocked(st *StagedConfig) map[string]*flexbpf.Program {
 	removed := map[string]*flexbpf.Program{}
-	old := d.snapshot()
 	for _, name := range st.removed {
 		if pl, ok := d.placements[name]; ok {
-			for _, inst := range old.instances {
+			for _, inst := range st.base.instances {
 				if inst.prog.Name == name {
 					removed[name] = inst.prog
 					break
@@ -859,17 +797,10 @@ func (d *Device) applyStagedLocked(st *StagedConfig) map[string]*flexbpf.Program
 			}
 			d.model.release(pl)
 			delete(d.placements, name)
-			for i, n := range d.order {
-				if n == name {
-					d.order = append(d.order[:i], d.order[i+1:]...)
-					break
-				}
-			}
 		}
 	}
 	for name, pl := range st.added {
 		d.placements[name] = pl
-		d.order = append(d.order, name)
 	}
 	d.commit(&config{parser: st.parser, instances: st.instances})
 	return removed
@@ -889,18 +820,16 @@ func (d *Device) PrepareChange(build func(stage *StagedConfig) error) (*Prepared
 	if err := d.faultLocked(FaultPrepare); err != nil {
 		return nil, err
 	}
-	st := d.newStagedLocked()
-	if err := build(st); err != nil {
-		st.releaseLocked()
+	st, err := d.stageLocked(build)
+	if err != nil {
 		return nil, err
 	}
-	return &PreparedChange{dev: d, base: d.snapshot(), staged: st}, nil
+	return &PreparedChange{dev: d, staged: st}, nil
 }
 
 // PreparedChange is a staged device change awaiting Activate or Abort.
 type PreparedChange struct {
 	dev    *Device
-	base   *config // configuration the staging was built against
 	staged *StagedConfig
 	// next and removed are filled by Activate for Revert.
 	next      *config
@@ -929,8 +858,8 @@ func (p *PreparedChange) Activate() error {
 	if err := d.faultLocked(FaultCommit); err != nil {
 		return err
 	}
-	if d.snapshot() != p.base {
-		return fmt.Errorf("dataplane: %s: device reconfigured since prepare (epoch %d != %d)", d.name, d.snapshot().epoch, p.base.epoch)
+	if base := p.staged.base; d.snapshot() != base {
+		return fmt.Errorf("dataplane: %s: device reconfigured since prepare (epoch %d != %d)", d.name, d.snapshot().epoch, base.epoch)
 	}
 	p.removed = d.applyStagedLocked(p.staged)
 	p.next = d.snapshot()
@@ -970,12 +899,6 @@ func (p *PreparedChange) Revert() error {
 		if pl, ok := d.placements[name]; ok {
 			d.model.release(pl)
 			delete(d.placements, name)
-			for i, n := range d.order {
-				if n == name {
-					d.order = append(d.order[:i], d.order[i+1:]...)
-					break
-				}
-			}
 		}
 	}
 	// Undo removes: re-place the old programs (their resources are free
@@ -986,17 +909,22 @@ func (p *PreparedChange) Revert() error {
 			return fmt.Errorf("dataplane: %s: revert could not re-place %s: %w", d.name, name, err)
 		}
 		d.placements[name] = pl
-		d.order = append(d.order, name)
 	}
-	d.commit(&config{parser: p.base.parser, instances: p.base.instances})
+	base := p.staged.base
+	d.commit(&config{parser: base.parser, instances: base.instances})
 	p.activated = false
 	p.released = true
 	return nil
 }
 
-// StagedConfig is a device configuration under construction inside Swap.
+// StagedConfig is a device configuration under construction inside Swap
+// or PrepareChange.
 type StagedConfig struct {
-	dev       *Device
+	dev *Device
+	// base is the configuration the staging was built against.
+	base *config
+	// parser is the base graph until Parser is first called, then a
+	// private copy (an untouched staging commits the base graph as is).
 	parser    *packet.ParseGraph
 	instances []*ProgramInstance
 	added     map[string]placement
@@ -1018,14 +946,15 @@ func (st *StagedConfig) Install(prog *flexbpf.Program, cond *flexbpf.Cond) error
 	return st.InstallOpt(prog, InstallOptions{Filter: cond, Priority: PriorityExtension})
 }
 
-// InstallOpt stages a program installation with explicit options.
+// InstallOpt stages a program installation with explicit options: the
+// program is verified, checked against the device's capabilities, placed,
+// and built into a linked instance. On error nothing is reserved.
 func (st *StagedConfig) InstallOpt(prog *flexbpf.Program, opts InstallOptions) error {
-	cond := opts.Filter
 	if err := flexbpf.Verify(prog); err != nil {
-		return fmt.Errorf("%w: %w", errdefs.ErrVerifyFailed, err)
+		return fmt.Errorf("dataplane: %s: refusing unverified program: %w: %w", st.dev.name, errdefs.ErrVerifyFailed, err)
 	}
 	if !st.dev.caps.Satisfies(prog.Requires) {
-		return fmt.Errorf("dataplane: %s lacks capabilities for %s", st.dev.name, prog.Name)
+		return fmt.Errorf("dataplane: %s (%v) lacks capabilities for program %s", st.dev.name, st.dev.cfg.Arch, prog.Name)
 	}
 	if _, dup := st.dev.placements[prog.Name]; dup && !st.isRemoved(prog.Name) {
 		return fmt.Errorf("dataplane: %s: program %s already installed", st.dev.name, prog.Name)
@@ -1037,10 +966,10 @@ func (st *StagedConfig) InstallOpt(prog *flexbpf.Program, opts InstallOptions) e
 	if err != nil {
 		return fmt.Errorf("dataplane: %s: %w: %w", st.dev.name, errdefs.ErrInsufficientResources, err)
 	}
-	inst, err := newInstance(prog, cond, st.dev.rng, st.dev.now, st.dev.lcache)
+	inst, err := newInstance(prog, opts.Filter, st.dev.rng, st.dev.now, st.dev.lcache)
 	if err != nil {
 		st.dev.model.release(pl)
-		return err
+		return fmt.Errorf("dataplane: %s: %w", st.dev.name, err)
 	}
 	inst.priority = normPriority(opts.Priority)
 	st.added[prog.Name] = pl
@@ -1072,8 +1001,15 @@ func (st *StagedConfig) Remove(name string) error {
 	return nil
 }
 
-// Parser exposes the staged parse graph for mutation.
-func (st *StagedConfig) Parser() *packet.ParseGraph { return st.parser }
+// Parser exposes the staged parse graph for mutation (a private copy of
+// the base graph, cloned on first use). The mutated graph is validated
+// before the staging can commit.
+func (st *StagedConfig) Parser() *packet.ParseGraph {
+	if st.parser == st.base.parser {
+		st.parser = st.parser.Clone()
+	}
+	return st.parser
+}
 
 // fidMetaIngress is the interned ID of the intrinsic ingress-port field,
 // resolved once so Process never interns on the packet path.
@@ -1096,21 +1032,7 @@ func (d *Device) ProcessCtx(pkt *packet.Packet, ectx *flexbpf.ExecContext) ProcS
 		d.countDrop(func(c *Counters) { c.DrainDrops++; c.Dropped++ })
 		return ProcStats{Verdict: packet.VerdictDrop}
 	}
-	// In batch mode (between the shard hooks) the configuration snapshot
-	// is pinned once per batch and table lookups share the BatchState;
-	// both are observably identical to per-packet loads because mutations
-	// happen only on the event loop, which never runs mid-batch.
-	var cfg *config
-	var bs *flexbpf.BatchState
-	if d.batch.active {
-		if d.batch.cfg == nil {
-			d.batch.cfg = d.snapshot()
-		}
-		cfg = d.batch.cfg
-		bs = &d.batch.bs
-	} else {
-		cfg = d.snapshot()
-	}
+	cfg := d.snapshot()
 	pkt.Epoch = cfg.epoch
 	// Expose intrinsic metadata to programs (P4 standard-metadata style).
 	pkt.SetFieldByID(fidMetaIngress, uint64(pkt.IngressPort))
@@ -1138,7 +1060,7 @@ func (d *Device) ProcessCtx(pkt *packet.Packet, ectx *flexbpf.ExecContext) ProcS
 		if !inst.accepts(pkt) {
 			continue
 		}
-		res, err := inst.runCtxBS(pkt, ectx, bs)
+		res, err := inst.runCtx(pkt, ectx)
 		st.Instrs += res.Instrs
 		st.Lookups += res.Lookups
 		st.Programs = append(st.Programs, inst.prog.Name)

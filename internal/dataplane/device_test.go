@@ -1,10 +1,12 @@
 package dataplane
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 
+	"flexnet/internal/errdefs"
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/packet"
 )
@@ -86,6 +88,76 @@ func TestInstallRejectsUnverifiable(t *testing.T) {
 	}
 }
 
+// TestLinkFailureIsInstallError: a program that does not link is refused
+// with ErrVerifyFailed and nothing retained — there is no interpreter to
+// fall back to. The verifier catches every unlinkable program before the
+// linker sees it (flexbpf's TestVerifierSoundnessFuzz), so the link step
+// is driven directly with a hand-assembled unverified program.
+func TestLinkFailureIsInstallError(t *testing.T) {
+	d := MustNew(DefaultConfig("sw1", ArchDRMT))
+	ghost := flexbpf.NewAsm().MovImm(0, 1).MapStore("ghost", 0, 0).MustBuild()
+	unlinkable := &flexbpf.Program{Name: "bad", Pipeline: []flexbpf.Stmt{{Do: ghost}}}
+	inst, err := newInstance(unlinkable, nil, d.rng, d.now, nil)
+	if inst != nil || !errors.Is(err, errdefs.ErrVerifyFailed) {
+		t.Fatalf("newInstance = (%v, %v), want nil instance and ErrVerifyFailed", inst, err)
+	}
+	if err := d.InstallProgram(unlinkable); !errors.Is(err, errdefs.ErrVerifyFailed) {
+		t.Fatalf("install of unlinkable program: %v", err)
+	}
+}
+
+// TestFailedInstanceBuildReleasesPlacement: when a program verifies and
+// places but its instance cannot be built, the reservation is returned on
+// every configuration door (they share one body). A map of unknown kind
+// passes the verifier and fails in newInstance, after placement.
+func TestFailedInstanceBuildReleasesPlacement(t *testing.T) {
+	unbuildable := func() *flexbpf.Program {
+		p := fwdProgram("odd", 1)
+		p.Maps = append(p.Maps, &flexbpf.MapSpec{Name: "m", Kind: flexbpf.MapKind(99), MaxEntries: 8, ValueBits: 32})
+		return p
+	}
+	doors := map[string]func(d *Device) error{
+		"InstallProgram": func(d *Device) error { return d.InstallProgram(unbuildable()) },
+		"Swap": func(d *Device) error {
+			return d.Swap(func(st *StagedConfig) error { return st.Install(unbuildable(), nil) })
+		},
+		"PrepareChange": func(d *Device) error {
+			_, err := d.PrepareChange(func(st *StagedConfig) error {
+				// A good install staged first must be released too.
+				if err := st.Install(fwdProgram("good", 2), nil); err != nil {
+					return err
+				}
+				return st.Install(unbuildable(), nil)
+			})
+			return err
+		},
+	}
+	for name, install := range doors {
+		t.Run(name, func(t *testing.T) {
+			d := MustNew(DefaultConfig("sw1", ArchDRMT))
+			if err := d.InstallProgram(fwdProgram("keep", 1)); err != nil {
+				t.Fatal(err)
+			}
+			free, epoch := d.Free(), d.Epoch()
+			if err := install(d); err == nil {
+				t.Fatal("unbuildable program installed")
+			}
+			if got := d.Free(); got != free {
+				t.Fatalf("failed install leaked resources: %+v -> %+v", free, got)
+			}
+			if d.Epoch() != epoch {
+				t.Fatal("failed install bumped epoch")
+			}
+			if got := d.Programs(); len(got) != 1 || got[0] != "keep" {
+				t.Fatalf("programs after failed install: %v", got)
+			}
+			if d.InstalledDemand().Add(d.Free()) != d.Capacity() {
+				t.Fatal("installed demand + free != capacity")
+			}
+		})
+	}
+}
+
 func TestCapabilityGate(t *testing.T) {
 	d := MustNew(DefaultConfig("sw1", ArchRMT))
 	cc := flexbpf.NewProgram("cc").
@@ -132,7 +204,7 @@ func TestTenantFilterIsolation(t *testing.T) {
 	d := MustNew(DefaultConfig("sw1", ArchDRMT))
 	// Tenant program only sees VLAN 42 and drops its TCP 22.
 	cond := &flexbpf.Cond{Field: "vlan.vid", Op: flexbpf.CmpEq, Value: 42}
-	if err := d.InstallProgramFiltered(dropDportProgram("tenant42", 22), cond); err != nil {
+	if err := d.InstallProgramOpt(dropDportProgram("tenant42", 22), InstallOptions{Filter: cond}); err != nil {
 		t.Fatal(err)
 	}
 	var seq uint64

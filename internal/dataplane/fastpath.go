@@ -1,27 +1,15 @@
 package dataplane
 
-// This file implements the device fast path added for batched execution
-// and the megaflow flow cache (DESIGN.md §12):
-//
-//   - Batch mode: the sharded fabric engine brackets each contiguous run
-//     of one device's packets with BeginBatch/EndBatch (netsim shard
-//     hooks), letting the device load its configuration snapshot once,
-//     match tables against batch-cached copy-on-write snapshots, and
-//     flush telemetry counter deltas once per batch instead of per
-//     packet. Configuration and table mutations happen only on the event
-//     loop, which never runs between a batch's computes, so batch-cached
-//     snapshots are observably identical to per-packet loads at every
-//     point any event-loop code can observe.
-//
-//   - Flow cache: when enabled, the resolved outcome of the first packet
-//     of a flow is recorded against the packet state the pipeline
-//     depends on (static CacheProfile of every installed instance, plus
-//     filter and parser select fields) and replayed for followers that
-//     match it. Replay reproduces the exact per-packet telemetry
-//     (Instrs, Lookups, latency, programs), so device counters remain
-//     byte-identical with the cache on or off; cache activity is
-//     reported under separate "flowcache.<dev>.*" instruments that exist
-//     only when the cache is enabled.
+// This file implements the device's megaflow flow cache (DESIGN.md §12)
+// and the accounting tail every processed packet shares. When the cache
+// is enabled, the resolved outcome of the first packet of a flow is
+// recorded against the packet state the pipeline depends on (static
+// CacheProfile of every installed instance, plus filter and parser select
+// fields) and replayed for followers that match it. Replay reproduces the
+// exact per-packet telemetry (Instrs, Lookups, latency, programs), so
+// device counters remain byte-identical with the cache on or off; cache
+// activity is reported under separate "flowcache.<dev>.*" instruments
+// that exist only when the cache is enabled.
 
 import (
 	"sort"
@@ -37,7 +25,7 @@ import (
 // dependency sets. Computed lazily once per config (configs are
 // immutable after commit).
 type fastpathInfo struct {
-	// cacheable: every instance is linked and its profile is cacheable.
+	// cacheable: every instance's profile is cacheable.
 	cacheable bool
 	// fields is the validation set: reads ∪ writes ∪ filter-condition
 	// fields ∪ parser select fields, sorted and deduplicated.
@@ -67,10 +55,6 @@ func computeFastpath(cfg *config) *fastpathInfo {
 	writes := map[packet.FieldID]struct{}{}
 	for _, inst := range cfg.instances {
 		lp := inst.linked
-		if lp == nil {
-			fp.cacheable = false
-			return fp
-		}
 		prof := lp.CacheProfile()
 		if !prof.Cacheable {
 			fp.cacheable = false
@@ -156,105 +140,22 @@ func (d *Device) FlowCacheStats() flowcache.Stats {
 	return d.fcache.Stats()
 }
 
-// deviceBatch is the device's batch-mode state: the pinned configuration
-// snapshot, the shared table BatchState, and deferred telemetry deltas.
-// It is touched only between BeginBatch and EndBatch, i.e. inside the
-// device's serialized shard group, so no locking is needed.
-type deviceBatch struct {
-	active bool
-	cfg    *config
-	bs     flexbpf.BatchState
-
-	// Deferred instrument deltas, flushed by EndBatch.
-	metPackets uint64
-	metDropped uint64
-	metLookups uint64
-	processed  uint64
-	c          Counters
-}
-
-// BeginBatch enters batch mode. The fabric wires it as the device
-// shard's begin hook; every ProcessCtx call until EndBatch shares one
-// configuration snapshot and one table BatchState. Safe because config
-// and table mutations happen only on the event loop, which cannot run
-// between the hooks.
-func (d *Device) BeginBatch() {
-	d.batch.active = true
-	d.batch.cfg = nil // snapshot pinned lazily by the first packet
-}
-
-// EndBatch leaves batch mode, flushing buffered table statistics and
-// telemetry deltas. It runs on the worker goroutine before the batch's
-// apply phase, so event-loop observers always see fully flushed totals —
-// identical to per-packet accounting at every observable point.
-func (d *Device) EndBatch() {
-	b := &d.batch
-	b.active = false
-	b.cfg = nil
-	b.bs.Flush()
-	if b.metPackets != 0 {
-		d.met.packets.Add(b.metPackets)
-	}
-	if b.metDropped != 0 {
-		d.met.dropped.Add(b.metDropped)
-	}
-	if b.metLookups != 0 {
-		d.met.lookups.Add(b.metLookups)
-	}
-	if b.processed != 0 {
-		d.processed.Add(b.processed)
-	}
-	if b.c != (Counters{}) {
-		d.bump(func(c *Counters) {
-			c.Processed += b.c.Processed
-			c.Dropped += b.c.Dropped
-			c.Forwarded += b.c.Forwarded
-			c.Punted += b.c.Punted
-			c.Recircs += b.c.Recircs
-			c.DrainDrops += b.c.DrainDrops
-			c.Errors += b.c.Errors
-		})
-	}
-	b.metPackets, b.metDropped, b.metLookups, b.processed = 0, 0, 0, 0
-	b.c = Counters{}
-}
-
 // countDrop accounts a pre-pipeline drop (drain/down/parse/program
-// error), batch-aware. mut updates the lifetime counters.
+// error). mut updates the lifetime counters.
 func (d *Device) countDrop(mut func(*Counters)) {
-	if d.batch.active {
-		mut(&d.batch.c)
-		d.batch.metDropped++
-		return
-	}
 	d.bump(mut)
 	d.met.dropped.Inc()
 }
 
 // accountProcessed runs the shared accounting tail for a fully processed
 // packet (pipeline or cache replay): modelled latency, instruments, and
-// lifetime counters, batch-aware.
+// lifetime counters.
 func (d *Device) accountProcessed(st *ProcStats) {
 	st.LatencyNs = d.cfg.Perf.BaseLatencyNs +
 		d.cfg.Perf.PerInstrNs*uint64(st.Instrs) +
 		d.cfg.Perf.PerLookupNs*uint64(st.Lookups)
 
-	// The latency histogram stays per-packet in batch mode: Observe is a
-	// single atomic bucket bump, and deferring observations would change
-	// nothing observable anyway.
 	d.met.latency.Observe(int64(st.LatencyNs))
-
-	if d.batch.active {
-		b := &d.batch
-		b.metPackets++
-		b.metLookups += uint64(st.Lookups)
-		if st.Verdict == packet.VerdictDrop {
-			b.metDropped++
-		}
-		b.processed++
-		countVerdict(&b.c, st.Verdict)
-		return
-	}
 	d.met.packets.Inc()
 	d.met.lookups.Add(uint64(st.Lookups))
 	if st.Verdict == packet.VerdictDrop {

@@ -5,31 +5,31 @@ import (
 	"math/rand"
 
 	"flexnet/internal/dataplane/state"
+	"flexnet/internal/errdefs"
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/packet"
 	"flexnet/internal/telemetry"
 )
 
 // ProgramInstance is a FlexBPF program installed on a device: the spec,
-// its table instances, and its state store. It implements flexbpf.Env
-// and flexbpf.LinkedEnv.
+// its table instances, and its state store. It implements
+// flexbpf.LinkedEnv.
 //
 // At creation the program is linked (flexbpf.Link) into a flattened form
 // with map/counter/meter references resolved to the slot slices below,
 // so the per-packet path performs no string lookups and no allocation.
-// If linking fails the instance falls back to the tree interpreter.
+// Linking is part of installation: a program that does not link is not
+// installed (DESIGN.md §7).
 type ProgramInstance struct {
 	prog     *flexbpf.Program
 	priority int
-	filter   *flexbpf.Cond
 	lfilter  *flexbpf.LinkedCond
 	tables   map[string]*flexbpf.TableInstance
 	store    *state.Store
 	rng      *rand.Rand
 	now      func() uint64
-	interp   flexbpf.Interp
 
-	// linked is the install-time linked form (nil = legacy tree path).
+	// linked is the install-time linked form (never nil).
 	linked *flexbpf.LinkedProgram
 	// lmaps/lcounters/lmeters are the slot-resolved object pointers the
 	// LinkedEnv methods index into.
@@ -45,7 +45,6 @@ type ProgramInstance struct {
 func newInstance(prog *flexbpf.Program, filter *flexbpf.Cond, rng *rand.Rand, now func() uint64, lc *linkCacheHook) (*ProgramInstance, error) {
 	inst := &ProgramInstance{
 		prog:   prog,
-		filter: filter,
 		tables: make(map[string]*flexbpf.TableInstance, len(prog.Tables)),
 		store:  state.NewStore(),
 		rng:    rng,
@@ -67,7 +66,7 @@ func newInstance(prog *flexbpf.Program, filter *flexbpf.Cond, rng *rand.Rand, no
 		case flexbpf.MapLRU:
 			kind = state.KindLRU
 		default:
-			return nil, fmt.Errorf("dataplane: program %s: unknown map kind %v", prog.Name, m.Kind)
+			return nil, fmt.Errorf("program %s: unknown map kind %v", prog.Name, m.Kind)
 		}
 		if err := inst.store.Add(state.NewMap(m.Name, kind, m.MaxEntries)); err != nil {
 			return nil, err
@@ -84,11 +83,9 @@ func newInstance(prog *flexbpf.Program, filter *flexbpf.Cond, rng *rand.Rand, no
 		}
 	}
 	// Install-time link: resolve symbols once so the per-packet path is
-	// map-free and allocation-free. Link failure is not an install
-	// failure — the tree interpreter remains the semantic reference.
-	// With a link cache wired (DESIGN.md §13.3), identical program
-	// content re-links by rebinding table pointers instead of lowering
-	// the whole program again.
+	// map-free and allocation-free. With a link cache wired (DESIGN.md
+	// §13.3), identical program content re-links by rebinding table
+	// pointers instead of lowering the whole program again.
 	lookup := func(name string) *flexbpf.TableInstance { return inst.tables[name] }
 	var lp *flexbpf.LinkedProgram
 	var err error
@@ -105,21 +102,22 @@ func newInstance(prog *flexbpf.Program, filter *flexbpf.Cond, rng *rand.Rand, no
 	} else {
 		lp, err = flexbpf.Link(prog, lookup)
 	}
-	if err == nil {
-		inst.linked = lp
-		inst.ectx = flexbpf.NewExecContext()
-		for _, n := range lp.MapSlots() {
-			inst.lmaps = append(inst.lmaps, inst.store.Map(n))
-		}
-		for _, n := range lp.CounterSlots() {
-			inst.lcounters = append(inst.lcounters, inst.store.Counter(n))
-		}
-		for _, n := range lp.MeterSlots() {
-			inst.lmeters = append(inst.lmeters, inst.store.Meter(n))
-		}
-		for _, ti := range inst.tables {
-			ti.SetActionResolver(lp.ActionIndex)
-		}
+	if err != nil {
+		return nil, fmt.Errorf("program %s does not link: %w: %w", prog.Name, errdefs.ErrVerifyFailed, err)
+	}
+	inst.linked = lp
+	inst.ectx = flexbpf.NewExecContext()
+	for _, n := range lp.MapSlots() {
+		inst.lmaps = append(inst.lmaps, inst.store.Map(n))
+	}
+	for _, n := range lp.CounterSlots() {
+		inst.lcounters = append(inst.lcounters, inst.store.Counter(n))
+	}
+	for _, n := range lp.MeterSlots() {
+		inst.lmeters = append(inst.lmeters, inst.store.Meter(n))
+	}
+	for _, ti := range inst.tables {
+		ti.SetActionResolver(lp.ActionIndex)
 	}
 	return inst, nil
 }
@@ -131,8 +129,7 @@ type linkCacheHook struct {
 	hits, misses *telemetry.Counter
 }
 
-// Linked returns the install-time linked form, or nil when the instance
-// runs on the tree interpreter.
+// Linked returns the install-time linked form.
 func (pi *ProgramInstance) Linked() *flexbpf.LinkedProgram { return pi.linked }
 
 // Program returns the instance's program spec.
@@ -156,80 +153,15 @@ func (pi *ProgramInstance) accepts(pkt *packet.Packet) bool {
 	return pi.lfilter.Eval(pkt)
 }
 
-func (pi *ProgramInstance) run(pkt *packet.Packet) (flexbpf.ExecResult, error) {
-	return pi.runCtx(pkt, nil)
-}
-
 // runCtx executes the instance with the caller's ExecContext. A nil ectx
 // uses the instance's private context; the sharded fabric engine instead
 // passes one context per worker, keeping the scratch registers and key
 // buffer cache-warm across every device a worker executes.
 func (pi *ProgramInstance) runCtx(pkt *packet.Packet, ectx *flexbpf.ExecContext) (flexbpf.ExecResult, error) {
-	return pi.runCtxBS(pkt, ectx, nil)
-}
-
-// runCtxBS is runCtx with an optional batch state: non-nil bs routes
-// table applies through batch-cached snapshots with deferred statistics
-// (see flexbpf.BatchState). The tree-interpreter fallback ignores bs —
-// unlinked programs never run in batch-cacheable configurations.
-func (pi *ProgramInstance) runCtxBS(pkt *packet.Packet, ectx *flexbpf.ExecContext, bs *flexbpf.BatchState) (flexbpf.ExecResult, error) {
-	if pi.linked != nil {
-		if ectx == nil {
-			ectx = pi.ectx
-		}
-		return pi.linked.RunWith(pkt, pi, ectx, bs)
+	if ectx == nil {
+		ectx = pi.ectx
 	}
-	return pi.interp.Run(pi.prog, pkt, pi)
-}
-
-// MapLoad implements flexbpf.Env.
-func (pi *ProgramInstance) MapLoad(name string, key uint64) (uint64, bool) {
-	m := pi.store.Map(name)
-	if m == nil {
-		return 0, false
-	}
-	return m.Load(key)
-}
-
-// MapStore implements flexbpf.Env.
-func (pi *ProgramInstance) MapStore(name string, key, val uint64) error {
-	m := pi.store.Map(name)
-	if m == nil {
-		return fmt.Errorf("dataplane: program %s has no map %q", pi.prog.Name, name)
-	}
-	return m.Store(key, val)
-}
-
-// MapDelete implements flexbpf.Env.
-func (pi *ProgramInstance) MapDelete(name string, key uint64) {
-	if m := pi.store.Map(name); m != nil {
-		m.Delete(key)
-	}
-}
-
-// CounterAdd implements flexbpf.Env.
-func (pi *ProgramInstance) CounterAdd(name string, idx, delta uint64) {
-	if c := pi.store.Counter(name); c != nil {
-		c.Add(idx, delta)
-	}
-}
-
-// MeterExec implements flexbpf.Env.
-func (pi *ProgramInstance) MeterExec(name string, idx, bytes uint64) uint64 {
-	m := pi.store.Meter(name)
-	if m == nil {
-		return state.ColorRed
-	}
-	return m.Exec(idx, bytes, pi.now())
-}
-
-// TableLookup implements flexbpf.Env.
-func (pi *ProgramInstance) TableLookup(name string, keys []uint64) (string, []uint64, bool) {
-	t := pi.tables[name]
-	if t == nil {
-		return "", nil, false
-	}
-	return t.Lookup(keys)
+	return pi.linked.Run(pkt, pi, ectx)
 }
 
 // MapLoadSlot implements flexbpf.LinkedEnv.
@@ -273,10 +205,10 @@ func (pi *ProgramInstance) MeterExecSlot(slot int, idx, bytes uint64) uint64 {
 	return m.Exec(idx, bytes, pi.now())
 }
 
-// Now implements flexbpf.Env.
+// Now implements flexbpf.LinkedEnv.
 func (pi *ProgramInstance) Now() uint64 { return pi.now() }
 
-// Rand implements flexbpf.Env. The source is the hosting device's rng,
+// Rand implements flexbpf.LinkedEnv. The source is the hosting device's rng,
 // which the fabric seeds from the simulation seed — never the global
 // math/rand source — so OpRand draws replay bit-for-bit.
 func (pi *ProgramInstance) Rand() uint64 { return pi.rng.Uint64() }

@@ -10,12 +10,14 @@ import (
 	"flexnet/internal/packet"
 )
 
-// E17FastPath exercises the batched-execution fast path and the megaflow
-// flow cache (DESIGN.md §12) on a single DRMT switch carrying 1–64
-// concurrent CBR flows. Each flow count runs twice — cache off and cache
-// on — over identically seeded fabrics, and the experiment reports the
-// engine's average batch size, the cache hit rate, and the work the
-// cache replayed instead of executing (instructions and table lookups).
+// E17FastPath exercises the megaflow flow cache (DESIGN.md §12) on a
+// single DRMT switch carrying 1–64 concurrent CBR flows. Each flow count
+// runs twice — cache off and cache on — over identically seeded fabrics,
+// and the experiment reports the cache hit rate and the work the cache
+// replayed instead of executing (instructions and table lookups). The
+// "avg batch" column is the sharded engine's events per barrier batch
+// (DESIGN.md §9) — how much same-instant work the worker pool is handed,
+// not a device execution mode.
 // The "dev telemetry" column compares the cache-on run's device counters
 // and delivery count against the cache-off run: replay reproduces the
 // per-packet accounting exactly, so they must be identical — the
@@ -23,14 +25,14 @@ import (
 //
 // Every column is computed from simulated-time quantities and
 // deterministic counters, so the table is byte-identical at a seed for
-// any worker count and any -batch/-flowcache flag combination (the
-// experiment builds its own fabrics with explicit cache settings).
+// any worker count and either -flowcache setting (the experiment builds
+// its own fabrics with explicit cache settings).
 // Wall-clock speedups are measured separately by the steady-state
 // pipeline benchmarks (BENCH_PR7.md).
 func E17FastPath(seed int64) *Table {
 	t := &Table{
 		ID:      "E17",
-		Title:   "Fast path: batched execution and megaflow flow cache",
+		Title:   "Fast path: megaflow flow cache",
 		Claim:   "\"process packets at line rate\" (§1) — the software model must amortize per-packet costs to keep simulated fabrics fast without changing observable behavior",
 		Columns: []string{"cache", "flows", "pkts delivered", "avg batch", "hit %", "replayed instrs", "lookups saved", "dev telemetry"},
 	}
@@ -54,10 +56,10 @@ func E17FastPath(seed int64) *Table {
 		f.SetFlowCache(cache)
 		f.AddSwitch("sw", dataplane.ArchDRMT)
 		// One ingress host (and link) per flow: concurrent same-phase CBR
-		// sources deliver at identical timestamps, so the switch's shard
-		// group — the unit batched execution amortizes over — grows with
-		// flow concurrency. A single shared ingress link would serialize
-		// arrivals onto distinct timestamps and pin every batch at one.
+		// sources deliver at identical timestamps, so the engine's barrier
+		// batches grow with flow concurrency. A single shared ingress link
+		// would serialize arrivals onto distinct timestamps and pin every
+		// batch at one.
 		f.AddHost("h2", packet.IP(10, 0, 255, 2))
 		f.Connect("sw", "h2", netsim.DefaultLink())
 		for i := 0; i < flows; i++ {
@@ -113,6 +115,6 @@ func E17FastPath(seed int64) *Table {
 			[]string{"on", di(flows), d(on.received), f2(on.avgBatch), f2(hitPct), d(on.instrs), d(on.lookups), ident},
 		)
 	}
-	t.Finding = fmt.Sprintf("the flow cache serves ≥%.2f%% of steady-state packets from one exact-match lookup while device counters and deliveries stay identical to the uncached run; batches grow with flow concurrency, amortizing per-packet dispatch", minHit)
+	t.Finding = fmt.Sprintf("the flow cache serves ≥%.2f%% of steady-state packets from one exact-match lookup while device counters and deliveries stay identical to the uncached run; the engine's barrier batches grow with flow concurrency", minHit)
 	return t
 }

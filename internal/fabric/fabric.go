@@ -102,13 +102,10 @@ type Fabric struct {
 	batches       *telemetry.Counter
 	batchEvents   *telemetry.Counter
 
-	// batching wires BeginBatch/EndBatch shard hooks on every switch so
-	// per-packet fixed costs amortize across a shard group; flowCache
-	// enables the per-device megaflow cache. Both are fixed at fabric
-	// creation (from the process-wide defaults) and applied to switches
-	// as they are added; neither changes simulation output (DESIGN.md
-	// §12).
-	batching  bool
+	// flowCache enables the per-device megaflow cache. It is fixed at
+	// fabric creation (from the process-wide default) and applied to
+	// switches as they are added; it never changes simulation output
+	// (DESIGN.md §12).
 	flowCache bool
 
 	// lcache is the fabric-wide install-time link cache: every device
@@ -141,7 +138,6 @@ func New(seed int64) *Fabric {
 		routing:     routing.New(),
 		linkID:      map[*netsim.Link]int{},
 		applied:     map[string]*flexbpf.TableInstance{},
-		batching:    defaultBatching,
 		flowCache:   defaultFlowCache,
 		lcache:      flexbpf.NewLinkCache(0),
 	}
@@ -169,15 +165,6 @@ var defaultWorkers int
 // intended for process start-up.
 func SetDefaultWorkers(n int) { defaultWorkers = n }
 
-// defaultBatching controls whether new fabrics run switches in batched
-// execution mode. On by default: batching is observably identical to
-// per-packet execution (see dataplane BeginBatch) and strictly faster.
-var defaultBatching = true
-
-// SetDefaultBatching sets whether new fabrics batch switch execution.
-// Backs the -batch flag on binaries; intended for process start-up.
-func SetDefaultBatching(v bool) { defaultBatching = v }
-
 // defaultFlowCache controls whether new fabrics enable the per-switch
 // megaflow flow cache. Off by default so existing telemetry dumps stay
 // byte-identical; the cache adds "flowcache.<dev>.*" instruments.
@@ -192,10 +179,6 @@ func SetDefaultFlowCache(v bool) { defaultFlowCache = v }
 // telemetry) is identical with the cache on or off; only flowcache.*
 // instruments differ.
 func (f *Fabric) SetFlowCache(v bool) { f.flowCache = v }
-
-// SetBatching toggles batched execution for switches added after the
-// call. Batching never changes simulation output.
-func (f *Fabric) SetBatching(v bool) { f.batching = v }
 
 // SetWorkers sets the sharded engine's worker pool size (n <= 0 selects
 // GOMAXPROCS) and returns the effective count. The worker count affects
@@ -258,11 +241,6 @@ func (f *Fabric) AddSwitchCfg(cfg dataplane.Config) *dataplane.Device {
 	node.SetBatchHandler(shard, func(w *netsim.Worker, pkt *packet.Packet, inPort int) func() {
 		return f.deviceCompute(w, d, node, shard, pkt, inPort, 0)
 	})
-	if f.batching {
-		f.Sim.SetShardHooks(shard,
-			func(*netsim.Worker) { d.BeginBatch() },
-			func(*netsim.Worker) { d.EndBatch() })
-	}
 	if f.flowCache {
 		d.EnableFlowCache(f.Metrics)
 	}

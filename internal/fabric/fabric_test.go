@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"flexnet/internal/dataplane"
+	"flexnet/internal/flexbpf"
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
 )
@@ -182,5 +183,12 @@ func TestInfraRoutingProgramVerifies(t *testing.T) {
 	}
 	if p.Name != InfraProgramName {
 		t.Fatalf("name = %q", p.Name)
+	}
+	if err := flexbpf.Verify(p); err != nil {
+		t.Fatalf("does not verify: %v", err)
+	}
+	ti := flexbpf.NewTableInstance(p.Table(RouteTableName))
+	if _, err := flexbpf.Link(p, func(string) *flexbpf.TableInstance { return ti }); err != nil {
+		t.Fatalf("verifies but does not link: %v", err)
 	}
 }

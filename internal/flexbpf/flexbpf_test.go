@@ -13,15 +13,19 @@ import (
 type testEnv struct {
 	maps     map[string]map[uint64]uint64
 	counters map[string]map[uint64]uint64
-	tables   map[string]*TableInstance
-	now      uint64
-	rnd      *rand.Rand
+	// meters accumulates the bytes charged per meter cell, so state
+	// comparisons see meter traffic too (every cell stays green).
+	meters map[string]map[uint64]uint64
+	tables map[string]*TableInstance
+	now    uint64
+	rnd    *rand.Rand
 }
 
 func newTestEnv() *testEnv {
 	return &testEnv{
 		maps:     map[string]map[uint64]uint64{},
 		counters: map[string]map[uint64]uint64{},
+		meters:   map[string]map[uint64]uint64{},
 		tables:   map[string]*TableInstance{},
 		rnd:      rand.New(rand.NewSource(1)),
 	}
@@ -45,7 +49,13 @@ func (e *testEnv) CounterAdd(c string, i, d uint64) {
 	}
 	e.counters[c][i] += d
 }
-func (e *testEnv) MeterExec(m string, i, b uint64) uint64 { return 0 }
+func (e *testEnv) MeterExec(m string, i, b uint64) uint64 {
+	if e.meters[m] == nil {
+		e.meters[m] = map[uint64]uint64{}
+	}
+	e.meters[m][i] += b
+	return 0
+}
 func (e *testEnv) TableLookup(t string, keys []uint64) (string, []uint64, bool) {
 	ti, ok := e.tables[t]
 	if !ok {

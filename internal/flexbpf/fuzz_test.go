@@ -2,6 +2,7 @@ package flexbpf
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"flexnet/internal/packet"
@@ -34,10 +35,15 @@ func randomInstr(r *rand.Rand) Instr {
 // TestVerifierSoundnessFuzz: any random block the verifier ACCEPTS must
 // execute without runtime errors, terminate, and stay within the static
 // worst-case instruction bound — the §3.1 "certify bounded execution"
-// property, checked adversarially.
+// property, checked adversarially. The same block must also link, and
+// the linked program (the only form a device executes) must agree with
+// the reference interpreter on verdict, instruction and lookup counts,
+// every packet field, and the map/counter/meter state it leaves behind:
+// verifier-accepted ⇒ link succeeds ⇒ linked ≡ reference.
 func TestVerifierSoundnessFuzz(t *testing.T) {
 	r := rand.New(rand.NewSource(2024))
-	env := newTestEnv()
+	env, envL := newTestEnv(), newTestEnv()
+	ctx := NewExecContext()
 	accepted := 0
 	const trials = 30000
 	for trial := 0; trial < trials; trial++ {
@@ -68,11 +74,32 @@ func TestVerifierSoundnessFuzz(t *testing.T) {
 		if res.Instrs > len(code) {
 			t.Fatalf("executed %d instrs from a %d-instr block (loop?)\n%s", res.Instrs, len(code), Disasm(code))
 		}
+
+		lp, err := Link(p, func(string) *TableInstance { return nil })
+		if err != nil {
+			t.Fatalf("verified block does not link: %v\n%s", err, Disasm(code))
+		}
+		pktL := packet.TCPPacket(uint64(trial), 1, 2, 3, 4, 0, 10)
+		resL, err := lp.Run(pktL, &linkedTestEnv{envL, lp}, ctx)
+		if err != nil {
+			t.Fatalf("linked block failed at runtime: %v\n%s", err, Disasm(code))
+		}
+		if resL != res {
+			t.Fatalf("result divergence: reference=%+v linked=%+v\n%s", res, resL, Disasm(code))
+		}
+		if pkt.String() != pktL.String() || pkt.EgressPort != pktL.EgressPort {
+			t.Fatalf("packet divergence:\nreference: %s egress=%d\nlinked:    %s egress=%d\n%s",
+				pkt, pkt.EgressPort, pktL, pktL.EgressPort, Disasm(code))
+		}
+		if !reflect.DeepEqual(env.maps, envL.maps) || !reflect.DeepEqual(env.counters, envL.counters) ||
+			!reflect.DeepEqual(env.meters, envL.meters) {
+			t.Fatalf("state divergence after:\n%s", Disasm(code))
+		}
 	}
 	if accepted < 200 {
 		t.Fatalf("fuzz accepted only %d/%d blocks — generator too hostile to exercise the interpreter", accepted, trials)
 	}
-	t.Logf("fuzz: %d/%d random blocks verified and executed cleanly", accepted, trials)
+	t.Logf("fuzz: %d/%d random blocks verified, linked, and ran identically on both engines", accepted, trials)
 }
 
 // TestVerifierDeterministicFuzz: Verify is a pure function — accepting

@@ -6,9 +6,10 @@ import (
 	"flexnet/internal/packet"
 )
 
-// Env is the execution environment a device provides to a running
-// program: access to the program's stateful objects and to device
-// services. Implementations live in internal/dataplane.
+// Env is the name-keyed execution environment of the reference
+// interpreter (Interp): access to the program's stateful objects and to
+// device services. Devices run linked programs against a LinkedEnv
+// instead; only tests implement Env.
 type Env interface {
 	// MapLoad returns the value at key in the named map.
 	MapLoad(mapName string, key uint64) (uint64, bool)
@@ -51,8 +52,13 @@ func (e *execError) Error() string {
 	return fmt.Sprintf("flexbpf: program %s pc=%d: %s", e.prog, e.pc, e.msg)
 }
 
-// Interp executes FlexBPF programs. It is stateless; all mutable state
-// lives in the Env, so one Interp may be shared.
+// Interp is the reference interpreter: it walks the source statement
+// tree directly and defines the semantics LinkedProgram.Run must
+// reproduce (verdict, instruction and lookup counts, packet and state
+// effects). No device executes it — installation links every program
+// (DESIGN.md §7) — it exists as the oracle the tests compare linked
+// execution against. It is stateless; all mutable state lives in the
+// Env, so one Interp may be shared.
 type Interp struct{}
 
 // Run executes prog over pkt in env and returns the result. Programs are

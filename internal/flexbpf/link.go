@@ -89,17 +89,21 @@ type linstr struct {
 	imm        uint64
 }
 
-// LinkedEnv extends Env with slot-addressed access to the program's
-// stateful objects. Slots index the name lists returned by MapSlots,
+// LinkedEnv is the execution environment a device provides to a linked
+// program: slot-addressed access to the program's stateful objects plus
+// the device services. Slots index the name lists returned by MapSlots,
 // CounterSlots, and MeterSlots; the dataplane resolves them to direct
 // object pointers when wiring a linked program.
 type LinkedEnv interface {
-	Env
 	MapLoadSlot(slot int, key uint64) (uint64, bool)
 	MapStoreSlot(slot int, key, val uint64) error
 	MapDeleteSlot(slot int, key uint64)
 	CounterAddSlot(slot int, idx, delta uint64)
 	MeterExecSlot(slot int, idx, bytes uint64) uint64
+	// Now returns current time in nanoseconds of simulation time.
+	Now() uint64
+	// Rand returns a pseudo-random value from the device's seeded source.
+	Rand() uint64
 }
 
 // LinkedCond is a pipeline condition with its field references resolved
@@ -267,8 +271,8 @@ func (lk *linker) hdrSym(name string) uint64 {
 // Link compiles prog into its linked executable form. The tables callback
 // resolves a table name to the runtime instance the program will run
 // against (the caller owns instance creation). Link fails on unresolved
-// symbols or malformed blocks; callers fall back to the tree interpreter
-// on error, so linking never changes which programs are runnable.
+// symbols or malformed blocks; a program that does not link cannot be
+// installed (every program Verify accepts links).
 func Link(prog *Program, tables func(string) *TableInstance) (*LinkedProgram, error) {
 	lk := &linker{
 		prog:    prog,
@@ -569,10 +573,12 @@ func (lk *linker) tableIndex(name string) (int, error) {
 // packet/state effects as Interp.Run on the source program; ctx provides
 // the reusable scratch that makes the steady-state path allocation-free.
 func (lp *LinkedProgram) Run(pkt *packet.Packet, env LinkedEnv, ctx *ExecContext) (ExecResult, error) {
-	return lp.RunWith(pkt, env, ctx, nil)
+	res := ExecResult{Verdict: packet.VerdictContinue}
+	err := lp.exec(lp.code, nil, pkt, env, ctx, &res)
+	return res, err
 }
 
-func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet, env LinkedEnv, ctx *ExecContext, bs *BatchState, res *ExecResult) error {
+func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet, env LinkedEnv, ctx *ExecContext, res *ExecResult) error {
 	// No register prologue: every lowered block (inline Do and action
 	// body alike) begins with lopZero, so stale scratch from a previous
 	// frame is never observable.
@@ -689,13 +695,7 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 			ctx.keys = keys
 			res.Instrs = instrs
 			res.Lookups++
-			var e *TableEntry
-			var hit bool
-			if bs != nil {
-				e, hit = bs.lookup(t.ti, keys)
-			} else {
-				e, hit = t.ti.LookupEntry(keys)
-			}
+			e, hit := t.ti.LookupEntry(keys)
 			var idx int32
 			var aparams []uint64
 			if hit {
@@ -718,7 +718,7 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 				idx = t.missIdx - 1
 				aparams = t.missParams
 			}
-			if err := lp.exec(lp.actions[idx].code, aparams, pkt, env, ctx, bs, res); err != nil {
+			if err := lp.exec(lp.actions[idx].code, aparams, pkt, env, ctx, res); err != nil {
 				return err
 			}
 			instrs = res.Instrs

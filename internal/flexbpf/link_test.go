@@ -333,10 +333,10 @@ func TestTableLookupAllocFree(t *testing.T) {
 	}
 }
 
-// TestLinkFailureFallsBack verifies Link rejects unresolved symbols so
-// callers can fall back to the tree interpreter, which keeps its own
-// semantics for the same program.
-func TestLinkFailureFallsBack(t *testing.T) {
+// TestLinkRejectsUnresolvedSymbols verifies Link refuses a program whose
+// table has no runtime instance or whose code names an undeclared map;
+// installation turns either into an install error.
+func TestLinkRejectsUnresolvedSymbols(t *testing.T) {
 	prog, err := NewProgram("bad").
 		Action("noop", 0, NewAsm().Ret().MustBuild()).
 		Table(&TableSpec{
@@ -352,13 +352,6 @@ func TestLinkFailureFallsBack(t *testing.T) {
 	}
 	if _, err := Link(prog, func(string) *TableInstance { return nil }); err == nil {
 		t.Fatal("link with missing table instance should fail")
-	}
-	// The unlinked interpreter still runs the program.
-	env := newTestEnv()
-	env.tables["t"] = NewTableInstance(prog.Table("t"))
-	pkt := packet.TCPPacket(1, 1, 2, 3, 4, 0, 0)
-	if _, err := (Interp{}).Run(prog, pkt, env); err != nil {
-		t.Fatalf("tree interpreter: %v", err)
 	}
 
 	// An undeclared map reference is caught by Verify at build time, so

@@ -485,11 +485,8 @@ func (ti *TableInstance) LookupEntry(keys []uint64) (*TableEntry, bool) {
 	return e, ok
 }
 
-// lookupIn is LookupEntry's matching over an explicit state snapshot,
-// without statistics updates. Batched execution (BatchState) loads a
-// table's snapshot once per batch, matches against it here for every
-// packet, and flushes aggregated hit/miss counts at batch end — totals
-// are identical to per-packet LookupEntry calls.
+// lookupIn is LookupEntry's matching over one state snapshot, without
+// statistics updates.
 func (ti *TableInstance) lookupIn(st *tableState, keys []uint64) (*TableEntry, bool) {
 	if st.exact != nil {
 		if pos := st.exact.find(st.entries, keys); pos >= 0 {

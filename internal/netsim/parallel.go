@@ -109,29 +109,6 @@ func (s *Sim) Workers() int { return s.workers }
 // in fixed device order.
 func (s *Sim) OnBatchEnd(fn func()) { s.onBatchEnd = fn }
 
-// SetShardHooks registers begin/end callbacks invoked around each
-// contiguous run of the shard's computes within a batch (its shard
-// group). begin runs before the group's first compute and end after its
-// last, on the same worker goroutine as the computes themselves, so the
-// hooks obey the same shard-confinement rules as a Compute. Devices use
-// the pair to amortize per-packet fixed costs (config snapshot loads,
-// telemetry flushes) across a whole batch. Either hook may be nil.
-//
-// Group composition depends only on queue contents — never on the
-// worker count — so hook placement is deterministic and identical for
-// every SetWorkers value.
-func (s *Sim) SetShardHooks(shard int, begin, end func(*Worker)) {
-	if shard < 0 || shard >= s.nextShard {
-		panic(fmt.Sprintf("netsim: SetShardHooks on unreserved shard %d (have %d)", shard, s.nextShard))
-	}
-	for len(s.shardBegin) < s.nextShard {
-		s.shardBegin = append(s.shardBegin, nil)
-		s.shardEnd = append(s.shardEnd, nil)
-	}
-	s.shardBegin[shard] = begin
-	s.shardEnd[shard] = end
-}
-
 // AtShard schedules a two-phase event at absolute time at on the given
 // shard. Like At, scheduling in the past panics. The compute phase runs
 // when the clock reaches at, serialized with all other events of the
@@ -233,16 +210,8 @@ func (s *Sim) runBatch() {
 }
 
 func (s *Sim) runGroup(w *Worker, g *shardGroup, applies []func()) {
-	// Hook slices are only mutated between batches (SetShardHooks runs on
-	// the event loop), so reading them from worker goroutines is safe.
-	if g.shard < len(s.shardBegin) && s.shardBegin[g.shard] != nil {
-		s.shardBegin[g.shard](w)
-	}
 	for _, it := range g.items {
 		applies[it.pos] = it.e.compute(w)
-	}
-	if g.shard < len(s.shardEnd) && s.shardEnd[g.shard] != nil {
-		s.shardEnd[g.shard](w)
 	}
 }
 

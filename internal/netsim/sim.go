@@ -92,8 +92,6 @@ type Sim struct {
 	groupOf     []int32
 	applies     []func()
 	onBatchEnd  func()
-	shardBegin  []func(*Worker)
-	shardEnd    []func(*Worker)
 
 	// Processed counts events executed so far.
 	Processed uint64

@@ -1,6 +1,8 @@
 package runtime
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -345,6 +347,65 @@ func TestParserOpsInChange(t *testing.T) {
 	}
 	if f.Device("sw1").Parser().State("ext") == nil {
 		t.Fatal("parser state not added")
+	}
+}
+
+// TestCyclicParserMutationRefused: a staged parse graph is validated
+// before anything commits, whichever door the change comes through. A
+// mutation that closes a loop (tcp → eth) rides along with a program
+// install; the whole change must be refused with the device's epoch,
+// parser, program set and free resources exactly as they were.
+func TestCyclicParserMutationRefused(t *testing.T) {
+	cycle := func(g *packet.ParseGraph) error { return g.AddTransition("tcp", 1, "eth") }
+	doors := map[string]func(f *fabric.Fabric, dev *dataplane.Device) error{
+		"ApplyRuntime": func(f *fabric.Fabric, dev *dataplane.Device) error {
+			var r Result
+			NewEngine(f.Sim, DefaultCosts()).ApplyRuntime(&Change{
+				Device:    dev,
+				Installs:  []Install{{Program: aclProgram("acl")}},
+				ParserOps: []ParserMutation{cycle},
+			}, func(res Result) { r = res })
+			f.Sim.RunFor(time.Second)
+			return r.Err
+		},
+		"PrepareChange": func(_ *fabric.Fabric, dev *dataplane.Device) error {
+			pc, err := dev.PrepareChange(func(st *dataplane.StagedConfig) error {
+				if err := st.Install(aclProgram("acl"), nil); err != nil {
+					return err
+				}
+				return cycle(st.Parser())
+			})
+			if err == nil {
+				pc.Abort()
+			}
+			return err
+		},
+	}
+	for name, apply := range doors {
+		t.Run(name, func(t *testing.T) {
+			f, _ := lineFabric(t, dataplane.ArchDRMT)
+			dev := f.Device("sw1")
+			epoch, parser, free, progs := dev.Epoch(), dev.Parser(), dev.Free(), dev.Programs()
+			err := apply(f, dev)
+			if err == nil || !strings.Contains(err.Error(), "cycle") {
+				t.Fatalf("cyclic parse graph accepted: err = %v", err)
+			}
+			if dev.Epoch() != epoch {
+				t.Errorf("epoch moved %d -> %d", epoch, dev.Epoch())
+			}
+			if dev.Parser() != parser {
+				t.Error("parse graph replaced")
+			}
+			if dev.Parser().Validate() != nil {
+				t.Error("live parse graph no longer validates")
+			}
+			if got := dev.Free(); got != free {
+				t.Errorf("free resources changed: %+v -> %+v", free, got)
+			}
+			if got := dev.Programs(); !reflect.DeepEqual(got, progs) {
+				t.Errorf("programs changed: %v -> %v", progs, got)
+			}
+		})
 	}
 }
 
