@@ -49,9 +49,10 @@ bench:
 bench-parallel:
 	$(GO) test -bench 'BenchmarkFabricParallel' -benchmem -benchtime 5x -run '^$$' .
 
-# bench-steady measures the flow cache on the steady-state pipeline
-# workload: serial vs cache (the before/after table in BENCH_PR7.md
-# comes from this target).
+# bench-steady measures the flow cache against its oracle: serial is
+# the FlowCache(false) fabric that runs the pipeline for every packet,
+# cache the default one (the table in BENCH_PR7.md comes from this
+# target).
 bench-steady:
 	$(GO) test -bench 'BenchmarkSteadyStatePipeline' -benchmem -benchtime 10x -run '^$$' .
 

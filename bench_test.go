@@ -454,10 +454,11 @@ func benchSteadyState(b *testing.B, cache bool) {
 }
 
 // BenchmarkSteadyStatePipeline measures the megaflow flow cache on the
-// steady-state pipeline workload: serial runs the linked pipeline for
-// every packet, cache replays recorded outcomes. Simulation output is
-// byte-identical across both (scripts/benchdiff.sh proves it); only wall
-// clock moves. BENCH_PR7.md records the measured before/after table.
+// steady-state pipeline workload: serial is the FlowCache(false) oracle,
+// which runs the linked pipeline for every packet; cache is the default
+// device, which replays recorded outcomes. Simulation output is
+// byte-identical across both (E17 and TestChaosSoakFlowCache prove it);
+// only wall clock moves. BENCH_PR7.md records the measured table.
 func BenchmarkSteadyStatePipeline(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchSteadyState(b, false) })
 	b.Run("cache", func(b *testing.B) { benchSteadyState(b, true) })

@@ -42,10 +42,8 @@ func main() {
 	specDir := flag.String("spec-check", "", "validate every spec document in this directory (load + resolve + dry-run diff) instead of running the suite")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flowcache := flag.Bool("flowcache", false, "enable the megaflow flow cache; adds flowcache.* telemetry, all other output is byte-identical")
 	flag.Parse()
 	fabric.SetDefaultWorkers(*workers)
-	fabric.SetDefaultFlowCache(*flowcache)
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -39,7 +39,6 @@ import (
 	"flexnet"
 	"flexnet/internal/api"
 	"flexnet/internal/apps"
-	"flexnet/internal/fabric"
 )
 
 // Topology is the daemon's network description.
@@ -549,10 +548,8 @@ func main() {
 	topoPath := flag.String("topology", "", "topology JSON file (default: built-in 2-switch demo)")
 	topoSpec := flag.String("topo", "", "generated topology spec (e.g. fat-tree:k=8; overrides the topology file's members)")
 	workers := flag.Int("workers", 0, "parallel packet workers (0 = GOMAXPROCS; overrides the topology file)")
-	flowcache := flag.Bool("flowcache", false, "enable the megaflow flow cache; adds flowcache.* telemetry, all other output is byte-identical")
 	haReplicas := flag.Int("ha", 0, "enable controller HA with N active/standby replicas (0 = off)")
 	flag.Parse()
-	fabric.SetDefaultFlowCache(*flowcache)
 
 	topo := &Topology{Seed: 1}
 	if *topoPath != "" {

@@ -283,10 +283,12 @@ func (b *Builder) Topo(spec string) *Builder {
 	return b
 }
 
-// FlowCache toggles the per-switch megaflow flow cache for switches
-// added after the call (so it should precede Switch/Topo). Processing
-// output and dev.* telemetry are identical with the cache on or off;
-// cache activity appears under separate flowcache.* instruments.
+// FlowCache(false) builds the differential oracle for the per-switch
+// megaflow flow cache every switch otherwise has: switches added after
+// the call (so it should precede Switch/Topo) run the pipeline for every
+// packet. Like Workers(1) it exists for tests and benchmarks to compare
+// against, not for tuning: processing output and dev.* telemetry are
+// identical either way, and only the flowcache.* instruments go away.
 func (b *Builder) FlowCache(v bool) *Builder {
 	if b.err == nil {
 		b.fab.SetFlowCache(v)

@@ -308,9 +308,10 @@ type Device struct {
 	// so the per-packet path pays only atomic bumps, never map lookups.
 	met deviceMetrics
 
-	// fcache is the megaflow flow cache (nil = disabled); fcMet its
-	// instruments. Both are wired at build time (EnableFlowCache), before
-	// traffic, and read lock-free on the packet path. See fastpath.go.
+	// fcache is the megaflow flow cache every device is created with (nil
+	// only on a DisableFlowCache oracle); fcMet its instruments, wired by
+	// SetMetrics. Both are fixed at build time, before traffic, and read
+	// lock-free on the packet path. See fastpath.go.
 	fcache *flowcache.Cache
 	fcMet  fcMetrics
 
@@ -336,7 +337,8 @@ type deviceMetrics struct {
 
 // SetMetrics registers this device's instruments in reg under the
 // "dev.<name>." prefix: packets processed, table hits, occupancy, fault
-// injections, and epoch flips, plus a processing-latency histogram. The
+// injections, and epoch flips, plus a processing-latency histogram, and
+// the flow cache's under "flowcache.<name>." (fastpath.go). The
 // embedding fabric calls this at build time, before any traffic flows —
 // the handles are read lock-free on the packet path, so they must not be
 // swapped while the device processes packets. Devices without a registry
@@ -355,6 +357,9 @@ func (d *Device) SetMetrics(reg *telemetry.Registry) {
 		programs:   reg.Gauge(prefix + "programs"),
 		occupancy:  reg.Gauge(prefix + "occupancy_ppm"),
 		latency:    reg.Histogram(prefix+"proc_latency_ns", telemetry.DefaultLatencyBounds),
+	}
+	if d.fcache != nil {
+		d.fcMet = newFCMetrics(reg, d.name)
 	}
 	d.met.epoch.Set(int64(d.snapshot().epoch))
 	d.exportOccupancyLocked()
@@ -424,6 +429,7 @@ func New(cfg Config) (*Device, error) {
 		placements: map[string]placement{},
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		now:        func() uint64 { return 0 },
+		fcache:     flowcache.New(1),
 	}
 	d.current.Store(&config{epoch: 1, parser: packet.StandardParseGraph()})
 	return d, nil

@@ -1,15 +1,15 @@
 package dataplane
 
 // This file implements the device's megaflow flow cache (DESIGN.md §12)
-// and the accounting tail every processed packet shares. When the cache
-// is enabled, the resolved outcome of the first packet of a flow is
-// recorded against the packet state the pipeline depends on (static
-// CacheProfile of every installed instance, plus filter and parser select
-// fields) and replayed for followers that match it. Replay reproduces the
-// exact per-packet telemetry (Instrs, Lookups, latency, programs), so
-// device counters remain byte-identical with the cache on or off; cache
-// activity is reported under separate "flowcache.<dev>.*" instruments
-// that exist only when the cache is enabled.
+// and the accounting tail every processed packet shares. The resolved
+// outcome of the first packet of a flow is recorded against the packet
+// state the pipeline depends on (static CacheProfile of every installed
+// instance, plus filter and parser select fields) and replayed for
+// followers that match it. Replay reproduces the exact per-packet
+// telemetry (Instrs, Lookups, latency, programs), so device counters are
+// byte-identical to those of a device that runs the pipeline for every
+// packet (DisableFlowCache, the differential oracle); cache activity is
+// reported under separate "flowcache.<dev>.*" instruments.
 
 import (
 	"sort"
@@ -93,8 +93,11 @@ func sortFieldSet(m map[packet.FieldID]struct{}) []packet.FieldID {
 }
 
 // fcMetrics are the flow-cache telemetry instruments, registered under
-// "flowcache.<dev>." only when the cache is enabled so a cache-off run's
-// telemetry dump is byte-identical to a build without the cache.
+// "flowcache.<dev>." by SetMetrics for a device that has its cache.
+//
+// staleServed counts replays of entries from a superseded epoch or table
+// generation; by construction (entries validate both on every hit) it
+// stays zero, and the chaos soak asserts that.
 type fcMetrics struct {
 	hits            *telemetry.Counter
 	misses          *telemetry.Counter
@@ -105,30 +108,31 @@ type fcMetrics struct {
 	replayedLookups *telemetry.Counter
 }
 
-// EnableFlowCache switches the device's megaflow cache on and registers
-// its instruments in reg (nil for inert handles). Like SetMetrics it
-// must be called at build time, before traffic flows: the cache handle
-// is read lock-free on the packet path.
-//
-// staleServed counts replays of entries from a superseded epoch or table
-// generation; by construction (entries validate both on every hit) it
-// stays zero, and the chaos soak asserts that.
-func (d *Device) EnableFlowCache(reg *telemetry.Registry) {
+func newFCMetrics(reg *telemetry.Registry, dev string) fcMetrics {
+	prefix := "flowcache." + dev + "."
+	return fcMetrics{
+		hits:            reg.Counter(prefix + "hits"),
+		misses:          reg.Counter(prefix + "misses"),
+		inserts:         reg.Counter(prefix + "inserts"),
+		invalidations:   reg.Counter(prefix + "invalidations"),
+		staleServed:     reg.Counter(prefix + "stale_served"),
+		replayedInstrs:  reg.Counter(prefix + "replayed_instrs"),
+		replayedLookups: reg.Counter(prefix + "replayed_lookups"),
+	}
+}
+
+// DisableFlowCache removes the device's megaflow cache, so that every
+// packet runs the linked pipeline. It is not a tuning knob: like a
+// one-worker fabric it is the differential oracle that the equivalence
+// tests, E17's "dev telemetry" column and the serial benchmarks compare
+// the default device against. Call it at build time, before SetMetrics
+// (so no flowcache.* instruments are registered) and before traffic
+// flows: the cache handle is read lock-free on the packet path.
+func (d *Device) DisableFlowCache() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.fcache = flowcache.New(d.snapshot().epoch)
-	if reg != nil {
-		prefix := "flowcache." + d.name + "."
-		d.fcMet = fcMetrics{
-			hits:            reg.Counter(prefix + "hits"),
-			misses:          reg.Counter(prefix + "misses"),
-			inserts:         reg.Counter(prefix + "inserts"),
-			invalidations:   reg.Counter(prefix + "invalidations"),
-			staleServed:     reg.Counter(prefix + "stale_served"),
-			replayedInstrs:  reg.Counter(prefix + "replayed_instrs"),
-			replayedLookups: reg.Counter(prefix + "replayed_lookups"),
-		}
-	}
+	d.fcache = nil
+	d.fcMet = fcMetrics{}
 }
 
 // FlowCacheStats returns the cache's activity counters (zero Stats when

@@ -122,8 +122,9 @@ func diffStats(a, b ProcStats) string {
 func TestFlowCacheEquivalenceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cached := MustNew(DefaultConfig("sw", ArchDRMT))
-	cached.EnableFlowCache(telemetry.NewRegistry())
+	cached.SetMetrics(telemetry.NewRegistry())
 	plain := MustNew(DefaultConfig("sw", ArchDRMT))
+	plain.DisableFlowCache()
 	cacheTestPipeline(t, cached, 7)
 	cacheTestPipeline(t, plain, 7)
 
@@ -193,8 +194,9 @@ func TestFlowCacheUncacheableBypass(t *testing.T) {
 			Ret().MustBuild()).
 		MustBuild()
 	cached := MustNew(DefaultConfig("sw", ArchDRMT))
-	cached.EnableFlowCache(telemetry.NewRegistry())
+	cached.SetMetrics(telemetry.NewRegistry())
 	plain := MustNew(DefaultConfig("sw", ArchDRMT))
+	plain.DisableFlowCache()
 	for _, d := range []*Device{cached, plain} {
 		if err := d.InstallProgram(stateful); err != nil {
 			t.Fatal(err)
@@ -227,7 +229,7 @@ func TestFlowCacheUncacheableBypass(t *testing.T) {
 // outcome from a superseded epoch.
 func TestFlowCacheSwapHammer(t *testing.T) {
 	d := MustNew(DefaultConfig("sw", ArchDRMT))
-	d.EnableFlowCache(telemetry.NewRegistry())
+	d.SetMetrics(telemetry.NewRegistry())
 	cacheTestPipeline(t, d, 7)
 
 	stop := make(chan struct{})
@@ -296,8 +298,9 @@ func FuzzFlowCacheEquivalence(f *testing.F) {
 	f.Add(uint16(0), uint16(0), uint8(0), uint8(255), false)
 	f.Fuzz(func(t *testing.T, sport, dport uint16, ttl, plen uint8, swap bool) {
 		cached := MustNew(DefaultConfig("sw", ArchDRMT))
-		cached.EnableFlowCache(telemetry.NewRegistry())
+		cached.SetMetrics(telemetry.NewRegistry())
 		plain := MustNew(DefaultConfig("sw", ArchDRMT))
+		plain.DisableFlowCache()
 		cacheTestPipeline(t, cached, 7)
 		cacheTestPipeline(t, plain, 7)
 

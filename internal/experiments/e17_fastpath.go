@@ -12,21 +12,21 @@ import (
 
 // E17FastPath exercises the megaflow flow cache (DESIGN.md §12) on a
 // single DRMT switch carrying 1–64 concurrent CBR flows. Each flow count
-// runs twice — cache off and cache on — over identically seeded fabrics,
-// and the experiment reports the cache hit rate and the work the cache
-// replayed instead of executing (instructions and table lookups). The
+// runs twice over identically seeded fabrics — "off" on the
+// SetFlowCache(false) oracle, "on" on the default fabric — and the
+// experiment reports the cache hit rate and the work the cache replayed
+// instead of executing (instructions and table lookups). The
 // "avg batch" column is the sharded engine's events per barrier batch
 // (DESIGN.md §9) — how much same-instant work the worker pool is handed,
 // not a device execution mode.
-// The "dev telemetry" column compares the cache-on run's device counters
-// and delivery count against the cache-off run: replay reproduces the
-// per-packet accounting exactly, so they must be identical — the
-// equivalence property the benchdiff CI gate enforces process-wide.
+// The "dev telemetry" column compares the default run's device counters
+// and delivery count against the oracle's: replay reproduces the
+// per-packet accounting exactly, so they must be identical — benchdiff
+// fails CI on any other word in that column.
 //
 // Every column is computed from simulated-time quantities and
 // deterministic counters, so the table is byte-identical at a seed for
-// any worker count and either -flowcache setting (the experiment builds
-// its own fabrics with explicit cache settings).
+// any worker count.
 // Wall-clock speedups are measured separately by the steady-state
 // pipeline benchmarks (BENCH_PR7.md).
 func E17FastPath(seed int64) *Table {

@@ -102,10 +102,9 @@ type Fabric struct {
 	batches       *telemetry.Counter
 	batchEvents   *telemetry.Counter
 
-	// flowCache enables the per-device megaflow cache. It is fixed at
-	// fabric creation (from the process-wide default) and applied to
-	// switches as they are added; it never changes simulation output
-	// (DESIGN.md §12).
+	// flowCache is false only on an oracle fabric (SetFlowCache): switches
+	// added while it is false have their megaflow cache removed. The
+	// cache never changes simulation output (DESIGN.md §12).
 	flowCache bool
 
 	// lcache is the fabric-wide install-time link cache: every device
@@ -138,7 +137,7 @@ func New(seed int64) *Fabric {
 		routing:     routing.New(),
 		linkID:      map[*netsim.Link]int{},
 		applied:     map[string]*flexbpf.TableInstance{},
-		flowCache:   defaultFlowCache,
+		flowCache:   true,
 		lcache:      flexbpf.NewLinkCache(0),
 	}
 	f.batches = f.Metrics.Counter("fabric.batches")
@@ -165,19 +164,12 @@ var defaultWorkers int
 // intended for process start-up.
 func SetDefaultWorkers(n int) { defaultWorkers = n }
 
-// defaultFlowCache controls whether new fabrics enable the per-switch
-// megaflow flow cache. Off by default so existing telemetry dumps stay
-// byte-identical; the cache adds "flowcache.<dev>.*" instruments.
-var defaultFlowCache bool
-
-// SetDefaultFlowCache sets whether new fabrics enable the flow cache.
-// Backs the -flowcache flag on binaries; intended for process start-up.
-func SetDefaultFlowCache(v bool) { defaultFlowCache = v }
-
-// SetFlowCache toggles the flow cache for switches added after the call.
-// Device-level processing output (verdicts, packet mutations, dev.*
-// telemetry) is identical with the cache on or off; only flowcache.*
-// instruments differ.
+// SetFlowCache(false) builds the differential oracle: switches added
+// after the call run the linked pipeline for every packet, with no
+// megaflow cache and no flowcache.* instruments. Like Workers(1) it is
+// what tests, E17 and the serial benchmarks compare the default fabric
+// against, not a tuning flag: device-level processing output (verdicts,
+// packet mutations, dev.* telemetry) is identical either way.
 func (f *Fabric) SetFlowCache(v bool) { f.flowCache = v }
 
 // SetWorkers sets the sharded engine's worker pool size (n <= 0 selects
@@ -230,6 +222,9 @@ func (f *Fabric) AddSwitchCfg(cfg dataplane.Config) *dataplane.Device {
 		cfg.Seed = f.Sim.Rand().Int63()
 	}
 	d := dataplane.MustNew(cfg)
+	if !f.flowCache {
+		d.DisableFlowCache()
+	}
 	d.SetClock(func() uint64 { return uint64(f.Sim.Now()) })
 	d.SetMetrics(f.Metrics)
 	d.SetLinkCache(f.lcache, f.Metrics)
@@ -241,9 +236,6 @@ func (f *Fabric) AddSwitchCfg(cfg dataplane.Config) *dataplane.Device {
 	node.SetBatchHandler(shard, func(w *netsim.Worker, pkt *packet.Packet, inPort int) func() {
 		return f.deviceCompute(w, d, node, shard, pkt, inPort, 0)
 	})
-	if f.flowCache {
-		d.EnableFlowCache(f.Metrics)
-	}
 	return d
 }
 

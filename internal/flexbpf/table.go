@@ -98,8 +98,6 @@ type TableInstance struct {
 	// do not bump the device epoch (RefreshRoutes' ReplaceAll) safe to run
 	// under a populated cache.
 	gen atomic.Uint64
-	// hits and misses count lookups for telemetry.
-	hits, misses atomic.Uint64
 	// resolve maps an action name to its linked action index (-1 if
 	// unknown). Installed once before the instance serves traffic.
 	resolve func(string) int32
@@ -272,11 +270,6 @@ func buildExactIndex(entries []TableEntry) *exactIndex {
 // Len returns the number of installed entries.
 func (ti *TableInstance) Len() int {
 	return len(ti.load().entries)
-}
-
-// Stats returns lookup hit/miss counts.
-func (ti *TableInstance) Stats() (hits, misses uint64) {
-	return ti.hits.Load(), ti.misses.Load()
 }
 
 // Insert installs an entry. It validates arity against the spec and
@@ -471,23 +464,11 @@ func (ti *TableInstance) Lookup(keys []uint64) (action string, params []uint64, 
 
 // LookupEntry finds the best-matching entry for the key values and
 // returns it directly; the linked fast path uses it to reach the
-// pre-resolved action index without re-deriving it from the name. It
-// updates hit/miss statistics exactly as Lookup does. The returned
-// pointer references an immutable snapshot and must be treated as
-// read-only.
+// pre-resolved action index without re-deriving it from the name. The
+// returned pointer references an immutable snapshot and must be treated
+// as read-only.
 func (ti *TableInstance) LookupEntry(keys []uint64) (*TableEntry, bool) {
-	e, ok := ti.lookupIn(ti.load(), keys)
-	if ok {
-		ti.hits.Add(1)
-	} else {
-		ti.misses.Add(1)
-	}
-	return e, ok
-}
-
-// lookupIn is LookupEntry's matching over one state snapshot, without
-// statistics updates.
-func (ti *TableInstance) lookupIn(st *tableState, keys []uint64) (*TableEntry, bool) {
+	st := ti.load()
 	if st.exact != nil {
 		if pos := st.exact.find(st.entries, keys); pos >= 0 {
 			return &st.entries[pos], true

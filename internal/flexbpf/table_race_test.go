@@ -96,7 +96,6 @@ func TestTableConcurrentLookup(t *testing.T) {
 									return
 								}
 							}
-							ti.Stats()
 						}
 					}
 				}()

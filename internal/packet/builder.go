@@ -116,43 +116,38 @@ func (b *Builder) Build() *Packet {
 	return p
 }
 
+// ipv4Packet starts a full Eth/IPv4/<l4> packet: the header chain (with
+// room for one more header, a VLAN tag or a shim, before it must grow)
+// and the Ethernet and IPv4 fields, by pre-interned ID.
+func ipv4Packet(id uint64, src, dst uint32, proto uint64, l4 string, payload int) *Packet {
+	p := New(id)
+	p.Headers = append(make([]string, 0, 4), "eth", "ipv4", l4)
+	p.SetFieldByID(fidEthType, EtherTypeIPv4)
+	p.SetFieldByID(fidIPv4Version, 4)
+	p.SetFieldByID(fidIPv4IHL, 5)
+	p.SetFieldByID(fidIPv4TTL, 64)
+	p.SetFieldByID(fidIPv4Proto, proto)
+	p.SetFieldByID(fidIPv4Src, uint64(src))
+	p.SetFieldByID(fidIPv4Dst, uint64(dst))
+	p.PayloadLen = payload
+	return p
+}
+
 // TCPPacket is a convenience constructor for a full Eth/IPv4/TCP packet.
 func TCPPacket(id uint64, src, dst uint32, sport, dport uint16, flags uint64, payload int) *Packet {
-	p := New(id)
-	p.AddHeader("eth")
-	p.SetField("eth.type", EtherTypeIPv4)
-	p.AddHeader("ipv4")
-	p.SetField("ipv4.version", 4)
-	p.SetField("ipv4.ihl", 5)
-	p.SetField("ipv4.ttl", 64)
-	p.SetField("ipv4.proto", ProtoTCP)
-	p.SetField("ipv4.src", uint64(src))
-	p.SetField("ipv4.dst", uint64(dst))
-	p.AddHeader("tcp")
-	p.SetField("tcp.sport", uint64(sport))
-	p.SetField("tcp.dport", uint64(dport))
-	p.SetField("tcp.flags", flags)
-	p.SetField("tcp.off", 5)
-	p.PayloadLen = payload
+	p := ipv4Packet(id, src, dst, ProtoTCP, "tcp", payload)
+	p.SetFieldByID(fidTCPSport, uint64(sport))
+	p.SetFieldByID(fidTCPDport, uint64(dport))
+	p.SetFieldByID(fidTCPFlags, flags)
+	p.SetFieldByID(fidTCPOff, 5)
 	return p
 }
 
 // UDPPacket is a convenience constructor for a full Eth/IPv4/UDP packet.
 func UDPPacket(id uint64, src, dst uint32, sport, dport uint16, payload int) *Packet {
-	p := New(id)
-	p.AddHeader("eth")
-	p.SetField("eth.type", EtherTypeIPv4)
-	p.AddHeader("ipv4")
-	p.SetField("ipv4.version", 4)
-	p.SetField("ipv4.ihl", 5)
-	p.SetField("ipv4.ttl", 64)
-	p.SetField("ipv4.proto", ProtoUDP)
-	p.SetField("ipv4.src", uint64(src))
-	p.SetField("ipv4.dst", uint64(dst))
-	p.AddHeader("udp")
-	p.SetField("udp.sport", uint64(sport))
-	p.SetField("udp.dport", uint64(dport))
-	p.SetField("udp.len", uint64(8+payload))
-	p.PayloadLen = payload
+	p := ipv4Packet(id, src, dst, ProtoUDP, "udp", payload)
+	p.SetFieldByID(fidUDPSport, uint64(sport))
+	p.SetFieldByID(fidUDPDport, uint64(dport))
+	p.SetFieldByID(fidUDPLen, uint64(8+payload))
 	return p
 }

@@ -328,15 +328,23 @@ func VerifyIPv4Checksum(p *Packet) bool {
 }
 
 // Pre-resolved IDs of the fields the packet fast paths touch (flow keys,
-// checksums). Declared after the standard header registrations above so
-// they resolve to the already-interned IDs.
+// checksums, the TCPPacket/UDPPacket constructors). Declared after the
+// standard header registrations above so they resolve to the
+// already-interned IDs.
 var (
-	fidIPv4Src   = InternField("ipv4.src")
-	fidIPv4Dst   = InternField("ipv4.dst")
-	fidIPv4Proto = InternField("ipv4.proto")
-	fidIPv4Csum  = InternField("ipv4.csum")
-	fidTCPSport  = InternField("tcp.sport")
-	fidTCPDport  = InternField("tcp.dport")
-	fidUDPSport  = InternField("udp.sport")
-	fidUDPDport  = InternField("udp.dport")
+	fidEthType     = InternField("eth.type")
+	fidIPv4Version = InternField("ipv4.version")
+	fidIPv4IHL     = InternField("ipv4.ihl")
+	fidIPv4TTL     = InternField("ipv4.ttl")
+	fidIPv4Src     = InternField("ipv4.src")
+	fidIPv4Dst     = InternField("ipv4.dst")
+	fidIPv4Proto   = InternField("ipv4.proto")
+	fidIPv4Csum    = InternField("ipv4.csum")
+	fidTCPSport    = InternField("tcp.sport")
+	fidTCPDport    = InternField("tcp.dport")
+	fidTCPFlags    = InternField("tcp.flags")
+	fidTCPOff      = InternField("tcp.off")
+	fidUDPSport    = InternField("udp.sport")
+	fidUDPDport    = InternField("udp.dport")
+	fidUDPLen      = InternField("udp.len")
 )

@@ -322,3 +322,65 @@ func TestVerdictString(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildersUnchanged: TCPPacket and UDPPacket set their fields by
+// pre-interned ID and size the header chain up front; the packets must
+// be what the name-by-name construction they replaced produced, on
+// every interned field, presence bit, header order and Len(), and cost
+// at most five allocations.
+func TestBuildersUnchanged(t *testing.T) {
+	byName := func(id uint64, src, dst uint32, proto uint64, l4 string, payload int, l4fields map[string]uint64) *Packet {
+		p := New(id)
+		p.AddHeader("eth")
+		p.SetField("eth.type", EtherTypeIPv4)
+		p.AddHeader("ipv4")
+		p.SetField("ipv4.version", 4)
+		p.SetField("ipv4.ihl", 5)
+		p.SetField("ipv4.ttl", 64)
+		p.SetField("ipv4.proto", proto)
+		p.SetField("ipv4.src", uint64(src))
+		p.SetField("ipv4.dst", uint64(dst))
+		p.AddHeader(l4)
+		for name, v := range l4fields {
+			p.SetField(name, v)
+		}
+		p.PayloadLen = payload
+		return p
+	}
+	same := func(got, want *Packet) {
+		t.Helper()
+		if got.ID != want.ID || got.PayloadLen != want.PayloadLen || got.Len() != want.Len() {
+			t.Fatalf("id/payload/len = %d/%d/%d, want %d/%d/%d", got.ID, got.PayloadLen, got.Len(), want.ID, want.PayloadLen, want.Len())
+		}
+		if !reflect.DeepEqual(got.Headers, want.Headers) {
+			t.Fatalf("headers = %v, want %v", got.Headers, want.Headers)
+		}
+		if !reflect.DeepEqual(got.Meta, want.Meta) || got.Meta == nil {
+			t.Fatalf("meta = %v, want %v", got.Meta, want.Meta)
+		}
+		for id := 0; id < NumFieldIDs(); id++ {
+			gv, gok := got.FieldOKByID(FieldID(id))
+			wv, wok := want.FieldOKByID(FieldID(id))
+			if gv != wv || gok != wok {
+				t.Fatalf("field %s = %d/%v, want %d/%v", FieldIDName(FieldID(id)), gv, gok, wv, wok)
+			}
+		}
+	}
+	src, dst := IP(10, 0, 0, 1), IP(10, 0, 0, 2)
+	same(TCPPacket(7, src, dst, 1234, 80, TCPSyn|TCPAck, 100),
+		byName(7, src, dst, ProtoTCP, "tcp", 100, map[string]uint64{
+			"tcp.sport": 1234, "tcp.dport": 80, "tcp.flags": TCPSyn | TCPAck, "tcp.off": 5}))
+	same(TCPPacket(8, src, dst, 1, 2, 0, 0),
+		byName(8, src, dst, ProtoTCP, "tcp", 0, map[string]uint64{
+			"tcp.sport": 1, "tcp.dport": 2, "tcp.flags": 0, "tcp.off": 5}))
+	same(UDPPacket(9, src, dst, 5353, 53, 400),
+		byName(9, src, dst, ProtoUDP, "udp", 400, map[string]uint64{
+			"udp.sport": 5353, "udp.dport": 53, "udp.len": 408}))
+
+	if n := testing.AllocsPerRun(100, func() { TCPPacket(1, src, dst, 1, 2, 0, 64) }); n > 5 {
+		t.Fatalf("TCPPacket: %v allocations, want at most 5", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { UDPPacket(1, src, dst, 1, 2, 64) }); n > 5 {
+		t.Fatalf("UDPPacket: %v allocations, want at most 5", n)
+	}
+}
