@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test benchmark-test race vet fmt lint spec-check check bench bench-parallel bench-steady bench-control benchdiff checkdocs expdiff docs cover profile scale
+.PHONY: all build test benchmark-test race vet fmt lint spec-check check bench bench-steady bench-control benchdiff checkdocs expdiff docs cover profile scale
 
 all: build
 
@@ -43,11 +43,6 @@ check: fmt vet lint spec-check build test benchmark-test race docs
 
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ./internal/flexbpf ./internal/telemetry
-
-# bench-parallel measures the sharded engine's throughput scaling across
-# worker-pool sizes (compare pkts/s between the workers=N sub-benchmarks).
-bench-parallel:
-	$(GO) test -bench 'BenchmarkFabricParallel' -benchmem -benchtime 5x -run '^$$' .
 
 # bench-steady measures the flow cache against its oracle: serial is
 # the FlowCache(false) fabric that runs the pipeline for every packet,

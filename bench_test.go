@@ -299,81 +299,6 @@ func itoa(v int) string {
 	return "1"
 }
 
-// benchFabricParallel drives 8 independent device lanes — each its own
-// shard with a heavy-hitter program and an aligned CBR flow, so every
-// simulated instant forms one batch spanning all lanes — and measures
-// aggregate packet throughput at the given worker-pool size. Simulation
-// output is byte-identical across worker counts; only wall clock moves.
-func benchFabricParallel(b *testing.B, workers int) {
-	b.Helper()
-	const lanes = 8
-	bld := New(1).Workers(workers)
-	for i := 0; i < lanes; i++ {
-		sw := fmt.Sprintf("s%d", i)
-		ha := fmt.Sprintf("ha%d", i)
-		hb := fmt.Sprintf("hb%d", i)
-		bld.Switch(sw, DRMT).
-			Host(ha, fmt.Sprintf("10.0.%d.1", i)).
-			Host(hb, fmt.Sprintf("10.0.%d.2", i)).
-			Link(ha, sw).
-			Link(sw, hb)
-	}
-	n, err := bld.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < lanes; i++ {
-		uri := fmt.Sprintf("flexnet://bench/hh%d", i)
-		if _, err := n.Deploy(context.Background(), uri, AppSpec{
-			Programs: []*Program{HeavyHitter("hh", 4, 1024, 1<<62)},
-			Path:     []string{fmt.Sprintf("s%d", i)},
-		}, DeployOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < lanes; i++ {
-		src, err := n.NewSource(fmt.Sprintf("ha%d", i), FlowSpec{
-			Dst: MustParseIP(fmt.Sprintf("10.0.%d.2", i)), Proto: 6,
-			SrcPort: 5, DstPort: 80, PacketLen: 100,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		src.StartCBR(100000)
-	}
-	n.RunFor(time.Millisecond) // warm-up: fill every lane's pipeline
-	processed := func() uint64 {
-		var total uint64
-		for i := 0; i < lanes; i++ {
-			total += n.Metrics().CounterValue(fmt.Sprintf("dev.s%d.packets_processed", i))
-		}
-		return total
-	}
-	start := processed()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.RunFor(5 * time.Millisecond)
-	}
-	b.StopTimer()
-	total := processed() - start
-	if total == 0 {
-		b.Fatal("no packets processed")
-	}
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "pkts/s")
-}
-
-// BenchmarkFabricParallel measures the sharded engine's scaling across
-// worker counts (compare pkts/s between the sub-benchmarks; scripts/
-// benchdiff.sh separately proves the output bytes don't change).
-func BenchmarkFabricParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchFabricParallel(b, workers)
-		})
-	}
-}
-
 // steadyClassifier builds a stateless, cacheable classification program:
 // straight-line field loads plus `rounds` hash/ALU mixing rounds, with
 // no per-flow state, time, or randomness. Its CacheProfile is cacheable,
@@ -402,12 +327,11 @@ func steadyClassifier(name string, rounds int) *Program {
 // switch running base routing plus a four-stage stateless classifier
 // pipeline (~2000 instructions per packet), and reports aggregate
 // throughput. One ingress host (and link) per flow keeps the flows' CBR
-// arrivals on identical timestamps. Both sub-benchmarks use one worker:
-// the speedup measured here is the cache replay itself, not parallelism.
+// arrivals on identical timestamps.
 func benchSteadyState(b *testing.B, cache bool) {
 	b.Helper()
 	const flows = 16
-	bld := New(1).Workers(1).FlowCache(cache)
+	bld := New(1).FlowCache(cache)
 	bld.Switch("sw", DRMT).Host("dst", "10.0.255.2").Link("sw", "dst")
 	for i := 0; i < flows; i++ {
 		h := fmt.Sprintf("h%d", i)

@@ -6,7 +6,7 @@ package flexnet
 // self-healing loop on. At the end, committed intent must hold exactly
 // (zero drift, nothing pending), every recovery's MTTR must be bounded,
 // and the full telemetry snapshot must be byte-identical across reruns
-// and worker counts at the same seed and schedule. Scale the simulated
+// at the same seed and schedule. Scale the simulated
 // duration with FLEXNET_CHAOS_SECONDS (default 8; the "simulated
 // minutes" soak from the issue is the same test with a bigger knob).
 
@@ -34,7 +34,7 @@ func chaosSeconds() time.Duration {
 
 // chaosSoak runs the scenario once and returns (healer stats asserted
 // inside) the deterministic telemetry snapshot.
-func chaosSoak(t *testing.T, seed int64, workers int, horizon time.Duration) string {
+func chaosSoak(t *testing.T, seed int64, horizon time.Duration) string {
 	t.Helper()
 	nw := New(seed).
 		Switch("s1", DRMT).
@@ -46,7 +46,6 @@ func chaosSoak(t *testing.T, seed int64, workers int, horizon time.Duration) str
 		Link("s1", "s2").
 		Link("s2", "h2").
 		Link("s2", "s3").
-		Workers(workers).
 		MustBuild()
 	if _, err := nw.Deploy(context.Background(), "flexnet://chaos/syn", AppSpec{
 		Programs: []*Program{SYNDefense("syn", 1024, 10)},
@@ -122,14 +121,8 @@ func chaosSoak(t *testing.T, seed int64, workers int, horizon time.Duration) str
 
 func TestChaosSoak(t *testing.T) {
 	horizon := chaosSeconds()
-	serial := chaosSoak(t, 1, 1, horizon)
-	again := chaosSoak(t, 1, 1, horizon)
-	if serial != again {
+	if chaosSoak(t, 1, horizon) != chaosSoak(t, 1, horizon) {
 		t.Fatal("same seed + schedule diverged across reruns")
-	}
-	parallel := chaosSoak(t, 1, 8, horizon)
-	if serial != parallel {
-		t.Fatal("worker count changed chaos telemetry")
 	}
 }
 
@@ -235,7 +228,7 @@ func TestChaosSoakFlowCache(t *testing.T) {
 // new), committed intent must hold exactly, every failover must stay
 // under four election timeouts, and the replayed audit chain must
 // verify. Returns the deterministic telemetry snapshot.
-func haChaosSoak(t *testing.T, seed int64, workers int, horizon time.Duration) string {
+func haChaosSoak(t *testing.T, seed int64, horizon time.Duration) string {
 	t.Helper()
 	uri := "flexnet://chaos/marker"
 	nw := New(seed).
@@ -246,7 +239,6 @@ func haChaosSoak(t *testing.T, seed int64, workers int, horizon time.Duration) s
 		Link("h1", "s1").
 		Link("s1", "s2").
 		Link("s2", "h2").
-		Workers(workers).
 		MustBuild()
 	nw.EnableHA(3, HAConfig{Seed: seed})
 	if _, err := nw.Deploy(context.Background(), uri, AppSpec{
@@ -357,16 +349,10 @@ func haChaosSoak(t *testing.T, seed int64, workers int, horizon time.Duration) s
 
 // TestChaosSoakLeaderKill is the hitless-failover gate: the leader-kill
 // soak must hold its invariants and produce a byte-identical telemetry
-// snapshot across reruns and worker counts.
+// snapshot across reruns.
 func TestChaosSoakLeaderKill(t *testing.T) {
 	horizon := chaosSeconds()
-	serial := haChaosSoak(t, 1, 1, horizon)
-	again := haChaosSoak(t, 1, 1, horizon)
-	if serial != again {
+	if haChaosSoak(t, 1, horizon) != haChaosSoak(t, 1, horizon) {
 		t.Fatal("same seed + schedule diverged across reruns")
-	}
-	parallel := haChaosSoak(t, 1, 8, horizon)
-	if serial != parallel {
-		t.Fatal("worker count changed leader-kill chaos telemetry")
 	}
 }

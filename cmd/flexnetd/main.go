@@ -44,9 +44,6 @@ import (
 // Topology is the daemon's network description.
 type Topology struct {
 	Seed int64 `json:"seed"`
-	// Workers sizes the parallel packet worker pool (0 = GOMAXPROCS).
-	// Output is byte-identical at a seed regardless of the count.
-	Workers int `json:"workers"`
 	// Topo is a compact generated-topology spec ("fat-tree:k=8",
 	// "spine-leaf:spines=4,leaves=8,hosts=10") expanded before the
 	// explicit members below; the -topo flag overrides it.
@@ -89,7 +86,7 @@ func archByName(s string) (flexnet.Arch, error) {
 }
 
 func buildNetwork(t *Topology) (*flexnet.Network, error) {
-	b := flexnet.New(t.Seed).Workers(t.Workers)
+	b := flexnet.New(t.Seed)
 	if t.Topo != "" {
 		b.Topo(t.Topo)
 	}
@@ -547,7 +544,6 @@ func main() {
 	listen := flag.String("listen", "127.0.0.1:9177", "TCP listen address")
 	topoPath := flag.String("topology", "", "topology JSON file (default: built-in 2-switch demo)")
 	topoSpec := flag.String("topo", "", "generated topology spec (e.g. fat-tree:k=8; overrides the topology file's members)")
-	workers := flag.Int("workers", 0, "parallel packet workers (0 = GOMAXPROCS; overrides the topology file)")
 	haReplicas := flag.Int("ha", 0, "enable controller HA with N active/standby replicas (0 = off)")
 	flag.Parse()
 
@@ -565,12 +561,9 @@ func main() {
 			log.Fatalf("flexnetd: demo topology: %v", err)
 		}
 	}
-	if *workers != 0 {
-		topo.Workers = *workers
-	}
 	if *topoSpec != "" {
 		// A generated fabric replaces the file's (or demo's) members
-		// wholesale; seed and workers still apply.
+		// wholesale; the seed still applies.
 		topo.Topo = *topoSpec
 		topo.Switches, topo.Hosts, topo.Links, topo.DRPC = nil, nil, nil, nil
 	}

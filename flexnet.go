@@ -208,7 +208,6 @@ type Builder struct {
 	strategy compiler.Strategy
 	costs    runtime.Costs
 	drpc     map[string]string // device → control IP
-	workers  int
 	err      error
 }
 
@@ -286,9 +285,9 @@ func (b *Builder) Topo(spec string) *Builder {
 // FlowCache(false) builds the differential oracle for the per-switch
 // megaflow flow cache every switch otherwise has: switches added after
 // the call (so it should precede Switch/Topo) run the pipeline for every
-// packet. Like Workers(1) it exists for tests and benchmarks to compare
-// against, not for tuning: processing output and dev.* telemetry are
-// identical either way, and only the flowcache.* instruments go away.
+// packet. It exists for tests and benchmarks to compare against, not for
+// tuning: processing output and dev.* telemetry are identical either
+// way, and only the flowcache.* instruments go away.
 func (b *Builder) FlowCache(v bool) *Builder {
 	if b.err == nil {
 		b.fab.SetFlowCache(v)
@@ -316,13 +315,10 @@ func (b *Builder) ReconfigCosts(c runtime.Costs) *Builder {
 	return b
 }
 
-// Workers sets the worker-pool size for parallel per-device packet
-// execution (0 = GOMAXPROCS, the default). Any count produces
-// byte-identical output at a given seed.
-func (b *Builder) Workers(n int) *Builder {
-	b.workers = n
-	return b
-}
+// Workers does nothing: the simulator runs one event at a time
+// (DESIGN.md §9), so any n builds the same network. It stays only until
+// benchmark/, which a product change may not edit, stops calling it.
+func (b *Builder) Workers(n int) *Builder { return b }
 
 // Build finalizes the topology: dRPC routers come up, the infrastructure
 // routing program is installed on every switch, and the controller takes
@@ -342,9 +338,6 @@ func (b *Builder) Build() (*Network, error) {
 	}
 	if err := b.fab.InstallBaseRouting(); err != nil {
 		return nil, err
-	}
-	if b.workers != 0 {
-		b.fab.SetWorkers(b.workers)
 	}
 	eng := runtime.NewEngine(b.fab.Sim, b.costs)
 	ctl := controller.New(b.fab, eng, b.strategy)

@@ -8,7 +8,7 @@ package flexnet
 // while a plan killed after its commit instant resumes its post steps
 // and completes. The timeline is measured from a fault-free baseline
 // run, so the kill lands at an exact simulated instant and the whole
-// scenario replays byte-for-byte across reruns and worker counts.
+// scenario replays byte-for-byte across reruns.
 
 import (
 	"context"
@@ -23,7 +23,7 @@ const haTestURI = "flexnet://ha/mon"
 
 // haNet builds the three-switch chain used by the failover tests, with
 // a 3-replica HA controller group and the monitor app on s1.
-func haNet(t *testing.T, seed int64, workers int) *Network {
+func haNet(t *testing.T, seed int64) *Network {
 	t.Helper()
 	nw := New(seed).
 		Switch("s1", DRMT).
@@ -38,7 +38,6 @@ func haNet(t *testing.T, seed int64, workers int) *Network {
 		DRPC("s1", "172.16.0.1").
 		DRPC("s2", "172.16.0.2").
 		DRPC("s3", "172.16.0.3").
-		Workers(workers).
 		MustBuild()
 	nw.EnableHA(3, HAConfig{Seed: seed})
 	if _, err := nw.Deploy(context.Background(), haTestURI, AppSpec{
@@ -61,7 +60,7 @@ func haMigrate(nw *Network) (MigrationReport, *PlanReport, error) {
 // end, as absolute simulated times.
 func haMigrateTimeline(t *testing.T, seed int64) (prep, commit, end time.Duration) {
 	t.Helper()
-	nw := haNet(t, seed, 1)
+	nw := haNet(t, seed)
 	_, prep2, err := haMigrate(nw)
 	if err != nil {
 		t.Fatalf("baseline migrate: %v", err)
@@ -84,9 +83,9 @@ func haMigrateTimeline(t *testing.T, seed int64) (prep, commit, end time.Duratio
 
 // haKillScenario replays the migration with the leader killed at the
 // given absolute simulated time and returns the network for assertions.
-func haKillScenario(t *testing.T, seed int64, workers int, killAt time.Duration) (*Network, MigrationReport, *PlanReport, error) {
+func haKillScenario(t *testing.T, seed int64, killAt time.Duration) (*Network, MigrationReport, *PlanReport, error) {
 	t.Helper()
-	nw := haNet(t, seed, workers)
+	nw := haNet(t, seed)
 	killed := -1
 	nw.At(killAt, func() {
 		if id, ok := nw.HA().KillActive(); ok {
@@ -104,7 +103,7 @@ func TestHAKillBetweenPrepareAndCommitRollsBack(t *testing.T) {
 	prep, commit, _ := haMigrateTimeline(t, 1)
 	killAt := prep + (commit-prep)/2
 
-	nw, _, prep2, err := haKillScenario(t, 1, 1, killAt)
+	nw, _, prep2, err := haKillScenario(t, 1, killAt)
 	if !errors.Is(err, ErrFailover) {
 		t.Fatalf("err = %v, want ErrFailover", err)
 	}
@@ -127,7 +126,7 @@ func TestHAKillAfterCommitResumes(t *testing.T) {
 	_, commit, end := haMigrateTimeline(t, 1)
 	killAt := commit + (end-commit)/2
 
-	nw, rep, prep2, err := haKillScenario(t, 1, 1, killAt)
+	nw, rep, prep2, err := haKillScenario(t, 1, killAt)
 	if err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
@@ -181,27 +180,23 @@ func assertHAFailoverClean(t *testing.T, nw *Network, resumed, rolled uint64) {
 	}
 }
 
-// TestHAFailoverByteIdentical replays the mid-prepare kill across
-// reruns and worker counts: the full telemetry snapshot — traffic,
-// plans, and every ha.* line — must not change by a byte.
+// TestHAFailoverByteIdentical replays the mid-prepare kill twice: the
+// full telemetry snapshot — traffic, plans, and every ha.* line — must
+// not change by a byte.
 func TestHAFailoverByteIdentical(t *testing.T) {
 	prep, commit, _ := haMigrateTimeline(t, 1)
 	killAt := prep + (commit-prep)/2
-	run := func(workers int) string {
-		nw, _, _, err := haKillScenario(t, 1, workers, killAt)
+	run := func() string {
+		nw, _, _, err := haKillScenario(t, 1, killAt)
 		if !errors.Is(err, ErrFailover) {
-			t.Fatalf("workers=%d: err = %v, want ErrFailover", workers, err)
+			t.Fatalf("err = %v, want ErrFailover", err)
 		}
 		// Settle past the failover so heartbeat cadence is included.
 		nw.RunFor(time.Second)
 		return nw.Stats().Format()
 	}
-	serial := run(1)
-	if again := run(1); serial != again {
+	if run() != run() {
 		t.Fatal("same seed diverged across reruns")
-	}
-	if par := run(8); serial != par {
-		t.Fatal("worker count changed failover telemetry")
 	}
 }
 
@@ -209,7 +204,7 @@ func TestHAFailoverByteIdentical(t *testing.T) {
 // healthy network: HAFailover kills the leader, a standby takes over
 // with nothing in flight, and the old leader rejoins as a standby.
 func TestHAOperatorFailoverDrill(t *testing.T) {
-	nw := haNet(t, 1, 1)
+	nw := haNet(t, 1)
 	killed, err := nw.HAFailover()
 	if err != nil {
 		t.Fatalf("failover: %v", err)

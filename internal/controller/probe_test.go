@@ -92,7 +92,7 @@ func TestProbeWatchdogCleansUpOnLoss(t *testing.T) {
 	// s2—h2 link right away.
 	gotRep := false
 	var rep ProbeReport
-	f.Net.LinkBetween("s2", "h2").Down = true
+	f.Net.LinkBetween("s2", "h2").SetDown(true)
 	c.Probe("h1", packet.IP(10, 0, 0, 2), []string{"s1", "s2"}, func(r ProbeReport) {
 		rep = r
 		gotRep = true

@@ -1028,11 +1028,11 @@ func (d *Device) Process(pkt *packet.Packet) ProcStats {
 	return d.ProcessCtx(pkt, nil)
 }
 
-// ProcessCtx is Process with an explicit execution context. The sharded
-// fabric engine passes one reusable ExecContext per worker so that
-// concurrent devices never share scratch state; ectx == nil falls back
-// to each program instance's private context (the single-threaded
-// fast path Process uses).
+// ProcessCtx is Process with an explicit execution context. The fabric
+// passes its one reusable ExecContext for every device visit; a caller
+// driving devices from several goroutines passes one per goroutine, so
+// concurrent devices never share scratch state. ectx == nil falls back
+// to each program instance's private context (what Process uses).
 func (d *Device) ProcessCtx(pkt *packet.Packet, ectx *flexbpf.ExecContext) ProcStats {
 	if d.draining.Load() || d.down.Load() {
 		d.countDrop(func(c *Counters) { c.DrainDrops++; c.Dropped++ })

@@ -122,10 +122,10 @@ func newFCMetrics(reg *telemetry.Registry, dev string) fcMetrics {
 }
 
 // DisableFlowCache removes the device's megaflow cache, so that every
-// packet runs the linked pipeline. It is not a tuning knob: like a
-// one-worker fabric it is the differential oracle that the equivalence
-// tests, E17's "dev telemetry" column and the serial benchmarks compare
-// the default device against. Call it at build time, before SetMetrics
+// packet runs the linked pipeline. It is not a tuning knob: it is the
+// differential oracle that the equivalence tests, E17's "dev telemetry"
+// column and the serial benchmarks compare the default device against.
+// Call it at build time, before SetMetrics
 // (so no flowcache.* instruments are registered) and before traffic
 // flows: the cache handle is read lock-free on the packet path.
 func (d *Device) DisableFlowCache() {

@@ -259,9 +259,9 @@ func TestFlowCacheSwapHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(g)))
-			// One ExecContext per goroutine, as the fabric's workers do:
-			// Process's nil context is the instance's private scratch,
-			// which concurrent callers must not share.
+			// One ExecContext per goroutine: Process's nil context is the
+			// instance's private scratch, which concurrent callers must
+			// not share.
 			ectx := flexbpf.NewExecContext()
 			for i := 0; i < 3000; i++ {
 				pkt := randomCachePacket(r, uint64(g*1_000_000+i))

@@ -154,9 +154,9 @@ func (pi *ProgramInstance) accepts(pkt *packet.Packet) bool {
 }
 
 // runCtx executes the instance with the caller's ExecContext. A nil ectx
-// uses the instance's private context; the sharded fabric engine instead
-// passes one context per worker, keeping the scratch registers and key
-// buffer cache-warm across every device a worker executes.
+// uses the instance's private context; the fabric instead passes its one
+// context, keeping the scratch registers and key buffer cache-warm
+// across every device a packet visits.
 func (pi *ProgramInstance) runCtx(pkt *packet.Packet, ectx *flexbpf.ExecContext) (flexbpf.ExecResult, error) {
 	if ectx == nil {
 		ectx = pi.ectx

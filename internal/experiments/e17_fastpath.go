@@ -15,18 +15,14 @@ import (
 // runs twice over identically seeded fabrics — "off" on the
 // SetFlowCache(false) oracle, "on" on the default fabric — and the
 // experiment reports the cache hit rate and the work the cache replayed
-// instead of executing (instructions and table lookups). The
-// "avg batch" column is the sharded engine's events per barrier batch
-// (DESIGN.md §9) — how much same-instant work the worker pool is handed,
-// not a device execution mode.
+// instead of executing (instructions and table lookups).
 // The "dev telemetry" column compares the default run's device counters
 // and delivery count against the oracle's: replay reproduces the
 // per-packet accounting exactly, so they must be identical — benchdiff
 // fails CI on any other word in that column.
 //
 // Every column is computed from simulated-time quantities and
-// deterministic counters, so the table is byte-identical at a seed for
-// any worker count.
+// deterministic counters, so the table is byte-identical at a seed.
 // Wall-clock speedups are measured separately by the steady-state
 // pipeline benchmarks (BENCH_PR7.md).
 func E17FastPath(seed int64) *Table {
@@ -34,7 +30,7 @@ func E17FastPath(seed int64) *Table {
 		ID:      "E17",
 		Title:   "Fast path: megaflow flow cache",
 		Claim:   "\"process packets at line rate\" (§1) — the software model must amortize per-packet costs to keep simulated fabrics fast without changing observable behavior",
-		Columns: []string{"cache", "flows", "pkts delivered", "avg batch", "hit %", "replayed instrs", "lookups saved", "dev telemetry"},
+		Columns: []string{"cache", "flows", "pkts delivered", "hit %", "replayed instrs", "lookups saved", "dev telemetry"},
 	}
 
 	const pps = 20000
@@ -42,7 +38,6 @@ func E17FastPath(seed int64) *Table {
 
 	type measure struct {
 		received  uint64
-		avgBatch  float64
 		hits      uint64
 		misses    uint64
 		instrs    uint64
@@ -55,11 +50,9 @@ func E17FastPath(seed int64) *Table {
 		f := fabric.New(seed)
 		f.SetFlowCache(cache)
 		f.AddSwitch("sw", dataplane.ArchDRMT)
-		// One ingress host (and link) per flow: concurrent same-phase CBR
-		// sources deliver at identical timestamps, so the engine's barrier
-		// batches grow with flow concurrency. A single shared ingress link
-		// would serialize arrivals onto distinct timestamps and pin every
-		// batch at one.
+		// One ingress host (and link) per flow: same-phase CBR sources
+		// reach the switch at identical timestamps instead of queueing
+		// behind one shared ingress link.
 		f.AddHost("h2", packet.IP(10, 0, 255, 2))
 		f.Connect("sw", "h2", netsim.DefaultLink())
 		for i := 0; i < flows; i++ {
@@ -80,10 +73,6 @@ func E17FastPath(seed int64) *Table {
 		f.Sim.RunUntil(netsim.Time(runFor))
 		var m measure
 		m.received = f.Host("h2").Received
-		batches := f.Metrics.Counter("fabric.batches").Value()
-		if batches > 0 {
-			m.avgBatch = float64(f.Metrics.Counter("fabric.batch.events").Value()) / float64(batches)
-		}
 		st := f.Device("sw").FlowCacheStats()
 		m.hits, m.misses = st.Hits, st.Misses
 		m.instrs = f.Metrics.Counter("flowcache.sw.replayed_instrs").Value()
@@ -111,10 +100,10 @@ func E17FastPath(seed int64) *Table {
 			minHit = hitPct
 		}
 		t.Rows = append(t.Rows,
-			[]string{"off", di(flows), d(off.received), f2(off.avgBatch), "—", "0", "0", "—"},
-			[]string{"on", di(flows), d(on.received), f2(on.avgBatch), f2(hitPct), d(on.instrs), d(on.lookups), ident},
+			[]string{"off", di(flows), d(off.received), "—", "0", "0", "—"},
+			[]string{"on", di(flows), d(on.received), f2(hitPct), d(on.instrs), d(on.lookups), ident},
 		)
 	}
-	t.Finding = fmt.Sprintf("the flow cache serves ≥%.2f%% of steady-state packets from one exact-match lookup while device counters and deliveries stay identical to the uncached run; the engine's barrier batches grow with flow concurrency", minHit)
+	t.Finding = fmt.Sprintf("the flow cache serves ≥%.2f%% of steady-state packets from one exact-match lookup while device counters and deliveries stay identical to the uncached run", minHit)
 	return t
 }

@@ -23,14 +23,11 @@ func (f *Fabric) EnableDRPC(devName string, ip uint32) (*drpc.Router, error) {
 		return nil, fmt.Errorf("fabric: device %q already has a dRPC router", devName)
 	}
 	node := f.Net.Node(devName)
-	shard := node.Shard()
 	r := drpc.NewRouter(ip, f.Seq(), func(p *packet.Packet) {
 		// Originating at the device: run through its own pipeline so the
 		// infrastructure routing program forwards it. inPort -1 skips the
 		// self-delivery check.
-		f.Sim.AtShard(f.Sim.Now(), shard, func(w *netsim.Worker) func() {
-			return f.deviceCompute(w, d, node, shard, p, -1, 0)
-		})
+		f.Sim.After(0, func() { f.deviceVisit(d, node, p, -1, 0) })
 	})
 	r.SetScheduler(f.simNow, f.simAfter)
 	f.routers[devName] = r

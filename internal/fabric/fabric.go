@@ -12,6 +12,7 @@ package fabric
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"flexnet/internal/dataplane"
@@ -90,17 +91,14 @@ type Fabric struct {
 	// recircLimit bounds recirculation loops.
 	recircLimit int
 
-	// Shard-local telemetry. Each device and host owns one shard of the
-	// simulator's parallel engine; its compute phases count events into
-	// shardBufs[shard] without any synchronization, and after every batch
-	// mergeShardStats folds the buffers into registry counters in fixed
-	// device order (shard registration order), so snapshots are
-	// byte-identical for any worker count.
-	shardOwners   []string
-	shardBufs     []shardBuf
-	shardCounters []*telemetry.Counter
-	batches       *telemetry.Counter
-	batchEvents   *telemetry.Counter
+	// events counts device visits, egress transmits and host deliveries.
+	// It keeps the registry name fabric.batch.events, though nothing is
+	// batched, because benchmark/ reads netsim.events_per_pkt and the
+	// fabric.self_ns_per_hop budget row from it.
+	events *telemetry.Counter
+	// ectx is the FlexBPF execution context (scratch registers, key
+	// buffer) every device visit on this fabric reuses.
+	ectx *flexbpf.ExecContext
 
 	// flowCache is false only on an oracle fabric (SetFlowCache): switches
 	// added while it is false have their megaflow cache removed. The
@@ -112,13 +110,6 @@ type Fabric struct {
 	// reconciliation of content-identical programs rebind one lowering
 	// instead of re-linking (DESIGN.md §13.3).
 	lcache *flexbpf.LinkCache
-}
-
-// shardBuf is one shard's batch-local event count, padded to a cache
-// line so neighboring shards never false-share under the worker pool.
-type shardBuf struct {
-	events uint64
-	_      [56]byte
 }
 
 // New creates an empty fabric on a seeded simulator.
@@ -139,70 +130,24 @@ func New(seed int64) *Fabric {
 		applied:     map[string]*flexbpf.TableInstance{},
 		flowCache:   true,
 		lcache:      flexbpf.NewLinkCache(0),
+		ectx:        flexbpf.NewExecContext(),
 	}
-	f.batches = f.Metrics.Counter("fabric.batches")
-	f.batchEvents = f.Metrics.Counter("fabric.batch.events")
+	f.events = f.Metrics.Counter("fabric.batch.events")
 	f.routeConverges = f.Metrics.Counter("fabric.routes.converges")
 	f.routeDests = f.Metrics.Counter("fabric.routes.recomputed_dests")
 	f.routeEntries = f.Metrics.Counter("fabric.routes.recomputed_entries")
 	f.routeWrites = f.Metrics.Counter("fabric.routes.delta_writes")
 	f.Net.Subscribe(f.onTopoEvent)
-	sim.OnBatchEnd(f.mergeShardStats)
-	if defaultWorkers != 0 {
-		f.SetWorkers(defaultWorkers)
-	}
 	return f
 }
 
-// defaultWorkers, when non-zero, sizes the worker pool of every Fabric
-// created afterwards. It backs the -workers flag on binaries (flexbench)
-// that build many fabrics internally.
-var defaultWorkers int
-
-// SetDefaultWorkers sets the worker-pool size new fabrics start with
-// (0 restores the GOMAXPROCS default). Not safe for concurrent use;
-// intended for process start-up.
-func SetDefaultWorkers(n int) { defaultWorkers = n }
-
 // SetFlowCache(false) builds the differential oracle: switches added
 // after the call run the linked pipeline for every packet, with no
-// megaflow cache and no flowcache.* instruments. Like Workers(1) it is
-// what tests, E17 and the serial benchmarks compare the default fabric
-// against, not a tuning flag: device-level processing output (verdicts,
+// megaflow cache and no flowcache.* instruments. It is what tests, E17
+// and the serial benchmarks compare the default fabric against, not a
+// tuning flag: device-level processing output (verdicts,
 // packet mutations, dev.* telemetry) is identical either way.
 func (f *Fabric) SetFlowCache(v bool) { f.flowCache = v }
-
-// SetWorkers sets the sharded engine's worker pool size (n <= 0 selects
-// GOMAXPROCS) and returns the effective count. The worker count affects
-// wall-clock speed only: simulation output is byte-identical for any
-// value.
-func (f *Fabric) SetWorkers(n int) int { return f.Sim.SetWorkers(n) }
-
-// registerShard reserves a parallel-engine shard for owner and its
-// telemetry buffer/counter. Registration order is topology build order,
-// which is the fixed order mergeShardStats folds buffers in.
-func (f *Fabric) registerShard(owner string) int {
-	id := f.Sim.NewShard()
-	f.shardOwners = append(f.shardOwners, owner)
-	f.shardBufs = append(f.shardBufs, shardBuf{})
-	f.shardCounters = append(f.shardCounters, f.Metrics.Counter("fabric.shard."+owner+".events"))
-	return id
-}
-
-// mergeShardStats runs on the event loop after each batch's apply phase
-// and merges every shard's buffered counts into the registry in fixed
-// device order. Batch composition is independent of the worker count, so
-// the merged counters are too.
-func (f *Fabric) mergeShardStats() {
-	f.batches.Inc()
-	for i := range f.shardBufs {
-		if n := f.shardBufs[i].events; n != 0 {
-			f.shardBufs[i].events = 0
-			f.batchEvents.Add(n)
-			f.shardCounters[i].Add(n)
-		}
-	}
-}
 
 // Seq returns the shared packet-ID sequence pointer for traffic sources.
 func (f *Fabric) Seq() *uint64 { return &f.seq }
@@ -232,80 +177,51 @@ func (f *Fabric) AddSwitchCfg(cfg dataplane.Config) *dataplane.Device {
 	f.routing.MarkDevice(cfg.Name)
 	f.devices[cfg.Name] = d
 	f.devNames = sortedInsert(f.devNames, cfg.Name)
-	shard := f.registerShard(cfg.Name)
-	node.SetBatchHandler(shard, func(w *netsim.Worker, pkt *packet.Packet, inPort int) func() {
-		return f.deviceCompute(w, d, node, shard, pkt, inPort, 0)
+	node.SetHandler(func(pkt *packet.Packet, inPort int) {
+		f.deviceVisit(d, node, pkt, inPort, 0)
 	})
 	return d
 }
 
-// workerECtx returns the worker's reusable FlexBPF execution context,
-// creating it on first use. One context per worker keeps scratch
-// registers and the key buffer cache-warm across every device that
-// worker executes, with no sharing between concurrent workers.
-func workerECtx(w *netsim.Worker) *flexbpf.ExecContext {
-	if ec, ok := w.Scratch.(*flexbpf.ExecContext); ok {
-		return ec
-	}
-	ec := flexbpf.NewExecContext()
-	w.Scratch = ec
-	return ec
-}
-
-// deviceCompute is the compute phase of a packet's visit to a device: it
-// runs the program chain against shard-owned state (the device) and
-// returns an apply closure carrying the shared side effects — event
-// scheduling, fabric counters, controller punts, dRPC delivery — which
-// the engine runs on the event loop in schedule order.
-func (f *Fabric) deviceCompute(w *netsim.Worker, d *dataplane.Device, node *netsim.Node, shard int, pkt *packet.Packet, inPort, recirc int) func() {
-	f.shardBufs[shard].events++
+// deviceVisit is a packet's visit to a device: it runs the program
+// chain and acts on the verdict. The egress transmit and a recirculation
+// are events of their own, LatencyNs later even when that is 0: folding
+// either into the visit would renumber the event stream and with it
+// every seeded output.
+func (f *Fabric) deviceVisit(d *dataplane.Device, node *netsim.Node, pkt *packet.Packet, inPort, recirc int) {
+	f.events.Inc()
 	// dRPC packets addressed to this device's control IP terminate here.
-	// Delivery can touch shared state (state push writes stores, replies
-	// transmit), so it is an apply-phase action.
 	if inPort >= 0 && pkt.Has("drpc") {
 		if r := f.routers[d.Name()]; r != nil && uint32(pkt.Field("ipv4.dst")) == r.IP {
-			return func() { r.Deliver(pkt) }
+			r.Deliver(pkt)
+			return
 		}
 	}
 	pkt.IngressPort = inPort
-	st := d.ProcessCtx(pkt, workerECtx(w))
+	st := d.ProcessCtx(pkt, f.ectx)
 	switch st.Verdict {
 	case packet.VerdictForward:
-		// Processing latency delays the send; the transmit itself is a
-		// two-phase event on this device's shard.
-		at := f.Sim.Now() + netsim.Time(st.LatencyNs)
-		return func() { f.scheduleSend(node, shard, pkt, at) }
+		f.Sim.After(netsim.Time(st.LatencyNs), func() {
+			f.events.Inc()
+			node.Send(pkt, pkt.EgressPort)
+		})
 	case packet.VerdictRecirculate:
 		if recirc >= f.recircLimit {
-			return func() { f.ContinueDrops++ }
+			f.ContinueDrops++
+			return
 		}
-		at := f.Sim.Now() + netsim.Time(st.LatencyNs)
-		next := recirc + 1
-		return func() {
-			f.Sim.AtShard(at, shard, func(w *netsim.Worker) func() {
-				return f.deviceCompute(w, d, node, shard, pkt, inPort, next)
-			})
-		}
+		f.Sim.After(netsim.Time(st.LatencyNs), func() {
+			f.deviceVisit(d, node, pkt, inPort, recirc+1)
+		})
 	case packet.VerdictToController:
-		if p := f.Punted; p != nil {
-			return func() { p(d.Name(), pkt) }
+		if f.Punted != nil {
+			f.Punted(d.Name(), pkt)
 		}
 	case packet.VerdictContinue:
-		return func() { f.ContinueDrops++ }
+		f.ContinueDrops++
 	case packet.VerdictDrop:
 		// Dropped by policy; counted by the device.
 	}
-	return nil
-}
-
-// scheduleSend schedules the egress transmit as a two-phase event on the
-// sending device's shard: the compute phase does the per-direction queue
-// math, the apply publishes counters and schedules delivery.
-func (f *Fabric) scheduleSend(node *netsim.Node, shard int, pkt *packet.Packet, at netsim.Time) {
-	f.Sim.AtShard(at, shard, func(_ *netsim.Worker) func() {
-		f.shardBufs[shard].events++
-		return node.SendPrepare(pkt, pkt.EgressPort)
-	})
 }
 
 // onTopoEvent mirrors topology changes into the routing engine. Node
@@ -349,17 +265,11 @@ func (f *Fabric) addHost(name string, ip uint32, routeShard int) *Host {
 	h := &Host{Name: name, IP: ip, Node: node, fab: f}
 	f.hosts[name] = h
 	f.hostNames = sortedInsert(f.hostNames, name)
-	shard := f.registerShard(name)
-	// Host delivery is all shared side effects (Recv callbacks feed
-	// transports, sinks, experiment logic), so the compute phase only
-	// counts the event and everything else happens at apply.
-	node.SetBatchHandler(shard, func(_ *netsim.Worker, pkt *packet.Packet, inPort int) func() {
-		f.shardBufs[shard].events++
-		return func() {
-			h.Received++
-			if h.Recv != nil {
-				h.Recv(pkt)
-			}
+	node.SetHandler(func(pkt *packet.Packet, _ int) {
+		f.events.Inc()
+		h.Received++
+		if h.Recv != nil {
+			h.Recv(pkt)
 		}
 	})
 	return h
@@ -499,25 +409,11 @@ func (f *Fabric) RefreshRoutesFull() error {
 	return f.refreshRoutes(nil)
 }
 
-// syncLinkStates reconciles the engine's link states with the ground
-// truth before a converge. Link failures injected via SetDown arrive as
-// events, but legacy code (and tests) still write Link.Down directly;
-// reading the authoritative flags here preserves the old semantics that
-// route computation sees link state as of refresh time.
-func (f *Fabric) syncLinkStates() {
-	for _, l := range f.Net.Links() {
-		if id, ok := f.linkID[l]; ok {
-			f.routing.SetLinkState(id, !l.Down && !l.Removed)
-		}
-	}
-}
-
 // refreshRoutes converges the engine and applies table deltas. scope
 // (sorted, nil = all devices) bounds only the resync scan; devices the
 // engine touched are always rewritten.
 func (f *Fabric) refreshRoutes(scope []string) error {
-	f.syncLinkStates()
-	stats := f.routing.Converge(f.Sim.Workers())
+	stats := f.routing.Converge(runtime.GOMAXPROCS(0))
 	f.lastRouteStats = stats
 	f.routeConverges.Add(1)
 	f.routeDests.Add(uint64(stats.RecomputedDests))

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -54,7 +55,7 @@ func TestRerouteAfterFailure(t *testing.T) {
 	src.StartCBR(5000)
 	f.Sim.RunUntil(50 * time.Millisecond)
 
-	f.Net.LinkBetween("s1", "s2").Down = true
+	f.Net.LinkBetween("s1", "s2").SetDown(true)
 	if err := f.RefreshRoutes(); err != nil {
 		t.Fatal(err)
 	}
@@ -190,5 +191,45 @@ func TestInfraRoutingProgramVerifies(t *testing.T) {
 	ti := flexbpf.NewTableInstance(p.Table(RouteTableName))
 	if _, err := flexbpf.Link(p, func(string) *flexbpf.TableInstance { return ti }); err != nil {
 		t.Fatalf("verifies but does not link: %v", err)
+	}
+}
+
+// TestHopAllocBudget bounds the heap allocations a delivered packet
+// costs on the one-hop path h1–s1–h2 with base routing: source emission,
+// a device visit, an egress transmit, two link arrivals and the host
+// delivery. The bound is one above what the path reads today, so a
+// per-hop closure or buffer cannot creep back unnoticed; lower it when
+// the path gets cheaper.
+func TestHopAllocBudget(t *testing.T) {
+	const budget = 14.0
+	f := New(1)
+	f.AddSwitch("s1", dataplane.ArchDRMT)
+	f.AddHost("h1", packet.IP(10, 0, 0, 1))
+	f.AddHost("h2", packet.IP(10, 0, 0, 2))
+	f.Connect("h1", "s1", netsim.DefaultLink())
+	f.Connect("s1", "h2", netsim.DefaultLink())
+	if err := f.InstallBaseRouting(); err != nil {
+		t.Fatal(err)
+	}
+	src := f.Host("h1").NewSource(netsim.FlowSpec{
+		Dst: packet.IP(10, 0, 0, 2), Proto: packet.ProtoUDP,
+		SrcPort: 1000, DstPort: 2000, PacketLen: 100,
+	})
+	src.StartCBR(100000)
+	f.Sim.RunFor(10 * time.Millisecond) // warm the flow cache and the event heap
+	h2 := f.Host("h2")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := h2.Received
+	f.Sim.RunFor(120 * time.Millisecond)
+	got := h2.Received - start
+	runtime.ReadMemStats(&after)
+	if got < 10000 {
+		t.Fatalf("delivered %d packets, want >= 10000", got)
+	}
+	perPkt := float64(after.Mallocs-before.Mallocs) / float64(got)
+	t.Logf("%.2f allocs per delivered packet over %d packets", perPkt, got)
+	if perPkt > budget {
+		t.Fatalf("%.2f allocs per delivered packet, budget %.0f", perPkt, budget)
 	}
 }

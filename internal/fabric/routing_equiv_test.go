@@ -162,48 +162,3 @@ func TestDevicesHostsCached(t *testing.T) {
 		t.Fatalf("Devices() after add = %v, want a0 first", devs)
 	}
 }
-
-// TestWorkerCountByteIdenticalRouting converges a fat-tree with link
-// events at several worker-pool sizes and requires identical tables,
-// stats, and telemetry counters — the PR4 determinism guarantee
-// extended to the routing engine's parallel convergence.
-func TestWorkerCountByteIdenticalRouting(t *testing.T) {
-	run := func(workers int) (uint64, counterSnap) {
-		f := New(3)
-		f.SetWorkers(workers)
-		if err := BuildFatTree(f, FatTreeSpec{K: 4}); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.InstallBaseRouting(); err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range [][2]string{
-			{"p0-e0", "p0-a0"}, {"p1-a1", "c3"}, {"p2-e1-h0", "p2-e1"},
-		} {
-			f.Net.LinkBetween(ev[0], ev[1]).SetDown(true)
-			if err := f.RefreshRoutes(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		counters := counterSnap{
-			converges: f.routeConverges.Value(),
-			dests:     f.routeDests.Value(),
-			entries:   f.routeEntries.Value(),
-			writes:    f.routeWrites.Value(),
-		}
-		return routeTableFingerprint(t, f), counters
-	}
-	fp1, st1 := run(1)
-	for _, w := range []int{2, 8} {
-		fp, st := run(w)
-		if fp != fp1 {
-			t.Fatalf("workers=%d tables differ from workers=1", w)
-		}
-		if st != st1 {
-			t.Fatalf("workers=%d telemetry %+v differs from workers=1 %+v", w, st, st1)
-		}
-	}
-}
-
-// counterSnap is a comparable snapshot of the fabric.routes.* counters.
-type counterSnap struct{ converges, dests, entries, writes uint64 }

@@ -157,12 +157,11 @@ type Stats struct {
 	Invalidations uint64
 }
 
-// Cache is one device's flow cache. Lookups and inserts happen inside
-// the device's serialized shard computes; invalidation happens on the
-// event loop at commit time. The mutex makes the overlap safe when the
-// embedding program drives the device outside the simulator's
-// serialization (tests, the -race hammer); within the simulator,
-// determinism follows because every access is serialized per device.
+// Cache is one device's flow cache. Lookups and inserts happen on the
+// device's packet path; invalidation happens at commit time. The mutex
+// makes the overlap safe when the embedding program drives the device
+// from several goroutines (tests, the -race hammer); within the
+// simulator every access is an event, so there is none.
 type Cache struct {
 	mu      sync.Mutex
 	epoch   uint64

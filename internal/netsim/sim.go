@@ -11,7 +11,7 @@
 // monotonically increasing sequence number, so a simulation with the same
 // seed and inputs replays bit-for-bit.
 //
-// DESIGN.md §9 documents the parallel execution model and the determinism argument.
+// DESIGN.md §9 records why the simulator runs one event at a time.
 package netsim
 
 import (
@@ -26,17 +26,13 @@ import (
 // (nanoseconds) measured from the start of the simulation.
 type Time = time.Duration
 
-// Event is a scheduled callback in the simulation. Ordinary events
-// carry Fn; two-phase events (see AtShard) carry compute and a shard.
+// Event is a scheduled callback in the simulation.
 type Event struct {
 	At   Time
 	Fn   func()
 	seq  uint64
 	idx  int
 	dead bool
-
-	shard   int32
-	compute Compute
 }
 
 // Cancel marks the event so it will not fire. Cancelling an already-fired
@@ -81,28 +77,13 @@ type Sim struct {
 	rng     *rand.Rand
 	stopped bool
 
-	// Sharded parallel engine state (see parallel.go). workers is the
-	// pool size; nextShard the shard-ID allocator; the remaining fields
-	// are reusable batch buffers and the per-batch merge hook.
-	workers     int
-	nextShard   int
-	workerSlots []*Worker
-	batch       []*Event
-	groups      []shardGroup
-	groupOf     []int32
-	applies     []func()
-	onBatchEnd  func()
-
 	// Processed counts events executed so far.
 	Processed uint64
 }
 
-// New creates a simulator whose random source is seeded with seed. The
-// batch worker pool defaults to GOMAXPROCS; see SetWorkers.
+// New creates a simulator whose random source is seeded with seed.
 func New(seed int64) *Sim {
-	s := &Sim{rng: rand.New(rand.NewSource(seed))}
-	s.SetWorkers(0)
-	return s
+	return &Sim{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current simulation time.
@@ -186,13 +167,8 @@ func (s *Sim) step() {
 		panic("netsim: time went backwards")
 	}
 	s.now = e.At
-	if e.compute == nil {
-		s.Processed++
-		e.Fn()
-		return
-	}
-	s.collectBatch(e)
-	s.runBatch()
+	s.Processed++
+	e.Fn()
 }
 
 // Every schedules fn to run at the given period until the returned Ticker

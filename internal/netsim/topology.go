@@ -12,13 +12,6 @@ import (
 // and may call Node.Send to emit packets onward.
 type Handler func(pkt *packet.Packet, inPort int)
 
-// BatchHandler is the two-phase form of Handler used by nodes that
-// participate in the sharded parallel engine. It runs as the compute
-// phase of the arrival event — confined to the node's shard, possibly on
-// a worker goroutine — and returns the apply closure (possibly nil) that
-// performs the arrival's shared side effects on the event loop.
-type BatchHandler func(w *Worker, pkt *packet.Packet, inPort int) (apply func())
-
 // Node is a point in the topology: a switch, NIC, or host. Packet
 // behaviour is supplied by its Handler; the topology layer only moves
 // packets across links.
@@ -27,8 +20,6 @@ type Node struct {
 	net     *Network
 	ports   []*portEnd
 	handler Handler
-	batch   BatchHandler
-	shard   int
 }
 
 // portEnd is one side of a link attachment.
@@ -40,18 +31,6 @@ type portEnd struct {
 // SetHandler installs the node's packet handler.
 func (n *Node) SetHandler(h Handler) { n.handler = h }
 
-// SetBatchHandler installs a two-phase packet handler and binds the node
-// to the given shard (reserved via Sim.NewShard). Arrivals at this node
-// become two-phase events: deliveries at the same instant batch together
-// and the handler's compute phases run on the worker pool.
-func (n *Node) SetBatchHandler(shard int, h BatchHandler) {
-	n.shard = shard
-	n.batch = h
-}
-
-// Shard returns the shard bound by SetBatchHandler (0 if none).
-func (n *Node) Shard() int { return n.shard }
-
 // Ports returns the number of connected ports.
 func (n *Node) Ports() int { return len(n.ports) }
 
@@ -59,22 +38,11 @@ func (n *Node) Ports() int { return len(n.ports) }
 // counts as a drop. The packet is delivered to the neighbor after
 // serialization + propagation delay, subject to the link queue.
 func (n *Node) Send(pkt *packet.Packet, port int) {
-	if apply := n.SendPrepare(pkt, port); apply != nil {
-		apply()
-	}
-}
-
-// SendPrepare is the two-phase form of Send: it runs the transmit-side
-// computation (queue math, ECN marking — state owned by this node's
-// shard) immediately and returns an apply closure that publishes shared
-// drop/delivery counters and schedules the delivery. The apply must run
-// on the event loop; callers inside a shard compute return it (directly
-// or wrapped) as their own apply.
-func (n *Node) SendPrepare(pkt *packet.Packet, port int) func() {
 	if port < 0 || port >= len(n.ports) {
-		return func() { n.net.Drops++ }
+		n.net.Drops++
+		return
 	}
-	return n.ports[port].sendPrepare(n.net.sim, pkt)
+	n.ports[port].send(n.net.sim, pkt)
 }
 
 // PortToward returns the local port number connected to the named
@@ -115,17 +83,14 @@ func (pe *portEnd) dir() *linkDir {
 	return &pe.link.dirs[pe.side]
 }
 
-// sendPrepare computes the transmit phase: queue-occupancy math and ECN
-// marking touch only this direction's transmitter state and the packet
-// itself, both owned by the sending node's shard. Counter publication
-// and delivery scheduling are deferred to the returned apply.
-func (pe *portEnd) sendPrepare(s *Sim, pkt *packet.Packet) func() {
+// send runs the transmit side of a link direction — queue-occupancy
+// math, tail drop, ECN marking — and schedules the arrival at the peer.
+func (pe *portEnd) send(s *Sim, pkt *packet.Packet) {
 	l := pe.link
 	if l.Down {
-		return func() {
-			l.Drops++
-			l.net.Drops++
-		}
+		l.Drops++
+		l.net.Drops++
+		return
 	}
 	d := pe.dir()
 	now := s.Now()
@@ -136,10 +101,9 @@ func (pe *portEnd) sendPrepare(s *Sim, pkt *packet.Packet) func() {
 	// queue bound is expressed in bytes awaiting transmission.
 	queuedBytes := int(float64(d.nextFree-now) / 1e9 * float64(l.BandwidthBps) / 8.0)
 	if l.QueueBytes > 0 && queuedBytes+pkt.Len() > l.QueueBytes {
-		return func() {
-			l.Drops++
-			l.net.Drops++
-		}
+		l.Drops++
+		l.net.Drops++
+		return
 	}
 	if l.ECNThresholdBytes > 0 && queuedBytes > l.ECNThresholdBytes && pkt.Has("ipv4") {
 		pkt.SetField("ipv4.ecn", 3)
@@ -150,43 +114,15 @@ func (pe *portEnd) sendPrepare(s *Sim, pkt *packet.Packet) func() {
 	}
 	depart := d.nextFree + ser
 	d.nextFree = depart
-	arrive := depart + l.Delay
-	peer := pe.peerNode()
-	inPort := pe.peerPort()
 	if qd := depart - now - ser; qd > d.maxQueueDelay {
 		d.maxQueueDelay = qd
 	}
-	return func() {
-		l.Delivered++
-		deliver(s, l, peer, pkt, inPort, arrive)
-	}
-}
-
-// deliver schedules the arrival at peer. Nodes with a batch handler
-// receive two-phase events on their shard; the link-down check happens
-// in the compute phase (Down only changes in ordinary events, which
-// never overlap a batch) while the drop/delivery counters move to the
-// apply phase.
-func deliver(s *Sim, l *Link, peer *Node, pkt *packet.Packet, inPort int, arrive Time) {
-	if peer.batch != nil {
-		s.AtShard(arrive, peer.shard, func(w *Worker) func() {
-			if l.Down {
-				return func() {
-					l.Drops++
-					l.net.Drops++
-				}
-			}
-			apply := peer.batch(w, pkt, inPort)
-			return func() {
-				l.net.Delivered++
-				if apply != nil {
-					apply()
-				}
-			}
-		})
-		return
-	}
-	s.At(arrive, func() {
+	l.Delivered++
+	peer := pe.peerNode()
+	inPort := pe.peerPort()
+	// A link that fails while the packet is in flight loses it: Down is
+	// checked again at arrival.
+	s.At(depart+l.Delay, func() {
 		if l.Down {
 			l.Drops++
 			l.net.Drops++
@@ -216,9 +152,8 @@ type Link struct {
 	// switch-side half of DCTCP-style congestion control.
 	ECNThresholdBytes int
 	// Down simulates link/device failure: all traffic is dropped.
-	// Prefer SetDown, which notifies topology subscribers; writing the
-	// field directly still fails traffic but defers subscriber
-	// notification to the next routing refresh.
+	// Change it with SetDown, which notifies topology subscribers; a
+	// direct write fails traffic but routing never learns of it.
 	Down bool
 	// Removed marks a link administratively removed from the topology:
 	// permanently down and excluded from LinkBetween lookups. Set via

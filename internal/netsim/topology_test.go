@@ -91,6 +91,25 @@ func TestLinkDown(t *testing.T) {
 	}
 }
 
+// A link that fails between Send and arrival loses the packet it was
+// carrying: accepted for transmission, never handed to the peer.
+func TestLinkFailsWithPacketInFlight(t *testing.T) {
+	nw, a, b := line(t, DefaultLink())
+	called := false
+	b.SetHandler(func(p *packet.Packet, inPort int) { called = true })
+	l := nw.LinkBetween("a", "b")
+	a.Send(packet.UDPPacket(1, 1, 2, 3, 4, 100), 0)
+	nw.Sim().After(l.Delay/2, func() { l.SetDown(true) })
+	nw.Sim().Run()
+	if called {
+		t.Fatal("handler called for a packet in flight on a failed link")
+	}
+	if l.Delivered != 1 || l.Drops != 1 || nw.Drops != 1 || nw.Delivered != 0 {
+		t.Fatalf("link delivered=%d drops=%d, network drops=%d delivered=%d; want 1 1 1 0",
+			l.Delivered, l.Drops, nw.Drops, nw.Delivered)
+	}
+}
+
 func TestSendInvalidPort(t *testing.T) {
 	nw, a, _ := line(t, DefaultLink())
 	a.Send(packet.UDPPacket(1, 1, 2, 3, 4, 100), 5)

@@ -223,11 +223,7 @@ func (n *Network) DeleteTenant(ctx context.Context, name string) error {
 	return err
 }
 
-// SetWorkers sets the worker-pool size used to execute per-device
-// packet batches in parallel: n <= 0 restores the default
-// (GOMAXPROCS). The effective count is returned. Output is
-// byte-identical at a given seed regardless of the worker count.
-func (n *Network) SetWorkers(count int) int { return n.fab.SetWorkers(count) }
-
-// NumWorkers returns the current worker-pool size.
-func (n *Network) NumWorkers() int { return n.fab.Sim.Workers() }
+// NumWorkers returns 1: the simulator runs one event at a time
+// (DESIGN.md §9). It stays only until benchmark/, which a product change
+// may not edit, stops calling it.
+func (n *Network) NumWorkers() int { return 1 }

@@ -278,22 +278,3 @@ func TestDeleteTenantCtx(t *testing.T) {
 		t.Fatal("deleting an absent tenant succeeded")
 	}
 }
-
-// TestSetWorkersOnNetwork exercises the worker-pool controls on the
-// facade.
-func TestSetWorkersOnNetwork(t *testing.T) {
-	n := smallNet(t)
-	if got := n.SetWorkers(8); got != 8 || n.NumWorkers() != 8 {
-		t.Fatalf("SetWorkers(8) = %d (NumWorkers %d), want 8", got, n.NumWorkers())
-	}
-	if got := n.SetWorkers(0); got < 1 {
-		t.Fatalf("SetWorkers(0) = %d, want >= 1", got)
-	}
-	nw, err := New(5).Workers(3).Switch("s1", DRMT).Host("h1", "10.0.0.1").Link("h1", "s1").Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nw.NumWorkers() != 3 {
-		t.Fatalf("builder Workers(3) -> NumWorkers %d", nw.NumWorkers())
-	}
-}

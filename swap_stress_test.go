@@ -8,17 +8,14 @@ import (
 	"flexnet/internal/flexbpf"
 )
 
-// TestSwapUnderLoadStress drives sustained traffic through every shard
-// of a multi-device topology on an 8-worker pool while ChangePlans
-// commit continuously: repeated data-plane migrations bounce a stateful
-// app between switches, replicas scale out and in, and a live delta
-// grows a map — all with packets in flight. Run under -race this is the
-// proof that epoch-atomic swaps stay hitless when per-device batches
-// execute on the worker pool: parallel compute phases must never touch
-// state a concurrent commit mutates.
+// TestSwapUnderLoadStress drives sustained traffic through every device
+// of a multi-device topology while ChangePlans commit continuously:
+// repeated data-plane migrations bounce a stateful app between switches,
+// replicas scale out and in, and a live delta grows a map — all with
+// packets in flight, and not one may be lost: epoch-atomic swaps are
+// hitless under load.
 func TestSwapUnderLoadStress(t *testing.T) {
 	n, err := New(7).
-		Workers(8).
 		Switch("s1", DRMT).
 		Switch("s2", RMT).
 		Switch("s3", Tile).

@@ -11,15 +11,8 @@ import (
 // traffic, data-plane migrate — on a fresh network at the given seed and
 // returns it with traffic drained.
 func telemetryScenario(t *testing.T, seed int64) *Network {
-	return telemetryScenarioWorkers(t, seed, 0)
-}
-
-// telemetryScenarioWorkers is telemetryScenario with an explicit
-// parallel worker-pool size (0 = default).
-func telemetryScenarioWorkers(t *testing.T, seed int64, workers int) *Network {
 	t.Helper()
 	n, err := New(seed).
-		Workers(workers).
 		Switch("s1", DRMT).
 		Switch("s2", RMT).
 		Host("h1", "10.0.0.1").
@@ -137,33 +130,5 @@ func TestTelemetryByteIdenticalAcrossRuns(t *testing.T) {
 	}
 	if !strings.Contains(a, "dev.s1.packets_processed") || !strings.Contains(a, "trace plan-1") {
 		t.Fatalf("rendered telemetry incomplete:\n%s", a)
-	}
-}
-
-// TestTelemetryByteIdenticalAcrossWorkerCounts asserts the parallel
-// engine's core guarantee: the worker-pool size changes wall-clock speed
-// only, never output. The full rendered telemetry — every counter,
-// gauge, histogram, and plan trace — must match byte for byte between a
-// serial run and an 8-worker run at the same seed.
-func TestTelemetryByteIdenticalAcrossWorkerCounts(t *testing.T) {
-	render := func(workers int) string {
-		n := telemetryScenarioWorkers(t, 1, workers)
-		var b strings.Builder
-		b.WriteString(n.Stats().Format())
-		tr := n.Tracer()
-		for _, id := range tr.IDs() {
-			b.WriteString(tr.Trace(id).Format())
-		}
-		return b.String()
-	}
-	serial := render(1)
-	for _, workers := range []int{2, 8} {
-		if got := render(workers); got != serial {
-			t.Fatalf("telemetry differs between workers=1 and workers=%d:\n--- workers=1 ---\n%s--- workers=%d ---\n%s",
-				workers, serial, workers, got)
-		}
-	}
-	if !strings.Contains(serial, "fabric.batches") {
-		t.Fatalf("rendered telemetry missing parallel-engine counters:\n%s", serial)
 	}
 }
