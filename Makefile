@@ -42,7 +42,7 @@ spec-check:
 check: fmt vet lint spec-check build test benchmark-test race docs
 
 bench:
-	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ./internal/flexbpf ./internal/telemetry
+	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ./internal/flexbpf ./internal/telemetry ./internal/netsim ./internal/fabric
 
 # bench-steady measures the flow cache against its oracle: serial is
 # the FlowCache(false) fabric that runs the pipeline for every packet,

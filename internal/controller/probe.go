@@ -105,8 +105,8 @@ func (c *Controller) Probe(srcHost string, dstIP uint32, path []string, done fun
 				rep.Hops = p.Field("int.hopcount")
 				rep.LastDevice = p.Field("int.device")
 				rep.LastHopClockNs = p.Field("int.latency")
-				if sent, ok := p.Meta["sent_at"]; ok {
-					rep.PathLatency = c.fab.Sim.Now() - netsim.Time(sent)
+				if p.HasSentAt {
+					rep.PathLatency = c.fab.Sim.Now() - netsim.Time(p.SentAt)
 				}
 				// 3. Retire the utility immediately.
 				cleanup()

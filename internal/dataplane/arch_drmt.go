@@ -18,13 +18,14 @@ type drmtModel struct {
 	total      flexbpf.Demand
 	parserUsed int
 	parserCap  int
-	placed     map[string]*poolPlacement
+	// placed is the set of live placements, by identity: an in-place
+	// update holds two placements of one program name until it commits.
+	placed map[*poolPlacement]struct{}
 }
 
 type poolPlacement struct {
-	progName string
-	d        flexbpf.Demand
-	parser   int
+	d      flexbpf.Demand
+	parser int
 }
 
 func (p *poolPlacement) demand() flexbpf.Demand { return p.d }
@@ -43,7 +44,7 @@ func newDRMTModel(cfg Config) *drmtModel {
 		pool:      total,
 		total:     total,
 		parserCap: 64,
-		placed:    map[string]*poolPlacement{},
+		placed:    map[*poolPlacement]struct{}{},
 	}
 }
 
@@ -59,8 +60,8 @@ func (m *drmtModel) place(prog *flexbpf.Program) (placement, error) {
 	}
 	m.pool = m.pool.Sub(d)
 	m.parserUsed += parser
-	pl := &poolPlacement{progName: prog.Name, d: d, parser: parser}
-	m.placed[prog.Name] = pl
+	pl := &poolPlacement{d: d, parser: parser}
+	m.placed[pl] = struct{}{}
 	return pl, nil
 }
 
@@ -69,12 +70,12 @@ func (m *drmtModel) release(p placement) {
 	if !ok {
 		return
 	}
-	if _, here := m.placed[pl.progName]; !here {
+	if _, here := m.placed[pl]; !here {
 		return
 	}
 	m.pool = m.pool.Add(pl.d)
 	m.parserUsed -= pl.parser
-	delete(m.placed, pl.progName)
+	delete(m.placed, pl)
 }
 
 func (m *drmtModel) capacity() flexbpf.Demand {

@@ -19,7 +19,7 @@ type poolModel struct {
 	totalCyc   int
 	parserUsed int
 	parserCap  int
-	placed     map[string]*poolPlacement
+	placed     map[*poolPlacement]struct{} // live placements, by identity (see drmtModel)
 }
 
 func newPoolModel(cfg Config) *poolModel {
@@ -30,7 +30,7 @@ func newPoolModel(cfg Config) *poolModel {
 		freeCycles: cfg.CyclesBudget,
 		totalCyc:   cfg.CyclesBudget,
 		parserCap:  256, // software parsers are cheap
-		placed:     map[string]*poolPlacement{},
+		placed:     map[*poolPlacement]struct{}{},
 	}
 }
 
@@ -52,8 +52,8 @@ func (m *poolModel) place(prog *flexbpf.Program) (placement, error) {
 	m.parserUsed += parser
 	store := d
 	store.ParserStates = 0
-	pl := &poolPlacement{progName: prog.Name, d: store, parser: parser}
-	m.placed[prog.Name] = pl
+	pl := &poolPlacement{d: store, parser: parser}
+	m.placed[pl] = struct{}{}
 	return pl, nil
 }
 
@@ -62,13 +62,13 @@ func (m *poolModel) release(p placement) {
 	if !ok {
 		return
 	}
-	if _, here := m.placed[pl.progName]; !here {
+	if _, here := m.placed[pl]; !here {
 		return
 	}
 	m.freeBits += pl.d.SRAMBits + pl.d.TCAMBits
 	m.freeCycles += pl.d.ALUs
 	m.parserUsed -= pl.parser
-	delete(m.placed, pl.progName)
+	delete(m.placed, pl)
 }
 
 func (m *poolModel) capacity() flexbpf.Demand {

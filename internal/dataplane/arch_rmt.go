@@ -2,6 +2,7 @@ package dataplane
 
 import (
 	"fmt"
+	"slices"
 
 	"flexnet/internal/flexbpf"
 )
@@ -19,9 +20,11 @@ type rmtModel struct {
 	used       []flexbpf.Demand // per stage
 	parserUsed int
 	parserCap  int
-	placed     map[string]*rmtPlacement
-	// placeOrder preserves install order for deterministic repacking.
-	placeOrder []string
+	// placed holds the live placements in install order, for
+	// deterministic repacking. Placements are told apart by identity, not
+	// by program name: an in-place update holds the old and the new
+	// placement of one name until it commits.
+	placed []*rmtPlacement
 }
 
 type rmtItem struct {
@@ -52,7 +55,6 @@ func newRMTModel(cfg Config) *rmtModel {
 		},
 		used:      make([]flexbpf.Demand, cfg.Stages),
 		parserCap: 64,
-		placed:    map[string]*rmtPlacement{},
 	}
 	return m
 }
@@ -185,8 +187,7 @@ func (m *rmtModel) place(prog *flexbpf.Program) (placement, error) {
 		parser:   parser,
 		total:    flexbpf.ProgramDemand(prog),
 	}
-	m.placed[prog.Name] = pl
-	m.placeOrder = append(m.placeOrder, prog.Name)
+	m.placed = append(m.placed, pl)
 	return pl, nil
 }
 
@@ -195,21 +196,16 @@ func (m *rmtModel) release(p placement) {
 	if !ok {
 		return
 	}
-	if _, here := m.placed[pl.progName]; !here {
+	i := slices.Index(m.placed, pl)
+	if i < 0 {
 		return
 	}
+	m.placed = slices.Delete(m.placed, i, i+1)
 	for _, it := range pl.items {
 		s := pl.stageOf[it.name]
 		m.used[s] = m.used[s].Sub(it.d)
 	}
 	m.parserUsed -= pl.parser
-	delete(m.placed, pl.progName)
-	for i, n := range m.placeOrder {
-		if n == pl.progName {
-			m.placeOrder = append(m.placeOrder[:i], m.placeOrder[i+1:]...)
-			break
-		}
-	}
 }
 
 func (m *rmtModel) capacity() flexbpf.Demand {
@@ -263,27 +259,24 @@ func (m *rmtModel) repack() (int, error) {
 		return 0, fmt.Errorf("dataplane: rmt: device does not support cross-stage reallocation")
 	}
 	scratch := make([]flexbpf.Demand, m.cfg.Stages)
-	newStages := map[string]map[string]int{}
+	newStages := make([]map[string]int, len(m.placed))
 	// Deterministic order: install order; big programs first within a
 	// from-scratch repack would be better packing, but stability wins.
-	names := append([]string(nil), m.placeOrder...)
-	for _, name := range names {
-		pl := m.placed[name]
+	for i, pl := range m.placed {
 		stageOf, err := m.tryAssign(scratch, pl.items, pl.deps)
 		if err != nil {
-			return 0, fmt.Errorf("dataplane: rmt: repack failed for %s: %w", name, err)
+			return 0, fmt.Errorf("dataplane: rmt: repack failed for %s: %w", pl.progName, err)
 		}
-		newStages[name] = stageOf
+		newStages[i] = stageOf
 	}
 	moves := 0
-	for _, name := range names {
-		pl := m.placed[name]
-		for item, s := range newStages[name] {
+	for i, pl := range m.placed {
+		for item, s := range newStages[i] {
 			if pl.stageOf[item] != s {
 				moves++
 			}
 		}
-		pl.stageOf = newStages[name]
+		pl.stageOf = newStages[i]
 	}
 	m.used = scratch
 	return moves, nil

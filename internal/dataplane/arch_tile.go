@@ -22,11 +22,10 @@ type tileModel struct {
 	// ALU budget for per-packet compute across tiles/PEM logic.
 	freeALU, totalALU     int
 	parserUsed, parserCap int
-	placed                map[string]*tilePlacement
+	placed                map[*tilePlacement]struct{}
 }
 
 type tilePlacement struct {
-	progName               string
 	hash, index, tcam, pem int
 	alus                   int
 	parser                 int
@@ -53,7 +52,7 @@ func newTileModel(cfg Config) *tileModel {
 		freePEM:    cfg.PEMElements,
 		totalPEM:   cfg.PEMElements,
 		parserCap:  64,
-		placed:     map[string]*tilePlacement{},
+		placed:     map[*tilePlacement]struct{}{},
 	}
 }
 
@@ -130,13 +129,12 @@ func (m *tileModel) place(prog *flexbpf.Program) (placement, error) {
 	}
 	m.parserUsed += parser
 	pl := &tilePlacement{
-		progName: prog.Name,
-		hash:     hash, index: index, tcam: tcam, pem: pem,
+		hash: hash, index: index, tcam: tcam, pem: pem,
 		alus:   alus,
 		parser: parser,
 		total:  flexbpf.ProgramDemand(prog),
 	}
-	m.placed[prog.Name] = pl
+	m.placed[pl] = struct{}{}
 	return pl, nil
 }
 
@@ -145,7 +143,7 @@ func (m *tileModel) release(p placement) {
 	if !ok {
 		return
 	}
-	if _, here := m.placed[pl.progName]; !here {
+	if _, here := m.placed[pl]; !here {
 		return
 	}
 	m.freeHash += pl.hash
@@ -156,7 +154,7 @@ func (m *tileModel) release(p placement) {
 		m.freePEM += pl.pem
 	}
 	m.parserUsed -= pl.parser
-	delete(m.placed, pl.progName)
+	delete(m.placed, pl)
 }
 
 func (m *tileModel) capacity() flexbpf.Demand {

@@ -299,6 +299,50 @@ func TestSwapRollbackOnError(t *testing.T) {
 	}
 }
 
+// TestSameNameReinstallFreesResources: a swap that removes a program and
+// installs another under the same name (an in-place update) holds both
+// placements until it commits. The resource model must tell them apart:
+// the old one is released at commit, the new one when the program is
+// finally removed, and the device ends with everything free again.
+func TestSameNameReinstallFreesResources(t *testing.T) {
+	for _, arch := range []Arch{ArchRMT, ArchDRMT, ArchTile, ArchElasticPipe, ArchSoC, ArchHost} {
+		t.Run(arch.String(), func(t *testing.T) {
+			cfg := DefaultConfig("sw1", arch)
+			cfg.CrossStageRealloc = true
+			d := MustNew(cfg)
+			before := d.Free()
+			if err := d.InstallProgram(dropDportProgram("p", 80)); err != nil {
+				t.Fatal(err)
+			}
+			held := d.Free()
+			for i := 0; i < 3; i++ {
+				if err := d.Swap(func(st *StagedConfig) error {
+					if err := st.Remove("p"); err != nil {
+						return err
+					}
+					return st.Install(dropDportProgram("p", 443), nil)
+				}); err != nil {
+					t.Fatalf("update %d: %v", i, err)
+				}
+				if d.Free() != held {
+					t.Fatalf("update %d: free = %v, want %v as before it", i, d.Free(), held)
+				}
+			}
+			if arch == ArchRMT {
+				if _, err := d.Repack(); err != nil {
+					t.Fatalf("repack after updates: %v", err)
+				}
+			}
+			if err := d.RemoveProgram("p"); err != nil {
+				t.Fatal(err)
+			}
+			if d.Free() != before {
+				t.Fatalf("resources leaked: free = %v, want %v", d.Free(), before)
+			}
+		})
+	}
+}
+
 var errFake = &fakeErr{}
 
 type fakeErr struct{}

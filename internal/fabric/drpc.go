@@ -15,19 +15,19 @@ import (
 // InstallBaseRouting (or call RefreshRoutes afterwards) so the IP is
 // routable.
 func (f *Fabric) EnableDRPC(devName string, ip uint32) (*drpc.Router, error) {
-	d := f.devices[devName]
-	if d == nil {
+	sw := f.switches[devName]
+	if sw == nil {
 		return nil, fmt.Errorf("fabric: no device %q", devName)
 	}
 	if _, dup := f.routers[devName]; dup {
 		return nil, fmt.Errorf("fabric: device %q already has a dRPC router", devName)
 	}
-	node := f.Net.Node(devName)
+	// Originating at the device: run through its own pipeline so the
+	// infrastructure routing program forwards it. inPort -1 skips the
+	// self-delivery check.
+	originate := func(p *packet.Packet, _ int) { f.deviceVisit(sw, p, -1, 0) }
 	r := drpc.NewRouter(ip, f.Seq(), func(p *packet.Packet) {
-		// Originating at the device: run through its own pipeline so the
-		// infrastructure routing program forwards it. inPort -1 skips the
-		// self-delivery check.
-		f.Sim.After(0, func() { f.deviceVisit(d, node, p, -1, 0) })
+		f.Sim.AtPacket(f.Sim.Now(), originate, p, 0)
 	})
 	r.SetScheduler(f.simNow, f.simAfter)
 	f.routers[devName] = r
@@ -43,7 +43,7 @@ func (f *Fabric) EnableDRPC(devName string, ip uint32) (*drpc.Router, error) {
 func (f *Fabric) simNow() uint64 { return uint64(f.Sim.Now()) }
 
 func (f *Fabric) simAfter(delayNs uint64, fn func()) {
-	f.Sim.After(netsim.Time(delayNs), func() { fn() })
+	f.Sim.After(netsim.Time(delayNs), fn)
 }
 
 // EnableHostDRPC attaches a dRPC router to a host (controller endpoint).
@@ -54,10 +54,9 @@ func (f *Fabric) EnableHostDRPC(hostName string) (*drpc.Router, error) {
 	if h == nil {
 		return nil, fmt.Errorf("fabric: no host %q", hostName)
 	}
+	send := func(p *packet.Packet, _ int) { h.Node.Send(p, 0) }
 	r := drpc.NewRouter(h.IP, f.Seq(), func(p *packet.Packet) {
-		f.Sim.After(0, func() {
-			h.Node.Send(p, 0)
-		})
+		f.Sim.AtPacket(f.Sim.Now(), send, p, 0)
 	})
 	r.SetScheduler(f.simNow, f.simAfter)
 	prev := h.Recv

@@ -56,8 +56,8 @@ type Fabric struct {
 	// clock, keyed by plan ID.
 	Tracer *telemetry.Tracer
 
-	devices map[string]*dataplane.Device
-	hosts   map[string]*Host
+	switches map[string]*swtch
+	hosts    map[string]*Host
 	// devNames/hostNames cache the sorted name lists; membership only
 	// grows, so they are maintained by sorted insertion on Add.
 	devNames  []string
@@ -120,7 +120,7 @@ func New(seed int64) *Fabric {
 		Net:         netsim.NewNetwork(sim),
 		Metrics:     telemetry.NewRegistry(),
 		Tracer:      telemetry.NewTracer(func() int64 { return int64(sim.Now()) }),
-		devices:     map[string]*dataplane.Device{},
+		switches:    map[string]*swtch{},
 		hosts:       map[string]*Host{},
 		routers:     map[string]*drpc.Router{},
 		routerIPs:   map[string]uint32{},
@@ -175,12 +175,34 @@ func (f *Fabric) AddSwitchCfg(cfg dataplane.Config) *dataplane.Device {
 	d.SetLinkCache(f.lcache, f.Metrics)
 	node := f.Net.AddNode(cfg.Name)
 	f.routing.MarkDevice(cfg.Name)
-	f.devices[cfg.Name] = d
+	sw := &swtch{Device: d}
+	sw.transmit = func(pkt *packet.Packet, _ int) {
+		f.events.Inc()
+		node.Send(pkt, pkt.EgressPort)
+	}
+	sw.recirculate = func(pkt *packet.Packet, recirc int) {
+		f.deviceVisit(sw, pkt, pkt.IngressPort, recirc)
+	}
+	f.switches[cfg.Name] = sw
 	f.devNames = sortedInsert(f.devNames, cfg.Name)
 	node.SetHandler(func(pkt *packet.Packet, inPort int) {
-		f.deviceVisit(d, node, pkt, inPort, 0)
+		f.deviceVisit(sw, pkt, inPort, 0)
 	})
 	return d
+}
+
+// swtch is a device with the handlers of the two events a visit to it
+// can schedule. They are bound once, at AddSwitchCfg, and take the packet
+// as their argument (netsim.Sim.AtPacket), so scheduling one allocates
+// nothing; what varies per packet is read from the packet when the event
+// fires.
+type swtch struct {
+	*dataplane.Device
+	// transmit sends the packet out of its EgressPort.
+	transmit netsim.Handler
+	// recirculate revisits the device on the packet's IngressPort; its
+	// int argument counts the recirculations so far.
+	recirculate netsim.Handler
 }
 
 // deviceVisit is a packet's visit to a device: it runs the program
@@ -188,8 +210,9 @@ func (f *Fabric) AddSwitchCfg(cfg dataplane.Config) *dataplane.Device {
 // are events of their own, LatencyNs later even when that is 0: folding
 // either into the visit would renumber the event stream and with it
 // every seeded output.
-func (f *Fabric) deviceVisit(d *dataplane.Device, node *netsim.Node, pkt *packet.Packet, inPort, recirc int) {
+func (f *Fabric) deviceVisit(sw *swtch, pkt *packet.Packet, inPort, recirc int) {
 	f.events.Inc()
+	d := sw.Device
 	// dRPC packets addressed to this device's control IP terminate here.
 	if inPort >= 0 && pkt.Has("drpc") {
 		if r := f.routers[d.Name()]; r != nil && uint32(pkt.Field("ipv4.dst")) == r.IP {
@@ -201,18 +224,13 @@ func (f *Fabric) deviceVisit(d *dataplane.Device, node *netsim.Node, pkt *packet
 	st := d.ProcessCtx(pkt, f.ectx)
 	switch st.Verdict {
 	case packet.VerdictForward:
-		f.Sim.After(netsim.Time(st.LatencyNs), func() {
-			f.events.Inc()
-			node.Send(pkt, pkt.EgressPort)
-		})
+		f.Sim.AtPacket(f.Sim.Now()+netsim.Time(st.LatencyNs), sw.transmit, pkt, 0)
 	case packet.VerdictRecirculate:
 		if recirc >= f.recircLimit {
 			f.ContinueDrops++
 			return
 		}
-		f.Sim.After(netsim.Time(st.LatencyNs), func() {
-			f.deviceVisit(d, node, pkt, inPort, recirc+1)
-		})
+		f.Sim.AtPacket(f.Sim.Now()+netsim.Time(st.LatencyNs), sw.recirculate, pkt, recirc+1)
 	case packet.VerdictToController:
 		if f.Punted != nil {
 			f.Punted(d.Name(), pkt)
@@ -282,7 +300,12 @@ func (f *Fabric) Connect(a, b string, p netsim.LinkParams) *netsim.Link {
 }
 
 // Device returns the named device, or nil.
-func (f *Fabric) Device(name string) *dataplane.Device { return f.devices[name] }
+func (f *Fabric) Device(name string) *dataplane.Device {
+	if sw := f.switches[name]; sw != nil {
+		return sw.Device
+	}
+	return nil
+}
 
 // Host returns the named host, or nil.
 func (f *Fabric) Host(name string) *Host { return f.hosts[name] }
@@ -299,7 +322,7 @@ func (f *Fabric) Hosts() []string { return f.hostNames }
 // Send injects a packet from a host into the fabric (via the host's
 // first port).
 func (h *Host) Send(pkt *packet.Packet) {
-	pkt.Meta["sent_at"] = uint64(h.fab.Sim.Now())
+	pkt.StampSent(uint64(h.fab.Sim.Now()))
 	h.Node.Send(pkt, 0)
 }
 
@@ -362,7 +385,7 @@ func (f *Fabric) InstallBaseRouting() error {
 			size <<= 1
 		}
 	}
-	for name, d := range f.devices {
+	for name, d := range f.switches {
 		if d.Instance(InfraProgramName) == nil {
 			// Each device gets its own program instance: table instances
 			// bind to their spec copy. Routing runs last in the chain so
@@ -426,7 +449,7 @@ func (f *Fabric) refreshRoutes(scope []string) error {
 		scan = scope
 	}
 	for _, dev := range mergeSorted(touched, scan) {
-		d := f.devices[dev]
+		d := f.Device(dev)
 		if d == nil {
 			continue
 		}
@@ -514,7 +537,7 @@ func contains(sorted []string, v string) bool {
 // zero loss.
 func (f *Fabric) TotalDrops() uint64 {
 	total := f.Net.Drops + f.ContinueDrops
-	for _, d := range f.devices {
+	for _, d := range f.switches {
 		total += d.Stats().Dropped
 	}
 	return total
@@ -526,7 +549,7 @@ func (f *Fabric) TotalDrops() uint64 {
 // this stays zero during a change.
 func (f *Fabric) InfrastructureDrops() uint64 {
 	total := f.Net.Drops + f.ContinueDrops
-	for _, d := range f.devices {
+	for _, d := range f.switches {
 		st := d.Stats()
 		total += st.DrainDrops + st.Errors
 	}

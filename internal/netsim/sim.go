@@ -15,23 +15,23 @@
 package netsim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand"
 	"time"
+
+	"flexnet/internal/packet"
 )
 
 // Time is logical simulation time. It uses time.Duration resolution
 // (nanoseconds) measured from the start of the simulation.
 type Time = time.Duration
 
-// Event is a scheduled callback in the simulation.
+// Event is the handle of a callback scheduled with At or After: what the
+// caller keeps to Cancel it.
 type Event struct {
 	At   Time
 	Fn   func()
-	seq  uint64
-	idx  int
 	dead bool
 }
 
@@ -39,40 +39,32 @@ type Event struct {
 // or already-cancelled event is a no-op.
 func (e *Event) Cancel() { e.dead = true }
 
-type eventQueue []*Event
+// entry is one queued event, held by value in Sim.queue and ordered by
+// (at, seq). A general event carries the handle At returned and fires
+// ev.Fn(); a packet event (ev == nil) fires fn(pkt, arg) from arguments
+// stored in the entry itself, so scheduling and firing it allocates
+// nothing.
+type entry struct {
+	at  Time
+	seq uint64
+	ev  *Event
+	fn  func(*packet.Packet, int)
+	pkt *packet.Packet
+	arg int
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].At != q[j].At {
-		return q[i].At < q[j].At
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.idx = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+func (e *entry) before(o *entry) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
 // Sim is a discrete-event simulator instance.
 //
 // The zero value is not usable; create instances with New.
 type Sim struct {
-	now     Time
-	queue   eventQueue
+	now Time
+	// queue is a binary min-heap of entries; slots past len are zero, so
+	// a fired event's packet is not kept alive by the backing array.
+	queue   []entry
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -96,12 +88,8 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // (before Now) is an error that panics, since it indicates a causality bug
 // in the caller rather than a recoverable condition.
 func (s *Sim) At(at Time, fn func()) *Event {
-	if at < s.now {
-		panic(fmt.Sprintf("netsim: scheduling event at %v before now %v", at, s.now))
-	}
-	s.seq++
-	e := &Event{At: at, Fn: fn, seq: s.seq}
-	heap.Push(&s.queue, e)
+	e := &Event{At: at, Fn: fn}
+	s.schedule(entry{at: at, ev: e})
 	return e
 }
 
@@ -111,6 +99,69 @@ func (s *Sim) After(d Time, fn func()) *Event {
 		d = 0
 	}
 	return s.At(s.now+d, fn)
+}
+
+// AtPacket schedules fn(pkt, arg) at absolute time at. It is At for the
+// events that occur once per packet or per tick: there is no handle to
+// cancel, and with fn bound once (per link direction, per switch, per
+// source) rather than closed over the packet, nothing is allocated. pkt
+// may be nil. Scheduling in the past panics, as in At.
+func (s *Sim) AtPacket(at Time, fn func(*packet.Packet, int), pkt *packet.Packet, arg int) {
+	s.schedule(entry{at: at, fn: fn, pkt: pkt, arg: arg})
+}
+
+// schedule stamps e with the next sequence number and sifts it up from
+// the end of the heap, moving parents into the hole instead of swapping.
+func (s *Sim) schedule(e entry) {
+	if e.at < s.now {
+		panic(fmt.Sprintf("netsim: scheduling event at %v before now %v", e.at, s.now))
+	}
+	s.seq++
+	e.seq = s.seq
+	s.queue = append(s.queue, entry{})
+	q := s.queue
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = e
+}
+
+// pop removes and returns the earliest entry: the last entry is sifted
+// down from the root into the hole, and the slot it vacated is zeroed.
+func (s *Sim) pop() entry {
+	q := s.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = entry{}
+	q = q[:n]
+	s.queue = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = last
+	return top
 }
 
 // Stop halts the run loop after the current event completes.
@@ -141,7 +192,7 @@ func (s *Sim) RunUntil(horizon Time) error {
 			drained = true
 			break
 		}
-		if s.queue[0].At > horizon {
+		if s.queue[0].at > horizon {
 			break
 		}
 		s.step()
@@ -159,44 +210,50 @@ func (s *Sim) RunUntil(horizon Time) error {
 func (s *Sim) RunFor(d Time) error { return s.RunUntil(s.now + d) }
 
 func (s *Sim) step() {
-	e := heap.Pop(&s.queue).(*Event)
-	if e.dead {
+	e := s.pop()
+	if e.ev != nil && e.ev.dead {
 		return
 	}
-	if e.At < s.now {
+	if e.at < s.now {
 		panic("netsim: time went backwards")
 	}
-	s.now = e.At
+	s.now = e.at
 	s.Processed++
-	e.Fn()
+	if e.ev != nil {
+		e.ev.Fn()
+		return
+	}
+	e.fn(e.pkt, e.arg)
 }
 
-// Every schedules fn to run at the given period until the returned Ticker
-// is stopped. The first invocation happens one period from now.
+// Ticker is the handle of a recurring event created by Every.
 type Ticker struct {
 	stop bool
+	// tick is the ticker's one event handler, bound at Every so that
+	// rescheduling it each period allocates nothing.
+	tick func(*packet.Packet, int)
 }
 
 // Stop prevents further ticks.
 func (t *Ticker) Stop() { t.stop = true }
 
-// Every creates a recurring event with the given period. A period <= 0
-// panics: it would livelock the simulator at a single instant.
+// Every schedules fn to run at the given period until the returned Ticker
+// is stopped. The first invocation happens one period from now. A period
+// <= 0 panics: it would livelock the simulator at a single instant.
 func (s *Sim) Every(period Time, fn func()) *Ticker {
 	if period <= 0 {
 		panic("netsim: Every with non-positive period")
 	}
 	t := &Ticker{}
-	var tick func()
-	tick = func() {
+	t.tick = func(*packet.Packet, int) {
 		if t.stop {
 			return
 		}
 		fn()
 		if !t.stop {
-			s.After(period, tick)
+			s.AtPacket(s.now+period, t.tick, nil, 0)
 		}
 	}
-	s.After(period, tick)
+	s.AtPacket(s.now+period, t.tick, nil, 0)
 	return t
 }

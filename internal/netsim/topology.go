@@ -83,6 +83,9 @@ func (pe *portEnd) dir() *linkDir {
 	return &pe.link.dirs[pe.side]
 }
 
+// fidIPv4ECN is the field send marks on a congested link.
+var fidIPv4ECN = packet.InternField("ipv4.ecn")
+
 // send runs the transmit side of a link direction — queue-occupancy
 // math, tail drop, ECN marking — and schedules the arrival at the peer.
 func (pe *portEnd) send(s *Sim, pkt *packet.Packet) {
@@ -106,7 +109,7 @@ func (pe *portEnd) send(s *Sim, pkt *packet.Packet) {
 		return
 	}
 	if l.ECNThresholdBytes > 0 && queuedBytes > l.ECNThresholdBytes && pkt.Has("ipv4") {
-		pkt.SetField("ipv4.ecn", 3)
+		pkt.SetFieldByID(fidIPv4ECN, 3)
 	}
 	ser := Time(float64(pkt.Len()*8) / float64(l.BandwidthBps) * 1e9)
 	if ser <= 0 {
@@ -118,11 +121,15 @@ func (pe *portEnd) send(s *Sim, pkt *packet.Packet) {
 		d.maxQueueDelay = qd
 	}
 	l.Delivered++
-	peer := pe.peerNode()
-	inPort := pe.peerPort()
-	// A link that fails while the packet is in flight loses it: Down is
-	// checked again at arrival.
-	s.At(depart+l.Delay, func() {
+	s.AtPacket(depart+l.Delay, d.arrive, pkt, pe.peerPort())
+}
+
+// arrival returns the handler of a packet's arrival at peer, bound once
+// per link direction at Connect. What can change while a packet is in
+// flight is read when it fires: a link that fails meanwhile loses the
+// packet, and the peer's handler is whichever is installed by then.
+func (l *Link) arrival(peer *Node) Handler {
+	return func(pkt *packet.Packet, inPort int) {
 		if l.Down {
 			l.Drops++
 			l.net.Drops++
@@ -132,7 +139,7 @@ func (pe *portEnd) send(s *Sim, pkt *packet.Packet) {
 		if peer.handler != nil {
 			peer.handler(pkt, inPort)
 		}
-	})
+	}
 }
 
 // Link is a bidirectional link between two nodes. Each direction has its
@@ -171,6 +178,8 @@ type Link struct {
 type linkDir struct {
 	nextFree      Time
 	maxQueueDelay Time
+	// arrive delivers a packet sent in this direction to the far end.
+	arrive Handler
 }
 
 // Ends returns the connected node names.
@@ -320,6 +329,8 @@ func (nw *Network) Connect(a, b string, p LinkParams) (*Link, int, int) {
 	}
 	l.aPort = len(na.ports)
 	l.bPort = len(nb.ports)
+	l.dirs[0].arrive = l.arrival(nb)
+	l.dirs[1].arrive = l.arrival(na)
 	na.ports = append(na.ports, &portEnd{link: l, side: 0})
 	nb.ports = append(nb.ports, &portEnd{link: l, side: 1})
 	nw.links = append(nw.links, l)

@@ -271,7 +271,7 @@ func TestLatencySink(t *testing.T) {
 	k := NewLatencySink(s)
 	mk := func(sentAt uint64) *packet.Packet {
 		p := packet.UDPPacket(1, 1, 2, 3, 4, 86)
-		p.Meta["sent_at"] = sentAt
+		p.StampSent(sentAt)
 		return p
 	}
 	s.At(100*time.Microsecond, func() {

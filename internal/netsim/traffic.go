@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"slices"
 
 	"flexnet/internal/packet"
 )
@@ -60,7 +61,7 @@ func (s *Source) buildPacket(flags uint64) *packet.Packet {
 		p.SetField("vlan.vid", s.spec.VLAN)
 		p.SetField("vlan.type", packet.EtherTypeIPv4)
 	}
-	p.Meta["sent_at"] = uint64(s.sim.Now())
+	p.StampSent(uint64(s.sim.Now()))
 	return p
 }
 
@@ -93,8 +94,8 @@ func (s *Source) StartPoisson(pps float64) {
 	if pps <= 0 {
 		return
 	}
-	var next func()
-	next = func() {
+	var next func(*packet.Packet, int)
+	next = func(*packet.Packet, int) {
 		if s.stopped {
 			return
 		}
@@ -104,10 +105,10 @@ func (s *Source) StartPoisson(pps float64) {
 		if gap <= 0 {
 			gap = 1
 		}
-		s.sim.After(gap, next)
+		s.sim.AtPacket(s.sim.Now()+gap, next, nil, 0)
 	}
 	gap := Time(s.sim.Rand().ExpFloat64() / pps * 1e9)
-	s.sim.After(gap, next)
+	s.sim.AtPacket(s.sim.Now()+gap, next, nil, 0)
 }
 
 // Stop halts the source.
@@ -144,26 +145,28 @@ func (w *SineRateSource) RateAt(t Time) float64 {
 
 // Start begins emission.
 func (w *SineRateSource) Start() {
-	var loop func()
-	loop = func() {
+	emit := func(*packet.Packet, int) {
+		if !w.stopped {
+			w.src.Sent++
+			w.src.emit(w.src.buildPacket(packet.TCPSyn))
+		}
+	}
+	var loop func(*packet.Packet, int)
+	loop = func(*packet.Packet, int) {
 		if w.stopped {
 			return
 		}
-		rate := w.RateAt(w.sim.Now())
+		now := w.sim.Now()
+		rate := w.RateAt(now)
 		// Emit a burst matching rate×tick, spread uniformly.
 		n := int(rate * float64(w.tick) / 1e9)
 		for i := 0; i < n; i++ {
 			off := Time(float64(w.tick) * float64(i) / float64(n+1))
-			w.sim.After(off, func() {
-				if !w.stopped {
-					w.src.Sent++
-					w.src.emit(w.src.buildPacket(packet.TCPSyn))
-				}
-			})
+			w.sim.AtPacket(now+off, emit, nil, 0)
 		}
-		w.sim.After(w.tick, loop)
+		w.sim.AtPacket(now+w.tick, loop, nil, 0)
 	}
-	w.sim.After(0, loop)
+	w.sim.AtPacket(w.sim.Now(), loop, nil, 0)
 }
 
 // Stop halts emission.
@@ -182,12 +185,13 @@ type LatencySink struct {
 // NewLatencySink creates a sink bound to sim.
 func NewLatencySink(sim *Sim) *LatencySink { return &LatencySink{sim: sim} }
 
-// Consume records one delivered packet (uses Meta["sent_at"]).
+// Consume records one delivered packet, and its latency if the packet
+// was stamped when sent (packet.StampSent).
 func (k *LatencySink) Consume(p *packet.Packet) {
 	k.Received++
 	k.Bytes += uint64(p.Len())
-	if sent, ok := p.Meta["sent_at"]; ok {
-		k.lats = append(k.lats, uint64(k.sim.Now())-sent)
+	if p.HasSentAt {
+		k.lats = append(k.lats, uint64(k.sim.Now())-p.SentAt)
 	}
 }
 
@@ -197,7 +201,7 @@ func (k *LatencySink) Percentile(q float64) uint64 {
 		return 0
 	}
 	s := append([]uint64(nil), k.lats...)
-	insertionSortU64(s)
+	slices.Sort(s)
 	idx := int(q * float64(len(s)-1))
 	return s[idx]
 }
@@ -212,22 +216,6 @@ func (k *LatencySink) Mean() uint64 {
 		sum += v
 	}
 	return sum / uint64(len(k.lats))
-}
-
-func insertionSortU64(s []uint64) {
-	// Latency arrays can be large; use a simple shell sort for
-	// dependency-free n log n-ish behaviour.
-	gaps := []int{701, 301, 132, 57, 23, 10, 4, 1}
-	for _, g := range gaps {
-		for i := g; i < len(s); i++ {
-			v := s[i]
-			j := i
-			for ; j >= g && s[j-g] > v; j -= g {
-				s[j] = s[j-g]
-			}
-			s[j] = v
-		}
-	}
 }
 
 // TimeSeries accumulates (time, value) samples for experiment output.

@@ -116,12 +116,13 @@ func (b *Builder) Build() *Packet {
 	return p
 }
 
-// ipv4Packet starts a full Eth/IPv4/<l4> packet: the header chain (with
-// room for one more header, a VLAN tag or a shim, before it must grow)
-// and the Ethernet and IPv4 fields, by pre-interned ID.
+// ipv4Packet starts a full Eth/IPv4/<l4> packet: the header chain (in
+// the packet's inline storage, with room for one more header, a VLAN tag
+// or a shim, before it must grow) and the Ethernet and IPv4 fields, by
+// pre-interned ID.
 func ipv4Packet(id uint64, src, dst uint32, proto uint64, l4 string, payload int) *Packet {
 	p := New(id)
-	p.Headers = append(make([]string, 0, 4), "eth", "ipv4", l4)
+	p.Headers = append(p.Headers, "eth", "ipv4", l4)
 	p.SetFieldByID(fidEthType, EtherTypeIPv4)
 	p.SetFieldByID(fidIPv4Version, 4)
 	p.SetFieldByID(fidIPv4IHL, 5)

@@ -65,6 +65,9 @@ func (v Verdict) String() string {
 // parsed header fields (the PHV), simulator metadata, and an optional
 // payload length (payload bytes themselves are not materialized; only
 // their length matters to the simulation).
+//
+// A Packet points into its own inline storage, so it is made by New or
+// Clone and never copied by value.
 type Packet struct {
 	// ID is a unique packet identifier assigned by the traffic source.
 	ID uint64
@@ -90,25 +93,40 @@ type Packet struct {
 	// packet is never processed by a mix of program versions.
 	Epoch uint64
 
-	// Meta carries free-form simulator metadata (for example the FlexNet
-	// app trace used by consistency checks).
-	Meta map[string]uint64
+	// SentAt is the simulated time in nanoseconds at which a traffic
+	// source or host sent the packet; HasSentAt is false on a packet
+	// nothing stamped (see StampSent).
+	SentAt    uint64
+	HasSentAt bool
 
 	// Trace, when non-nil, accumulates the names of processing elements
 	// the packet visited; experiments use it to verify end-to-end paths.
 	Trace []string
+
+	// hdrBuf and presentBuf back Headers and present until they outgrow
+	// them, which leaves the struct and the PHV as a packet's only
+	// allocations: a full Eth/IPv4/L4 chain has room for one more header,
+	// and the bitset covers inlinePresentWords*64 interned fields.
+	hdrBuf     [4]string
+	presentBuf [inlinePresentWords]uint64
 }
+
+const inlinePresentWords = 4
 
 // New creates an empty packet with the given id. The PHV is sized to the
 // current intern table so steady-state field access never reallocates.
-func New(id uint64) *Packet {
-	n := NumFieldIDs()
-	return &Packet{
-		ID:      id,
-		vals:    make([]uint64, n),
-		present: make([]uint64, (n+63)/64),
-		Meta:    make(map[string]uint64, 4),
+func New(id uint64) *Packet { return newSized(id, NumFieldIDs()) }
+
+// newSized is New for a PHV of n fields.
+func newSized(id uint64, n int) *Packet {
+	p := &Packet{ID: id, vals: make([]uint64, n)}
+	p.Headers = p.hdrBuf[:0]
+	if words := (n + 63) / 64; words <= inlinePresentWords {
+		p.present = p.presentBuf[:words]
+	} else {
+		p.present = make([]uint64, words)
 	}
+	return p
 }
 
 // Clone deep-copies the packet. Clones are used when a device replicates
@@ -117,21 +135,27 @@ func (p *Packet) Clone() *Packet {
 	q := &Packet{
 		ID:          p.ID,
 		vals:        append([]uint64(nil), p.vals...),
-		present:     append([]uint64(nil), p.present...),
-		Headers:     append([]string(nil), p.Headers...),
 		PayloadLen:  p.PayloadLen,
 		IngressPort: p.IngressPort,
 		EgressPort:  p.EgressPort,
 		Epoch:       p.Epoch,
-		Meta:        make(map[string]uint64, len(p.Meta)),
+		SentAt:      p.SentAt,
+		HasSentAt:   p.HasSentAt,
 	}
-	for k, v := range p.Meta {
-		q.Meta[k] = v
-	}
+	// append copies into the clone's own inline storage while it fits,
+	// and allocates past it.
+	q.Headers = append(q.hdrBuf[:0], p.Headers...)
+	q.present = append(q.presentBuf[:0], p.present...)
 	if p.Trace != nil {
 		q.Trace = append([]string(nil), p.Trace...)
 	}
 	return q
+}
+
+// StampSent records now, in simulated nanoseconds, as the time the packet
+// was sent; latency sinks read it back from SentAt.
+func (p *Packet) StampSent(now uint64) {
+	p.SentAt, p.HasSentAt = now, true
 }
 
 // Has reports whether the named header was parsed.

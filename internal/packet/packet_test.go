@@ -97,13 +97,102 @@ func TestShortBuffer(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	p := TCPPacket(1, 1, 2, 3, 4, 0, 10)
-	p.Meta["x"] = 1
+	p.StampSent(1)
 	q := p.Clone()
 	q.SetField("ipv4.dst", 99)
-	q.Meta["x"] = 2
+	q.StampSent(2)
 	q.AddHeader("vlan")
-	if p.Field("ipv4.dst") == 99 || p.Meta["x"] == 2 || p.Has("vlan") {
+	if p.Field("ipv4.dst") == 99 || p.SentAt == 2 || p.Has("vlan") {
 		t.Fatal("clone shares state with original")
+	}
+}
+
+// TestCloneInlineStorage: a packet's header chain and presence bitset
+// live in the struct until they outgrow it, so a clone must point at its
+// own copies. Nothing done to either packet — a header added within the
+// four inline slots and one past them, a header removed, a field set that
+// was interned after both were made, a field past the inline bitset —
+// may show on the other.
+func TestCloneInlineStorage(t *testing.T) {
+	p := TCPPacket(1, 1, 2, 3, 4, TCPSyn, 10)
+	q := p.Clone()
+	pWas, qWas := p.String(), q.String()
+	if pWas != qWas {
+		t.Fatalf("clone differs from original:\n%s\n%s", qWas, pWas)
+	}
+	// step applies fn to one packet and requires the other to read as before.
+	step := func(what string, changed, other *Packet, otherWas *string, fn func(*Packet)) {
+		t.Helper()
+		before := changed.String()
+		fn(changed)
+		if changed.String() == before {
+			t.Fatalf("%s: changed nothing", what)
+		}
+		if got := other.String(); got != *otherWas {
+			t.Fatalf("%s: the other packet changed:\n%s\nwas\n%s", what, got, *otherWas)
+		}
+	}
+	onClone := func(what string, fn func(*Packet)) { step(what+" on the clone", q, p, &pWas, fn); qWas = q.String() }
+	onOrig := func(what string, fn func(*Packet)) { step(what+" on the original", p, q, &qWas, fn); pWas = p.String() }
+
+	onClone("fourth header", func(x *Packet) { x.AddHeader("vlan") })
+	onOrig("fourth header", func(x *Packet) { x.AddHeader("int") })
+	onClone("fifth header", func(x *Packet) { x.AddHeader("flexepoch") })
+	onOrig("fifth header", func(x *Packet) { x.AddHeader("drpc") })
+	onClone("RemoveHeader", func(x *Packet) { x.RemoveHeader("tcp") })
+	onOrig("RemoveHeader", func(x *Packet) { x.RemoveHeader("ipv4") })
+	if want := []string{"eth", "ipv4", "vlan", "flexepoch"}; !reflect.DeepEqual(q.Headers, want) {
+		t.Fatalf("clone headers = %v, want %v", q.Headers, want)
+	}
+	if want := []string{"eth", "tcp", "int", "drpc"}; !reflect.DeepEqual(p.Headers, want) {
+		t.Fatalf("original headers = %v, want %v", p.Headers, want)
+	}
+
+	late := InternField("clonetest.late")
+	if int(late) < len(p.vals) {
+		t.Fatalf("field %d was interned before the packets were made (PHV %d)", late, len(p.vals))
+	}
+	onClone("late field", func(x *Packet) { x.SetFieldByID(late, 7) })
+	onOrig("late field", func(x *Packet) { x.SetFieldByID(late, 9) })
+	if p.FieldByID(late) != 9 || q.FieldByID(late) != 7 {
+		t.Fatalf("late field = %d / %d, want 9 / 7", p.FieldByID(late), q.FieldByID(late))
+	}
+	beyond := FieldID(64*inlinePresentWords + 5) // past the inline bitset
+	onOrig("field past the inline bitset", func(x *Packet) { x.SetFieldByID(beyond, 1) })
+	onClone("field past the inline bitset", func(x *Packet) { x.SetFieldByID(beyond, 2) })
+	if v, ok := p.FieldOKByID(beyond); !ok || v != 1 {
+		t.Fatalf("original field %d = %d/%v, want 1/true", beyond, v, ok)
+	}
+
+	// A clone of a packet that has outgrown its inline storage owns what
+	// it points at, too.
+	r := p.Clone()
+	rWas := r.String()
+	if rWas != pWas {
+		t.Fatalf("clone of the grown packet differs:\n%s\n%s", rWas, pWas)
+	}
+	step("clearing a header on the grown original", p, r, &rWas, func(x *Packet) { x.RemoveHeader("eth") })
+}
+
+// TestNewPastInlineBitset: with more fields interned than the inline
+// bitset covers, New falls back to a heap bitset and the packet behaves
+// the same.
+func TestNewPastInlineBitset(t *testing.T) {
+	n := 64*inlinePresentWords + 1
+	p := newSized(1, n)
+	if len(p.present) != inlinePresentWords+1 || len(p.vals) != n {
+		t.Fatalf("present/vals = %d/%d words, want %d/%d", len(p.present), len(p.vals), inlinePresentWords+1, n)
+	}
+	last := FieldID(n - 1)
+	p.SetFieldByID(last, 5)
+	q := p.Clone()
+	q.SetFieldByID(last, 6)
+	q.SetFieldByID(0, 1)
+	if v, ok := p.FieldOKByID(last); !ok || v != 5 || p.NumFields() != 1 {
+		t.Fatalf("original = %d/%v with %d fields, want 5/true with 1", v, ok, p.NumFields())
+	}
+	if q.FieldByID(last) != 6 || q.NumFields() != 2 {
+		t.Fatalf("clone = %d with %d fields, want 6 with 2", q.FieldByID(last), q.NumFields())
 	}
 }
 
@@ -327,7 +416,8 @@ func TestVerdictString(t *testing.T) {
 // pre-interned ID and size the header chain up front; the packets must
 // be what the name-by-name construction they replaced produced, on
 // every interned field, presence bit, header order and Len(), and cost
-// at most five allocations.
+// at most two allocations: the struct, which holds the header chain and
+// the presence bitset inline, and the PHV.
 func TestBuildersUnchanged(t *testing.T) {
 	byName := func(id uint64, src, dst uint32, proto uint64, l4 string, payload int, l4fields map[string]uint64) *Packet {
 		p := New(id)
@@ -355,8 +445,8 @@ func TestBuildersUnchanged(t *testing.T) {
 		if !reflect.DeepEqual(got.Headers, want.Headers) {
 			t.Fatalf("headers = %v, want %v", got.Headers, want.Headers)
 		}
-		if !reflect.DeepEqual(got.Meta, want.Meta) || got.Meta == nil {
-			t.Fatalf("meta = %v, want %v", got.Meta, want.Meta)
+		if got.SentAt != want.SentAt || got.HasSentAt != want.HasSentAt || got.HasSentAt {
+			t.Fatalf("sent at = %d/%v, want %d/%v", got.SentAt, got.HasSentAt, want.SentAt, want.HasSentAt)
 		}
 		for id := 0; id < NumFieldIDs(); id++ {
 			gv, gok := got.FieldOKByID(FieldID(id))
@@ -377,10 +467,10 @@ func TestBuildersUnchanged(t *testing.T) {
 		byName(9, src, dst, ProtoUDP, "udp", 400, map[string]uint64{
 			"udp.sport": 5353, "udp.dport": 53, "udp.len": 408}))
 
-	if n := testing.AllocsPerRun(100, func() { TCPPacket(1, src, dst, 1, 2, 0, 64) }); n > 5 {
-		t.Fatalf("TCPPacket: %v allocations, want at most 5", n)
+	if n := testing.AllocsPerRun(100, func() { TCPPacket(1, src, dst, 1, 2, 0, 64) }); n > 2 {
+		t.Fatalf("TCPPacket: %v allocations, want at most 2", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { UDPPacket(1, src, dst, 1, 2, 64) }); n > 5 {
-		t.Fatalf("UDPPacket: %v allocations, want at most 5", n)
+	if n := testing.AllocsPerRun(100, func() { UDPPacket(1, src, dst, 1, 2, 64) }); n > 2 {
+		t.Fatalf("UDPPacket: %v allocations, want at most 2", n)
 	}
 }
