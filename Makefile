@@ -53,9 +53,13 @@ bench-steady:
 
 # bench-control measures the control-plane fast path (DESIGN.md §13):
 # per-op planning cost incremental vs full-recompute, plus the E18
-# experiment end-to-end (the BENCH_PR8.md table comes from this target).
+# experiment end-to-end (the BENCH_PR8.md table comes from this target),
+# then the four spec operations on the storm's shape (§14.2) and what
+# one program install costs a device.
 bench-control:
 	$(GO) test -bench 'BenchmarkControlPlaneOps|BenchmarkE18ControlPlane' -benchmem -benchtime 5x -run '^$$' .
+	$(GO) test -bench 'BenchmarkSpecOps' -benchmem -benchtime 50x -run '^$$' .
+	$(GO) test -bench 'BenchmarkInstall' -benchmem -benchtime 5000x -run '^$$' ./internal/dataplane
 
 # profile runs the experiment suite under the CPU and heap profilers;
 # inspect with `go tool pprof cpu.pprof`.

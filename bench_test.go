@@ -25,6 +25,7 @@ import (
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/packet"
 	"flexnet/internal/runtime"
+	"flexnet/internal/spec"
 )
 
 func benchTable(b *testing.B, fn func(int64) *experiments.Table) {
@@ -158,6 +159,101 @@ func benchControlPlaneOps(b *testing.B, incremental bool) {
 func BenchmarkControlPlaneOps(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) { benchControlPlaneOps(b, true) })
 	b.Run("full", func(b *testing.B) { benchControlPlaneOps(b, false) })
+}
+
+// BenchmarkSpecOps measures the four declarative-spec operations on the
+// shape the control-plane storm (benchmark/ctl_storm.go) gives them: a
+// k=8 fat-tree carrying 70 single-segment apps over the six builtin
+// kinds, and two revisions of the whole-network spec that differ in six
+// apps' table size and replica count. resolve, diff and status leave the
+// network alone; apply alternates the revisions, so every iteration
+// swaps and rescales those six apps.
+func BenchmarkSpecOps(b *testing.B) {
+	n, err := New(1).Topo("fat-tree:k=8").Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	kinds := []struct {
+		app, seg string
+		args     []uint64
+	}{
+		{"syn-defense", "syn", []uint64{256, 10}},
+		{"heavy-hitter", "hh", []uint64{2, 128, 1000}},
+		{"rate-limiter", "rl", []uint64{4, 1000000, 2000000}},
+		{"firewall", "fw", []uint64{16, 128, 0}},
+		{"l2", "l2", []uint64{32}},
+		{"int", "int", []uint64{1}},
+	}
+	var specs [2]*NetworkSpec
+	for rev := range specs {
+		s := &NetworkSpec{Version: fmt.Sprintf("rev-%d", rev)}
+		for t := 0; t < 8; t++ {
+			s.Tenants = append(s.Tenants, spec.TenantSpec{Name: fmt.Sprintf("t%d", t)})
+		}
+		for i := 0; i < 64; i++ {
+			k := kinds[i%len(kinds)]
+			s.Apps = append(s.Apps, spec.AppSpec{
+				URI: fmt.Sprintf("flexnet://t%d/a%d", i%8, i), Tenant: fmt.Sprintf("t%d", i%8),
+				Path:     []string{fmt.Sprintf("p%d-e%d", i%8, i/8%4)},
+				Segments: []spec.SegmentSpec{{Name: k.seg, App: k.app, Args: k.args}},
+			})
+		}
+		for i := 0; i < 6; i++ {
+			s.Apps = append(s.Apps, spec.AppSpec{
+				URI: fmt.Sprintf("flexnet://t%d/declared%d", i, i), Tenant: fmt.Sprintf("t%d", i),
+				Path: []string{fmt.Sprintf("p%d-e0", i), fmt.Sprintf("p%d-e1", i)},
+				Segments: []spec.SegmentSpec{{
+					Name: "hh", App: "heavy-hitter", Args: []uint64{2, uint64(128 << rev), 1000}, Scale: 1 + rev,
+				}},
+			})
+		}
+		specs[rev] = s
+	}
+	var resolved [2]*ResolvedSpec
+	for rev, s := range specs {
+		if resolved[rev], err = ResolveSpec(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctx := context.Background()
+	if _, err := n.ApplySpec(ctx, SpecApplyRequest{Resolved: resolved[0]}); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("resolve", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ResolveSpec(specs[i%2]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("diff", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := n.DiffSpec(SpecDiffRequest{Resolved: resolved[i%2]}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("status", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if st := n.SpecStatus(); !st.InSync {
+				b.Fatalf("drift: %v", st.Drift)
+			}
+		}
+	})
+	rev := 0 // outlives the sub-benchmark's calls, which share the network
+	b.Run("apply", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			rev = 1 - rev
+			rep, err := n.ApplySpec(ctx, SpecApplyRequest{Resolved: resolved[rev]})
+			if err != nil || len(rep.Diff.Swap) != 6 {
+				b.Fatalf("apply %d: %v (diff %v)", i, err, rep.Diff.Summary())
+			}
+		}
+	})
 }
 
 // --- Micro-benchmarks of the core data path. ---

@@ -27,10 +27,14 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
+	"net/http"
+	_ "net/http/pprof" // registers /debug/pprof on the default mux, served only under -pprof
 	"os"
 	"strings"
 	"sync"
@@ -151,6 +155,23 @@ type Response struct {
 	Data  interface{} `json:"data,omitempty"`
 }
 
+// statusInfo and deviceInfo are the status and devices replies. The
+// fields are declared in the alphabetical order encoding/json gives map
+// keys, so the bytes on the wire are those of the maps they replaced.
+type statusInfo struct {
+	Apps      []string `json:"apps"`
+	Drops     uint64   `json:"drops"`
+	SimTimeMS int64    `json:"sim_time_ms"`
+}
+
+type deviceInfo struct {
+	FreeSRAM    int      `json:"free_sram"`
+	FreeTCAM    int      `json:"free_tcam"`
+	Fungibility float64  `json:"fungibility"`
+	Name        string   `json:"name"`
+	Programs    []string `json:"programs"`
+}
+
 // Server wraps a network with a serialized API.
 type Server struct {
 	mu      sync.Mutex
@@ -231,20 +252,20 @@ func (s *Server) dispatch(req *Request) Response {
 	fail := func(err error) Response { return Response{OK: false, Error: err.Error()} }
 	switch req.Op {
 	case api.OpStatus:
-		return Response{OK: true, Data: map[string]interface{}{
-			"sim_time_ms": s.net.Now().Milliseconds(),
-			"apps":        s.net.Controller().Apps(),
-			"drops":       s.net.InfrastructureDrops(),
+		return Response{OK: true, Data: statusInfo{
+			Apps:      s.net.Controller().Apps(),
+			Drops:     s.net.InfrastructureDrops(),
+			SimTimeMS: s.net.Now().Milliseconds(),
 		}}
 	case api.OpDevices:
-		var out []map[string]interface{}
+		var out []deviceInfo
 		for _, r := range s.net.Controller().ResourceView() {
-			out = append(out, map[string]interface{}{
-				"name":        r.Device,
-				"free_sram":   r.Free.SRAMBits,
-				"free_tcam":   r.Free.TCAMBits,
-				"fungibility": r.Fungibility,
-				"programs":    r.Programs,
+			out = append(out, deviceInfo{
+				FreeSRAM:    r.Free.SRAMBits,
+				FreeTCAM:    r.Free.TCAMBits,
+				Fungibility: r.Fungibility,
+				Name:        r.Device,
+				Programs:    r.Programs,
 			})
 		}
 		return Response{OK: true, Data: out}
@@ -517,10 +538,14 @@ func (s *Server) dispatch(req *Request) Response {
 	}
 }
 
+// maxRequestBytes caps one request line (a spec document rides inside
+// one).
+const maxRequestBytes = 1 << 20
+
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	sc := bufio.NewScanner(conn)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
+	sc.Buffer(make([]byte, 1<<16), maxRequestBytes)
 	enc := json.NewEncoder(conn)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -538,6 +563,15 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		// The scanner cannot resume mid-line, so this connection is done;
+		// say why. Closing with the rest of the line unread would reset
+		// the connection and could take the reply with it, so read on
+		// (for a bounded time) until the client has hung up.
+		_ = enc.Encode(Response{OK: false, Error: "request exceeds 1 MiB"})
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		_, _ = io.Copy(io.Discard, conn)
+	}
 }
 
 func main() {
@@ -545,7 +579,11 @@ func main() {
 	topoPath := flag.String("topology", "", "topology JSON file (default: built-in 2-switch demo)")
 	topoSpec := flag.String("topo", "", "generated topology spec (e.g. fat-tree:k=8; overrides the topology file's members)")
 	haReplicas := flag.Int("ha", 0, "enable controller HA with N active/standby replicas (0 = off)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address, e.g. 127.0.0.1:6060 (diagnostic; empty = off)")
 	flag.Parse()
+	if *pprofAddr != "" {
+		go func() { log.Printf("flexnetd: pprof: %v", http.ListenAndServe(*pprofAddr, nil)) }()
+	}
 
 	topo := &Topology{Seed: 1}
 	if *topoPath != "" {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 
 	"flexnet"
@@ -107,24 +108,34 @@ func TestBuiltinAppDefaults(t *testing.T) {
 	}
 }
 
-func TestServeConnOverTCP(t *testing.T) {
-	s := demoServer(t)
+// dialServer serves one loopback connection with s.serveConn and
+// returns the client end; served closes when serveConn has returned.
+func dialServer(t *testing.T, s *Server) (conn net.Conn, served <-chan struct{}) {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	done := make(chan struct{})
 	go func() {
-		conn, err := l.Accept()
+		defer close(done)
+		c, err := l.Accept()
+		l.Close() // one connection only
 		if err != nil {
 			return
 		}
-		s.serveConn(conn)
+		s.serveConn(c)
 	}()
-	conn, err := net.Dial("tcp", l.Addr().String())
+	conn, err = net.Dial("tcp", l.Addr().String())
 	if err != nil {
+		l.Close()
 		t.Fatal(err)
 	}
+	return conn, done
+}
+
+func TestServeConnOverTCP(t *testing.T) {
+	conn, _ := dialServer(t, demoServer(t))
 	defer conn.Close()
 	rd := bufio.NewReader(conn)
 
@@ -345,5 +356,121 @@ func TestHandleSpecAndAuditOps(t *testing.T) {
 
 	if r = s.handle(&Request{Op: "spec-apply"}); r.OK {
 		t.Fatal("spec-apply without a document succeeded")
+	}
+}
+
+// TestReadRepliesGolden pins the status and devices replies byte for
+// byte: they are typed structs now, and the bytes are those the
+// map[string]interface{} replies produced (captured at the commit before
+// the change).
+func TestReadRepliesGolden(t *testing.T) {
+	s := demoServer(t)
+	reply := func(op string) string {
+		t.Helper()
+		b, err := json.Marshal(s.handle(&Request{Op: op}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	check := func(op, want string) {
+		t.Helper()
+		if got := reply(op); got != want {
+			t.Errorf("%s reply:\n got %s\nwant %s", op, got, want)
+		}
+	}
+	check("status", `{"ok":true,"data":{"apps":null,"drops":0,"sim_time_ms":0}}`)
+	for _, app := range []string{"heavy-hitter", "firewall"} {
+		uri := "flexnet://infra/" + builtinSegName[app]
+		if r := s.handle(&Request{Op: "deploy", URI: uri, App: app, Path: []string{"s1"}}); !r.OK {
+			t.Fatalf("deploy %s: %v", uri, r.Error)
+		}
+	}
+	check("status", `{"ok":true,"data":{"apps":["flexnet://infra/fw","flexnet://infra/hh"],"drops":0,"sim_time_ms":80}}`)
+	check("devices", `{"ok":true,"data":[`+
+		`{"free_sram":49802240,"free_tcam":6185984,"fungibility":0.9887876157407407,"name":"s1","programs":["flexnet://infra/hh#hh","flexnet://infra/fw#fw","infra.routing"]},`+
+		`{"free_sram":50331648,"free_tcam":6193152,"fungibility":0.08333333333333333,"name":"s2","programs":["infra.routing"]}]}`)
+	// A device with nothing installed lists null, as the map did.
+	if b, _ := json.Marshal(deviceInfo{Name: "bare"}); string(b) != `{"free_sram":0,"free_tcam":0,"fungibility":0,"name":"bare","programs":null}` {
+		t.Errorf("empty device row = %s", b)
+	}
+}
+
+// TestOversizedRequestIsAnswered sends a request line past the 1 MiB
+// cap: the daemon must say so before it closes the connection, not hang
+// up silently.
+func TestOversizedRequestIsAnswered(t *testing.T) {
+	conn, served := dialServer(t, demoServer(t))
+	rd := bufio.NewReader(conn)
+	// A request under the cap still works on this connection first.
+	if _, err := conn.Write([]byte(`{"op":"status"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := rd.ReadString('\n'); err != nil || !strings.Contains(line, `"ok":true`) {
+		t.Fatalf("status before the big request: %q, %v", line, err)
+	}
+	big := `{"op":"spec-diff","spec":"` + strings.Repeat("x", maxRequestBytes+4096) + `"}` + "\n"
+	if _, err := conn.Write([]byte(big)); err != nil {
+		t.Fatal(err)
+	}
+	line, err := rd.ReadString('\n')
+	if err != nil {
+		t.Fatalf("no reply to an oversized request: %v", err)
+	}
+	if want := `{"ok":false,"error":"request exceeds 1 MiB"}` + "\n"; line != want {
+		t.Fatalf("reply = %q, want %q", line, want)
+	}
+	conn.Close()
+	<-served // serveConn returns once the client hangs up
+}
+
+// TestSpecReadsBesideOps runs spec-status and spec-diff readers on their
+// own connections' goroutines while a writer deploys, scales, removes
+// and applies two alternating spec revisions. Both reads fill the
+// controller's per-segment fingerprint memo, so under -race this is the
+// gate that those writes stay behind the server lock; at the end the
+// audit trail must still replay to live intent.
+func TestSpecReadsBesideOps(t *testing.T) {
+	s := demoServer(t)
+	revs := [2]string{demoSpec, strings.Replace(strings.Replace(demoSpec, "version: v1", "version: v2", 1), "[128, 5]", "[256, 5]", 1)}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, op := range []string{"spec-status", "spec-diff"} {
+		op := op
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if r := s.handle(&Request{Op: op, Spec: revs[i%2]}); !r.OK {
+					t.Errorf("%s: %v", op, r.Error)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 40; i++ {
+		// The spec names the whole network, so each apply also deletes
+		// the imperative app deployed after the previous one.
+		for _, req := range []*Request{
+			{Op: "spec-apply", Spec: revs[i%2]},
+			{Op: "deploy", URI: "flexnet://infra/hh", App: "heavy-hitter", Path: []string{"s1"}},
+			{Op: "scale-out", URI: "flexnet://infra/hh", Segment: "hh", Device: "s2"},
+			{Op: "scale-in", URI: "flexnet://infra/hh", Segment: "hh", Device: "s2"},
+		} {
+			if r := s.handle(req); !r.OK {
+				t.Fatalf("round %d %s: %v", i, req.Op, r.Error)
+			}
+		}
+	}
+	close(done)
+	wg.Wait()
+	r := s.handle(&Request{Op: "audit-replay"})
+	if raw, _ := json.Marshal(r.Data); !r.OK || !strings.Contains(string(raw), `"match":true`) {
+		t.Fatalf("audit-replay after the run: %+v", r)
 	}
 }

@@ -88,6 +88,17 @@ type App struct {
 	// is the primary from Plan; extras come from ScaleOut).
 	Replicas map[string][]string
 	Status   AppStatus
+
+	// fps remembers each segment's fingerprint beside the program it was
+	// computed from; see Controller.liveFP. Guarded by the app's state
+	// shard lock.
+	fps map[string]segmentFP
+}
+
+// segmentFP is one remembered compiler.Fingerprint(prog).
+type segmentFP struct {
+	prog *flexbpf.Program
+	fp   uint64
 }
 
 // instanceName is the device-level program name for an app segment.

@@ -83,15 +83,38 @@ func (c *Controller) LiveSpecState() *spec.Live {
 			Segments: map[string]spec.LiveSegment{},
 		}
 		for seg, devs := range app.Replicas {
-			var fp uint64
-			if p := app.Datapath.Segment(seg); p != nil {
-				fp = compiler.Fingerprint(p)
-			}
-			la.Segments[seg] = spec.LiveSegment{FP: fp, Replicas: append([]string(nil), devs...)}
+			la.Segments[seg] = spec.LiveSegment{FP: c.liveFP(app, seg), Replicas: append([]string(nil), devs...)}
 		}
 		live.Apps[uri] = la
 	}
 	return live
+}
+
+// liveFP returns compiler.Fingerprint of app's live segment program (0
+// for a segment the datapath does not have), dumping the program only
+// when the segment's *flexbpf.Program pointer differs from the one the
+// remembered fingerprint was computed from. Comparing pointers is enough
+// because a live program is never edited in place: Deploy, spec create,
+// spec swap, the UpdateApp commit and Redeploy each put a new program
+// in the segment, and delta.Apply and the compiler's merge pass edit
+// clones (DESIGN.md §14.2).
+func (c *Controller) liveFP(app *App, seg string) uint64 {
+	p := app.Datapath.Segment(seg)
+	if p == nil {
+		return 0
+	}
+	sh := c.state.shardFor(uriOwner(app.URI))
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if m := app.fps[seg]; m.prog == p {
+		return m.fp
+	}
+	if app.fps == nil {
+		app.fps = map[string]segmentFP{}
+	}
+	fp := compiler.Fingerprint(p)
+	app.fps[seg] = segmentFP{prog: p, fp: fp}
+	return fp
 }
 
 // DiffSpec compares a resolved spec against live controller state.
@@ -306,8 +329,7 @@ func (c *Controller) specGrowItems(d *spec.Diff) ([]specItem, error) {
 		if app == nil {
 			continue
 		}
-		liveProg := app.Datapath.Segment(sw.Segment)
-		if liveProg != nil && compiler.Fingerprint(liveProg) == sw.Seg.FP {
+		if c.liveFP(app, sw.Segment) == sw.Seg.FP {
 			continue // drift since diff: already retuned
 		}
 		devs := append([]string(nil), app.Replicas[sw.Segment]...)

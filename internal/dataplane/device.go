@@ -314,11 +314,6 @@ type Device struct {
 	// lock-free on the packet path. See fastpath.go.
 	fcache *flowcache.Cache
 	fcMet  fcMetrics
-
-	// lcache, when set, memoizes install-time linking across instances
-	// (fabric-wide; see SetLinkCache and DESIGN.md §13.3). Guarded by mu
-	// like the other control-plane wiring.
-	lcache *linkCacheHook
 }
 
 // deviceMetrics are the device's live telemetry instruments. All handles
@@ -363,27 +358,6 @@ func (d *Device) SetMetrics(reg *telemetry.Registry) {
 	}
 	d.met.epoch.Set(int64(d.snapshot().epoch))
 	d.exportOccupancyLocked()
-}
-
-// SetLinkCache wires a (typically fabric-wide) install-time link cache:
-// subsequent installs of content-identical programs rebind a shared
-// lowering instead of re-linking (DESIGN.md §13.3). reg, when non-nil,
-// receives the "linkcache.hits"/"linkcache.misses" counters; devices
-// sharing one registry share the instruments. Call at build time,
-// alongside SetMetrics, before control-plane traffic.
-func (d *Device) SetLinkCache(lc *flexbpf.LinkCache, reg *telemetry.Registry) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if lc == nil {
-		d.lcache = nil
-		return
-	}
-	hook := &linkCacheHook{cache: lc}
-	if reg != nil {
-		hook.hits = reg.Counter("linkcache.hits")
-		hook.misses = reg.Counter("linkcache.misses")
-	}
-	d.lcache = hook
 }
 
 // exportOccupancyLocked refreshes the occupancy and program-count
@@ -972,7 +946,7 @@ func (st *StagedConfig) InstallOpt(prog *flexbpf.Program, opts InstallOptions) e
 	if err != nil {
 		return fmt.Errorf("dataplane: %s: %w: %w", st.dev.name, errdefs.ErrInsufficientResources, err)
 	}
-	inst, err := newInstance(prog, opts.Filter, st.dev.rng, st.dev.now, st.dev.lcache)
+	inst, err := newInstance(prog, opts.Filter, st.dev.rng, st.dev.now)
 	if err != nil {
 		st.dev.model.release(pl)
 		return fmt.Errorf("dataplane: %s: %w", st.dev.name, err)

@@ -97,7 +97,7 @@ func TestLinkFailureIsInstallError(t *testing.T) {
 	d := MustNew(DefaultConfig("sw1", ArchDRMT))
 	ghost := flexbpf.NewAsm().MovImm(0, 1).MapStore("ghost", 0, 0).MustBuild()
 	unlinkable := &flexbpf.Program{Name: "bad", Pipeline: []flexbpf.Stmt{{Do: ghost}}}
-	inst, err := newInstance(unlinkable, nil, d.rng, d.now, nil)
+	inst, err := newInstance(unlinkable, nil, d.rng, d.now)
 	if inst != nil || !errors.Is(err, errdefs.ErrVerifyFailed) {
 		t.Fatalf("newInstance = (%v, %v), want nil instance and ErrVerifyFailed", inst, err)
 	}

@@ -8,7 +8,6 @@ import (
 	"flexnet/internal/errdefs"
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/packet"
-	"flexnet/internal/telemetry"
 )
 
 // ProgramInstance is a FlexBPF program installed on a device: the spec,
@@ -42,7 +41,7 @@ type ProgramInstance struct {
 	ectx *flexbpf.ExecContext
 }
 
-func newInstance(prog *flexbpf.Program, filter *flexbpf.Cond, rng *rand.Rand, now func() uint64, lc *linkCacheHook) (*ProgramInstance, error) {
+func newInstance(prog *flexbpf.Program, filter *flexbpf.Cond, rng *rand.Rand, now func() uint64) (*ProgramInstance, error) {
 	inst := &ProgramInstance{
 		prog:   prog,
 		tables: make(map[string]*flexbpf.TableInstance, len(prog.Tables)),
@@ -83,25 +82,8 @@ func newInstance(prog *flexbpf.Program, filter *flexbpf.Cond, rng *rand.Rand, no
 		}
 	}
 	// Install-time link: resolve symbols once so the per-packet path is
-	// map-free and allocation-free. With a link cache wired (DESIGN.md
-	// §13.3), identical program content re-links by rebinding table
-	// pointers instead of lowering the whole program again.
-	lookup := func(name string) *flexbpf.TableInstance { return inst.tables[name] }
-	var lp *flexbpf.LinkedProgram
-	var err error
-	if lc != nil && lc.cache != nil {
-		var hit bool
-		lp, hit, err = lc.cache.Link(prog, lookup)
-		if err == nil {
-			if hit {
-				lc.hits.Inc()
-			} else {
-				lc.misses.Inc()
-			}
-		}
-	} else {
-		lp, err = flexbpf.Link(prog, lookup)
-	}
+	// map-free and allocation-free.
+	lp, err := flexbpf.Link(prog, func(name string) *flexbpf.TableInstance { return inst.tables[name] })
 	if err != nil {
 		return nil, fmt.Errorf("program %s does not link: %w: %w", prog.Name, errdefs.ErrVerifyFailed, err)
 	}
@@ -120,13 +102,6 @@ func newInstance(prog *flexbpf.Program, filter *flexbpf.Cond, rng *rand.Rand, no
 		ti.SetActionResolver(lp.ActionIndex)
 	}
 	return inst, nil
-}
-
-// linkCacheHook bundles a shared link cache with the telemetry handles
-// its owner wants bumped on hits and misses (nil handles are inert).
-type linkCacheHook struct {
-	cache        *flexbpf.LinkCache
-	hits, misses *telemetry.Counter
 }
 
 // Linked returns the install-time linked form.

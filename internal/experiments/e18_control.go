@@ -119,7 +119,7 @@ func E18ControlPlane(seed int64) *Table {
 		// Measured window: every tenant runs its op chain concurrently;
 		// the executor interleaves disjoint-tenant plans.
 		exec := ctl.Executor()
-		base := len(exec.Reports)
+		base := exec.Completed()
 		s0 := f.Metrics.CounterValue("ctl.placement.targets_scanned")
 		r0 := f.Metrics.CounterValue("ctl.placement.segments_recompiled")
 		t0 := f.Sim.Now()
@@ -178,7 +178,7 @@ func E18ControlPlane(seed int64) *Table {
 			panic("e18: op chains never completed")
 		}
 
-		reports := exec.Reports[base:]
+		reports := exec.ReportsSince(base)
 		lats := make([]netsim.Time, 0, len(reports))
 		for _, r := range reports {
 			lats = append(lats, r.Actual)

@@ -233,7 +233,7 @@ func E19SpecReconcile(seed int64) *Table {
 		f, ctl, await := setup(k)
 		ctx := context.Background()
 		exec := ctl.Executor()
-		base := len(exec.Reports)
+		base := exec.Completed()
 		d0 := f.InfrastructureDrops()
 		t0 := f.Sim.Now()
 
@@ -280,7 +280,7 @@ func E19SpecReconcile(seed int64) *Table {
 		return result{
 			switches: len(f.Devices()),
 			ops:      ops,
-			plans:    len(exec.Reports) - base,
+			plans:    exec.Completed() - base,
 			elapsed:  f.Sim.Now() - t0,
 			drops:    f.InfrastructureDrops() - d0,
 			drift:    -1, // drift is measured against a spec; no spec was applied

@@ -104,12 +104,6 @@ type Fabric struct {
 	// added while it is false have their megaflow cache removed. The
 	// cache never changes simulation output (DESIGN.md §12).
 	flowCache bool
-
-	// lcache is the fabric-wide install-time link cache: every device
-	// added to the fabric shares it, so replicas, re-deploys, and healer
-	// reconciliation of content-identical programs rebind one lowering
-	// instead of re-linking (DESIGN.md §13.3).
-	lcache *flexbpf.LinkCache
 }
 
 // New creates an empty fabric on a seeded simulator.
@@ -129,7 +123,6 @@ func New(seed int64) *Fabric {
 		linkID:      map[*netsim.Link]int{},
 		applied:     map[string]*flexbpf.TableInstance{},
 		flowCache:   true,
-		lcache:      flexbpf.NewLinkCache(0),
 		ectx:        flexbpf.NewExecContext(),
 	}
 	f.events = f.Metrics.Counter("fabric.batch.events")
@@ -172,7 +165,6 @@ func (f *Fabric) AddSwitchCfg(cfg dataplane.Config) *dataplane.Device {
 	}
 	d.SetClock(func() uint64 { return uint64(f.Sim.Now()) })
 	d.SetMetrics(f.Metrics)
-	d.SetLinkCache(f.lcache, f.Metrics)
 	node := f.Net.AddNode(cfg.Name)
 	f.routing.MarkDevice(cfg.Name)
 	sw := &swtch{Device: d}

@@ -57,9 +57,9 @@ func TestExecutorConflictingPlansSerializeFIFO(t *testing.T) {
 		t.Fatalf("disjoint plan C (done %v) failed to overtake the blocked queue (A done %v)", *doneC, *doneA)
 	}
 	// Completion order — and therefore Reports order — is A, C, B.
-	if len(x.Reports) != 3 || x.Reports[0].Label != "A" || x.Reports[1].Label != "C" || x.Reports[2].Label != "B" {
+	if reps := x.ReportsSince(0); x.Completed() != 3 || reps[0].Label != "A" || reps[1].Label != "C" || reps[2].Label != "B" {
 		var got []string
-		for _, r := range x.Reports {
+		for _, r := range reps {
 			got = append(got, r.Label)
 		}
 		t.Fatalf("report order %v, want [A C B]", got)
@@ -139,7 +139,7 @@ func TestExecutorSerialModeMatchesConcurrentState(t *testing.T) {
 			snap += "== " + d + "\n" + deviceSnapshot(f.Device(d))
 		}
 		var labels []string
-		for _, r := range x.Reports {
+		for _, r := range x.ReportsSince(0) {
 			labels = append(labels, r.Label)
 		}
 		return snap, labels

@@ -47,10 +47,13 @@ type Executor struct {
 	queue       []queuedPlan
 	kicking     bool
 	rekick      bool
-	// Reports accumulates every executed plan's report in completion
-	// order (identical to submission order when plans conflict or
-	// SetMaxInflight(1) is set).
-	Reports []*plan.Report
+	// Reports holds the reports of the most recent reportsKept executed
+	// plans in completion order (identical to submission order when plans
+	// conflict or SetMaxInflight(1) is set); a report holds its plan's
+	// programs, so keeping every one grows with the daemon's history.
+	// completed counts every plan that finished, retained or not.
+	Reports   []*plan.Report
+	completed int
 
 	// tracer and met are the telemetry hookup (inert until SetTelemetry):
 	// every executed plan gets a trace keyed by its assigned plan ID,
@@ -82,6 +85,24 @@ type Executor struct {
 	// "commit", "done") with the plan's label — the HA layer replicates
 	// them so a standby knows which plans are in flight at takeover.
 	journal func(event, label string)
+}
+
+// reportsKept bounds Executor.Reports.
+const reportsKept = 1024
+
+// Completed returns how many plans have finished executing since the
+// executor was created.
+func (x *Executor) Completed() int { return x.completed }
+
+// ReportsSince returns, oldest first, the reports of the plans that
+// finished after the first n did (n being an earlier Completed()),
+// less any that have since left the retained window.
+func (x *Executor) ReportsSince(n int) []*plan.Report {
+	start := n - (x.completed - len(x.Reports))
+	if start < 0 {
+		start = 0
+	}
+	return x.Reports[start:]
 }
 
 // pipeState fences one in-flight pipeline across a failover: fenced
@@ -594,7 +615,14 @@ func (x *Executor) start(q queuedPlan) {
 	r := &runningPlan{fp: q.fp}
 	x.running = append(x.running, r)
 	x.run(q.ctx, q.p, func(rep *plan.Report) {
+		x.completed++
 		x.Reports = append(x.Reports, rep)
+		if len(x.Reports) > reportsKept {
+			// Slide the window; append's regrowth copies only what is
+			// left of it, so the trim is amortised.
+			x.Reports[0] = nil
+			x.Reports = x.Reports[1:]
+		}
 		for i, rr := range x.running {
 			if rr == r {
 				x.running = append(x.running[:i], x.running[i+1:]...)

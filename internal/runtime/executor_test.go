@@ -410,6 +410,43 @@ func TestExecutorMigrateFaultRollsBackInstall(t *testing.T) {
 	}
 }
 
+// TestExecutorReportsBounded runs more plans than the executor retains:
+// Reports stays a window of the newest reportsKept in completion order,
+// the count keeps the total, and ReportsSince clamps to what is left.
+func TestExecutorReportsBounded(t *testing.T) {
+	f, _ := threeSwitchLine(t)
+	_, x := newTestExecutor(f, nil)
+	const total = reportsKept + 300
+	for i := 0; i < total; i++ {
+		// Alternate install/remove of one instance: conflicting
+		// footprints, so completion order is submission order.
+		p := plan.New(fmt.Sprint(i))
+		if i%2 == 0 {
+			p.Install("s1", "acl", aclProgram("acl"), nil, 0)
+		} else {
+			p.Remove("s1", "acl")
+		}
+		x.Execute(p, nil)
+	}
+	for i := 0; i < 1000 && x.Completed() < total; i++ {
+		f.Sim.RunFor(time.Second)
+	}
+	if x.Completed() != total || len(x.Reports) != reportsKept {
+		t.Fatalf("completed %d retained %d, want %d and %d", x.Completed(), len(x.Reports), total, reportsKept)
+	}
+	for i, r := range x.Reports {
+		if want := fmt.Sprint(total - reportsKept + i); r.Label != want || r.Err != nil {
+			t.Fatalf("Reports[%d] = %q (err %v), want %q", i, r.Label, r.Err, want)
+		}
+	}
+	if got := x.ReportsSince(total - 5); len(got) != 5 || got[0].Label != fmt.Sprint(total-5) {
+		t.Fatalf("ReportsSince(total-5) = %d reports from %q", len(got), got[0].Label)
+	}
+	if got := x.ReportsSince(0); len(got) != reportsKept {
+		t.Fatalf("ReportsSince(0) = %d reports, want the %d retained", len(got), reportsKept)
+	}
+}
+
 func TestExecutorSerializesPlans(t *testing.T) {
 	f, _ := threeSwitchLine(t)
 	_, x := newTestExecutor(f, nil)
@@ -427,8 +464,8 @@ func TestExecutorSerializesPlans(t *testing.T) {
 	if repA.Err != nil || repB.Err != nil {
 		t.Fatalf("errs: %v / %v", repA.Err, repB.Err)
 	}
-	if len(x.Reports) != 2 || x.Reports[0].Label != "A" || x.Reports[1].Label != "B" {
-		t.Fatalf("report order: %+v", x.Reports)
+	if reps := x.ReportsSince(0); x.Completed() != 2 || reps[0].Label != "A" || reps[1].Label != "B" {
+		t.Fatalf("report order: %+v", reps)
 	}
 	if f.Device("s1").Instance("acl") != nil {
 		t.Fatal("instance survived remove")

@@ -1,7 +1,9 @@
 package spec
 
 import (
+	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"flexnet/internal/apps"
 	"flexnet/internal/compiler"
@@ -73,6 +75,63 @@ type ResolvedSegment struct {
 	FP uint64
 }
 
+// builtinMemoBound caps the resolve memo. A network's specs name a few
+// hundred distinct (kind, segment name, args) tuples at most; past the
+// bound an arbitrary entry makes room, so a stream of never-repeating
+// tuples costs what it did before the memo and holds no more than this.
+const builtinMemoBound = 1024
+
+// builtinMemo remembers, per (builtin kind, segment name, args), the
+// program apps.Builtin builds for that tuple and its fingerprint:
+// Builtin is a pure function of the tuple, and between two revisions of
+// a spec most segments are unchanged, so resolving one costs a Clone
+// instead of a build and a whole-program dump (DESIGN.md §14.2). The
+// prototypes never leave this file — callers get clones — which is why
+// a process-wide memo cannot carry one caller's edits to another.
+var builtinMemo = struct {
+	sync.Mutex
+	m map[string]builtinProto
+}{m: map[string]builtinProto{}}
+
+type builtinProto struct {
+	prog *flexbpf.Program
+	fp   uint64
+}
+
+// resolveBuiltin returns a private copy of the builtin program for the
+// tuple, and its fingerprint.
+func resolveBuiltin(kind, name string, args []uint64) (*flexbpf.Program, uint64, error) {
+	// Length-prefixed so no two tuples share a key.
+	key := make([]byte, 0, 64)
+	key = binary.AppendUvarint(key, uint64(len(kind)))
+	key = append(key, kind...)
+	key = binary.AppendUvarint(key, uint64(len(name)))
+	key = append(key, name...)
+	for _, a := range args {
+		key = binary.LittleEndian.AppendUint64(key, a)
+	}
+	builtinMemo.Lock()
+	proto, ok := builtinMemo.m[string(key)]
+	builtinMemo.Unlock()
+	if !ok {
+		prog, err := apps.Builtin(kind, name, args)
+		if err != nil {
+			return nil, 0, err
+		}
+		proto = builtinProto{prog: prog, fp: compiler.Fingerprint(prog)}
+		builtinMemo.Lock()
+		if len(builtinMemo.m) >= builtinMemoBound {
+			for k := range builtinMemo.m {
+				delete(builtinMemo.m, k)
+				break
+			}
+		}
+		builtinMemo.m[string(key)] = proto
+		builtinMemo.Unlock()
+	}
+	return proto.prog.Clone(), proto.fp, nil
+}
+
 // Resolve validates the spec and instantiates every segment's builtin
 // app kind into a program named after the segment.
 func Resolve(s *Spec) (*Resolved, error) {
@@ -91,7 +150,7 @@ func Resolve(s *Spec) (*Resolved, error) {
 	for _, a := range s.Apps {
 		ra := &ResolvedApp{URI: a.URI, Tenant: a.Tenant, Path: append([]string(nil), a.Path...)}
 		for _, g := range a.Segments {
-			prog, err := apps.Builtin(g.App, g.Name, g.Args)
+			prog, fp, err := resolveBuiltin(g.App, g.Name, g.Args)
 			if err != nil {
 				return nil, fmt.Errorf("spec %s: app %s segment %s: %w", s.Version, a.URI, g.Name, err)
 			}
@@ -105,7 +164,7 @@ func Resolve(s *Spec) (*Resolved, error) {
 				Args:    append([]uint64(nil), g.Args...),
 				Scale:   scale,
 				Program: prog,
-				FP:      compiler.Fingerprint(prog),
+				FP:      fp,
 			})
 		}
 		r.Apps[a.URI] = ra
