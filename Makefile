@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test benchmark-test race vet fmt lint spec-check check bench bench-steady bench-control benchdiff checkdocs expdiff docs cover profile scale
+.PHONY: all build test benchmark-test race mutants vet fmt lint spec-check check bench bench-steady bench-control benchdiff checkdocs expdiff docs cover profile scale
 
 all: build
 
@@ -19,6 +19,13 @@ benchmark-test:
 
 race:
 	$(GO) test -race ./...
+
+# mutants runs the checks that must be able to fail against builds broken
+# on purpose: the flow-cache chaos soak against device commits that keep
+# the previous configuration's cache (build tag flowcache_reuse_mutant,
+# internal/dataplane/flowcache_commit_mutant.go) must count stale serves.
+mutants:
+	$(GO) test -tags flowcache_reuse_mutant -run '^TestChaosSoakCatchesCacheReuse$$' -count=1 .
 
 vet:
 	$(GO) vet ./...
@@ -39,10 +46,10 @@ lint:
 spec-check:
 	$(GO) run ./cmd/flexbench -spec-check examples/specs
 
-check: fmt vet lint spec-check build test benchmark-test race docs
+check: fmt vet lint spec-check build test benchmark-test race mutants docs
 
 bench:
-	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ./internal/flexbpf ./internal/telemetry ./internal/netsim ./internal/fabric
+	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ./internal/flexbpf ./internal/telemetry ./internal/netsim ./internal/fabric ./internal/dataplane
 
 # bench-steady measures the flow cache against its oracle: serial is
 # the FlowCache(false) fabric that runs the pipeline for every packet,

@@ -130,8 +130,10 @@ func TestChaosSoak(t *testing.T) {
 // pressure, but the transit switch s2 carries only the cacheable base
 // routing pipeline, so live traffic is served from the megaflow cache
 // between crashes while s1's stateful SYN defense exercises the
-// uncacheable bypass. Returns the telemetry snapshot.
-func cacheChaosSoak(t *testing.T, seed int64, cache bool, horizon time.Duration) string {
+// uncacheable bypass. Returns the telemetry snapshot and the number of
+// stale serves: cache hits whose outcome was recorded under another
+// epoch than the device's at processing (flowcache.<dev>.stale_served).
+func cacheChaosSoak(t *testing.T, seed int64, cache bool, horizon time.Duration) (snap string, stale uint64) {
 	t.Helper()
 	bld := New(seed).FlowCache(cache).
 		Switch("s1", DRMT).
@@ -179,18 +181,17 @@ func cacheChaosSoak(t *testing.T, seed int64, cache bool, horizon time.Duration)
 	if drift := nw.IntentDrift(); len(drift) != 0 {
 		t.Fatalf("committed intent lost: %v", drift)
 	}
+	m := nw.Metrics()
 	if cache {
-		if hits := nw.Metrics().CounterValue("flowcache.s2.hits"); hits == 0 {
+		if hits := m.CounterValue("flowcache.s2.hits"); hits == 0 {
 			t.Fatal("soak never exercised the flow cache on s2")
 		}
-		if stale := nw.Metrics().CounterValue("flowcache.s2.stale_served"); stale != 0 {
-			t.Fatalf("cache served %d stale-epoch packets", stale)
-		}
-		if inv := nw.Metrics().CounterValue("flowcache.s2.invalidations"); inv == 0 {
+		if inv := m.CounterValue("flowcache.s2.invalidations"); inv == 0 {
 			t.Fatal("crashes committed no cache invalidations")
 		}
 	}
-	return nw.Stats().Format()
+	stale = m.CounterValue("flowcache.s1.stale_served") + m.CounterValue("flowcache.s2.stale_served")
+	return nw.Stats().Format(), stale
 }
 
 // stripFlowCacheLines removes the flowcache.* instrument lines — the
@@ -209,12 +210,18 @@ func stripFlowCacheLines(snap string) string {
 
 // TestChaosSoakFlowCache: under the full fault schedule, enabling the
 // flow cache must not change a single byte of non-flowcache telemetry —
-// crashes, recoveries, per-device packet counters, drops — and must
-// never serve a stale-epoch packet (ISSUE 7 acceptance).
+// crashes, recoveries, per-device packet counters, drops — and every
+// cache-hit packet's epoch must equal its device's epoch at processing.
+// That check can fail: TestChaosSoakCatchesCacheReuse
+// (chaos_mutant_test.go, `make mutants`) runs this soak on a build whose
+// commits keep the previous configuration's cache and sees it trip.
 func TestChaosSoakFlowCache(t *testing.T) {
 	horizon := chaosSeconds()
-	off := cacheChaosSoak(t, 1, false, horizon)
-	on := cacheChaosSoak(t, 1, true, horizon)
+	off, _ := cacheChaosSoak(t, 1, false, horizon)
+	on, stale := cacheChaosSoak(t, 1, true, horizon)
+	if stale != 0 {
+		t.Fatalf("%d cache hits were served an outcome recorded under another epoch", stale)
+	}
 	if off != stripFlowCacheLines(on) {
 		t.Fatal("flow cache changed non-flowcache chaos telemetry")
 	}

@@ -238,6 +238,14 @@ type config struct {
 	epoch     uint64
 	parser    *packet.ParseGraph
 	instances []*ProgramInstance
+	// names are the instances' program names in chain order; a packet's
+	// ProcStats.Programs is a prefix of it whenever no filter skipped an
+	// instance before the last one that ran.
+	names []string
+	// fc is this configuration's flow cache (nil on a DisableFlowCache
+	// oracle). Every commit publishes a new, empty one: invalidation is
+	// the epoch-atomic publication itself (DESIGN.md §12.1).
+	fc *flowcache.Cache
 	// fp caches the flow-cache static analysis for this configuration
 	// (see fastpath.go); computed lazily, immutable once stored.
 	fp atomic.Pointer[fastpathInfo]
@@ -253,7 +261,9 @@ type ProcStats struct {
 	// Instrs and Lookups aggregate across all program instances run.
 	Instrs  int
 	Lookups int
-	// Programs lists the instance names that processed the packet.
+	// Programs lists the instance names that processed the packet. It is
+	// shared with the device (a slice of its configuration's program
+	// list, or of a flow-cache entry) and must not be modified.
 	Programs []string
 }
 
@@ -274,8 +284,9 @@ type Device struct {
 	cfg  Config
 	caps flexbpf.Capabilities
 
-	// current holds *config; swapped atomically on reconfiguration.
-	current atomic.Value
+	// current is the live configuration; swapped atomically on
+	// reconfiguration.
+	current atomic.Pointer[config]
 
 	// mu serializes control-plane mutations (installs, removals, parser
 	// edits). The data plane never takes it.
@@ -297,64 +308,59 @@ type Device struct {
 	// now supplies simulation time; settable by the harness.
 	now func() uint64
 
-	stats struct {
-		mu sync.Mutex
-		c  Counters
-	}
-	// processed counts packets for energy accounting.
-	processed atomic.Uint64
+	// acct is the packet path's accounting, in plain fields only the
+	// goroutine driving the packet path writes (see ProcessCtx and
+	// fastpath.go).
+	acct tally
+	// noFlowCache is set by DisableFlowCache: commits publish configs
+	// without a flow cache. fcInvalidations counts the commits that did
+	// publish one. Both are written under mu.
+	noFlowCache     bool
+	fcInvalidations atomic.Uint64
 
-	// met holds pre-resolved telemetry handles (nil handles are inert),
-	// so the per-packet path pays only atomic bumps, never map lookups.
+	// met holds the control path's pre-resolved telemetry handles (nil
+	// handles are inert). They are atomic instruments because commits,
+	// which write them under mu, may run beside the packet path.
 	met deviceMetrics
-
-	// fcache is the megaflow flow cache every device is created with (nil
-	// only on a DisableFlowCache oracle); fcMet its instruments, wired by
-	// SetMetrics. Both are fixed at build time, before traffic, and read
-	// lock-free on the packet path. See fastpath.go.
-	fcache *flowcache.Cache
-	fcMet  fcMetrics
 }
 
-// deviceMetrics are the device's live telemetry instruments. All handles
-// are nil (no-ops) until SetMetrics wires a registry.
+// deviceMetrics are the device's control-path telemetry instruments. All
+// handles are nil (no-ops) until SetMetrics wires a registry.
 type deviceMetrics struct {
-	packets    *telemetry.Counter
-	dropped    *telemetry.Counter
-	lookups    *telemetry.Counter
 	faults     *telemetry.Counter
 	epochFlips *telemetry.Counter
 	epoch      *telemetry.Gauge
 	programs   *telemetry.Gauge
 	occupancy  *telemetry.Gauge
-	latency    *telemetry.Histogram
 }
 
-// SetMetrics registers this device's instruments in reg under the
-// "dev.<name>." prefix: packets processed, table hits, occupancy, fault
-// injections, and epoch flips, plus a processing-latency histogram, and
-// the flow cache's under "flowcache.<name>." (fastpath.go). The
-// embedding fabric calls this at build time, before any traffic flows —
-// the handles are read lock-free on the packet path, so they must not be
-// swapped while the device processes packets. Devices without a registry
-// run with inert nil handles.
+// SetMetrics registers this device's telemetry in reg under the
+// "dev.<name>." prefix: packets processed and dropped, table lookups and
+// the processing-latency histogram as views over the packet path's
+// accounting block; fault injections, epoch flips, the epoch and the
+// occupancy and program-count gauges as instruments the control path
+// updates; and the flow cache's views under "flowcache.<name>."
+// (fastpath.go). The embedding fabric calls this at build time, before
+// any traffic flows. Devices without a registry run with inert nil
+// handles; their Stats and FlowCacheStats count all the same.
 func (d *Device) SetMetrics(reg *telemetry.Registry) {
 	prefix := "dev." + d.name + "."
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	a := &d.acct
+	reg.CounterView(prefix+"packets_processed", func() uint64 { return a.c.Processed })
+	reg.CounterView(prefix+"packets_dropped", func() uint64 { return a.c.Dropped })
+	reg.CounterView(prefix+"table_lookups", func() uint64 { return a.lookups })
+	reg.HistogramView(prefix+"proc_latency_ns", a.lat)
 	d.met = deviceMetrics{
-		packets:    reg.Counter(prefix + "packets_processed"),
-		dropped:    reg.Counter(prefix + "packets_dropped"),
-		lookups:    reg.Counter(prefix + "table_lookups"),
 		faults:     reg.Counter(prefix + "fault_injections"),
 		epochFlips: reg.Counter(prefix + "epoch_flips"),
 		epoch:      reg.Gauge(prefix + "epoch"),
 		programs:   reg.Gauge(prefix + "programs"),
 		occupancy:  reg.Gauge(prefix + "occupancy_ppm"),
-		latency:    reg.Histogram(prefix+"proc_latency_ns", telemetry.DefaultLatencyBounds),
 	}
-	if d.fcache != nil {
-		d.fcMet = newFCMetrics(reg, d.name)
+	if !d.noFlowCache {
+		d.registerFlowCacheViews(reg)
 	}
 	d.met.epoch.Set(int64(d.snapshot().epoch))
 	d.exportOccupancyLocked()
@@ -403,9 +409,9 @@ func New(cfg Config) (*Device, error) {
 		placements: map[string]placement{},
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		now:        func() uint64 { return 0 },
-		fcache:     flowcache.New(1),
+		acct:       tally{lat: telemetry.NewLocalHistogram(telemetry.DefaultLatencyBounds)},
 	}
-	d.current.Store(&config{epoch: 1, parser: packet.StandardParseGraph()})
+	d.current.Store(&config{epoch: 1, parser: packet.StandardParseGraph(), fc: flowcache.New(1)})
 	return d, nil
 }
 
@@ -448,23 +454,30 @@ func (d *Device) SetClock(now func() uint64) {
 	}
 }
 
-func (d *Device) snapshot() *config { return d.current.Load().(*config) }
+func (d *Device) snapshot() *config { return d.current.Load() }
 
 // Epoch returns the current configuration version.
 func (d *Device) Epoch() uint64 { return d.snapshot().epoch }
 
 // commit publishes a new configuration with epoch+1. Caller holds d.mu.
-// Every commit wholesale-invalidates the flow cache: the cache rides the
-// same epoch-atomic boundary as the configuration swap, so a hitless
-// swap stays hitless — no packet arriving after the commit can replay a
-// pre-commit outcome (DESIGN.md §12).
+// The configuration is published with its own empty flow cache, so the
+// cache is invalidated by the same atomic store that swaps the
+// configuration: a hitless swap stays hitless — no packet arriving after
+// the commit can replay a pre-commit outcome, and a miss that raced the
+// commit inserts into the cache of the configuration it ran under, which
+// no later packet reaches (DESIGN.md §12.1).
 func (d *Device) commit(next *config) {
-	next.epoch = d.snapshot().epoch + 1
-	d.current.Store(next)
-	if d.fcache != nil {
-		d.fcache.Invalidate(next.epoch)
-		d.fcMet.invalidations.Inc()
+	prev := d.snapshot()
+	next.epoch = prev.epoch + 1
+	next.names = make([]string, len(next.instances))
+	for i, inst := range next.instances {
+		next.names[i] = inst.prog.Name
 	}
+	if !d.noFlowCache {
+		next.fc = commitCache(prev, next.epoch)
+		d.fcInvalidations.Add(1)
+	}
+	d.current.Store(next)
 	d.met.epochFlips.Inc()
 	d.met.epoch.Set(int64(next.epoch))
 	d.exportOccupancyLocked()
@@ -995,21 +1008,35 @@ func (st *StagedConfig) Parser() *packet.ParseGraph {
 // resolved once so Process never interns on the packet path.
 var fidMetaIngress = packet.InternField("meta.ingress")
 
-// Process runs one packet through the device. It is safe to call
-// concurrently with reconfiguration: the packet uses the configuration
-// snapshot current at entry.
+// Process runs one packet through the device: ProcessCtx with each
+// program instance's private execution context, under the same contract.
 func (d *Device) Process(pkt *packet.Packet) ProcStats {
 	return d.ProcessCtx(pkt, nil)
 }
 
-// ProcessCtx is Process with an explicit execution context. The fabric
-// passes its one reusable ExecContext for every device visit; a caller
-// driving devices from several goroutines passes one per goroutine, so
-// concurrent devices never share scratch state. ectx == nil falls back
-// to each program instance's private context (what Process uses).
+// ProcessCtx runs one packet through the device with an explicit
+// execution context. The fabric passes its one reusable ExecContext for
+// every device visit; a caller driving devices from several goroutines
+// passes one per goroutine, so concurrent devices never share scratch
+// state. ectx == nil falls back to each program instance's private
+// context (what Process uses).
+//
+// The contract the packet path rests on (DESIGN.md §9): one goroutine at
+// a time drives a device's packet path. Reconfiguration — Swap,
+// PrepareChange/Activate/Revert, Crash, table writes, drain and down
+// flags — may run concurrently with it: the packet uses the
+// configuration snapshot current at entry, and its only shared-memory
+// traffic is atomic loads (the snapshot, the flags, table generations).
+// Its accounting goes to plain fields, so the readers of that accounting
+// — Stats, EnergyJoules, FlowCacheStats and the registry views SetMetrics
+// installs — run on the driving goroutine or are serialized with it. The
+// fabric drives every device from the simulator's one goroutine;
+// flexnetd serves every read under the lock that runs the simulator.
 func (d *Device) ProcessCtx(pkt *packet.Packet, ectx *flexbpf.ExecContext) ProcStats {
+	a := &d.acct
 	if d.draining.Load() || d.down.Load() {
-		d.countDrop(func(c *Counters) { c.DrainDrops++; c.Dropped++ })
+		a.c.DrainDrops++
+		a.c.Dropped++
 		return ProcStats{Verdict: packet.VerdictDrop}
 	}
 	cfg := d.snapshot()
@@ -1021,7 +1048,7 @@ func (d *Device) ProcessCtx(pkt *packet.Packet, ectx *flexbpf.ExecContext) ProcS
 	// Flow cache: replay a recorded outcome when the packet matches a
 	// cached flow's full validation set (fastpath.go).
 	var rec *flowRecord
-	if d.fcache != nil {
+	if cfg.fc != nil {
 		var hit bool
 		if rec, hit = d.tryFlowCache(pkt, cfg, &st); hit {
 			d.accountProcessed(&st)
@@ -1031,21 +1058,31 @@ func (d *Device) ProcessCtx(pkt *packet.Packet, ectx *flexbpf.ExecContext) ProcS
 
 	// Parse: determine which headers this configuration understands.
 	if err := cfg.parser.CheckFields(pkt); err != nil {
-		d.countDrop(func(c *Counters) { c.Errors++; c.Dropped++ })
+		a.c.Errors++
+		a.c.Dropped++
 		st.Verdict = packet.VerdictDrop
 		return st
 	}
 
-	for _, inst := range cfg.instances {
+	skipped := false
+	for i, inst := range cfg.instances {
 		if !inst.accepts(pkt) {
+			skipped = true
 			continue
 		}
 		res, err := inst.runCtx(pkt, ectx)
 		st.Instrs += res.Instrs
 		st.Lookups += res.Lookups
-		st.Programs = append(st.Programs, inst.prog.Name)
+		if skipped {
+			// A filter skipped an earlier instance: the list is no longer
+			// a prefix of the chain (append copies the prefix on first use).
+			st.Programs = append(st.Programs, inst.prog.Name)
+		} else {
+			st.Programs = cfg.names[: i+1 : i+1]
+		}
 		if err != nil {
-			d.countDrop(func(c *Counters) { c.Errors++; c.Dropped++ })
+			a.c.Errors++
+			a.c.Dropped++
 			st.Verdict = packet.VerdictDrop
 			return st
 		}
@@ -1062,27 +1099,20 @@ func (d *Device) ProcessCtx(pkt *packet.Packet, ectx *flexbpf.ExecContext) ProcS
 	return st
 }
 
-func (d *Device) bump(f func(*Counters)) {
-	d.stats.mu.Lock()
-	f(&d.stats.c)
-	d.stats.mu.Unlock()
-}
-
-// Stats returns a copy of lifetime counters.
-func (d *Device) Stats() Counters {
-	d.stats.mu.Lock()
-	defer d.stats.mu.Unlock()
-	return d.stats.c
-}
+// Stats returns a copy of lifetime counters. Like every reader of the
+// packet path's accounting, it runs on the goroutine driving the device
+// or serialized with it (see ProcessCtx).
+func (d *Device) Stats() Counters { return d.acct.c }
 
 // EnergyJoules estimates energy used over a wall of simulated seconds
 // with the device's processed-packet count (dynamic) plus static draw.
+// It reads the packet path's accounting, under ProcessCtx's contract.
 func (d *Device) EnergyJoules(seconds float64) float64 {
 	e := d.cfg.Energy.IdleWatts * seconds
 	if len(d.snapshot().instances) > 0 {
 		e += d.cfg.Energy.ActiveWatts * seconds
 	}
-	e += float64(d.processed.Load()) * d.cfg.Energy.PerPacketNanojoule * 1e-9
+	e += float64(d.acct.c.Processed) * d.cfg.Energy.PerPacketNanojoule * 1e-9
 	return e
 }
 

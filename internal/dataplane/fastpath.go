@@ -1,7 +1,7 @@
 package dataplane
 
 // This file implements the device's megaflow flow cache (DESIGN.md §12)
-// and the accounting tail every processed packet shares. The resolved
+// and the accounting every processed packet shares. The resolved
 // outcome of the first packet of a flow is recorded against the packet
 // state the pipeline depends on (static CacheProfile of every installed
 // instance, plus filter and parser select fields) and replayed for
@@ -9,7 +9,12 @@ package dataplane
 // telemetry (Instrs, Lookups, latency, programs), so device counters are
 // byte-identical to those of a device that runs the pipeline for every
 // packet (DisableFlowCache, the differential oracle); cache activity is
-// reported under separate "flowcache.<dev>.*" instruments.
+// reported under separate "flowcache.<dev>.*" counters.
+//
+// All of it is counted in one block of plain fields per device (tally),
+// written only by the goroutine driving the packet path and published to
+// the registry as views (DESIGN.md §6): a cache-hit visit takes no lock
+// and does no atomic read-modify-write.
 
 import (
 	"sort"
@@ -92,81 +97,76 @@ func sortFieldSet(m map[packet.FieldID]struct{}) []packet.FieldID {
 	return out
 }
 
-// fcMetrics are the flow-cache telemetry instruments, registered under
-// "flowcache.<dev>." by SetMetrics for a device that has its cache.
-//
-// staleServed counts replays of entries from a superseded epoch or table
-// generation; by construction (entries validate both on every hit) it
-// stays zero, and the chaos soak asserts that.
-type fcMetrics struct {
-	hits            *telemetry.Counter
-	misses          *telemetry.Counter
-	inserts         *telemetry.Counter
-	invalidations   *telemetry.Counter
-	staleServed     *telemetry.Counter
-	replayedInstrs  *telemetry.Counter
-	replayedLookups *telemetry.Counter
+// tally is a device's packet-path accounting: the lifetime Counters,
+// table lookups, the processing-latency histogram, and the flow cache's
+// activity. Plain fields, written only by the goroutine driving the
+// device (ProcessCtx's contract); Stats, EnergyJoules, FlowCacheStats and
+// the registry views read them serialized with that goroutine.
+type tally struct {
+	c       Counters
+	lookups uint64
+	lat     *telemetry.LocalHistogram
+	fc      struct {
+		hits, misses, inserts           uint64
+		replayedInstrs, replayedLookups uint64
+		// staleServed counts hits whose outcome was recorded under
+		// another epoch than the configuration processing the packet. A
+		// configuration's cache holds only its own outcomes, so it stays
+		// zero; the chaos soak asserts it, and a build whose commits reuse
+		// the previous cache (flowcache_commit_mutant.go) trips it.
+		staleServed uint64
+	}
 }
 
-func newFCMetrics(reg *telemetry.Registry, dev string) fcMetrics {
-	prefix := "flowcache." + dev + "."
-	return fcMetrics{
-		hits:            reg.Counter(prefix + "hits"),
-		misses:          reg.Counter(prefix + "misses"),
-		inserts:         reg.Counter(prefix + "inserts"),
-		invalidations:   reg.Counter(prefix + "invalidations"),
-		staleServed:     reg.Counter(prefix + "stale_served"),
-		replayedInstrs:  reg.Counter(prefix + "replayed_instrs"),
-		replayedLookups: reg.Counter(prefix + "replayed_lookups"),
-	}
+// registerFlowCacheViews publishes the flow cache's counters under
+// "flowcache.<dev>.": views over the accounting block, and over the
+// commit count for invalidations. Caller holds d.mu.
+func (d *Device) registerFlowCacheViews(reg *telemetry.Registry) {
+	prefix := "flowcache." + d.name + "."
+	fc := &d.acct.fc
+	reg.CounterView(prefix+"hits", func() uint64 { return fc.hits })
+	reg.CounterView(prefix+"misses", func() uint64 { return fc.misses })
+	reg.CounterView(prefix+"inserts", func() uint64 { return fc.inserts })
+	reg.CounterView(prefix+"invalidations", d.fcInvalidations.Load)
+	reg.CounterView(prefix+"stale_served", func() uint64 { return fc.staleServed })
+	reg.CounterView(prefix+"replayed_instrs", func() uint64 { return fc.replayedInstrs })
+	reg.CounterView(prefix+"replayed_lookups", func() uint64 { return fc.replayedLookups })
 }
 
 // DisableFlowCache removes the device's megaflow cache, so that every
 // packet runs the linked pipeline. It is not a tuning knob: it is the
 // differential oracle that the equivalence tests, E17's "dev telemetry"
 // column and the serial benchmarks compare the default device against.
-// Call it at build time, before SetMetrics
-// (so no flowcache.* instruments are registered) and before traffic
-// flows: the cache handle is read lock-free on the packet path.
+// Call it at build time, before SetMetrics (so no flowcache.* counters
+// are registered) and before traffic flows: it republishes the current
+// configuration without its cache, and no later commit gives it one.
 func (d *Device) DisableFlowCache() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.fcache = nil
-	d.fcMet = fcMetrics{}
+	d.noFlowCache = true
+	cur := d.snapshot()
+	d.current.Store(&config{epoch: cur.epoch, parser: cur.parser, instances: cur.instances, names: cur.names})
 }
 
 // FlowCacheStats returns the cache's activity counters (zero Stats when
-// the cache is disabled).
+// the cache is disabled). It reads the packet path's accounting, under
+// ProcessCtx's contract.
 func (d *Device) FlowCacheStats() flowcache.Stats {
-	if d.fcache == nil {
-		return flowcache.Stats{}
-	}
-	return d.fcache.Stats()
-}
-
-// countDrop accounts a pre-pipeline drop (drain/down/parse/program
-// error). mut updates the lifetime counters.
-func (d *Device) countDrop(mut func(*Counters)) {
-	d.bump(mut)
-	d.met.dropped.Inc()
+	fc := &d.acct.fc
+	return flowcache.Stats{Hits: fc.hits, Misses: fc.misses, Inserts: fc.inserts, Invalidations: d.fcInvalidations.Load()}
 }
 
 // accountProcessed runs the shared accounting tail for a fully processed
-// packet (pipeline or cache replay): modelled latency, instruments, and
-// lifetime counters.
+// packet (pipeline or cache replay): modelled latency, then the
+// accounting block's latency histogram, lookups and lifetime counters.
 func (d *Device) accountProcessed(st *ProcStats) {
 	st.LatencyNs = d.cfg.Perf.BaseLatencyNs +
 		d.cfg.Perf.PerInstrNs*uint64(st.Instrs) +
 		d.cfg.Perf.PerLookupNs*uint64(st.Lookups)
-
-	d.met.latency.Observe(int64(st.LatencyNs))
-	d.met.packets.Inc()
-	d.met.lookups.Add(uint64(st.Lookups))
-	if st.Verdict == packet.VerdictDrop {
-		d.met.dropped.Inc()
-	}
-	d.processed.Add(1)
-	d.bump(func(c *Counters) { countVerdict(c, st.Verdict) })
+	a := &d.acct
+	a.lat.Observe(int64(st.LatencyNs))
+	a.lookups += uint64(st.Lookups)
+	countVerdict(&a.c, st.Verdict)
 }
 
 func countVerdict(c *Counters, v packet.Verdict) {
@@ -207,18 +207,24 @@ func (d *Device) tryFlowCache(pkt *packet.Packet, cfg *config, st *ProcStats) (*
 		return nil, false
 	}
 	key := pkt.FlowKey()
-	if e, ok := d.fcache.Lookup(key, cfg.epoch, pkt); ok {
+	fc := &d.acct.fc
+	if e, ok := cfg.fc.Lookup(key, cfg.epoch, pkt); ok {
 		e.Replay(pkt)
+		// The packet reports the epoch its outcome was recorded under.
+		pkt.Epoch, st.Epoch = e.Epoch, e.Epoch
 		st.Verdict = e.Verdict
 		st.Instrs = e.Instrs
 		st.Lookups = e.Lookups
 		st.Programs = e.Programs
-		d.fcMet.hits.Inc()
-		d.fcMet.replayedInstrs.Add(uint64(e.Instrs))
-		d.fcMet.replayedLookups.Add(uint64(e.Lookups))
+		fc.hits++
+		fc.replayedInstrs += uint64(e.Instrs)
+		fc.replayedLookups += uint64(e.Lookups)
+		if e.Epoch != cfg.epoch {
+			fc.staleServed++
+		}
 		return nil, true
 	}
-	d.fcMet.misses.Inc()
+	fc.misses++
 	// Capture the validation state before the pipeline mutates it.
 	rec := &flowRecord{
 		key:  key,
@@ -237,9 +243,9 @@ func (d *Device) tryFlowCache(pkt *packet.Packet, cfg *config, st *ProcStats) (*
 	return rec, false
 }
 
-// recordFlow inserts the completed pipeline outcome into the cache.
-// Only terminal Forward/Drop verdicts are recorded; errors, punts, and
-// recirculations always take the pipeline.
+// recordFlow inserts the completed pipeline outcome into the cache of
+// the configuration it ran under. Only terminal Forward/Drop verdicts are
+// recorded; errors, punts, and recirculations always take the pipeline.
 func (d *Device) recordFlow(rec *flowRecord, pkt *packet.Packet, cfg *config, st *ProcStats) {
 	if st.Verdict != packet.VerdictForward && st.Verdict != packet.VerdictDrop {
 		return
@@ -257,12 +263,13 @@ func (d *Device) recordFlow(rec *flowRecord, pkt *packet.Packet, cfg *config, st
 		Egress:     pkt.EgressPort,
 		Instrs:     st.Instrs,
 		Lookups:    st.Lookups,
-		Programs:   append([]string(nil), st.Programs...),
+		Programs:   st.Programs,
 	}
 	for i, fid := range fp.writes {
 		v, ok := pkt.FieldOKByID(fid)
 		e.Post[i] = flowcache.FieldVal{FID: fid, Val: v, Present: ok}
 	}
-	d.fcache.Insert(rec.key, e)
-	d.fcMet.inserts.Inc()
+	if cfg.fc.Insert(rec.key, e) {
+		d.acct.fc.inserts++
+	}
 }

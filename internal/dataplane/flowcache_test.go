@@ -222,70 +222,140 @@ func TestFlowCacheUncacheableBypass(t *testing.T) {
 	}
 }
 
-// TestFlowCacheSwapHammer drives cached processing from several
-// goroutines while another goroutine commits config swaps as fast as it
-// can. Run under -race this is the CI hammer for the commit/lookup
-// overlap; in any mode it checks that no packet is ever served an
-// outcome from a superseded epoch.
+// cacheTestPipelineSwap installs the three-stage pipeline of
+// cacheTestPipeline in one commit, with its route in place before the
+// commit publishes it: how a restarted device gets its pipeline back
+// without a window in which the router has no route.
+func cacheTestPipelineSwap(d *Device, port uint64) error {
+	return d.Swap(func(st *StagedConfig) error {
+		if err := st.InstallOpt(cacheMarker("mark"), InstallOptions{Priority: 10}); err != nil {
+			return err
+		}
+		if err := st.InstallOpt(dropDportProgram("guard", 443), InstallOptions{Priority: 20}); err != nil {
+			return err
+		}
+		if err := st.InstallOpt(cacheRouter("rt"), InstallOptions{Priority: PriorityInfra}); err != nil {
+			return err
+		}
+		for _, inst := range st.instances {
+			if inst.prog.Name == "rt" {
+				return inst.Table("rt_t").Insert(
+					flexbpf.ExactEntry("rt_fwd", []uint64{port}, uint64(packet.IP(10, 0, 0, 2))))
+			}
+		}
+		return fmt.Errorf("staged chain has no router")
+	})
+}
+
+// TestFlowCacheSwapHammer drives four devices the way ProcessCtx's
+// contract allows: each has one goroutine processing packets with its own
+// ExecContext and one goroutine committing config swaps as fast as it
+// can, and the first device is also crashed and restarted (then given its
+// pipeline back) every few swaps. Run under -race this is the CI hammer
+// for the commit/lookup boundary — the config-owned cache, the accounting
+// block, the swap — and in any mode it checks that every packet is
+// served by one configuration that was live while it was processed:
+// its epoch lies between the device's epoch before and after the call.
 func TestFlowCacheSwapHammer(t *testing.T) {
-	d := MustNew(DefaultConfig("sw", ArchDRMT))
-	d.SetMetrics(telemetry.NewRegistry())
-	cacheTestPipeline(t, d, 7)
+	const devices, packets = 4, 3000
+	devs := make([]*Device, devices)
+	reg := telemetry.NewRegistry()
+	for i := range devs {
+		devs[i] = MustNew(DefaultConfig(fmt.Sprintf("sw%d", i), ArchDRMT))
+		devs[i].SetMetrics(reg)
+		cacheTestPipeline(t, devs[i], 7)
+	}
 
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for v := 0; ; v++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			_ = d.Swap(func(st *StagedConfig) error {
-				if err := st.Remove("mark"); err != nil {
-					return err
+	var swappers sync.WaitGroup
+	for i, d := range devs {
+		swappers.Add(1)
+		go func(crashes bool, d *Device) {
+			defer swappers.Done()
+			for v := 1; ; v++ {
+				select {
+				case <-stop:
+					return
+				default:
 				}
-				return st.Install(cacheMarker("mark"), nil)
-			})
-		}
-	}()
+				if crashes && v%10 == 0 {
+					d.Crash()
+					d.Restart()
+					if err := cacheTestPipelineSwap(d, 7); err != nil {
+						t.Errorf("%s: reinstall after crash: %v", d.Name(), err)
+						return
+					}
+					continue
+				}
+				_ = d.Swap(func(st *StagedConfig) error {
+					if err := st.Remove("mark"); err != nil {
+						return err
+					}
+					return st.Install(cacheMarker("mark"), nil)
+				})
+			}
+		}(i == 0, d)
+	}
 
-	const procs = 4
-	errs := make(chan error, procs)
-	for g := 0; g < procs; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
+	errs := make(chan error, devices)
+	for i, d := range devs {
+		go func(g int, d *Device) {
 			r := rand.New(rand.NewSource(int64(g)))
-			// One ExecContext per goroutine: Process's nil context is the
-			// instance's private scratch, which concurrent callers must
-			// not share.
 			ectx := flexbpf.NewExecContext()
-			for i := 0; i < 3000; i++ {
-				pkt := randomCachePacket(r, uint64(g*1_000_000+i))
+			for i := 0; i < packets; i++ {
+				// Two flows, one forwarded and one dropped by the guard, so
+				// that packets hit the cache between commits.
+				dport := uint16(80)
+				if r.Intn(2) == 0 {
+					dport = 443
+				}
+				pkt := packet.TCPPacket(uint64(g*1_000_000+i), packet.IP(10, 0, 1, 1), packet.IP(10, 0, 0, 2), 5000, dport, 0, 100)
+				before := d.Epoch()
 				st := d.ProcessCtx(pkt, ectx)
+				after := d.Epoch()
 				if pkt.Epoch != st.Epoch {
-					errs <- fmt.Errorf("goroutine %d packet %d: epoch mismatch %d != %d",
-						g, i, pkt.Epoch, st.Epoch)
+					errs <- fmt.Errorf("%s packet %d: epoch mismatch %d != %d", d.Name(), i, pkt.Epoch, st.Epoch)
 					return
 				}
-				if st.Verdict != packet.VerdictForward && st.Verdict != packet.VerdictDrop {
-					errs <- fmt.Errorf("goroutine %d packet %d: verdict %v", g, i, st.Verdict)
+				// Epoch 0 is a drop while the device is down.
+				if st.Epoch != 0 && (st.Epoch < before || st.Epoch > after) {
+					errs <- fmt.Errorf("%s packet %d: served by epoch %d outside its processing window [%d, %d]",
+						d.Name(), i, st.Epoch, before, after)
+					return
+				}
+				switch {
+				case st.Verdict == packet.VerdictForward, st.Verdict == packet.VerdictDrop:
+				case st.Verdict == packet.VerdictContinue && st.Programs == nil && d == devs[0]:
+					// Between a restart and the reinstall the chain is empty.
+				default:
+					errs <- fmt.Errorf("%s packet %d: verdict %v after %v", d.Name(), i, st.Verdict, st.Programs)
 					return
 				}
 			}
 			errs <- nil
-		}(g)
+		}(i, d)
 	}
-	for g := 0; g < procs; g++ {
+	for range devs {
 		if err := <-errs; err != nil {
 			t.Error(err)
 		}
 	}
 	close(stop)
-	wg.Wait()
+	swappers.Wait()
+	if devs[0].DownGen() == 0 {
+		t.Error("the hammer never crashed sw0")
+	}
+	// Readers are serialized with the packet path: every processor is done.
+	var hits uint64
+	for _, d := range devs {
+		if got := d.Stats().Processed + d.Stats().DrainDrops; got != packets {
+			t.Errorf("%s: accounted %d of %d packets", d.Name(), got, packets)
+		}
+		hits += d.FlowCacheStats().Hits
+	}
+	if hits == 0 {
+		t.Error("the hammer never hit the flow cache")
+	}
 }
 
 // FuzzFlowCacheEquivalence fuzzes the record→replay round trip: for an

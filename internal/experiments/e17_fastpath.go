@@ -75,11 +75,11 @@ func E17FastPath(seed int64) *Table {
 		m.received = f.Host("h2").Received
 		st := f.Device("sw").FlowCacheStats()
 		m.hits, m.misses = st.Hits, st.Misses
-		m.instrs = f.Metrics.Counter("flowcache.sw.replayed_instrs").Value()
-		m.lookups = f.Metrics.Counter("flowcache.sw.replayed_lookups").Value()
-		m.processed = f.Metrics.Counter("dev.sw.packets_processed").Value()
-		m.devLook = f.Metrics.Counter("dev.sw.table_lookups").Value()
-		m.dropped = f.Metrics.Counter("dev.sw.packets_dropped").Value()
+		m.instrs = f.Metrics.CounterValue("flowcache.sw.replayed_instrs")
+		m.lookups = f.Metrics.CounterValue("flowcache.sw.replayed_lookups")
+		m.processed = f.Metrics.CounterValue("dev.sw.packets_processed")
+		m.devLook = f.Metrics.CounterValue("dev.sw.table_lookups")
+		m.dropped = f.Metrics.CounterValue("dev.sw.packets_dropped")
 		return m
 	}
 

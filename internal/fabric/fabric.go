@@ -91,11 +91,12 @@ type Fabric struct {
 	// recircLimit bounds recirculation loops.
 	recircLimit int
 
-	// events counts device visits, egress transmits and host deliveries.
+	// events counts device visits, egress transmits and host deliveries,
+	// on the simulator's goroutine; the registry reads it through a view.
 	// It keeps the registry name fabric.batch.events, though nothing is
 	// batched, because benchmark/ reads netsim.events_per_pkt and the
 	// fabric.self_ns_per_hop budget row from it.
-	events *telemetry.Counter
+	events uint64
 	// ectx is the FlexBPF execution context (scratch registers, key
 	// buffer) every device visit on this fabric reuses.
 	ectx *flexbpf.ExecContext
@@ -125,7 +126,7 @@ func New(seed int64) *Fabric {
 		flowCache:   true,
 		ectx:        flexbpf.NewExecContext(),
 	}
-	f.events = f.Metrics.Counter("fabric.batch.events")
+	f.Metrics.CounterView("fabric.batch.events", func() uint64 { return f.events })
 	f.routeConverges = f.Metrics.Counter("fabric.routes.converges")
 	f.routeDests = f.Metrics.Counter("fabric.routes.recomputed_dests")
 	f.routeEntries = f.Metrics.Counter("fabric.routes.recomputed_entries")
@@ -169,7 +170,7 @@ func (f *Fabric) AddSwitchCfg(cfg dataplane.Config) *dataplane.Device {
 	f.routing.MarkDevice(cfg.Name)
 	sw := &swtch{Device: d}
 	sw.transmit = func(pkt *packet.Packet, _ int) {
-		f.events.Inc()
+		f.events++
 		node.Send(pkt, pkt.EgressPort)
 	}
 	sw.recirculate = func(pkt *packet.Packet, recirc int) {
@@ -203,7 +204,7 @@ type swtch struct {
 // either into the visit would renumber the event stream and with it
 // every seeded output.
 func (f *Fabric) deviceVisit(sw *swtch, pkt *packet.Packet, inPort, recirc int) {
-	f.events.Inc()
+	f.events++
 	d := sw.Device
 	// dRPC packets addressed to this device's control IP terminate here.
 	if inPort >= 0 && pkt.Has("drpc") {
@@ -276,7 +277,7 @@ func (f *Fabric) addHost(name string, ip uint32, routeShard int) *Host {
 	f.hosts[name] = h
 	f.hostNames = sortedInsert(f.hostNames, name)
 	node.SetHandler(func(pkt *packet.Packet, _ int) {
-		f.events.Inc()
+		f.events++
 		h.Received++
 		if h.Recv != nil {
 			h.Recv(pkt)

@@ -19,10 +19,15 @@
 //     table mutation — including bulk ReplaceAll route refreshes that do
 //     not bump the device epoch — bumps the generation and silently
 //     retires dependent entries.
-//   - Device epoch: entries record the configuration epoch they were
-//     built under, and the device wholesale-invalidates the cache at
-//     every epoch-atomic commit, so a hitless swap stays hitless and no
-//     packet is ever served a pre-swap outcome after the swap point.
+//   - Device epoch: a Cache belongs to one device configuration. The
+//     device publishes every committed configuration with a new, empty
+//     cache, so invalidation is the epoch-atomic publication itself: a
+//     packet looks up (and a miss inserts into) the cache of the
+//     configuration it was snapshotted under, and no packet arriving
+//     after a swap can reach an outcome recorded before it. The cache
+//     holds no epoch of its own and checks none; entries record theirs,
+//     and the device reports it on every hit, which is where a cache
+//     handed to the wrong configuration would show.
 //
 // Only pipelines whose static CacheProfile is cacheable (no per-flow
 // state, clocks, randomness, or header restructuring) are eligible; the
@@ -30,8 +35,6 @@
 package flowcache
 
 import (
-	"sync"
-
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/packet"
 )
@@ -61,7 +64,7 @@ type TableGen struct {
 // Entry is one recorded pipeline outcome.
 type Entry struct {
 	// Epoch is the device configuration epoch the entry was recorded
-	// under; a commit retires it.
+	// under, reported with every replay of it.
 	Epoch uint64
 	// Gens pins every applied table at its pre-run generation.
 	Gens []TableGen
@@ -88,12 +91,10 @@ type Entry struct {
 	Programs []string
 }
 
-// match reports whether pkt, at the given device epoch, still satisfies
-// every validation the entry depends on.
-func (e *Entry) match(epoch uint64, pkt *packet.Packet) bool {
-	if e.Epoch != epoch {
-		return false
-	}
+// match reports whether pkt still satisfies every validation the entry
+// depends on. The epoch is not among them: which configuration an entry
+// serves is decided by which cache it is in.
+func (e *Entry) match(pkt *packet.Packet) bool {
 	if e.CheckLen && pkt.PayloadLen != e.PayloadLen {
 		return false
 	}
@@ -120,13 +121,10 @@ func (e *Entry) match(epoch uint64, pkt *packet.Packet) bool {
 	return true
 }
 
-// stale reports whether the entry can never match again: its epoch or a
-// pinned table generation has moved on. Insert prunes stale variants so
-// churn cannot pin a flow key full of dead entries.
-func (e *Entry) stale(epoch uint64) bool {
-	if e.Epoch != epoch {
-		return true
-	}
+// stale reports whether the entry can never match again: a pinned table
+// generation has moved on. Insert prunes stale variants so churn cannot
+// pin a flow key full of dead entries.
+func (e *Entry) stale() bool {
 	for i := range e.Gens {
 		if e.Gens[i].TI.Generation() != e.Gens[i].Gen {
 			return true
@@ -149,7 +147,8 @@ func (e *Entry) Replay(pkt *packet.Packet) {
 	}
 }
 
-// Stats is a snapshot of cache activity counters.
+// Stats is a snapshot of a device's flow-cache activity counters
+// (dataplane.Device.FlowCacheStats); the cache itself keeps none.
 type Stats struct {
 	Hits          uint64
 	Misses        uint64
@@ -157,54 +156,44 @@ type Stats struct {
 	Invalidations uint64
 }
 
-// Cache is one device's flow cache. Lookups and inserts happen on the
-// device's packet path; invalidation happens at commit time. The mutex
-// makes the overlap safe when the embedding program drives the device
-// from several goroutines (tests, the -race hammer); within the
-// simulator every access is an event, so there is none.
+// Cache is the flow cache of one device configuration. It has no lock:
+// it is reached only through the configuration snapshot of the packet
+// being processed, and one goroutine at a time drives a device's packet
+// path (dataplane.Device.ProcessCtx). Reconfiguration never touches it;
+// a commit publishes a new configuration with a new Cache.
 type Cache struct {
-	mu      sync.Mutex
-	epoch   uint64
 	entries map[packet.FlowKey][]*Entry
 	n       int
-	stats   Stats
 }
 
-// New creates an empty cache accepting entries of the given epoch.
-func New(epoch uint64) *Cache {
-	return &Cache{epoch: epoch, entries: make(map[packet.FlowKey][]*Entry)}
+// New creates the empty cache of one device configuration. The epoch
+// argument names the configuration; the cache does not keep it, since
+// the configuration an entry serves is the one whose cache holds it.
+func New(_ uint64) *Cache {
+	return &Cache{entries: make(map[packet.FlowKey][]*Entry)}
 }
 
-// Lookup returns the entry matching pkt under the given key and device
-// epoch, if any, updating hit/miss statistics.
-func (c *Cache) Lookup(key packet.FlowKey, epoch uint64, pkt *packet.Packet) (*Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// Lookup returns the entry matching pkt under key, if any. The epoch
+// argument, the caller's configuration epoch, is not compared, for the
+// same reason New does not keep one: the caller reaches this cache
+// through that configuration.
+func (c *Cache) Lookup(key packet.FlowKey, _ uint64, pkt *packet.Packet) (*Entry, bool) {
 	for _, e := range c.entries[key] {
-		if e.match(epoch, pkt) {
-			c.stats.Hits++
+		if e.match(pkt) {
 			return e, true
 		}
 	}
-	c.stats.Misses++
 	return nil, false
 }
 
-// Insert records an entry under key. Entries from a superseded epoch
-// are discarded (a commit may land between the recorded run and the
-// insert when the device is driven concurrently). Stale variants of the
-// key are pruned first; the insert is skipped if live variants already
-// fill the key's budget.
-func (c *Cache) Insert(key packet.FlowKey, e *Entry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e.Epoch != c.epoch {
-		return
-	}
+// Insert records an entry under key and reports whether it landed. Stale
+// variants of the key are pruned first; the insert is skipped if live
+// variants already fill the key's budget.
+func (c *Cache) Insert(key packet.FlowKey, e *Entry) bool {
 	vars := c.entries[key]
 	live := vars[:0]
 	for _, v := range vars {
-		if v.stale(c.epoch) {
+		if v.stale() {
 			c.n--
 		} else {
 			live = append(live, v)
@@ -212,42 +201,17 @@ func (c *Cache) Insert(key packet.FlowKey, e *Entry) {
 	}
 	if len(live) >= maxVariants {
 		c.entries[key] = live
-		return
+		return false
 	}
 	if c.n >= maxEntries {
-		c.resetLocked()
+		c.entries = make(map[packet.FlowKey][]*Entry)
+		c.n = 0
 		live = nil
 	}
 	c.entries[key] = append(live, e)
 	c.n++
-	c.stats.Inserts++
-}
-
-// Invalidate wholesale-clears the cache and advances it to the new
-// configuration epoch. Devices call it from every epoch-atomic commit.
-func (c *Cache) Invalidate(epoch uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.resetLocked()
-	c.epoch = epoch
-	c.stats.Invalidations++
-}
-
-func (c *Cache) resetLocked() {
-	c.entries = make(map[packet.FlowKey][]*Entry)
-	c.n = 0
+	return true
 }
 
 // Len returns the number of cached entries.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// Stats returns a snapshot of the activity counters.
-func (c *Cache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
-}
+func (c *Cache) Len() int { return c.n }

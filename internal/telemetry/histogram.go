@@ -29,12 +29,27 @@ type Histogram struct {
 }
 
 func newHistogram(bounds []int64) *Histogram {
+	b := copyBounds(bounds)
+	return &Histogram{bounds: b, buckets: make([]atomic.Uint64, len(b)+1)}
+}
+
+// copyBounds returns a private copy of bounds, DefaultLatencyBounds when
+// bounds is empty.
+func copyBounds(bounds []int64) []int64 {
 	if len(bounds) == 0 {
 		bounds = DefaultLatencyBounds
 	}
-	b := make([]int64, len(bounds))
-	copy(b, bounds)
-	return &Histogram{bounds: b, buckets: make([]atomic.Uint64, len(b)+1)}
+	return append([]int64(nil), bounds...)
+}
+
+// bucket returns the index of the bucket v lands in: the first with
+// v <= bound, or len(bounds) for the overflow bucket.
+func bucket(bounds []int64, v int64) int {
+	i := 0
+	for i < len(bounds) && v > bounds[i] {
+		i++
+	}
+	return i
 }
 
 // Observe records one sample. No-op on a nil receiver.
@@ -42,11 +57,7 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
+	h.buckets[bucket(h.bounds, v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
 }
@@ -89,4 +100,39 @@ func (h *Histogram) snapshot(name string) HistogramSnapshot {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
 	return s
+}
+
+// LocalHistogram is a Histogram for a single writer: the same buckets in
+// plain fields, so an observation is a bucket scan and three adds with no
+// locked instruction. Its owner publishes it with Registry.HistogramView;
+// whoever reads it (Snapshot) must be serialized with the writer.
+type LocalHistogram struct {
+	bounds  []int64
+	buckets []uint64 // len(bounds)+1; last is +inf
+	count   uint64
+	sum     int64
+}
+
+// NewLocalHistogram creates a single-writer histogram with the given
+// bucket boundaries (DefaultLatencyBounds when empty).
+func NewLocalHistogram(bounds []int64) *LocalHistogram {
+	b := copyBounds(bounds)
+	return &LocalHistogram{bounds: b, buckets: make([]uint64, len(b)+1)}
+}
+
+// Observe records one sample.
+func (h *LocalHistogram) Observe(v int64) {
+	h.buckets[bucket(h.bounds, v)]++
+	h.count++
+	h.sum += v
+}
+
+func (h *LocalHistogram) snapshot(name string) HistogramSnapshot {
+	return HistogramSnapshot{
+		Name:    name,
+		Count:   h.count,
+		Sum:     h.sum,
+		Bounds:  h.bounds,
+		Buckets: append([]uint64(nil), h.buckets...),
+	}
 }

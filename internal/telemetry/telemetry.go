@@ -15,6 +15,10 @@
 // twice at the same simulator seed therefore produces byte-identical
 // telemetry — asserted by tests, and relied on by the CI bench gate.
 //
+// Besides instruments, a registry holds views: counters and histograms
+// whose values live in their owner's plain single-writer fields and are
+// read at snapshot time (CounterView, HistogramView, LocalHistogram).
+//
 // Handles are nil-safe: every method on a nil *Counter, *Gauge,
 // *Histogram, *Trace, or *Span is a no-op, so instrumented code runs
 // unchanged when no registry or tracer is configured (e.g. devices built
@@ -84,40 +88,84 @@ func (g *Gauge) Value() int64 {
 	return g.v.Load()
 }
 
-// Registry holds named instruments. Instruments are created on first
-// use and live for the registry's lifetime; lookups after creation are
-// lock-free on the instrument itself (callers should resolve handles
-// once and reuse them on hot paths).
+// Registry holds named counters, gauges and histograms. Each counter or
+// histogram name is one of two kinds, fixed by whoever registers it
+// first:
+//
+//   - an instrument, created on first use by Counter / Histogram and
+//     updated with atomics afterwards, so any goroutine may bump it
+//     (callers should resolve handles once and reuse them on hot paths);
+//   - a view (CounterView / HistogramView), whose value lives in its
+//     owner's plain fields and is read by a function at Snapshot and
+//     CounterValue time. Views are how a single-writer packet path
+//     publishes counts without a locked instruction per packet; reading
+//     one must be serialized with its owner's writer (DESIGN.md §6).
+//
+// Asking for a name as the other kind panics: a Counter handle for a
+// view name would be a silent zero shadow of the real count.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
+	counters map[string]counterSource
 	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	hists    map[string]histSource
+}
+
+// counterSource is a counter's value behind a name: a *Counter or a view.
+type counterSource interface{ Value() uint64 }
+
+// counterView adapts a view's read function to counterSource.
+type counterView func() uint64
+
+func (v counterView) Value() uint64 { return v() }
+
+// histSource is a histogram's state behind a name: a *Histogram or a
+// *LocalHistogram view.
+type histSource interface {
+	snapshot(name string) HistogramSnapshot
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters: map[string]*Counter{},
+		counters: map[string]counterSource{},
 		gauges:   map[string]*Gauge{},
-		hists:    map[string]*Histogram{},
+		hists:    map[string]histSource{},
 	}
 }
 
 // Counter returns the named counter, creating it if needed. Returns nil
-// (a no-op handle) on a nil registry.
+// (a no-op handle) on a nil registry. Panics if name is a view.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
+	switch c := r.counters[name].(type) {
+	case *Counter:
+		return c
+	case nil:
+		nc := &Counter{}
+		r.counters[name] = nc
+		return nc
+	default:
+		panic(fmt.Sprintf("telemetry: counter %q is a view", name))
 	}
-	return c
+}
+
+// CounterView registers name as a counter whose value read returns at
+// Snapshot and CounterValue time. No-op on a nil registry. Panics if the
+// name is already registered, as an instrument or as a view.
+func (r *Registry) CounterView(name string, read func() uint64) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.counters[name] != nil {
+		panic(fmt.Sprintf("telemetry: counter %q is already registered", name))
+	}
+	r.counters[name] = counterView(read)
 }
 
 // Gauge returns the named gauge, creating it if needed. Returns nil on a
@@ -139,30 +187,52 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the named histogram, creating it with the given
 // bucket boundaries if needed. Boundaries are fixed at creation; later
 // calls reuse the existing instrument regardless of bounds. Returns nil
-// on a nil registry.
+// on a nil registry. Panics if name is a view.
 func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = newHistogram(bounds)
-		r.hists[name] = h
+	switch h := r.hists[name].(type) {
+	case *Histogram:
+		return h
+	case nil:
+		nh := newHistogram(bounds)
+		r.hists[name] = nh
+		return nh
+	default:
+		panic(fmt.Sprintf("telemetry: histogram %q is a view", name))
 	}
-	return h
 }
 
-// CounterValue reads a counter by name without creating it.
+// HistogramView registers name as a histogram whose state is read from h
+// at Snapshot time. No-op on a nil registry. Panics if the name is
+// already registered, as an instrument or as a view.
+func (r *Registry) HistogramView(name string, h *LocalHistogram) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.hists[name] != nil {
+		panic(fmt.Sprintf("telemetry: histogram %q is already registered", name))
+	}
+	r.hists[name] = h
+}
+
+// CounterValue reads a counter or counter view by name without creating
+// it.
 func (r *Registry) CounterValue(name string) uint64 {
 	if r == nil {
 		return 0
 	}
 	r.mu.Lock()
-	c := r.counters[name]
-	r.mu.Unlock()
-	return c.Value()
+	defer r.mu.Unlock()
+	if c := r.counters[name]; c != nil {
+		return c.Value()
+	}
+	return 0
 }
 
 // GaugeValue reads a gauge by name without creating it.
@@ -191,7 +261,8 @@ type Snapshot struct {
 
 // Snapshot copies the registry's current state in deterministic
 // (sorted-name) order. Safe to call concurrently with instrument
-// updates; each instrument is read atomically.
+// updates, each of which is read atomically; views are read by their
+// functions, under the contract of their owners (see Registry).
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {

@@ -143,3 +143,62 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*iters)
 	}
 }
+
+// TestViewsRenderLikeInstruments: a counter view and a histogram view
+// sort in among instruments and render exactly as instruments holding
+// the same values would, and CounterValue reads a view by name.
+func TestViewsRenderLikeInstruments(t *testing.T) {
+	var pkts uint64
+	lat := NewLocalHistogram([]int64{10, 100})
+	views := NewRegistry()
+	views.Counter("a.first").Add(1)
+	views.CounterView("m.pkts", func() uint64 { return pkts })
+	views.Counter("z.last").Add(3)
+	views.HistogramView("lat", lat)
+
+	insts := NewRegistry()
+	insts.Counter("a.first").Add(1)
+	insts.Counter("z.last").Add(3)
+	for _, v := range []int64{5, 50, 500} {
+		pkts++
+		lat.Observe(v)
+		insts.Counter("m.pkts").Inc()
+		insts.Histogram("lat", []int64{10, 100}).Observe(v)
+	}
+	if got, want := views.Snapshot().Format(), insts.Snapshot().Format(); got != want {
+		t.Fatalf("views render differently from instruments:\n%s\nvs\n%s", got, want)
+	}
+	if got := views.CounterValue("m.pkts"); got != 3 {
+		t.Fatalf("CounterValue of a view = %d, want 3", got)
+	}
+	var nilReg *Registry
+	nilReg.CounterView("x", func() uint64 { return 1 })
+	nilReg.HistogramView("y", lat)
+}
+
+// TestViewNameClashPanics: a name is an instrument or a view, never both,
+// and never two views.
+func TestViewNameClashPanics(t *testing.T) {
+	read := func() uint64 { return 0 }
+	cases := map[string]func(r *Registry){
+		"Counter on a view":        func(r *Registry) { r.CounterView("n", read); r.Counter("n") },
+		"CounterView on a counter": func(r *Registry) { r.Counter("n"); r.CounterView("n", read) },
+		"CounterView twice":        func(r *Registry) { r.CounterView("n", read); r.CounterView("n", read) },
+		"Histogram on a view":      func(r *Registry) { r.HistogramView("n", NewLocalHistogram(nil)); r.Histogram("n", nil) },
+		"HistogramView on one":     func(r *Registry) { r.Histogram("n", nil); r.HistogramView("n", NewLocalHistogram(nil)) },
+		"HistogramView twice": func(r *Registry) {
+			r.HistogramView("n", NewLocalHistogram(nil))
+			r.HistogramView("n", NewLocalHistogram(nil))
+		},
+	}
+	for name, register := range cases {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			register(NewRegistry())
+		})
+	}
+}
