@@ -129,8 +129,6 @@ type (
 	Source = netsim.Source
 	// MigrationReport describes a completed state migration.
 	MigrationReport = migrate.Report
-	// ReconfigResult describes a completed device reconfiguration.
-	ReconfigResult = runtime.Result
 	// App is a managed application.
 	App = controller.App
 	// Tenant is an admitted tenant.
@@ -353,7 +351,7 @@ func (b *Builder) MustBuild() *Network {
 	return n
 }
 
-// Network is a running FlexNet deployment: topology + runtime engine +
+// Network is a running FlexNet deployment: topology + plan executor +
 // controller.
 type Network struct {
 	fab *fabric.Fabric
@@ -364,7 +362,7 @@ type Network struct {
 // Controller returns the app-level controller.
 func (n *Network) Controller() *controller.Controller { return n.ctl }
 
-// Engine returns the runtime reconfiguration engine.
+// Engine returns the reconfiguration cost model the executor prices plans with.
 func (n *Network) Engine() *runtime.Engine { return n.eng }
 
 // Fabric returns the underlying fabric (advanced use).

@@ -18,8 +18,8 @@
 //     emulation overhead (extra lookups/latency) and the emulator's
 //     tables are heavily over-provisioned.
 //
-//   - Static recompile: the plain compile-time baseline (drain → reflash
-//     → redeploy) lives in internal/runtime.ApplyCompileTime.
+//   - StaticRecompile: the plain compile-time baseline (drain → reflash
+//     → redeploy), priced by the runtime cost model's DrainLead and Reflash.
 //
 // DESIGN.md §3 (E4) measures these baselines against runtime deployment.
 package baselines
@@ -31,6 +31,7 @@ import (
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
+	"flexnet/internal/runtime"
 )
 
 // MantisMuxMap is the control-register map that selects the active app.
@@ -208,6 +209,22 @@ func (h *Hyper4) Process(pkt *packet.Packet) dataplane.ProcStats {
 	// Emulation also adds fixed indirection stages per packet.
 	st.LatencyNs += uint64(h.Factor) * h.dev.Perf().PerLookupNs * 2
 	return st
+}
+
+// StaticRecompile performs the pre-FlexNet operational procedure the
+// paper describes (§1): "devices that need to be 'repurposed' are first
+// isolated by management operations (e.g., draining traffic),
+// reconfigured with a different program, before they are redeployed."
+// The device drains — dropping every arriving packet — for the cost
+// model's DrainLead+Reflash of simulated time, then prog is installed and
+// the device rejoins. done receives the install's error at redeploy.
+func StaticRecompile(sim *netsim.Sim, dev *dataplane.Device, costs runtime.Costs, prog *flexbpf.Program, done func(error)) {
+	dev.SetDraining(true)
+	sim.After(costs.DrainLead+costs.Reflash, func() {
+		err := dev.InstallProgram(prog)
+		dev.SetDraining(false)
+		done(err)
+	})
 }
 
 // ApproachComparison summarizes a dynamic-app scenario outcome for one

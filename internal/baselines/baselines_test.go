@@ -7,9 +7,11 @@ import (
 
 	"flexnet/internal/apps"
 	"flexnet/internal/dataplane"
+	"flexnet/internal/fabric"
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
+	"flexnet/internal/runtime"
 )
 
 func candidateSet() []*flexbpf.Program {
@@ -144,5 +146,62 @@ func TestHyper4LoadAndOverhead(t *testing.T) {
 	}
 	if err := h.Unload("sd"); err == nil {
 		t.Fatal("double unload succeeded")
+	}
+}
+
+func TestCompileTimeChangeDropsTraffic(t *testing.T) {
+	// The baseline: drain → reflash → redeploy loses every packet that
+	// arrives during the outage window.
+	f := fabric.New(1)
+	f.AddSwitch("sw1", dataplane.ArchDRMT)
+	h1 := f.AddHost("h1", packet.IP(10, 0, 0, 1))
+	f.AddHost("h2", packet.IP(10, 0, 0, 2))
+	f.Connect("h1", "sw1", netsim.DefaultLink())
+	f.Connect("sw1", "h2", netsim.DefaultLink())
+	if err := f.InstallBaseRouting(); err != nil {
+		t.Fatal(err)
+	}
+	src := h1.NewSource(netsim.FlowSpec{
+		Dst: packet.IP(10, 0, 0, 2), Proto: packet.ProtoUDP,
+		SrcPort: 1000, DstPort: 2000, PacketLen: 500,
+	})
+	src.StartCBR(10000)
+	costs := runtime.DefaultCosts()
+	dev := f.Device("sw1")
+
+	var latency netsim.Time
+	redeployed := false
+	var err error
+	f.Sim.At(50*time.Millisecond, func() {
+		start := f.Sim.Now()
+		StaticRecompile(f.Sim, dev, costs, apps.SYNDefense("sd", 128, 3), func(e error) {
+			latency, redeployed, err = f.Sim.Now()-start, true, e
+		})
+		if !dev.Draining() {
+			t.Error("baseline did not drain")
+		}
+	})
+	f.Sim.RunUntil(11 * time.Second)
+	src.Stop()
+	f.Sim.RunFor(10 * time.Millisecond)
+
+	if !redeployed || err != nil {
+		t.Fatalf("baseline change did not redeploy: %v", err)
+	}
+	if dev.Draining() || dev.Instance("sd") == nil {
+		t.Fatal("device not redeployed with the new program")
+	}
+	outage := costs.DrainLead + costs.Reflash
+	if latency < outage {
+		t.Fatalf("baseline latency %v < outage %v", latency, outage)
+	}
+	drops := dev.Stats().DrainDrops
+	if drops == 0 {
+		t.Fatal("baseline lost no packets — drain not modelled")
+	}
+	// Expected drops ≈ rate × outage.
+	expected := uint64(10000 * outage.Seconds())
+	if drops < expected*8/10 || drops > expected*12/10 {
+		t.Fatalf("drain drops = %d, expected ≈ %d", drops, expected)
 	}
 }

@@ -17,7 +17,7 @@
 //     devices (§3.3 "performance and energy optimizations", [57]).
 //
 // The compiler is pure: it plans against Target views and never touches
-// devices; the controller applies plans through the runtime engine.
+// devices; the controller applies plans through the runtime executor.
 //
 // DESIGN.md §2 (S7) and §4 record the placement model and its design decisions; §3 (E8, E9, E10, E13) lists the compiler experiments.
 package compiler

@@ -8,9 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"flexnet/internal/compiler"
 	"flexnet/internal/errdefs"
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/flexbpf/delta"
+	"flexnet/internal/plan"
 )
 
 // mapSeg builds a one-map segment whose only demand knob is the map's
@@ -140,6 +142,46 @@ func TestRedeploySwapsChangedSegmentInPlace(t *testing.T) {
 	}
 	if got := inst.Program().Maps[0].MaxEntries; got != 256 {
 		t.Fatalf("map size = %d, want 256", got)
+	}
+}
+
+// TestRedeployCatchesComputeOnlyChange: a new version that changes only
+// an immediate inside an inline do block — same length, same tables and
+// maps — is still a changed segment. flexbpf.Dump prints such a block as
+// "do {N instrs}", so comparing dumps planned zero steps and the old
+// program kept running; the plan must swap it and the device must run
+// the new version.
+func TestRedeployCatchesComputeOnlyChange(t *testing.T) {
+	f, c := testbed(t)
+	stamp := func(v uint64) *flexbpf.Program {
+		return flexbpf.NewProgram("stamp").
+			Do(flexbpf.NewAsm().MovImm(0, v).StField("meta.ver", 0).Ret().MustBuild()).
+			MustBuild()
+	}
+	uri := "flexnet://infra/stamp"
+	deploy(t, f, c, uri, &flexbpf.Datapath{Name: "stamp", Segments: []*flexbpf.Program{stamp(1)}},
+		DeployOptions{Path: []string{"s1"}})
+
+	newDP := &flexbpf.Datapath{Name: "stamp", Segments: []*flexbpf.Program{stamp(2)}}
+	cp, _, err := c.PlanRedeploy(uri, newDP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cp.Steps) != 1 || cp.Steps[0].Op != plan.OpSwapProgram || cp.Steps[0].Device != "s1" {
+		t.Fatalf("redeploy plan = %v, want one swap on s1", cp.Steps)
+	}
+	done := false
+	c.Redeploy(context.Background(), uri, newDP, func(e error) { err, done = e, true })
+	f.Sim.RunFor(2 * time.Second)
+	if !done || err != nil {
+		t.Fatalf("redeploy: %v (done=%v)", err, done)
+	}
+	inst := f.Device("s1").Instance(uri + "#stamp")
+	if inst == nil {
+		t.Fatal("instance missing after redeploy")
+	}
+	if compiler.Fingerprint(inst.Program()) != compiler.Fingerprint(stamp(2)) {
+		t.Fatalf("s1 still runs the old version:\n%s", flexbpf.Disasm(inst.Program().Pipeline[0].Do))
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 	"flexnet/internal/fabric"
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
-	"flexnet/internal/runtime"
+	"flexnet/internal/plan"
 )
 
 // ProbeReport is the outcome of a transient path diagnosis.
@@ -35,14 +35,18 @@ const probePort = 65001
 // ... do not have a persistent footprint inside the network, but are
 // injected in real-time for maintenance tasks and removed soon after"):
 //
-//  1. An INT-stamping telemetry program is installed at runtime on every
-//     device of the path (hitless, simultaneous commit).
+//  1. An inject plan installs an INT-stamping telemetry program on every
+//     device of the path; all of them commit at one simulated instant.
 //  2. One probe packet is sent from srcHost toward dstIP; the
 //     destination host reports its accumulated telemetry.
-//  3. The programs are removed in one more runtime change. Device
-//     resources after CleanedAt are bit-identical to before InjectedAt.
+//  3. A clean-up plan removes the programs. Device resources after
+//     CleanedAt are bit-identical to before InjectedAt.
 //
-// done receives the report once cleanup commits.
+// Both plans carry Origin "probe" and run through the controller's
+// executor like every other change: they wait for conflicting plans,
+// leave audit records, and roll back on failure. An inject that fails
+// installs nothing and ends the probe with its error. done receives the
+// report once clean-up finishes.
 func (c *Controller) Probe(srcHost string, dstIP uint32, path []string, done func(ProbeReport)) {
 	rep := ProbeReport{InjectedAt: c.fab.Sim.Now()}
 	fail := func(err error) {
@@ -59,40 +63,37 @@ func (c *Controller) Probe(srcHost string, dstIP uint32, path []string, done fun
 		fail(fmt.Errorf("controller: no host with IP %#x to terminate the probe", dstIP))
 		return
 	}
-	for _, dev := range path {
-		if c.fab.Device(dev) == nil {
-			fail(fmt.Errorf("controller: no device %q on probe path", dev))
-			return
-		}
-	}
 
 	progName := func(dev string) string { return "_probe." + dev }
+	label := fmt.Sprintf("probe %s -> %s", srcHost, dst.Name)
 	cleanup := func() {
-		rc := &runtime.NetworkChange{Mode: runtime.ConsistencySimultaneous}
+		cp := plan.New(label + " clean-up")
+		cp.Origin = "probe"
+		// Like an app removal, a probe on a device that died since the
+		// inject is gone with it: skip the device rather than strand the
+		// probe programs on the others.
+		cp.AllowDegraded = true
 		for _, dev := range path {
-			rc.Changes = append(rc.Changes, &runtime.Change{
-				Device:  c.fab.Device(dev),
-				Removes: []string{progName(dev)},
-			})
+			cp.Remove(dev, progName(dev))
 		}
-		c.eng.ApplyNetworkRuntime(rc, func(netsim.Time, []error) {
+		c.exec.Execute(cp, func(r *plan.Report) {
 			rep.CleanedAt = c.fab.Sim.Now()
+			if rep.Err == nil {
+				rep.Err = r.Err
+			}
 			done(rep)
 		})
 	}
 
 	// 1. Inject the telemetry utility on every path device at once.
-	nc := &runtime.NetworkChange{Mode: runtime.ConsistencySimultaneous}
+	inject := plan.New(label + " inject")
+	inject.Origin = "probe"
 	for i, dev := range path {
-		prog := apps.INTTelemetry(progName(dev), uint64(i+1))
-		nc.Changes = append(nc.Changes, &runtime.Change{
-			Device:   c.fab.Device(dev),
-			Installs: []runtime.Install{{Program: prog}},
-		})
+		inject.Install(dev, progName(dev), apps.INTTelemetry(progName(dev), uint64(i+1)), nil, 0)
 	}
-	c.eng.ApplyNetworkRuntime(nc, func(total netsim.Time, errs []error) {
-		if len(errs) > 0 {
-			fail(errs[0])
+	c.exec.Execute(inject, func(r *plan.Report) {
+		if r.Err != nil {
+			fail(r.Err)
 			return
 		}
 		// 2. Intercept the probe at the destination.

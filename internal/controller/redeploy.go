@@ -115,16 +115,15 @@ func (c *Controller) PlanRedeploy(uri string, newDP *flexbpf.Datapath) (*plan.Ch
 	if err != nil {
 		return nil, nil, err
 	}
-	oldSeg := map[string]*flexbpf.Program{}
-	for _, s := range app.Datapath.Segments {
-		oldSeg[s.Name] = s
-	}
+	// A segment changed unless its live fingerprint (remembered, see
+	// liveFP) equals the new program's. Fingerprint disassembles inline
+	// do blocks, which Dump summarises as "do {N instrs}".
 	changed := func(name string) bool {
-		o, n := oldSeg[name], newDP.Segment(name)
-		if o == nil || n == nil {
+		n := newDP.Segment(name)
+		if app.Datapath.Segment(name) == nil || n == nil {
 			return true
 		}
-		return flexbpf.Dump(o) != flexbpf.Dump(n)
+		return c.liveFP(app, name) != compiler.Fingerprint(n)
 	}
 	filter := c.tenantFilter(app.Tenant)
 	cp := plan.New("redeploy " + uri)

@@ -24,8 +24,8 @@ const (
 	ServiceRegistry uint64 = 1
 	// ServicePing is a liveness echo.
 	ServicePing uint64 = 2
-	// ServiceStatePush receives logical state chunks (migration,
-	// replication).
+	// ServiceStatePush receives logical state chunks (data-plane
+	// migration).
 	ServiceStatePush uint64 = 3
 	// ServiceTelemetry reads counters remotely.
 	ServiceTelemetry uint64 = 4

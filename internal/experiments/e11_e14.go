@@ -12,12 +12,14 @@ import (
 	"flexnet/internal/migrate"
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
+	"flexnet/internal/plan"
 	"flexnet/internal/runtime"
 )
 
 // migrationBed builds h1 — s1 — s2 — h2 with dRPC and a heavy-hitter
-// monitor on s1 (first in chain).
-func migrationBed(seed int64) (*fabric.Fabric, *migrate.Migrator, *netsim.Source) {
+// monitor on s1 (first in chain), plus a plan executor whose state mover
+// is the returned Migrator.
+func migrationBed(seed int64) (*fabric.Fabric, *runtime.Executor, *migrate.Migrator, *netsim.Source) {
 	f := fabric.New(seed)
 	f.AddSwitch("s1", dataplane.ArchDRMT)
 	f.AddSwitch("s2", dataplane.ArchDRMT)
@@ -47,7 +49,7 @@ func migrationBed(seed int64) (*fabric.Fabric, *migrate.Migrator, *netsim.Source
 		Dst: packet.IP(10, 0, 0, 2), Proto: packet.ProtoTCP,
 		SrcPort: 1111, DstPort: 80, PacketLen: 200,
 	})
-	return f, m, src
+	return f, runtime.NewExecutor(eng, f.Device, m, nil), m, src
 }
 
 // E11StateMigration sweeps traffic rate and compares data-plane
@@ -61,28 +63,32 @@ func E11StateMigration(seed int64) *Table {
 	}
 	for _, pps := range []float64{10000, 50000, 200000} {
 		for _, dp := range []bool{false, true} {
-			f, m, src := migrationBed(seed)
+			f, x, m, src := migrationBed(seed)
 			src.StartCBR(pps)
-			var rep migrate.Report
+			// The migration is one plan: install mon on s2, then move its
+			// state; its time runs from submission to the mover's Done.
+			var started netsim.Time
+			var planErr error
 			f.Sim.At(50*time.Millisecond, func() {
-				if dp {
-					m.DataPlane("mon", "s1", "s2", func(r migrate.Report) { rep = r })
-				} else {
-					m.ControlPlane("mon", "s1", "s2", func(r migrate.Report) { rep = r })
-				}
+				started = f.Sim.Now()
+				p := plan.New("migrate mon").
+					Install("s2", "mon", f.Device("s1").Instance("mon").Program(), nil, 0).
+					MigrateState("mon", "s1", "s2", dp)
+				x.Execute(p, func(r *plan.Report) { planErr = r.Err })
 			})
 			f.Sim.RunUntil(time.Second)
 			src.Stop()
 			f.Sim.RunFor(20 * time.Millisecond)
-			if rep.Err != nil {
-				panic(rep.Err)
+			if planErr != nil {
+				panic(planErr)
 			}
+			rep := m.LastReport()
 			method := "control-plane copy"
 			if dp {
 				method = "data-plane (dRPC)"
 			}
 			t.Rows = append(t.Rows, []string{
-				f2(pps), method, ns(uint64(rep.Done - rep.Started)),
+				f2(pps), method, ns(uint64(rep.Done - started)),
 				di(rep.ChunksSent), d(rep.UpdatesDuringMigration), d(rep.LostUpdates),
 			})
 		}

@@ -11,6 +11,7 @@ import (
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
+	"flexnet/internal/plan"
 	"flexnet/internal/runtime"
 )
 
@@ -30,6 +31,38 @@ func lineFabric(seed int64, arch dataplane.Arch) (*fabric.Fabric, *netsim.Source
 		SrcPort: 1000, DstPort: 2000, PacketLen: 400,
 	})
 	return f, src
+}
+
+// newExecutor returns a plan executor over f at the default costs: the
+// one pipeline every runtime change in these experiments rides.
+func newExecutor(f *fabric.Fabric) *runtime.Executor {
+	return runtime.NewExecutor(runtime.NewEngine(f.Sim, runtime.DefaultCosts()), f.Device, nil, nil)
+}
+
+// installPlan is a one-device plan installing prog under its own name.
+func installPlan(dev string, prog *flexbpf.Program) *plan.ChangePlan {
+	return plan.New("install "+prog.Name).Install(dev, prog.Name, prog, nil, 0)
+}
+
+// committed returns a plan's submission-to-commit time, panicking if the
+// plan did not commit.
+func committed(r *plan.Report) netsim.Time {
+	if r.Err != nil {
+		panic(r.Err)
+	}
+	return r.Actual
+}
+
+// staticRecompile runs the compile-time baseline on lineFabric's switch,
+// storing the outage (drain → reflash → redeploy) in *lat.
+func staticRecompile(f *fabric.Fabric, prog *flexbpf.Program, lat *netsim.Time) {
+	start := f.Sim.Now()
+	baselines.StaticRecompile(f.Sim, f.Device("sw"), runtime.DefaultCosts(), prog, func(err error) {
+		if err != nil {
+			panic(err)
+		}
+		*lat = f.Sim.Now() - start
+	})
 }
 
 func aclExtension(name string) *flexbpf.Program {
@@ -58,25 +91,19 @@ func E1Hitless(seed int64) *Table {
 	const pps = 20000
 	run := func(runtimeMode bool) (lat netsim.Time, sent, lost uint64) {
 		f, src := lineFabric(seed, dataplane.ArchDRMT)
-		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
 		src.StartCBR(pps)
-		var res runtime.Result
 		f.Sim.At(100*time.Millisecond, func() {
-			ch := &runtime.Change{
-				Device:   f.Device("sw"),
-				Installs: []runtime.Install{{Program: aclExtension("acl")}},
-			}
 			if runtimeMode {
-				eng.ApplyRuntime(ch, func(r runtime.Result) { res = r })
+				newExecutor(f).Execute(installPlan("sw", aclExtension("acl")), func(r *plan.Report) { lat = committed(r) })
 			} else {
-				eng.ApplyCompileTime(ch, func(r runtime.Result) { res = r })
+				staticRecompile(f, aclExtension("acl"), &lat)
 			}
 		})
 		f.Sim.RunUntil(12 * time.Second)
 		src.Stop()
 		f.Sim.RunFor(50 * time.Millisecond)
 		lost = src.Sent - f.Host("h2").Received
-		return res.Latency, src.Sent, lost
+		return lat, src.Sent, lost
 	}
 	rtLat, rtSent, rtLost := run(true)
 	ctLat, ctSent, ctLost := run(false)
@@ -98,46 +125,22 @@ func E2ReconfigLatency(seed int64) *Table {
 		Claim:   "\"Program changes complete within a second\" (§2)",
 		Columns: []string{"tables changed", "parser ops", "entry ops", "latency", "< 1s"},
 	}
+	// A change's latency is what the executor's cost model charges for it.
+	eng := runtime.NewEngine(netsim.New(seed), runtime.DefaultCosts())
 	maxLat := netsim.Time(0)
 	for _, tc := range []struct{ tables, parser, entries int }{
 		{1, 0, 0}, {2, 0, 16}, {4, 0, 64}, {8, 2, 256}, {16, 4, 1024}, {32, 4, 4096},
 	} {
-		f, _ := lineFabric(seed, dataplane.ArchDRMT)
-		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-		b := flexbpf.NewProgram("big").
-			Action("deny", 0, flexbpf.NewAsm().Drop().MustBuild())
-		for i := 0; i < tc.tables; i++ {
-			name := fmt.Sprintf("t%02d", i)
-			b.Table(&flexbpf.TableSpec{
-				Name:    name,
-				Keys:    []flexbpf.TableKey{{Field: "ipv4.dst", Kind: flexbpf.MatchExact, Bits: 32}},
-				Actions: []string{"deny"},
-				Size:    256,
-			}).Apply(name)
-		}
-		prog := b.MustBuild()
-		ch := &runtime.Change{Device: f.Device("sw"), Installs: []runtime.Install{{Program: prog}}}
-		for i := 0; i < tc.entries; i++ {
-			ch.Entries = append(ch.Entries, runtime.EntryOp{
-				Program: "big", Table: "t00",
-				Insert: flexbpf.ExactEntry("deny", nil, uint64(i)),
-			})
-		}
-		for i := 0; i < tc.parser; i++ {
-			ch.ParserOps = append(ch.ParserOps, func(g *packet.ParseGraph) error { return nil })
-		}
-		var res runtime.Result
-		eng.ApplyRuntime(ch, func(r runtime.Result) { res = r })
-		f.Sim.RunFor(5 * time.Second)
-		if res.Latency > maxLat {
-			maxLat = res.Latency
+		lat := eng.EstimateOps(tc.tables, 0, tc.parser, tc.entries)
+		if lat > maxLat {
+			maxLat = lat
 		}
 		ok := "yes"
-		if res.Latency >= time.Second {
+		if lat >= time.Second {
 			ok = "NO"
 		}
 		t.Rows = append(t.Rows, []string{
-			di(tc.tables), di(tc.parser), di(tc.entries), ns(uint64(res.Latency)), ok,
+			di(tc.tables), di(tc.parser), di(tc.entries), ns(uint64(lat)), ok,
 		})
 	}
 	t.Finding = fmt.Sprintf("worst observed change latency %s — all changes complete within the paper's one-second bound", ns(uint64(maxLat)))
@@ -284,18 +287,16 @@ func E4DynamicApps(seed int64) *Table {
 	// FlexNet runtime deploy.
 	{
 		f, src := lineFabric(seed, dataplane.ArchDRMT)
-		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
 		src.StartCBR(pps)
-		var res runtime.Result
+		var lat netsim.Time
 		f.Sim.At(50*time.Millisecond, func() {
-			eng.ApplyRuntime(&runtime.Change{Device: f.Device("sw"),
-				Installs: []runtime.Install{{Program: target()}}}, func(r runtime.Result) { res = r })
+			newExecutor(f).Execute(installPlan("sw", target()), func(r *plan.Report) { lat = committed(r) })
 		})
 		f.Sim.RunUntil(2 * time.Second)
 		src.Stop()
 		f.Sim.RunFor(20 * time.Millisecond)
 		lost := src.Sent - f.Host("h2").Received
-		rows = append(rows, []string{"FlexNet runtime", ns(uint64(res.Latency)), d(lost),
+		rows = append(rows, []string{"FlexNet runtime", ns(uint64(lat)), d(lost),
 			di(f.Device("sw").InstalledDemand().SRAMBits), di(probe(f.Device("sw"))), "yes"})
 	}
 	// Mantis.
@@ -340,18 +341,14 @@ func E4DynamicApps(seed int64) *Table {
 	// Static recompile.
 	{
 		f, src := lineFabric(seed, dataplane.ArchDRMT)
-		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
 		src.StartCBR(pps)
-		var res runtime.Result
-		f.Sim.At(50*time.Millisecond, func() {
-			eng.ApplyCompileTime(&runtime.Change{Device: f.Device("sw"),
-				Installs: []runtime.Install{{Program: target()}}}, func(r runtime.Result) { res = r })
-		})
+		var lat netsim.Time
+		f.Sim.At(50*time.Millisecond, func() { staticRecompile(f, target(), &lat) })
 		f.Sim.RunUntil(15 * time.Second)
 		src.Stop()
 		f.Sim.RunFor(20 * time.Millisecond)
 		lost := src.Sent - f.Host("h2").Received
-		rows = append(rows, []string{"static recompile", ns(uint64(res.Latency)), d(lost),
+		rows = append(rows, []string{"static recompile", ns(uint64(lat)), d(lost),
 			di(f.Device("sw").InstalledDemand().SRAMBits), di(probe(f.Device("sw"))), "yes (with outage)"})
 	}
 	t.Rows = rows

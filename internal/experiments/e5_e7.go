@@ -13,6 +13,7 @@ import (
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
+	"flexnet/internal/plan"
 	"flexnet/internal/runtime"
 	"flexnet/internal/transport"
 )
@@ -53,7 +54,7 @@ func E5SecurityElastic(seed int64) *Table {
 		if err := f.InstallBaseRouting(); err != nil {
 			panic(err)
 		}
-		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
+		x := newExecutor(f)
 
 		var o outcome
 		// Victim-side SYN rate sensing.
@@ -104,22 +105,16 @@ func E5SecurityElastic(seed int64) *Table {
 				case !deployed && rate > detectHi:
 					deployed = true
 					deployedAt = f.Sim.Now()
-					eng.ApplyRuntime(&runtime.Change{
-						Device:   f.Device("ingress"),
-						Installs: []runtime.Install{{Program: defense()}},
-					}, func(r runtime.Result) {
-						if o.mitigatedAt == 0 {
-							o.mitigatedAt = r.Committed
+					x.Execute(installPlan("ingress", defense()), func(r *plan.Report) {
+						if r.Err == nil && o.mitigatedAt == 0 {
+							o.mitigatedAt = f.Sim.Now()
 						}
 					})
 				case deployed && rate < detectLo && f.Sim.Now()-deployedAt > 200*time.Millisecond:
 					deployed = false
 					lastDrops = 0
 					o.uptime += f.Sim.Now() - deployedAt
-					eng.ApplyRuntime(&runtime.Change{
-						Device:  f.Device("ingress"),
-						Removes: []string{"def"},
-					}, nil)
+					x.Execute(plan.New("remove def").Remove("ingress", "def"), nil)
 				}
 			})
 		}

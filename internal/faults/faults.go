@@ -1,12 +1,12 @@
 // Package faults is FlexNet's deterministic fault plane (DESIGN.md §10):
 // a seeded, schedule-driven injector that drives device crashes, link
 // failures and flaps, network partitions, dRPC message loss/delay/
-// duplication, and controller-replica crashes through the simulator's
-// event queue. Schedules are plain JSON (see Parse) so the same fault
-// scenario can be replayed from flexbench, flexnetd, or a test; at a
-// fixed seed the whole run — injections, retries, recoveries,
-// telemetry — is byte-identical, which is what makes chaos testing
-// assertable in CI rather than merely suggestive.
+// duplication, and HA leader kills through the simulator's event queue.
+// Schedules are plain JSON (see Parse) so the same fault scenario can be
+// replayed from flexbench, flexnetd, or a test; at a fixed seed the
+// whole run — injections, retries, recoveries, telemetry — is
+// byte-identical, which is what makes chaos testing assertable in CI
+// rather than merely suggestive.
 package faults
 
 import (
@@ -16,7 +16,6 @@ import (
 	"sort"
 	"strings"
 
-	"flexnet/internal/controller/cluster"
 	"flexnet/internal/drpc"
 	"flexnet/internal/fabric"
 	"flexnet/internal/netsim"
@@ -50,10 +49,6 @@ const (
 	// KindDRPCDup duplicates transmitted dRPC packets with probability
 	// Prob during the window. Target: device name or "*".
 	KindDRPCDup Kind = "drpc-dup"
-	// KindControllerCrash kills controller replica Target (an integer
-	// index) and revives it after DurationNs (never, if zero). Requires
-	// BindCluster.
-	KindControllerCrash Kind = "controller-crash"
 	// KindLeaderKill crashes whichever HA controller replica is serving
 	// as the active leader, forcing a failover through the standbys
 	// (DESIGN.md §15.5). The killed replica is revived as a standby
@@ -63,15 +58,14 @@ const (
 )
 
 var validKinds = map[Kind]bool{
-	KindDeviceCrash:     true,
-	KindLinkDown:        true,
-	KindLinkFlap:        true,
-	KindPartition:       true,
-	KindDRPCDrop:        true,
-	KindDRPCDelay:       true,
-	KindDRPCDup:         true,
-	KindControllerCrash: true,
-	KindLeaderKill:      true,
+	KindDeviceCrash: true,
+	KindLinkDown:    true,
+	KindLinkFlap:    true,
+	KindPartition:   true,
+	KindDRPCDrop:    true,
+	KindDRPCDelay:   true,
+	KindDRPCDup:     true,
+	KindLeaderKill:  true,
 }
 
 // Event is one scheduled fault.
@@ -82,8 +76,8 @@ type Event struct {
 	At uint64 `json:"at_ns"`
 	// Kind selects the fault class.
 	Kind Kind `json:"kind"`
-	// Target is kind-specific: a device, "a-b" link, node, router ("*"
-	// = all), or controller replica index.
+	// Target is kind-specific: a device, "a-b" link, node, or router
+	// ("*" = all).
 	Target string `json:"target,omitempty"`
 	// DurationNs is how long the fault lasts (kind-specific default).
 	DurationNs uint64 `json:"duration_ns,omitempty"`
@@ -140,13 +134,12 @@ type HAPlane interface {
 }
 
 // Plane injects faults into one fabric. Create with New, optionally
-// BindCluster for controller-crash events, then Apply schedules. All
+// BindHA for leader-kill events, then Apply schedules. All
 // injections run on the simulator's event loop; the plane's own rng
 // drives the message-fault coin flips, so runs are reproducible at
 // (fabric seed, plane seed, schedule).
 type Plane struct {
 	fab *fabric.Fabric
-	cl  *cluster.Cluster
 	ha  HAPlane
 	rng *rand.Rand
 	// msg holds per-router fault windows; the router's interceptor is
@@ -168,10 +161,6 @@ func New(fab *fabric.Fabric, seed int64) *Plane {
 		Injected: map[Kind]uint64{},
 	}
 }
-
-// BindCluster attaches a controller replica group as the target of
-// controller-crash events.
-func (p *Plane) BindCluster(cl *cluster.Cluster) { p.cl = cl }
 
 // BindHA attaches an HA replica manager as the target of leader-kill
 // events.
@@ -218,17 +207,6 @@ func (p *Plane) check(e Event) error {
 		if e.Target != "*" && p.fab.Router(e.Target) == nil {
 			return fmt.Errorf("no dRPC router on %q", e.Target)
 		}
-	case KindControllerCrash:
-		if p.cl == nil {
-			return fmt.Errorf("no cluster bound (BindCluster)")
-		}
-		idx, err := replicaIndex(e.Target)
-		if err != nil {
-			return err
-		}
-		if idx < 0 || idx >= p.cl.Size() {
-			return fmt.Errorf("replica %d out of range (cluster size %d)", idx, p.cl.Size())
-		}
 	case KindLeaderKill:
 		if p.ha == nil {
 			return fmt.Errorf("no HA group bound (BindHA)")
@@ -237,14 +215,6 @@ func (p *Plane) check(e Event) error {
 		return fmt.Errorf("unknown kind %q", e.Kind)
 	}
 	return nil
-}
-
-func replicaIndex(target string) (int, error) {
-	var idx int
-	if _, err := fmt.Sscanf(target, "%d", &idx); err != nil {
-		return 0, fmt.Errorf("controller-crash target %q is not a replica index", target)
-	}
-	return idx, nil
 }
 
 // link resolves an "a-b" target.
@@ -333,13 +303,6 @@ func (p *Plane) fire(e Event) {
 			case KindDRPCDup:
 				mf.dup = w
 			}
-		}
-	case KindControllerCrash:
-		idx, _ := replicaIndex(e.Target)
-		n := p.cl.Node(idx)
-		n.Kill()
-		if e.DurationNs > 0 {
-			p.fab.Sim.After(netsim.Time(e.DurationNs), n.Revive)
 		}
 	case KindLeaderKill:
 		id, ok := p.ha.KillActive()

@@ -66,7 +66,7 @@ func TestApplyValidatesTargets(t *testing.T) {
 		{Kind: KindPartition, Target: "ghost"},                         // no links
 		{Kind: KindDRPCDrop, Target: "s1", Prob: 2},                    // prob out of range
 		{Kind: KindDRPCDrop, Target: "s1", Prob: 0.5, DurationNs: 100}, // no router enabled
-		{Kind: KindControllerCrash, Target: "0"},                       // no cluster bound
+		{Kind: KindLeaderKill},                                         // no HA group bound
 	}
 	for _, e := range cases {
 		if err := p.Apply(&Schedule{Events: []Event{e}}); err == nil {

@@ -6,21 +6,24 @@
 // Recent work has developed tools to perform state migration entirely in
 // data plane [41, 65]."
 //
-// Two migrators are provided:
+// The Migrator is the executor's state mover (plan.StateMover): a
+// migration is a ChangePlan that installs the instance at the destination
+// and then moves its state in a post-commit OpMigrateState step, in one of
+// two ways:
 //
-//   - DataPlane: Swing-State-style packet-carried migration. State
+//   - data plane: Swing-State-style packet-carried migration. State
 //     chunks travel as dRPC packets while the source keeps processing;
 //     at the flip instant traffic moves to the destination and the
 //     residual delta (updates that landed during the transfer) is merged
 //     additively. Additive state (sketches, counters) loses zero
 //     updates.
 //
-//   - ControlPlane: the baseline. The controller snapshots the source
+//   - control plane: the baseline. The controller snapshots the source
 //     over its management channel (a latency proportional to state
-//     size), installs it at the destination, then flips traffic. Every
+//     size), imports it at the destination, then flips traffic. Every
 //     update that hits the source after the snapshot is lost.
 //
-// DESIGN.md §2 (S12) inventories the migrators; §3 (E11) measures them; §10.4 defines migration's place in the failure model.
+// DESIGN.md §2 (S12) inventories the migrator; §3 (E11) measures them; §10.4 defines migration's place in the failure model.
 package migrate
 
 import (
@@ -173,46 +176,9 @@ func instanceUpdates(inst *dataplane.ProgramInstance) uint64 {
 	return total
 }
 
-// ControlPlane performs the baseline migration (install at destination,
-// then transfer). done receives the report when migration completes.
-func (m *Migrator) ControlPlane(prog, src, dst string, done func(Report)) {
-	m.installThen(prog, src, dst, false, done)
-}
-
-// installThen installs the program at the destination, then runs the
-// transfer phase — the standalone migration entry points share it.
-func (m *Migrator) installThen(prog, src, dst string, useDataPlane bool, done func(Report)) {
-	rep := Report{Program: prog, Src: src, Dst: dst, Started: m.fab.Sim.Now()}
-	finish := func() {
-		m.record(rep)
-		done(rep)
-	}
-	if err := m.ValidateMove(prog, src, dst, useDataPlane); err != nil {
-		rep.Err = err
-		finish()
-		return
-	}
-	sinst := m.fab.Device(src).Instance(prog)
-	m.eng.ApplyRuntime(&runtime.Change{
-		Device:   m.fab.Device(dst),
-		Installs: []runtime.Install{{Program: sinst.Program().Clone()}},
-	}, func(res runtime.Result) {
-		if res.Err != nil {
-			rep.Err = res.Err
-			finish()
-			return
-		}
-		if useDataPlane {
-			m.transferData(&rep, func(error) { finish() })
-		} else {
-			m.transferControl(&rep, func(error) { finish() })
-		}
-	})
-}
-
 // transferControl copies state over the management channel and flips:
-// phase 2+3 of the control-plane baseline. The destination instance must
-// already exist. Errors are recorded in rep.Err and passed to done.
+// the control-plane baseline, after the plan installed the destination
+// instance. Errors are recorded in rep.Err and passed to done.
 func (m *Migrator) transferControl(rep *Report, done func(error)) {
 	sdev, ddev := m.fab.Device(rep.Src), m.fab.Device(rep.Dst)
 	sinst, dinst := sdev.Instance(rep.Program), ddev.Instance(rep.Program)
@@ -257,21 +223,11 @@ func (m *Migrator) transferControl(rep *Report, done func(error)) {
 	})
 }
 
-// DataPlane performs packet-carried migration via the devices' dRPC
-// routers (which must be enabled on both devices):
-//
-//  1. install at destination;
-//  2. stream a snapshot as dRPC packets while the source continues
-//     processing and mutating;
-//  3. flip traffic to the destination atomically;
-//  4. export the residual delta (source updates since the snapshot) and
-//     merge it additively into the destination.
-func (m *Migrator) DataPlane(prog, src, dst string, done func(Report)) {
-	m.installThen(prog, src, dst, true, done)
-}
-
-// transferData streams state over dRPC and flips: phases 1–3 of the
-// data-plane migration. The destination instance must already exist.
+// transferData is the data-plane migration, after the plan installed the
+// destination instance: (1) stream a snapshot as dRPC packets while the
+// source keeps processing and mutating, (2) flip traffic to the
+// destination atomically, (3) stream the residual delta (source updates
+// since the snapshot) and merge it additively.
 // Errors before the flip leave the source authoritative; the flip is the
 // commit point (a residual-merge failure after it is reported but not
 // rolled back — the destination keeps the snapshot).

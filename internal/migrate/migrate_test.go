@@ -11,6 +11,7 @@ import (
 	"flexnet/internal/fabric"
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
+	"flexnet/internal/plan"
 	"flexnet/internal/runtime"
 )
 
@@ -82,6 +83,26 @@ func migrationFabric(t *testing.T) (*fabric.Fabric, *Migrator, *netsim.Source) {
 	return f, m, src
 }
 
+// runMigration moves prog from src to dst the way every migration runs:
+// a plan that installs the instance at dst, then moves its state (dp
+// selects the data plane), on an executor whose state mover is m. done
+// receives the mover's report, or the plan's error when the plan failed
+// before the mover ran.
+func runMigration(f *fabric.Fabric, m *Migrator, prog, src, dst string, dp bool, done func(Report)) {
+	p := plan.New("migrate " + prog)
+	if sdev := f.Device(src); sdev != nil && sdev.Instance(prog) != nil {
+		p.Install(dst, prog, sdev.Instance(prog).Program(), nil, 0)
+	}
+	p.MigrateState(prog, src, dst, dp)
+	runtime.NewExecutor(m.eng, f.Device, m, nil).Execute(p, func(r *plan.Report) {
+		if r.Err != nil {
+			done(Report{Program: prog, Src: src, Dst: dst, Err: r.Err})
+			return
+		}
+		done(m.LastReport())
+	})
+}
+
 func monUpdates(f *fabric.Fabric, dev string) uint64 {
 	d := f.Device(dev)
 	inst := d.Instance("mon")
@@ -99,7 +120,7 @@ func TestDataPlaneMigrationLosesNothing(t *testing.T) {
 	gotRep := false
 	f.Sim.At(20*time.Millisecond, func() {
 		// Warm state exists; migrate mon s1 → s2 through the data plane.
-		m.DataPlane("mon", "s1", "s2", func(r Report) { rep = r; gotRep = true })
+		runMigration(f, m, "mon", "s1", "s2", true, func(r Report) { rep = r; gotRep = true })
 	})
 	f.Sim.RunUntil(400 * time.Millisecond)
 	src.Stop()
@@ -138,7 +159,7 @@ func TestControlPlaneMigrationLosesUpdates(t *testing.T) {
 
 	var rep Report
 	f.Sim.At(20*time.Millisecond, func() {
-		m.ControlPlane("mon", "s1", "s2", func(r Report) { rep = r })
+		runMigration(f, m, "mon", "s1", "s2", false, func(r Report) { rep = r })
 	})
 	f.Sim.RunUntil(400 * time.Millisecond)
 	src.Stop()
@@ -165,9 +186,9 @@ func TestDataPlaneBeatsControlPlaneOnLoss(t *testing.T) {
 		var rep Report
 		f.Sim.At(20*time.Millisecond, func() {
 			if dp {
-				m.DataPlane("mon", "s1", "s2", func(r Report) { rep = r })
+				runMigration(f, m, "mon", "s1", "s2", true, func(r Report) { rep = r })
 			} else {
-				m.ControlPlane("mon", "s1", "s2", func(r Report) { rep = r })
+				runMigration(f, m, "mon", "s1", "s2", false, func(r Report) { rep = r })
 			}
 		})
 		f.Sim.RunUntil(400 * time.Millisecond)
@@ -197,19 +218,19 @@ func TestMigrateErrors(t *testing.T) {
 	m := New(f, eng)
 
 	var rep Report
-	m.DataPlane("ghost", "s1", "s2", func(r Report) { rep = r })
+	runMigration(f, m, "ghost", "s1", "s2", true, func(r Report) { rep = r })
 	f.Sim.RunFor(time.Second)
 	if rep.Err == nil {
 		t.Fatal("migrating without dRPC succeeded")
 	}
 
-	m.ControlPlane("ghost", "s1", "s2", func(r Report) { rep = r })
+	runMigration(f, m, "ghost", "s1", "s2", false, func(r Report) { rep = r })
 	f.Sim.RunFor(time.Second)
 	if rep.Err == nil {
 		t.Fatal("migrating missing program succeeded")
 	}
 
-	m.ControlPlane("x", "nope", "s2", func(r Report) { rep = r })
+	runMigration(f, m, "x", "nope", "s2", false, func(r Report) { rep = r })
 	if rep.Err == nil {
 		t.Fatal("migrating from unknown device succeeded")
 	}

@@ -5,8 +5,10 @@
 # the package clause in some non-test file), and every internal package's
 # doc comment must point the reader at DESIGN.md — the design document is
 # the spine of this repo, and a package that doesn't say which section
-# explains it forces readers to reverse-engineer the mapping. CI fails on
-# either omission.
+# explains it forces readers to reverse-engineer the mapping. It also
+# fails when README's fault "Kinds:" list and the Kind constants in
+# internal/faults/faults.go differ in either direction. CI fails on any
+# of these.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -54,8 +56,20 @@ for dir in $(go list -f '{{.Dir}}' ./...); do
     esac
 done
 
+# README's "Kinds:" paragraph lists every fault kind in backquotes; it
+# must name exactly the `Kind... Kind = "..."` constants.
+code_kinds=$(sed -n 's/^[[:space:]]*Kind[A-Za-z]* Kind = "\([^"]*\)".*/\1/p' internal/faults/faults.go | sort)
+readme_kinds=$(awk '/^Kinds:/{on=1} on{print} on && /^$/{exit}' README.md |
+    grep -o '`[^`]*`' | tr -d '`' | grep -v '^internal/' | sort)
+if [ "$code_kinds" != "$readme_kinds" ]; then
+    echo "checkdocs: FAIL — README's fault Kinds: list differs from internal/faults/faults.go" >&2
+    echo "  faults.go: $(echo $code_kinds)" >&2
+    echo "  README:    $(echo $readme_kinds)" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
-    echo "checkdocs: add a '// Package <name> ...' comment (internal packages: cite the DESIGN.md section)." >&2
+    echo "checkdocs: document every package ('// Package <name> ...'; internal packages cite their DESIGN.md section) and keep README's fault Kinds: list in step with internal/faults." >&2
     exit 1
 fi
-echo "checkdocs: OK — every package documented; internal packages cite DESIGN.md."
+echo "checkdocs: OK — every package documented; internal packages cite DESIGN.md; README lists every fault kind."
