@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"flexnet/internal/controller/cluster"
 	"flexnet/internal/faults"
 	"flexnet/internal/plan"
 )
@@ -334,7 +335,7 @@ func haChaosSoak(t *testing.T, seed int64, horizon time.Duration) string {
 	if err := nw.HA().LastErr(); err != nil {
 		t.Fatalf("replayed shadow chain mismatched the leader's: %v", err)
 	}
-	bound := 4 * time.Duration(nw.HA().Group().Config().ElectionMaxNs)
+	bound := 4 * time.Duration(cluster.ElectionMaxNs)
 	for i, d := range nw.HA().FailoverNs {
 		if time.Duration(d) > bound {
 			t.Fatalf("failover %d took %v, want ≤ %v", i, time.Duration(d), bound)

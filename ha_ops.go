@@ -20,8 +20,8 @@ var errHADisabled = errors.New("flexnet: HA not enabled (call EnableHA)")
 type (
 	// HA is the controller's replica manager.
 	HA = controller.HA
-	// HAConfig tunes heartbeats, election timeouts, and the serving
-	// lease. The zero value takes the documented defaults.
+	// HAConfig seeds election jitter; the group's timings are fixed
+	// (DESIGN.md §15.1).
 	HAConfig = cluster.HAConfig
 	// HAStatus is the ha-status snapshot (replica roles, terms, log
 	// watermarks, failover count).

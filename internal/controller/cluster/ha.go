@@ -1,14 +1,15 @@
-package cluster
-
-// Active/standby controller HA (DESIGN.md §15): a replica group whose
-// members coordinate over dRPC — heartbeats with seeded jitter, term-
-// numbered leader election, and continuous replication of the
-// controller's durable log (audit records + plan lifecycle journal)
-// with backlog replay for standbys that fall behind. This is the
-// continuity layer ROADMAP item 4 asks for, built beside the Raft state
-// machine in cluster.go (which replicates *commands*; the HA group
-// replicates the *observed mutation log* so a standby can take over the
-// one live fabric without re-running operations).
+// Package cluster implements the distributed controller of §3.4: "For
+// large networks, logically centralized controllers are realized in
+// physically distributed nodes, which brings classic distributed systems
+// concerns on consensus and availability."
+//
+// It is an active/standby replica group (DESIGN.md §15) whose members
+// coordinate over dRPC — heartbeats with seeded jitter, term-numbered
+// leader election under a single-writer lease, and continuous
+// replication of the controller's durable log (audit records + plan
+// lifecycle journal) with backlog replay for standbys that fall behind.
+// The group replicates the *observed mutation log*, so a standby takes
+// over the one live fabric without re-running operations.
 //
 // The wire pattern follows osvbng's pkg/ha: the active replica pushes
 // each appended record to every standby (sync), heartbeats advertise
@@ -21,7 +22,10 @@ package cluster
 // Everything runs on the simulator's event loop. Election jitter and
 // retry jitter come from seeds independent of the simulation's rand
 // stream, so enabling HA never perturbs traffic generation: a fabric
-// with HA on produces byte-identical non-ha.* telemetry.
+// with HA on produces byte-identical non-ha.* telemetry. DESIGN.md §10
+// specifies the failure model this participates in; E12 and E20 (§3)
+// measure failover.
+package cluster
 
 import (
 	"fmt"
@@ -60,60 +64,61 @@ type SyncRecord struct {
 	Payload []byte
 }
 
-// HAConfig tunes the replica group. Zero values take the defaults
-// noted per field.
+// The group's timing. The replica mesh is simulated and private to the
+// controller, so these are fixed model parameters, not settings.
+const (
+	// delayNs is the one-way message delay between replicas.
+	delayNs = 2_000_000
+	// heartbeatNs is the active replica's heartbeat period.
+	heartbeatNs = 20_000_000
+	// electionMinNs and ElectionMaxNs bound the randomized election
+	// timeout: a standby that has not heard a heartbeat for a jittered
+	// duration in this range starts an election.
+	electionMinNs = 120_000_000
+	ElectionMaxNs = 2 * electionMinNs
+	// leaseNs is how long a majority-acked heartbeat round entitles the
+	// active replica to keep serving. Because a standby refuses to vote
+	// within electionMinNs of hearing the leader, a new leader can only
+	// exist after the old one's lease has lapsed — two replicas never
+	// serve at once.
+	leaseNs = electionMinNs - 2*delayNs
+	// baseIP numbers the replicas' mesh routers (172.31.0.1, .2, …).
+	baseIP = 0xAC1F0001
+)
+
+// HAConfig configures the replica group.
 type HAConfig struct {
-	// DelayNs is the one-way message delay between replicas (2 ms).
-	DelayNs uint64
-	// HeartbeatNs is the active replica's heartbeat period (20 ms).
-	HeartbeatNs uint64
-	// ElectionMinNs/ElectionMaxNs bound the randomized election timeout
-	// (120 ms / 240 ms). A standby that has not heard a heartbeat for a
-	// jittered duration in this range starts an election.
-	ElectionMinNs uint64
-	ElectionMaxNs uint64
-	// LeaseNs is how long a majority-acked heartbeat round entitles the
-	// active replica to keep serving (default ElectionMinNs − 2·Delay).
-	// Because a standby refuses to vote within ElectionMinNs of hearing
-	// the leader, a new leader can only exist after the old one's lease
-	// has lapsed — two replicas never serve at once.
-	LeaseNs uint64
-	// Seed drives election jitter, independent of the simulation seed.
+	// Seed drives election jitter, independent of the simulation seed
+	// (0 means 1).
 	Seed int64
-	// BaseIP numbers the replicas' mesh routers (default 172.31.0.1).
-	BaseIP uint32
 }
 
-func (c HAConfig) withDefaults() HAConfig {
-	if c.DelayNs == 0 {
-		c.DelayNs = 2_000_000
+// role is a replica's election role.
+type role uint8
+
+const (
+	follower role = iota
+	candidate
+	leader
+)
+
+func (r role) String() string {
+	switch r {
+	case follower:
+		return "follower"
+	case candidate:
+		return "candidate"
+	case leader:
+		return "leader"
+	default:
+		return "?"
 	}
-	if c.HeartbeatNs == 0 {
-		c.HeartbeatNs = 20_000_000
-	}
-	if c.ElectionMinNs == 0 {
-		c.ElectionMinNs = 120_000_000
-	}
-	if c.ElectionMaxNs == 0 {
-		c.ElectionMaxNs = 2 * c.ElectionMinNs
-	}
-	if c.LeaseNs == 0 {
-		c.LeaseNs = c.ElectionMinNs - 2*c.DelayNs
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.BaseIP == 0 {
-		c.BaseIP = 0xAC1F0001 // 172.31.0.1
-	}
-	return c
 }
 
 // HAGroup is a set of controller replicas on one simulator, connected
 // by a private dRPC mesh (controller network, not the data fabric).
 type HAGroup struct {
 	sim  *netsim.Sim
-	cfg  HAConfig
 	reps []*HAReplica
 	byIP map[uint32]*HAReplica
 	seq  uint64
@@ -146,16 +151,18 @@ func NewHA(sim *netsim.Sim, n int, cfg HAConfig) *HAGroup {
 	if n < 1 {
 		n = 1
 	}
-	cfg = cfg.withDefaults()
+	seed := cfg.Seed
+	if seed == 0 {
+		seed = 1
+	}
 	g := &HAGroup{
 		sim:  sim,
-		cfg:  cfg,
 		byIP: map[uint32]*HAReplica{},
-		rng:  rand.New(rand.NewSource(cfg.Seed*6364136223846793005 + 1442695040888963407)),
+		rng:  rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407)),
 	}
 	for i := 0; i < n; i++ {
 		rep := &HAReplica{id: i, g: g, alive: true, votedFor: -1}
-		rep.router = drpc.NewRouter(cfg.BaseIP+uint32(i), &g.seq, g.transportFor(rep))
+		rep.router = drpc.NewRouter(baseIP+uint32(i), &g.seq, g.transportFor(rep))
 		rep.router.SetScheduler(
 			func() uint64 { return uint64(sim.Now()) },
 			func(d uint64, fn func()) { sim.After(netsim.Time(d), fn) },
@@ -170,7 +177,7 @@ func NewHA(sim *netsim.Sim, n int, cfg HAConfig) *HAGroup {
 	boot.role = leader
 	boot.term = 1
 	boot.serving = true
-	boot.leaseUntil = sim.Now() + netsim.Time(cfg.LeaseNs)
+	boot.leaseUntil = sim.Now() + leaseNs
 	boot.heartbeatLoop()
 	for _, rep := range g.reps[1:] {
 		rep.term = 1
@@ -182,7 +189,7 @@ func NewHA(sim *netsim.Sim, n int, cfg HAConfig) *HAGroup {
 
 // transportFor builds one replica's mesh transport: decode the packet's
 // destination, honour partitions and liveness, and deliver after the
-// configured one-way delay.
+// one-way delay.
 func (g *HAGroup) transportFor(from *HAReplica) drpc.Transport {
 	return func(p *packet.Packet) {
 		if !from.alive {
@@ -195,7 +202,7 @@ func (g *HAGroup) transportFor(from *HAReplica) drpc.Transport {
 		if g.partition != nil && g.partition(from.id, to.id) {
 			return
 		}
-		g.sim.After(netsim.Time(g.cfg.DelayNs), func() {
+		g.sim.After(delayNs, func() {
 			if to.alive {
 				to.router.Deliver(p)
 			}
@@ -223,17 +230,11 @@ func (g *HAGroup) SetPartition(groups [][]int) {
 // Size returns the number of replicas.
 func (g *HAGroup) Size() int { return len(g.reps) }
 
-// Config returns the group's effective (defaulted) configuration.
-func (g *HAGroup) Config() HAConfig { return g.cfg }
-
 // Replica returns replica i.
 func (g *HAGroup) Replica(i int) *HAReplica { return g.reps[i] }
 
 // LogLen returns the replicated log's head sequence number.
 func (g *HAGroup) LogLen() uint64 { return uint64(len(g.store)) }
-
-// Record returns log entry seq (1-based), for verification in tests.
-func (g *HAGroup) Record(seq uint64) SyncRecord { return g.store[seq-1] }
 
 // Active returns the serving leader, or nil while failing over.
 func (g *HAGroup) Active() *HAReplica {
@@ -295,10 +296,10 @@ func (g *HAGroup) event(kind string, n uint64) {
 // fetches: per-attempt deadline of one RTT plus slack, capped backoff.
 func (g *HAGroup) callOpts(attempts int) drpc.CallOpts {
 	return drpc.CallOpts{
-		TimeoutNs:    2*g.cfg.DelayNs + 1_000_000,
+		TimeoutNs:    2*delayNs + 1_000_000,
 		Attempts:     attempts,
-		BackoffNs:    g.cfg.DelayNs,
-		MaxBackoffNs: 4 * g.cfg.DelayNs,
+		BackoffNs:    delayNs,
+		MaxBackoffNs: 4 * delayNs,
 	}
 }
 
@@ -346,12 +347,9 @@ func (rep *HAReplica) Known() uint64 { return rep.known }
 // Applied returns how many log records the replica has applied.
 func (rep *HAReplica) Applied() uint64 { return rep.applied }
 
-// Router exposes the replica's mesh router (stats, fault interceptors).
-func (rep *HAReplica) Router() *drpc.Router { return rep.router }
-
 // Serving reports whether this replica is currently entitled to act as
 // the controller: it is the leader AND holds an unexpired majority
-// lease. A partitioned leader loses this within LeaseNs even though it
+// lease. A partitioned leader loses this within leaseNs even though it
 // still believes itself leader.
 func (rep *HAReplica) Serving() bool {
 	return rep.alive && rep.role == leader && rep.serving && rep.g.sim.Now() <= rep.leaseUntil
@@ -424,11 +422,7 @@ func (rep *HAReplica) resetElectionTimer() {
 	rep.timerEpoch++
 	epoch := rep.timerEpoch
 	g := rep.g
-	span := int64(g.cfg.ElectionMaxNs - g.cfg.ElectionMinNs)
-	d := netsim.Time(g.cfg.ElectionMinNs)
-	if span > 0 {
-		d += netsim.Time(g.rng.Int63n(span))
-	}
+	d := electionMinNs + netsim.Time(g.rng.Int63n(ElectionMaxNs-electionMinNs))
 	g.sim.After(d, func() {
 		if rep.alive && rep.timerEpoch == epoch && rep.role != leader {
 			rep.startElection()
@@ -484,7 +478,7 @@ func (rep *HAReplica) becomeActive() {
 	}
 	rep.serving = true
 	rep.missed = 0
-	rep.leaseUntil = g.sim.Now() + netsim.Time(g.cfg.LeaseNs)
+	rep.leaseUntil = g.sim.Now() + leaseNs
 	if g.OnActivate != nil {
 		g.OnActivate(rep.id, rep.term)
 	}
@@ -528,7 +522,7 @@ func (rep *HAReplica) heartbeatLoop() {
 			}
 			rep.router.CallOpt(peer.router.IP, drpc.ServiceHA, HAHeartbeat,
 				[3]uint64{term, rep.known, uint64(rep.id)},
-				drpc.CallOpts{TimeoutNs: g.cfg.HeartbeatNs - 2_000_000, Attempts: 1},
+				drpc.CallOpts{TimeoutNs: heartbeatNs - 2_000_000, Attempts: 1},
 				func(m drpc.Message, ok bool, err error) {
 					if !rep.alive || rep.timerEpoch != epoch || err != nil {
 						return
@@ -550,11 +544,11 @@ func (rep *HAReplica) heartbeatLoop() {
 					if !renewed && acks >= len(g.reps)/2+1 {
 						renewed = true
 						rep.missed = 0
-						rep.leaseUntil = g.sim.Now() + netsim.Time(g.cfg.LeaseNs)
+						rep.leaseUntil = g.sim.Now() + leaseNs
 					}
 				})
 		}
-		g.sim.After(netsim.Time(g.cfg.HeartbeatNs), func() {
+		g.sim.After(heartbeatNs, func() {
 			if rep.alive && rep.timerEpoch == epoch && rep.role == leader && !renewed {
 				rep.missed++
 				if rep.missed >= 3 {
@@ -597,7 +591,7 @@ func (rep *HAReplica) handle(from uint32, m drpc.Message) *drpc.Message {
 		// election timeout, the vote is refused outright. A partitioned
 		// straggler that inflated its term through futile elections
 		// therefore cannot depose a healthy leader when the mesh heals.
-		if rep.Serving() || g.sim.Now()-rep.lastHeard < netsim.Time(g.cfg.ElectionMinNs) {
+		if rep.Serving() || g.sim.Now()-rep.lastHeard < electionMinNs {
 			return &drpc.Message{Args: [3]uint64{0, rep.term, 0}}
 		}
 		if term > rep.term {

@@ -183,27 +183,97 @@ func TestHAStaleBacklogReplaysBeforeServing(t *testing.T) {
 	}
 }
 
+func TestHAAppendOnStandbyRejected(t *testing.T) {
+	h := newHAHarness(t, 3, 3)
+	h.sim.RunFor(100 * time.Millisecond)
+	for i := 1; i < 3; i++ {
+		if _, err := h.g.Append(i, "audit", "x", nil); err == nil {
+			t.Fatalf("standby %d accepted an append", i)
+		}
+	}
+	if h.g.LogLen() != 0 {
+		t.Fatalf("log grew to %d through refused appends", h.g.LogLen())
+	}
+}
+
+// TestHALeaderFailoverFiveReplicas kills the leader of a 5-replica group:
+// a successor takes over, and after more appends through it every
+// survivor has applied the whole log.
+func TestHALeaderFailoverFiveReplicas(t *testing.T) {
+	h := newHAHarness(t, 5, 4)
+	h.appendN(t, 5)
+	h.sim.RunFor(time.Second)
+	h.g.Replica(0).Kill()
+	h.sim.RunFor(time.Second)
+	act := h.g.Active()
+	if act == nil || act.ID() == 0 {
+		t.Fatalf("no successor after leader kill (active %v)", act)
+	}
+	h.appendN(t, 10)
+	h.sim.RunFor(time.Second)
+	if h.g.LogLen() != 15 {
+		t.Fatalf("log length %d, want 15", h.g.LogLen())
+	}
+	for i := 1; i < 5; i++ {
+		if rep := h.g.Replica(i); rep.Applied() != h.g.LogLen() {
+			t.Fatalf("survivor %d applied %d of %d", i, rep.Applied(), h.g.LogLen())
+		}
+	}
+}
+
+// TestHAMinorityStopsServing kills 3 of 5 replicas: the leader, left
+// without a majority, stops serving within three heartbeat rounds and
+// refuses appends, and no survivor serves afterwards.
+func TestHAMinorityStopsServing(t *testing.T) {
+	h := newHAHarness(t, 5, 6)
+	h.sim.RunFor(100 * time.Millisecond)
+	for i := 2; i < 5; i++ {
+		h.g.Replica(i).Kill()
+	}
+	// The kill lands just after the leader sent its 100 ms round; that
+	// round and the next two go unacked, and the third miss forces the
+	// step-down.
+	h.sim.RunFor(3 * heartbeatNs)
+	ld := h.g.Replica(0)
+	if ld.Serving() {
+		t.Fatal("leader still serving without a majority")
+	}
+	if _, err := h.g.Append(0, "audit", "doomed", nil); err == nil {
+		t.Fatal("minority leader accepted an append")
+	}
+	for i := 0; i < 2000; i++ {
+		h.sim.RunFor(time.Millisecond)
+		if n := h.g.ServingCount(); n != 0 {
+			t.Fatalf("%d replicas serving at %v without a majority", n, h.sim.Now())
+		}
+	}
+}
+
 // TestHADeterministicTrace reruns the same failover scenario and
 // requires the full protocol event trace to be identical.
 func TestHADeterministicTrace(t *testing.T) {
-	run := func() []string {
-		h := newHAHarness(t, 3, 7)
-		h.appendN(t, 3)
-		h.sim.RunFor(100 * time.Millisecond)
-		h.g.Replica(0).Kill()
-		h.sim.RunFor(time.Second)
-		h.appendN(t, 2)
-		h.g.Replica(0).Revive()
-		h.sim.RunFor(time.Second)
-		return h.events
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("trace diverges at %d: %q vs %q", i, a[i], b[i])
-		}
+	for _, n := range []int{3, 5} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			run := func() []string {
+				h := newHAHarness(t, n, 7)
+				h.appendN(t, 3)
+				h.sim.RunFor(100 * time.Millisecond)
+				h.g.Replica(0).Kill()
+				h.sim.RunFor(time.Second)
+				h.appendN(t, 2)
+				h.g.Replica(0).Revive()
+				h.sim.RunFor(time.Second)
+				return h.events
+			}
+			a, b := run(), run()
+			if len(a) != len(b) {
+				t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("trace diverges at %d: %q vs %q", i, a[i], b[i])
+				}
+			}
+		})
 	}
 }

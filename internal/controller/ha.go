@@ -11,23 +11,12 @@ package controller
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"flexnet/internal/audit"
 	"flexnet/internal/controller/cluster"
 	"flexnet/internal/netsim"
 	"flexnet/internal/telemetry"
 )
-
-// haShadow is one standby's replicated view of the controller's durable
-// log: its copy of the audit chain (decoded from sync payloads) and the
-// set of in-flight plans by label. On activation the chain is verified
-// and becomes the new leader's proof that it converged on the dead
-// leader's history.
-type haShadow struct {
-	records  []audit.Record
-	inflight map[string]string // plan label -> last journal event
-}
 
 // haMetrics are the ha.* instruments, created when HA is enabled (they
 // never exist in non-HA runs, keeping those snapshots unchanged).
@@ -60,10 +49,16 @@ type HA struct {
 	activeID    int
 	killedAt    netsim.Time
 	killPending bool
-	shadows     []*haShadow
-	buffered    []bufferedRec
-	lastErr     error
-	met         haMetrics
+	// shadows[i] is replica i's replicated copy of the audit chain,
+	// decoded from sync payloads. On activation it is verified and
+	// becomes the new leader's proof that it converged on the dead
+	// leader's history. Plan-journal records are replicated too (they
+	// count in LogLen) but leave no shadow state: the executor's own
+	// parked plans are what Recover resolves.
+	shadows  [][]audit.Record
+	buffered []bufferedRec
+	lastErr  error
+	met      haMetrics
 
 	// FailoverNs records each completed failover's duration — leader
 	// kill to standby activation — in order, the same way Healer.MTTRs
@@ -97,10 +92,7 @@ func (c *Controller) EnableHA(n int, cfg cluster.HAConfig) *HA {
 	// replication.
 	base := c.audit.Records()
 	for i := 0; i < h.g.Size(); i++ {
-		h.shadows = append(h.shadows, &haShadow{
-			records:  append([]audit.Record(nil), base...),
-			inflight: map[string]string{},
-		})
+		h.shadows = append(h.shadows, append([]audit.Record(nil), base...))
 	}
 	// Replication taps: every audit append and every executor journal
 	// event becomes one replicated log record.
@@ -144,20 +136,6 @@ func (h *HA) Group() *cluster.HAGroup { return h.g }
 // chain that failed audit.VerifyRecords), or nil.
 func (h *HA) LastErr() error { return h.lastErr }
 
-// ShadowRecords returns a replica's replicated copy of the audit chain.
-func (h *HA) ShadowRecords(replica int) []audit.Record {
-	return append([]audit.Record(nil), h.shadows[replica].records...)
-}
-
-// InflightShadow returns a replica's view of in-flight plan labels.
-func (h *HA) InflightShadow(replica int) []string {
-	out := make([]string, 0, len(h.shadows[replica].inflight))
-	for l := range h.shadows[replica].inflight {
-		out = append(out, l)
-	}
-	return out
-}
-
 // append replicates one durable-log record through the active replica.
 // With no replica serving (mid-failover) the record is buffered and
 // flushed by the next leader, so the replicated log never drops events.
@@ -174,22 +152,14 @@ func (h *HA) append(kind, label string, payload []byte) {
 	h.apply(h.activeID, cluster.SyncRecord{Seq: seq, Kind: kind, Label: label, Payload: payload})
 }
 
-// apply advances one replica's shadow state by one replicated record.
+// apply advances one replica's shadow chain by one replicated record.
 func (h *HA) apply(replica int, rec cluster.SyncRecord) {
-	sh := h.shadows[replica]
-	switch {
-	case rec.Kind == "audit":
-		var r audit.Record
-		if err := json.Unmarshal(rec.Payload, &r); err == nil {
-			sh.records = append(sh.records, r)
-		}
-	case strings.HasPrefix(rec.Kind, "plan-"):
-		ev := strings.TrimPrefix(rec.Kind, "plan-")
-		if ev == "done" {
-			delete(sh.inflight, rec.Label)
-		} else {
-			sh.inflight[rec.Label] = ev
-		}
+	if rec.Kind != "audit" {
+		return
+	}
+	var r audit.Record
+	if err := json.Unmarshal(rec.Payload, &r); err == nil {
+		h.shadows[replica] = append(h.shadows[replica], r)
 	}
 }
 
@@ -208,7 +178,7 @@ func (h *HA) activate(replica int, term uint64) {
 		h.FailoverNs = append(h.FailoverNs, uint64(d))
 	}
 	h.activeID = replica
-	if err := audit.VerifyRecords(h.shadows[replica].records); err != nil {
+	if err := audit.VerifyRecords(h.shadows[replica]); err != nil {
 		h.lastErr = err
 		h.c.fab.Metrics.Counter("ha.chain_mismatch").Inc()
 	}
@@ -262,7 +232,7 @@ func (h *HA) Failover() (int, error) {
 	if !ok {
 		return -1, fmt.Errorf("controller: no serving leader to fail over")
 	}
-	h.c.fab.Sim.After(netsim.Time(2*h.g.Config().ElectionMaxNs), func() {
+	h.c.fab.Sim.After(2*cluster.ElectionMaxNs, func() {
 		h.ReviveReplica(id)
 	})
 	return id, nil

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"flexnet/internal/controller/cluster"
 )
 
 // cell parses a numeric table cell.
@@ -241,13 +245,23 @@ func TestE12Shape(t *testing.T) {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	if tab.Rows[0][3] != "yes" {
-		t.Fatal("consensus inconsistent after failover")
+		t.Fatal("survivors inconsistent after failover")
 	}
 	if strings.Contains(tab.Rows[1][3], "NO") {
 		t.Fatal("datapath failover did not recover")
 	}
-	if v, _ := strconv.Atoi(tab.Rows[0][2]); v != 0 {
-		t.Fatalf("consensus lost %d committed ops", v)
+	if lost := cell(t, tab, 0, 2); lost != 0 {
+		t.Fatalf("failover lost %v replicated records", lost)
+	}
+	rec, err := time.ParseDuration(tab.Rows[0][1])
+	if err != nil {
+		t.Fatalf("recovery time %q: %v", tab.Rows[0][1], err)
+	}
+	if rec <= 0 || rec > 2*cluster.ElectionMaxNs {
+		t.Fatalf("recovery time %v outside (0, %v]", rec, time.Duration(2*cluster.ElectionMaxNs))
+	}
+	if again := E12FaultTolerance(1); !reflect.DeepEqual(again.Rows, tab.Rows) {
+		t.Fatalf("E12 differs across runs at one seed:\n%v\n%v", tab.Rows, again.Rows)
 	}
 }
 

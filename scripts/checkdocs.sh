@@ -68,8 +68,35 @@ if [ "$code_kinds" != "$readme_kinds" ]; then
     fail=1
 fi
 
+# Every `flexnetd -<flag>` / `flexbench -<flag>` invocation in the
+# current docs must name a flag the command defines with flag.*("name",
+# …) in its main.go (-h/-help come with the flag package). CHANGES.md,
+# ROADMAP.md and BENCH_PR* are history and are not scanned.
+docs="README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md"
+for cmd in flexnetd flexbench; do
+    defined=$(sed -n 's/.*flag\.[A-Za-z0-9]*("\([^"]*\)".*/\1/p' "cmd/$cmd/main.go")
+    # shellcheck disable=SC2086 # $docs is a word list
+    used=$(grep -noE "(^|[^-A-Za-z])$cmd( +[^] \`|#;)]+)+" $docs |
+        awk '{ n = split($0, w, " "); split(w[1], loc, ":")
+               for (i = 2; i <= n; i++) if (w[i] ~ /^--?[A-Za-z]/) {
+                   f = w[i]; sub(/^--?/, "", f); sub(/=.*/, "", f)
+                   print loc[1] ":" loc[2], f } }')
+    while read -r where name; do
+        [ -n "$name" ] || continue
+        case " h help $(echo $defined) " in
+        *" $name "*) ;;
+        *)
+            echo "checkdocs: FAIL — $where: \`$cmd -$name\` names a flag cmd/$cmd does not define" >&2
+            fail=1
+            ;;
+        esac
+    done <<EOF
+$used
+EOF
+done
+
 if [ "$fail" -ne 0 ]; then
-    echo "checkdocs: document every package ('// Package <name> ...'; internal packages cite their DESIGN.md section) and keep README's fault Kinds: list in step with internal/faults." >&2
+    echo "checkdocs: document every package ('// Package <name> ...'; internal packages cite their DESIGN.md section), keep README's fault Kinds: list in step with internal/faults, and invoke flexnetd/flexbench only with flags they define." >&2
     exit 1
 fi
-echo "checkdocs: OK — every package documented; internal packages cite DESIGN.md; README lists every fault kind."
+echo "checkdocs: OK — every package documented; internal packages cite DESIGN.md; README lists every fault kind; every documented flexnetd/flexbench flag exists."
