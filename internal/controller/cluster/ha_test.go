@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -246,6 +247,123 @@ func TestHAMinorityStopsServing(t *testing.T) {
 		if n := h.g.ServingCount(); n != 0 {
 			t.Fatalf("%d replicas serving at %v without a majority", n, h.sim.Now())
 		}
+	}
+}
+
+// appliedInOrder checks that replica rep applied exactly records
+// 1..want through OnApply, each once and in log order.
+func (h *haHarness) appliedInOrder(t *testing.T, rep int, want uint64) {
+	t.Helper()
+	prefix := fmt.Sprintf("apply:%d:", rep)
+	var next uint64 = 1
+	for _, ev := range h.events {
+		if !strings.HasPrefix(ev, prefix) {
+			continue
+		}
+		if got := ev[len(prefix):]; got != fmt.Sprint(next) {
+			t.Fatalf("replica %d applied seq %s, want %d", rep, got, next)
+		}
+		next++
+	}
+	if next-1 != want {
+		t.Fatalf("replica %d applied %d records, want %d", rep, next-1, want)
+	}
+}
+
+// leaders counts live replicas that believe they lead.
+func (h *haHarness) leaders() int {
+	n := 0
+	for i := 0; i < h.g.Size(); i++ {
+		if rep := h.g.Replica(i); rep.Alive() && rep.Role() == "leader" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLeaderElection checks that a 5-replica group has exactly one
+// leader at boot and, after that leader is killed, exactly one elected
+// successor that serves.
+func TestLeaderElection(t *testing.T) {
+	h := newHAHarness(t, 5, 1)
+	h.sim.RunFor(2 * time.Second)
+	if n := h.leaders(); n != 1 {
+		t.Fatalf("%d leaders at boot", n)
+	}
+	h.g.Replica(0).Kill()
+	h.sim.RunFor(2 * time.Second)
+	act := h.g.Active()
+	if act == nil || act.ID() == 0 {
+		t.Fatalf("no successor elected (active %v)", act)
+	}
+	if n := h.leaders(); n != 1 {
+		t.Fatalf("%d leaders after election", n)
+	}
+	if n := h.g.ServingCount(); n != 1 {
+		t.Fatalf("serving count %d, want 1", n)
+	}
+}
+
+// TestReplicationAndApply appends 10 records through the leader and
+// checks that every standby applies all of them, in log order.
+func TestReplicationAndApply(t *testing.T) {
+	h := newHAHarness(t, 3, 2)
+	h.sim.RunFor(100 * time.Millisecond)
+	h.appendN(t, 10)
+	h.sim.RunFor(time.Second)
+	if h.g.LogLen() != 10 {
+		t.Fatalf("log length %d, want 10", h.g.LogLen())
+	}
+	for i := 0; i < 3; i++ {
+		if rep := h.g.Replica(i); rep.Applied() != 10 {
+			t.Fatalf("replica %d applied %d/10", i, rep.Applied())
+		}
+	}
+	for i := 1; i < 3; i++ {
+		h.appliedInOrder(t, i, 10)
+	}
+}
+
+// TestCrashedNodeCatchesUpOnRevive kills a standby, appends 8 records
+// while it is down, and checks that it applies none of them until it is
+// revived and then all of them, in order.
+func TestCrashedNodeCatchesUpOnRevive(t *testing.T) {
+	h := newHAHarness(t, 3, 5)
+	h.sim.RunFor(100 * time.Millisecond)
+	const victim = 1
+	h.g.Replica(victim).Kill()
+	h.appendN(t, 8)
+	h.sim.RunFor(time.Second)
+	if got := h.g.Replica(victim).Applied(); got != 0 {
+		t.Fatalf("dead replica applied %d records", got)
+	}
+	h.g.Replica(victim).Revive()
+	h.sim.RunFor(2 * time.Second)
+	if got := h.g.Replica(victim).Applied(); got != 8 {
+		t.Fatalf("revived replica applied %d/8", got)
+	}
+	h.appliedInOrder(t, victim, 8)
+	h.appliedInOrder(t, 2, 8)
+}
+
+// TestDeterministicElections reruns a 5-replica leader kill at one seed
+// and requires the same successor to win in the same term.
+func TestDeterministicElections(t *testing.T) {
+	run := func() (int, uint64) {
+		h := newHAHarness(t, 5, 77)
+		h.sim.RunFor(100 * time.Millisecond)
+		h.g.Replica(0).Kill()
+		h.sim.RunFor(3 * time.Second)
+		act := h.g.Active()
+		if act == nil {
+			t.Fatal("no leader")
+		}
+		return act.ID(), act.Term()
+	}
+	l1, t1 := run()
+	l2, t2 := run()
+	if l1 != l2 || t1 != t2 {
+		t.Fatalf("non-deterministic election: (%d,%d) vs (%d,%d)", l1, t1, l2, t2)
 	}
 }
 
