@@ -268,7 +268,6 @@ func commands() map[string]*command {
 		c := newCommand(api.OpSpecApply, api.Summary(api.OpSpecApply))
 		file := c.fs.String("file", "", "declarative spec document (YAML or JSON; \"-\" = stdin)")
 		dry := c.fs.Bool("dry-run", false, "compute the diff and validate without executing")
-		maxPlans := c.fs.Int("max-plans", 0, "bound batched plans per wave (0 = server default)")
 		c.build = func() (request, error) {
 			data, err := readFileArg(*file, "spec apply")
 			if err != nil {
@@ -277,9 +276,6 @@ func commands() map[string]*command {
 			req := request{"op": api.OpSpecApply, "spec": string(data)}
 			if *dry {
 				req["dry_run"] = true
-			}
-			if *maxPlans > 0 {
-				req["max_plans"] = *maxPlans
 			}
 			return req, nil
 		}

@@ -142,8 +142,6 @@ type Request struct {
 	// Spec is the declarative spec document (YAML or JSON) for the
 	// spec-apply and spec-diff ops.
 	Spec string `json:"spec,omitempty"`
-	// MaxPlans bounds batched plans per wave for spec-apply (0 = default).
-	MaxPlans int `json:"max_plans,omitempty"`
 	// Limit bounds list-shaped replies (the audit op's tail length).
 	Limit int `json:"limit,omitempty"`
 }
@@ -440,7 +438,7 @@ func (s *Server) dispatch(req *Request) Response {
 			return fail(fmt.Errorf("spec-apply needs a spec document (\"spec\": \"...\")"))
 		}
 		rep, err := s.net.ApplySpec(context.Background(), flexnet.SpecApplyRequest{
-			Source: []byte(req.Spec), DryRun: req.DryRun, MaxPlans: req.MaxPlans,
+			Source: []byte(req.Spec), DryRun: req.DryRun,
 		})
 		if err != nil {
 			return fail(err)

@@ -359,6 +359,45 @@ func TestHandleSpecAndAuditOps(t *testing.T) {
 	}
 }
 
+// TestSpecApplyIgnoresPlanBound: spec-apply has no plan bound to tune. A
+// request from an older client that still sends "max_plans" decodes
+// (encoding/json skips unknown fields) and applies with the default
+// bound: two device-disjoint apps still get one plan each, not one
+// between them.
+func TestSpecApplyIgnoresPlanBound(t *testing.T) {
+	s := demoServer(t)
+	doc, err := json.Marshal(`
+version: v1
+apps:
+  - uri: flexnet://infra/a
+    path: [s1]
+    segments:
+      - name: syn
+        app: syn-defense
+        args: [128, 5]
+  - uri: flexnet://infra/b
+    path: [s2]
+    segments:
+      - name: syn
+        app: syn-defense
+        args: [128, 5]
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var req Request
+	if err := json.Unmarshal([]byte(`{"op":"spec-apply","max_plans":1,"spec":`+string(doc)+`}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	r := s.handle(&req)
+	if !r.OK {
+		t.Fatalf("spec-apply: %v", r.Error)
+	}
+	if got := r.Data.(map[string]interface{})["plans_emitted"]; got != 2 {
+		t.Fatalf("plans_emitted = %v, want 2 (one per device-disjoint app)", got)
+	}
+}
+
 // TestReadRepliesGolden pins the status and devices replies byte for
 // byte: they are typed structs now, and the bytes are those the
 // map[string]interface{} replies produced (captured at the commit before

@@ -11,10 +11,15 @@
 // reclamation.
 //
 // Control-plane cost is proportional to what an operation touches
-// (DESIGN.md §13): app/tenant state is sharded by owner, the compile
-// target list is cached by fabric generation, and update/scale
-// operations recompile placement incrementally from the app's previous
-// plan instead of recomputing the fabric-wide placement.
+// (DESIGN.md §13): the compile target list is cached by fabric
+// generation, and update/scale operations recompile placement
+// incrementally from the app's previous plan instead of recomputing the
+// fabric-wide placement.
+//
+// Each intent change — create or delete an app, add or drop a replica,
+// replace a segment's program — has one lowering to plan steps (an item),
+// shared by the imperative op and ApplySpec, and every app op executes
+// through one run helper that admits one change per app at a time.
 //
 // DESIGN.md §2 (S9) inventories the controller; operations execute as §5 change plans, and §10.3 specifies the self-healing loop (heal.go).
 package controller
@@ -22,10 +27,10 @@ package controller
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"flexnet/internal/audit"
 	"flexnet/internal/compiler"
@@ -41,7 +46,9 @@ import (
 	"flexnet/internal/telemetry"
 )
 
-// AppStatus is an application's lifecycle state.
+// AppStatus is an application's lifecycle state: running, or which kind
+// of change has a plan in flight. An app takes one change at a time
+// (Controller.claim).
 type AppStatus uint8
 
 // Application states.
@@ -50,7 +57,8 @@ const (
 	StatusRunning
 	StatusMigrating
 	StatusRemoving
-	StatusFailed
+	// StatusChanging covers scale, update, redeploy and spec changes.
+	StatusChanging
 )
 
 func (s AppStatus) String() string {
@@ -63,8 +71,8 @@ func (s AppStatus) String() string {
 		return "migrating"
 	case StatusRemoving:
 		return "removing"
-	case StatusFailed:
-		return "failed"
+	case StatusChanging:
+		return "changing"
 	default:
 		return fmt.Sprintf("status(%d)", uint8(s))
 	}
@@ -90,9 +98,31 @@ type App struct {
 	Status   AppStatus
 
 	// fps remembers each segment's fingerprint beside the program it was
-	// computed from; see Controller.liveFP. Guarded by the app's state
-	// shard lock.
+	// computed from; see Controller.liveFP. Guarded by the registry
+	// mutex.
 	fps map[string]segmentFP
+}
+
+// segments returns the app's segment names in sorted order.
+func (a *App) segments() []string {
+	segs := make([]string, 0, len(a.Replicas))
+	for seg := range a.Replicas {
+		segs = append(segs, seg)
+	}
+	sort.Strings(segs)
+	return segs
+}
+
+// setSegment gives dp's segment seg the program prog. It is the one
+// place a live segment changes program short of a whole new datapath
+// (create, Redeploy), and it stores prog's pointer rather than editing
+// the old program, which is what liveFP relies on (DESIGN.md §14.2).
+func setSegment(dp *flexbpf.Datapath, seg string, prog *flexbpf.Program) {
+	for i, s := range dp.Segments {
+		if s.Name == seg {
+			dp.Segments[i] = prog
+		}
+	}
 }
 
 // segmentFP is one remembered compiler.Fingerprint(prog).
@@ -126,8 +156,8 @@ type Controller struct {
 	// lastReport is the report of the most recently finished plan.
 	lastReport *plan.Report
 
-	// state holds apps and tenants, sharded by owner (shard.go).
-	state *shardedState
+	// state is the app and tenant registry (state.go).
+	state *registry
 	// targets is the generation-keyed compile-target cache.
 	targets *targetCache
 	// incremental selects incremental placement recompilation for
@@ -135,8 +165,6 @@ type Controller struct {
 	// full placement per op — the fabric-size-proportional baseline E18
 	// contrasts against.
 	incremental bool
-	// nextVLAN allocates tenant VLANs (atomic).
-	nextVLAN uint64
 
 	// placeScans / placeSegs count placement work: candidate targets
 	// examined and segment placements recomputed across all operations.
@@ -183,10 +211,9 @@ func New(fab *fabric.Fabric, eng *runtime.Engine, strategy compiler.Strategy) *C
 		eng:         eng,
 		comp:        compiler.New(strategy),
 		mig:         migrate.New(fab, eng),
-		state:       newShardedState(),
+		state:       newRegistry(),
 		targets:     newTargetCache(fab),
 		incremental: true,
-		nextVLAN:    100,
 		placeScans:  fab.Metrics.Counter("ctl.placement.targets_scanned"),
 		placeSegs:   fab.Metrics.Counter("ctl.placement.segments_recompiled"),
 		Punts:       NewPuntRing(0),
@@ -301,16 +328,11 @@ func ValidURI(uri string) bool {
 // AddTenant admits a tenant and allocates its isolation VLAN.
 func (c *Controller) AddTenant(name string) (*Tenant, error) {
 	c.fab.Metrics.Counter("ctl.ops.tenant_add").Inc()
-	sh := c.state.shardFor(name)
-	sh.mu.Lock()
-	if _, dup := sh.tenants[name]; dup {
-		sh.mu.Unlock()
+	t := c.state.addTenant(name)
+	if t == nil {
 		c.fab.Metrics.Counter("ctl.op_failures").Inc()
 		return nil, fmt.Errorf("controller: tenant %q already admitted", name)
 	}
-	t := &Tenant{Name: name, VLAN: atomic.AddUint64(&c.nextVLAN, 1) - 1}
-	sh.tenants[name] = t
-	sh.mu.Unlock()
 	c.audit.Append(audit.Record{Kind: "tenant-add", Tenant: name})
 	return t, nil
 }
@@ -365,39 +387,223 @@ type DeployOptions struct {
 	Tenant string
 }
 
+// item is one intent change lowered to plan steps: the controller's one
+// lowering, shared by the imperative ops (one item in one plan) and
+// ApplySpec (items packed into batched plans). It names the app it
+// changes (for a create, the app it registers), carries the placement
+// work its plan is charged, and apply makes the change in controller
+// state once the plan commits.
+type item struct {
+	key     string // deterministic sort key for spec packing
+	app     *App
+	steps   []plan.Step
+	scanned int
+	segs    int
+	apply   func()
+}
+
+// planOf wraps one item in a plan labelled label, charged for the
+// item's placement work.
+func (c *Controller) planOf(label string, it item) *plan.ChangePlan {
+	cp := plan.New(label)
+	cp.Steps = it.steps
+	return cp.Planning(c.planningCharge(it.scanned, it.segs))
+}
+
+// createItem lowers "create app uri": compile dp's placement (onto path
+// when one is given), install every segment's primary, then
+// scale[segment]-1 auto-placed extra replicas per segment. Applying it
+// registers the app, running.
+func (c *Controller) createItem(uri, tenant string, dp *flexbpf.Datapath, path []string, scale map[string]int) (item, error) {
+	if !ValidURI(uri) {
+		return item{}, fmt.Errorf("controller: malformed app URI %q", uri)
+	}
+	if c.state.app(uri) != nil {
+		return item{}, fmt.Errorf("controller: app %q already deployed", uri)
+	}
+	if tenant != "" && c.state.tenant(tenant) == nil {
+		return item{}, fmt.Errorf("controller: tenant %q not admitted", tenant)
+	}
+	targets, err := c.targetList(path)
+	if err != nil {
+		return item{}, err
+	}
+	placement, err := c.comp.Compile(dp, targets, path)
+	if err != nil {
+		return item{}, err
+	}
+	if err := compiler.CheckSLA(placement, dp); err != nil {
+		return item{}, err
+	}
+	app := &App{URI: uri, Tenant: tenant, Datapath: dp, Plan: placement, Path: path, Replicas: map[string][]string{}, Status: StatusRunning}
+	filter := c.tenantFilter(tenant)
+	var p plan.ChangePlan
+	for _, a := range placement.Assignments {
+		app.Replicas[a.Segment] = []string{a.Device}
+		p.Install(a.Device, instanceName(uri, a.Segment), dp.Segment(a.Segment), filter, 0)
+	}
+	scanned := placement.TargetsScanned
+	for _, seg := range dp.Segments {
+		devs, sc, err := c.placeReplicas(seg, path, app.Replicas[seg.Name], scale[seg.Name]-1)
+		if err != nil {
+			return item{}, fmt.Errorf("segment %s: %w", seg.Name, err)
+		}
+		scanned += sc
+		for _, dev := range devs {
+			app.Replicas[seg.Name] = append(app.Replicas[seg.Name], dev)
+			p.Install(dev, instanceName(uri, seg.Name), seg, filter, 0)
+		}
+	}
+	return item{key: "create " + uri, app: app, steps: p.Steps, scanned: scanned, segs: len(dp.Segments),
+		apply: func() { c.state.putApp(app) }}, nil
+}
+
+// removeItem lowers "delete app": remove every replica of every segment,
+// segments in name order. Applying it unregisters the app.
+func (c *Controller) removeItem(app *App) item {
+	var p plan.ChangePlan
+	for _, seg := range app.segments() {
+		for _, dev := range app.Replicas[seg] {
+			p.Remove(dev, instanceName(app.URI, seg))
+		}
+	}
+	return item{key: "delete " + app.URI, app: app, steps: p.Steps, apply: func() { c.state.deleteApp(app.URI) }}
+}
+
+// placeReplicas auto-places n replicas of prog — the path's devices
+// first, then the fabric, first fit — on devices outside have. It
+// returns the devices in placement order and the candidates scanned.
+func (c *Controller) placeReplicas(prog *flexbpf.Program, path, have []string, n int) ([]string, int, error) {
+	if n <= 0 {
+		return nil, 0, nil
+	}
+	exclude := make(map[string]bool, len(have)+n)
+	for _, d := range have {
+		exclude[d] = true
+	}
+	devs := make([]string, 0, n)
+	scanned := 0
+	for len(devs) < n {
+		dev, sc, err := compiler.PlaceSegment(prog, c.targets.list(), path, exclude)
+		if err != nil {
+			return nil, 0, err
+		}
+		scanned += sc
+		exclude[dev] = true
+		devs = append(devs, dev)
+	}
+	return devs, scanned, nil
+}
+
+// addReplicasItem lowers "add replicas of segment, running prog, on
+// devs"; scanned is the placement work that chose devs.
+func (c *Controller) addReplicasItem(app *App, segment string, prog *flexbpf.Program, devs []string, scanned int) item {
+	var p plan.ChangePlan
+	filter := c.tenantFilter(app.Tenant)
+	for _, dev := range devs {
+		p.Install(dev, instanceName(app.URI, segment), prog, filter, 0)
+	}
+	return item{key: "scale-up " + app.URI + "#" + segment, app: app, steps: p.Steps, scanned: scanned, segs: 1,
+		apply: func() { app.Replicas[segment] = append(app.Replicas[segment], devs...) }}
+}
+
+// dropReplicasItem lowers "drop segment's replicas on victims", removed
+// in the order given.
+func (c *Controller) dropReplicasItem(app *App, segment string, victims []string) item {
+	var p plan.ChangePlan
+	for _, dev := range victims {
+		p.Remove(dev, instanceName(app.URI, segment))
+	}
+	return item{key: "scale-down " + app.URI + "#" + segment, app: app, steps: p.Steps, apply: func() {
+		app.Replicas[segment] = slices.DeleteFunc(app.Replicas[segment], func(dev string) bool { return slices.Contains(victims, dev) })
+	}}
+}
+
+// swapItem lowers "replace segment's program with prog" on every
+// replica; applying it gives the live segment prog (setSegment).
+func (c *Controller) swapItem(app *App, segment string, prog *flexbpf.Program) item {
+	var p plan.ChangePlan
+	filter := c.tenantFilter(app.Tenant)
+	for _, dev := range app.Replicas[segment] {
+		p.Swap(dev, instanceName(app.URI, segment), prog, filter)
+	}
+	return item{key: "swap " + app.URI + "#" + segment, app: app, steps: p.Steps, segs: 1,
+		apply: func() { setSegment(app.Datapath, segment, prog) }}
+}
+
+// claim marks apps as having a change in flight (status st), or refuses
+// the change and marks nothing if any of them already has one: two
+// changes to one app would each be planned from state the other is about
+// to replace. run returns a claimed app to StatusRunning when its plan
+// settles.
+func (c *Controller) claim(st AppStatus, apps ...*App) error {
+	c.state.mu.Lock()
+	defer c.state.mu.Unlock()
+	for _, a := range apps {
+		if a.Status != StatusRunning {
+			return fmt.Errorf("controller: app %q is %s; one change at a time", a.URI, a.Status)
+		}
+	}
+	for _, a := range apps {
+		a.Status = st
+	}
+	return nil
+}
+
+func (c *Controller) release(apps ...*App) {
+	c.state.mu.Lock()
+	defer c.state.mu.Unlock()
+	for _, a := range apps {
+		a.Status = StatusRunning
+	}
+}
+
+// run executes an app op's plan: it records the report as LastReport,
+// makes the op's state change (apply, may be nil) if the plan committed,
+// returns the claimed app to StatusRunning (app is nil for spec batches,
+// which ApplySpec releases itself), and hands the report to done.
+func (c *Controller) run(ctx context.Context, cp *plan.ChangePlan, app *App, apply func(), done func(*plan.Report)) {
+	c.exec.ExecuteCtx(ctx, cp, func(r *plan.Report) {
+		c.lastReport = r
+		if r.Err == nil && apply != nil {
+			apply()
+		}
+		if app != nil {
+			c.release(app)
+		}
+		done(r)
+	})
+}
+
+// change runs an imperative op on one app from what planning returned:
+// it counts the op, claims the item's app under st and runs cp. done gets
+// the first error — planning's, the claim's or the plan's.
+func (c *Controller) change(ctx context.Context, op string, st AppStatus, cp *plan.ChangePlan, it item, err error, done func(error)) {
+	done = c.instrument(op, done)
+	if err == nil {
+		err = c.claim(st, it.app)
+	}
+	if err != nil {
+		done(err)
+		return
+	}
+	c.run(ctx, cp, it.app, it.apply, func(r *plan.Report) { done(r.Err) })
+}
+
+func errNoApp(uri string) error {
+	return fmt.Errorf("controller: no app %q: %w", uri, errdefs.ErrNoSuchApp)
+}
+
 // PlanDeploy validates and compiles a deployment, returning the change
 // plan and the placement without executing anything. The returned plan
 // can be dry-run (DryRun) or handed back through Deploy's execution by
 // the caller's choice.
 func (c *Controller) PlanDeploy(uri string, dp *flexbpf.Datapath, opts DeployOptions) (*plan.ChangePlan, *compiler.Plan, error) {
-	if !ValidURI(uri) {
-		return nil, nil, fmt.Errorf("controller: malformed app URI %q", uri)
-	}
-	if c.state.app(uri) != nil {
-		return nil, nil, fmt.Errorf("controller: app %q already deployed", uri)
-	}
-	if opts.Tenant != "" && c.state.tenant(opts.Tenant) == nil {
-		return nil, nil, fmt.Errorf("controller: tenant %q not admitted", opts.Tenant)
-	}
-	// Compile against current device state.
-	targets, err := c.targetList(opts.Path)
+	it, err := c.createItem(uri, opts.Tenant, dp, opts.Path, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	placement, err := c.comp.Compile(dp, targets, opts.Path)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := compiler.CheckSLA(placement, dp); err != nil {
-		return nil, nil, err
-	}
-	filter := c.tenantFilter(opts.Tenant)
-	cp := plan.New("deploy " + uri)
-	for _, a := range placement.Assignments {
-		cp.Install(a.Device, instanceName(uri, a.Segment), dp.Segment(a.Segment), filter, 0)
-	}
-	cp.Planning(c.planningCharge(placement.TargetsScanned, len(dp.Segments)))
-	return cp, placement, nil
+	return c.planOf("deploy "+uri, it), it.app.Plan, nil
 }
 
 // Deploy compiles and installs an app's datapath under the URI handle.
@@ -407,49 +613,23 @@ func (c *Controller) PlanDeploy(uri string, dp *flexbpf.Datapath, opts DeployOpt
 // the deployment back (see runtime.Executor.ExecuteCtx).
 func (c *Controller) Deploy(ctx context.Context, uri string, dp *flexbpf.Datapath, opts DeployOptions, done func(error)) {
 	done = c.instrument("deploy", done)
-	fail := func(err error) {
-		if done != nil {
-			done(err)
-		}
-	}
-	cp, placement, err := c.PlanDeploy(uri, dp, opts)
+	it, err := c.createItem(uri, opts.Tenant, dp, opts.Path, nil)
 	if err != nil {
-		fail(err)
+		done(err)
 		return
 	}
-	app := &App{
-		URI:      uri,
-		Tenant:   opts.Tenant,
-		Datapath: dp,
-		Plan:     placement,
-		Path:     opts.Path,
-		Replicas: map[string][]string{},
-		Status:   StatusDeploying,
-	}
-	for _, a := range placement.Assignments {
-		app.Replicas[a.Segment] = []string{a.Device}
-	}
-	c.state.putApp(app)
-	if opts.Tenant != "" {
-		c.state.addTenantApp(opts.Tenant, uri)
-	}
-	c.exec.ExecuteCtx(ctx, cp, func(r *plan.Report) {
-		c.lastReport = r
+	cp := c.planOf("deploy "+uri, it)
+	// Unlike a spec create, Deploy registers the app before its plan
+	// runs; registering it deploying is its claim.
+	it.app.Status = StatusDeploying
+	it.apply()
+	c.run(ctx, cp, it.app, nil, func(r *plan.Report) {
 		if r.Err != nil {
 			// Rollback restored the devices; release the URI so a
 			// corrected deployment can retry.
-			app.Status = StatusFailed
 			c.state.deleteApp(uri)
-			if opts.Tenant != "" {
-				c.state.removeTenantApp(opts.Tenant, uri)
-			}
-			fail(r.Err)
-			return
 		}
-		app.Status = StatusRunning
-		if done != nil {
-			done(nil)
-		}
+		done(r.Err)
 	})
 }
 
@@ -481,59 +661,31 @@ func (c *Controller) Apps() []string { return c.state.appURIs() }
 
 // PlanRemove builds the removal plan for every replica of an app.
 func (c *Controller) PlanRemove(uri string) (*plan.ChangePlan, error) {
+	cp, _, err := c.planRemove(uri)
+	return cp, err
+}
+
+func (c *Controller) planRemove(uri string) (*plan.ChangePlan, item, error) {
 	app := c.state.app(uri)
 	if app == nil {
-		return nil, fmt.Errorf("controller: no app %q: %w", uri, errdefs.ErrNoSuchApp)
+		return nil, item{}, errNoApp(uri)
 	}
+	it := c.removeItem(app)
 	cp := plan.New("remove " + uri)
 	// A removal's intent survives a dead replica — the crashed device
 	// already lost the instance — so the plan may skip down devices and
 	// report OutcomeDegraded instead of aborting (DESIGN.md §10).
 	cp.AllowDegraded = true
-	segs := make([]string, 0, len(app.Replicas))
-	for seg := range app.Replicas {
-		segs = append(segs, seg)
-	}
-	sort.Strings(segs)
-	for _, seg := range segs {
-		for _, dev := range app.Replicas[seg] {
-			cp.Remove(dev, instanceName(uri, seg))
-		}
-	}
-	return cp, nil
+	cp.Steps = it.steps
+	return cp, it, nil
 }
 
 // Remove uninstalls an app everywhere and releases its resources. On
 // failure the rollback re-places every instance (state intact) and the
 // app stays registered and running.
 func (c *Controller) Remove(ctx context.Context, uri string, done func(error)) {
-	done = c.instrument("remove", done)
-	cp, err := c.PlanRemove(uri)
-	if err != nil {
-		if done != nil {
-			done(err)
-		}
-		return
-	}
-	app := c.state.app(uri)
-	app.Status = StatusRemoving
-	c.exec.ExecuteCtx(ctx, cp, func(r *plan.Report) {
-		c.lastReport = r
-		if r.Err != nil {
-			app.Status = StatusRunning
-			if done != nil {
-				done(r.Err)
-			}
-			return
-		}
-		c.state.deleteApp(uri)
-		if app.Tenant != "" {
-			c.state.removeTenantApp(app.Tenant, uri)
-		}
-		if done != nil {
-			done(nil)
-		}
-	})
+	cp, it, err := c.planRemove(uri)
+	c.change(ctx, "remove", StatusRemoving, cp, it, err, done)
 }
 
 // PlanScaleOut builds the plan for one additional replica. An empty
@@ -542,36 +694,33 @@ func (c *Controller) Remove(ctx context.Context, uri string, done func(error)) {
 // device is returned. The returned device equals the argument when one
 // was given.
 func (c *Controller) PlanScaleOut(uri, segment, device string) (*plan.ChangePlan, string, error) {
+	cp, _, err := c.planScaleOut(uri, segment, device)
+	if err != nil {
+		return nil, "", err
+	}
+	return cp, cp.Steps[0].Device, nil
+}
+
+func (c *Controller) planScaleOut(uri, segment, device string) (*plan.ChangePlan, item, error) {
 	app := c.state.app(uri)
 	if app == nil {
-		return nil, "", fmt.Errorf("controller: no app %q: %w", uri, errdefs.ErrNoSuchApp)
+		return nil, item{}, errNoApp(uri)
 	}
 	seg := app.Datapath.Segment(segment)
 	if seg == nil {
-		return nil, "", fmt.Errorf("controller: app %q has no segment %q: %w", uri, segment, errdefs.ErrNoSuchApp)
+		return nil, item{}, fmt.Errorf("controller: app %q has no segment %q: %w", uri, segment, errdefs.ErrNoSuchApp)
 	}
-	scanned := 1
+	devs, scanned := []string{device}, 1
 	if device == "" {
-		exclude := map[string]bool{}
-		for _, d := range app.Replicas[segment] {
-			exclude[d] = true
-		}
 		var err error
-		device, scanned, err = compiler.PlaceSegment(seg, c.targets.list(), app.Path, exclude)
-		if err != nil {
-			return nil, "", fmt.Errorf("controller: scale-out %s/%s: %w", uri, segment, err)
+		if devs, scanned, err = c.placeReplicas(seg, app.Path, app.Replicas[segment], 1); err != nil {
+			return nil, item{}, fmt.Errorf("controller: scale-out %s/%s: %w", uri, segment, err)
 		}
-	} else {
-		for _, d := range app.Replicas[segment] {
-			if d == device {
-				return nil, "", fmt.Errorf("controller: %q already replicated on %s", uri, device)
-			}
-		}
+	} else if slices.Contains(app.Replicas[segment], device) {
+		return nil, item{}, fmt.Errorf("controller: %q already replicated on %s", uri, device)
 	}
-	cp := plan.New(fmt.Sprintf("scale-out %s/%s -> %s", uri, segment, device))
-	cp.Install(device, instanceName(uri, segment), seg, c.tenantFilter(app.Tenant), 0)
-	cp.Planning(c.planningCharge(scanned, 1))
-	return cp, device, nil
+	it := c.addReplicasItem(app, segment, seg, devs, scanned)
+	return c.planOf(fmt.Sprintf("scale-out %s/%s -> %s", uri, segment, devs[0]), it), it, nil
 }
 
 // ScaleOut installs an additional replica of an app segment on a device
@@ -579,91 +728,40 @@ func (c *Controller) PlanScaleOut(uri, segment, device string) (*plan.ChangePlan
 // on attack traffic volume"). An empty device lets the controller pick
 // one (see PlanScaleOut).
 func (c *Controller) ScaleOut(ctx context.Context, uri, segment, device string, done func(error)) {
-	done = c.instrument("scale_out", done)
-	fail := func(err error) {
-		if done != nil {
-			done(err)
-		}
-	}
-	cp, placed, err := c.PlanScaleOut(uri, segment, device)
-	if err != nil {
-		fail(err)
-		return
-	}
-	app := c.state.app(uri)
-	c.exec.ExecuteCtx(ctx, cp, func(r *plan.Report) {
-		c.lastReport = r
-		if r.Err != nil {
-			fail(r.Err)
-			return
-		}
-		app.Replicas[segment] = append(app.Replicas[segment], placed)
-		if done != nil {
-			done(nil)
-		}
-	})
+	cp, it, err := c.planScaleOut(uri, segment, device)
+	c.change(ctx, "scale_out", StatusChanging, cp, it, err, done)
 }
 
 // PlanScaleIn builds the plan to retire one replica.
 func (c *Controller) PlanScaleIn(uri, segment, device string) (*plan.ChangePlan, error) {
+	cp, _, err := c.planScaleIn(uri, segment, device)
+	return cp, err
+}
+
+func (c *Controller) planScaleIn(uri, segment, device string) (*plan.ChangePlan, item, error) {
 	app := c.state.app(uri)
 	if app == nil {
-		return nil, fmt.Errorf("controller: no app %q: %w", uri, errdefs.ErrNoSuchApp)
+		return nil, item{}, errNoApp(uri)
 	}
 	devs := app.Replicas[segment]
-	found := false
-	for _, d := range devs {
-		if d == device {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("controller: %q segment %q has no replica on %s", uri, segment, device)
+	if !slices.Contains(devs, device) {
+		return nil, item{}, fmt.Errorf("controller: %q segment %q has no replica on %s", uri, segment, device)
 	}
 	if len(devs) == 1 {
-		return nil, fmt.Errorf("controller: refusing to remove the last replica of %q/%q", uri, segment)
+		return nil, item{}, fmt.Errorf("controller: refusing to remove the last replica of %q/%q", uri, segment)
 	}
-	cp := plan.New(fmt.Sprintf("scale-in %s/%s on %s", uri, segment, device))
+	it := c.dropReplicasItem(app, segment, []string{device})
+	cp := c.planOf(fmt.Sprintf("scale-in %s/%s on %s", uri, segment, device), it)
 	// Like removal, retiring a replica on a dead device is already done
 	// as far as the network is concerned; degrade instead of aborting.
 	cp.AllowDegraded = true
-	cp.Remove(device, instanceName(uri, segment))
-	cp.Planning(c.planningCharge(0, 0))
-	return cp, nil
+	return cp, it, nil
 }
 
 // ScaleIn removes a replica from a device.
 func (c *Controller) ScaleIn(ctx context.Context, uri, segment, device string, done func(error)) {
-	done = c.instrument("scale_in", done)
-	fail := func(err error) {
-		if done != nil {
-			done(err)
-		}
-	}
-	cp, err := c.PlanScaleIn(uri, segment, device)
-	if err != nil {
-		fail(err)
-		return
-	}
-	app := c.state.app(uri)
-	c.exec.ExecuteCtx(ctx, cp, func(r *plan.Report) {
-		c.lastReport = r
-		if r.Err != nil {
-			fail(r.Err)
-			return
-		}
-		devs := app.Replicas[segment]
-		for i, d := range devs {
-			if d == device {
-				app.Replicas[segment] = append(devs[:i], devs[i+1:]...)
-				break
-			}
-		}
-		if done != nil {
-			done(nil)
-		}
-	})
+	cp, it, err := c.planScaleIn(uri, segment, device)
+	c.change(ctx, "scale_in", StatusChanging, cp, it, err, done)
 }
 
 // MigrateRequest names a segment migration. The explicit DataPlane field
@@ -687,7 +785,7 @@ func (c *Controller) PlanMigrate(req MigrateRequest) (*plan.ChangePlan, error) {
 	uri, segment, dst := req.URI, req.Segment, req.Dst
 	app := c.state.app(uri)
 	if app == nil {
-		return nil, fmt.Errorf("controller: no app %q: %w", uri, errdefs.ErrNoSuchApp)
+		return nil, errNoApp(uri)
 	}
 	devs := app.Replicas[segment]
 	if len(devs) == 0 {
@@ -729,28 +827,18 @@ func (c *Controller) Migrate(ctx context.Context, req MigrateRequest, done func(
 		}
 	}
 	cp, err := c.PlanMigrate(req)
+	app := c.state.app(req.URI)
+	if err == nil {
+		err = c.claim(StatusMigrating, app)
+	}
 	if err != nil {
 		done(migrate.Report{Err: err})
 		return
 	}
 	uri, segment, dst := req.URI, req.Segment, req.Dst
-	app := c.state.app(uri)
 	src := app.Replicas[segment][0]
 	instName := instanceName(uri, segment)
-	app.Status = StatusMigrating
-	c.exec.ExecuteCtx(ctx, cp, func(r *plan.Report) {
-		c.lastReport = r
-		app.Status = StatusRunning
-		if r.Err != nil {
-			rep := c.mig.LastReport()
-			if rep.Program != instName || rep.Err == nil {
-				// The failure happened before the mover ran (install
-				// phase); synthesize a report.
-				rep = migrate.Report{Program: instName, Src: src, Dst: dst, Err: r.Err}
-			}
-			done(rep)
-			return
-		}
+	c.run(ctx, cp, app, func() {
 		app.Replicas[segment][0] = dst
 		// Keep the placement plan current: the incremental recompiler
 		// keys off it, so a stale assignment would undo the migration on
@@ -762,7 +850,14 @@ func (c *Controller) Migrate(ctx context.Context, req MigrateRequest, done func(
 				}
 			}
 		}
-		done(c.mig.LastReport())
+	}, func(r *plan.Report) {
+		rep := c.mig.LastReport()
+		if r.Err != nil && (rep.Program != instName || rep.Err == nil) {
+			// The failure happened before the mover ran (install
+			// phase); synthesize a report.
+			rep = migrate.Report{Program: instName, Src: src, Dst: dst, Err: r.Err}
+		}
+		done(rep)
 	})
 }
 
@@ -795,7 +890,7 @@ func (c *Controller) ResourceView() []Resources {
 func (c *Controller) MarkRemovable(uri string) error {
 	app := c.state.app(uri)
 	if app == nil {
-		return fmt.Errorf("controller: no app %q: %w", uri, errdefs.ErrNoSuchApp)
+		return errNoApp(uri)
 	}
 	for seg, devs := range app.Replicas {
 		for _, dev := range devs {

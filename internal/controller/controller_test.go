@@ -2,6 +2,8 @@ package controller
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
 	"flexnet/internal/runtime"
+	"flexnet/internal/spec"
 )
 
 // testbed: h1 — s1 — s2 — h2 with two switches and a host-capable NIC.
@@ -309,4 +312,117 @@ func TestPuntsReachController(t *testing.T) {
 	if c.Punts.All()[0].Device != "s1" {
 		t.Fatalf("punt from %s", c.Punts.All()[0].Device)
 	}
+}
+
+// TestOneChangePerApp: every op plans from the app's state at submit time
+// and changes it at commit, and the executor runs plans with disjoint
+// device footprints side by side. So a second op on an app submitted
+// while the first is in flight is refused; otherwise it would plan from
+// state the first is about to replace.
+func TestOneChangePerApp(t *testing.T) {
+	const uri = "flexnet://infra/mon"
+	ctx := context.Background()
+	mon := func() *flexbpf.Datapath {
+		return &flexbpf.Datapath{Name: "mon", Segments: []*flexbpf.Program{apps.HeavyHitter("hh", 2, 128, 1000)}}
+	}
+	refused := func(t *testing.T, op string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "one change at a time") {
+			t.Fatalf("%s beside a change in flight: %v, want it refused", op, err)
+		}
+	}
+	agrees := func(t *testing.T, c *Controller) {
+		t.Helper()
+		if d := c.IntentDrift(); len(d) != 0 {
+			t.Fatalf("intent drift: %v", d)
+		}
+		if !replayMatchesIntent(t, c) {
+			t.Fatal("audit replay differs from live intent")
+		}
+	}
+
+	t.Run("remove-and-scale-out", func(t *testing.T) {
+		f, c := testbed(t)
+		deploy(t, f, c, uri, mon(), DeployOptions{Path: []string{"s1"}})
+		rmErr, soErr := errors.New("pending"), errors.New("pending")
+		c.Remove(ctx, uri, func(e error) { rmErr = e })
+		c.ScaleOut(ctx, uri, "hh", "s2", func(e error) { soErr = e })
+		f.Sim.RunFor(2 * time.Second)
+		if rmErr != nil {
+			t.Fatalf("remove: %v", rmErr)
+		}
+		refused(t, "scale-out", soErr)
+		if c.App(uri) != nil || f.Device("s2").Instance(uri+"#hh") != nil {
+			t.Fatalf("after the removal: app %v, s2 instance %v", c.App(uri), f.Device("s2").Instance(uri+"#hh"))
+		}
+		agrees(t, c)
+	})
+
+	t.Run("scale-in-and-remove", func(t *testing.T) {
+		f, c := testbed(t)
+		deploy(t, f, c, uri, mon(), DeployOptions{Path: []string{"s1"}})
+		if err := await(t, f, func(done func(error)) { c.ScaleOut(ctx, uri, "hh", "s2", done) }); err != nil {
+			t.Fatal(err)
+		}
+		siErr, rmErr := errors.New("pending"), errors.New("pending")
+		c.ScaleIn(ctx, uri, "hh", "s2", func(e error) { siErr = e })
+		c.Remove(ctx, uri, func(e error) { rmErr = e })
+		f.Sim.RunFor(2 * time.Second)
+		if siErr != nil {
+			t.Fatalf("scale-in: %v", siErr)
+		}
+		refused(t, "remove", rmErr)
+		if got := c.App(uri).Replicas["hh"]; len(got) != 1 || got[0] != "s1" {
+			t.Fatalf("replicas after the scale-in = %v", got)
+		}
+		agrees(t, c)
+		// Once the scale-in settled, the app takes the removal.
+		if err := await(t, f, func(done func(error)) { c.Remove(ctx, uri, done) }); err != nil {
+			t.Fatal(err)
+		}
+		agrees(t, c)
+	})
+
+	t.Run("spec-apply-is-one-change", func(t *testing.T) {
+		f, c := testbed(t)
+		resolve := func(scale int) *spec.Resolved {
+			r, err := spec.Resolve(&spec.Spec{Version: fmt.Sprintf("scale-%d", scale), Apps: []spec.AppSpec{{
+				URI: uri, Path: []string{"s1", "s2"},
+				Segments: []spec.SegmentSpec{{Name: "hh", App: "heavy-hitter", Args: []uint64{2, 128, 1000}, Scale: scale}},
+			}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		if _, err := applySpec(t, f, c, resolve(1)); err != nil {
+			t.Fatal(err)
+		}
+		// An apply in flight holds every app its diff touches...
+		specErr, rmErr := errors.New("pending"), errors.New("pending")
+		c.ApplySpec(ctx, resolve(2), SpecOptions{}, func(_ *SpecReport, e error) { specErr = e })
+		c.Remove(ctx, uri, func(e error) { rmErr = e })
+		f.Sim.RunFor(2 * time.Second)
+		if specErr != nil {
+			t.Fatalf("spec apply: %v", specErr)
+		}
+		refused(t, "remove", rmErr)
+		if got := c.App(uri).Replicas["hh"]; len(got) != 2 {
+			t.Fatalf("replicas after scaling to 2 = %v", got)
+		}
+		agrees(t, c)
+		// ...and an op in flight holds its app against an apply.
+		siErr, specErr := errors.New("pending"), errors.New("pending")
+		c.ScaleIn(ctx, uri, "hh", c.App(uri).Replicas["hh"][1], func(e error) { siErr = e })
+		c.ApplySpec(ctx, resolve(1), SpecOptions{}, func(_ *SpecReport, e error) { specErr = e })
+		f.Sim.RunFor(2 * time.Second)
+		if siErr != nil {
+			t.Fatalf("scale-in: %v", siErr)
+		}
+		refused(t, "spec apply", specErr)
+		if got := c.App(uri).Replicas["hh"]; len(got) != 1 {
+			t.Fatalf("replicas after the scale-in = %v", got)
+		}
+		agrees(t, c)
+	})
 }

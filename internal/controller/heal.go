@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 
 	"flexnet/internal/dataplane"
 	"flexnet/internal/fabric"
@@ -150,12 +151,7 @@ func (h *Healer) desiredPlan(name string, d *dataplane.Device) *plan.ChangePlan 
 	}
 	for _, uri := range h.c.Apps() {
 		app := h.c.state.app(uri)
-		segs := make([]string, 0, len(app.Replicas))
-		for seg := range app.Replicas {
-			segs = append(segs, seg)
-		}
-		sort.Strings(segs)
-		for _, seg := range segs {
+		for _, seg := range app.segments() {
 			for _, dev := range app.Replicas[seg] {
 				if dev != name {
 					continue
@@ -177,31 +173,40 @@ func (h *Healer) desiredPlan(name string, d *dataplane.Device) *plan.ChangePlan 
 }
 
 // IntentDrift compares the controller's committed intent against live
-// device state and returns a sorted list of discrepancies ("device s1
-// missing instance flexnet://t/app#seg"), empty when the network holds
-// exactly what was committed. The chaos soak gate asserts this is empty
-// after recovery; operators can read it through flexnetd's status op.
+// device state and returns a sorted list of discrepancies — an assigned
+// instance a device lacks ("device s1 missing instance
+// flexnet://t/app#seg") or an app instance a device holds that intent
+// does not assign to it ("device s2 has orphan instance …") — empty when
+// the network holds exactly what was committed. The chaos soak gate
+// asserts this is empty after recovery; operators can read it through
+// flexnetd's status op.
 func (c *Controller) IntentDrift() []string {
 	var out []string
+	assigned := map[string]bool{} // "<device> <instance>"
 	for _, uri := range c.Apps() {
 		app := c.state.app(uri)
-		segs := make([]string, 0, len(app.Replicas))
-		for seg := range app.Replicas {
-			segs = append(segs, seg)
-		}
-		sort.Strings(segs)
-		for _, seg := range segs {
+		for _, seg := range app.segments() {
+			inst := instanceName(uri, seg)
 			for _, dev := range app.Replicas[seg] {
+				assigned[dev+" "+inst] = true
 				d := c.fab.Device(dev)
 				if d == nil {
 					out = append(out, fmt.Sprintf("device %s unknown (app %s#%s)", dev, uri, seg))
 					continue
 				}
-				if d.Instance(instanceName(uri, seg)) == nil {
-					out = append(out, fmt.Sprintf("device %s missing instance %s", dev, instanceName(uri, seg)))
+				if d.Instance(inst) == nil {
+					out = append(out, fmt.Sprintf("device %s missing instance %s", dev, inst))
 				}
 			}
 		}
 	}
+	for _, dev := range c.fab.Devices() {
+		for _, prog := range c.fab.Device(dev).Programs() {
+			if uri, _, ok := strings.Cut(prog, "#"); ok && ValidURI(uri) && !assigned[dev+" "+prog] {
+				out = append(out, fmt.Sprintf("device %s has orphan instance %s", dev, prog))
+			}
+		}
+	}
+	sort.Strings(out)
 	return out
 }

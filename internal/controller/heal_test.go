@@ -113,3 +113,27 @@ func TestIntentDriftNamesMissing(t *testing.T) {
 		t.Fatalf("drift entry %q does not name device and instance", drift[0])
 	}
 }
+
+// IntentDrift names an app instance a device holds that intent does not
+// assign to it — a replica of a live app on the wrong device, or any
+// instance of an app that is not deployed — and nothing else the device
+// runs (infra routing).
+func TestIntentDriftNamesOrphan(t *testing.T) {
+	f, ctl := testbed(t)
+	dp := &flexbpf.Datapath{Name: "flexnet://t/syn", Segments: []*flexbpf.Program{apps.SYNDefense("syn", 1024, 10)}}
+	deploy(t, f, ctl, "flexnet://t/syn", dp, DeployOptions{Path: []string{"s1"}})
+	for _, name := range []string{"flexnet://t/syn#syn", "flexnet://t/gone#x"} {
+		orphan := apps.SYNDefense("syn", 1024, 10)
+		orphan.Name = name
+		if err := f.Device("s2").InstallProgram(orphan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{
+		"device s2 has orphan instance flexnet://t/gone#x",
+		"device s2 has orphan instance flexnet://t/syn#syn",
+	}
+	if drift := ctl.IntentDrift(); strings.Join(drift, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("drift = %q, want %q", drift, want)
+	}
+}

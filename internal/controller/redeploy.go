@@ -106,7 +106,7 @@ func (c *Controller) placeDatapath(app *App, newDP *flexbpf.Datapath) (*compiler
 func (c *Controller) PlanRedeploy(uri string, newDP *flexbpf.Datapath) (*plan.ChangePlan, *compiler.IncrementalPlan, error) {
 	app := c.state.app(uri)
 	if app == nil {
-		return nil, nil, fmt.Errorf("controller: no app %q: %w", uri, errdefs.ErrNoSuchApp)
+		return nil, nil, errNoApp(uri)
 	}
 	if app.Plan == nil {
 		return nil, nil, fmt.Errorf("controller: app %q has no placement plan: %w", uri, errdefs.ErrNoSuchApp)
@@ -128,16 +128,11 @@ func (c *Controller) PlanRedeploy(uri string, newDP *flexbpf.Datapath) (*plan.Ch
 	filter := c.tenantFilter(app.Tenant)
 	cp := plan.New("redeploy " + uri)
 	for _, a := range inc.Remove {
-		for _, dev := range app.Replicas[a.Segment] {
-			cp.Remove(dev, instanceName(uri, a.Segment))
-		}
+		cp.Steps = append(cp.Steps, c.dropReplicasItem(app, a.Segment, app.Replicas[a.Segment]).steps...)
 	}
 	for _, a := range inc.Keep {
-		if !changed(a.Segment) {
-			continue
-		}
-		for _, dev := range app.Replicas[a.Segment] {
-			cp.Swap(dev, instanceName(uri, a.Segment), newDP.Segment(a.Segment), filter)
+		if changed(a.Segment) {
+			cp.Steps = append(cp.Steps, c.swapItem(app, a.Segment, newDP.Segment(a.Segment)).steps...)
 		}
 	}
 	for _, a := range inc.Place {
@@ -175,23 +170,9 @@ func (c *Controller) PlanRedeploy(uri string, newDP *flexbpf.Datapath) (*plan.Ch
 // failure the rollback restores every device and the old version stays
 // authoritative.
 func (c *Controller) Redeploy(ctx context.Context, uri string, newDP *flexbpf.Datapath, done func(error)) {
-	done = c.instrument("redeploy", done)
 	cp, inc, err := c.PlanRedeploy(uri, newDP)
-	if err != nil {
-		if done != nil {
-			done(err)
-		}
-		return
-	}
 	app := c.state.app(uri)
-	c.exec.ExecuteCtx(ctx, cp, func(r *plan.Report) {
-		c.lastReport = r
-		if r.Err != nil {
-			if done != nil {
-				done(r.Err)
-			}
-			return
-		}
+	c.change(ctx, "redeploy", StatusChanging, cp, item{app: app, apply: func() {
 		// Commit the new logical view and placement.
 		assigns := make([]compiler.Assignment, 0, len(inc.Keep)+len(inc.Place))
 		assigns = append(assigns, inc.Keep...)
@@ -213,8 +194,5 @@ func (c *Controller) Redeploy(ctx context.Context, uri string, newDP *flexbpf.Da
 		app.Datapath = newDP
 		app.Plan = &compiler.Plan{Datapath: newDP.Name, Assignments: assigns, Iterations: inc.Iterations, TargetsScanned: inc.TargetsScanned}
 		app.Replicas = replicas
-		if done != nil {
-			done(nil)
-		}
-	})
+	}}, err, done)
 }

@@ -14,13 +14,14 @@ package controller
 //	grow    creations, scale-ups and segment swaps, planned only
 //	        after the shrink wave commits.
 //
-// Within a wave, items are grouped by device-footprint connectivity
-// (union-find) and the groups are packed round-robin into at most
-// MaxPlans batched plans. Groups in different plans share no device,
-// so the executor's conflict admission (DESIGN.md §13.3) runs the
-// wave's plans concurrently; batching many imperative ops per plan is
-// what makes a mass change cost a handful of plans instead of
-// hundreds (E19).
+// Each diff entry is lowered by the same item builder its imperative op
+// uses (controller.go). Within a wave, items are grouped by
+// device-footprint connectivity (union-find) and the groups are packed
+// round-robin into at most DefaultSpecMaxPlans batched plans. Groups in
+// different plans share no device, so the executor's conflict admission
+// (DESIGN.md §13.3) runs the wave's plans concurrently; batching many
+// imperative ops per plan is what makes a mass change cost a handful of
+// plans instead of hundreds (E19).
 
 import (
 	"context"
@@ -43,8 +44,6 @@ type SpecOptions struct {
 	// executing anything; grow placements are not computed (they
 	// depend on resources the shrink wave frees).
 	DryRun bool
-	// MaxPlans bounds the batched plans per wave (0 = DefaultSpecMaxPlans).
-	MaxPlans int
 }
 
 // SpecReport describes one declarative apply.
@@ -94,18 +93,17 @@ func (c *Controller) LiveSpecState() *spec.Live {
 // for a segment the datapath does not have), dumping the program only
 // when the segment's *flexbpf.Program pointer differs from the one the
 // remembered fingerprint was computed from. Comparing pointers is enough
-// because a live program is never edited in place: Deploy, spec create,
-// spec swap, the UpdateApp commit and Redeploy each put a new program
-// in the segment, and delta.Apply and the compiler's merge pass edit
-// clones (DESIGN.md §14.2).
+// because a live program is never edited in place: a segment gets a new
+// program only from setSegment or with a whole new datapath, and
+// delta.Apply and the compiler's merge pass edit clones (DESIGN.md
+// §14.2).
 func (c *Controller) liveFP(app *App, seg string) uint64 {
 	p := app.Datapath.Segment(seg)
 	if p == nil {
 		return 0
 	}
-	sh := c.state.shardFor(uriOwner(app.URI))
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	c.state.mu.Lock()
+	defer c.state.mu.Unlock()
 	if m := app.fps[seg]; m.prog == p {
 		return m.fp
 	}
@@ -145,18 +143,6 @@ func (c *Controller) CanonicalIntent() string {
 	return st.Canonical()
 }
 
-// specItem is one diff entry lowered to plan steps: the devices it
-// touches (for footprint grouping), its placement-work charge, and the
-// state mutation to apply if its plan commits.
-type specItem struct {
-	key     string // deterministic sort key
-	devices []string
-	scanned int
-	segs    int
-	steps   func(cp *plan.ChangePlan)
-	apply   func()
-}
-
 // specBatch is one packed ChangePlan with the item applies it carries.
 type specBatch struct {
 	cp    *plan.ChangePlan
@@ -166,66 +152,28 @@ type specBatch struct {
 // specShrinkItems lowers the diff's removals: whole-app deletions and
 // replica scale-downs. Built from live state so reconcile re-applies
 // are robust to drift since the diff was computed.
-func (c *Controller) specShrinkItems(d *spec.Diff) []specItem {
-	var items []specItem
+func (c *Controller) specShrinkItems(d *spec.Diff) []item {
+	var items []item
 	for _, uri := range d.Delete {
-		uri := uri
-		app := c.state.app(uri)
-		if app == nil {
-			continue // already gone
+		if app := c.state.app(uri); app != nil { // else already gone
+			items = append(items, c.removeItem(app))
 		}
-		segs := make([]string, 0, len(app.Replicas))
-		for seg := range app.Replicas {
-			segs = append(segs, seg)
-		}
-		sort.Strings(segs)
-		var devs []string
-		for _, seg := range segs {
-			devs = append(devs, app.Replicas[seg]...)
-		}
-		items = append(items, specItem{
-			key:     "delete " + uri,
-			devices: devs,
-			steps: func(cp *plan.ChangePlan) {
-				for _, seg := range segs {
-					for _, dev := range app.Replicas[seg] {
-						cp.Remove(dev, instanceName(uri, seg))
-					}
-				}
-			},
-			apply: func() {
-				c.state.deleteApp(uri)
-				if app.Tenant != "" {
-					c.state.removeTenantApp(app.Tenant, uri)
-				}
-			},
-		})
 	}
 	for _, sc := range d.ScaleDown {
-		sc := sc
 		app := c.state.app(sc.URI)
 		if app == nil {
 			continue
 		}
+		// Newest replicas retire first; the primary survives. Drift since
+		// the diff may have left nothing above the target.
 		live := app.Replicas[sc.Segment]
-		if len(live) <= sc.Seg.Scale {
-			continue // drift since diff: already at/below target
+		var victims []string
+		for i := len(live) - 1; i >= sc.Seg.Scale; i-- {
+			victims = append(victims, live[i])
 		}
-		victims := append([]string(nil), live[sc.Seg.Scale:]...)
-		inst := instanceName(sc.URI, sc.Segment)
-		items = append(items, specItem{
-			key:     "scale-down " + sc.URI + "#" + sc.Segment,
-			devices: victims,
-			steps: func(cp *plan.ChangePlan) {
-				// Newest replicas retire first; the primary survives.
-				for i := len(victims) - 1; i >= 0; i-- {
-					cp.Remove(victims[i], inst)
-				}
-			},
-			apply: func() {
-				app.Replicas[sc.Segment] = app.Replicas[sc.Segment][:sc.Seg.Scale]
-			},
-		})
+		if len(victims) > 0 {
+			items = append(items, c.dropReplicasItem(app, sc.Segment, victims))
+		}
 	}
 	return items
 }
@@ -233,10 +181,9 @@ func (c *Controller) specShrinkItems(d *spec.Diff) []specItem {
 // specGrowItems lowers the diff's additions and retunes. Called only
 // after the shrink wave committed, so placement sees freed resources
 // and swap/scale items read post-shrink replica sets.
-func (c *Controller) specGrowItems(d *spec.Diff) ([]specItem, error) {
-	var items []specItem
+func (c *Controller) specGrowItems(d *spec.Diff) ([]item, error) {
+	var items []item
 	for _, ra := range d.Create {
-		ra := ra
 		if c.state.app(ra.URI) != nil {
 			continue // drift since diff: already deployed
 		}
@@ -244,165 +191,39 @@ func (c *Controller) specGrowItems(d *spec.Diff) ([]specItem, error) {
 		if len(path) == 0 {
 			path = nil
 		}
-		dp := ra.Datapath()
-		targets, err := c.targetList(path)
+		scale := make(map[string]int, len(ra.Segments))
+		for _, s := range ra.Segments {
+			scale[s.Name] = s.Scale
+		}
+		it, err := c.createItem(ra.URI, ra.Tenant, ra.Datapath(), path, scale)
 		if err != nil {
 			return nil, fmt.Errorf("spec: app %s: %w", ra.URI, err)
 		}
-		placement, err := c.comp.Compile(dp, targets, path)
-		if err != nil {
-			return nil, fmt.Errorf("spec: app %s: %w", ra.URI, err)
-		}
-		if err := compiler.CheckSLA(placement, dp); err != nil {
-			return nil, fmt.Errorf("spec: app %s: %w", ra.URI, err)
-		}
-		filter := c.tenantFilter(ra.Tenant)
-		replicas := map[string][]string{}
-		for _, a := range placement.Assignments {
-			replicas[a.Segment] = []string{a.Device}
-		}
-		scanned := placement.TargetsScanned
-		// Extra replicas past each segment's primary.
-		var extras []plan.Step
-		for i := range ra.Segments {
-			seg := &ra.Segments[i]
-			exclude := map[string]bool{}
-			for _, dv := range replicas[seg.Name] {
-				exclude[dv] = true
-			}
-			for n := 1; n < seg.Scale; n++ {
-				dev, sc, err := compiler.PlaceSegment(dp.Segment(seg.Name), c.targets.list(), path, exclude)
-				if err != nil {
-					return nil, fmt.Errorf("spec: app %s segment %s replica %d: %w", ra.URI, seg.Name, n+1, err)
-				}
-				scanned += sc
-				exclude[dev] = true
-				replicas[seg.Name] = append(replicas[seg.Name], dev)
-				extras = append(extras, plan.Step{
-					Op: plan.OpInstallInstance, Device: dev,
-					Instance: instanceName(ra.URI, seg.Name),
-					Program:  dp.Segment(seg.Name), Filter: filter,
-				})
-			}
-		}
-		var devs []string
-		for _, a := range placement.Assignments {
-			devs = append(devs, a.Device)
-		}
-		for _, s := range extras {
-			devs = append(devs, s.Device)
-		}
-		items = append(items, specItem{
-			key:     "create " + ra.URI,
-			devices: devs,
-			scanned: scanned,
-			segs:    len(ra.Segments),
-			steps: func(cp *plan.ChangePlan) {
-				for _, a := range placement.Assignments {
-					cp.Install(a.Device, instanceName(ra.URI, a.Segment), dp.Segment(a.Segment), filter, 0)
-				}
-				cp.Steps = append(cp.Steps, extras...)
-			},
-			apply: func() {
-				app := &App{
-					URI:      ra.URI,
-					Tenant:   ra.Tenant,
-					Datapath: dp,
-					Plan:     placement,
-					Path:     path,
-					Replicas: replicas,
-					Status:   StatusRunning,
-				}
-				c.state.putApp(app)
-				if ra.Tenant != "" {
-					c.state.addTenantApp(ra.Tenant, ra.URI)
-				}
-			},
-		})
+		items = append(items, it)
 	}
-	// Swaps before scale-ups in key order is irrelevant for correctness
-	// (scale-up installs already use the desired program), but keep one
-	// deterministic order anyway.
 	for _, sw := range d.Swap {
-		sw := sw
 		app := c.state.app(sw.URI)
-		if app == nil {
-			continue
+		if app == nil || c.liveFP(app, sw.Segment) == sw.Seg.FP || len(app.Replicas[sw.Segment]) == 0 {
+			continue // drift since diff: gone, already retuned or unplaced
 		}
-		if c.liveFP(app, sw.Segment) == sw.Seg.FP {
-			continue // drift since diff: already retuned
-		}
-		devs := append([]string(nil), app.Replicas[sw.Segment]...)
-		if len(devs) == 0 {
-			continue
-		}
-		filter := c.tenantFilter(app.Tenant)
-		inst := instanceName(sw.URI, sw.Segment)
-		items = append(items, specItem{
-			key:     "swap " + sw.URI + "#" + sw.Segment,
-			devices: devs,
-			segs:    1,
-			steps: func(cp *plan.ChangePlan) {
-				for _, dev := range devs {
-					cp.Swap(dev, inst, sw.Seg.Program, filter)
-				}
-			},
-			apply: func() {
-				for i, s := range app.Datapath.Segments {
-					if s.Name == sw.Segment {
-						app.Datapath.Segments[i] = sw.Seg.Program
-					}
-				}
-			},
-		})
+		items = append(items, c.swapItem(app, sw.Segment, sw.Seg.Program))
 	}
 	for _, su := range d.ScaleUp {
-		su := su
 		app := c.state.app(su.URI)
 		if app == nil {
-			continue
-		}
-		live := app.Replicas[su.Segment]
-		delta := su.Seg.Scale - len(live)
-		if delta <= 0 {
 			continue
 		}
 		// Install the *desired* program: if this segment is also being
 		// retuned, the swap item covers existing replicas and new ones
 		// start on the new program directly.
-		prog := su.Seg.Program
-		filter := c.tenantFilter(app.Tenant)
-		inst := instanceName(su.URI, su.Segment)
-		exclude := map[string]bool{}
-		for _, dv := range live {
-			exclude[dv] = true
+		live := app.Replicas[su.Segment]
+		devs, scanned, err := c.placeReplicas(su.Seg.Program, app.Path, live, su.Seg.Scale-len(live))
+		if err != nil {
+			return nil, fmt.Errorf("spec: scale-up %s#%s: %w", su.URI, su.Segment, err)
 		}
-		var devs []string
-		scanned := 0
-		path := app.Path
-		for n := 0; n < delta; n++ {
-			dev, sc, err := compiler.PlaceSegment(prog, c.targets.list(), path, exclude)
-			if err != nil {
-				return nil, fmt.Errorf("spec: scale-up %s#%s: %w", su.URI, su.Segment, err)
-			}
-			scanned += sc
-			exclude[dev] = true
-			devs = append(devs, dev)
+		if len(devs) > 0 {
+			items = append(items, c.addReplicasItem(app, su.Segment, su.Seg.Program, devs, scanned))
 		}
-		items = append(items, specItem{
-			key:     "scale-up " + su.URI + "#" + su.Segment,
-			devices: devs,
-			scanned: scanned,
-			segs:    1,
-			steps: func(cp *plan.ChangePlan) {
-				for _, dev := range devs {
-					cp.Install(dev, inst, prog, filter, 0)
-				}
-			},
-			apply: func() {
-				app.Replicas[su.Segment] = append(app.Replicas[su.Segment], devs...)
-			},
-		})
 	}
 	return items, nil
 }
@@ -410,10 +231,11 @@ func (c *Controller) specGrowItems(d *spec.Diff) ([]specItem, error) {
 // packSpecPlans groups items into device-footprint components
 // (union-find: items sharing any device must share a plan, because the
 // executor serializes overlapping footprints anyway) and packs the
-// components round-robin into at most maxPlans batched ChangePlans.
+// components round-robin into at most DefaultSpecMaxPlans batched
+// ChangePlans.
 // Plans in the result share no device, so conflict admission runs them
 // concurrently.
-func (c *Controller) packSpecPlans(items []specItem, wave, origin string, degraded bool, maxPlans int) []*specBatch {
+func (c *Controller) packSpecPlans(items []item, wave, origin string, degraded bool) []*specBatch {
 	if len(items) == 0 {
 		return nil
 	}
@@ -434,7 +256,8 @@ func (c *Controller) packSpecPlans(items []specItem, wave, origin string, degrad
 	}
 	owner := map[string]int{}
 	for i, it := range items {
-		for _, dev := range it.devices {
+		for _, s := range it.steps {
+			dev := s.Device
 			if j, ok := owner[dev]; ok {
 				ri, rj := find(i), find(j)
 				if ri != rj {
@@ -459,7 +282,7 @@ func (c *Controller) packSpecPlans(items []specItem, wave, origin string, degrad
 	}
 	sort.Ints(roots)
 
-	n := maxPlans
+	n := DefaultSpecMaxPlans
 	if len(roots) < n {
 		n = len(roots)
 	}
@@ -475,10 +298,8 @@ func (c *Controller) packSpecPlans(items []specItem, wave, origin string, degrad
 	for ci, r := range roots {
 		b := batches[ci%n]
 		for _, i := range comps[r] {
-			items[i].steps(b.cp)
-			if items[i].apply != nil {
-				b.apply = append(b.apply, items[i].apply)
-			}
+			b.cp.Steps = append(b.cp.Steps, items[i].steps...)
+			b.apply = append(b.apply, items[i].apply)
 			charges[ci%n].scanned += items[i].scanned
 			charges[ci%n].segs += items[i].segs
 		}
@@ -502,17 +323,15 @@ func (c *Controller) runSpecWave(ctx context.Context, batches []*specBatch, rep 
 	var firstErr error
 	for _, b := range batches {
 		b := b
-		c.exec.ExecuteCtx(ctx, b.cp, func(r *plan.Report) {
-			c.lastReport = r
+		apply := func() {
+			for _, f := range b.apply {
+				f()
+			}
+		}
+		c.run(ctx, b.cp, nil, apply, func(r *plan.Report) {
 			rep.Plans = append(rep.Plans, r)
-			if r.Err != nil {
-				if firstErr == nil {
-					firstErr = r.Err
-				}
-			} else {
-				for _, f := range b.apply {
-					f()
-				}
+			if r.Err != nil && firstErr == nil {
+				firstErr = r.Err
 			}
 			remaining--
 			if remaining == 0 {
@@ -532,14 +351,10 @@ func (c *Controller) runSpecWave(ctx context.Context, batches []*specBatch, rep 
 // Applying the same spec twice is a no-op: the second diff is empty
 // and zero plans are emitted.
 func (c *Controller) ApplySpec(ctx context.Context, r *spec.Resolved, opts SpecOptions, done func(*SpecReport, error)) {
-	maxPlans := opts.MaxPlans
-	if maxPlans <= 0 {
-		maxPlans = DefaultSpecMaxPlans
-	}
 	if opts.DryRun {
 		d := c.DiffSpec(r)
 		rep := &SpecReport{Version: r.Version, Diff: d, Ops: d.Ops()}
-		for _, b := range c.packSpecPlans(c.specShrinkItems(d), "shrink", r.Version, true, maxPlans) {
+		for _, b := range c.packSpecPlans(c.specShrinkItems(d), "shrink", r.Version, true) {
 			rep.Plans = append(rep.Plans, c.exec.Validate(b.cp))
 		}
 		rep.PlansEmitted = len(rep.Plans)
@@ -574,7 +389,9 @@ func (c *Controller) ApplySpec(ctx context.Context, r *spec.Resolved, opts SpecO
 	start := c.fab.Sim.Now()
 	d := c.DiffSpec(r)
 	rep := &SpecReport{Version: r.Version, Diff: d, Ops: d.Ops()}
+	var claimed []*App
 	settle := func(err error) {
+		c.release(claimed...)
 		rep.PlansEmitted = len(rep.Plans)
 		rep.Elapsed = c.fab.Sim.Now() - start
 		if err == nil {
@@ -589,6 +406,31 @@ func (c *Controller) ApplySpec(ctx context.Context, r *spec.Resolved, opts SpecO
 		settle(nil)
 		return
 	}
+	// The apply is one change to every live app its diff touches; the
+	// apps it creates register running when their plan commits.
+	var touched []*App
+	touch := func(uri string) {
+		if app := c.state.app(uri); app != nil {
+			touched = append(touched, app)
+		}
+	}
+	for _, uri := range d.Delete {
+		touch(uri)
+	}
+	for _, sw := range d.Swap {
+		touch(sw.URI)
+	}
+	for _, sc := range d.ScaleUp {
+		touch(sc.URI)
+	}
+	for _, sc := range d.ScaleDown {
+		touch(sc.URI)
+	}
+	if err := c.claim(StatusChanging, touched...); err != nil {
+		settle(err)
+		return
+	}
+	claimed = touched
 
 	for _, t := range d.AddTenants {
 		if _, err := c.AddTenant(t); err != nil {
@@ -596,7 +438,7 @@ func (c *Controller) ApplySpec(ctx context.Context, r *spec.Resolved, opts SpecO
 			return
 		}
 	}
-	shrink := c.packSpecPlans(c.specShrinkItems(d), "shrink", r.Version, true, maxPlans)
+	shrink := c.packSpecPlans(c.specShrinkItems(d), "shrink", r.Version, true)
 	c.runSpecWave(ctx, shrink, rep, func(err error) {
 		if err != nil {
 			settle(err)
@@ -607,7 +449,7 @@ func (c *Controller) ApplySpec(ctx context.Context, r *spec.Resolved, opts SpecO
 			settle(err)
 			return
 		}
-		grow := c.packSpecPlans(items, "grow", r.Version, false, maxPlans)
+		grow := c.packSpecPlans(items, "grow", r.Version, false)
 		c.runSpecWave(ctx, grow, rep, func(err error) {
 			if err != nil {
 				settle(err)

@@ -162,6 +162,15 @@ func memoSequence(t *testing.T, seed int64, nOps int, mutant bool) error {
 				return fmt.Errorf("after %s: DiffSpec(rev-%d) = %v, want %v", op, rev, got.Summary(), want.Summary())
 			}
 		}
+		// The devices hold exactly the committed intent, and the audit
+		// trail replays to it: what a lowering the imperative op and the
+		// spec path share would break if it got a change wrong.
+		if d := c.IntentDrift(); len(d) != 0 {
+			return fmt.Errorf("after %s: intent drift %v", op, d)
+		}
+		if !replayMatchesIntent(t, c) {
+			return fmt.Errorf("after %s: audit replay differs from live intent", op)
+		}
 		return nil
 	}
 

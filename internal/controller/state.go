@@ -1,0 +1,251 @@
+package controller
+
+// This file holds the controller's state structures (DESIGN.md §13.2):
+// the app/tenant registry, the generation-keyed compile-target cache, and
+// the bounded punt ring.
+//
+// The registry is two maps behind one mutex, so an app and its tenant's
+// app list always change together. Nothing drives the controller from two
+// goroutines at once — the simulator is single-threaded and flexnetd
+// serialises every op — so one lock costs nothing; concurrent plans come
+// from the executor's footprint admission (§13.2), not from this file.
+
+import (
+	"slices"
+	"sort"
+	"sync"
+
+	"flexnet/internal/compiler"
+	"flexnet/internal/fabric"
+)
+
+// registry is the controller's app and tenant registry.
+type registry struct {
+	mu       sync.Mutex
+	apps     map[string]*App
+	tenants  map[string]*Tenant
+	nextVLAN uint64
+}
+
+func newRegistry() *registry {
+	return &registry{apps: map[string]*App{}, tenants: map[string]*Tenant{}, nextVLAN: 100}
+}
+
+func (s *registry) app(uri string) *App {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.apps[uri]
+}
+
+// putApp registers app and lists it under its tenant.
+func (s *registry) putApp(app *App) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.apps[app.URI] = app
+	if t := s.tenants[app.Tenant]; t != nil && app.Tenant != "" {
+		t.Apps = append(t.Apps, app.URI)
+	}
+}
+
+// deleteApp unregisters uri and drops it from its tenant's list.
+func (s *registry) deleteApp(uri string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	app := s.apps[uri]
+	if app == nil {
+		return
+	}
+	delete(s.apps, uri)
+	if t := s.tenants[app.Tenant]; t != nil && app.Tenant != "" {
+		if i := slices.Index(t.Apps, uri); i >= 0 {
+			t.Apps = slices.Delete(t.Apps, i, i+1)
+		}
+	}
+}
+
+// appURIs returns every deployed URI in sorted order.
+func (s *registry) appURIs() []string { return sortedKeys(&s.mu, s.apps) }
+
+// tenantNames returns every admitted tenant in sorted order — the spec
+// differ's live-tenant view.
+func (s *registry) tenantNames() []string { return sortedKeys(&s.mu, s.tenants) }
+
+// sortedKeys returns m's keys, read under mu, in sorted order (nil for
+// an empty map).
+func sortedKeys[V any](mu *sync.Mutex, m map[string]V) []string {
+	var out []string
+	mu.Lock()
+	for k := range m {
+		out = append(out, k)
+	}
+	mu.Unlock()
+	sort.Strings(out)
+	return out
+}
+
+func (s *registry) tenant(name string) *Tenant {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tenants[name]
+}
+
+// addTenant admits name with the next free VLAN, or returns nil if it is
+// already admitted.
+func (s *registry) addTenant(name string) *Tenant {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.tenants[name] != nil {
+		return nil
+	}
+	t := &Tenant{Name: name, VLAN: s.nextVLAN}
+	s.nextVLAN++
+	s.tenants[name] = t
+	return t
+}
+
+func (s *registry) deleteTenant(name string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.tenants, name)
+}
+
+// targetCache is the controller's compile-target inventory, keyed by
+// fabric generation (device count — fabric membership only grows).
+// Before this cache, every planning operation rebuilt the full target
+// list by walking fab.Devices(); now the list is rebuilt only when a
+// device joins, and lookups by name are O(1). DeviceTarget objects are
+// stable across refreshes because they carry state (MarkRemovable).
+type targetCache struct {
+	mu     sync.Mutex
+	fab    *fabric.Fabric
+	gen    int
+	byName map[string]*compiler.DeviceTarget
+	all    []compiler.Target
+}
+
+func newTargetCache(fab *fabric.Fabric) *targetCache {
+	tc := &targetCache{fab: fab, byName: map[string]*compiler.DeviceTarget{}}
+	tc.mu.Lock()
+	tc.refreshLocked()
+	tc.mu.Unlock()
+	return tc
+}
+
+func (tc *targetCache) refreshLocked() {
+	names := tc.fab.Devices()
+	if len(names) == tc.gen {
+		return
+	}
+	for _, n := range names {
+		if _, ok := tc.byName[n]; !ok {
+			tc.byName[n] = compiler.NewDeviceTarget(tc.fab.Device(n))
+		}
+	}
+	all := make([]compiler.Target, 0, len(names))
+	for _, n := range names {
+		all = append(all, tc.byName[n])
+	}
+	tc.all = all
+	tc.gen = len(names)
+}
+
+// list returns the cached full target list in fab.Devices() order.
+func (tc *targetCache) list() []compiler.Target {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	tc.refreshLocked()
+	return tc.all
+}
+
+// get returns the target for one device, or nil if the fabric has no
+// such device.
+func (tc *targetCache) get(name string) *compiler.DeviceTarget {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if t, ok := tc.byName[name]; ok {
+		return t
+	}
+	tc.refreshLocked()
+	return tc.byName[name]
+}
+
+// size returns the fabric device count (the full-scan cost term).
+func (tc *targetCache) size() int {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	tc.refreshLocked()
+	return len(tc.all)
+}
+
+// DefaultPuntRingSize bounds the controller's punt buffer.
+const DefaultPuntRingSize = 4096
+
+// PuntRing is a bounded ring buffer of punted packets. The old
+// controller appended every punt to an unbounded slice, which grows
+// without limit under punt-heavy workloads; the ring keeps the newest
+// DefaultPuntRingSize records and counts overwritten ones
+// ("ctl.punts_dropped").
+type PuntRing struct {
+	mu      sync.Mutex
+	buf     []PuntRecord
+	head    int // index of the oldest record
+	n       int
+	dropped uint64
+	// onDrop fires once per overwritten record; the controller uses it
+	// to create the drop counter lazily so punt-light runs export an
+	// unchanged telemetry snapshot.
+	onDrop func()
+}
+
+// NewPuntRing creates a ring holding up to capacity records (<=0 uses
+// DefaultPuntRingSize).
+func NewPuntRing(capacity int) *PuntRing {
+	if capacity <= 0 {
+		capacity = DefaultPuntRingSize
+	}
+	return &PuntRing{buf: make([]PuntRecord, capacity)}
+}
+
+// Append records one punt, overwriting the oldest record when full.
+func (r *PuntRing) Append(rec PuntRecord) {
+	r.mu.Lock()
+	var drop func()
+	if r.n < len(r.buf) {
+		r.buf[(r.head+r.n)%len(r.buf)] = rec
+		r.n++
+	} else {
+		r.buf[r.head] = rec
+		r.head = (r.head + 1) % len(r.buf)
+		r.dropped++
+		drop = r.onDrop
+	}
+	r.mu.Unlock()
+	if drop != nil {
+		drop()
+	}
+}
+
+// Len returns the number of buffered records.
+func (r *PuntRing) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
+}
+
+// All returns the buffered records, oldest first.
+func (r *PuntRing) All() []PuntRecord {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]PuntRecord, 0, r.n)
+	for i := 0; i < r.n; i++ {
+		out = append(out, r.buf[(r.head+i)%len(r.buf)])
+	}
+	return out
+}
+
+// Dropped returns how many records were overwritten.
+func (r *PuntRing) Dropped() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}

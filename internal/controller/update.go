@@ -11,8 +11,8 @@ import (
 )
 
 // PlanUpdate applies a delta to one segment's logical program and builds
-// the swap plan over every hosting replica. The new program and the
-// delta report are returned alongside the plan; nothing is executed.
+// the swap plan over every hosting replica. The delta report is returned
+// alongside the plan; nothing is executed.
 // Resource (grow-in-place) and verifier checks happen in the executor's
 // validate phase.
 //
@@ -22,51 +22,45 @@ import (
 // have to move it — the update is rejected with ErrInsufficientResources
 // rather than silently relocating live instances. Callers then Migrate
 // (or Redeploy) first, which owns move semantics.
-func (c *Controller) PlanUpdate(uri, segment string, d *delta.Delta) (*plan.ChangePlan, *flexbpf.Program, *delta.Report, error) {
+func (c *Controller) PlanUpdate(uri, segment string, d *delta.Delta) (*plan.ChangePlan, *delta.Report, error) {
+	cp, _, rep, err := c.planUpdate(uri, segment, d)
+	return cp, rep, err
+}
+
+func (c *Controller) planUpdate(uri, segment string, d *delta.Delta) (*plan.ChangePlan, item, *delta.Report, error) {
 	app := c.state.app(uri)
 	if app == nil {
-		return nil, nil, nil, fmt.Errorf("controller: no app %q: %w", uri, errdefs.ErrNoSuchApp)
+		return nil, item{}, nil, errNoApp(uri)
 	}
 	seg := app.Datapath.Segment(segment)
 	if seg == nil {
-		return nil, nil, nil, fmt.Errorf("controller: app %q has no segment %q: %w", uri, segment, errdefs.ErrNoSuchApp)
+		return nil, item{}, nil, fmt.Errorf("controller: app %q has no segment %q: %w", uri, segment, errdefs.ErrNoSuchApp)
 	}
 	newProg, rep, err := delta.Apply(seg, d)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, item{}, nil, err
 	}
-	devs := app.Replicas[segment]
-	if len(devs) == 0 {
-		return nil, nil, nil, fmt.Errorf("controller: app %q segment %q not placed: %w", uri, segment, errdefs.ErrNoSuchApp)
+	if len(app.Replicas[segment]) == 0 {
+		return nil, item{}, nil, fmt.Errorf("controller: app %q segment %q not placed: %w", uri, segment, errdefs.ErrNoSuchApp)
 	}
 	// Re-place the updated datapath against the previous plan. Segments
 	// the delta didn't touch must keep their devices; the updated one
 	// must grow in place.
-	newDP := &flexbpf.Datapath{Name: app.Datapath.Name, Owner: app.Datapath.Owner, SLA: app.Datapath.SLA}
-	newDP.Segments = make([]*flexbpf.Program, len(app.Datapath.Segments))
-	for i, s := range app.Datapath.Segments {
-		if s.Name == segment {
-			newDP.Segments[i] = newProg
-		} else {
-			newDP.Segments[i] = s
-		}
-	}
+	newDP := &flexbpf.Datapath{Name: app.Datapath.Name, Owner: app.Datapath.Owner, SLA: app.Datapath.SLA,
+		Segments: append([]*flexbpf.Program(nil), app.Datapath.Segments...)}
+	setSegment(newDP, segment, newProg)
 	inc, scanned, segs, err := c.placeDatapath(app, newDP)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, item{}, nil, err
 	}
 	if inc.Moves > 0 || len(inc.Place) > 0 {
-		return nil, nil, nil, fmt.Errorf(
+		return nil, item{}, nil, fmt.Errorf(
 			"controller: update of %s/%s no longer fits in place (%d segment(s) would move); migrate first: %w",
 			uri, segment, len(inc.Place), errdefs.ErrInsufficientResources)
 	}
-	cp := plan.New(fmt.Sprintf("update %s#%s", uri, segment))
-	filter := c.tenantFilter(app.Tenant)
-	for _, devName := range devs {
-		cp.Swap(devName, instanceName(uri, segment), newProg, filter)
-	}
-	cp.Planning(c.planningCharge(scanned, segs))
-	return cp, newProg, rep, nil
+	it := c.swapItem(app, segment, newProg)
+	it.scanned, it.segs = scanned, segs
+	return c.planOf(fmt.Sprintf("update %s#%s", uri, segment), it), it, rep, nil
 }
 
 // UpdateApp applies an incremental change (a §3.2 delta) to one segment
@@ -86,34 +80,10 @@ func (c *Controller) PlanUpdate(uri, segment string, d *delta.Delta) (*plan.Chan
 //
 // done receives the per-application report and the first error.
 func (c *Controller) UpdateApp(ctx context.Context, uri, segment string, d *delta.Delta, done func(*delta.Report, error)) {
-	count := c.instrument("update", nil)
-	inner := done
-	done = func(r *delta.Report, err error) {
-		count(err)
-		if inner != nil {
-			inner(r, err)
-		}
-	}
-	cp, newProg, rep, err := c.PlanUpdate(uri, segment, d)
-	if err != nil {
+	cp, it, rep, err := c.planUpdate(uri, segment, d)
+	c.change(ctx, "update", StatusChanging, cp, it, err, func(err error) {
 		if done != nil {
-			done(nil, err)
-		}
-		return
-	}
-	app := c.state.app(uri)
-	c.exec.ExecuteCtx(ctx, cp, func(r *plan.Report) {
-		c.lastReport = r
-		if r.Err == nil {
-			// Commit the logical view.
-			for i, s := range app.Datapath.Segments {
-				if s.Name == segment {
-					app.Datapath.Segments[i] = newProg
-				}
-			}
-		}
-		if done != nil {
-			done(rep, r.Err)
+			done(rep, err)
 		}
 	})
 }

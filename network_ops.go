@@ -193,7 +193,7 @@ func (n *Network) Scale(ctx context.Context, req ScaleRequest) (*PlanReport, err
 // req.DryRun it is nil and only the plan validation report returns.
 func (n *Network) Update(ctx context.Context, req UpdateRequest) (*DeltaReport, *PlanReport, error) {
 	if req.DryRun {
-		cp, _, _, err := n.ctl.PlanUpdate(req.URI, req.Segment, req.Delta)
+		cp, _, err := n.ctl.PlanUpdate(req.URI, req.Segment, req.Delta)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -68,13 +68,15 @@ if [ "$code_kinds" != "$readme_kinds" ]; then
     fail=1
 fi
 
-# Every `flexnetd -<flag>` / `flexbench -<flag>` invocation in the
-# current docs must name a flag the command defines with flag.*("name",
-# …) in its main.go (-h/-help come with the flag package). CHANGES.md,
-# ROADMAP.md and BENCH_PR* are history and are not scanned.
+# Every `flexnetd -<flag>` / `flexbench -<flag>` / `flexctl … -<flag>`
+# invocation in the current docs must name a flag the command defines in
+# its main.go — flag.*("name", …), or for flexctl's subcommands
+# fs.*("name", …), which covers its -stats/-trace shortcuts too (-h/-help
+# come with the flag package). CHANGES.md, ROADMAP.md and BENCH_PR* are
+# history and are not scanned.
 docs="README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md"
-for cmd in flexnetd flexbench; do
-    defined=$(sed -n 's/.*flag\.[A-Za-z0-9]*("\([^"]*\)".*/\1/p' "cmd/$cmd/main.go")
+for cmd in flexnetd flexbench flexctl; do
+    defined=$(sed -nE 's/.*(flag|fs)\.[A-Za-z0-9]+\("([^"]*)".*/\2/p' "cmd/$cmd/main.go")
     # shellcheck disable=SC2086 # $docs is a word list
     used=$(grep -noE "(^|[^-A-Za-z])$cmd( +[^] \`|#;)]+)+" $docs |
         awk '{ n = split($0, w, " "); split(w[1], loc, ":")
@@ -96,7 +98,7 @@ EOF
 done
 
 if [ "$fail" -ne 0 ]; then
-    echo "checkdocs: document every package ('// Package <name> ...'; internal packages cite their DESIGN.md section), keep README's fault Kinds: list in step with internal/faults, and invoke flexnetd/flexbench only with flags they define." >&2
+    echo "checkdocs: document every package ('// Package <name> ...'; internal packages cite their DESIGN.md section), keep README's fault Kinds: list in step with internal/faults, and invoke flexnetd/flexbench/flexctl only with flags they define." >&2
     exit 1
 fi
-echo "checkdocs: OK — every package documented; internal packages cite DESIGN.md; README lists every fault kind; every documented flexnetd/flexbench flag exists."
+echo "checkdocs: OK — every package documented; internal packages cite DESIGN.md; README lists every fault kind; every documented flexnetd/flexbench/flexctl flag exists."

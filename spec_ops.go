@@ -65,8 +65,6 @@ type SpecApplyRequest struct {
 	// DryRun computes the diff and validates the shrink wave without
 	// executing anything.
 	DryRun bool
-	// MaxPlans bounds the batched plans per wave (0 = controller default).
-	MaxPlans int
 }
 
 // SpecDiffRequest controls DiffSpec.
@@ -98,7 +96,7 @@ func (n *Network) ApplySpec(ctx context.Context, req SpecApplyRequest) (*SpecRep
 	if err != nil {
 		return nil, err
 	}
-	opts := controller.SpecOptions{DryRun: req.DryRun, MaxPlans: req.MaxPlans}
+	opts := controller.SpecOptions{DryRun: req.DryRun}
 	var (
 		rep      *SpecReport
 		applyErr error
