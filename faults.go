@@ -43,9 +43,10 @@ func ParseFaultSchedule(data []byte) (*FaultSchedule, error) {
 }
 
 // StartSelfHealing starts the controller's reconciliation loop: every
-// period it scans for restarted devices and reinstalls whatever
-// committed intent they lost (programs, filters, routes), recording
-// per-recovery MTTR. Returns the loop for stats and Stop.
+// period it reinstalls whatever committed intent a restarted device
+// lost (programs, filters, routes), recording per-recovery MTTR, and
+// when no plan is in flight it repairs any device whose app instances
+// differ from intent. Returns the loop for its stats.
 func (n *Network) StartSelfHealing(every time.Duration) *Healer {
 	return n.ctl.StartHealer(every)
 }

@@ -440,8 +440,8 @@ type AppSpec struct {
 func (n *Network) AddTenant(name string) (*Tenant, error) { return n.ctl.AddTenant(name) }
 
 // LastPlanReport returns the report of the most recently executed
-// change plan (nil before the first operation). Every operation —
-// deploy, remove, update, scale, migrate — leaves one.
+// change plan — an operation's, a spec batch's, a heal or probe plan's
+// (nil before the first). Each operation returns its own plan's report.
 func (n *Network) LastPlanReport() *PlanReport { return n.ctl.LastReport() }
 
 // Metrics returns the network-wide telemetry registry: per-device packet

@@ -6,10 +6,10 @@
 // Record. Records are hash-chained: each carries the SHA-256 of its
 // own canonical JSON with the previous record's hash folded in, so any
 // retroactive edit breaks Verify at the tampered link. The chain is
-// the replay log ROADMAP item 4 (HA standbys) and the self-healer
-// need: Replay folds the records into the controller-level intent
-// state (tenants + app replica placements), which tests assert
-// byte-identical to the live controller's own rendering.
+// the replay log the HA standbys replicate (DESIGN.md §15.2): Replay
+// folds the records into the controller-level intent state (tenants +
+// app replica placements), which tests assert byte-identical to the
+// live controller's own rendering.
 //
 // The log is in-memory and deterministic: record timestamps come from
 // the simulated clock, so the same seed yields the same chain,

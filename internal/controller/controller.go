@@ -18,8 +18,9 @@
 //
 // Each intent change — create or delete an app, add or drop a replica,
 // replace a segment's program — has one lowering to plan steps (an item),
-// shared by the imperative op and ApplySpec, and every app op executes
-// through one run helper that admits one change per app at a time.
+// shared by the imperative op and ApplySpec; one change per app is
+// admitted at a time, and every plan the controller makes — app ops,
+// spec batches, heal and probe plans — executes through one run helper.
 //
 // DESIGN.md §2 (S9) inventories the controller; operations execute as §5 change plans, and §10.3 specifies the self-healing loop (heal.go).
 package controller
@@ -151,7 +152,7 @@ type Controller struct {
 	mig  *migrate.Migrator
 
 	// exec is the single transactional change path: every operation's
-	// ChangePlan is executed (or dry-run) through it.
+	// ChangePlan is executed (through run) or dry-run through it.
 	exec *runtime.Executor
 	// lastReport is the report of the most recently finished plan.
 	lastReport *plan.Report
@@ -558,10 +559,10 @@ func (c *Controller) release(apps ...*App) {
 	}
 }
 
-// run executes an app op's plan: it records the report as LastReport,
-// makes the op's state change (apply, may be nil) if the plan committed,
-// returns the claimed app to StatusRunning (app is nil for spec batches,
-// which ApplySpec releases itself), and hands the report to done.
+// run submits every plan the controller makes. It records the report as
+// LastReport, makes the op's state change (apply, may be nil) if the plan
+// committed, returns the claimed app to StatusRunning (app is nil when
+// there is none to release here), and hands the report to done.
 func (c *Controller) run(ctx context.Context, cp *plan.ChangePlan, app *App, apply func(), done func(*plan.Report)) {
 	c.exec.ExecuteCtx(ctx, cp, func(r *plan.Report) {
 		c.lastReport = r

@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"context"
 	"fmt"
 
 	"flexnet/internal/apps"
@@ -42,11 +43,11 @@ const probePort = 65001
 //  3. A clean-up plan removes the programs. Device resources after
 //     CleanedAt are bit-identical to before InjectedAt.
 //
-// Both plans carry Origin "probe" and run through the controller's
-// executor like every other change: they wait for conflicting plans,
-// leave audit records, and roll back on failure. An inject that fails
-// installs nothing and ends the probe with its error. done receives the
-// report once clean-up finishes.
+// Both plans carry Origin "probe" and run through Controller.run like
+// every other change: they wait for conflicting plans, leave audit
+// records, and roll back on failure. An inject that fails installs
+// nothing and ends the probe with its error. done receives the report
+// once clean-up finishes.
 func (c *Controller) Probe(srcHost string, dstIP uint32, path []string, done func(ProbeReport)) {
 	rep := ProbeReport{InjectedAt: c.fab.Sim.Now()}
 	fail := func(err error) {
@@ -76,7 +77,7 @@ func (c *Controller) Probe(srcHost string, dstIP uint32, path []string, done fun
 		for _, dev := range path {
 			cp.Remove(dev, progName(dev))
 		}
-		c.exec.Execute(cp, func(r *plan.Report) {
+		c.run(context.Background(), cp, nil, nil, func(r *plan.Report) {
 			rep.CleanedAt = c.fab.Sim.Now()
 			if rep.Err == nil {
 				rep.Err = r.Err
@@ -91,7 +92,7 @@ func (c *Controller) Probe(srcHost string, dstIP uint32, path []string, done fun
 	for i, dev := range path {
 		inject.Install(dev, progName(dev), apps.INTTelemetry(progName(dev), uint64(i+1)), nil, 0)
 	}
-	c.exec.Execute(inject, func(r *plan.Report) {
+	c.run(context.Background(), inject, nil, nil, func(r *plan.Report) {
 		if r.Err != nil {
 			fail(r.Err)
 			return

@@ -121,23 +121,17 @@ func (c *Controller) DiffSpec(r *spec.Resolved) *spec.Diff {
 	return spec.Compute(r, c.LiveSpecState())
 }
 
-// CanonicalIntent renders the controller's live intent state in the
-// audit replayer's canonical form — byte-identical to
+// CanonicalIntent renders the tenants and the desired state (heal.go)
+// in the audit replayer's canonical form — byte-identical to
 // audit.Replay(...).Canonical() when the trail is complete.
 func (c *Controller) CanonicalIntent() string {
 	st := audit.NewIntentState()
 	for _, t := range c.state.tenantNames() {
 		st.Tenants[t] = true
 	}
-	for _, uri := range c.state.appURIs() {
-		app := c.state.app(uri)
-		if app == nil {
-			continue
-		}
-		for seg, devs := range app.Replicas {
-			for _, d := range devs {
-				st.Add(instanceName(uri, seg), d)
-			}
+	for dev, as := range c.desired() {
+		for _, a := range as {
+			st.Add(a.inst, dev)
 		}
 	}
 	return st.Canonical()

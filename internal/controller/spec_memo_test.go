@@ -87,13 +87,12 @@ func hhResize(entries int) *delta.Delta {
 
 // memoSequence drives nOps seeded random operations — deploy, update,
 // scale, migrate, redeploy, remove, and applies of two alternating spec
-// revisions — on a k=4 fat-tree, checking the memo after every one. It
-// returns the first violation. With mutant set, the memo is read after
-// each operation as an implementation that remembered by segment name
-// alone would read it: every entry counts as current whatever program
-// its segment now holds.
-func memoSequence(t *testing.T, seed int64, nOps int, mutant bool) error {
-	f, c := fatTreeBed(t, seed, 4)
+// revisions — on f, a k=4 fat-tree bed, checking the memo after every
+// one. It returns the first violation. With mutant set, the memo is read
+// after each operation as an implementation that remembered by segment
+// name alone would read it: every entry counts as current whatever
+// program its segment now holds.
+func memoSequence(t *testing.T, f *fabric.Fabric, c *Controller, seed int64, nOps int, mutant bool) error {
 	rng := rand.New(rand.NewSource(seed))
 	ctx := context.Background()
 	devices := f.Devices()
@@ -164,9 +163,14 @@ func memoSequence(t *testing.T, seed int64, nOps int, mutant bool) error {
 		}
 		// The devices hold exactly the committed intent, and the audit
 		// trail replays to it: what a lowering the imperative op and the
-		// spec path share would break if it got a change wrong.
+		// spec path share would break if it got a change wrong. Nothing
+		// drifted at quiescence either, so a running healer has had
+		// nothing to repair.
 		if d := c.IntentDrift(); len(d) != 0 {
 			return fmt.Errorf("after %s: intent drift %v", op, d)
+		}
+		if heals := healPlans(c); len(heals) != 0 {
+			return fmt.Errorf("after %s: the healer ran %d plans, first %q %v", op, len(heals), heals[0].Label, stepOps(heals[0]))
 		}
 		if !replayMatchesIntent(t, c) {
 			return fmt.Errorf("after %s: audit replay differs from live intent", op)
@@ -257,7 +261,23 @@ func memoSequence(t *testing.T, seed int64, nOps int, mutant bool) error {
 }
 
 func TestLiveFingerprintMemoUnderRandomOps(t *testing.T) {
-	if err := memoSequence(t, 20, 500, false); err != nil {
+	f, c := fatTreeBed(t, 20, 4)
+	if err := memoSequence(t, f, c, 20, 500, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHealerQuietUnderRandomOps runs the random-op sequence with the
+// healer scanning every millisecond. Mid-plan the devices and intent
+// disagree all the time — a migration's destination holds the instance
+// before Replicas names it, a deploy registers its app before its plan
+// commits — but at quiescence they never do, so the healer must not run
+// a single plan: a healer that lowered orphans mid-plan would remove
+// migrating instances.
+func TestHealerQuietUnderRandomOps(t *testing.T) {
+	f, c := fatTreeBed(t, 20, 4)
+	c.StartHealer(time.Millisecond)
+	if err := memoSequence(t, f, c, 20, 300, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -267,7 +287,8 @@ func TestLiveFingerprintMemoUnderRandomOps(t *testing.T) {
 // pointer, keeps a fingerprint across the first update, swap or
 // redeploy, and the sequence must notice.
 func TestLiveFingerprintMemoMutantIsCaught(t *testing.T) {
-	err := memoSequence(t, 20, 500, true)
+	f, c := fatTreeBed(t, 20, 4)
+	err := memoSequence(t, f, c, 20, 500, true)
 	if err == nil {
 		t.Fatal("a memo that ignores the program pointer passed 500 operations unnoticed")
 	}

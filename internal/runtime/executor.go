@@ -160,6 +160,10 @@ func (x *Executor) Freeze() {
 // Frozen reports whether the executor is fenced awaiting a new leader.
 func (x *Executor) Frozen() bool { return x.frozen }
 
+// Idle reports whether the executor is quiescent: no plan running or
+// queued, and not frozen.
+func (x *Executor) Idle() bool { return len(x.running) == 0 && len(x.queue) == 0 && !x.frozen }
+
 // Inflight returns the labels of fenced or running pipelines, for
 // ha-status reporting.
 func (x *Executor) Inflight() []string {

@@ -102,14 +102,7 @@ func (n *Network) Deploy(ctx context.Context, uri string, spec AppSpec, opts Dep
 		}
 		return n.ctl.DryRun(cp), nil
 	}
-	var err error
-	done := false
-	n.ctl.Deploy(ctx, uri, dp, copts, func(e error) { err = e; done = true })
-	n.waitFor(&done, 30*time.Second)
-	if !done {
-		return nil, fmt.Errorf("flexnet: deploy %s did not complete", uri)
-	}
-	return n.ctl.LastReport(), err
+	return n.await("deploy "+uri, 30*time.Second, func(done func(error)) { n.ctl.Deploy(ctx, uri, dp, copts, done) })
 }
 
 // Remove removes an application. See Deploy for execution, dry-run, and
@@ -122,14 +115,7 @@ func (n *Network) Remove(ctx context.Context, uri string, opts RemoveOptions) (*
 		}
 		return n.ctl.DryRun(cp), nil
 	}
-	var err error
-	done := false
-	n.ctl.Remove(ctx, uri, func(e error) { err = e; done = true })
-	n.waitFor(&done, 30*time.Second)
-	if !done {
-		return nil, fmt.Errorf("flexnet: remove %s did not complete", uri)
-	}
-	return n.ctl.LastReport(), err
+	return n.await("remove "+uri, 30*time.Second, func(done func(error)) { n.ctl.Remove(ctx, uri, done) })
 }
 
 // Migrate moves an app segment between devices, carrying its state
@@ -148,13 +134,10 @@ func (n *Network) Migrate(ctx context.Context, req MigrateRequest) (MigrationRep
 		return MigrationReport{}, n.ctl.DryRun(cp), nil
 	}
 	var rep MigrationReport
-	done := false
-	n.ctl.Migrate(ctx, creq, func(r MigrationReport) { rep = r; done = true })
-	n.waitFor(&done, 60*time.Second)
-	if !done {
-		return rep, nil, fmt.Errorf("flexnet: migration of %s did not complete", req.URI)
-	}
-	return rep, n.ctl.LastReport(), rep.Err
+	planRep, err := n.await("migration of "+req.URI, 60*time.Second, func(done func(error)) {
+		n.ctl.Migrate(ctx, creq, func(r MigrationReport) { rep = r; done(r.Err) })
+	})
+	return rep, planRep, err
 }
 
 // Scale adds (ScaleDirOut) or removes (ScaleDirIn) an app replica. See
@@ -173,19 +156,13 @@ func (n *Network) Scale(ctx context.Context, req ScaleRequest) (*PlanReport, err
 		}
 		return n.ctl.DryRun(cp), nil
 	}
-	var err error
-	done := false
-	cb := func(e error) { err = e; done = true }
-	if req.Direction == ScaleDirIn {
-		n.ctl.ScaleIn(ctx, req.URI, req.Segment, req.Device, cb)
-	} else {
-		n.ctl.ScaleOut(ctx, req.URI, req.Segment, req.Device, cb)
-	}
-	n.waitFor(&done, 30*time.Second)
-	if !done {
-		return nil, fmt.Errorf("flexnet: scale of %s did not complete", req.URI)
-	}
-	return n.ctl.LastReport(), err
+	return n.await("scale of "+req.URI, 30*time.Second, func(done func(error)) {
+		if req.Direction == ScaleDirIn {
+			n.ctl.ScaleIn(ctx, req.URI, req.Segment, req.Device, done)
+		} else {
+			n.ctl.ScaleOut(ctx, req.URI, req.Segment, req.Device, done)
+		}
+	})
 }
 
 // Update applies an incremental change to a deployed app segment, live
@@ -200,27 +177,40 @@ func (n *Network) Update(ctx context.Context, req UpdateRequest) (*DeltaReport, 
 		return nil, n.ctl.DryRun(cp), nil
 	}
 	var rep *DeltaReport
-	var err error
-	done := false
-	n.ctl.UpdateApp(ctx, req.URI, req.Segment, req.Delta, func(r *DeltaReport, e error) { rep, err = r, e; done = true })
-	n.waitFor(&done, 30*time.Second)
-	if !done {
-		return nil, nil, fmt.Errorf("flexnet: update of %s did not complete", req.URI)
-	}
-	return rep, n.ctl.LastReport(), err
+	planRep, err := n.await("update of "+req.URI, 30*time.Second, func(done func(error)) {
+		n.ctl.UpdateApp(ctx, req.URI, req.Segment, req.Delta, func(r *DeltaReport, e error) { rep = r; done(e) })
+	})
+	return rep, planRep, err
 }
 
 // DeleteTenant removes a tenant and every app it owns. Cancelling ctx
 // mid-removal rolls the in-flight plan back.
 func (n *Network) DeleteTenant(ctx context.Context, name string) error {
-	var err error
-	done := false
-	n.ctl.RemoveTenant(ctx, name, func(e error) { err = e; done = true })
-	n.waitFor(&done, 30*time.Second)
-	if !done {
-		return fmt.Errorf("flexnet: tenant removal did not complete")
-	}
+	_, err := n.await("tenant removal", 30*time.Second, func(done func(error)) { n.ctl.RemoveTenant(ctx, name, done) })
 	return err
+}
+
+// await runs one control op until its callback fires and returns the
+// op's error and its own plan's report, read in the callback: the
+// controller sets LastReport just before it, while by the time waitFor
+// returns another plan (a spec batch, a heal) may have finished. An op
+// refused before planning leaves LastReport alone and gets nil.
+func (n *Network) await(what string, budget time.Duration, op func(done func(error))) (*PlanReport, error) {
+	before := n.ctl.LastReport()
+	var rep *PlanReport
+	var err error
+	settled := false
+	op(func(e error) {
+		if r := n.ctl.LastReport(); r != before {
+			rep = r
+		}
+		err, settled = e, true
+	})
+	n.waitFor(&settled, budget)
+	if !settled {
+		return nil, fmt.Errorf("flexnet: %s did not complete", what)
+	}
+	return rep, err
 }
 
 // NumWorkers returns 1: the simulator runs one event at a time

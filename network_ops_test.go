@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"flexnet/internal/runtime"
 )
 
 // deployHH deploys the heavy-hitter app on s1 and fails the test on
@@ -262,6 +264,63 @@ func TestMigrateControlPlaneOnly(t *testing.T) {
 	// during the move are counted, not silently merged via dRPC.
 	if !strings.Contains(planRep.Label, "migrate") {
 		t.Errorf("plan label %q does not name the migration", planRep.Label)
+	}
+}
+
+// TestOpReturnsItsOwnReport: an op returns its own plan's report even
+// when other plans finish while it waits. Network.Scale onto s1 shares
+// its wait with a removal on s4 that commits just after it and with the
+// healer's reconcile of a restarted s2, which queues behind both and
+// finishes last. Plan costs are cut to milliseconds so all three land
+// inside one of the wait's simulation steps.
+func TestOpReturnsItsOwnReport(t *testing.T) {
+	n := New(3).
+		ReconfigCosts(runtime.Costs{Base: 2 * time.Millisecond}).
+		Switch("s1", DRMT).
+		Switch("s2", DRMT).
+		Switch("s3", DRMT).
+		Switch("s4", DRMT).
+		Host("h1", "10.0.0.1").
+		Host("h2", "10.0.0.2").
+		Link("h1", "s1").
+		Link("s1", "s2").
+		Link("s2", "s3").
+		Link("s3", "s4").
+		Link("s4", "h2").
+		MustBuild()
+	ctx := context.Background()
+	for _, app := range []struct{ uri, dev string }{{"flexnet://infra/mon", "s3"}, {"flexnet://infra/gone", "s4"}} {
+		if _, err := n.Deploy(ctx, app.uri, AppSpec{
+			Programs: []*Program{HeavyHitter("hh", 2, 128, 1<<60)},
+			Path:     []string{app.dev},
+		}, DeployOptions{}); err != nil {
+			t.Fatalf("deploy %s: %v", app.uri, err)
+		}
+	}
+	h := n.StartSelfHealing(time.Millisecond)
+	removed := false
+	n.After(500*time.Microsecond, func() {
+		n.Controller().Remove(ctx, "flexnet://infra/gone", func(err error) {
+			if err != nil {
+				t.Errorf("remove: %v", err)
+			}
+			removed = true
+		})
+	})
+	n.After(600*time.Microsecond, n.Device("s2").Crash)
+	n.After(800*time.Microsecond, n.Device("s2").Restart)
+	rep, err := n.Scale(ctx, ScaleRequest{URI: "flexnet://infra/mon", Segment: "hh", Device: "s1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !removed || h.Recovered() != 1 {
+		t.Fatalf("removal done %v, s2 recoveries %d: the other plans did not finish during the scale's wait", removed, h.Recovered())
+	}
+	if want := "scale-out flexnet://infra/mon/hh -> s1"; rep == nil || rep.Label != want {
+		t.Fatalf("Scale returned %+v, want its own plan %q", rep, want)
+	}
+	if last := n.LastPlanReport(); last.Label != "reconcile s2" {
+		t.Fatalf("last plan to finish = %q, want the heal", last.Label)
 	}
 }
 

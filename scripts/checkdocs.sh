@@ -97,8 +97,26 @@ $used
 EOF
 done
 
+# ROADMAP.md renumbers its items at every re-anchor, so a citation by
+# number ("ROADMAP item 3", "ROADMAP 2(a)") goes stale: the fact it
+# points at belongs in ROADMAP.md alone. Go files and the current docs
+# may not carry one, even wrapped across two lines; CHANGES.md,
+# ROADMAP.md and BENCH_PR* are history and are not scanned.
+# shellcheck disable=SC2046,SC2086 # word lists of file names
+cites=$(awk '
+    function cites(s) { return s ~ /ROADMAP[ \t]+(item[ \t]+)?[0-9]/ }
+    FNR == 1 { prev = "" }
+    { cur = $0; sub(/^[ \t]*(\/\/)?[ \t]*/, "", cur)
+      if (cites($0) || (!cites(prev) && cites(prev " " cur))) print FILENAME ":" FNR ": " $0
+      prev = $0 }' $docs $(find . -name '*.go' -not -path './.*' | sort))
+if [ -n "$cites" ]; then
+    echo "checkdocs: FAIL — ROADMAP item cited by number (numbers move at every re-anchor):" >&2
+    printf '%s\n' "$cites" | sed 's/^/  /' >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
-    echo "checkdocs: document every package ('// Package <name> ...'; internal packages cite their DESIGN.md section), keep README's fault Kinds: list in step with internal/faults, and invoke flexnetd/flexbench/flexctl only with flags they define." >&2
+    echo "checkdocs: document every package ('// Package <name> ...'; internal packages cite their DESIGN.md section), keep README's fault Kinds: list in step with internal/faults, invoke flexnetd/flexbench/flexctl only with flags they define, and cite ROADMAP.md without item numbers." >&2
     exit 1
 fi
-echo "checkdocs: OK — every package documented; internal packages cite DESIGN.md; README lists every fault kind; every documented flexnetd/flexbench/flexctl flag exists."
+echo "checkdocs: OK — every package documented; internal packages cite DESIGN.md; README lists every fault kind; every documented flexnetd/flexbench/flexctl flag exists; no ROADMAP item is cited by number."
