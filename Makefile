@@ -23,9 +23,14 @@ race:
 # mutants runs the checks that must be able to fail against builds broken
 # on purpose: the flow-cache chaos soak against device commits that keep
 # the previous configuration's cache (build tag flowcache_reuse_mutant,
-# internal/dataplane/flowcache_commit_mutant.go) must count stale serves.
+# internal/dataplane/flowcache_commit_mutant.go) must count stale serves,
+# and the array-map model check and the heavy-hitter migration check
+# against an array map whose Export drops slots written with 0 (build tag
+# state_array_mutant, internal/dataplane/state/slots_mutant.go) must
+# report a mismatch.
 mutants:
 	$(GO) test -tags flowcache_reuse_mutant -run '^TestChaosSoakCatchesCacheReuse$$' -count=1 .
+	$(GO) test -tags state_array_mutant -run '^(TestArrayModelCatchesExportMutant|TestMigrationCatchesExportMutant)$$' -count=1 ./internal/dataplane/state ./internal/migrate
 
 vet:
 	$(GO) vet ./...

@@ -29,9 +29,6 @@ const accountingGolden = "testdata/accounting_snapshot.golden"
 type accountingChain struct {
 	reg  *telemetry.Registry
 	devs [3]*Device
-	// parseErrs counts c3's errors inside the broken-parser window, where
-	// CheckFields fails before any program runs.
-	parseErrs uint64
 }
 
 func newAccountingChain(t *testing.T) *accountingChain {
@@ -111,14 +108,6 @@ func flowCounterProgram(name string) *flexbpf.Program {
 		MustBuild()
 }
 
-// commitParser publishes g as d's parse graph without validating it, the
-// only way to make CheckFields fail on a device.
-func commitParser(d *Device, g *packet.ParseGraph) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.commit(&config{parser: g, instances: d.snapshot().instances})
-}
-
 // accountingPacket draws one packet of the run's mix: mostly repeating
 // TCP flows to 10.0.0.2 (cache hits), with TTL variants, the dropped
 // ports 443 and 22, the recirculated 8080, UDP (punted on c2) and
@@ -149,13 +138,13 @@ func accountingPacket(r *rand.Rand, id uint64) *packet.Packet {
 
 // run sends n packets down the chain with the device changes the
 // accounting has to survive: a swap on c1 every 150 packets, a window of
-// drain drops on c2, a window of parse errors on c3, and a route rewrite
-// on c1 that moves table generations without a commit.
+// drain drops on c2, and a route rewrite on c1 that moves table
+// generations without a commit.
 func (ch *accountingChain) run(t *testing.T, n int) {
 	t.Helper()
 	r := rand.New(rand.NewSource(22))
 	ectx := flexbpf.NewExecContext()
-	c1, c2, c3 := ch.devs[0], ch.devs[1], ch.devs[2]
+	c1, c2 := ch.devs[0], ch.devs[1]
 	for i := 0; i < n; i++ {
 		switch {
 		case i > 0 && i%150 == 0:
@@ -178,12 +167,6 @@ func (ch *accountingChain) run(t *testing.T, n int) {
 			c2.SetDraining(true)
 		case i == 1100:
 			c2.SetDraining(false)
-		case i == 2000:
-			ch.parseErrs = c3.Stats().Errors
-			commitParser(c3, packet.NewParseGraph("nowhere"))
-		case i == 2100:
-			ch.parseErrs = c3.Stats().Errors - ch.parseErrs
-			commitParser(c3, packet.StandardParseGraph())
 		}
 		pkt := accountingPacket(r, uint64(i))
 		for hop, d := range ch.devs {
@@ -201,7 +184,7 @@ func (ch *accountingChain) run(t *testing.T, n int) {
 
 // TestAccountingViewsMatchInstruments is the differential for the
 // device's accounting block: a seeded mixed run — cache hits and misses,
-// drain drops, parse errors, execution errors, policy drops, punts,
+// drain drops, execution errors, policy drops, punts,
 // recirculations and more than twenty commits — must render the registry
 // snapshot byte for byte as the atomic instruments it replaced did, and
 // Stats, FlowCacheStats and EnergyJoules must agree with its lines.
@@ -263,7 +246,7 @@ func TestAccountingViewsMatchInstruments(t *testing.T) {
 		n    uint64
 	}{{"commits", epochs}, {"cache hits", hits}, {"cache misses", misses}, {"punts", punts},
 		{"recirculations", recircs}, {"drain drops", drains}, {"policy drops", policy},
-		{"parse errors", ch.parseErrs}, {"execution errors", errs - ch.parseErrs}} {
+		{"execution errors", errs}} {
 		if c.n == 0 {
 			t.Errorf("run produced no %s", c.what)
 		}

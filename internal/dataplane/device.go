@@ -737,8 +737,9 @@ func (d *Device) Swap(prepare func(stage *StagedConfig) error) error {
 // Every configuration change — Swap, PrepareChange, and the single-step
 // InstallProgram/RemoveProgram/UpdateParser wrappers — is staged here, so
 // the checks that guard a commit live here once: a down device refuses
-// changes, and a mutated parse graph must validate. On error every
-// staged placement is released and nothing is retained. Caller holds d.mu.
+// changes, and a mutated parse graph must validate, so every committed
+// graph is valid (DESIGN.md §5). On error every staged placement is
+// released and nothing is retained. Caller holds d.mu.
 func (d *Device) stageLocked(build func(stage *StagedConfig) error) (*StagedConfig, error) {
 	if d.down.Load() {
 		return nil, fmt.Errorf("dataplane: %s: %w", d.name, errdefs.ErrDeviceDown)
@@ -1054,14 +1055,6 @@ func (d *Device) ProcessCtx(pkt *packet.Packet, ectx *flexbpf.ExecContext) ProcS
 			d.accountProcessed(&st)
 			return st
 		}
-	}
-
-	// Parse: determine which headers this configuration understands.
-	if err := cfg.parser.CheckFields(pkt); err != nil {
-		a.c.Errors++
-		a.c.Dropped++
-		st.Verdict = packet.VerdictDrop
-		return st
 	}
 
 	skipped := false

@@ -4,8 +4,8 @@ package dataplane
 // and the accounting every processed packet shares. The resolved
 // outcome of the first packet of a flow is recorded against the packet
 // state the pipeline depends on (static CacheProfile of every installed
-// instance, plus filter and parser select fields) and replayed for
-// followers that match it. Replay reproduces the exact per-packet
+// instance, plus filter fields) and replayed for followers that match
+// it. Replay reproduces the exact per-packet
 // telemetry (Instrs, Lookups, latency, programs), so device counters are
 // byte-identical to those of a device that runs the pipeline for every
 // packet (DisableFlowCache, the differential oracle); cache activity is
@@ -33,7 +33,7 @@ type fastpathInfo struct {
 	// cacheable: every instance's profile is cacheable.
 	cacheable bool
 	// fields is the validation set: reads ∪ writes ∪ filter-condition
-	// fields ∪ parser select fields, sorted and deduplicated.
+	// fields, sorted and deduplicated; no parser fields (DESIGN.md §5).
 	fields []packet.FieldID
 	// writes is the combined write set (replayed on hits).
 	writes []packet.FieldID
@@ -79,9 +79,6 @@ func computeFastpath(cfg *config) *fastpathInfo {
 		}
 		fp.usesLen = fp.usesLen || prof.UsesPktLen
 		fp.tables = append(fp.tables, lp.TableInstances()...)
-	}
-	for _, name := range cfg.parser.SelectFields() {
-		fields[packet.InternField(name)] = struct{}{}
 	}
 	fp.fields = sortFieldSet(fields)
 	fp.writes = sortFieldSet(writes)

@@ -13,6 +13,7 @@ package state
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -72,7 +73,8 @@ const (
 
 // Map is a bounded key/value map in one of three flavors:
 //
-//   - array: dense, preallocated, keys 0..max-1 (P4 register file).
+//   - array: dense, keys 0..max-1 (P4 register file): max slots
+//     preallocated at install, a size the SRAM charge at placement bounds.
 //   - hash: sparse, inserts fail when full (exact-match stateful table).
 //   - lru: sparse, inserts evict the least recently used entry (flow
 //     cache, as in the Spectrum stateful-table design [58]).
@@ -83,11 +85,17 @@ type Map struct {
 	kind MapKind
 	max  int
 
-	mu   sync.Mutex
+	mu sync.Mutex
+	// data holds a hash or LRU map's entries.
 	data map[uint64]uint64
 	// recency implements LRU ordering: seq numbers per key.
 	recency map[uint64]uint64
 	seq     uint64
+	// slots is an array map's register file; written has bit k set while
+	// slot k holds a store made since the last Reset or Import. Len,
+	// Delete and Export see exactly the written slots, zero-valued ones
+	// included, as a hash map of the same stores would.
+	slots, written []uint64
 }
 
 // NewMap creates a map. max must be positive.
@@ -95,9 +103,15 @@ func NewMap(name string, kind MapKind, max int) *Map {
 	if max <= 0 {
 		panic(fmt.Sprintf("state: map %s has non-positive size %d", name, max))
 	}
-	m := &Map{name: name, kind: kind, max: max, data: make(map[uint64]uint64)}
-	if kind == KindLRU {
+	m := &Map{name: name, kind: kind, max: max}
+	switch kind {
+	case KindArray:
+		m.slots, m.written = make([]uint64, max), make([]uint64, (max+63)/64)
+	case KindLRU:
 		m.recency = make(map[uint64]uint64)
+		fallthrough
+	default:
+		m.data = make(map[uint64]uint64)
 	}
 	return m
 }
@@ -119,7 +133,7 @@ func (m *Map) Load(key uint64) (uint64, bool) {
 		if key >= uint64(m.max) {
 			return 0, false
 		}
-		return m.data[key], true
+		return m.slots[key], true
 	}
 	v, ok := m.data[key]
 	if ok && m.kind == KindLRU {
@@ -138,7 +152,8 @@ func (m *Map) Store(key, val uint64) error {
 		if key >= uint64(m.max) {
 			return fmt.Errorf("state: map %s: array index %d out of range %d", m.name, key, m.max)
 		}
-		m.data[key] = val
+		m.slots[key] = val
+		m.written[key/64] |= 1 << (key % 64)
 		return nil
 	case KindHash:
 		if _, exists := m.data[key]; !exists && len(m.data) >= m.max {
@@ -176,29 +191,44 @@ func (m *Map) evictLocked() {
 func (m *Map) Delete(key uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.data, key)
-	if m.recency != nil {
-		delete(m.recency, key)
+	if key < uint64(len(m.slots)) { // slots is empty but for array maps
+		m.slots[key] = 0
+		m.written[key/64] &^= 1 << (key % 64)
 	}
+	delete(m.data, key)
+	delete(m.recency, key)
 }
 
 // Len returns the number of occupied entries.
 func (m *Map) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.data)
+	return countWritten(m.written) + len(m.data) // one of them is empty
+}
+
+func countWritten(written []uint64) int {
+	n := 0
+	for _, w := range written {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // Export implements Object.
 func (m *Map) Export() Logical {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return Logical{
-		Name:    m.name,
-		Kind:    "map",
-		Params:  map[string]uint64{"kind": uint64(m.kind), "max": uint64(m.max)},
-		Entries: sortedEntries(m.data),
+	l := Logical{
+		Name:   m.name,
+		Kind:   "map",
+		Params: map[string]uint64{"kind": uint64(m.kind), "max": uint64(m.max)},
 	}
+	if m.kind == KindArray {
+		l.Entries = writtenSlots(m.slots, m.written)
+	} else {
+		l.Entries = sortedEntries(m.data)
+	}
+	return l
 }
 
 // Import implements Object. The logical kind may come from a *different*
@@ -213,13 +243,15 @@ func (m *Map) Import(l Logical) error {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.data = make(map[uint64]uint64, len(l.Entries))
-	if m.recency != nil {
-		m.recency = make(map[uint64]uint64, len(l.Entries))
-	}
+	m.clearLocked(len(l.Entries))
 	for _, kv := range l.Entries {
-		if m.kind == KindArray && kv.Key >= uint64(m.max) {
-			return fmt.Errorf("state: map %s: logical key %d out of array range %d", m.name, kv.Key, m.max)
+		if m.kind == KindArray {
+			if kv.Key >= uint64(m.max) {
+				return fmt.Errorf("state: map %s: logical key %d out of array range %d", m.name, kv.Key, m.max)
+			}
+			m.slots[kv.Key] = kv.Val
+			m.written[kv.Key/64] |= 1 << (kv.Key % 64)
+			continue
 		}
 		m.data[kv.Key] = kv.Val
 		if m.recency != nil {
@@ -234,9 +266,20 @@ func (m *Map) Import(l Logical) error {
 func (m *Map) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.data = make(map[uint64]uint64)
+	m.clearLocked(0)
+}
+
+// clearLocked empties the map, sizing a hash or LRU map's tables for n
+// entries. Caller holds m.mu.
+func (m *Map) clearLocked(n int) {
+	if m.kind == KindArray {
+		clear(m.slots)
+		clear(m.written)
+		return
+	}
+	m.data = make(map[uint64]uint64, n)
 	if m.recency != nil {
-		m.recency = make(map[uint64]uint64)
+		m.recency = make(map[uint64]uint64, n)
 	}
 }
 

@@ -1,6 +1,8 @@
 package migrate
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -150,6 +152,63 @@ func TestDataPlaneMigrationLosesNothing(t *testing.T) {
 	}
 	if f.Device("s1").Instance("mon") != nil {
 		t.Fatal("source still has the program after flip")
+	}
+}
+
+// zeroedSlotsMismatch warms the heavy-hitter monitor on s1, stops the
+// traffic, clears its counted row-0 slots to 0 (stores, not
+// deletes: a cleared slot is state the destination must hold as well),
+// migrates the monitor to s2 over the management channel — with no
+// traffic, neither copy changes after the snapshot — and returns every
+// map whose destination copy differs from the source in its entry count
+// or its entries.
+func zeroedSlotsMismatch(t *testing.T) []string {
+	t.Helper()
+	f, m, src := migrationFabric(t)
+	sinst := f.Device("s1").Instance("mon")
+	src.StartCBR(100000)
+	f.Sim.At(20*time.Millisecond, func() {
+		src.Stop()
+		row, cleared := sinst.Store().Map("mon_row0"), 0
+		for k := uint64(0); k < 256; k++ {
+			if v, _ := row.Load(k); v != 0 {
+				if err := row.Store(k, 0); err != nil {
+					t.Fatal(err)
+				}
+				cleared++
+			}
+		}
+		if cleared == 0 {
+			t.Fatal("the monitor counted nothing before the migration")
+		}
+	})
+	var rep Report
+	f.Sim.At(21*time.Millisecond, func() {
+		runMigration(f, m, "mon", "s1", "s2", false, func(r Report) { rep = r })
+	})
+	f.Sim.RunUntil(400 * time.Millisecond)
+	if rep.Err != nil || rep.ChunksSent == 0 {
+		t.Fatalf("migration: err %v, %d chunks", rep.Err, rep.ChunksSent)
+	}
+	dinst := f.Device("s2").Instance("mon")
+	var bad []string
+	for _, name := range sortedNames(sinst) {
+		sm, dm := sinst.Store().Map(name), dinst.Store().Map(name)
+		if sm == nil {
+			continue
+		}
+		if sm.Len() != dm.Len() || !reflect.DeepEqual(sm.Export().Entries, dm.Export().Entries) {
+			bad = append(bad, fmt.Sprintf("%s: %d entries at the source, %d at the destination", name, sm.Len(), dm.Len()))
+		}
+	}
+	return bad
+}
+
+// TestMigrationCarriesZeroedSlots: a heavy-hitter row slot written with
+// 0 is an entry of the monitor's state, and migration moves it.
+func TestMigrationCarriesZeroedSlots(t *testing.T) {
+	if bad := zeroedSlotsMismatch(t); len(bad) > 0 {
+		t.Fatalf("migrated state differs from the source: %v", bad)
 	}
 }
 

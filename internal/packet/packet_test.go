@@ -367,33 +367,6 @@ func TestParseGraphCloneIsolated(t *testing.T) {
 	}
 }
 
-func TestParseFields(t *testing.T) {
-	g := StandardParseGraph()
-	p := TCPPacket(1, 1, 2, 3, 4, 0, 0)
-	hdrs, err := g.ParseFields(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"eth", "ipv4", "tcp"}
-	if !reflect.DeepEqual(hdrs, want) {
-		t.Fatalf("accepted headers = %v, want %v", hdrs, want)
-	}
-
-	// A parser missing the tcp transition accepts only eth+ipv4.
-	g2 := g.Clone()
-	if err := g2.RemoveTransition("ipv4", ProtoTCP); err != nil {
-		t.Fatal(err)
-	}
-	hdrs, err = g2.ParseFields(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = []string{"eth", "ipv4"}
-	if !reflect.DeepEqual(hdrs, want) {
-		t.Fatalf("accepted headers = %v, want %v", hdrs, want)
-	}
-}
-
 func TestPacketLen(t *testing.T) {
 	p := TCPPacket(1, 1, 2, 3, 4, 0, 1000)
 	if p.Len() != 14+20+20+1000 {

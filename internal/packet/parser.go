@@ -220,69 +220,17 @@ func (g *ParseGraph) Parse(src []byte, p *Packet) error {
 				return err
 			}
 		}
-		if st.SelectField == "" {
-			state = st.Default
-			continue
-		}
-		v, ok := p.FieldOK(st.SelectField)
-		if !ok {
-			state = st.Default
-			continue
-		}
-		next, ok := st.Transitions[v]
-		if !ok {
-			next = st.Default
-		}
-		state = next
+		state = st.next(p)
 	}
 	p.PayloadLen = len(src)
 	return nil
 }
 
-// ParseFields runs the state machine against a packet that already has a
-// PHV (simulator fast path: no wire bytes). It verifies the header chain
-// the graph would accept matches the packet's headers, returning the list
-// of headers this parser understands. Headers beyond the parser's
-// knowledge are treated as payload.
-func (g *ParseGraph) ParseFields(p *Packet) ([]string, error) {
-	var accepted []string
-	state := g.start
-	idx := 0
-	for state != "" {
-		st, ok := g.states[state]
-		if !ok {
-			return nil, fmt.Errorf("packet: parse reached unknown state %q", state)
-		}
-		if st.Header != "" {
-			if idx >= len(p.Headers) || p.Headers[idx] != st.Header {
-				// The packet does not carry the header this state expects;
-				// parsing stops (the remainder is payload to this device).
-				return accepted, nil
-			}
-			accepted = append(accepted, st.Header)
-			idx++
-		}
-		if st.SelectField == "" {
-			state = st.Default
-			continue
-		}
-		v, ok := p.FieldOK(st.SelectField)
-		if !ok {
-			state = st.Default
-			continue
-		}
-		next, ok := st.Transitions[v]
-		if !ok {
-			next = st.Default
-		}
-		state = next
-	}
-	return accepted, nil
-}
-
-// CheckFields is the allocation-free variant of ParseFields for the
-// per-packet path: it walks the state machine to validate the header
-// chain but does not build the accepted-header list.
+// CheckFields walks the state machine over a packet that already has a
+// PHV (no wire bytes), following its header chain until the packet stops
+// carrying the header a state expects. It fails only on reaching a state
+// the graph lacks, which Validate rules out; a device therefore never
+// walks the graph per packet, since every graph it commits has validated.
 func (g *ParseGraph) CheckFields(p *Packet) error {
 	state := g.start
 	idx := 0
@@ -297,42 +245,22 @@ func (g *ParseGraph) CheckFields(p *Packet) error {
 			}
 			idx++
 		}
-		if st.SelectField == "" {
-			state = st.Default
-			continue
-		}
-		v, ok := p.FieldOK(st.SelectField)
-		if !ok {
-			state = st.Default
-			continue
-		}
-		next, ok := st.Transitions[v]
-		if !ok {
-			next = st.Default
-		}
-		state = next
+		state = st.next(p)
 	}
 	return nil
 }
 
-// SelectFields returns the distinct select-field names used by the
-// graph's states, sorted. The parser's control flow — and therefore
-// CheckFields' outcome — is a function of a packet's header list plus
-// exactly these field values, which is what lets the flow cache
-// validate parser behavior per follower packet (DESIGN.md §12).
-func (g *ParseGraph) SelectFields() []string {
-	seen := make(map[string]struct{}, len(g.states))
-	for _, st := range g.states {
-		if st.SelectField != "" {
-			seen[st.SelectField] = struct{}{}
+// next is the state after st: the transition its select field's value in
+// p picks, or Default when p lacks the field or no transition matches.
+func (st *ParseState) next(p *Packet) string {
+	if st.SelectField != "" {
+		if v, ok := p.FieldOK(st.SelectField); ok {
+			if next, ok := st.Transitions[v]; ok {
+				return next
+			}
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for f := range seen {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
+	return st.Default
 }
 
 // StandardParseGraph builds the default infrastructure parser:

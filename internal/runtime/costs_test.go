@@ -216,22 +216,47 @@ func TestNetworkWideSimultaneous(t *testing.T) {
 }
 
 // TestCyclicParserMutationRefused: a staged parse graph is validated
-// before anything commits, whichever door the change comes through. A
-// mutation that closes a loop (tcp → eth) rides along with a program
-// install; the whole change must be refused with the device's epoch,
-// parser, program set and free resources exactly as they were.
+// before anything commits, whichever door the change comes through, so
+// no public path commits a graph the packet path could not walk (the
+// device never checks one per packet). Three broken graphs — one that
+// closes a loop (tcp → eth), one with a transition to a state that does
+// not exist, and one whose start state is gone — go through UpdateParser,
+// and through Swap and PrepareChange riding along with a program install;
+// each change must be refused with the device's epoch, parser, program
+// set and free resources exactly as they were.
 func TestCyclicParserMutationRefused(t *testing.T) {
-	cycle := func(g *packet.ParseGraph) error { return g.AddTransition("tcp", 1, "eth") }
-	build := func(st *dataplane.StagedConfig) error {
-		if err := st.Install(aclProgram("acl"), nil); err != nil {
-			return err
-		}
-		return cycle(st.Parser())
+	// Each broken graph names the Validate failure it must be refused for.
+	breaks := map[string]struct {
+		why string
+		brk func(g *packet.ParseGraph) error
+	}{
+		"cycle": {"cycle", func(g *packet.ParseGraph) error { return g.AddTransition("tcp", 1, "eth") }},
+		"dangling-transition": {"targets unknown state", func(g *packet.ParseGraph) error {
+			g.State("ipv4").Transitions[253] = "ghost"
+			return nil
+		}},
+		"missing-start": {"start state", func(g *packet.ParseGraph) error {
+			*g = *packet.NewParseGraph("nowhere")
+			return nil
+		}},
 	}
-	doors := map[string]func(dev *dataplane.Device) error{
-		"Swap": func(dev *dataplane.Device) error { return dev.Swap(build) },
-		"PrepareChange": func(dev *dataplane.Device) error {
-			pc, err := dev.PrepareChange(build)
+	withInstall := func(brk func(*packet.ParseGraph) error) func(*dataplane.StagedConfig) error {
+		return func(st *dataplane.StagedConfig) error {
+			if err := st.Install(aclProgram("acl"), nil); err != nil {
+				return err
+			}
+			return brk(st.Parser())
+		}
+	}
+	doors := map[string]func(dev *dataplane.Device, brk func(*packet.ParseGraph) error) error{
+		"UpdateParser": func(dev *dataplane.Device, brk func(*packet.ParseGraph) error) error {
+			return dev.UpdateParser(brk)
+		},
+		"Swap": func(dev *dataplane.Device, brk func(*packet.ParseGraph) error) error {
+			return dev.Swap(withInstall(brk))
+		},
+		"PrepareChange": func(dev *dataplane.Device, brk func(*packet.ParseGraph) error) error {
+			pc, err := dev.PrepareChange(withInstall(brk))
 			if err == nil {
 				pc.Abort()
 			}
@@ -240,27 +265,31 @@ func TestCyclicParserMutationRefused(t *testing.T) {
 	}
 	for name, apply := range doors {
 		t.Run(name, func(t *testing.T) {
-			f, _ := lineFabric(t, dataplane.ArchDRMT)
-			dev := f.Device("sw1")
-			epoch, parser, free, progs := dev.Epoch(), dev.Parser(), dev.Free(), dev.Programs()
-			err := apply(dev)
-			if err == nil || !strings.Contains(err.Error(), "cycle") {
-				t.Fatalf("cyclic parse graph accepted: err = %v", err)
-			}
-			if dev.Epoch() != epoch {
-				t.Errorf("epoch moved %d -> %d", epoch, dev.Epoch())
-			}
-			if dev.Parser() != parser {
-				t.Error("parse graph replaced")
-			}
-			if dev.Parser().Validate() != nil {
-				t.Error("live parse graph no longer validates")
-			}
-			if got := dev.Free(); got != free {
-				t.Errorf("free resources changed: %+v -> %+v", free, got)
-			}
-			if got := dev.Programs(); !reflect.DeepEqual(got, progs) {
-				t.Errorf("programs changed: %v -> %v", progs, got)
+			for bname, b := range breaks {
+				t.Run(bname, func(t *testing.T) {
+					f, _ := lineFabric(t, dataplane.ArchDRMT)
+					dev := f.Device("sw1")
+					epoch, parser, free, progs := dev.Epoch(), dev.Parser(), dev.Free(), dev.Programs()
+					err := apply(dev, b.brk)
+					if err == nil || !strings.Contains(err.Error(), "parser update invalid") || !strings.Contains(err.Error(), b.why) {
+						t.Fatalf("broken parse graph accepted: err = %v", err)
+					}
+					if dev.Epoch() != epoch {
+						t.Errorf("epoch moved %d -> %d", epoch, dev.Epoch())
+					}
+					if dev.Parser() != parser {
+						t.Error("parse graph replaced")
+					}
+					if dev.Parser().Validate() != nil {
+						t.Error("live parse graph no longer validates")
+					}
+					if got := dev.Free(); got != free {
+						t.Errorf("free resources changed: %+v -> %+v", free, got)
+					}
+					if got := dev.Programs(); !reflect.DeepEqual(got, progs) {
+						t.Errorf("programs changed: %v -> %v", progs, got)
+					}
+				})
 			}
 		})
 	}
