@@ -4,8 +4,8 @@
 //
 // FlexNet models an end-to-end network whose devices (RMT/dRMT/tiled
 // switch ASICs, SmartNICs, host stacks) can be reprogrammed *while
-// serving traffic*: match/action tables, parser states, and whole
-// programs are added and removed hitlessly, programs migrate between
+// serving traffic*: match/action tables and whole programs are added
+// and removed hitlessly (the parser is fixed), programs migrate between
 // devices carrying their state, security defenses scale elastically
 // with attack volume, and a central controller manages applications by
 // URI. The network substrate is a deterministic discrete-event

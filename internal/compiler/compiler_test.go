@@ -505,14 +505,6 @@ func TestMergedSemanticsEquivalent(t *testing.T) {
 	}
 }
 
-func TestMergeCandidates(t *testing.T) {
-	p := mergeableProgram()
-	cands := MergeCandidates(p)
-	if len(cands) != 1 || cands[0] != [2]string{"qos", "route"} {
-		t.Fatalf("candidates = %v", cands)
-	}
-}
-
 func TestDeviceTargetAdapter(t *testing.T) {
 	dev := dataplane.MustNew(dataplane.DefaultConfig("sw", dataplane.ArchDRMT))
 	tgt := NewDeviceTarget(dev)

@@ -285,19 +285,3 @@ func composeActions(p *flexbpf.Program, n1, n2 string) (*flexbpf.Action, error) 
 	}
 	return &flexbpf.Action{Name: name, NumParams: a1.NumParams + a2.NumParams, Body: body}, nil
 }
-
-// MergeCandidates returns consecutive top-level apply pairs eligible for
-// merging, by name.
-func MergeCandidates(prog *flexbpf.Program) [][2]string {
-	var out [][2]string
-	for i := 0; i+1 < len(prog.Pipeline); i++ {
-		a, b := prog.Pipeline[i].Apply, prog.Pipeline[i+1].Apply
-		if a == "" || b == "" {
-			continue
-		}
-		if _, err := MergeTables(prog, a, b, 0); err == nil {
-			out = append(out, [2]string{a, b})
-		}
-	}
-	return out
-}

@@ -1,7 +1,6 @@
 package compiler
 
 import (
-	"fmt"
 	"strings"
 
 	"flexnet/internal/flexbpf"
@@ -52,54 +51,4 @@ func Fingerprint(p *flexbpf.Program) uint64 {
 		h *= prime
 	}
 	return h
-}
-
-// SharedCode identifies one group of structurally identical segments
-// across datapaths.
-type SharedCode struct {
-	Fingerprint uint64
-	// Segments lists "datapath/segment" identifiers sharing the code.
-	Segments []string
-	// SavedDemand is the resource demand avoidable by sharing one
-	// instance instead of n: (n-1) × per-instance demand.
-	SavedDemand flexbpf.Demand
-}
-
-// FindSharableCode scans a set of datapaths (for example all tenants'
-// extensions) for structurally identical segments — the compiler
-// optimization opportunity §3.2 calls out. The result is sorted by
-// the resources sharing would save.
-func FindSharableCode(dps []*flexbpf.Datapath) []SharedCode {
-	groups := map[uint64][]string{}
-	demand := map[uint64]flexbpf.Demand{}
-	for _, dp := range dps {
-		for _, seg := range dp.Segments {
-			fp := Fingerprint(seg)
-			groups[fp] = append(groups[fp], fmt.Sprintf("%s/%s", dp.Name, seg.Name))
-			demand[fp] = flexbpf.ProgramDemand(seg)
-		}
-	}
-	var out []SharedCode
-	for fp, segs := range groups {
-		if len(segs) < 2 {
-			continue
-		}
-		d := demand[fp]
-		saved := flexbpf.Demand{}
-		for i := 0; i < len(segs)-1; i++ {
-			saved = saved.Add(d)
-		}
-		out = append(out, SharedCode{Fingerprint: fp, Segments: segs, SavedDemand: saved})
-	}
-	// Deterministic order: by saved SRAM descending, then fingerprint.
-	for i := 0; i < len(out); i++ {
-		for j := i + 1; j < len(out); j++ {
-			a, b := out[i], out[j]
-			if b.SavedDemand.SRAMBits > a.SavedDemand.SRAMBits ||
-				(b.SavedDemand.SRAMBits == a.SavedDemand.SRAMBits && b.Fingerprint < a.Fingerprint) {
-				out[i], out[j] = out[j], out[i]
-			}
-		}
-	}
-	return out
 }

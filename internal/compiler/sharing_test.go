@@ -35,34 +35,6 @@ func TestFingerprintNormalizesNamePrefix(t *testing.T) {
 	}
 }
 
-func TestFindSharableCode(t *testing.T) {
-	mkDP := func(dpName, appName string, thr uint64) *flexbpf.Datapath {
-		return &flexbpf.Datapath{
-			Name:     dpName,
-			Segments: []*flexbpf.Program{apps.SYNDefense(appName, 512, thr)},
-		}
-	}
-	dps := []*flexbpf.Datapath{
-		mkDP("flexnet://a/x", "sd", 5),
-		mkDP("flexnet://b/y", "sd", 5), // identical to a/x
-		mkDP("flexnet://c/z", "sd", 9), // different threshold
-	}
-	shared := FindSharableCode(dps)
-	if len(shared) != 1 {
-		t.Fatalf("shared groups = %d", len(shared))
-	}
-	if len(shared[0].Segments) != 2 {
-		t.Fatalf("group = %v", shared[0].Segments)
-	}
-	if shared[0].SavedDemand.SRAMBits == 0 {
-		t.Fatal("no savings computed")
-	}
-	// No sharing when everything differs.
-	if got := FindSharableCode(dps[2:]); len(got) != 0 {
-		t.Fatalf("phantom sharing: %v", got)
-	}
-}
-
 func TestFingerprintSensitiveToComputeBody(t *testing.T) {
 	// Two programs with identical declarations but different inline
 	// compute must NOT share a fingerprint: the canonical form includes

@@ -3,7 +3,7 @@
 // with *app-level* abstractions — applications are named by URIs and
 // managed as first-class objects (deploy, remove, migrate, scale,
 // query), with the translation into low-level device operations
-// (program installs, table entries, parser edits) done automatically.
+// (program installs, table entries) done automatically.
 //
 // It also implements the paper's multi-tenant scenario (§3): tenants are
 // admitted with a VLAN allocation; their extension programs are isolated

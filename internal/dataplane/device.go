@@ -7,9 +7,10 @@
 //   - Resource structure: which resources exist, at what granularity they
 //     are fungible (§3.3 "Resource fungibility" for RMT, dRMT,
 //     Tiles/Elastic Pipes, SmartNICs/FPGAs/hosts).
-//   - Runtime partial reconfiguration: tables, parser states, and whole
-//     programs can be added and removed while the device processes
-//     packets, atomically with respect to any single packet (§2).
+//   - Runtime partial reconfiguration: tables and whole programs can be
+//     added and removed while the device processes packets, atomically
+//     with respect to any single packet (§2). The parser is fixed: every
+//     device runs the one packet.StandardParseGraph.
 //   - Performance and energy envelopes: per-architecture processing
 //     latency, throughput, and power proxies (§3.3 "Performance and
 //     energy optimizations").
@@ -236,7 +237,6 @@ func (a Arch) Capabilities() flexbpf.Capabilities {
 // swapped atomically so each packet sees exactly one version.
 type config struct {
 	epoch     uint64
-	parser    *packet.ParseGraph
 	instances []*ProgramInstance
 	// names are the instances' program names in chain order; a packet's
 	// ProcStats.Programs is a prefix of it whenever no filter skipped an
@@ -288,8 +288,8 @@ type Device struct {
 	// reconfiguration.
 	current atomic.Pointer[config]
 
-	// mu serializes control-plane mutations (installs, removals, parser
-	// edits). The data plane never takes it.
+	// mu serializes control-plane mutations (installs, removals, swaps).
+	// The data plane never takes it.
 	mu         sync.Mutex
 	model      archModel
 	placements map[string]placement
@@ -411,7 +411,7 @@ func New(cfg Config) (*Device, error) {
 		now:        func() uint64 { return 0 },
 		acct:       tally{lat: telemetry.NewLocalHistogram(telemetry.DefaultLatencyBounds)},
 	}
-	d.current.Store(&config{epoch: 1, parser: packet.StandardParseGraph(), fc: flowcache.New(1)})
+	d.current.Store(&config{epoch: 1, fc: flowcache.New(1)})
 	return d, nil
 }
 
@@ -608,20 +608,9 @@ func (d *Device) Repack() (int, error) {
 	return d.model.repack()
 }
 
-// UpdateParser atomically replaces the parse graph after validation.
-// Used to add/remove header support at runtime (§2: "Parser states can
-// be similarly manipulated to add and remove header types").
-func (d *Device) UpdateParser(mutate func(*packet.ParseGraph) error) error {
-	return d.Swap(func(st *StagedConfig) error {
-		if err := mutate(st.Parser()); err != nil {
-			return fmt.Errorf("dataplane: %s: parser update rejected: %w", d.name, err)
-		}
-		return nil
-	})
-}
-
-// Parser returns the active parse graph (do not mutate; use UpdateParser).
-func (d *Device) Parser() *packet.ParseGraph { return d.snapshot().parser }
+// Parser returns the parse graph the device runs: the shared, read-only
+// packet.StandardParseGraph, the same on every device and at every epoch.
+func (d *Device) Parser() *packet.ParseGraph { return packet.StandardParseGraph() }
 
 // SetDraining marks the device as draining: all arriving packets are
 // dropped. This models the compile-time reconfiguration baseline
@@ -639,8 +628,8 @@ func (d *Device) SetDown(v bool) { d.down.Store(v) }
 func (d *Device) Down() bool { return d.down.Load() }
 
 // Crash fail-stops the device with loss of all installed state: every
-// placement is released and the config reverts to an empty parse-only
-// pipeline, as if the switch power-cycled. Unlike SetDown (which models
+// placement is released and the config reverts to an empty program
+// chain, as if the switch power-cycled. Unlike SetDown (which models
 // a transient management-path outage with configuration intact), a
 // crashed device restarts empty and must be reconciled by the
 // controller's healer (DESIGN.md §10). Crash bumps the device's crash
@@ -655,7 +644,7 @@ func (d *Device) Crash() {
 		d.model.release(pl)
 	}
 	d.placements = map[string]placement{}
-	d.commit(&config{parser: packet.StandardParseGraph()})
+	d.commit(&config{})
 }
 
 // Restart brings a crashed (or SetDown) device back up. After a Crash
@@ -718,10 +707,10 @@ func (d *Device) faultLocked(op FaultOp) error {
 	return nil
 }
 
-// Swap atomically replaces the whole program set and parser in one
-// epoch bump: the network-wide consistent-update building block. The
-// prepare function receives install/remove primitives that act on a
-// staged copy; nothing becomes visible until it returns nil.
+// Swap atomically replaces the whole program set in one epoch bump: the
+// network-wide consistent-update building block. The prepare function
+// receives install/remove primitives that act on a staged copy; nothing
+// becomes visible until it returns nil.
 func (d *Device) Swap(prepare func(stage *StagedConfig) error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -735,11 +724,10 @@ func (d *Device) Swap(prepare func(stage *StagedConfig) error) error {
 
 // stageLocked builds a staged configuration on top of the current one.
 // Every configuration change — Swap, PrepareChange, and the single-step
-// InstallProgram/RemoveProgram/UpdateParser wrappers — is staged here, so
-// the checks that guard a commit live here once: a down device refuses
-// changes, and a mutated parse graph must validate, so every committed
-// graph is valid (DESIGN.md §5). On error every staged placement is
-// released and nothing is retained. Caller holds d.mu.
+// InstallProgram/RemoveProgram wrappers — is staged here, so the check
+// that guards a commit lives here once: a down device refuses changes
+// (DESIGN.md §5). On error every staged placement is released and
+// nothing is retained. Caller holds d.mu.
 func (d *Device) stageLocked(build func(stage *StagedConfig) error) (*StagedConfig, error) {
 	if d.down.Load() {
 		return nil, fmt.Errorf("dataplane: %s: %w", d.name, errdefs.ErrDeviceDown)
@@ -748,17 +736,10 @@ func (d *Device) stageLocked(build func(stage *StagedConfig) error) (*StagedConf
 	st := &StagedConfig{
 		dev:       d,
 		base:      base,
-		parser:    base.parser,
 		instances: append([]*ProgramInstance(nil), base.instances...),
 		added:     map[string]placement{},
 	}
-	err := build(st)
-	if err == nil && st.parser != base.parser {
-		if verr := st.parser.Validate(); verr != nil {
-			err = fmt.Errorf("dataplane: %s: parser update invalid: %w", d.name, verr)
-		}
-	}
-	if err != nil {
+	if err := build(st); err != nil {
 		st.releaseLocked()
 		return nil, err
 	}
@@ -796,7 +777,7 @@ func (d *Device) applyStagedLocked(st *StagedConfig) map[string]*flexbpf.Program
 	for name, pl := range st.added {
 		d.placements[name] = pl
 	}
-	d.commit(&config{parser: st.parser, instances: st.instances})
+	d.commit(&config{instances: st.instances})
 	return removed
 }
 
@@ -905,7 +886,7 @@ func (p *PreparedChange) Revert() error {
 		d.placements[name] = pl
 	}
 	base := p.staged.base
-	d.commit(&config{parser: base.parser, instances: base.instances})
+	d.commit(&config{instances: base.instances})
 	p.activated = false
 	p.released = true
 	return nil
@@ -916,10 +897,7 @@ func (p *PreparedChange) Revert() error {
 type StagedConfig struct {
 	dev *Device
 	// base is the configuration the staging was built against.
-	base *config
-	// parser is the base graph until Parser is first called, then a
-	// private copy (an untouched staging commits the base graph as is).
-	parser    *packet.ParseGraph
+	base      *config
 	instances []*ProgramInstance
 	added     map[string]placement
 	removed   []string
@@ -993,16 +971,6 @@ func (st *StagedConfig) Remove(name string) error {
 	}
 	st.removed = append(st.removed, name)
 	return nil
-}
-
-// Parser exposes the staged parse graph for mutation (a private copy of
-// the base graph, cloned on first use). The mutated graph is validated
-// before the staging can commit.
-func (st *StagedConfig) Parser() *packet.ParseGraph {
-	if st.parser == st.base.parser {
-		st.parser = st.parser.Clone()
-	}
-	return st.parser
 }
 
 // fidMetaIngress is the interned ID of the intrinsic ingress-port field,

@@ -368,35 +368,30 @@ func TestDrainingDropsPackets(t *testing.T) {
 	}
 }
 
-func TestParserRuntimeUpdate(t *testing.T) {
+// TestParserIsSharedStandardGraph: every device runs the one read-only
+// packet.StandardParseGraph — on a fresh device, after a Swap commits a
+// new epoch, and after a Crash wipes the configuration and Restart brings
+// the device back.
+func TestParserIsSharedStandardGraph(t *testing.T) {
+	std := packet.StandardParseGraph()
 	d := MustNew(DefaultConfig("sw1", ArchDRMT))
-	if err := packet.RegisterCustomHeader("tun_test", map[string]int{"id": 32}, []string{"id"}); err != nil {
-		t.Fatal(err)
+	if d.Parser() != std {
+		t.Fatal("fresh device does not run the standard parse graph")
 	}
-	defer packet.UnregisterCustomHeader("tun_test")
-
 	epoch := d.Epoch()
-	err := d.UpdateParser(func(g *packet.ParseGraph) error {
-		if err := g.AddState(&packet.ParseState{Name: "tun", Header: "tun_test"}); err != nil {
-			return err
-		}
-		return g.AddTransition("ipv4", 150, "tun")
-	})
-	if err != nil {
+	if err := d.Swap(func(st *StagedConfig) error { return st.Install(fwdProgram("fwd", 2), nil) }); err != nil {
 		t.Fatal(err)
 	}
-	if d.Epoch() != epoch+1 {
-		t.Fatal("parser update did not bump epoch")
+	if d.Epoch() != epoch+1 || d.Parser() != std {
+		t.Fatalf("after Swap (epoch %d -> %d) the parse graph is not the standard one", epoch, d.Epoch())
 	}
-	// Invalid update is rejected and leaves parser unchanged.
-	err = d.UpdateParser(func(g *packet.ParseGraph) error {
-		return g.AddTransition("ipv4", 151, "ghost-state")
-	})
-	if err == nil {
-		t.Fatal("invalid parser update accepted")
+	d.Crash()
+	d.Restart()
+	if len(d.Programs()) != 0 || d.Parser() != std {
+		t.Fatalf("after Crash + Restart: programs %v, standard parse graph %v", d.Programs(), d.Parser() == std)
 	}
-	if d.Parser().State("tun") == nil {
-		t.Fatal("valid state lost after rejected update")
+	if other := MustNew(DefaultConfig("sw2", ArchRMT)); other.Parser() != std {
+		t.Fatal("a second device runs a different parse graph")
 	}
 }
 

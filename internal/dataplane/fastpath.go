@@ -142,7 +142,7 @@ func (d *Device) DisableFlowCache() {
 	defer d.mu.Unlock()
 	d.noFlowCache = true
 	cur := d.snapshot()
-	d.current.Store(&config{epoch: cur.epoch, parser: cur.parser, instances: cur.instances, names: cur.names})
+	d.current.Store(&config{epoch: cur.epoch, instances: cur.instances, names: cur.names})
 }
 
 // FlowCacheStats returns the cache's activity counters (zero Stats when

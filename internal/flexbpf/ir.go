@@ -367,8 +367,10 @@ type Program struct {
 	// Pipeline is the control flow applied to each packet.
 	Pipeline []Stmt
 
-	// RequiredHeaders lists headers the program reads or writes; the
-	// target device's parser must accept them.
+	// RequiredHeaders lists headers the program reads or writes. It is a
+	// resource charge only — one parser state per header against the
+	// device's parser budget — not a parser requirement: every device
+	// parses with the one fixed standard graph.
 	RequiredHeaders []string
 
 	// Requires declares capabilities the hosting device must provide.

@@ -13,9 +13,9 @@
 //     must match them all. Write-set fields are included because replay
 //     applies their *after* values: a conditional write that did not
 //     fire for the recorded packet must not be replayed onto a packet it
-//     would have fired for. Parser select fields are not: the device
-//     never walks its parse graph per packet, so no outcome depends on
-//     them.
+//     would have fired for. Parser select fields are not: every device
+//     runs the one fixed packet.StandardParseGraph and never walks it
+//     per packet, so no outcome depends on them.
 //   - Table generations: the entry pins the generation counter of every
 //     table the pipeline applies, captured before the recorded run. Any
 //     table mutation — including bulk ReplaceAll route refreshes that do

@@ -51,6 +51,9 @@ type fieldSpec struct {
 	id   FieldID
 }
 
+// headerSpecs holds every header layout by name. registerHeader writes it
+// during package init only; after that it is read-only, so the codecs
+// read it without a lock.
 var headerSpecs = map[string]*headerSpec{}
 
 func registerHeader(name string, fields ...fieldSpec) *headerSpec {
@@ -106,9 +109,8 @@ var (
 // HeaderBytes returns the wire size in bytes of the named header, or 0 if
 // the header type is unknown.
 func HeaderBytes(name string) int {
-	// Built-in headers resolve without a map hash; Packet.Len walks the
-	// header stack per packet, so this sits on the data path. Dynamically
-	// registered headers fall back to the registry.
+	// Resolved without a map hash: Packet.Len walks the header stack per
+	// packet, so this sits on the data path.
 	switch name {
 	case "eth":
 		return specEthernet.bytes
@@ -127,79 +129,7 @@ func HeaderBytes(name string) int {
 	case "drpc":
 		return specDRPC.bytes
 	}
-	if s, ok := headerSpecs[name]; ok {
-		return s.bytes
-	}
 	return 0
-}
-
-// HeaderFields returns the ordered field names ("hdr.field") of the named
-// header type, or nil if unknown.
-func HeaderFields(name string) []string {
-	s, ok := headerSpecs[name]
-	if !ok {
-		return nil
-	}
-	out := make([]string, len(s.fields))
-	for i, f := range s.fields {
-		out[i] = name + "." + f.name
-	}
-	return out
-}
-
-// KnownHeaders returns the set of registered header type names.
-func KnownHeaders() []string {
-	out := make([]string, 0, len(headerSpecs))
-	for k := range headerSpecs {
-		out = append(out, k)
-	}
-	return out
-}
-
-// RegisterCustomHeader registers a new header layout at runtime. FlexNet
-// uses this when a tenant extension introduces a new protocol; the parser
-// of a runtime-programmable device can then be extended to parse it.
-// Registering a name twice returns an error to catch tenant collisions.
-func RegisterCustomHeader(name string, fields map[string]int, order []string) error {
-	if _, ok := headerSpecs[name]; ok {
-		return fmt.Errorf("packet: header %q already registered", name)
-	}
-	fs := make([]fieldSpec, 0, len(order))
-	total := 0
-	for _, fname := range order {
-		bits, ok := fields[fname]
-		if !ok {
-			return fmt.Errorf("packet: header %q order names unknown field %q", name, fname)
-		}
-		if bits <= 0 || bits > 64 {
-			return fmt.Errorf("packet: header %q field %q has invalid width %d", name, fname, bits)
-		}
-		full := name + "." + fname
-		fs = append(fs, fieldSpec{name: fname, bits: bits, full: full, id: InternField(full)})
-		total += bits
-	}
-	if len(fs) != len(fields) {
-		return fmt.Errorf("packet: header %q order lists %d fields, have %d", name, len(fs), len(fields))
-	}
-	if total%8 != 0 {
-		return fmt.Errorf("packet: header %q is %d bits, not byte aligned", name, total)
-	}
-	headerSpecs[name] = &headerSpec{name: name, fields: fs, bytes: total / 8}
-	return nil
-}
-
-// UnregisterCustomHeader removes a runtime-registered header. Built-in
-// headers cannot be removed.
-func UnregisterCustomHeader(name string) error {
-	switch name {
-	case "eth", "vlan", "ipv4", "tcp", "udp", "flexepoch", "int", "drpc":
-		return fmt.Errorf("packet: cannot unregister built-in header %q", name)
-	}
-	if _, ok := headerSpecs[name]; !ok {
-		return fmt.Errorf("packet: header %q not registered", name)
-	}
-	delete(headerSpecs, name)
-	return nil
 }
 
 // EncodeHeader serializes the named header's fields from the packet into

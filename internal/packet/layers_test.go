@@ -70,31 +70,6 @@ func TestHeaderFieldWidthMasking(t *testing.T) {
 	}
 }
 
-func TestHeaderFieldsListing(t *testing.T) {
-	fields := HeaderFields("udp")
-	want := []string{"udp.sport", "udp.dport", "udp.len", "udp.csum"}
-	if len(fields) != len(want) {
-		t.Fatalf("fields = %v", fields)
-	}
-	for i := range want {
-		if fields[i] != want[i] {
-			t.Fatalf("fields = %v", fields)
-		}
-	}
-	if HeaderFields("ghost") != nil {
-		t.Fatal("unknown header listed fields")
-	}
-	found := false
-	for _, h := range KnownHeaders() {
-		if h == "drpc" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("drpc missing from known headers")
-	}
-}
-
 func TestPacketString(t *testing.T) {
 	p := UDPPacket(7, IP(1, 2, 3, 4), IP(5, 6, 7, 8), 9, 10, 0)
 	s := p.String()
@@ -102,49 +77,5 @@ func TestPacketString(t *testing.T) {
 		if !strings.Contains(s, frag) {
 			t.Fatalf("String() = %q missing %q", s, frag)
 		}
-	}
-}
-
-func TestParseStateErrors(t *testing.T) {
-	g := StandardParseGraph()
-	if err := g.AddState(&ParseState{Name: "eth"}); err == nil {
-		t.Fatal("duplicate state added")
-	}
-	if err := g.AddTransition("nope", 1, "eth"); err == nil {
-		t.Fatal("transition from unknown state")
-	}
-	if err := g.AddTransition("eth", 1, "nope"); err == nil {
-		t.Fatal("transition to unknown state")
-	}
-	if err := g.AddTransition("eth", EtherTypeIPv4, "udp"); err == nil {
-		t.Fatal("duplicate transition value")
-	}
-	if err := g.RemoveTransition("eth", 0x9999); err == nil {
-		t.Fatal("removed missing transition")
-	}
-	if err := g.RemoveState("start"); err == nil {
-		t.Fatal("removed start state")
-	}
-	if err := g.RemoveState("nope"); err == nil {
-		t.Fatal("removed unknown state")
-	}
-	if g.NumStates() == 0 || g.State("eth") == nil {
-		t.Fatal("accessors broken")
-	}
-}
-
-func TestParseGraphValidateErrors(t *testing.T) {
-	g := NewParseGraph("start")
-	if err := g.Validate(); err == nil {
-		t.Fatal("empty graph with missing start validated")
-	}
-	g.AddState(&ParseState{Name: "start", Header: "ghosthdr"})
-	if err := g.Validate(); err == nil {
-		t.Fatal("unknown header validated")
-	}
-	g2 := NewParseGraph("start")
-	g2.AddState(&ParseState{Name: "start", Default: "missing"})
-	if err := g2.Validate(); err == nil {
-		t.Fatal("dangling default validated")
 	}
 }

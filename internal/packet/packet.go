@@ -6,7 +6,8 @@
 //   - A wire view: byte slices with layered encode/decode in the style of
 //     gopacket's DecodingLayer, used at the edges of the simulation.
 //   - A PHV (parsed header vector) view: named header fields extracted by
-//     a programmable parser, which match/action pipelines read and write.
+//     the parser (StandardParseGraph), which match/action pipelines read
+//     and write.
 //
 // Field names use the "header.field" convention from P4 (for example
 // "ipv4.dst" or "tcp.flags"). Values are carried as uint64; no header

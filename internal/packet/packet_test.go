@@ -238,135 +238,6 @@ func TestFlowKeyHashDeterministic(t *testing.T) {
 	}
 }
 
-func TestCustomHeaderRegistration(t *testing.T) {
-	name := "tnthdr_test"
-	err := RegisterCustomHeader(name, map[string]int{"a": 16, "b": 16}, []string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer UnregisterCustomHeader(name)
-	if HeaderBytes(name) != 4 {
-		t.Fatalf("custom header bytes = %d, want 4", HeaderBytes(name))
-	}
-	if err := RegisterCustomHeader(name, map[string]int{"a": 8}, []string{"a"}); err == nil {
-		t.Fatal("duplicate registration succeeded")
-	}
-	p := New(1)
-	p.AddHeader(name)
-	p.SetField(name+".a", 0xBEEF)
-	p.SetField(name+".b", 0xCAFE)
-	raw, err := EncodeHeader(nil, name, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := New(2)
-	if _, err := DecodeHeader(raw, name, q); err != nil {
-		t.Fatal(err)
-	}
-	if q.Field(name+".a") != 0xBEEF || q.Field(name+".b") != 0xCAFE {
-		t.Fatalf("custom header round trip failed: %v", q)
-	}
-}
-
-func TestCustomHeaderValidation(t *testing.T) {
-	if err := RegisterCustomHeader("bad1_test", map[string]int{"a": 3}, []string{"a"}); err == nil {
-		t.Error("non-byte-aligned header accepted")
-	}
-	if err := RegisterCustomHeader("bad2_test", map[string]int{"a": 8}, []string{"z"}); err == nil {
-		t.Error("order naming unknown field accepted")
-	}
-	if err := RegisterCustomHeader("bad3_test", map[string]int{"a": 8, "b": 8}, []string{"a"}); err == nil {
-		t.Error("order missing field accepted")
-	}
-	if err := UnregisterCustomHeader("ipv4"); err == nil {
-		t.Error("unregistered a built-in header")
-	}
-	if err := UnregisterCustomHeader("nonexistent_test"); err == nil {
-		t.Error("unregistered a nonexistent header")
-	}
-}
-
-func TestParseGraphMutation(t *testing.T) {
-	g := StandardParseGraph()
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := RegisterCustomHeader("probe_test", map[string]int{"kind": 8, "val": 56}, []string{"kind", "val"}); err != nil {
-		t.Fatal(err)
-	}
-	defer UnregisterCustomHeader("probe_test")
-
-	// Runtime addition of a new protocol behind UDP port selection is not
-	// modelled; instead hang it off ipv4.proto = 200.
-	if err := g.AddState(&ParseState{Name: "probe", Header: "probe_test"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddTransition("ipv4", 200, "probe"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-
-	p := New(1)
-	p.AddHeader("eth")
-	p.SetField("eth.type", EtherTypeIPv4)
-	p.AddHeader("ipv4")
-	p.SetField("ipv4.version", 4)
-	p.SetField("ipv4.ihl", 5)
-	p.SetField("ipv4.proto", 200)
-	p.AddHeader("probe_test")
-	p.SetField("probe_test.kind", 7)
-	raw, err := Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := New(2)
-	if err := g.Parse(raw, q); err != nil {
-		t.Fatal(err)
-	}
-	if q.Field("probe_test.kind") != 7 {
-		t.Fatalf("probe header not parsed: %v", q)
-	}
-
-	// Removal must be refused while referenced, then succeed.
-	if err := g.RemoveState("probe"); err == nil {
-		t.Fatal("removed state still referenced by transition")
-	}
-	if err := g.RemoveTransition("ipv4", 200); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.RemoveState("probe"); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestParseGraphCycleDetected(t *testing.T) {
-	g := NewParseGraph("a")
-	g.AddState(&ParseState{Name: "a", Header: "eth", Default: "b"})
-	g.AddState(&ParseState{Name: "b", Header: "ipv4", Default: "a"})
-	if err := g.Validate(); err == nil {
-		t.Fatal("cycle not detected")
-	}
-}
-
-func TestParseGraphCloneIsolated(t *testing.T) {
-	g := StandardParseGraph()
-	c := g.Clone()
-	if err := c.RemoveTransition("ipv4", ProtoUDP); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := g.State("ipv4").Transitions[ProtoUDP]; !ok {
-		t.Fatal("clone mutation leaked into original")
-	}
-	if !reflect.DeepEqual(g.States(), c.States()) {
-		t.Fatal("states list should still match")
-	}
-}
-
 func TestPacketLen(t *testing.T) {
 	p := TCPPacket(1, 1, 2, 3, 4, 0, 1000)
 	if p.Len() != 14+20+20+1000 {

@@ -7,8 +7,8 @@
 # the spine of this repo, and a package that doesn't say which section
 # explains it forces readers to reverse-engineer the mapping. It also
 # fails when README's fault "Kinds:" list and the Kind constants in
-# internal/faults/faults.go differ in either direction. CI fails on any
-# of these.
+# internal/faults/faults.go differ in either direction, and when a doc
+# cites a test no _test.go defines. CI fails on any of these.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -97,6 +97,29 @@ $used
 EOF
 done
 
+# Every test the current docs cite by name — a backquoted Test*, Fuzz*
+# or Benchmark* name, optionally package-qualified (`fabric.TestX`) or
+# with a subtest path (`TestX/sub`) — must be a func some _test.go
+# defines, so a doc cannot keep pointing at a check that was deleted or
+# renamed. Placeholders such as `BenchmarkE<n>...` are not names.
+defined_tests=" $(find . -name '*_test.go' -not -path './.*' -exec \
+    sed -nE 's/^func ((Test|Fuzz|Benchmark)[A-Za-z0-9_]*)\(.*/\1/p' {} + | sort -u | tr '\n' ' ')"
+# shellcheck disable=SC2086 # $docs is a word list
+cited_tests=$(grep -noE '`([a-z][a-z0-9_]*\.)?(Test|Fuzz|Benchmark)[A-Za-z0-9_]*(/[^`]*)?`' $docs |
+    sed -E 's/^([^:]*:[0-9]*):`([a-z][a-z0-9_]*\.)?([A-Za-z0-9_]*).*/\1 \3/')
+while read -r where name; do
+    [ -n "$name" ] || continue
+    case "$defined_tests" in
+    *" $name "*) ;;
+    *)
+        echo "checkdocs: FAIL — $where: \`$name\` names a test no _test.go defines" >&2
+        fail=1
+        ;;
+    esac
+done <<EOF
+$cited_tests
+EOF
+
 # ROADMAP.md renumbers its items at every re-anchor, so a citation by
 # number ("ROADMAP item 3", "ROADMAP 2(a)") goes stale: the fact it
 # points at belongs in ROADMAP.md alone. Go files and the current docs
@@ -116,7 +139,7 @@ if [ -n "$cites" ]; then
 fi
 
 if [ "$fail" -ne 0 ]; then
-    echo "checkdocs: document every package ('// Package <name> ...'; internal packages cite their DESIGN.md section), keep README's fault Kinds: list in step with internal/faults, invoke flexnetd/flexbench/flexctl only with flags they define, and cite ROADMAP.md without item numbers." >&2
+    echo "checkdocs: document every package ('// Package <name> ...'; internal packages cite their DESIGN.md section), keep README's fault Kinds: list in step with internal/faults, invoke flexnetd/flexbench/flexctl only with flags they define, cite only tests that exist, and cite ROADMAP.md without item numbers." >&2
     exit 1
 fi
-echo "checkdocs: OK — every package documented; internal packages cite DESIGN.md; README lists every fault kind; every documented flexnetd/flexbench/flexctl flag exists; no ROADMAP item is cited by number."
+echo "checkdocs: OK — every package documented; internal packages cite DESIGN.md; README lists every fault kind; every documented flexnetd/flexbench/flexctl flag exists; every cited test exists; no ROADMAP item is cited by number."
