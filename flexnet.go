@@ -47,7 +47,6 @@ import (
 	"flexnet/internal/fabric"
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/flexbpf/delta"
-	"flexnet/internal/migrate"
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
 	"flexnet/internal/plan"
@@ -128,7 +127,7 @@ type (
 	// Source generates traffic.
 	Source = netsim.Source
 	// MigrationReport describes a completed state migration.
-	MigrationReport = migrate.Report
+	MigrationReport = plan.MoveReport
 	// App is a managed application.
 	App = controller.App
 	// Tenant is an admitted tenant.

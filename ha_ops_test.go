@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"flexnet/internal/controller"
 	"flexnet/internal/plan"
 )
 
@@ -229,5 +230,67 @@ func TestHAOperatorFailoverDrill(t *testing.T) {
 	}
 	if got := nw.Metrics().CounterValue("ha.failovers"); got != 1 {
 		t.Fatalf("ha.failovers = %d, want 1", got)
+	}
+}
+
+// TestConcurrentMigrationsKeepTheirReportsAcrossFailover runs two
+// control-plane migrations at once, one per switch pair, and kills the
+// leader while both are in flight. The failover parks both plans'
+// continuations and the new leader resumes them in order, so each
+// Migrate callback must get the report of its own move, not whichever
+// move finished last.
+func TestConcurrentMigrationsKeepTheirReportsAcrossFailover(t *testing.T) {
+	nw := New(1).
+		Switch("s1", DRMT).Switch("s2", DRMT).
+		Switch("s3", DRMT).Switch("s4", DRMT).
+		Host("h1", "10.0.0.1").Host("h2", "10.0.0.2").
+		Host("h3", "10.0.0.3").Host("h4", "10.0.0.4").
+		Link("h1", "s1").Link("s1", "s2").Link("s2", "h2").
+		Link("s2", "s3").
+		Link("h3", "s3").Link("s3", "s4").Link("s4", "h4").
+		MustBuild()
+	nw.EnableHA(3, HAConfig{Seed: 1})
+	moves := []struct{ uri, src, dst string }{
+		{"flexnet://ha/a", "s1", "s2"},
+		{"flexnet://ha/b", "s3", "s4"},
+	}
+	for _, mv := range moves {
+		if _, err := nw.Deploy(context.Background(), mv.uri, AppSpec{
+			Programs: []*Program{HeavyHitter("hh", 2, 128, 1<<60)},
+			Path:     []string{mv.src},
+		}, DeployOptions{}); err != nil {
+			t.Fatalf("deploy %s: %v", mv.uri, err)
+		}
+	}
+
+	reps := make([]*MigrationReport, len(moves))
+	for i, mv := range moves {
+		i := i
+		nw.Controller().Migrate(context.Background(), controller.MigrateRequest{URI: mv.uri, Segment: "hh", Dst: mv.dst},
+			func(r MigrationReport) { reps[i] = &r })
+	}
+	killed := false
+	nw.After(45*time.Millisecond, func() { _, killed = nw.HA().KillActive() })
+	for step := 0; step < 1000 && (reps[0] == nil || reps[1] == nil); step++ {
+		nw.RunFor(10 * time.Millisecond)
+	}
+	if !killed {
+		t.Fatal("no active leader to kill")
+	}
+	for i, mv := range moves {
+		r := reps[i]
+		if r == nil {
+			t.Fatalf("migration of %s never reported", mv.uri)
+		}
+		if r.Err != nil {
+			t.Fatalf("migration of %s: %v", mv.uri, r.Err)
+		}
+		if want := mv.uri + "#hh"; r.Program != want || r.Src != mv.src || r.Dst != mv.dst {
+			t.Errorf("%s got the report of Program %s Src %s Dst %s, want %s %s -> %s",
+				mv.uri, r.Program, r.Src, r.Dst, want, mv.src, mv.dst)
+		}
+	}
+	if st := nw.HAStatus(); st.Failovers != 1 {
+		t.Fatalf("failovers = %d, want 1", st.Failovers)
 	}
 }

@@ -223,11 +223,6 @@ func New(fab *fabric.Fabric, eng *runtime.Engine, strategy compiler.Strategy) *C
 		// Lazily created so punt-light runs export an unchanged snapshot.
 		fab.Metrics.Counter("ctl.punts_dropped").Inc()
 	}
-	c.mig.Flip = func(prog, src, dst string) {
-		// Migration flip: the source instance is removed; traffic
-		// reaching dst is processed by the new instance.
-		_ = fab.Device(src).RemoveProgram(prog)
-	}
 	c.exec = runtime.NewExecutor(eng, fab.Device, c.mig, fab)
 	c.exec.SetTelemetry(fab.Metrics, fab.Tracer)
 	c.audit = audit.NewLog(func() int64 { return int64(fab.Sim.Now()) })
@@ -288,9 +283,6 @@ func (c *Controller) planningCharge(scanned, segments int) netsim.Time {
 
 // Compiler exposes the placement compiler (for strategy tweaks).
 func (c *Controller) Compiler() *compiler.Compiler { return c.comp }
-
-// Migrator exposes the migrator.
-func (c *Controller) Migrator() *migrate.Migrator { return c.mig }
 
 // Executor exposes the transactional plan executor.
 func (c *Controller) Executor() *runtime.Executor { return c.exec }
@@ -817,11 +809,12 @@ func (c *Controller) PlanMigrate(req MigrateRequest) (*plan.ChangePlan, error) {
 // Migrate moves an app segment between devices using data-plane state
 // migration (req.DataPlane) or the control-plane baseline. A failure at
 // any point — including ctx cancellation — rolls the plan back: the
-// destination install is undone and the source stays authoritative.
-func (c *Controller) Migrate(ctx context.Context, req MigrateRequest, done func(migrate.Report)) {
+// destination install is undone and the source stays authoritative. done
+// receives the report of this plan's own move.
+func (c *Controller) Migrate(ctx context.Context, req MigrateRequest, done func(plan.MoveReport)) {
 	count := c.instrument("migrate", nil)
 	inner := done
-	done = func(r migrate.Report) {
+	done = func(r plan.MoveReport) {
 		count(r.Err)
 		if inner != nil {
 			inner(r)
@@ -833,12 +826,11 @@ func (c *Controller) Migrate(ctx context.Context, req MigrateRequest, done func(
 		err = c.claim(StatusMigrating, app)
 	}
 	if err != nil {
-		done(migrate.Report{Err: err})
+		done(plan.MoveReport{Err: err})
 		return
 	}
-	uri, segment, dst := req.URI, req.Segment, req.Dst
+	segment, dst := req.Segment, req.Dst
 	src := app.Replicas[segment][0]
-	instName := instanceName(uri, segment)
 	c.run(ctx, cp, app, func() {
 		app.Replicas[segment][0] = dst
 		// Keep the placement plan current: the incremental recompiler
@@ -852,13 +844,13 @@ func (c *Controller) Migrate(ctx context.Context, req MigrateRequest, done func(
 			}
 		}
 	}, func(r *plan.Report) {
-		rep := c.mig.LastReport()
-		if r.Err != nil && (rep.Program != instName || rep.Err == nil) {
-			// The failure happened before the mover ran (install
-			// phase); synthesize a report.
-			rep = migrate.Report{Program: instName, Src: src, Dst: dst, Err: r.Err}
+		mv := r.Steps[len(r.Steps)-1].Move
+		if mv == nil || (r.Err != nil && mv.Err == nil) {
+			// The plan failed before the mover ran (install phase) or
+			// after it (cancellation): report the plan's error.
+			mv = &plan.MoveReport{Program: instanceName(req.URI, segment), Src: src, Dst: dst, Err: r.Err}
 		}
-		done(rep)
+		done(*mv)
 	})
 }
 

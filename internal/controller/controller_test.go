@@ -11,11 +11,13 @@ import (
 	"flexnet/internal/apps"
 	"flexnet/internal/compiler"
 	"flexnet/internal/dataplane"
+	"flexnet/internal/drpc"
 	"flexnet/internal/fabric"
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/migrate"
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
+	"flexnet/internal/plan"
 	"flexnet/internal/runtime"
 	"flexnet/internal/spec"
 )
@@ -248,7 +250,7 @@ func TestControllerMigrate(t *testing.T) {
 	f.Sim.RunFor(50 * time.Millisecond)
 
 	var rep migrateReport
-	c.Migrate(context.Background(), MigrateRequest{URI: "flexnet://infra/mon", Segment: "hh", Dst: "s2", DataPlane: true}, func(r migrate.Report) { rep = migrateReport{r.LostUpdates, r.Err} })
+	c.Migrate(context.Background(), MigrateRequest{URI: "flexnet://infra/mon", Segment: "hh", Dst: "s2", DataPlane: true}, func(r plan.MoveReport) { rep = migrateReport{r.LostUpdates, r.Err} })
 	f.Sim.RunFor(2 * time.Second)
 	src.Stop()
 	if rep.err != nil {
@@ -272,6 +274,145 @@ func TestControllerMigrate(t *testing.T) {
 type migrateReport struct {
 	lost uint64
 	err  error
+}
+
+// TestMigrateDroppedChunksRollBack drops two of the state chunks s1
+// streams to s2 during a data-plane migration. Chunks are one-way
+// notifications, so only the receiver's acknowledged count shows the
+// loss: the move must fail before the flip, the plan roll the
+// destination install back, and the source keep the app and its state.
+func TestMigrateDroppedChunksRollBack(t *testing.T) {
+	f, c := testbed(t)
+	const uri, inst = "flexnet://infra/mon", "flexnet://infra/mon#hh"
+	dp := &flexbpf.Datapath{Name: "mon", Segments: []*flexbpf.Program{apps.HeavyHitter("hh", 2, 128, 1<<60)}}
+	deploy(t, f, c, uri, dp, DeployOptions{Path: []string{"s1"}})
+	// Four flows: enough heavy-hitter slots for a stream of several chunks.
+	for port := uint16(1); port <= 4; port++ {
+		src := f.Host("h1").NewSource(netsim.FlowSpec{Dst: packet.IP(10, 0, 0, 2), Proto: packet.ProtoTCP, SrcPort: port, DstPort: 80, PacketLen: 100})
+		src.StartCBR(5000)
+		f.Sim.After(50*time.Millisecond, src.Stop)
+	}
+	f.Sim.RunFor(60 * time.Millisecond)
+	before := f.Device("s1").Instance(inst).ExportState()
+
+	chunks := 0
+	f.Router("s1").SetInterceptor(func(p *packet.Packet) drpc.Verdict {
+		m, ok := drpc.FromPacket(p)
+		if !ok || m.Service != drpc.ServiceStatePush || m.Method != migrate.MethodChunk {
+			return drpc.Verdict{}
+		}
+		chunks++
+		return drpc.Verdict{Drop: chunks == 2 || chunks == 3}
+	})
+	var rep *plan.MoveReport
+	var planRep *plan.Report
+	c.Migrate(context.Background(), MigrateRequest{URI: uri, Segment: "hh", Dst: "s2", DataPlane: true}, func(r plan.MoveReport) {
+		rep, planRep = &r, c.LastReport()
+	})
+	f.Sim.RunFor(2 * time.Second)
+	if chunks < 3 {
+		t.Fatalf("only %d chunks sent; the test drops the 2nd and 3rd", chunks)
+	}
+	if rep == nil {
+		t.Fatal("migration never reported")
+	}
+	if rep.Err == nil || !strings.Contains(rep.Err.Error(), "acknowledged") {
+		t.Fatalf("migration with dropped chunks reported err %v", rep.Err)
+	}
+	if rep.Flipped != 0 {
+		t.Fatal("migration flipped traffic before its chunks were acknowledged")
+	}
+	if planRep.Outcome != plan.OutcomeRolledBack {
+		t.Fatalf("plan outcome %v, want rolled back", planRep.Outcome)
+	}
+	if f.Device("s2").Instance(inst) != nil {
+		t.Fatal("destination install not rolled back")
+	}
+	sinst := f.Device("s1").Instance(inst)
+	if sinst == nil {
+		t.Fatal("source instance removed by a failed migration")
+	}
+	// The source still holds every entry it had (the migration's own
+	// dRPC packets cross s1's chain, so counts may only grow).
+	after := map[string]uint64{}
+	for _, l := range sinst.ExportState() {
+		for _, kv := range l.Entries {
+			after[fmt.Sprintf("%s[%d]", l.Name, kv.Key)] = kv.Val
+		}
+	}
+	for _, l := range before {
+		for _, kv := range l.Entries {
+			if k := fmt.Sprintf("%s[%d]", l.Name, kv.Key); after[k] < kv.Val {
+				t.Fatalf("source entry %s = %d after the failed migration, was %d", k, after[k], kv.Val)
+			}
+		}
+	}
+	if got := c.App(uri).Replicas["hh"][0]; got != "s1" {
+		t.Fatalf("replica registry moved to %s", got)
+	}
+	if drift := c.IntentDrift(); len(drift) != 0 {
+		t.Fatalf("intent drift after the failed migration: %v", drift)
+	}
+}
+
+// TestMigrateResidualDropKeepsDestination drops one residual chunk, after
+// the flip has removed the source instance: the move reports the short
+// acknowledgement, but the plan commits, so the destination keeps the app
+// and the replica registry follows it.
+func TestMigrateResidualDropKeepsDestination(t *testing.T) {
+	f, c := testbed(t)
+	const uri, inst = "flexnet://infra/mon", "flexnet://infra/mon#hh"
+	dp := &flexbpf.Datapath{Name: "mon", Segments: []*flexbpf.Program{apps.HeavyHitter("hh", 2, 128, 1<<60)}}
+	deploy(t, f, c, uri, dp, DeployOptions{Path: []string{"s1"}})
+	// Traffic keeps running through the move, so there is a residual.
+	src := f.Host("h1").NewSource(netsim.FlowSpec{Dst: packet.IP(10, 0, 0, 2), Proto: packet.ProtoTCP, SrcPort: 1, DstPort: 80, PacketLen: 100})
+	src.StartCBR(20000)
+	f.Sim.RunFor(20 * time.Millisecond)
+
+	dropped := 0
+	f.Router("s1").SetInterceptor(func(p *packet.Packet) drpc.Verdict {
+		m, ok := drpc.FromPacket(p)
+		flipped := f.Device("s1").Instance(inst) == nil
+		if !ok || !flipped || m.Method != migrate.MethodChunk || dropped > 0 {
+			return drpc.Verdict{}
+		}
+		dropped++
+		return drpc.Verdict{Drop: true}
+	})
+	var rep *plan.MoveReport
+	var planRep *plan.Report
+	c.Migrate(context.Background(), MigrateRequest{URI: uri, Segment: "hh", Dst: "s2", DataPlane: true}, func(r plan.MoveReport) {
+		rep, planRep = &r, c.LastReport()
+	})
+	f.Sim.RunFor(2 * time.Second)
+	src.Stop()
+	if dropped != 1 {
+		t.Fatalf("dropped %d residual chunks, want 1", dropped)
+	}
+	if rep == nil {
+		t.Fatal("migration never reported")
+	}
+	if rep.Flipped == 0 {
+		t.Fatalf("move failed before the flip: %v", rep.Err)
+	}
+	if rep.Err == nil || !strings.Contains(rep.Err.Error(), "acknowledged") {
+		t.Fatalf("short residual acknowledgement reported err %v", rep.Err)
+	}
+	if planRep.Outcome != plan.OutcomeSucceeded {
+		t.Fatalf("plan outcome %v, want succeeded", planRep.Outcome)
+	}
+	if f.Device("s2").Instance(inst) == nil {
+		t.Fatal("destination rolled back after the flip")
+	}
+	if f.Device("s1").Instance(inst) != nil {
+		t.Fatal("source still has the program after the flip")
+	}
+	if got := c.App(uri).Replicas["hh"][0]; got != "s2" {
+		t.Fatalf("replica registry at %s, want s2", got)
+	}
+	if drift := c.IntentDrift(); len(drift) != 0 {
+		t.Fatalf("intent drift after the move: %v", drift)
+	}
 }
 
 func TestResourceViewAndMarkRemovable(t *testing.T) {

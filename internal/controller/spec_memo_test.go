@@ -13,7 +13,7 @@ import (
 	"flexnet/internal/fabric"
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/flexbpf/delta"
-	"flexnet/internal/migrate"
+	"flexnet/internal/plan"
 	"flexnet/internal/runtime"
 	"flexnet/internal/spec"
 )
@@ -224,7 +224,7 @@ func memoSequence(t *testing.T, f *fabric.Fabric, c *Controller, seed int64, nOp
 			app := pick()
 			dst := devices[rng.Intn(len(devices))]
 			err = await(t, f, func(done func(error)) {
-				c.Migrate(ctx, MigrateRequest{URI: app.URI, Segment: "hh", Dst: dst}, func(r migrate.Report) { done(r.Err) })
+				c.Migrate(ctx, MigrateRequest{URI: app.URI, Segment: "hh", Dst: dst}, func(r plan.MoveReport) { done(r.Err) })
 			})
 		case k < 8:
 			op = "redeploy"

@@ -1,5 +1,5 @@
 // Package state implements the stateful data-plane objects FlexBPF
-// programs use: key/value maps, counters, meters, sketches and filters.
+// programs declare: key/value maps, counters and meters.
 //
 // Every object implements Object, whose Export/Import methods move state
 // through a *logical representation* — the paper's key idea for state
@@ -29,11 +29,10 @@ type KV struct {
 type Logical struct {
 	// Name is the object's name within its program.
 	Name string
-	// Kind discriminates the object type ("map", "counter", "meter",
-	// "cms", "bloom").
+	// Kind discriminates the object type ("map", "counter", "meter").
 	Kind string
-	// Params carries type-specific shape (rows, cols, sizes) so the
-	// receiver can validate compatibility.
+	// Params carries type-specific shape (sizes, map kind, meter rates)
+	// so the receiver can validate compatibility.
 	Params map[string]uint64
 	// Entries is the state content, sorted by key for determinism.
 	Entries []KV

@@ -1,25 +1,28 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"flexnet/internal/apps"
+	"flexnet/internal/compiler"
+	"flexnet/internal/controller"
 	"flexnet/internal/controller/cluster"
 	"flexnet/internal/dataplane"
 	"flexnet/internal/drpc"
 	"flexnet/internal/fabric"
-	"flexnet/internal/migrate"
+	"flexnet/internal/flexbpf"
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
 	"flexnet/internal/plan"
 	"flexnet/internal/runtime"
 )
 
-// migrationBed builds h1 — s1 — s2 — h2 with dRPC and a heavy-hitter
-// monitor on s1 (first in chain), plus a plan executor whose state mover
-// is the returned Migrator.
-func migrationBed(seed int64) (*fabric.Fabric, *runtime.Executor, *migrate.Migrator, *netsim.Source) {
+// migrationBed builds h1 — s1 — s2 — h2 with dRPC on both switches and a
+// controller that deploys a heavy-hitter monitor on s1 as the app monURI
+// (the deploy commits once the simulator runs, and panics if it fails).
+func migrationBed(seed int64) (*fabric.Fabric, *controller.Controller, *netsim.Source) {
 	f := fabric.New(seed)
 	f.AddSwitch("s1", dataplane.ArchDRMT)
 	f.AddSwitch("s2", dataplane.ArchDRMT)
@@ -37,20 +40,22 @@ func migrationBed(seed int64) (*fabric.Fabric, *runtime.Executor, *migrate.Migra
 	if err := f.InstallBaseRouting(); err != nil {
 		panic(err)
 	}
-	if err := f.Device("s1").InstallProgram(apps.HeavyHitter("mon", 2, 512, 1<<62)); err != nil {
-		panic(err)
-	}
-	eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-	m := migrate.New(f, eng)
-	m.Flip = func(prog, src, dst string) {
-		_ = f.Device(src).RemoveProgram(prog)
-	}
+	ctl := controller.New(f, runtime.NewEngine(f.Sim, runtime.DefaultCosts()), compiler.StrategyBinPack)
+	dp := &flexbpf.Datapath{Name: monURI, Segments: []*flexbpf.Program{apps.HeavyHitter("mon", 2, 512, 1<<62)}}
+	ctl.Deploy(context.Background(), monURI, dp, controller.DeployOptions{Path: []string{"s1"}}, func(err error) {
+		if err != nil {
+			panic(err)
+		}
+	})
 	src := h1.NewSource(netsim.FlowSpec{
 		Dst: packet.IP(10, 0, 0, 2), Proto: packet.ProtoTCP,
 		SrcPort: 1111, DstPort: 80, PacketLen: 200,
 	})
-	return f, runtime.NewExecutor(eng, f.Device, m, nil), m, src
+	return f, ctl, src
 }
+
+// monURI is the heavy-hitter app E11 migrates.
+const monURI = "flexnet://infra/mon"
 
 // E11StateMigration sweeps traffic rate and compares data-plane
 // (packet-carried) migration against the control-plane copy baseline.
@@ -63,26 +68,24 @@ func E11StateMigration(seed int64) *Table {
 	}
 	for _, pps := range []float64{10000, 50000, 200000} {
 		for _, dp := range []bool{false, true} {
-			f, x, m, src := migrationBed(seed)
+			f, ctl, src := migrationBed(seed)
 			src.StartCBR(pps)
-			// The migration is one plan: install mon on s2, then move its
-			// state; its time runs from submission to the mover's Done.
+			// The migration is one Controller.Migrate plan: install mon on
+			// s2, then move its state; its time runs from submission to
+			// the mover's Done.
 			var started netsim.Time
-			var planErr error
+			var rep plan.MoveReport
 			f.Sim.At(50*time.Millisecond, func() {
 				started = f.Sim.Now()
-				p := plan.New("migrate mon").
-					Install("s2", "mon", f.Device("s1").Instance("mon").Program(), nil, 0).
-					MigrateState("mon", "s1", "s2", dp)
-				x.Execute(p, func(r *plan.Report) { planErr = r.Err })
+				ctl.Migrate(context.Background(), controller.MigrateRequest{URI: monURI, Segment: "mon", Dst: "s2", DataPlane: dp},
+					func(r plan.MoveReport) { rep = r })
 			})
 			f.Sim.RunUntil(time.Second)
 			src.Stop()
 			f.Sim.RunFor(20 * time.Millisecond)
-			if planErr != nil {
-				panic(planErr)
+			if rep.Err != nil || rep.Done == 0 {
+				panic(fmt.Sprintf("E11: migration did not complete: %v", rep.Err))
 			}
-			rep := m.LastReport()
 			method := "control-plane copy"
 			if dp {
 				method = "data-plane (dRPC)"

@@ -9,7 +9,6 @@ import (
 	"flexnet/internal/fabric"
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/plan"
-	"flexnet/internal/runtime"
 )
 
 // E16ScaleOut grows generated fabrics from tens of devices to a k=16
@@ -127,8 +126,7 @@ func E16ScaleOut(seed int64) *Table {
 
 		// Plan-commit latency for a one-switch change at this scale. The
 		// executor scopes the RouteUpdate to the plan's touched devices.
-		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-		x := runtime.NewExecutor(eng, f.Device, nil, f)
+		x := newExecutor(f)
 		var rep *plan.Report
 		x.Execute(plan.New("e16-probe").Install(f.Devices()[0], "e16probe", probe, nil, 10).RouteUpdate(),
 			func(r *plan.Report) { rep = r })

@@ -6,6 +6,8 @@ import (
 
 	"flexnet/internal/apps"
 	"flexnet/internal/baselines"
+	"flexnet/internal/compiler"
+	"flexnet/internal/controller"
 	"flexnet/internal/dataplane"
 	"flexnet/internal/fabric"
 	"flexnet/internal/flexbpf"
@@ -33,10 +35,13 @@ func lineFabric(seed int64, arch dataplane.Arch) (*fabric.Fabric, *netsim.Source
 	return f, src
 }
 
-// newExecutor returns a plan executor over f at the default costs: the
-// one pipeline every runtime change in these experiments rides.
+// newExecutor returns the plan executor of a fresh controller over f at
+// the default costs: the one pipeline every runtime change in these
+// experiments rides. The controller also takes f's punt hook and files
+// plan telemetry and audit records in f's registry; E1, E4, E5 and E16
+// neither punt nor read those, so their tables do not change.
 func newExecutor(f *fabric.Fabric) *runtime.Executor {
-	return runtime.NewExecutor(runtime.NewEngine(f.Sim, runtime.DefaultCosts()), f.Device, nil, nil)
+	return controller.New(f, runtime.NewEngine(f.Sim, runtime.DefaultCosts()), compiler.StrategyBinPack).Executor()
 }
 
 // installPlan is a one-device plan installing prog under its own name.

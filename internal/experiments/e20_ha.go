@@ -14,7 +14,6 @@ import (
 	"flexnet/internal/errdefs"
 	"flexnet/internal/fabric"
 	"flexnet/internal/flexbpf"
-	"flexnet/internal/migrate"
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
 	"flexnet/internal/plan"
@@ -230,11 +229,11 @@ func E20HAFailover(seed int64) *Table {
 		pump(func() bool { return swapRep != nil })
 
 		// t0+tMig: migrate the stats app's state in-band p2-e0 → p3-e0.
-		var migRep *migrate.Report
+		var migRep *plan.MoveReport
 		f.Sim.At(t0+netsim.Time(tMig), func() {
 			ctl.Migrate(context.Background(), controller.MigrateRequest{
 				URI: hhURI, Segment: "hh", Dst: "p3-e0", DataPlane: true,
-			}, func(r migrate.Report) { migRep = &r })
+			}, func(r plan.MoveReport) { migRep = &r })
 		})
 		pump(func() bool { return migRep != nil })
 		migPlan := ctl.LastReport()

@@ -7,21 +7,26 @@
 // data plane [41, 65]."
 //
 // The Migrator is the executor's state mover (plan.StateMover): a
-// migration is a ChangePlan that installs the instance at the destination
-// and then moves its state in a post-commit OpMigrateState step, in one of
-// two ways:
+// migration is a ChangePlan (controller.Migrate builds it, and so does a
+// redeploy that moves a segment) that installs the instance at the
+// destination and then moves its state in a post-commit OpMigrateState
+// step, in one of two ways:
 //
 //   - data plane: Swing-State-style packet-carried migration. State
 //     chunks travel as dRPC packets while the source keeps processing;
 //     at the flip instant traffic moves to the destination and the
 //     residual delta (updates that landed during the transfer) is merged
-//     additively. Additive state (sketches, counters) loses zero
-//     updates.
+//     additively. Additive state (array-map sketches, counters) loses
+//     zero updates.
 //
 //   - control plane: the baseline. The controller snapshots the source
 //     over its management channel (a latency proportional to state
 //     size), imports it at the destination, then flips traffic. Every
 //     update that hits the source after the snapshot is lost.
+//
+// Either way the mover flips traffic itself, by removing the source
+// instance, and hands its plan.MoveReport back through the step's done
+// callback; the executor files it on the step's plan.StepReport.
 //
 // DESIGN.md §2 (S12) inventories the migrator; §3 (E11) measures them; §10.4 defines migration's place in the failure model.
 package migrate
@@ -35,43 +40,17 @@ import (
 	"flexnet/internal/drpc"
 	"flexnet/internal/fabric"
 	"flexnet/internal/netsim"
+	"flexnet/internal/plan"
 	"flexnet/internal/runtime"
 	"flexnet/internal/telemetry"
 )
 
-// Report describes one completed migration.
-type Report struct {
-	Program string
-	Src     string
-	Dst     string
-	// Started/Flipped/Done are simulation times: Flipped is when traffic
-	// moved to the destination; Done when residual state finished.
-	Started netsim.Time
-	Flipped netsim.Time
-	Done    netsim.Time
-	// ChunksSent is the number of state-carrying packets (data plane) or
-	// logical entries copied (control plane).
-	ChunksSent int
-	// LostUpdates counts state updates that did not survive migration.
-	LostUpdates uint64
-	// UpdatesDuringMigration counts source-side updates between start
-	// and flip (the window the control-plane baseline loses).
-	UpdatesDuringMigration uint64
-	Err                    error
-}
-
-// Migrator moves program instances between fabric devices. It also
+// Migrator moves program instances between fabric devices. It
 // implements plan.StateMover, so state moves appear as OpMigrateState
 // steps inside ChangePlans rather than a private flow.
 type Migrator struct {
 	fab *fabric.Fabric
 	eng *runtime.Engine
-	// Flip switches traffic from src to dst; supplied by the controller
-	// (route change, filter swap). It must take effect atomically at the
-	// simulated instant it is called.
-	Flip func(prog, src, dst string)
-	// lastReport remembers the most recent move for LastReport.
-	lastReport Report
 }
 
 // New creates a migrator.
@@ -79,15 +58,11 @@ func New(fab *fabric.Fabric, eng *runtime.Engine) *Migrator {
 	return &Migrator{fab: fab, eng: eng}
 }
 
-// LastReport returns the most recently completed (or failed) move.
-func (m *Migrator) LastReport() Report { return m.lastReport }
-
-// record files the finished report and emits the migrate.* metrics into
-// the fabric registry: moves attempted/failed, entries moved, updates
-// lost (control-plane window) vs merged in-flight (data-plane residual),
-// and the end-to-end move duration.
-func (m *Migrator) record(rep Report) {
-	m.lastReport = rep
+// record emits the migrate.* metrics of a finished move into the fabric
+// registry: moves attempted/failed, entries moved, updates lost
+// (control-plane window) vs merged in-flight (data-plane residual), and
+// the end-to-end move duration.
+func (m *Migrator) record(rep *plan.MoveReport) {
 	met := m.fab.Metrics
 	met.Counter("migrate.moves").Inc()
 	if rep.Err != nil {
@@ -132,26 +107,33 @@ func (m *Migrator) EstimateMove(prog, src string, useDataPlane bool) netsim.Time
 
 // MoveState implements plan.StateMover: it transfers the instance's
 // state from src to dst (which must already host an instance of the same
-// name — the plan installs it in an earlier step) and flips traffic.
-// Failures before the flip leave the source authoritative and untouched;
-// the flip is the commit point.
-func (m *Migrator) MoveState(prog, src, dst string, useDataPlane bool, done func(error)) {
-	rep := Report{Program: prog, Src: src, Dst: dst, Started: m.fab.Sim.Now()}
-	if err := m.ValidateMove(prog, src, dst, useDataPlane); err != nil {
+// name — the plan installs it in an earlier step), flips traffic and
+// hands done the move's report. Failures before the flip leave the
+// source authoritative and untouched; the flip is the commit point.
+func (m *Migrator) MoveState(prog, src, dst string, useDataPlane bool, done func(plan.MoveReport)) {
+	rep := plan.MoveReport{Program: prog, Src: src, Dst: dst, Started: m.fab.Sim.Now()}
+	fin := func() {
+		m.record(&rep)
+		done(rep)
+	}
+	switch err := m.ValidateMove(prog, src, dst, useDataPlane); {
+	case err != nil:
 		rep.Err = err
-		m.record(rep)
-		done(err)
-		return
-	}
-	fin := func(err error) {
-		m.record(rep)
-		done(err)
-	}
-	if useDataPlane {
+		fin()
+	case useDataPlane:
 		m.transferData(&rep, fin)
-	} else {
+	default:
 		m.transferControl(&rep, fin)
 	}
+}
+
+// flip moves the instance's traffic to the destination at this simulated
+// instant by removing the source instance, so from now on only the
+// destination's copy sees packets. A source that is already gone is not
+// an error.
+func (m *Migrator) flip(rep *plan.MoveReport) {
+	_ = m.fab.Device(rep.Src).RemoveProgram(rep.Program)
+	rep.Flipped = m.fab.Sim.Now()
 }
 
 // migrateFault asks both endpoints whether a mid-migration fault is
@@ -178,13 +160,13 @@ func instanceUpdates(inst *dataplane.ProgramInstance) uint64 {
 
 // transferControl copies state over the management channel and flips:
 // the control-plane baseline, after the plan installed the destination
-// instance. Errors are recorded in rep.Err and passed to done.
-func (m *Migrator) transferControl(rep *Report, done func(error)) {
+// instance. Errors are recorded in rep.Err before done runs.
+func (m *Migrator) transferControl(rep *plan.MoveReport, done func()) {
 	sdev, ddev := m.fab.Device(rep.Src), m.fab.Device(rep.Dst)
 	sinst, dinst := sdev.Instance(rep.Program), ddev.Instance(rep.Program)
 	fail := func(err error) {
 		rep.Err = err
-		done(err)
+		done()
 	}
 	if dinst == nil {
 		fail(fmt.Errorf("migrate: %s has no program %s to receive state", rep.Dst, rep.Program))
@@ -214,12 +196,9 @@ func (m *Migrator) transferControl(rep *Report, done func(error)) {
 		nowUpdates := instanceUpdates(sinst)
 		rep.UpdatesDuringMigration = nowUpdates - snapUpdates
 		rep.LostUpdates = rep.UpdatesDuringMigration
-		if m.Flip != nil {
-			m.Flip(rep.Program, rep.Src, rep.Dst)
-		}
-		rep.Flipped = m.fab.Sim.Now()
+		m.flip(rep)
 		rep.Done = rep.Flipped
-		done(nil)
+		done()
 	})
 }
 
@@ -228,16 +207,17 @@ func (m *Migrator) transferControl(rep *Report, done func(error)) {
 // source keeps processing and mutating, (2) flip traffic to the
 // destination atomically, (3) stream the residual delta (source updates
 // since the snapshot) and merge it additively.
-// Errors before the flip leave the source authoritative; the flip is the
-// commit point (a residual-merge failure after it is reported but not
-// rolled back — the destination keeps the snapshot).
-func (m *Migrator) transferData(rep *Report, done func(error)) {
+// Errors before the flip — a fault, a failed import, or a receiver
+// that acknowledges fewer chunks than were sent — leave the source
+// authoritative; the flip is the commit point (a short or failed
+// residual stream after it is reported in rep.Err).
+func (m *Migrator) transferData(rep *plan.MoveReport, done func()) {
 	sdev, ddev := m.fab.Device(rep.Src), m.fab.Device(rep.Dst)
 	srouter, drouter := m.fab.Router(rep.Src), m.fab.Router(rep.Dst)
 	sinst, dinst := sdev.Instance(rep.Program), ddev.Instance(rep.Program)
 	fail := func(err error) {
 		rep.Err = err
-		done(err)
+		done()
 	}
 	if dinst == nil {
 		fail(fmt.Errorf("migrate: %s has no program %s to receive state", rep.Dst, rep.Program))
@@ -256,23 +236,21 @@ func (m *Migrator) transferData(rep *Report, done func(error)) {
 	drouter.Register(drpc.ServiceStatePush, receiver.Handler())
 	sender := newStateSender(srouter, drouter.IP, snapshot, allNames)
 	rep.ChunksSent = sender.totalChunks()
-	sender.start(m.fab.Sim, func() {
+	sender.start(m.fab.Sim, func(err error) {
 		// Phase 2: all chunks acknowledged → import snapshot at dst,
 		// flip traffic, then merge residual delta.
-		if err := m.migrateFault(rep.Src, rep.Dst); err != nil {
+		if err == nil {
+			err = m.migrateFault(rep.Src, rep.Dst)
+		}
+		if err == nil {
+			err = receiver.Commit()
+		}
+		if err != nil {
 			drouter.Unregister(drpc.ServiceStatePush)
 			fail(err)
 			return
 		}
-		if err := receiver.Commit(); err != nil {
-			drouter.Unregister(drpc.ServiceStatePush)
-			fail(err)
-			return
-		}
-		if m.Flip != nil {
-			m.Flip(rep.Program, rep.Src, rep.Dst)
-		}
-		rep.Flipped = m.fab.Sim.Now()
+		m.flip(rep)
 		rep.UpdatesDuringMigration = instanceUpdates(sinst) - preUpdates
 
 		// Phase 3: residual delta = src now − snapshot, additive.
@@ -280,15 +258,15 @@ func (m *Migrator) transferData(rep *Report, done func(error)) {
 		dsender := newStateSender(srouter, drouter.IP, delta, allNames)
 		rep.ChunksSent += dsender.totalChunks()
 		receiver.SetAdditive(true)
-		dsender.start(m.fab.Sim, func() {
-			err := receiver.Commit()
-			if err != nil {
-				rep.Err = err
+		dsender.start(m.fab.Sim, func(ackErr error) {
+			// Merge what arrived even when some of it did not.
+			if rep.Err = receiver.Commit(); rep.Err == nil {
+				rep.Err = ackErr
 			}
 			drouter.Unregister(drpc.ServiceStatePush)
 			rep.Done = m.fab.Sim.Now()
 			rep.LostUpdates = 0
-			done(err)
+			done()
 		})
 	})
 }

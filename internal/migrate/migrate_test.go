@@ -3,6 +3,7 @@ package migrate
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,8 +23,8 @@ import (
 //	h1 — s1 — s2 — h2
 //
 // with dRPC on both switches and a heavy-hitter monitor on s1 whose
-// traffic (h1→h2) mutates it per packet. The Flip handler moves the
-// monitor's traffic by removing it from src (so only dst updates).
+// traffic (h1→h2) mutates it per packet. The migrator's flip removes the
+// monitor from the source, so from then on only the destination updates.
 func migrationFabric(t *testing.T) (*fabric.Fabric, *Migrator, *netsim.Source) {
 	t.Helper()
 	f := fabric.New(42)
@@ -44,11 +45,11 @@ func migrationFabric(t *testing.T) (*fabric.Fabric, *Migrator, *netsim.Source) {
 		t.Fatal(err)
 	}
 
-	// Monitor runs on s1: counting program must run BEFORE routing so it
-	// sees traffic then lets routing forward. Install as a filtered
-	// program... order: infra.routing was installed first, so append
-	// puts the monitor after routing, which never runs (routing
-	// forwards). Reinstall: remove routing, add monitor, re-add routing.
+	// The monitor must run before routing on s1, which forwards and so
+	// ends the chain: remove routing, add the monitor, re-add routing.
+	// (The destination's copy is appended after routing and never runs;
+	// what the accounting tests need is that s1 stops updating at the
+	// flip.)
 	mon := apps.HeavyHitter("mon", 2, 256, 1<<62)
 	s1 := f.Device("s1")
 	if err := s1.Swap(func(st *dataplane.StagedConfig) error {
@@ -66,18 +67,7 @@ func migrationFabric(t *testing.T) (*fabric.Fabric, *Migrator, *netsim.Source) {
 		t.Fatal(err)
 	}
 
-	eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-	m := New(f, eng)
-	m.Flip = func(prog, src, dst string) {
-		// Move processing: drop the program from src so only dst's copy
-		// updates from now on. (dst installed it before routing? No —
-		// dst appends after routing; for the accounting tests what
-		// matters is that src stops updating at flip.)
-		if err := f.Device(src).RemoveProgram(prog); err != nil {
-			t.Errorf("flip: %v", err)
-		}
-	}
-
+	m := New(f, runtime.NewEngine(f.Sim, runtime.DefaultCosts()))
 	src := h1.NewSource(netsim.FlowSpec{
 		Dst: packet.IP(10, 0, 0, 2), Proto: packet.ProtoTCP,
 		SrcPort: 1111, DstPort: 80, PacketLen: 200,
@@ -88,20 +78,20 @@ func migrationFabric(t *testing.T) (*fabric.Fabric, *Migrator, *netsim.Source) {
 // runMigration moves prog from src to dst the way every migration runs:
 // a plan that installs the instance at dst, then moves its state (dp
 // selects the data plane), on an executor whose state mover is m. done
-// receives the mover's report, or the plan's error when the plan failed
-// before the mover ran.
-func runMigration(f *fabric.Fabric, m *Migrator, prog, src, dst string, dp bool, done func(Report)) {
+// receives the report the migrate-state step carries, or the plan's
+// error when the plan failed before the mover ran.
+func runMigration(f *fabric.Fabric, m *Migrator, prog, src, dst string, dp bool, done func(plan.MoveReport)) {
 	p := plan.New("migrate " + prog)
 	if sdev := f.Device(src); sdev != nil && sdev.Instance(prog) != nil {
 		p.Install(dst, prog, sdev.Instance(prog).Program(), nil, 0)
 	}
 	p.MigrateState(prog, src, dst, dp)
 	runtime.NewExecutor(m.eng, f.Device, m, nil).Execute(p, func(r *plan.Report) {
-		if r.Err != nil {
-			done(Report{Program: prog, Src: src, Dst: dst, Err: r.Err})
+		if mv := r.Steps[len(r.Steps)-1].Move; mv != nil {
+			done(*mv)
 			return
 		}
-		done(m.LastReport())
+		done(plan.MoveReport{Program: prog, Src: src, Dst: dst, Err: r.Err})
 	})
 }
 
@@ -118,11 +108,11 @@ func TestDataPlaneMigrationLosesNothing(t *testing.T) {
 	f, m, src := migrationFabric(t)
 	src.StartCBR(100000) // heavy per-packet mutation
 
-	var rep Report
+	var rep plan.MoveReport
 	gotRep := false
 	f.Sim.At(20*time.Millisecond, func() {
 		// Warm state exists; migrate mon s1 → s2 through the data plane.
-		runMigration(f, m, "mon", "s1", "s2", true, func(r Report) { rep = r; gotRep = true })
+		runMigration(f, m, "mon", "s1", "s2", true, func(r plan.MoveReport) { rep = r; gotRep = true })
 	})
 	f.Sim.RunUntil(400 * time.Millisecond)
 	src.Stop()
@@ -155,6 +145,45 @@ func TestDataPlaneMigrationLosesNothing(t *testing.T) {
 	}
 }
 
+// TestResidualShortAckReported drops one chunk of the residual stream,
+// after the flip: the move cannot be undone by then, so it must report
+// the short acknowledgement in its Err rather than claim success, and
+// the plan must keep the destination, the only copy left.
+func TestResidualShortAckReported(t *testing.T) {
+	f, m, src := migrationFabric(t)
+	src.StartCBR(100000)
+	dropped := 0
+	f.Router("s1").SetInterceptor(func(p *packet.Packet) drpc.Verdict {
+		msg, ok := drpc.FromPacket(p)
+		flipped := f.Device("s1").Instance("mon") == nil
+		if !ok || !flipped || msg.Method != MethodChunk || dropped > 0 {
+			return drpc.Verdict{}
+		}
+		dropped++
+		return drpc.Verdict{Drop: true}
+	})
+	var rep plan.MoveReport
+	f.Sim.At(20*time.Millisecond, func() {
+		runMigration(f, m, "mon", "s1", "s2", true, func(r plan.MoveReport) { rep = r })
+	})
+	f.Sim.RunUntil(400 * time.Millisecond)
+	if dropped != 1 {
+		t.Fatalf("dropped %d residual chunks, want 1", dropped)
+	}
+	if rep.Flipped == 0 {
+		t.Fatalf("move failed before the flip: %v", rep.Err)
+	}
+	if rep.Err == nil || !strings.Contains(rep.Err.Error(), "acknowledged") {
+		t.Fatalf("short residual acknowledgement reported err %v", rep.Err)
+	}
+	if f.Device("s2").Instance("mon") == nil {
+		t.Fatal("a short residual stream rolled the destination back after the flip")
+	}
+	if f.Device("s1").Instance("mon") != nil {
+		t.Fatal("source still has the program after the flip")
+	}
+}
+
 // zeroedSlotsMismatch warms the heavy-hitter monitor on s1, stops the
 // traffic, clears its counted row-0 slots to 0 (stores, not
 // deletes: a cleared slot is state the destination must hold as well),
@@ -182,9 +211,9 @@ func zeroedSlotsMismatch(t *testing.T) []string {
 			t.Fatal("the monitor counted nothing before the migration")
 		}
 	})
-	var rep Report
+	var rep plan.MoveReport
 	f.Sim.At(21*time.Millisecond, func() {
-		runMigration(f, m, "mon", "s1", "s2", false, func(r Report) { rep = r })
+		runMigration(f, m, "mon", "s1", "s2", false, func(r plan.MoveReport) { rep = r })
 	})
 	f.Sim.RunUntil(400 * time.Millisecond)
 	if rep.Err != nil || rep.ChunksSent == 0 {
@@ -216,9 +245,9 @@ func TestControlPlaneMigrationLosesUpdates(t *testing.T) {
 	f, m, src := migrationFabric(t)
 	src.StartCBR(100000)
 
-	var rep Report
+	var rep plan.MoveReport
 	f.Sim.At(20*time.Millisecond, func() {
-		runMigration(f, m, "mon", "s1", "s2", false, func(r Report) { rep = r })
+		runMigration(f, m, "mon", "s1", "s2", false, func(r plan.MoveReport) { rep = r })
 	})
 	f.Sim.RunUntil(400 * time.Millisecond)
 	src.Stop()
@@ -242,12 +271,12 @@ func TestDataPlaneBeatsControlPlaneOnLoss(t *testing.T) {
 	lossOf := func(dp bool) uint64 {
 		f, m, src := migrationFabric(t)
 		src.StartCBR(100000)
-		var rep Report
+		var rep plan.MoveReport
 		f.Sim.At(20*time.Millisecond, func() {
 			if dp {
-				runMigration(f, m, "mon", "s1", "s2", true, func(r Report) { rep = r })
+				runMigration(f, m, "mon", "s1", "s2", true, func(r plan.MoveReport) { rep = r })
 			} else {
-				runMigration(f, m, "mon", "s1", "s2", false, func(r Report) { rep = r })
+				runMigration(f, m, "mon", "s1", "s2", false, func(r plan.MoveReport) { rep = r })
 			}
 		})
 		f.Sim.RunUntil(400 * time.Millisecond)
@@ -276,20 +305,20 @@ func TestMigrateErrors(t *testing.T) {
 	eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
 	m := New(f, eng)
 
-	var rep Report
-	runMigration(f, m, "ghost", "s1", "s2", true, func(r Report) { rep = r })
+	var rep plan.MoveReport
+	runMigration(f, m, "ghost", "s1", "s2", true, func(r plan.MoveReport) { rep = r })
 	f.Sim.RunFor(time.Second)
 	if rep.Err == nil {
 		t.Fatal("migrating without dRPC succeeded")
 	}
 
-	runMigration(f, m, "ghost", "s1", "s2", false, func(r Report) { rep = r })
+	runMigration(f, m, "ghost", "s1", "s2", false, func(r plan.MoveReport) { rep = r })
 	f.Sim.RunFor(time.Second)
 	if rep.Err == nil {
 		t.Fatal("migrating missing program succeeded")
 	}
 
-	runMigration(f, m, "x", "nope", "s2", false, func(r Report) { rep = r })
+	runMigration(f, m, "x", "nope", "s2", false, func(r plan.MoveReport) { rep = r })
 	if rep.Err == nil {
 		t.Fatal("migrating from unknown device succeeded")
 	}

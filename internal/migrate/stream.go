@@ -15,7 +15,8 @@ import (
 const (
 	// MethodChunk carries one (object, key, value) triple.
 	MethodChunk uint64 = iota
-	// MethodDone closes a stream; the reply acknowledges the count.
+	// MethodDone closes a stream; the reply acknowledges the number of
+	// chunks received since the last Commit.
 	MethodDone
 )
 
@@ -32,6 +33,7 @@ type StateReceiver struct {
 	buf   map[int][]state.KV
 	// additive switches Commit from absolute import to additive merge.
 	additive bool
+	// received counts chunks since the last Commit.
 	received uint64
 }
 
@@ -45,9 +47,6 @@ func NewStateReceiver(inst *dataplane.ProgramInstance) *StateReceiver {
 // SetAdditive selects additive merge for subsequent commits (the
 // residual-delta phase).
 func (rc *StateReceiver) SetAdditive(v bool) { rc.additive = v }
-
-// Received reports chunks accepted so far (monotonic across phases).
-func (rc *StateReceiver) Received() uint64 { return rc.received }
 
 // Handler returns the drpc handler implementing ServiceStatePush.
 func (rc *StateReceiver) Handler() drpc.Handler {
@@ -67,10 +66,11 @@ func (rc *StateReceiver) Handler() drpc.Handler {
 }
 
 // Commit applies buffered chunks to the destination and clears the
-// buffer. In absolute mode the buffered entries replace the objects'
-// state; in additive mode they are merged (values added).
+// buffer and its chunk count. In absolute mode the buffered entries
+// replace the objects' state; in additive mode they are merged (values
+// added).
 func (rc *StateReceiver) Commit() error {
-	defer func() { rc.buf = map[int][]state.KV{} }()
+	defer func() { rc.buf, rc.received = map[int][]state.KV{}, 0 }()
 	if !rc.additive {
 		// Build logical objects with local shapes and imported entries.
 		shapes := map[string]state.Logical{}
@@ -152,8 +152,11 @@ func newStateSender(router *drpc.Router, dst uint32, ls []state.Logical, allName
 func (s *stateSender) totalChunks() int { return len(s.chunks) }
 
 // start paces the chunks onto the network, then sends MethodDone and
-// invokes onDone when the receiver acknowledges.
-func (s *stateSender) start(sim *netsim.Sim, onDone func()) {
+// invokes onDone when the receiver acknowledges. Chunks are
+// fire-and-forget notifications, so the count the acknowledgement
+// carries is the only sign that every one arrived: onDone gets an error
+// when it falls short or the receiver refuses the call.
+func (s *stateSender) start(sim *netsim.Sim, onDone func(error)) {
 	for i, c := range s.chunks {
 		c := c
 		sim.After(netsim.Time(i)*chunkInterval, func() {
@@ -163,7 +166,14 @@ func (s *stateSender) start(sim *netsim.Sim, onDone func()) {
 	fin := netsim.Time(len(s.chunks)) * chunkInterval
 	sim.After(fin, func() {
 		s.router.Call(s.dst, drpc.ServiceStatePush, MethodDone, [3]uint64{}, func(m drpc.Message, ok bool) {
-			onDone()
+			switch want := uint64(len(s.chunks)); {
+			case !ok:
+				onDone(fmt.Errorf("migrate: receiver refused the end of a %d-chunk state stream", want))
+			case m.Args[0] != want:
+				onDone(fmt.Errorf("migrate: receiver acknowledged %d of %d state chunks", m.Args[0], want))
+			default:
+				onDone(nil)
+			}
 		})
 	})
 }

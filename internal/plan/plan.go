@@ -295,6 +295,30 @@ type StepReport struct {
 	Step   Step
 	Status StepStatus
 	Err    error
+	// Move is the state mover's report for an OpMigrateState step that
+	// ran (nil for every other step and for a move that never started).
+	Move *MoveReport
+}
+
+// MoveReport describes one state move (an OpMigrateState step).
+type MoveReport struct {
+	Program string
+	Src     string
+	Dst     string
+	// Started/Flipped/Done are simulation times: Flipped is when traffic
+	// moved to the destination; Done when residual state finished.
+	Started netsim.Time
+	Flipped netsim.Time
+	Done    netsim.Time
+	// ChunksSent is the number of state-carrying packets (data plane) or
+	// logical entries copied (control plane).
+	ChunksSent int
+	// LostUpdates counts state updates that did not survive migration.
+	LostUpdates uint64
+	// UpdatesDuringMigration counts source-side updates between start
+	// and flip (the window the control-plane baseline loses).
+	UpdatesDuringMigration uint64
+	Err                    error
 }
 
 // Report describes one plan's execution (or dry run).
@@ -359,11 +383,13 @@ type StateMover interface {
 	ValidateMove(instance, src, dst string, useDataPlane bool) error
 	// EstimateMove returns the modelled move duration.
 	EstimateMove(instance, src string, useDataPlane bool) netsim.Time
-	// MoveState transfers instance state from src to dst and flips
-	// traffic. done fires with nil after the flip completes, or with an
-	// error before anything flipped (the source must remain
-	// authoritative and untouched on error).
-	MoveState(instance, src, dst string, useDataPlane bool, done func(error))
+	// MoveState transfers instance state from src to dst, flips
+	// traffic and removes the source instance at the flip. done receives
+	// the move's report; an Err set before the flip (Flipped zero) leaves
+	// the source authoritative and untouched and fails the step, one set
+	// after it (a short residual stream) is reported without undoing the
+	// committed move.
+	MoveState(instance, src, dst string, useDataPlane bool, done func(MoveReport))
 }
 
 // RouteUpdater executes OpRouteUpdate steps (the fabric implements it).

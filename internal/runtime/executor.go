@@ -823,7 +823,18 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 		}
 		switch s.Op {
 		case plan.OpMigrateState:
-			x.mover.MoveState(s.Instance, s.Src, s.Device, s.UseDataPlane, onDone)
+			x.mover.MoveState(s.Instance, s.Src, s.Device, s.UseDataPlane, func(mr plan.MoveReport) {
+				rep.Steps[idx].Move = &mr
+				if mr.Flipped != 0 {
+					// The flip is the commit point: the source instance
+					// is gone, so a residual-phase error stays on the
+					// move's report and must not roll the destination
+					// back.
+					onDone(nil)
+					return
+				}
+				onDone(mr.Err)
+			})
 		case plan.OpRouteUpdate:
 			x.eng.sim.After(x.eng.EstimateOps(0, 0, 0, 0), func() {
 				// A scoped updater limits the refresh to the devices this

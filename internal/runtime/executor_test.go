@@ -352,13 +352,11 @@ func (m *fakeMover) ValidateMove(inst, src, dst string, dp bool) error { return 
 func (m *fakeMover) EstimateMove(inst, src string, dp bool) netsim.Time {
 	return 5 * time.Millisecond
 }
-func (m *fakeMover) MoveState(inst, src, dst string, dp bool, done func(error)) {
-	if m.err != nil {
-		done(m.err)
-		return
+func (m *fakeMover) MoveState(inst, src, dst string, dp bool, done func(plan.MoveReport)) {
+	if m.err == nil {
+		m.moved = append(m.moved, inst)
 	}
-	m.moved = append(m.moved, inst)
-	done(nil)
+	done(plan.MoveReport{Program: inst, Src: src, Dst: dst, Err: m.err})
 }
 
 func TestExecutorMigrateStepRunsAfterCommit(t *testing.T) {
@@ -377,6 +375,12 @@ func TestExecutorMigrateStepRunsAfterCommit(t *testing.T) {
 	}
 	if len(mover.moved) != 1 || mover.moved[0] != "cnt" {
 		t.Fatalf("mover ran %v", mover.moved)
+	}
+	if mv := rep.Steps[1].Move; mv == nil || mv.Program != "cnt" || mv.Dst != "s3" {
+		t.Fatalf("migrate step carries move report %+v", mv)
+	}
+	if rep.Steps[0].Move != nil {
+		t.Fatal("install step carries a move report")
 	}
 }
 

@@ -8,7 +8,8 @@
 # explains it forces readers to reverse-engineer the mapping. It also
 # fails when README's fault "Kinds:" list and the Kind constants in
 # internal/faults/faults.go differ in either direction, and when a doc
-# cites a test no _test.go defines. CI fails on any of these.
+# cites a test no _test.go defines or a Go name nothing declares. CI
+# fails on any of these.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -138,8 +139,60 @@ if [ -n "$cites" ]; then
     fail=1
 fi
 
+# Every Go name the current docs cite in backquotes as `Type.Member` or
+# `pkg.Ident` — a call suffix `(...)` is allowed — must be declared in
+# this module: a method or field of some type Type, or a top-level
+# declaration or method of a package named pkg. A pkg that names a
+# module package but not the cited ident (`runtime.GOMAXPROCS`) resolves
+# through `go doc`; a lowercase qualifier that names no module package
+# is a variable (`net.ApplySpec(...)`), not a package. Snake_case idents
+# are metric names, and `x.go`-style names are files.
+decls=$(find . -name '*.go' -not -path './.*' -not -path './benchmark/*' | sort | xargs awk '
+    function emit(k, a, b) { print k, a, b }
+    function names(s, k, a,    n, i, w) {
+        sub(/^[ \t]+/, "", s); sub(/[ \t]*(\/\/.*)?$/, "", s); gsub(/,[ \t]+/, ",", s)
+        if (s ~ /^\*?[A-Za-z_][A-Za-z0-9_.]*$/) { sub(/.*[.*]/, "", s); emit(k, a, s); return }
+        sub(/[ \t=(].*$/, "", s); n = split(s, w, ",")
+        for (i = 1; i <= n; i++) if (w[i] != "") emit(k, a, w[i])
+    }
+    FNR == 1 { blk = ""; st = "" }
+    /^package / { pkg = $2; if (pkg == "main") pkg = "" }
+    /^\}/ { st = "" }
+    /^\)/ { blk = "" }
+    st != "" && /^\t[*A-Za-z_]/ { names($0, "M", st) }
+    blk != "" && /^\t[A-Za-z_]/ { names($0, "P", pkg)
+        if (blk == "type" && $2 ~ /^(struct|interface)$/ && $3 == "{") st = $1 }
+    /^func [A-Za-z_]/ { s = $2; sub(/[([].*/, "", s); emit("P", pkg, s) }
+    /^func \(/ { s = $0; sub(/^func \([^)]*\) */, "", s); sub(/[([].*/, "", s)
+        r = $0; sub(/^func \(/, "", r); sub(/\).*/, "", r); n = split(r, w, /[ *]+/)
+        t = w[n]; sub(/\[.*/, "", t); emit("M", t, s); emit("P", pkg, s) }
+    /^(type|var|const) [A-Za-z_]/ { emit("P", pkg, $2)
+        if ($1 == "type" && $3 ~ /^(struct|interface)$/ && $4 == "{") st = $2 }
+    /^(type|var|const) \($/ { blk = $1 }
+')
+pkgs=" $(printf '%s\n' "$decls" | awk '$1 == "P" && $2 != "" { print $2 }' | sort -u | tr '\n' ' ')"
+# shellcheck disable=SC2086 # $docs is a word list
+cited_names=$(grep -noE '`[A-Za-z_][A-Za-z0-9_]*\.[A-Za-z_][A-Za-z0-9_]*(\([^`]*\))?`' $docs |
+    sed -E 's/^([^:]*:[0-9]*):`([A-Za-z0-9_]*)\.([A-Za-z0-9_]*).*/\1 \2 \3/')
+while read -r where q name; do
+    case "$name" in "" | *_* | go | md | json | yaml | yml | sh | txt) continue ;; esac
+    case "$q" in
+    [A-Z]*) kind=M ;;
+    *)
+        case "$pkgs" in *" $q "*) kind=P ;; *) continue ;; esac
+        ;;
+    esac
+    if ! printf '%s\n' "$decls" | grep -qx "$kind $q $name" &&
+        ! { [ "$kind" = P ] && go doc "$q.$name" >/dev/null 2>&1; }; then
+        echo "checkdocs: FAIL — $where: \`$q.$name\` names no declaration in this module" >&2
+        fail=1
+    fi
+done <<EOF
+$cited_names
+EOF
+
 if [ "$fail" -ne 0 ]; then
-    echo "checkdocs: document every package ('// Package <name> ...'; internal packages cite their DESIGN.md section), keep README's fault Kinds: list in step with internal/faults, invoke flexnetd/flexbench/flexctl only with flags they define, cite only tests that exist, and cite ROADMAP.md without item numbers." >&2
+    echo "checkdocs: document every package ('// Package <name> ...'; internal packages cite their DESIGN.md section), keep README's fault Kinds: list in step with internal/faults, invoke flexnetd/flexbench/flexctl only with flags they define, cite only tests and Go names that exist, and cite ROADMAP.md without item numbers." >&2
     exit 1
 fi
-echo "checkdocs: OK — every package documented; internal packages cite DESIGN.md; README lists every fault kind; every documented flexnetd/flexbench/flexctl flag exists; every cited test exists; no ROADMAP item is cited by number."
+echo "checkdocs: OK — every package documented; internal packages cite DESIGN.md; README lists every fault kind; every documented flexnetd/flexbench/flexctl flag exists; every cited test and Go name exists; no ROADMAP item is cited by number."
