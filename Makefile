@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test benchmark-test race mutants vet fmt lint spec-check check bench bench-steady bench-control benchdiff checkdocs expdiff docs cover profile scale
+.PHONY: all build test benchmark-test race mutants fuzz vet fmt lint spec-check check bench bench-steady bench-control benchdiff checkdocs expdiff docs cover profile scale
 
 all: build
 
@@ -31,6 +31,15 @@ race:
 mutants:
 	$(GO) test -tags flowcache_reuse_mutant -run '^TestChaosSoakCatchesCacheReuse$$' -count=1 .
 	$(GO) test -tags state_array_mutant -run '^(TestArrayModelCatchesExportMutant|TestMigrationCatchesExportMutant)$$' -count=1 ./internal/dataplane/state ./internal/migrate
+
+# fuzz runs each native fuzz target for FUZZTIME (30 s) past its seed
+# corpus: the header chain against its []string model, and the flow
+# cache's record→replay round trip against an uncached device. Go fuzzes
+# one target per invocation.
+FUZZTIME ?= 30s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzHeaderChain$$' -fuzztime $(FUZZTIME) ./internal/packet
+	$(GO) test -run '^$$' -fuzz '^FuzzFlowCacheEquivalence$$' -fuzztime $(FUZZTIME) ./internal/dataplane
 
 vet:
 	$(GO) vet ./...

@@ -185,7 +185,7 @@ type flowRecord struct {
 	key  packet.FlowKey
 	gens []flowcache.TableGen
 	pre  []flowcache.FieldVal
-	hdrs []string
+	hdrs packet.Chain
 	plen int
 }
 
@@ -227,7 +227,7 @@ func (d *Device) tryFlowCache(pkt *packet.Packet, cfg *config, st *ProcStats) (*
 		key:  key,
 		gens: make([]flowcache.TableGen, len(fp.tables)),
 		pre:  make([]flowcache.FieldVal, len(fp.fields)),
-		hdrs: append([]string(nil), pkt.Headers...),
+		hdrs: pkt.Headers,
 		plen: pkt.PayloadLen,
 	}
 	for i, ti := range fp.tables {

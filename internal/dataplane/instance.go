@@ -50,7 +50,11 @@ func newInstance(prog *flexbpf.Program, filter *flexbpf.Cond, rng *rand.Rand, no
 		now:    now,
 	}
 	if filter != nil {
-		inst.lfilter = flexbpf.CompileCond(filter)
+		lf, err := flexbpf.CompileCond(filter)
+		if err != nil {
+			return nil, fmt.Errorf("program %s: filter: %w", prog.Name, err)
+		}
+		inst.lfilter = lf
 	}
 	for _, t := range prog.Tables {
 		inst.tables[t.Name] = flexbpf.NewTableInstance(t)

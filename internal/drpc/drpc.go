@@ -54,34 +54,51 @@ type Message struct {
 	Args    [3]uint64
 }
 
+// The fields of the drpc header and of the IPv4 header a router
+// originates, resolved once.
+var (
+	fidService   = packet.InternField("drpc.service")
+	fidMethod    = packet.InternField("drpc.method")
+	fidFlags     = packet.InternField("drpc.flags")
+	fidCallID    = packet.InternField("drpc.callid")
+	fidArgs      = [3]packet.FieldID{packet.InternField("drpc.arg0"), packet.InternField("drpc.arg1"), packet.InternField("drpc.arg2")}
+	fidEthType   = packet.InternField("eth.type")
+	fidIPVersion = packet.InternField("ipv4.version")
+	fidIPIHL     = packet.InternField("ipv4.ihl")
+	fidIPTTL     = packet.InternField("ipv4.ttl")
+	fidIPProto   = packet.InternField("ipv4.proto")
+	fidIPSrc     = packet.InternField("ipv4.src")
+	fidIPDst     = packet.InternField("ipv4.dst")
+)
+
 // FromPacket extracts the message from a packet carrying a drpc header.
 func FromPacket(p *packet.Packet) (Message, bool) {
-	if !p.Has("drpc") {
+	if !p.Headers.Has(packet.HeaderDRPC) {
 		return Message{}, false
 	}
 	return Message{
-		Service: p.Field("drpc.service"),
-		Method:  p.Field("drpc.method"),
-		Flags:   p.Field("drpc.flags"),
-		CallID:  p.Field("drpc.callid"),
+		Service: p.FieldByID(fidService),
+		Method:  p.FieldByID(fidMethod),
+		Flags:   p.FieldByID(fidFlags),
+		CallID:  p.FieldByID(fidCallID),
 		Args: [3]uint64{
-			p.Field("drpc.arg0"),
-			p.Field("drpc.arg1"),
-			p.Field("drpc.arg2"),
+			p.FieldByID(fidArgs[0]),
+			p.FieldByID(fidArgs[1]),
+			p.FieldByID(fidArgs[2]),
 		},
 	}, true
 }
 
 // store writes the message into a packet's drpc fields.
 func (m Message) store(p *packet.Packet) {
-	p.AddHeader("drpc")
-	p.SetField("drpc.service", m.Service)
-	p.SetField("drpc.method", m.Method)
-	p.SetField("drpc.flags", m.Flags)
-	p.SetField("drpc.callid", m.CallID)
-	p.SetField("drpc.arg0", m.Args[0])
-	p.SetField("drpc.arg1", m.Args[1])
-	p.SetField("drpc.arg2", m.Args[2])
+	_ = p.AddHeaderID(packet.HeaderDRPC) // cannot fail: newPacket's chain holds eth and ipv4 only
+	p.SetFieldByID(fidService, m.Service)
+	p.SetFieldByID(fidMethod, m.Method)
+	p.SetFieldByID(fidFlags, m.Flags)
+	p.SetFieldByID(fidCallID, m.CallID)
+	for i, fid := range fidArgs {
+		p.SetFieldByID(fid, m.Args[i])
+	}
 }
 
 // Handler serves one service. It returns a reply message (flags are
@@ -177,15 +194,16 @@ func (r *Router) newPacket(dst uint32, m Message) *packet.Packet {
 	id := *r.seq
 	r.mu.Unlock()
 	p := packet.New(id)
-	p.AddHeader("eth")
-	p.SetField("eth.type", packet.EtherTypeIPv4)
-	p.AddHeader("ipv4")
-	p.SetField("ipv4.version", 4)
-	p.SetField("ipv4.ihl", 5)
-	p.SetField("ipv4.ttl", 64)
-	p.SetField("ipv4.proto", packet.ProtoDRPC)
-	p.SetField("ipv4.src", uint64(r.IP))
-	p.SetField("ipv4.dst", uint64(dst))
+	// Neither add can fail: the chain is empty and has room for ChainCap.
+	_ = p.AddHeaderID(packet.HeaderEth)
+	p.SetFieldByID(fidEthType, packet.EtherTypeIPv4)
+	_ = p.AddHeaderID(packet.HeaderIPv4)
+	p.SetFieldByID(fidIPVersion, 4)
+	p.SetFieldByID(fidIPIHL, 5)
+	p.SetFieldByID(fidIPTTL, 64)
+	p.SetFieldByID(fidIPProto, packet.ProtoDRPC)
+	p.SetFieldByID(fidIPSrc, uint64(r.IP))
+	p.SetFieldByID(fidIPDst, uint64(dst))
 	m.store(p)
 	return p
 }

@@ -61,7 +61,7 @@ func (f *Fabric) EnableHostDRPC(hostName string) (*drpc.Router, error) {
 	r.SetScheduler(f.simNow, f.simAfter)
 	prev := h.Recv
 	h.Recv = func(p *packet.Packet) {
-		if p.Has("drpc") && r.Deliver(p) {
+		if p.Headers.Has(packet.HeaderDRPC) && r.Deliver(p) {
 			return
 		}
 		if prev != nil {

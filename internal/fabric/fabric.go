@@ -198,6 +198,9 @@ type swtch struct {
 	recirculate netsim.Handler
 }
 
+// fidIPv4Dst is the field deviceVisit compares with a dRPC router's IP.
+var fidIPv4Dst = packet.InternField("ipv4.dst")
+
 // deviceVisit is a packet's visit to a device: it runs the program
 // chain and acts on the verdict. The egress transmit and a recirculation
 // are events of their own, LatencyNs later even when that is 0: folding
@@ -207,8 +210,8 @@ func (f *Fabric) deviceVisit(sw *swtch, pkt *packet.Packet, inPort, recirc int) 
 	f.events++
 	d := sw.Device
 	// dRPC packets addressed to this device's control IP terminate here.
-	if inPort >= 0 && pkt.Has("drpc") {
-		if r := f.routers[d.Name()]; r != nil && uint32(pkt.Field("ipv4.dst")) == r.IP {
+	if inPort >= 0 && pkt.Headers.Has(packet.HeaderDRPC) {
+		if r := f.routers[d.Name()]; r != nil && uint32(pkt.FieldByID(fidIPv4Dst)) == r.IP {
 			r.Deliver(pkt)
 			return
 		}

@@ -220,12 +220,12 @@ func oneHopFabric(tb testing.TB) (*Fabric, *Host) {
 // TestHopAllocBudget bounds the heap allocations a delivered packet
 // costs on the one-hop path h1–s1–h2 with base routing: source emission,
 // a device visit, an egress transmit, two link arrivals and the host
-// delivery. The path reads 2.00 — the packet's struct and its PHV; the
-// source tick, the device visit and the three packet events allocate
-// nothing — and the bound is one above that, so a per-hop closure or
-// buffer cannot creep back unnoticed.
+// delivery. The path reads 1.00 — the packet, whose struct holds its
+// header chain and PHV; the source tick, the device visit and the three
+// packet events allocate nothing — and the bound is one above that, so a
+// per-hop closure or buffer cannot creep back unnoticed.
 func TestHopAllocBudget(t *testing.T) {
-	const budget = 3.0
+	const budget = 2.0
 	f, h2 := oneHopFabric(t)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

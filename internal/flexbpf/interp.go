@@ -179,7 +179,9 @@ func (in Interp) runBlock(prog *Program, code []Instr, params []uint64, pkt *pac
 		case OpStField:
 			pkt.SetField(ins.Sym, regs[ins.Rs])
 		case OpAddHdr:
-			pkt.AddHeader(ins.Sym)
+			if err := pkt.AddHeader(ins.Sym); err != nil {
+				return &execError{prog.Name, pc - 1, err.Error()}
+			}
 		case OpRmHdr:
 			pkt.RemoveHeader(ins.Sym)
 		case OpLdParam:

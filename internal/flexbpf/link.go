@@ -78,10 +78,9 @@ const (
 const regMask = NumRegs - 1
 
 // linstr is the linked instruction encoding: 16 bytes, scalar-only. The
-// source Instr carries a 16-byte Sym string that only OpAddHdr/OpRmHdr
-// need at runtime; linking moves those names to a side table (indexed by
-// imm) so linked code packs four instructions per cache line and holds
-// no pointers.
+// source Instr's Sym string is resolved at link time (a header name of
+// OpAddHdr/OpRmHdr to its packet.HeaderID, carried in imm), so linked
+// code packs four instructions per cache line and holds no pointers.
 type linstr struct {
 	op         Op
 	rd, rs, rt Reg
@@ -109,34 +108,43 @@ type LinkedEnv interface {
 // LinkedCond is a pipeline condition with its field references resolved
 // to interned IDs.
 type LinkedCond struct {
-	fid       packet.FieldID
-	otherFid  packet.FieldID
-	twoField  bool
-	op        CmpOp
-	value     uint64
-	hasHeader string
+	fid      packet.FieldID
+	otherFid packet.FieldID
+	twoField bool
+	op       CmpOp
+	value    uint64
+	// hasHeader is the HasHeader condition's interned header (0: none).
+	hasHeader packet.HeaderID
 	negate    bool
 }
 
-// CompileCond resolves a condition's field references. The result
-// evaluates exactly as the tree interpreter's evalCond.
-func CompileCond(c *Cond) *LinkedCond {
-	lc := &LinkedCond{op: c.Op, value: c.Value, hasHeader: c.HasHeader, negate: c.Negate}
-	if c.HasHeader == "" {
-		lc.fid = packet.InternField(c.Field)
-		if c.OtherField != "" {
-			lc.otherFid = packet.InternField(c.OtherField)
-			lc.twoField = true
+// CompileCond resolves a condition's field and header references. The
+// result evaluates exactly as the tree interpreter's evalCond. It fails
+// only when a HasHeader name cannot be interned (the HeaderID space is
+// full).
+func CompileCond(c *Cond) (*LinkedCond, error) {
+	lc := &LinkedCond{op: c.Op, value: c.Value, negate: c.Negate}
+	if c.HasHeader != "" {
+		id, err := packet.InternHeader(c.HasHeader)
+		if err != nil {
+			return nil, err
 		}
+		lc.hasHeader = id
+		return lc, nil
 	}
-	return lc
+	lc.fid = packet.InternField(c.Field)
+	if c.OtherField != "" {
+		lc.otherFid = packet.InternField(c.OtherField)
+		lc.twoField = true
+	}
+	return lc, nil
 }
 
 // Eval evaluates the condition against a packet.
 func (c *LinkedCond) Eval(pkt *packet.Packet) bool {
 	var r bool
-	if c.hasHeader != "" {
-		r = pkt.Has(c.hasHeader)
+	if c.hasHeader != 0 {
+		r = pkt.Headers.Has(c.hasHeader)
 	} else {
 		lhs := pkt.FieldByID(c.fid)
 		rhs := c.value
@@ -193,9 +201,6 @@ type LinkedProgram struct {
 	tables  []linkedTable
 	actions []linkedAction
 	actIdx  map[string]int32
-	// hdrSyms holds header names referenced by OpAddHdr/OpRmHdr; linked
-	// instructions index it via imm.
-	hdrSyms []string
 
 	mapNames, counterNames, meterNames []string
 }
@@ -254,18 +259,6 @@ type linker struct {
 	ctrSlot map[string]int
 	mtrSlot map[string]int
 	tblIdx  map[string]int
-	hdrIdx  map[string]int
-}
-
-// hdrSym interns a header name into the linked program's symbol table.
-func (lk *linker) hdrSym(name string) uint64 {
-	if i, ok := lk.hdrIdx[name]; ok {
-		return uint64(i)
-	}
-	i := len(lk.lp.hdrSyms)
-	lk.lp.hdrSyms = append(lk.lp.hdrSyms, name)
-	lk.hdrIdx[name] = i
-	return uint64(i)
 }
 
 // Link compiles prog into its linked executable form. The tables callback
@@ -282,7 +275,6 @@ func Link(prog *Program, tables func(string) *TableInstance) (*LinkedProgram, er
 		ctrSlot: make(map[string]int, len(prog.Counters)),
 		mtrSlot: make(map[string]int, len(prog.Meters)),
 		tblIdx:  make(map[string]int, len(prog.Tables)),
-		hdrIdx:  make(map[string]int),
 	}
 	for i, m := range prog.Maps {
 		lk.mapSlot[m.Name] = i
@@ -341,7 +333,11 @@ func (lk *linker) lowerBlock(body []Instr, where string) ([]linstr, error) {
 		case OpLdField, OpHasField, OpStField:
 			li.imm = uint64(packet.InternField(ins.Sym))
 		case OpAddHdr, OpRmHdr:
-			li.imm = lk.hdrSym(ins.Sym)
+			id, err := packet.InternHeader(ins.Sym)
+			if err != nil {
+				return nil, &linkError{lk.prog.Name, where, err.Error()}
+			}
+			li.imm = uint64(id)
 		case OpMapLoad, OpMapHas, OpMapStore, OpMapDelete:
 			slot, ok := lk.mapSlot[ins.Sym]
 			if !ok {
@@ -501,8 +497,12 @@ func (lk *linker) lowerStmts(stmts []Stmt) error {
 			}
 			lk.emit(linstr{op: lopApply, imm: uint64(idx)})
 		case s.If != nil:
+			lc, err := CompileCond(&s.If.Cond)
+			if err != nil {
+				return &linkError{lk.prog.Name, "if", err.Error()}
+			}
 			ci := len(lk.lp.conds)
-			lk.lp.conds = append(lk.lp.conds, *CompileCond(&s.If.Cond))
+			lk.lp.conds = append(lk.lp.conds, *lc)
 			br := lk.emit(linstr{op: lopBr, imm: uint64(ci)})
 			if err := lk.lowerStmts(s.If.Then); err != nil {
 				return err
@@ -749,9 +749,12 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 		case OpStField:
 			pkt.SetFieldByID(packet.FieldID(ins.imm), regs[ins.rs&regMask])
 		case OpAddHdr:
-			pkt.AddHeader(lp.hdrSyms[ins.imm])
+			if err := pkt.AddHeaderID(packet.HeaderID(ins.imm)); err != nil {
+				res.Instrs = instrs
+				return &execError{lp.prog.Name, pc - 1, err.Error()}
+			}
 		case OpRmHdr:
-			pkt.RemoveHeader(lp.hdrSyms[ins.imm])
+			pkt.RemoveHeaderID(packet.HeaderID(ins.imm))
 		case OpLdParam:
 			if int(ins.imm) < len(params) {
 				regs[ins.rd&regMask] = params[ins.imm]

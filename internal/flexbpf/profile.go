@@ -82,7 +82,7 @@ func (ps *profileScan) block(code []linstr) {
 // cond records a condition's field reads (HasHeader conditions read only
 // the header list, which the cache validates wholesale).
 func (ps *profileScan) cond(c *LinkedCond) {
-	if c.hasHeader != "" {
+	if c.hasHeader != 0 {
 		return
 	}
 	ps.read(c.fid)
@@ -146,7 +146,7 @@ func (lp *LinkedProgram) TableInstances() []*TableInstance {
 // Fields returns the packet field IDs the condition reads (none for
 // header-presence conditions).
 func (c *LinkedCond) Fields() []packet.FieldID {
-	if c.hasHeader != "" {
+	if c.hasHeader != 0 {
 		return nil
 	}
 	if c.twoField {

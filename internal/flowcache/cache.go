@@ -71,9 +71,9 @@ type Entry struct {
 	// Gens pins every applied table at its pre-run generation.
 	Gens []TableGen
 	// Headers is the recorded packet's header chain. Matching it
-	// wholesale subsumes parser-walk validation together with the select
-	// fields carried in Pre.
-	Headers []string
+	// wholesale, one == on the chain value, subsumes parser-walk
+	// validation together with the select fields carried in Pre.
+	Headers packet.Chain
 	// PayloadLen is validated only when CheckLen is set (the pipeline
 	// used OpPktLen).
 	PayloadLen int
@@ -100,13 +100,8 @@ func (e *Entry) match(pkt *packet.Packet) bool {
 	if e.CheckLen && pkt.PayloadLen != e.PayloadLen {
 		return false
 	}
-	if len(pkt.Headers) != len(e.Headers) {
+	if pkt.Headers != e.Headers {
 		return false
-	}
-	for i, h := range e.Headers {
-		if pkt.Headers[i] != h {
-			return false
-		}
 	}
 	for i := range e.Pre {
 		fv := &e.Pre[i]

@@ -29,7 +29,7 @@ func entryFor(pkt *packet.Packet, epoch uint64, gens []TableGen) *Entry {
 	return &Entry{
 		Epoch:   epoch,
 		Gens:    gens,
-		Headers: append([]string(nil), pkt.Headers...),
+		Headers: pkt.Headers,
 		Pre:     []FieldVal{{FID: fidTTL, Val: ttl, Present: ok}},
 		Verdict: packet.VerdictForward,
 		Egress:  3,
@@ -56,7 +56,7 @@ func TestMatchValidations(t *testing.T) {
 
 	// A header-chain difference retires the match.
 	hdrless := testPacket(5000)
-	hdrless.Headers = hdrless.Headers[:len(hdrless.Headers)-1]
+	hdrless.RemoveHeaderID(hdrless.Headers.At(hdrless.Headers.Len() - 1))
 	if e.match(hdrless) {
 		t.Fatal("entry must not match a packet with a different header chain")
 	}

@@ -155,7 +155,8 @@ func simRun(t *testing.T, evs []scriptedEvent, roots []int, stepwise bool) (*Sim
 // At events, packet events, same-instant ties and events scheduled or
 // cancelled from inside handlers, the simulator fires exactly what a
 // stable sort by (at, seq) would, counts only what fired, and leaves
-// nothing behind in the queue's backing array.
+// nothing behind: after the drain every record slot is zero and on the
+// free list exactly once, so no fired packet or closure is kept alive.
 func TestEventOrderProperty(t *testing.T) {
 	const schedules = 10_000
 	for seed := int64(0); seed < schedules; seed++ {
@@ -171,10 +172,20 @@ func TestEventOrderProperty(t *testing.T) {
 		if len(s.queue) != 0 {
 			t.Fatalf("seed %d: %d entries left after the drain", seed, len(s.queue))
 		}
-		for i, e := range s.queue[:cap(s.queue)] {
-			if e.ev != nil || e.fn != nil || e.pkt != nil || e.at != 0 || e.seq != 0 || e.arg != 0 {
-				t.Fatalf("seed %d: slot %d of the drained queue still holds %+v", seed, i, e)
+		for i, r := range s.slots[:cap(s.slots)] {
+			if r.ev != nil || r.fn != nil || r.pkt != nil || r.arg != 0 {
+				t.Fatalf("seed %d: record slot %d of the drained table still holds %+v", seed, i, r)
 			}
+		}
+		freed := make([]bool, len(s.slots))
+		for _, slot := range s.free {
+			if freed[slot] {
+				t.Fatalf("seed %d: slot %d is on the free list twice", seed, slot)
+			}
+			freed[slot] = true
+		}
+		if len(s.free) != len(s.slots) {
+			t.Fatalf("seed %d: %d of %d record slots on the free list after the drain", seed, len(s.free), len(s.slots))
 		}
 	}
 }

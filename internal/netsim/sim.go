@@ -39,22 +39,30 @@ type Event struct {
 // or already-cancelled event is a no-op.
 func (e *Event) Cancel() { e.dead = true }
 
-// entry is one queued event, held by value in Sim.queue and ordered by
-// (at, seq). A general event carries the handle At returned and fires
-// ev.Fn(); a packet event (ev == nil) fires fn(pkt, arg) from arguments
-// stored in the entry itself, so scheduling and firing it allocates
-// nothing.
-type entry struct {
-	at  Time
-	seq uint64
+// key is one queued event's place in Sim.queue: its time, its sequence
+// number (the tie-break that makes equal-time events fire in schedule
+// order) and the index of its record in Sim.slots. It holds no pointer,
+// so the heap's sifts copy it with no GC write barrier.
+type key struct {
+	at   Time
+	seq  uint64
+	slot int32
+}
+
+func (k *key) before(o *key) bool {
+	return k.at < o.at || (k.at == o.at && k.seq < o.seq)
+}
+
+// record is what a queued event fires. A general event carries the
+// handle At returned and fires ev.Fn(); a packet event (ev == nil) fires
+// fn(pkt, arg) from arguments stored in the record itself, so scheduling
+// and firing it allocates nothing. A record is written once, when its
+// event is scheduled, and zeroed once, when it is popped.
+type record struct {
 	ev  *Event
 	fn  func(*packet.Packet, int)
 	pkt *packet.Packet
 	arg int
-}
-
-func (e *entry) before(o *entry) bool {
-	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
 // Sim is a discrete-event simulator instance.
@@ -62,9 +70,13 @@ func (e *entry) before(o *entry) bool {
 // The zero value is not usable; create instances with New.
 type Sim struct {
 	now Time
-	// queue is a binary min-heap of entries; slots past len are zero, so
-	// a fired event's packet is not kept alive by the backing array.
-	queue   []entry
+	// queue is a binary min-heap of keys ordered by (at, seq); each names
+	// its event's record in slots. free lists the slots no queued event
+	// holds: they are zero, so a fired event's packet or closure is not
+	// kept alive by the table.
+	queue   []key
+	slots   []record
+	free    []int32
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
@@ -89,7 +101,7 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // in the caller rather than a recoverable condition.
 func (s *Sim) At(at Time, fn func()) *Event {
 	e := &Event{At: at, Fn: fn}
-	s.schedule(entry{at: at, ev: e})
+	s.schedule(at, record{ev: e})
 	return e
 }
 
@@ -107,43 +119,56 @@ func (s *Sim) After(d Time, fn func()) *Event {
 // source) rather than closed over the packet, nothing is allocated. pkt
 // may be nil. Scheduling in the past panics, as in At.
 func (s *Sim) AtPacket(at Time, fn func(*packet.Packet, int), pkt *packet.Packet, arg int) {
-	s.schedule(entry{at: at, fn: fn, pkt: pkt, arg: arg})
+	s.schedule(at, record{fn: fn, pkt: pkt, arg: arg})
 }
 
-// schedule stamps e with the next sequence number and sifts it up from
-// the end of the heap, moving parents into the hole instead of swapping.
-func (s *Sim) schedule(e entry) {
-	if e.at < s.now {
-		panic(fmt.Sprintf("netsim: scheduling event at %v before now %v", e.at, s.now))
+// schedule files r in a free slot, stamps its key with the next sequence
+// number and sifts the key up from the end of the heap, moving parents
+// into the hole instead of swapping.
+func (s *Sim) schedule(at Time, r record) {
+	if at < s.now {
+		panic(fmt.Sprintf("netsim: scheduling event at %v before now %v", at, s.now))
+	}
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slots[slot] = r
+	} else {
+		slot = int32(len(s.slots))
+		s.slots = append(s.slots, r)
 	}
 	s.seq++
-	e.seq = s.seq
-	s.queue = append(s.queue, entry{})
+	k := key{at: at, seq: s.seq, slot: slot}
+	s.queue = append(s.queue, key{})
 	q := s.queue
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.before(&q[parent]) {
+		if !k.before(&q[parent]) {
 			break
 		}
 		q[i] = q[parent]
 		i = parent
 	}
-	q[i] = e
+	q[i] = k
 }
 
-// pop removes and returns the earliest entry: the last entry is sifted
-// down from the root into the hole, and the slot it vacated is zeroed.
-func (s *Sim) pop() entry {
+// pop removes the earliest event and returns its time and record: the
+// record's slot is zeroed and freed, and the last key is sifted down
+// from the root into the hole.
+func (s *Sim) pop() (Time, record) {
 	q := s.queue
 	top := q[0]
+	r := s.slots[top.slot]
+	s.slots[top.slot] = record{}
+	s.free = append(s.free, top.slot)
 	n := len(q) - 1
 	last := q[n]
-	q[n] = entry{}
 	q = q[:n]
 	s.queue = q
 	if n == 0 {
-		return top
+		return top.at, r
 	}
 	i := 0
 	for {
@@ -151,8 +176,8 @@ func (s *Sim) pop() entry {
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && q[r].before(&q[child]) {
-			child = r
+		if right := child + 1; right < n && q[right].before(&q[child]) {
+			child = right
 		}
 		if !q[child].before(&last) {
 			break
@@ -161,7 +186,7 @@ func (s *Sim) pop() entry {
 		i = child
 	}
 	q[i] = last
-	return top
+	return top.at, r
 }
 
 // Stop halts the run loop after the current event completes.
@@ -210,20 +235,20 @@ func (s *Sim) RunUntil(horizon Time) error {
 func (s *Sim) RunFor(d Time) error { return s.RunUntil(s.now + d) }
 
 func (s *Sim) step() {
-	e := s.pop()
-	if e.ev != nil && e.ev.dead {
+	at, r := s.pop()
+	if r.ev != nil && r.ev.dead {
 		return
 	}
-	if e.at < s.now {
+	if at < s.now {
 		panic("netsim: time went backwards")
 	}
-	s.now = e.at
+	s.now = at
 	s.Processed++
-	if e.ev != nil {
-		e.ev.Fn()
+	if r.ev != nil {
+		r.ev.Fn()
 		return
 	}
-	e.fn(e.pkt, e.arg)
+	r.fn(r.pkt, r.arg)
 }
 
 // Ticker is the handle of a recurring event created by Every.

@@ -108,7 +108,7 @@ func (pe *portEnd) send(s *Sim, pkt *packet.Packet) {
 		l.net.Drops++
 		return
 	}
-	if l.ECNThresholdBytes > 0 && queuedBytes > l.ECNThresholdBytes && pkt.Has("ipv4") {
+	if l.ECNThresholdBytes > 0 && queuedBytes > l.ECNThresholdBytes && pkt.Headers.Has(packet.HeaderIPv4) {
 		pkt.SetFieldByID(fidIPv4ECN, 3)
 	}
 	ser := Time(float64(pkt.Len()*8) / float64(l.BandwidthBps) * 1e9)

@@ -39,6 +39,13 @@ func NewSource(sim *Sim, spec FlowSpec, seq *uint64, emit func(*packet.Packet)) 
 	return &Source{sim: sim, spec: spec, emit: emit, seq: seq}
 }
 
+// The fields a VLAN-tagged source sets on every packet, resolved once.
+var (
+	fidEthType  = packet.InternField("eth.type")
+	fidVLANVid  = packet.InternField("vlan.vid")
+	fidVLANType = packet.InternField("vlan.type")
+)
+
 func (s *Source) buildPacket(flags uint64) *packet.Packet {
 	*s.seq++
 	id := *s.seq
@@ -49,17 +56,12 @@ func (s *Source) buildPacket(flags uint64) *packet.Packet {
 		p = packet.TCPPacket(id, s.spec.Src, s.spec.Dst, s.spec.SrcPort, s.spec.DstPort, flags, s.spec.PacketLen)
 	}
 	if s.spec.VLAN != 0 {
-		// Insert the VLAN tag between eth and ipv4.
-		p.SetField("eth.type", packet.EtherTypeVLAN)
-		hdrs := []string{"eth", "vlan"}
-		for _, h := range p.Headers {
-			if h != "eth" {
-				hdrs = append(hdrs, h)
-			}
-		}
-		p.Headers = hdrs
-		p.SetField("vlan.vid", s.spec.VLAN)
-		p.SetField("vlan.type", packet.EtherTypeIPv4)
+		// Insert the VLAN tag between eth and ipv4. It cannot fail: the
+		// chain holds three headers of packet.ChainCap, none of them vlan.
+		_ = p.InsertHeaderID(1, packet.HeaderVLAN)
+		p.SetFieldByID(fidEthType, packet.EtherTypeVLAN)
+		p.SetFieldByID(fidVLANVid, s.spec.VLAN)
+		p.SetFieldByID(fidVLANType, packet.EtherTypeIPv4)
 	}
 	p.StampSent(uint64(s.sim.Now()))
 	return p

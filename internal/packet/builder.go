@@ -1,7 +1,9 @@
 package packet
 
 // Builder provides a fluent API for constructing test and workload
-// packets. The zero Builder is not usable; start with NewBuilder.
+// packets. The zero Builder is not usable; start with NewBuilder. It
+// builds fixed packets from code, so a header that does not fit the chain
+// (ChainCap) is a bug in the caller, and the method adding it panics.
 type Builder struct {
 	p   *Packet
 	seq *uint64
@@ -26,7 +28,7 @@ func (b *Builder) reset() {
 
 // Eth adds an Ethernet header.
 func (b *Builder) Eth(src, dst uint64) *Builder {
-	b.p.AddHeader("eth")
+	b.add(HeaderEth)
 	b.p.SetField("eth.src", src)
 	b.p.SetField("eth.dst", dst)
 	b.p.SetField("eth.type", EtherTypeIPv4)
@@ -36,7 +38,7 @@ func (b *Builder) Eth(src, dst uint64) *Builder {
 // VLAN inserts an 802.1Q tag with the given VLAN ID.
 func (b *Builder) VLAN(vid uint64) *Builder {
 	b.p.SetField("eth.type", EtherTypeVLAN)
-	b.p.AddHeader("vlan")
+	b.add(HeaderVLAN)
 	b.p.SetField("vlan.vid", vid)
 	b.p.SetField("vlan.type", EtherTypeIPv4)
 	return b
@@ -44,7 +46,7 @@ func (b *Builder) VLAN(vid uint64) *Builder {
 
 // IPv4 adds an IPv4 header.
 func (b *Builder) IPv4(src, dst uint32) *Builder {
-	b.p.AddHeader("ipv4")
+	b.add(HeaderIPv4)
 	b.p.SetField("ipv4.version", 4)
 	b.p.SetField("ipv4.ihl", 5)
 	b.p.SetField("ipv4.ttl", 64)
@@ -56,7 +58,7 @@ func (b *Builder) IPv4(src, dst uint32) *Builder {
 // TCP adds a TCP header.
 func (b *Builder) TCP(sport, dport uint16, flags uint64) *Builder {
 	b.p.SetField("ipv4.proto", ProtoTCP)
-	b.p.AddHeader("tcp")
+	b.add(HeaderTCP)
 	b.p.SetField("tcp.sport", uint64(sport))
 	b.p.SetField("tcp.dport", uint64(dport))
 	b.p.SetField("tcp.flags", flags)
@@ -67,7 +69,7 @@ func (b *Builder) TCP(sport, dport uint16, flags uint64) *Builder {
 // UDP adds a UDP header.
 func (b *Builder) UDP(sport, dport uint16) *Builder {
 	b.p.SetField("ipv4.proto", ProtoUDP)
-	b.p.AddHeader("udp")
+	b.add(HeaderUDP)
 	b.p.SetField("udp.sport", uint64(sport))
 	b.p.SetField("udp.dport", uint64(dport))
 	return b
@@ -76,7 +78,7 @@ func (b *Builder) UDP(sport, dport uint16) *Builder {
 // DRPC adds a data-plane RPC header.
 func (b *Builder) DRPC(service uint64, method, flags uint64, callID uint64) *Builder {
 	b.p.SetField("ipv4.proto", ProtoDRPC)
-	b.p.AddHeader("drpc")
+	b.add(HeaderDRPC)
 	b.p.SetField("drpc.service", service)
 	b.p.SetField("drpc.method", method)
 	b.p.SetField("drpc.flags", flags)
@@ -98,8 +100,18 @@ func (b *Builder) Field(name string, v uint64) *Builder {
 
 // Header marks an arbitrary (for example custom/tenant) header present.
 func (b *Builder) Header(name string) *Builder {
-	b.p.AddHeader(name)
+	id, err := InternHeader(name)
+	if err != nil {
+		panic(err)
+	}
+	b.add(id)
 	return b
+}
+
+func (b *Builder) add(id HeaderID) {
+	if err := b.p.AddHeaderID(id); err != nil {
+		panic(err)
+	}
 }
 
 // Ingress sets the ingress port.
@@ -116,13 +128,15 @@ func (b *Builder) Build() *Packet {
 	return p
 }
 
-// ipv4Packet starts a full Eth/IPv4/<l4> packet: the header chain (in
-// the packet's inline storage, with room for one more header, a VLAN tag
-// or a shim, before it must grow) and the Ethernet and IPv4 fields, by
-// pre-interned ID.
-func ipv4Packet(id uint64, src, dst uint32, proto uint64, l4 string, payload int) *Packet {
+// ipv4Packet starts a full Eth/IPv4/<l4> packet: the header chain and
+// the Ethernet and IPv4 fields, by pre-interned ID.
+func ipv4Packet(id uint64, src, dst uint32, proto uint64, l4 HeaderID, payload int) *Packet {
 	p := New(id)
-	p.Headers = append(p.Headers, "eth", "ipv4", l4)
+	p.Headers = Chain{
+		ids:   [ChainCap]HeaderID{HeaderEth, HeaderIPv4, l4},
+		n:     3,
+		bytes: headerSize[HeaderEth] + headerSize[HeaderIPv4] + headerSize[l4],
+	}
 	p.SetFieldByID(fidEthType, EtherTypeIPv4)
 	p.SetFieldByID(fidIPv4Version, 4)
 	p.SetFieldByID(fidIPv4IHL, 5)
@@ -136,7 +150,7 @@ func ipv4Packet(id uint64, src, dst uint32, proto uint64, l4 string, payload int
 
 // TCPPacket is a convenience constructor for a full Eth/IPv4/TCP packet.
 func TCPPacket(id uint64, src, dst uint32, sport, dport uint16, flags uint64, payload int) *Packet {
-	p := ipv4Packet(id, src, dst, ProtoTCP, "tcp", payload)
+	p := ipv4Packet(id, src, dst, ProtoTCP, HeaderTCP, payload)
 	p.SetFieldByID(fidTCPSport, uint64(sport))
 	p.SetFieldByID(fidTCPDport, uint64(dport))
 	p.SetFieldByID(fidTCPFlags, flags)
@@ -146,7 +160,7 @@ func TCPPacket(id uint64, src, dst uint32, sport, dport uint16, flags uint64, pa
 
 // UDPPacket is a convenience constructor for a full Eth/IPv4/UDP packet.
 func UDPPacket(id uint64, src, dst uint32, sport, dport uint16, payload int) *Packet {
-	p := ipv4Packet(id, src, dst, ProtoUDP, "udp", payload)
+	p := ipv4Packet(id, src, dst, ProtoUDP, HeaderUDP, payload)
 	p.SetFieldByID(fidUDPSport, uint64(sport))
 	p.SetFieldByID(fidUDPDport, uint64(dport))
 	p.SetFieldByID(fidUDPLen, uint64(8+payload))

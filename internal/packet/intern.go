@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -109,4 +110,96 @@ func NumFieldIDs() int { return len(loadFields().names) }
 // mutated.
 func HeaderFieldIDs(header string) []FieldID {
 	return loadFields().byHeader[header]
+}
+
+// HeaderID is a dense handle for an interned header type name: what a
+// header chain (Chain) holds in place of the name, as the PHV is indexed
+// by FieldID in place of "header.field". The standard headers are
+// interned at package init under the constants below; any other name is
+// interned on first use (program install, AddHeader). The zero HeaderID
+// names no header.
+type HeaderID uint8
+
+// MaxHeaderIDs is the number of header names the HeaderID space holds.
+const MaxHeaderIDs = 1<<8 - 1
+
+// The standard headers' IDs, in the order layers.go registers them
+// (registerHeader checks it).
+const (
+	HeaderEth HeaderID = 1 + iota
+	HeaderVLAN
+	HeaderIPv4
+	HeaderTCP
+	HeaderUDP
+	HeaderFlexEpoch
+	HeaderINT
+	HeaderDRPC
+)
+
+// ErrHeaderIDSpace is InternHeader's error once MaxHeaderIDs names are
+// interned.
+var ErrHeaderIDSpace = fmt.Errorf("packet: header ID space exhausted (%d header names interned)", MaxHeaderIDs)
+
+// headerTable is an immutable snapshot of the header intern table,
+// published like fieldTable. names[0] is "", the zero ID.
+type headerTable struct {
+	byName map[string]HeaderID
+	names  []string
+}
+
+var (
+	headers      atomic.Pointer[headerTable]
+	emptyHeaders = &headerTable{byName: map[string]HeaderID{}, names: []string{""}}
+)
+
+func loadHeaders() *headerTable {
+	if t := headers.Load(); t != nil {
+		return t
+	}
+	return emptyHeaders
+}
+
+// InternHeader returns the stable HeaderID for name, interning it on
+// first use. It fails once the HeaderID space is full, so a program
+// naming one header too many is refused at install.
+func InternHeader(name string) (HeaderID, error) {
+	if id, ok := loadHeaders().byName[name]; ok {
+		return id, nil
+	}
+	if name == "" {
+		return 0, fmt.Errorf("packet: empty header name")
+	}
+	internMu.Lock()
+	defer internMu.Unlock()
+	old := loadHeaders()
+	if id, ok := old.byName[name]; ok {
+		return id, nil
+	}
+	if len(old.names) > MaxHeaderIDs {
+		return 0, fmt.Errorf("%w: cannot intern %q", ErrHeaderIDSpace, name)
+	}
+	id := HeaderID(len(old.names))
+	next := &headerTable{byName: make(map[string]HeaderID, len(old.byName)+1), names: append(old.names[:len(old.names):len(old.names)], name)}
+	for k, v := range old.byName {
+		next.byName[k] = v
+	}
+	next.byName[name] = id
+	headers.Store(next)
+	return id, nil
+}
+
+// HeaderIDOf returns the ID of an already-interned header name.
+func HeaderIDOf(name string) (HeaderID, bool) {
+	id, ok := loadHeaders().byName[name]
+	return id, ok
+}
+
+// HeaderName returns the name interned as id ("" for the zero ID or one
+// not interned).
+func HeaderName(id HeaderID) string {
+	t := loadHeaders()
+	if int(id) >= len(t.names) {
+		return ""
+	}
+	return t.names[id]
 }

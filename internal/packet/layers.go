@@ -38,6 +38,7 @@ const (
 // all fields are big-endian on the wire and bit-packed in order.
 type headerSpec struct {
 	name   string
+	id     HeaderID
 	fields []fieldSpec
 	bytes  int
 }
@@ -51,12 +52,20 @@ type fieldSpec struct {
 	id   FieldID
 }
 
-// headerSpecs holds every header layout by name. registerHeader writes it
-// during package init only; after that it is read-only, so the codecs
+// specByID holds every header layout by HeaderID. registerHeader writes
+// it during package init only; after that it is read-only, so the codecs
 // read it without a lock.
-var headerSpecs = map[string]*headerSpec{}
+var specByID [MaxHeaderIDs + 1]*headerSpec
 
-func registerHeader(name string, fields ...fieldSpec) *headerSpec {
+// specNamed returns the named header's layout, or nil if it has none.
+func specNamed(name string) *headerSpec {
+	id, _ := HeaderIDOf(name)
+	return specByID[id]
+}
+
+// registerHeader interns the header as want, which must be the next
+// HeaderID, and records its layout.
+func registerHeader(want HeaderID, name string, fields ...fieldSpec) *headerSpec {
 	total := 0
 	for i := range fields {
 		f := &fields[i]
@@ -70,8 +79,13 @@ func registerHeader(name string, fields ...fieldSpec) *headerSpec {
 	if total%8 != 0 {
 		panic(fmt.Sprintf("packet: header %s is %d bits, not byte aligned", name, total))
 	}
-	h := &headerSpec{name: name, fields: fields, bytes: total / 8}
-	headerSpecs[name] = h
+	id, err := InternHeader(name)
+	if err != nil || id != want {
+		panic(fmt.Sprintf("packet: header %s interned as %d, want %d (%v)", name, id, want, err))
+	}
+	h := &headerSpec{name: name, id: id, fields: fields, bytes: total / 8}
+	specByID[id] = h
+	headerSize[id] = uint16(h.bytes)
 	return h
 }
 
@@ -79,29 +93,29 @@ func registerHeader(name string, fields ...fieldSpec) *headerSpec {
 // enough for the experiments (options are not modelled; IPv4 IHL is fixed
 // at 5, TCP data offset at 5).
 var (
-	specEthernet = registerHeader("eth",
+	specEthernet = registerHeader(HeaderEth, "eth",
 		fieldSpec{name: "dst", bits: 48}, fieldSpec{name: "src", bits: 48}, fieldSpec{name: "type", bits: 16})
-	specVLAN = registerHeader("vlan",
+	specVLAN = registerHeader(HeaderVLAN, "vlan",
 		fieldSpec{name: "pcp", bits: 3}, fieldSpec{name: "dei", bits: 1}, fieldSpec{name: "vid", bits: 12}, fieldSpec{name: "type", bits: 16})
-	specIPv4 = registerHeader("ipv4",
+	specIPv4 = registerHeader(HeaderIPv4, "ipv4",
 		fieldSpec{name: "version", bits: 4}, fieldSpec{name: "ihl", bits: 4}, fieldSpec{name: "dscp", bits: 6}, fieldSpec{name: "ecn", bits: 2},
 		fieldSpec{name: "len", bits: 16}, fieldSpec{name: "id", bits: 16}, fieldSpec{name: "flags", bits: 3}, fieldSpec{name: "frag", bits: 13},
 		fieldSpec{name: "ttl", bits: 8}, fieldSpec{name: "proto", bits: 8}, fieldSpec{name: "csum", bits: 16},
 		fieldSpec{name: "src", bits: 32}, fieldSpec{name: "dst", bits: 32})
-	specTCP = registerHeader("tcp",
+	specTCP = registerHeader(HeaderTCP, "tcp",
 		fieldSpec{name: "sport", bits: 16}, fieldSpec{name: "dport", bits: 16}, fieldSpec{name: "seq", bits: 32}, fieldSpec{name: "ack", bits: 32},
 		fieldSpec{name: "off", bits: 4}, fieldSpec{name: "rsvd", bits: 3}, fieldSpec{name: "flags", bits: 9},
 		fieldSpec{name: "win", bits: 16}, fieldSpec{name: "csum", bits: 16}, fieldSpec{name: "urg", bits: 16})
-	specUDP = registerHeader("udp",
+	specUDP = registerHeader(HeaderUDP, "udp",
 		fieldSpec{name: "sport", bits: 16}, fieldSpec{name: "dport", bits: 16}, fieldSpec{name: "len", bits: 16}, fieldSpec{name: "csum", bits: 16})
 	// FlexNet epoch shim: version epoch + original ethertype.
-	specFlexEpoch = registerHeader("flexepoch",
+	specFlexEpoch = registerHeader(HeaderFlexEpoch, "flexepoch",
 		fieldSpec{name: "epoch", bits: 32}, fieldSpec{name: "type", bits: 16})
 	// In-band network telemetry record (one hop).
-	specINT = registerHeader("int",
+	_ = registerHeader(HeaderINT, "int",
 		fieldSpec{name: "hopcount", bits: 8}, fieldSpec{name: "device", bits: 16}, fieldSpec{name: "qdepth", bits: 24}, fieldSpec{name: "latency", bits: 32}, fieldSpec{name: "type", bits: 16})
 	// Data-plane RPC header (see internal/drpc): carried over IPv4 proto ProtoDRPC.
-	specDRPC = registerHeader("drpc",
+	specDRPC = registerHeader(HeaderDRPC, "drpc",
 		fieldSpec{name: "service", bits: 16}, fieldSpec{name: "method", bits: 8}, fieldSpec{name: "flags", bits: 8},
 		fieldSpec{name: "callid", bits: 32}, fieldSpec{name: "arg0", bits: 64}, fieldSpec{name: "arg1", bits: 64}, fieldSpec{name: "arg2", bits: 64})
 )
@@ -109,36 +123,21 @@ var (
 // HeaderBytes returns the wire size in bytes of the named header, or 0 if
 // the header type is unknown.
 func HeaderBytes(name string) int {
-	// Resolved without a map hash: Packet.Len walks the header stack per
-	// packet, so this sits on the data path.
-	switch name {
-	case "eth":
-		return specEthernet.bytes
-	case "vlan":
-		return specVLAN.bytes
-	case "ipv4":
-		return specIPv4.bytes
-	case "tcp":
-		return specTCP.bytes
-	case "udp":
-		return specUDP.bytes
-	case "flexepoch":
-		return specFlexEpoch.bytes
-	case "int":
-		return specINT.bytes
-	case "drpc":
-		return specDRPC.bytes
-	}
-	return 0
+	id, _ := HeaderIDOf(name)
+	return int(headerSize[id])
 }
 
 // EncodeHeader serializes the named header's fields from the packet into
 // wire bytes appended to dst.
 func EncodeHeader(dst []byte, name string, p *Packet) ([]byte, error) {
-	s, ok := headerSpecs[name]
-	if !ok {
+	s := specNamed(name)
+	if s == nil {
 		return dst, fmt.Errorf("packet: unknown header %q", name)
 	}
+	return s.encode(dst, p)
+}
+
+func (s *headerSpec) encode(dst []byte, p *Packet) ([]byte, error) {
 	var bitbuf uint64
 	bits := 0
 	for _, f := range s.fields {
@@ -163,7 +162,7 @@ func EncodeHeader(dst []byte, name string, p *Packet) ([]byte, error) {
 		}
 	}
 	if bits != 0 {
-		return dst, fmt.Errorf("packet: header %q not byte aligned after encode", name)
+		return dst, fmt.Errorf("packet: header %q not byte aligned after encode", s.name)
 	}
 	return dst, nil
 }
@@ -171,12 +170,16 @@ func EncodeHeader(dst []byte, name string, p *Packet) ([]byte, error) {
 // DecodeHeader parses the named header from src into the packet's fields
 // and returns the remaining bytes.
 func DecodeHeader(src []byte, name string, p *Packet) ([]byte, error) {
-	s, ok := headerSpecs[name]
-	if !ok {
+	s := specNamed(name)
+	if s == nil {
 		return src, fmt.Errorf("packet: unknown header %q", name)
 	}
+	return s.decode(src, p)
+}
+
+func (s *headerSpec) decode(src []byte, p *Packet) ([]byte, error) {
 	if len(src) < s.bytes {
-		return src, fmt.Errorf("packet: short buffer for header %q: have %d bytes, need %d", name, len(src), s.bytes)
+		return src, fmt.Errorf("packet: short buffer for header %q: have %d bytes, need %d", s.name, len(src), s.bytes)
 	}
 	bitpos := 0
 	buf := src[:s.bytes]
@@ -198,7 +201,9 @@ func DecodeHeader(src []byte, name string, p *Packet) ([]byte, error) {
 		}
 		p.SetFieldByID(f.id, v)
 	}
-	p.AddHeader(name)
+	if err := p.AddHeaderID(s.id); err != nil {
+		return src, err
+	}
 	return src[s.bytes:], nil
 }
 
@@ -207,9 +212,13 @@ func DecodeHeader(src []byte, name string, p *Packet) ([]byte, error) {
 func Marshal(p *Packet) ([]byte, error) {
 	var out []byte
 	var err error
-	for _, h := range p.Headers {
-		out, err = EncodeHeader(out, h, p)
-		if err != nil {
+	for i := 0; i < p.Headers.Len(); i++ {
+		id := p.Headers.At(i)
+		s := specByID[id]
+		if s == nil {
+			return nil, fmt.Errorf("packet: unknown header %q", HeaderName(id))
+		}
+		if out, err = s.encode(out, p); err != nil {
 			return nil, err
 		}
 	}
@@ -232,11 +241,11 @@ func ipv4HeaderChecksum(hdr []byte) uint16 {
 
 // FixIPv4Checksum recomputes and stores "ipv4.csum" for the packet.
 func FixIPv4Checksum(p *Packet) error {
-	if !p.Has("ipv4") {
+	if !p.Headers.Has(HeaderIPv4) {
 		return fmt.Errorf("packet: no ipv4 header present")
 	}
 	p.SetFieldByID(fidIPv4Csum, 0)
-	raw, err := EncodeHeader(nil, "ipv4", p)
+	raw, err := specIPv4.encode(nil, p)
 	if err != nil {
 		return err
 	}
@@ -249,7 +258,7 @@ func VerifyIPv4Checksum(p *Packet) bool {
 	want := p.FieldByID(fidIPv4Csum)
 	saved := want
 	p.SetFieldByID(fidIPv4Csum, 0)
-	raw, err := EncodeHeader(nil, "ipv4", p)
+	raw, err := specIPv4.encode(nil, p)
 	p.SetFieldByID(fidIPv4Csum, saved)
 	if err != nil {
 		return false

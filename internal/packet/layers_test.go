@@ -17,7 +17,9 @@ func TestEncodeUnknownHeader(t *testing.T) {
 
 func TestMarshalUnknownHeaderFails(t *testing.T) {
 	p := New(1)
-	p.Headers = append(p.Headers, "ghost")
+	if err := p.AddHeader("ghost"); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := Marshal(p); err == nil {
 		t.Fatal("marshalled packet with unknown header")
 	}

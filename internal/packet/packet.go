@@ -16,8 +16,11 @@
 // Internally the PHV is a dense vector indexed by interned FieldID (see
 // intern.go), not a map: per-packet field access on the linked fast path
 // is a bounds-checked array load, exactly as a compiled datapath would
-// address a PHV slot. The string-keyed accessors remain for control-plane
-// and test convenience.
+// address a PHV slot. The header chain is likewise a value of interned
+// HeaderIDs (Chain), not names: presence is an ID test, Len is O(1), and
+// two chains compare with ==. A packet is one allocation, whose struct
+// holds its chain, its PHV and the PHV's presence bitset. The
+// string-keyed accessors remain for control-plane and test convenience.
 //
 // DESIGN.md §2 (S2) inventories the layer set; §7 documents the install-time linking fast path built on these views.
 package packet
@@ -80,8 +83,8 @@ type Packet struct {
 	// present is a bitset over FieldIDs marking which fields exist.
 	present []uint64
 
-	// Headers lists the header names present, in parse order.
-	Headers []string
+	// Headers is the header chain: the headers present, in parse order.
+	Headers Chain
 	// PayloadLen is the number of payload bytes beyond parsed headers.
 	PayloadLen int
 
@@ -104,15 +107,17 @@ type Packet struct {
 	// the packet visited; experiments use it to verify end-to-end paths.
 	Trace []string
 
-	// hdrBuf and presentBuf back Headers and present until they outgrow
-	// them, which leaves the struct and the PHV as a packet's only
-	// allocations: a full Eth/IPv4/L4 chain has room for one more header,
-	// and the bitset covers inlinePresentWords*64 interned fields.
-	hdrBuf     [4]string
-	presentBuf [inlinePresentWords]uint64
+	// presentBuf and valsBuf back present and vals until the PHV outgrows
+	// inlineFields, which leaves the struct a packet's only allocation.
+	presentBuf [(inlineFields + 63) / 64]uint64
+	valsBuf    [inlineFields]uint64
 }
 
-const inlinePresentWords = 4
+// inlineFields is the PHV a packet holds in its own allocation: the
+// standard headers' 48 fields and a dozen program fields. The struct is
+// then 632 bytes, which with the 8-byte header the Go allocator puts on
+// a pointerful object over 512 bytes fills the 640-byte size class.
+const inlineFields = 60
 
 // New creates an empty packet with the given id. The PHV is sized to the
 // current intern table so steady-state field access never reallocates.
@@ -120,14 +125,20 @@ func New(id uint64) *Packet { return newSized(id, NumFieldIDs()) }
 
 // newSized is New for a PHV of n fields.
 func newSized(id uint64, n int) *Packet {
-	p := &Packet{ID: id, vals: make([]uint64, n)}
-	p.Headers = p.hdrBuf[:0]
-	if words := (n + 63) / 64; words <= inlinePresentWords {
-		p.present = p.presentBuf[:words]
-	} else {
-		p.present = make([]uint64, words)
-	}
+	p := &Packet{ID: id}
+	p.vals, p.present = p.phv(n)
 	return p
+}
+
+// phv returns a PHV of n fields and its presence bitset: the packet's
+// inline storage while n fits, one heap block past it.
+func (p *Packet) phv(n int) (vals, present []uint64) {
+	words := (n + 63) / 64
+	if n <= inlineFields {
+		return p.valsBuf[:n], p.presentBuf[:words]
+	}
+	buf := make([]uint64, n+words)
+	return buf[:n:n], buf[n:]
 }
 
 // Clone deep-copies the packet. Clones are used when a device replicates
@@ -135,7 +146,7 @@ func newSized(id uint64, n int) *Packet {
 func (p *Packet) Clone() *Packet {
 	q := &Packet{
 		ID:          p.ID,
-		vals:        append([]uint64(nil), p.vals...),
+		Headers:     p.Headers,
 		PayloadLen:  p.PayloadLen,
 		IngressPort: p.IngressPort,
 		EgressPort:  p.EgressPort,
@@ -143,10 +154,9 @@ func (p *Packet) Clone() *Packet {
 		SentAt:      p.SentAt,
 		HasSentAt:   p.HasSentAt,
 	}
-	// append copies into the clone's own inline storage while it fits,
-	// and allocates past it.
-	q.Headers = append(q.hdrBuf[:0], p.Headers...)
-	q.present = append(q.presentBuf[:0], p.present...)
+	q.vals, q.present = q.phv(len(p.vals))
+	copy(q.vals, p.vals)
+	copy(q.present, p.present)
 	if p.Trace != nil {
 		q.Trace = append([]string(nil), p.Trace...)
 	}
@@ -159,35 +169,46 @@ func (p *Packet) StampSent(now uint64) {
 	p.SentAt, p.HasSentAt = now, true
 }
 
-// Has reports whether the named header was parsed.
+// Has reports whether the named header is in the chain. The packet path
+// tests an ID it resolved once instead: Headers.Has(id).
 func (p *Packet) Has(header string) bool {
-	for _, h := range p.Headers {
-		if h == header {
-			return true
-		}
-	}
-	return false
+	id, ok := HeaderIDOf(header)
+	return ok && p.Headers.Has(id)
 }
 
-// AddHeader records that the named header is present. Adding a header that
-// is already present is a no-op.
-func (p *Packet) AddHeader(header string) {
-	if !p.Has(header) {
-		p.Headers = append(p.Headers, header)
+// AddHeader appends the named header to the chain, interning the name on
+// first use. Adding a header that is already present is a no-op; a full
+// chain or header ID space is an error, and the chain is left as it was.
+func (p *Packet) AddHeader(header string) error {
+	id, err := InternHeader(header)
+	if err != nil {
+		return err
 	}
+	return p.Headers.insert(ChainCap, id)
 }
+
+// AddHeaderID is AddHeader by interned ID.
+func (p *Packet) AddHeaderID(id HeaderID) error { return p.Headers.insert(ChainCap, id) }
+
+// InsertHeaderID puts the header at position i of the chain (0 is
+// outermost; past the end appends), as a VLAN tag goes in after
+// Ethernet. A header already present stays where it is.
+func (p *Packet) InsertHeaderID(i int, id HeaderID) error { return p.Headers.insert(i, id) }
 
 // RemoveHeader removes the named header and all of its fields.
 func (p *Packet) RemoveHeader(header string) {
-	out := p.Headers[:0]
-	for _, h := range p.Headers {
-		if h != header {
-			out = append(out, h)
-		}
+	if id, ok := HeaderIDOf(header); ok {
+		p.Headers.remove(id)
 	}
-	p.Headers = out
 	for _, id := range HeaderFieldIDs(header) {
 		p.clearField(id)
+	}
+}
+
+// RemoveHeaderID is RemoveHeader by interned ID.
+func (p *Packet) RemoveHeaderID(id HeaderID) {
+	if name := HeaderName(id); name != "" {
+		p.RemoveHeader(name)
 	}
 }
 
@@ -293,13 +314,7 @@ func (p *Packet) fieldIDs(dst []FieldID) []FieldID {
 
 // Len returns the total simulated length in bytes: the sum of the sizes
 // of present headers plus the payload length.
-func (p *Packet) Len() int {
-	n := p.PayloadLen
-	for _, h := range p.Headers {
-		n += HeaderBytes(h)
-	}
-	return n
-}
+func (p *Packet) Len() int { return p.PayloadLen + p.Headers.Bytes() }
 
 // FlowKey returns the canonical 5-tuple flow key of the packet. Packets
 // without an IPv4 header hash to a degenerate key of their ingress port.
@@ -370,7 +385,7 @@ func IP(a, b, c, d byte) uint32 {
 // String renders a compact, deterministic description of the packet.
 func (p *Packet) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "pkt %d [%s]", p.ID, strings.Join(p.Headers, ","))
+	fmt.Fprintf(&b, "pkt %d [%s]", p.ID, p.Headers)
 	ids := p.fieldIDs(nil)
 	keys := make([]string, 0, len(ids))
 	for _, id := range ids {

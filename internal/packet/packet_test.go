@@ -3,9 +3,13 @@ package packet
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
+
+// builtSink keeps the packets TestBuildersUnchanged sizes on the heap.
+var builtSink *Packet
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	p := TCPPacket(1, IP(10, 0, 0, 1), IP(10, 0, 0, 2), 1234, 80, TCPSyn, 100)
@@ -107,11 +111,10 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-// TestCloneInlineStorage: a packet's header chain and presence bitset
-// live in the struct until they outgrow it, so a clone must point at its
-// own copies. Nothing done to either packet — a header added within the
-// four inline slots and one past them, a header removed, a field set that
-// was interned after both were made, a field past the inline bitset —
+// TestCloneInlineStorage: a packet's PHV and presence bitset live in the
+// struct until they outgrow it, so a clone must point at its own copies.
+// Nothing done to either packet — headers added and removed, a field set
+// that was interned after both were made, a field past the inline PHV —
 // may show on the other.
 func TestCloneInlineStorage(t *testing.T) {
 	p := TCPPacket(1, 1, 2, 3, 4, TCPSyn, 10)
@@ -141,10 +144,10 @@ func TestCloneInlineStorage(t *testing.T) {
 	onOrig("fifth header", func(x *Packet) { x.AddHeader("drpc") })
 	onClone("RemoveHeader", func(x *Packet) { x.RemoveHeader("tcp") })
 	onOrig("RemoveHeader", func(x *Packet) { x.RemoveHeader("ipv4") })
-	if want := []string{"eth", "ipv4", "vlan", "flexepoch"}; !reflect.DeepEqual(q.Headers, want) {
+	if want := []string{"eth", "ipv4", "vlan", "flexepoch"}; !reflect.DeepEqual(q.Headers.Names(), want) {
 		t.Fatalf("clone headers = %v, want %v", q.Headers, want)
 	}
-	if want := []string{"eth", "tcp", "int", "drpc"}; !reflect.DeepEqual(p.Headers, want) {
+	if want := []string{"eth", "tcp", "int", "drpc"}; !reflect.DeepEqual(p.Headers.Names(), want) {
 		t.Fatalf("original headers = %v, want %v", p.Headers, want)
 	}
 
@@ -157,9 +160,9 @@ func TestCloneInlineStorage(t *testing.T) {
 	if p.FieldByID(late) != 9 || q.FieldByID(late) != 7 {
 		t.Fatalf("late field = %d / %d, want 9 / 7", p.FieldByID(late), q.FieldByID(late))
 	}
-	beyond := FieldID(64*inlinePresentWords + 5) // past the inline bitset
-	onOrig("field past the inline bitset", func(x *Packet) { x.SetFieldByID(beyond, 1) })
-	onClone("field past the inline bitset", func(x *Packet) { x.SetFieldByID(beyond, 2) })
+	beyond := FieldID(64 + 5) // past the inline PHV and its one-word bitset
+	onOrig("field past the inline PHV", func(x *Packet) { x.SetFieldByID(beyond, 1) })
+	onClone("field past the inline PHV", func(x *Packet) { x.SetFieldByID(beyond, 2) })
 	if v, ok := p.FieldOKByID(beyond); !ok || v != 1 {
 		t.Fatalf("original field %d = %d/%v, want 1/true", beyond, v, ok)
 	}
@@ -174,14 +177,14 @@ func TestCloneInlineStorage(t *testing.T) {
 	step("clearing a header on the grown original", p, r, &rWas, func(x *Packet) { x.RemoveHeader("eth") })
 }
 
-// TestNewPastInlineBitset: with more fields interned than the inline
-// bitset covers, New falls back to a heap bitset and the packet behaves
-// the same.
+// TestNewPastInlineBitset: with more fields interned than the inline PHV
+// and its bitset hold, New falls back to a heap PHV and bitset, and the
+// packet behaves the same.
 func TestNewPastInlineBitset(t *testing.T) {
-	n := 64*inlinePresentWords + 1
+	n := 64 + 1
 	p := newSized(1, n)
-	if len(p.present) != inlinePresentWords+1 || len(p.vals) != n {
-		t.Fatalf("present/vals = %d/%d words, want %d/%d", len(p.present), len(p.vals), inlinePresentWords+1, n)
+	if len(p.present) != 2 || len(p.vals) != n || &p.vals[0] == &p.valsBuf[0] {
+		t.Fatalf("present/vals = %d/%d words (inline %v), want 2/%d on the heap", len(p.present), len(p.vals), &p.vals[0] == &p.valsBuf[0], n)
 	}
 	last := FieldID(n - 1)
 	p.SetFieldByID(last, 5)
@@ -260,8 +263,8 @@ func TestVerdictString(t *testing.T) {
 // pre-interned ID and size the header chain up front; the packets must
 // be what the name-by-name construction they replaced produced, on
 // every interned field, presence bit, header order and Len(), and cost
-// at most two allocations: the struct, which holds the header chain and
-// the presence bitset inline, and the PHV.
+// one allocation: the struct, which holds the header chain, the PHV and
+// its presence bitset inline, in the allocator's 640-byte size class.
 func TestBuildersUnchanged(t *testing.T) {
 	byName := func(id uint64, src, dst uint32, proto uint64, l4 string, payload int, l4fields map[string]uint64) *Packet {
 		p := New(id)
@@ -311,10 +314,20 @@ func TestBuildersUnchanged(t *testing.T) {
 		byName(9, src, dst, ProtoUDP, "udp", 400, map[string]uint64{
 			"udp.sport": 5353, "udp.dport": 53, "udp.len": 408}))
 
-	if n := testing.AllocsPerRun(100, func() { TCPPacket(1, src, dst, 1, 2, 0, 64) }); n > 2 {
-		t.Fatalf("TCPPacket: %v allocations, want at most 2", n)
+	if n := testing.AllocsPerRun(100, func() { TCPPacket(1, src, dst, 1, 2, 0, 64) }); n > 1 {
+		t.Fatalf("TCPPacket: %v allocations, want at most 1", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { UDPPacket(1, src, dst, 1, 2, 64) }); n > 2 {
-		t.Fatalf("UDPPacket: %v allocations, want at most 2", n)
+	if n := testing.AllocsPerRun(100, func() { UDPPacket(1, src, dst, 1, 2, 64) }); n > 1 {
+		t.Fatalf("UDPPacket: %v allocations, want at most 1", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const n = 1000
+	for i := 0; i < n; i++ {
+		builtSink = UDPPacket(1, src, dst, 1, 2, 64)
+	}
+	runtime.ReadMemStats(&after)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / n; bytes > 640 {
+		t.Fatalf("a packet takes %d bytes from the allocator, past the 640-byte size class", bytes)
 	}
 }

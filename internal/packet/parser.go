@@ -27,6 +27,9 @@ type ParseState struct {
 	Transitions map[uint64]string
 	// Default is the next state when no transition matches; "" accepts.
 	Default string
+
+	// spec is Header's layout, resolved when the state is added.
+	spec *headerSpec
 }
 
 // newParseGraph creates a parser with the given start state name.
@@ -34,10 +37,16 @@ func newParseGraph(start string) *ParseGraph {
 	return &ParseGraph{states: make(map[string]*ParseState), start: start}
 }
 
-// addState installs a state; a name may be installed once.
+// addState installs a state; a name may be installed once, and its
+// header must be a registered one.
 func (g *ParseGraph) addState(s *ParseState) {
 	if _, ok := g.states[s.Name]; ok {
 		panic(fmt.Sprintf("packet: parse state %q already exists", s.Name))
+	}
+	if s.Header != "" {
+		if s.spec = specNamed(s.Header); s.spec == nil {
+			panic(fmt.Sprintf("packet: parse state %q extracts unknown header %q", s.Name, s.Header))
+		}
 	}
 	if s.Transitions == nil {
 		s.Transitions = map[uint64]string{}
@@ -70,10 +79,9 @@ func (g *ParseGraph) Parse(src []byte, p *Packet) error {
 		if !ok {
 			return fmt.Errorf("packet: parse reached unknown state %q", state)
 		}
-		if st.Header != "" {
+		if st.spec != nil {
 			var err error
-			src, err = DecodeHeader(src, st.Header, p)
-			if err != nil {
+			if src, err = st.spec.decode(src, p); err != nil {
 				return err
 			}
 		}
@@ -97,8 +105,8 @@ func (g *ParseGraph) CheckFields(p *Packet) error {
 		if !ok {
 			return fmt.Errorf("packet: parse reached unknown state %q", state)
 		}
-		if st.Header != "" {
-			if idx >= len(p.Headers) || p.Headers[idx] != st.Header {
+		if st.spec != nil {
+			if idx >= p.Headers.Len() || p.Headers.At(idx) != st.spec.id {
 				return nil
 			}
 			idx++
@@ -132,13 +140,13 @@ var standardParseGraph = buildStandardParseGraph()
 func buildStandardParseGraph() *ParseGraph {
 	g := newParseGraph("start")
 	g.addState(&ParseState{Name: "start", Default: "eth"})
-	g.addState(&ParseState{Name: "eth", Header: "eth", SelectField: "eth.type"})
-	g.addState(&ParseState{Name: "flexepoch", Header: "flexepoch", SelectField: "flexepoch.type"})
-	g.addState(&ParseState{Name: "vlan", Header: "vlan", SelectField: "vlan.type"})
-	g.addState(&ParseState{Name: "ipv4", Header: "ipv4", SelectField: "ipv4.proto"})
-	g.addState(&ParseState{Name: "tcp", Header: "tcp"})
-	g.addState(&ParseState{Name: "udp", Header: "udp"})
-	g.addState(&ParseState{Name: "drpc", Header: "drpc"})
+	g.addState(&ParseState{Name: "eth", Header: specEthernet.name, SelectField: "eth.type"})
+	g.addState(&ParseState{Name: "flexepoch", Header: specFlexEpoch.name, SelectField: "flexepoch.type"})
+	g.addState(&ParseState{Name: "vlan", Header: specVLAN.name, SelectField: "vlan.type"})
+	g.addState(&ParseState{Name: "ipv4", Header: specIPv4.name, SelectField: "ipv4.proto"})
+	g.addState(&ParseState{Name: "tcp", Header: specTCP.name})
+	g.addState(&ParseState{Name: "udp", Header: specUDP.name})
+	g.addState(&ParseState{Name: "drpc", Header: specDRPC.name})
 	g.addTransition("eth", EtherTypeIPv4, "ipv4")
 	g.addTransition("eth", EtherTypeVLAN, "vlan")
 	g.addTransition("eth", EtherTypeFlexEpoch, "flexepoch")

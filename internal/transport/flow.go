@@ -43,7 +43,7 @@ func NewEndpoint(h *fabric.Host) *Endpoint {
 func (ep *Endpoint) Host() *fabric.Host { return ep.host }
 
 func (ep *Endpoint) handle(p *packet.Packet) bool {
-	if !p.Has("tcp") {
+	if !p.Headers.Has(packet.HeaderTCP) {
 		return false
 	}
 	flags := p.Field("tcp.flags")
