@@ -60,7 +60,10 @@ lint:
 spec-check:
 	$(GO) run ./cmd/flexbench -spec-check examples/specs
 
-check: fmt vet lint spec-check build test benchmark-test race mutants docs
+# check is the whole local gate: formatting, vet and lint, the spec
+# examples, the tests (plain, race and mutants), the benchmark module,
+# and the byte-identity gates on BENCH_BASELINE.md and the docs.
+check: fmt vet lint spec-check build test benchmark-test race mutants benchdiff docs
 
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ./internal/flexbpf ./internal/telemetry ./internal/netsim ./internal/fabric ./internal/dataplane

@@ -119,43 +119,17 @@ func main() {
 		}
 	}
 
-	runners := []struct {
-		id string
-		fn func(int64) *experiments.Table
-	}{
-		{"E1", experiments.E1Hitless},
-		{"E2", experiments.E2ReconfigLatency},
-		{"E3", experiments.E3Consistency},
-		{"E4", experiments.E4DynamicApps},
-		{"E5", experiments.E5SecurityElastic},
-		{"E6", experiments.E6CCSwap},
-		{"E7", experiments.E7TenantChurn},
-		{"E8", experiments.E8FungibleCompile},
-		{"E9", experiments.E9Incremental},
-		{"E10", experiments.E10TableMerge},
-		{"E11", experiments.E11StateMigration},
-		{"E12", experiments.E12FaultTolerance},
-		{"E13", experiments.E13Energy},
-		{"E14", experiments.E14DRPC},
-		{"E15", experiments.E15FaultRecovery},
-		{"E16", experiments.E16ScaleOut},
-		{"E17", experiments.E17FastPath},
-		{"E18", experiments.E18ControlPlane},
-		{"E19", experiments.E19SpecReconcile},
-		{"E20", experiments.E20HAFailover},
-	}
-
 	var rendered []string
-	for _, r := range runners {
-		if len(want) > 0 && !want[r.id] {
+	for _, e := range experiments.Suite {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
 		start := time.Now()
-		tab := r.fn(*seed)
+		tab := e.Run(*seed)
 		elapsed := time.Since(start)
 		text := tab.Render()
 		fmt.Println(text)
-		fmt.Printf("(%s took %v wall time)\n\n", r.id, elapsed.Round(time.Millisecond))
+		fmt.Printf("(%s took %v wall time)\n\n", e.ID, elapsed.Round(time.Millisecond))
 		rendered = append(rendered, text)
 	}
 

@@ -175,11 +175,17 @@ func TestIntegrationExperimentSuiteRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite is slow")
 	}
+	if len(experiments.Suite) != 20 {
+		t.Fatalf("suite lists %d experiments, want 20", len(experiments.Suite))
+	}
 	tables := experiments.All(1)
-	if len(tables) != 20 {
+	if len(tables) != len(experiments.Suite) {
 		t.Fatalf("suite produced %d tables", len(tables))
 	}
-	for _, tab := range tables {
+	for i, tab := range tables {
+		if tab.ID != experiments.Suite[i].ID {
+			t.Errorf("table %d is %s, want %s", i, tab.ID, experiments.Suite[i].ID)
+		}
 		if len(tab.Rows) == 0 {
 			t.Errorf("%s has no rows", tab.ID)
 		}

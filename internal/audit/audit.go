@@ -142,17 +142,6 @@ func (l *Log) Append(r Record) Record {
 	return r
 }
 
-// RecordsFrom returns a copy of the chain suffix starting at sequence
-// number seq — the backlog a stale standby must replay.
-func (l *Log) RecordsFrom(seq uint64) []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if seq >= uint64(len(l.records)) {
-		return nil
-	}
-	return append([]Record(nil), l.records[seq:]...)
-}
-
 // Records returns a copy of the chain.
 func (l *Log) Records() []Record {
 	l.mu.Lock()

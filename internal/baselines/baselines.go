@@ -88,11 +88,6 @@ func NewMantis(dev *dataplane.Device, candidates []*flexbpf.Program) (*Mantis, e
 	return m, nil
 }
 
-// TotalDemand reports the resources the precompiled set consumes.
-func (m *Mantis) TotalDemand() flexbpf.Demand {
-	return m.dev.InstalledDemand()
-}
-
 // Activate selects the named candidate (or "" to deactivate all). It
 // fails for programs outside the precompiled set — Mantis cannot host
 // unanticipated logic.

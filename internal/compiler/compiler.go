@@ -16,8 +16,14 @@
 //     energy objective by consolidating programs onto already-active
 //     devices (§3.3 "performance and energy optimizations", [57]).
 //
-// The compiler is pure: it plans against Target views and never touches
-// devices; the controller applies plans through the runtime executor.
+// Planning never changes what a device runs. Garbage collection is a
+// compile round on the scratch view: a reclaimed program's demand is
+// refunded to its device's free resources (RefundTarget), and the plan
+// lists the (device, program) pairs it counted as freed; removing them
+// is the caller's business, through the runtime executor like every
+// other change. The one primitive that reaches a device is the repack
+// round (Target.Repack), which rearranges a device's internal stage
+// layout and never its program set, epoch or free resources.
 //
 // DESIGN.md §2 (S7) and §4 record the placement model and its design decisions; §3 (E8, E9, E10, E13) lists the compiler experiments.
 package compiler
@@ -56,15 +62,13 @@ type Target interface {
 	IdleWatts() float64
 	ActiveWatts() float64
 
-	// Repack defragments the device, returning moved allocation units.
-	// Only invoked by the fungible strategy.
+	// Repack defragments the device's stage layout, returning moved
+	// allocation units. Only invoked by the fungible strategy.
 	Repack() (int, error)
 	// Removable returns names of programs the owner has marked
 	// reclaimable (unused functions, departed tenants), with their
 	// resource demands.
 	Removable() map[string]flexbpf.Demand
-	// Reclaim removes a removable program, freeing its resources.
-	Reclaim(name string) error
 }
 
 // Strategy selects the compilation algorithm.
@@ -102,9 +106,11 @@ type Plan struct {
 	Assignments []Assignment
 	// Iterations is how many compile rounds were needed (1 = first try).
 	Iterations int
-	// Repacks and Reclaims count optimization primitives invoked.
-	Repacks  int
-	Reclaims int
+	// Repacks counts repack primitives invoked.
+	Repacks int
+	// Reclaims lists the removable programs the placement counts as
+	// freed, in device then program order. Nothing has removed them.
+	Reclaims []Reclaim
 	// EstLatencyNs is the summed device base latency along the placement.
 	EstLatencyNs uint64
 	// EnergyWatts is the added static power of devices activated by this
@@ -118,6 +124,13 @@ type Plan struct {
 	TargetsScanned int
 }
 
+// Reclaim names one removable program a plan's placement relies on
+// having freed.
+type Reclaim struct {
+	Device  string
+	Program string
+}
+
 // DeviceFor returns the device assigned to a segment, or "".
 func (p *Plan) DeviceFor(segment string) string {
 	for _, a := range p.Assignments {
@@ -128,16 +141,17 @@ func (p *Plan) DeviceFor(segment string) string {
 	return ""
 }
 
+// maxIterations bounds fungible compilation rounds.
+const maxIterations = 4
+
 // Compiler plans datapath placements over a set of targets.
 type Compiler struct {
 	Strategy Strategy
-	// MaxIterations bounds fungible compilation rounds.
-	MaxIterations int
 }
 
 // New creates a compiler with the given strategy.
 func New(s Strategy) *Compiler {
-	return &Compiler{Strategy: s, MaxIterations: 4}
+	return &Compiler{Strategy: s}
 }
 
 // scratchTarget tracks planned consumption on top of a Target during one
@@ -147,6 +161,33 @@ type scratchTarget struct {
 	planned flexbpf.Demand
 	// activated marks targets that this plan turns on.
 	activated bool
+	// reclaimed names the removable programs already refunded, so a
+	// later garbage-collection round does not count one twice.
+	reclaimed map[string]bool
+}
+
+// reclaim refunds the demand of every removable program not yet
+// reclaimed by wrapping the target in a RefundTarget, and returns the
+// newly reclaimed names in sorted order.
+func (st *scratchTarget) reclaim() []string {
+	var names []string
+	var refund flexbpf.Demand
+	removable := st.Removable()
+	for _, name := range sortedKeys(removable) {
+		if st.reclaimed[name] {
+			continue
+		}
+		if st.reclaimed == nil {
+			st.reclaimed = map[string]bool{}
+		}
+		st.reclaimed[name] = true
+		refund = refund.Add(removable[name])
+		names = append(names, name)
+	}
+	if len(names) > 0 {
+		st.Target = &RefundTarget{Target: st.Target, Refund: refund}
+	}
+	return names
 }
 
 func (st *scratchTarget) freeNow() flexbpf.Demand {
@@ -184,7 +225,7 @@ func (c *Compiler) Compile(dp *flexbpf.Datapath, targets []Target, path []string
 		}
 	}
 
-	maxIter := c.MaxIterations
+	maxIter := maxIterations
 	if c.Strategy == StrategyBinPack {
 		maxIter = 1
 	}
@@ -216,13 +257,12 @@ func (c *Compiler) Compile(dp *flexbpf.Datapath, targets []Target, path []string
 				}
 			}
 		} else {
-			// Round 3+ preparation: garbage-collect removable programs.
+			// Round 3+ preparation: garbage-collect removable programs
+			// on the scratch view.
 			for _, st := range scratch {
-				for _, name := range sortedKeys(st.Removable()) {
-					if err := st.Reclaim(name); err == nil {
-						plan.Reclaims++
-						progressed = true
-					}
+				for _, name := range st.reclaim() {
+					plan.Reclaims = append(plan.Reclaims, Reclaim{Device: st.Name(), Program: name})
+					progressed = true
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -46,21 +47,6 @@ func (t *fakeTarget) Repack() (int, error) {
 	}
 	return 0, nil
 }
-func (t *fakeTarget) Reclaim(name string) error {
-	d, ok := t.removable[name]
-	if !ok {
-		return errNotRemovable
-	}
-	t.free = t.free.Add(d)
-	delete(t.removable, name)
-	return nil
-}
-
-var errNotRemovable = &merr{"not removable"}
-
-type merr struct{ s string }
-
-func (e *merr) Error() string { return e.s }
 
 func bigDemand() flexbpf.Demand {
 	return flexbpf.Demand{SRAMBits: 1 << 20, TCAMBits: 1 << 16, ALUs: 256, Tables: 16, ParserStates: 16}
@@ -166,8 +152,8 @@ func TestBinPackFailsWhereFungibleSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fungible compile failed: %v", err)
 	}
-	if plan.Reclaims == 0 {
-		t.Fatal("fungible compile did not reclaim")
+	if want := []Reclaim{{Device: "sw", Program: "old_app"}}; !reflect.DeepEqual(plan.Reclaims, want) {
+		t.Fatalf("reclaims = %v, want %v", plan.Reclaims, want)
 	}
 	if plan.Iterations < 2 {
 		t.Fatalf("iterations = %d, want >= 2", plan.Iterations)
@@ -524,14 +510,35 @@ func TestDeviceTargetAdapter(t *testing.T) {
 	if err := tgt.MarkRemovable("app"); err != nil {
 		t.Fatal(err)
 	}
-	free := tgt.Free()
-	if err := tgt.Reclaim("app"); err != nil {
+	if got, want := tgt.Removable()["app"], flexbpf.ProgramDemand(prog); got != want {
+		t.Fatalf("removable demand = %v, want %v", got, want)
+	}
+}
+
+// TestFungibleReclaimLeavesDeviceUntouched checks the garbage-collection
+// round plans on the scratch view: the placement counts the removable
+// program as freed and names it, but the device keeps running it.
+func TestFungibleReclaimLeavesDeviceUntouched(t *testing.T) {
+	dev := dataplane.MustNew(dataplane.DefaultConfig("sw", dataplane.ArchDRMT))
+	tgt := NewDeviceTarget(dev)
+	if err := dev.InstallProgram(segment("stale", dev.Capacity().SRAMBits*6/10)); err != nil {
 		t.Fatal(err)
 	}
-	if tgt.Free().SRAMBits <= free.SRAMBits {
-		t.Fatal("reclaim freed nothing")
+	if err := tgt.MarkRemovable("stale"); err != nil {
+		t.Fatal(err)
 	}
-	if err := tgt.Reclaim("app"); err == nil {
-		t.Fatal("double reclaim succeeded")
+	programs, epoch, free := dev.Programs(), dev.Epoch(), dev.Free()
+
+	seg := segment("new", dev.Capacity().SRAMBits/2)
+	plan, err := New(StrategyFungible).Compile(dp("d", seg), []Target{tgt}, nil)
+	if err != nil {
+		t.Fatalf("fungible compile failed: %v", err)
+	}
+	if want := []Reclaim{{Device: "sw", Program: "stale"}}; !reflect.DeepEqual(plan.Reclaims, want) {
+		t.Fatalf("reclaims = %v, want %v", plan.Reclaims, want)
+	}
+	if !reflect.DeepEqual(dev.Programs(), programs) || dev.Epoch() != epoch || dev.Free() != free {
+		t.Fatalf("planning changed the device: programs %v → %v, epoch %d → %d, free %v → %v",
+			programs, dev.Programs(), epoch, dev.Epoch(), free, dev.Free())
 	}
 }

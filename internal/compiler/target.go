@@ -8,8 +8,8 @@ import (
 )
 
 // DeviceTarget adapts a dataplane.Device to the Target interface.
-// Removable programs must be registered explicitly by the owner (the
-// controller marks tenant-departed or unused programs reclaimable).
+// Removable programs must be registered explicitly by the owner
+// (MarkRemovable); the compiler only counts them as freed.
 type DeviceTarget struct {
 	Dev *dataplane.Device
 	// removable maps program name → demand, maintained by MarkRemovable.
@@ -75,15 +75,17 @@ func (t *DeviceTarget) Removable() map[string]flexbpf.Demand {
 }
 
 // RefundTarget overlays a Target with demand that should be treated as
-// free for the duration of one compilation. The controller uses it to
-// recompute an app's placement from scratch: the app's own installed
-// replicas still occupy their devices, so a plain full Compile would see
-// the fabric as fuller than the placement problem actually is. Refunding
-// the app's per-device demand makes repeated full recomputes reproduce
-// the original placement deterministically.
+// free for the duration of one compilation. The fungible strategy's
+// garbage-collection round refunds reclaimed programs with it, and the
+// controller uses it to recompute an app's placement from scratch: the
+// app's own installed replicas still occupy their devices, so a plain
+// full Compile would see the fabric as fuller than the placement
+// problem actually is. Refunding the app's per-device demand makes
+// repeated full recomputes reproduce the original placement
+// deterministically.
 //
 // CanHost is answered by demand arithmetic against the refunded Free —
-// the wrapped device's own dry-run would count the app's live replicas
+// the wrapped device's own dry-run would count the refunded programs
 // and refuse placements that are valid once they are released.
 type RefundTarget struct {
 	Target
@@ -96,16 +98,4 @@ func (t *RefundTarget) Free() flexbpf.Demand { return t.Target.Free().Add(t.Refu
 // CanHost implements Target by demand arithmetic over the refunded Free.
 func (t *RefundTarget) CanHost(prog *flexbpf.Program) bool {
 	return flexbpf.ProgramDemand(prog).Fits(t.Free())
-}
-
-// Reclaim implements Target.
-func (t *DeviceTarget) Reclaim(name string) error {
-	if _, ok := t.removable[name]; !ok {
-		return fmt.Errorf("compiler: %s: program %q not removable", t.Dev.Name(), name)
-	}
-	if err := t.Dev.RemoveProgram(name); err != nil {
-		return err
-	}
-	delete(t.removable, name)
-	return nil
 }

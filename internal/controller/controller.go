@@ -261,9 +261,6 @@ func (c *Controller) instrument(op string, done func(error)) func(error) {
 // O(fabric-size) baseline the E18 experiment measures against.
 func (c *Controller) SetIncrementalPlacement(on bool) { c.incremental = on }
 
-// IncrementalPlacement reports the current placement mode.
-func (c *Controller) IncrementalPlacement() bool { return c.incremental }
-
 // planningCharge prices one operation's placement work (scanned
 // candidate targets, recompiled segment placements) and records it in
 // the ctl.placement.* counters. Full mode additionally pays the per-op
@@ -876,23 +873,4 @@ func (c *Controller) ResourceView() []Resources {
 		})
 	}
 	return out
-}
-
-// MarkRemovable flags an app as reclaimable by the fungible compiler:
-// its device placements become garbage-collection candidates.
-func (c *Controller) MarkRemovable(uri string) error {
-	app := c.state.app(uri)
-	if app == nil {
-		return errNoApp(uri)
-	}
-	for seg, devs := range app.Replicas {
-		for _, dev := range devs {
-			if t := c.targets.get(dev); t != nil {
-				if err := t.MarkRemovable(instanceName(uri, seg)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
 }

@@ -429,12 +429,6 @@ func TestResourceViewAndMarkRemovable(t *testing.T) {
 			t.Fatalf("s1 programs = %v", r.Programs)
 		}
 	}
-	if err := c.MarkRemovable("flexnet://infra/sd"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MarkRemovable("flexnet://ghost/x"); err == nil {
-		t.Fatal("marked unknown app removable")
-	}
 }
 
 func TestPuntsReachController(t *testing.T) {

@@ -110,11 +110,10 @@ func (s *registry) deleteTenant(name string) {
 }
 
 // targetCache is the controller's compile-target inventory, keyed by
-// fabric generation (device count — fabric membership only grows).
-// Before this cache, every planning operation rebuilt the full target
-// list by walking fab.Devices(); now the list is rebuilt only when a
-// device joins, and lookups by name are O(1). DeviceTarget objects are
-// stable across refreshes because they carry state (MarkRemovable).
+// fabric generation (device count — fabric membership only grows): the
+// target list is rebuilt only when a device joins, and lookups by name
+// are O(1). The controller marks nothing removable, so its targets are
+// read-only views and fungible planning over them never reclaims.
 type targetCache struct {
 	mu     sync.Mutex
 	fab    *fabric.Fabric

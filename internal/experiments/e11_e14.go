@@ -233,17 +233,27 @@ func E13Energy(seed int64) *Table {
 		// Off-peak: only 3 small apps to place.
 		progs := []string{"a", "b", "c"}
 		var targets []*dataplane.Device
+		var views []compiler.Target
 		for i := 0; i < 4; i++ {
-			targets = append(targets, f.Device(fmt.Sprintf("sw%d", i)))
+			dev := f.Device(fmt.Sprintf("sw%d", i))
+			targets = append(targets, dev)
+			views = append(views, compiler.NewDeviceTarget(dev))
 		}
-		place := func(i int) *dataplane.Device {
-			if strategy == 0 { // spread (latency-first default)
+		energy := compiler.New(compiler.StrategyEnergy)
+		place := func(i int, prog *flexbpf.Program) *dataplane.Device {
+			if strategy == 0 { // spread (latency-first baseline, hand-placed)
 				return targets[i%len(targets)]
 			}
-			return targets[0] // consolidate
+			dp := &flexbpf.Datapath{Name: prog.Name, Segments: []*flexbpf.Program{prog}}
+			plan, err := energy.Compile(dp, views, nil)
+			if err != nil {
+				panic(err)
+			}
+			return f.Device(plan.DeviceFor(prog.Name))
 		}
 		for i, p := range progs {
-			if err := place(i).InstallProgram(exactTableProgram(p, 1000)); err != nil {
+			prog := exactTableProgram(p, 1000)
+			if err := place(i, prog).InstallProgram(prog); err != nil {
 				panic(err)
 			}
 		}

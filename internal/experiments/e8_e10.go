@@ -78,7 +78,7 @@ func E8FungibleCompile(seed int64) *Table {
 			if err == nil {
 				okFun++
 				iters += plan.Iterations
-				reclaims += plan.Reclaims
+				reclaims += len(plan.Reclaims)
 			}
 		}
 		t.Rows = append(t.Rows, []string{

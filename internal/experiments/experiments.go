@@ -84,30 +84,43 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func d(v uint64) string   { return fmt.Sprintf("%d", v) }
 func di(v int) string     { return fmt.Sprintf("%d", v) }
 
-// All runs every experiment at the default seed and returns the tables
-// in order. This is what cmd/flexbench and EXPERIMENTS.md generation
-// call.
+// Experiment is one entry of the suite: its ID and its runner.
+type Experiment struct {
+	ID  string
+	Run func(seed int64) *Table
+}
+
+// Suite lists every experiment in report order. All, cmd/flexbench and
+// EXPERIMENTS.md generation read it.
+var Suite = []Experiment{
+	{"E1", E1Hitless},
+	{"E2", E2ReconfigLatency},
+	{"E3", E3Consistency},
+	{"E4", E4DynamicApps},
+	{"E5", E5SecurityElastic},
+	{"E6", E6CCSwap},
+	{"E7", E7TenantChurn},
+	{"E8", E8FungibleCompile},
+	{"E9", E9Incremental},
+	{"E10", E10TableMerge},
+	{"E11", E11StateMigration},
+	{"E12", E12FaultTolerance},
+	{"E13", E13Energy},
+	{"E14", E14DRPC},
+	{"E15", E15FaultRecovery},
+	{"E16", E16ScaleOut},
+	{"E17", E17FastPath},
+	{"E18", E18ControlPlane},
+	{"E19", E19SpecReconcile},
+	{"E20", E20HAFailover},
+}
+
+// All runs every experiment of the Suite at seed and returns the tables
+// in order.
 func All(seed int64) []*Table {
-	return []*Table{
-		E1Hitless(seed),
-		E2ReconfigLatency(seed),
-		E3Consistency(seed),
-		E4DynamicApps(seed),
-		E5SecurityElastic(seed),
-		E6CCSwap(seed),
-		E7TenantChurn(seed),
-		E8FungibleCompile(seed),
-		E9Incremental(seed),
-		E10TableMerge(seed),
-		E11StateMigration(seed),
-		E12FaultTolerance(seed),
-		E13Energy(seed),
-		E14DRPC(seed),
-		E15FaultRecovery(seed),
-		E16ScaleOut(seed),
-		E17FastPath(seed),
-		E18ControlPlane(seed),
-		E19SpecReconcile(seed),
-		E20HAFailover(seed),
+	out := make([]*Table, 0, len(Suite))
+	for _, e := range Suite {
+		out = append(out, e.Run(seed))
 	}
+	return out
 }

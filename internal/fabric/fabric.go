@@ -408,8 +408,7 @@ func (f *Fabric) RefreshRoutes() error {
 // RefreshRoutesTouched is RefreshRoutes scoped to a change plan's
 // touched devices: routing deltas still reach every affected device,
 // but the full-fleet scan for replaced table instances is limited to
-// devs. The runtime executor uses this for plan-scoped RouteUpdate
-// steps (plan.ScopedRouteUpdater).
+// devs (empty means every device). It implements plan.RouteUpdater.
 func (f *Fabric) RefreshRoutesTouched(devs []string) error {
 	if len(devs) == 0 {
 		return f.refreshRoutes(nil)
@@ -526,17 +525,6 @@ func mergeSorted(a, b []string) []string {
 func contains(sorted []string, v string) bool {
 	i := sort.SearchStrings(sorted, v)
 	return i < len(sorted) && sorted[i] == v
-}
-
-// TotalDrops sums packet drops across links, devices, and unclaimed
-// packets. The hitless-reconfiguration experiments use this to verify
-// zero loss.
-func (f *Fabric) TotalDrops() uint64 {
-	total := f.Net.Drops + f.ContinueDrops
-	for _, d := range f.switches {
-		total += d.Stats().Dropped
-	}
-	return total
 }
 
 // InfrastructureDrops sums drops excluding intentional policy drops

@@ -145,12 +145,3 @@ func ProgramDemand(p *Program) Demand {
 	d.ParserStates = len(p.RequiredHeaders)
 	return d
 }
-
-// DatapathDemand sums segment demands.
-func DatapathDemand(dp *Datapath) Demand {
-	var d Demand
-	for _, s := range dp.Segments {
-		d = d.Add(ProgramDemand(s))
-	}
-	return d
-}

@@ -18,7 +18,6 @@ package delta
 
 import (
 	"fmt"
-	"strings"
 
 	"flexnet/internal/flexbpf"
 )
@@ -129,13 +128,6 @@ type Report struct {
 	MapsAdded      []string
 	MapsRemoved    []string
 	StmtsInserted  int
-}
-
-// Touched returns the total number of elements changed.
-func (r *Report) Touched() int {
-	return len(r.TablesAdded) + len(r.TablesRemoved) + len(r.TablesResized) +
-		len(r.ActionsAdded) + len(r.ActionsRemoved) + len(r.ActionsEdited) +
-		len(r.MapsAdded) + len(r.MapsRemoved) + r.StmtsInserted
 }
 
 // Apply executes the delta against base and returns a fresh verified
@@ -311,108 +303,4 @@ func removeApplies(stmts []flexbpf.Stmt, removed map[string]bool) []flexbpf.Stmt
 		out = append(out, s)
 	}
 	return out
-}
-
-// touchSet returns the set of element names a delta may modify, used for
-// conflict detection between tenants' deltas.
-func touchSet(base *flexbpf.Program, d *Delta) map[string]bool {
-	set := map[string]bool{}
-	names := func(pat Pattern, kind string) {
-		switch kind {
-		case "table":
-			for _, t := range base.Tables {
-				if pat.Match(t.Name) {
-					set["table:"+t.Name] = true
-				}
-			}
-		case "action":
-			for a := range base.Actions {
-				if pat.Match(a) {
-					set["action:"+a] = true
-				}
-			}
-		case "map":
-			for _, m := range base.Maps {
-				if pat.Match(m.Name) {
-					set["map:"+m.Name] = true
-				}
-			}
-		}
-	}
-	for _, op := range d.Ops {
-		switch {
-		case op.AddTable != nil:
-			set["table:"+op.AddTable.Name] = true
-		case op.RemoveTables != "":
-			names(op.RemoveTables, "table")
-		case op.RemoveMaps != "":
-			names(op.RemoveMaps, "map")
-		case op.RemoveActions != "":
-			names(op.RemoveActions, "action")
-		case op.ReplaceAction != "":
-			names(op.ReplaceAction, "action")
-		case op.ResizeTables != "":
-			names(op.ResizeTables, "table")
-		case op.InsertStmt != nil && op.Anchor != "":
-			set["anchor:"+op.Anchor] = true
-		}
-		if op.AddMap != nil {
-			set["map:"+op.AddMap.Name] = true
-		}
-		for _, a := range op.AddActions {
-			set["action:"+a.Name] = true
-		}
-	}
-	return set
-}
-
-// Conflicts reports the base-program elements that two deltas both
-// touch. Two tenants' extensions conflict when this is non-empty (§3.2
-// "conflicting datapaths that need to be resolved").
-func Conflicts(base *flexbpf.Program, a, b *Delta) []string {
-	sa := touchSet(base, a)
-	sb := touchSet(base, b)
-	var out []string
-	for k := range sa {
-		if sb[k] {
-			out = append(out, k)
-		}
-	}
-	sortStrings(out)
-	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// Describe renders a human-readable summary of the delta.
-func Describe(d *Delta) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "delta %s:\n", d.Name)
-	for _, op := range d.Ops {
-		switch {
-		case op.AddTable != nil:
-			fmt.Fprintf(&b, "  add table %s\n", op.AddTable.Name)
-		case op.RemoveTables != "":
-			fmt.Fprintf(&b, "  remove tables %s\n", op.RemoveTables)
-		case op.RemoveMaps != "":
-			fmt.Fprintf(&b, "  remove maps %s\n", op.RemoveMaps)
-		case op.RemoveActions != "":
-			fmt.Fprintf(&b, "  remove actions %s\n", op.RemoveActions)
-		case op.ReplaceAction != "":
-			fmt.Fprintf(&b, "  replace action %s\n", op.ReplaceAction)
-		case op.ResizeTables != "":
-			fmt.Fprintf(&b, "  resize tables %s to %d\n", op.ResizeTables, op.NewSize)
-		case op.InsertStmt != nil:
-			fmt.Fprintf(&b, "  insert stmt (where=%d anchor=%s)\n", op.InsertWhere, op.Anchor)
-		case len(op.AddActions) > 0 || op.AddMap != nil || op.AddCounter != nil:
-			fmt.Fprintf(&b, "  add declarations\n")
-		}
-	}
-	return b.String()
 }

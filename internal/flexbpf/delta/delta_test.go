@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -92,8 +93,8 @@ func TestApplyAddTable(t *testing.T) {
 	if len(applied) != 3 || applied[1] != "rl_table" {
 		t.Fatalf("apply order = %v", applied)
 	}
-	if rep.Touched() != 3 { // action + table + stmt
-		t.Fatalf("touched = %d", rep.Touched())
+	if want := (Report{TablesAdded: []string{"rl_table"}, ActionsAdded: []string{"rl_drop"}, StmtsInserted: 1}); !reflect.DeepEqual(*rep, want) {
+		t.Fatalf("report = %+v, want %+v", *rep, want)
 	}
 	// Base untouched.
 	if base.Table("rl_table") != nil || len(base.Pipeline) != 2 {
@@ -207,35 +208,6 @@ func TestApplyErrors(t *testing.T) {
 				t.Fatalf("error %q missing %q", err, c.frag)
 			}
 		})
-	}
-}
-
-func TestConflicts(t *testing.T) {
-	base := baseProgram()
-	tenantA := &Delta{Name: "a", Ops: []Op{{ResizeTables: "fw_acl"}}}
-	tenantB := &Delta{Name: "b", Ops: []Op{{ReplaceAction: "fw_*", NewBody: flexbpf.NewAsm().Ret().MustBuild()}}}
-	tenantC := &Delta{Name: "c", Ops: []Op{{ResizeTables: "route_lpm"}}}
-
-	if got := Conflicts(base, tenantA, tenantC); len(got) != 0 {
-		t.Fatalf("disjoint deltas conflict: %v", got)
-	}
-	// A touches table fw_acl; B touches actions fw_deny/fw_allow — no
-	// overlap at element granularity.
-	if got := Conflicts(base, tenantA, tenantB); len(got) != 0 {
-		t.Fatalf("table-vs-action conflict: %v", got)
-	}
-	tenantD := &Delta{Name: "d", Ops: []Op{{RemoveTables: "fw_*"}}}
-	got := Conflicts(base, tenantA, tenantD)
-	if len(got) != 1 || got[0] != "table:fw_acl" {
-		t.Fatalf("conflicts = %v", got)
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	d := &Delta{Name: "x", Ops: []Op{{RemoveTables: "fw_*"}, {ResizeTables: "r*", NewSize: 10}}}
-	s := Describe(d)
-	if !strings.Contains(s, "remove tables fw_*") || !strings.Contains(s, "resize tables r*") {
-		t.Fatalf("describe = %q", s)
 	}
 }
 

@@ -394,10 +394,6 @@ func validFieldName(s string) bool {
 	return true
 }
 
-// MaxBlockInstrs returns the worst-case instruction count of a verified
-// block: with forward-only jumps it is simply the block length.
-func MaxBlockInstrs(code []Instr) int { return len(code) }
-
 // WorstCaseInstrs bounds per-packet instructions for the whole program:
 // the sum over pipeline Do blocks and the maximum action body of each
 // applied table (the verifier guarantees each block runs at most once

@@ -117,9 +117,6 @@ func (pe *portEnd) send(s *Sim, pkt *packet.Packet) {
 	}
 	depart := d.nextFree + ser
 	d.nextFree = depart
-	if qd := depart - now - ser; qd > d.maxQueueDelay {
-		d.maxQueueDelay = qd
-	}
 	l.Delivered++
 	s.AtPacket(depart+l.Delay, d.arrive, pkt, pe.peerPort())
 }
@@ -176,8 +173,7 @@ type Link struct {
 }
 
 type linkDir struct {
-	nextFree      Time
-	maxQueueDelay Time
+	nextFree Time
 	// arrive delivers a packet sent in this direction to the far end.
 	arrive Handler
 }
@@ -199,11 +195,6 @@ func (l *Link) SetDown(down bool) {
 		kind = TopoLinkDown
 	}
 	l.net.emit(TopoEvent{Kind: kind, Link: l})
-}
-
-// MaxQueueDelay returns the worst queueing delay observed per direction.
-func (l *Link) MaxQueueDelay() (ab, ba Time) {
-	return l.dirs[0].maxQueueDelay, l.dirs[1].maxQueueDelay
 }
 
 // LinkParams configures a link.
@@ -310,9 +301,6 @@ func (nw *Network) AddNode(name string) *Node {
 
 // Node returns the named node, or nil.
 func (nw *Network) Node(name string) *Node { return nw.nodes[name] }
-
-// Nodes returns the number of nodes.
-func (nw *Network) Nodes() int { return len(nw.nodes) }
 
 // Connect links two nodes, allocating the next free port on each, and
 // returns the link and the two port numbers.

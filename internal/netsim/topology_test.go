@@ -291,48 +291,6 @@ func TestSineRateEnvelope(t *testing.T) {
 	}
 }
 
-func TestLatencySink(t *testing.T) {
-	s := New(1)
-	k := NewLatencySink(s)
-	mk := func(sentAt uint64) *packet.Packet {
-		p := packet.UDPPacket(1, 1, 2, 3, 4, 86)
-		p.StampSent(sentAt)
-		return p
-	}
-	s.At(100*time.Microsecond, func() {
-		for i := 0; i < 100; i++ {
-			k.Consume(mk(uint64(i) * 1000)) // latencies 100000-i*1000
-		}
-	})
-	s.Run()
-	if k.Received != 100 {
-		t.Fatalf("received = %d", k.Received)
-	}
-	if k.Percentile(0) >= k.Percentile(1) {
-		t.Fatal("percentiles not ordered")
-	}
-	if k.Mean() == 0 {
-		t.Fatal("mean = 0")
-	}
-	if k.Bytes != 100*128 {
-		t.Fatalf("bytes = %d", k.Bytes)
-	}
-}
-
-func TestTimeSeriesSample(t *testing.T) {
-	s := New(1)
-	ts := &TimeSeries{Name: "x"}
-	v := 0.0
-	Sample(s, ts, 10*time.Millisecond, func() float64 { v++; return v })
-	s.RunUntil(100 * time.Millisecond)
-	if len(ts.Values) != 10 {
-		t.Fatalf("samples = %d", len(ts.Values))
-	}
-	if ts.Max() != 10 || ts.Mean() != 5.5 {
-		t.Fatalf("max=%f mean=%f", ts.Max(), ts.Mean())
-	}
-}
-
 func TestDuplicateNodePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

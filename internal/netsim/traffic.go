@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"math"
-	"slices"
 
 	"flexnet/internal/packet"
 )
@@ -173,93 +172,3 @@ func (w *SineRateSource) Start() {
 
 // Stop halts emission.
 func (w *SineRateSource) Stop() { w.stopped = true }
-
-// LatencySink consumes packets and accumulates delivery statistics.
-type LatencySink struct {
-	sim *Sim
-	// Received counts packets; bytes too.
-	Received uint64
-	Bytes    uint64
-	// latencies in nanoseconds for percentile computation.
-	lats []uint64
-}
-
-// NewLatencySink creates a sink bound to sim.
-func NewLatencySink(sim *Sim) *LatencySink { return &LatencySink{sim: sim} }
-
-// Consume records one delivered packet, and its latency if the packet
-// was stamped when sent (packet.StampSent).
-func (k *LatencySink) Consume(p *packet.Packet) {
-	k.Received++
-	k.Bytes += uint64(p.Len())
-	if p.HasSentAt {
-		k.lats = append(k.lats, uint64(k.sim.Now())-p.SentAt)
-	}
-}
-
-// Percentile returns the q-quantile (0..1) of observed latencies in ns.
-func (k *LatencySink) Percentile(q float64) uint64 {
-	if len(k.lats) == 0 {
-		return 0
-	}
-	s := append([]uint64(nil), k.lats...)
-	slices.Sort(s)
-	idx := int(q * float64(len(s)-1))
-	return s[idx]
-}
-
-// Mean returns the mean latency in ns.
-func (k *LatencySink) Mean() uint64 {
-	if len(k.lats) == 0 {
-		return 0
-	}
-	var sum uint64
-	for _, v := range k.lats {
-		sum += v
-	}
-	return sum / uint64(len(k.lats))
-}
-
-// TimeSeries accumulates (time, value) samples for experiment output.
-type TimeSeries struct {
-	Name   string
-	Times  []Time
-	Values []float64
-}
-
-// Add appends a sample.
-func (ts *TimeSeries) Add(t Time, v float64) {
-	ts.Times = append(ts.Times, t)
-	ts.Values = append(ts.Values, v)
-}
-
-// Max returns the maximum value (0 for empty series).
-func (ts *TimeSeries) Max() float64 {
-	m := 0.0
-	for _, v := range ts.Values {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Mean returns the mean value (0 for empty series).
-func (ts *TimeSeries) Mean() float64 {
-	if len(ts.Values) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range ts.Values {
-		s += v
-	}
-	return s / float64(len(ts.Values))
-}
-
-// Sample periodically records fn's value into a TimeSeries until the
-// simulation ends.
-func Sample(sim *Sim, ts *TimeSeries, every Time, fn func() float64) *Ticker {
-	return sim.Every(every, func() {
-		ts.Add(sim.Now(), fn())
-	})
-}

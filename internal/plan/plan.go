@@ -393,16 +393,9 @@ type StateMover interface {
 }
 
 // RouteUpdater executes OpRouteUpdate steps (the fabric implements it).
+// The refresh is scoped to the devices a plan touched (nil means every
+// device); topology-driven route deltas still reach every affected
+// device (DESIGN.md §11).
 type RouteUpdater interface {
-	RefreshRoutes() error
-}
-
-// ScopedRouteUpdater is an optional extension of RouteUpdater: updaters
-// that track per-destination route state (DESIGN.md §11) can scope the
-// route refresh to the devices a plan touched instead of re-scanning
-// the whole fleet. The executor uses it when the plan names at least
-// one device; topology-driven route deltas still propagate everywhere.
-type ScopedRouteUpdater interface {
-	RouteUpdater
 	RefreshRoutesTouched(devices []string) error
 }

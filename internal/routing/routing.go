@@ -279,9 +279,6 @@ func (e *Engine) SetLinkState(li int, up bool) {
 	}
 }
 
-// LinkState reports whether link li is up.
-func (e *Engine) LinkState(li int) bool { return e.links[li].up }
-
 func (e *Engine) markDirty(i int) {
 	if !e.dirty[i] {
 		e.dirty[i] = true
@@ -576,9 +573,6 @@ func (e *Engine) DrainTouched() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Dests returns the number of registered destinations.
-func (e *Engine) Dests() int { return len(e.dests) }
 
 // TotalRoutes returns the number of desired entries across all devices.
 func (e *Engine) TotalRoutes() int { return e.totalRoutes }

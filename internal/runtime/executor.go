@@ -28,7 +28,10 @@ import (
 // deterministic; SetMaxInflight(1) restores strict serial order. This
 // is the single abortable change path every controller operation goes
 // through — there is no other way configuration reaches devices from
-// the control plane.
+// the control plane. Planning only reads devices: the compiler's
+// garbage collection refunds removable programs on its scratch view,
+// and its repack round rearranges a device's stage layout, never the
+// programs it runs.
 //
 // Phase timing mirrors the engine's cost model: each device's prepare
 // takes its estimated reconfiguration latency of simulated time (traffic
@@ -837,16 +840,7 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 			})
 		case plan.OpRouteUpdate:
 			x.eng.sim.After(x.eng.EstimateOps(0, 0, 0, 0), func() {
-				// A scoped updater limits the refresh to the devices this
-				// plan touched; topology-driven deltas still reach every
-				// affected device (plan.ScopedRouteUpdater).
-				if sru, ok := x.routes.(plan.ScopedRouteUpdater); ok {
-					if devs := p.Devices(); len(devs) > 0 {
-						onDone(sru.RefreshRoutesTouched(devs))
-						return
-					}
-				}
-				onDone(x.routes.RefreshRoutes())
+				onDone(x.routes.RefreshRoutesTouched(p.Devices()))
 			})
 		}
 	}

@@ -7,16 +7,10 @@ import (
 	"flexnet/internal/plan"
 )
 
-// recordingRoutes is a plan.ScopedRouteUpdater that records which
-// refresh path the executor picked.
+// recordingRoutes is a plan.RouteUpdater that records the device scope
+// of every refresh the executor asks for.
 type recordingRoutes struct {
-	full    int
 	touched [][]string
-}
-
-func (r *recordingRoutes) RefreshRoutes() error {
-	r.full++
-	return nil
 }
 
 func (r *recordingRoutes) RefreshRoutesTouched(devices []string) error {
@@ -24,18 +18,9 @@ func (r *recordingRoutes) RefreshRoutesTouched(devices []string) error {
 	return nil
 }
 
-// fullOnlyRoutes implements just plan.RouteUpdater, standing in for
-// callers that predate the scoped interface.
-type fullOnlyRoutes struct{ full int }
-
-func (r *fullOnlyRoutes) RefreshRoutes() error {
-	r.full++
-	return nil
-}
-
 // TestRouteUpdateScopedToPlanDevices checks the executor hands a plan's
-// touch-set to ScopedRouteUpdater.RefreshRoutesTouched so only devices
-// the plan changed are refreshed.
+// touch-set to RouteUpdater.RefreshRoutesTouched so only devices the
+// plan changed are refreshed.
 func TestRouteUpdateScopedToPlanDevices(t *testing.T) {
 	f, _ := threeSwitchLine(t)
 	eng := NewEngine(f.Sim, DefaultCosts())
@@ -49,9 +34,6 @@ func TestRouteUpdateScopedToPlanDevices(t *testing.T) {
 	rep := runPlan(t, f, x, p)
 	if rep.Err != nil {
 		t.Fatalf("plan failed: %v", rep.Err)
-	}
-	if rec.full != 0 {
-		t.Fatalf("full RefreshRoutes called %d times, want 0", rec.full)
 	}
 	if len(rec.touched) != 1 || !reflect.DeepEqual(rec.touched[0], []string{"s1", "s3"}) {
 		t.Fatalf("RefreshRoutesTouched calls = %v, want [[s1 s3]]", rec.touched)
@@ -70,28 +52,7 @@ func TestRouteUpdateWithoutDevicesFallsBackToFull(t *testing.T) {
 	if rep.Err != nil {
 		t.Fatalf("plan failed: %v", rep.Err)
 	}
-	if rec.full != 1 || len(rec.touched) != 0 {
-		t.Fatalf("full=%d touched=%v, want full=1 touched=[]", rec.full, rec.touched)
-	}
-}
-
-// TestRouteUpdatePlainUpdaterUnchanged checks a RouteUpdater without the
-// scoped extension keeps its original whole-fabric behaviour even when
-// the plan names devices.
-func TestRouteUpdatePlainUpdaterUnchanged(t *testing.T) {
-	f, _ := threeSwitchLine(t)
-	eng := NewEngine(f.Sim, DefaultCosts())
-	rec := &fullOnlyRoutes{}
-	x := NewExecutor(eng, f.Device, nil, rec)
-
-	p := plan.New("legacy").
-		Install("s2", "acl2", aclProgram("acl2"), nil, 0).
-		RouteUpdate()
-	rep := runPlan(t, f, x, p)
-	if rep.Err != nil {
-		t.Fatalf("plan failed: %v", rep.Err)
-	}
-	if rec.full != 1 {
-		t.Fatalf("full RefreshRoutes called %d times, want 1", rec.full)
+	if len(rec.touched) != 1 || rec.touched[0] != nil {
+		t.Fatalf("RefreshRoutesTouched calls = %v, want one with nil (every device)", rec.touched)
 	}
 }
