@@ -62,8 +62,9 @@ spec-check:
 
 # check is the whole local gate: formatting, vet and lint, the spec
 # examples, the tests (plain, race and mutants), the benchmark module,
-# and the byte-identity gates on BENCH_BASELINE.md and the docs.
-check: fmt vet lint spec-check build test benchmark-test race mutants benchdiff docs
+# the k=8 routing scale check, and the byte-identity gates on
+# BENCH_BASELINE.md and the docs.
+check: fmt vet lint spec-check build test benchmark-test race mutants scale benchdiff docs
 
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ./internal/flexbpf ./internal/telemetry ./internal/netsim ./internal/fabric ./internal/dataplane

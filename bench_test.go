@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"flexnet/internal/compiler"
 	"flexnet/internal/controller"
 	"flexnet/internal/dataplane"
 	"flexnet/internal/experiments"
@@ -110,7 +109,7 @@ func benchControlPlaneOps(b *testing.B, incremental bool) {
 		b.Fatal(err)
 	}
 	eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-	ctl := controller.New(f, eng, compiler.StrategyBinPack)
+	ctl := controller.New(f, eng)
 	ctl.SetIncrementalPlacement(incremental)
 	ctx := context.Background()
 	mkSeg := func(entries int) *Program {

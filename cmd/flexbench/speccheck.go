@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"flexnet/internal/compiler"
 	"flexnet/internal/controller"
 	"flexnet/internal/fabric"
 	flexrt "flexnet/internal/runtime"
@@ -53,7 +52,7 @@ func specCheck(seed int64, dir string) (string, error) {
 		if err := fabric.BuildFatTree(f, fabric.FatTreeSpec{K: 4, HostsPerEdge: 1}); err != nil {
 			return "", fmt.Errorf("spec-check: %w", err)
 		}
-		ctl := controller.New(f, flexrt.NewEngine(f.Sim, flexrt.DefaultCosts()), compiler.StrategyBinPack)
+		ctl := controller.New(f, flexrt.NewEngine(f.Sim, flexrt.DefaultCosts()))
 		var rep *controller.SpecReport
 		var applyErr error
 		done := false

@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"flexnet/internal/apps"
-	"flexnet/internal/compiler"
 	"flexnet/internal/controller"
 	"flexnet/internal/dataplane"
 	"flexnet/internal/errdefs"
@@ -201,20 +200,18 @@ func MustParseIP(s string) uint32 {
 
 // Builder assembles a Network topology.
 type Builder struct {
-	fab      *fabric.Fabric
-	strategy compiler.Strategy
-	costs    runtime.Costs
-	drpc     map[string]string // device → control IP
-	err      error
+	fab   *fabric.Fabric
+	costs runtime.Costs
+	drpc  map[string]string // device → control IP
+	err   error
 }
 
 // New starts building a network with the given random seed.
 func New(seed int64) *Builder {
 	return &Builder{
-		fab:      fabric.New(seed),
-		strategy: compiler.StrategyFungible,
-		costs:    runtime.DefaultCosts(),
-		drpc:     map[string]string{},
+		fab:   fabric.New(seed),
+		costs: runtime.DefaultCosts(),
+		drpc:  map[string]string{},
 	}
 }
 
@@ -300,12 +297,6 @@ func (b *Builder) DRPC(device, ip string) *Builder {
 	return b
 }
 
-// PlacementStrategy selects the compiler strategy (fungible by default).
-func (b *Builder) PlacementStrategy(s compiler.Strategy) *Builder {
-	b.strategy = s
-	return b
-}
-
 // ReconfigCosts overrides the runtime reconfiguration cost model.
 func (b *Builder) ReconfigCosts(c runtime.Costs) *Builder {
 	b.costs = c
@@ -337,7 +328,7 @@ func (b *Builder) Build() (*Network, error) {
 		return nil, err
 	}
 	eng := runtime.NewEngine(b.fab.Sim, b.costs)
-	ctl := controller.New(b.fab, eng, b.strategy)
+	ctl := controller.New(b.fab, eng)
 	return &Network{fab: b.fab, eng: eng, ctl: ctl}, nil
 }
 

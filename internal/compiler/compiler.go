@@ -2,28 +2,27 @@
 // logical datapaths (ordered FlexBPF program segments) onto physical
 // devices.
 //
-// Two operating points are provided, matching the paper's contrast:
+// Three strategies are provided, matching the paper's contrast:
 //
 //   - StrategyBinPack — the classical network compiler: device resources
-//     are "an unyielding constraint"; placement is first-fit and fails
+//     are "an unyielding constraint"; placement is best-fit and fails
 //     when nothing fits.
-//   - StrategyFungible — the FlexNet compiler: on placement failure it
-//     "recursively invokes optimization primitives ... to perform
-//     resource reallocation and garbage collection, before attempting
-//     another round of compilation" — repacking fragmented devices and
-//     reclaiming removable programs.
+//   - StrategyFungible — the FlexNet compiler: when placement fails it
+//     garbage-collects the targets' removable programs and attempts
+//     another round of compilation.
 //   - StrategyEnergy — fungible placement that additionally minimizes an
 //     energy objective by consolidating programs onto already-active
 //     devices (§3.3 "performance and energy optimizations", [57]).
 //
-// Planning never changes what a device runs. Garbage collection is a
-// compile round on the scratch view: a reclaimed program's demand is
-// refunded to its device's free resources (RefundTarget), and the plan
-// lists the (device, program) pairs it counted as freed; removing them
-// is the caller's business, through the runtime executor like every
-// other change. The one primitive that reaches a device is the repack
-// round (Target.Repack), which rearranges a device's internal stage
-// layout and never its program set, epoch or free resources.
+// Planning never changes what a device runs, and no primitive reaches a
+// device. Garbage collection is a compile round on the scratch view: a
+// reclaimed program's demand is refunded to its device's free resources
+// (RefundTarget), and the plan lists the (device, program) pairs it
+// counted as freed; removing them is the caller's business, through the
+// runtime executor like every other change. The paper's other primitive,
+// resource reallocation, is absent because no device model has
+// fragmentation a reallocation could recover: dRMT pools and tile types
+// are interchangeable, and RMT's per-stage budgets are fixed.
 //
 // DESIGN.md §2 (S7) and §4 record the placement model and its design decisions; §3 (E8, E9, E10, E13) lists the compiler experiments.
 package compiler
@@ -49,8 +48,6 @@ type Target interface {
 	// with typed sub-pools (tile types, per-stage budgets); this is the
 	// authoritative per-program feasibility check.
 	CanHost(prog *flexbpf.Program) bool
-	// Fungibility is the fraction of resources reclaimable via repack.
-	Fungibility() float64
 	// BaseLatencyNs is per-packet transit latency for SLA estimates.
 	BaseLatencyNs() uint64
 	// CapacityPPS is sustainable packet rate.
@@ -61,10 +58,6 @@ type Target interface {
 	// IdleWatts and ActiveWatts for the energy objective.
 	IdleWatts() float64
 	ActiveWatts() float64
-
-	// Repack defragments the device's stage layout, returning moved
-	// allocation units. Only invoked by the fungible strategy.
-	Repack() (int, error)
 	// Removable returns names of programs the owner has marked
 	// reclaimable (unused functions, departed tenants), with their
 	// resource demands.
@@ -106,8 +99,6 @@ type Plan struct {
 	Assignments []Assignment
 	// Iterations is how many compile rounds were needed (1 = first try).
 	Iterations int
-	// Repacks counts repack primitives invoked.
-	Repacks int
 	// Reclaims lists the removable programs the placement counts as
 	// freed, in device then program order. Nothing has removed them.
 	Reclaims []Reclaim
@@ -141,17 +132,14 @@ func (p *Plan) DeviceFor(segment string) string {
 	return ""
 }
 
-// maxIterations bounds fungible compilation rounds.
-const maxIterations = 4
-
 // Compiler plans datapath placements over a set of targets.
 type Compiler struct {
-	Strategy Strategy
+	strategy Strategy
 }
 
 // New creates a compiler with the given strategy.
 func New(s Strategy) *Compiler {
-	return &Compiler{Strategy: s}
+	return &Compiler{strategy: s}
 }
 
 // scratchTarget tracks planned consumption on top of a Target during one
@@ -161,33 +149,6 @@ type scratchTarget struct {
 	planned flexbpf.Demand
 	// activated marks targets that this plan turns on.
 	activated bool
-	// reclaimed names the removable programs already refunded, so a
-	// later garbage-collection round does not count one twice.
-	reclaimed map[string]bool
-}
-
-// reclaim refunds the demand of every removable program not yet
-// reclaimed by wrapping the target in a RefundTarget, and returns the
-// newly reclaimed names in sorted order.
-func (st *scratchTarget) reclaim() []string {
-	var names []string
-	var refund flexbpf.Demand
-	removable := st.Removable()
-	for _, name := range sortedKeys(removable) {
-		if st.reclaimed[name] {
-			continue
-		}
-		if st.reclaimed == nil {
-			st.reclaimed = map[string]bool{}
-		}
-		st.reclaimed[name] = true
-		refund = refund.Add(removable[name])
-		names = append(names, name)
-	}
-	if len(names) > 0 {
-		st.Target = &RefundTarget{Target: st.Target, Refund: refund}
-	}
-	return names
 }
 
 func (st *scratchTarget) freeNow() flexbpf.Demand {
@@ -225,52 +186,44 @@ func (c *Compiler) Compile(dp *flexbpf.Datapath, targets []Target, path []string
 		}
 	}
 
-	maxIter := maxIterations
-	if c.Strategy == StrategyBinPack {
-		maxIter = 1
-	}
-	var lastErr error
-	for iter := 1; iter <= maxIter; iter++ {
-		plan.Iterations = iter
-		assignments, scanned, err := c.tryPlace(dp, scratch, pathPos)
+	// Round 1 places against the targets as they stand. If it fails, the
+	// fungible strategies garbage-collect removable programs on the
+	// scratch view and, when that freed anything, place once more.
+	plan.Iterations = 1
+	assignments, scanned, err := c.tryPlace(dp, scratch, pathPos)
+	plan.TargetsScanned += scanned
+	if err != nil && c.strategy != StrategyBinPack && collectGarbage(plan, scratch) {
+		plan.Iterations = 2
+		assignments, scanned, err = c.tryPlace(dp, scratch, pathPos)
 		plan.TargetsScanned += scanned
-		if err == nil {
-			plan.Assignments = assignments
-			c.finish(plan, dp, scratch, index)
-			return plan, nil
-		}
-		lastErr = err
-		if c.Strategy == StrategyBinPack {
-			break
-		}
-		// Optimization primitives: first repack fragmented devices, then
-		// reclaim removable programs, then try again.
-		progressed := false
-		if iter == 1 {
-			// Round 2 preparation: defragment (resource reallocation).
-			for _, st := range scratch {
-				if moves, rerr := st.Repack(); rerr == nil {
-					plan.Repacks++
-					if moves > 0 {
-						progressed = true
-					}
-				}
-			}
-		} else {
-			// Round 3+ preparation: garbage-collect removable programs
-			// on the scratch view.
-			for _, st := range scratch {
-				for _, name := range st.reclaim() {
-					plan.Reclaims = append(plan.Reclaims, Reclaim{Device: st.Name(), Program: name})
-					progressed = true
-				}
-			}
-		}
-		if !progressed && iter > 1 {
-			break
-		}
 	}
-	return nil, fmt.Errorf("compiler: %s: placement failed after %d iteration(s): %w", dp.Name, plan.Iterations, lastErr)
+	if err != nil {
+		return nil, fmt.Errorf("compiler: %s: placement failed after %d iteration(s): %w", dp.Name, plan.Iterations, err)
+	}
+	plan.Assignments = assignments
+	c.finish(plan, dp, scratch, index)
+	return plan, nil
+}
+
+// collectGarbage refunds every target's removable programs on the
+// scratch view, records them in plan.Reclaims in device then program
+// order, and reports whether it freed anything.
+func collectGarbage(plan *Plan, scratch []*scratchTarget) bool {
+	freed := false
+	for _, st := range scratch {
+		removable := st.Removable()
+		if len(removable) == 0 {
+			continue
+		}
+		var refund flexbpf.Demand
+		for _, name := range sortedKeys(removable) {
+			refund = refund.Add(removable[name])
+			plan.Reclaims = append(plan.Reclaims, Reclaim{Device: st.Name(), Program: name})
+		}
+		st.Target = &RefundTarget{Target: st.Target, Refund: refund}
+		freed = true
+	}
+	return freed
 }
 
 func sortedKeys(m map[string]flexbpf.Demand) []string {
@@ -342,7 +295,7 @@ func (c *Compiler) tryPlace(dp *flexbpf.Datapath, scratch []*scratchTarget, path
 
 // score ranks candidate devices; higher is better.
 func (c *Compiler) score(st *scratchTarget, free, need flexbpf.Demand, activatedByPlan bool) float64 {
-	switch c.Strategy {
+	switch c.strategy {
 	case StrategyEnergy:
 		// Prefer already-active devices; penalize waking idle ones by
 		// their static power.

@@ -21,8 +21,6 @@ type fakeTarget struct {
 	idleW     float64
 	activeW   float64
 	removable map[string]flexbpf.Demand
-	repacked  int
-	fungible  bool
 }
 
 func (t *fakeTarget) Name() string                       { return t.name }
@@ -31,22 +29,12 @@ func (t *fakeTarget) Free() flexbpf.Demand               { return t.free }
 func (t *fakeTarget) CanHost(p *flexbpf.Program) bool {
 	return t.caps.Satisfies(p.Requires) && flexbpf.ProgramDemand(p).Fits(t.free)
 }
-func (t *fakeTarget) Fungibility() float64                 { return 0.5 }
 func (t *fakeTarget) BaseLatencyNs() uint64                { return t.latNs }
 func (t *fakeTarget) CapacityPPS() uint64                  { return t.pps }
 func (t *fakeTarget) Active() bool                         { return t.active }
 func (t *fakeTarget) IdleWatts() float64                   { return t.idleW }
 func (t *fakeTarget) ActiveWatts() float64                 { return t.activeW }
 func (t *fakeTarget) Removable() map[string]flexbpf.Demand { return t.removable }
-func (t *fakeTarget) Repack() (int, error) {
-	t.repacked++
-	if t.fungible {
-		// Repacking defragments: model as +25% usable SRAM.
-		t.free.SRAMBits += t.free.SRAMBits / 4
-		return 3, nil
-	}
-	return 0, nil
-}
 
 func bigDemand() flexbpf.Demand {
 	return flexbpf.Demand{SRAMBits: 1 << 20, TCAMBits: 1 << 16, ALUs: 256, Tables: 16, ParserStates: 16}
@@ -157,23 +145,6 @@ func TestBinPackFailsWhereFungibleSucceeds(t *testing.T) {
 	}
 	if plan.Iterations < 2 {
 		t.Fatalf("iterations = %d, want >= 2", plan.Iterations)
-	}
-}
-
-func TestFungibleUsesRepack(t *testing.T) {
-	seg := segment("new", 1<<18)
-	need := flexbpf.ProgramDemand(seg)
-	// Free space just below need; repack recovers 25% fragmentation.
-	tgt := &fakeTarget{
-		name: "sw", pps: 1e9, fungible: true,
-		free: flexbpf.Demand{SRAMBits: need.SRAMBits * 9 / 10, TCAMBits: 1 << 12, ALUs: 64, Tables: 4, ParserStates: 8},
-	}
-	plan, err := New(StrategyFungible).Compile(dp("d", seg), []Target{tgt}, nil)
-	if err != nil {
-		t.Fatalf("fungible compile failed: %v", err)
-	}
-	if tgt.repacked == 0 || plan.Repacks == 0 {
-		t.Fatal("repack not invoked")
 	}
 }
 

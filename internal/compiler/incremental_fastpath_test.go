@@ -54,15 +54,17 @@ func TestPlaceSegmentInsufficientResources(t *testing.T) {
 }
 
 func TestRecompileFallbackMatchesFullCompile(t *testing.T) {
-	// The added segment does not fit any target's free space as-is, but a
-	// repack recovers enough: the incremental pass must fall back to a
-	// full compile (which knows how to repack) rather than fail.
+	// The added segment does not fit any target's free space as-is, but
+	// reclaiming a removable program frees enough: the incremental pass
+	// must fall back to a full compile (which garbage-collects) rather
+	// than fail.
 	seg := segment("b", 1<<18)
 	need := flexbpf.ProgramDemand(seg)
 	mk := func() *fakeTarget {
 		return &fakeTarget{
-			name: "sw", pps: 1e9, fungible: true,
-			free: flexbpf.Demand{SRAMBits: need.SRAMBits * 9 / 10, TCAMBits: 1 << 12, ALUs: 64, Tables: 4, ParserStates: 8},
+			name: "sw", pps: 1e9,
+			free:      flexbpf.Demand{SRAMBits: need.SRAMBits * 9 / 10, TCAMBits: 1 << 12, ALUs: 64, Tables: 4, ParserStates: 8},
+			removable: map[string]flexbpf.Demand{"stale": {SRAMBits: need.SRAMBits / 4}},
 		}
 	}
 	c := New(StrategyFungible)

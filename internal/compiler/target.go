@@ -44,9 +44,6 @@ func (t *DeviceTarget) Free() flexbpf.Demand { return t.Dev.Free() }
 // CanHost implements Target via a device dry-run reservation.
 func (t *DeviceTarget) CanHost(prog *flexbpf.Program) bool { return t.Dev.CanHost(prog) }
 
-// Fungibility implements Target.
-func (t *DeviceTarget) Fungibility() float64 { return t.Dev.Fungibility() }
-
 // BaseLatencyNs implements Target.
 func (t *DeviceTarget) BaseLatencyNs() uint64 { return t.Dev.Perf().BaseLatencyNs }
 
@@ -61,9 +58,6 @@ func (t *DeviceTarget) IdleWatts() float64 { return t.Dev.Energy().IdleWatts }
 
 // ActiveWatts implements Target.
 func (t *DeviceTarget) ActiveWatts() float64 { return t.Dev.Energy().ActiveWatts }
-
-// Repack implements Target.
-func (t *DeviceTarget) Repack() (int, error) { return t.Dev.Repack() }
 
 // Removable implements Target.
 func (t *DeviceTarget) Removable() map[string]flexbpf.Demand {

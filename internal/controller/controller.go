@@ -205,12 +205,13 @@ type PuntRecord struct {
 	FlowID uint64
 }
 
-// New creates a controller over the fabric.
-func New(fab *fabric.Fabric, eng *runtime.Engine, strategy compiler.Strategy) *Controller {
+// New creates a controller over the fabric. It places with the fungible
+// compiler.
+func New(fab *fabric.Fabric, eng *runtime.Engine) *Controller {
 	c := &Controller{
 		fab:         fab,
 		eng:         eng,
-		comp:        compiler.New(strategy),
+		comp:        compiler.New(compiler.StrategyFungible),
 		mig:         migrate.New(fab, eng),
 		state:       newRegistry(),
 		targets:     newTargetCache(fab),
@@ -278,7 +279,8 @@ func (c *Controller) planningCharge(scanned, segments int) netsim.Time {
 	return c.eng.EstimatePlacement(scanned, segments)
 }
 
-// Compiler exposes the placement compiler (for strategy tweaks).
+// Compiler exposes the placement compiler, for callers that plan
+// against the controller's own placement rules.
 func (c *Controller) Compiler() *compiler.Compiler { return c.comp }
 
 // Executor exposes the transactional plan executor.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"flexnet/internal/apps"
-	"flexnet/internal/compiler"
 	"flexnet/internal/dataplane"
 	"flexnet/internal/drpc"
 	"flexnet/internal/fabric"
@@ -45,7 +44,7 @@ func testbed(t *testing.T) (*fabric.Fabric, *Controller) {
 		t.Fatal(err)
 	}
 	eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-	return f, New(f, eng, compiler.StrategyFungible)
+	return f, New(f, eng)
 }
 
 func deploy(t *testing.T, f *fabric.Fabric, c *Controller, uri string, dp *flexbpf.Datapath, opts DeployOptions) {

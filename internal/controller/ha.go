@@ -129,9 +129,6 @@ func (c *Controller) EnableHA(n int, cfg cluster.HAConfig) *HA {
 // HA returns the controller's replica manager, or nil when HA is off.
 func (c *Controller) HA() *HA { return c.ha }
 
-// Group exposes the underlying replica group (tests, fault plane).
-func (h *HA) Group() *cluster.HAGroup { return h.g }
-
 // LastErr returns the most recent takeover verification error (a shadow
 // chain that failed audit.VerifyRecords), or nil.
 func (h *HA) LastErr() error { return h.lastErr }

@@ -30,7 +30,7 @@ func fatTreeBed(t testing.TB, seed int64, k int) (*fabric.Fabric, *Controller) {
 	if err := fabric.BuildFatTree(f, fabric.FatTreeSpec{K: k, HostsPerEdge: 1}); err != nil {
 		t.Fatal(err)
 	}
-	return f, New(f, runtime.NewEngine(f.Sim, runtime.DefaultCosts()), compiler.StrategyBinPack)
+	return f, New(f, runtime.NewEngine(f.Sim, runtime.DefaultCosts()))
 }
 
 // await runs the simulator until op's completion callback has fired and

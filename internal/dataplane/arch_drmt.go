@@ -99,6 +99,3 @@ func (m *drmtModel) fungibility() float64 {
 	}
 	return float64(m.pool.SRAMBits+m.pool.TCAMBits) / capBits
 }
-
-// repack is a no-op: pools do not fragment.
-func (m *drmtModel) repack() (int, error) { return 0, nil }

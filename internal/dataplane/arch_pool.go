@@ -97,5 +97,3 @@ func (m *poolModel) fungibility() float64 {
 	}
 	return float64(m.freeBits) / float64(m.totalBits)
 }
-
-func (m *poolModel) repack() (int, error) { return 0, nil }

@@ -10,20 +10,19 @@ import (
 // rmtModel models an RMT pipeline (Tofino/FlexPipe class, §3.3(i)):
 // a fixed number of stages, each with its own SRAM, TCAM, ALU, and
 // table-slot budget. Match dependencies force dependent tables into
-// strictly later stages. Resources are fungible *within* a stage; with
-// CrossStageRealloc ("runtime support to reconfigure individual stages"),
-// Repack may move tables across stages, making all pipeline resources
-// fungible.
+// strictly later stages. Resources are fungible only *within* a stage:
+// per-stage budgets are fixed, and a placed item never moves to another
+// stage.
 type rmtModel struct {
 	cfg        Config
 	stageCap   flexbpf.Demand
 	used       []flexbpf.Demand // per stage
 	parserUsed int
 	parserCap  int
-	// placed holds the live placements in install order, for
-	// deterministic repacking. Placements are told apart by identity, not
-	// by program name: an in-place update holds the old and the new
-	// placement of one name until it commits.
+	// placed holds the live placements, so release frees each one once.
+	// Placements are told apart by identity, not by program name: an
+	// in-place update holds the old and the new placement of one name
+	// until it commits.
 	placed []*rmtPlacement
 }
 
@@ -34,12 +33,10 @@ type rmtItem struct {
 }
 
 type rmtPlacement struct {
-	progName string
-	items    []rmtItem
-	deps     [][2]string // table-before-table pairs
-	stageOf  map[string]int
-	parser   int
-	total    flexbpf.Demand
+	items   []rmtItem
+	stageOf map[string]int
+	parser  int
+	total   flexbpf.Demand
 }
 
 func (p *rmtPlacement) demand() flexbpf.Demand { return p.total }
@@ -180,12 +177,10 @@ func (m *rmtModel) place(prog *flexbpf.Program) (placement, error) {
 	m.used = scratch
 	m.parserUsed += parser
 	pl := &rmtPlacement{
-		progName: prog.Name,
-		items:    items,
-		deps:     deps,
-		stageOf:  stageOf,
-		parser:   parser,
-		total:    flexbpf.ProgramDemand(prog),
+		items:   items,
+		stageOf: stageOf,
+		parser:  parser,
+		total:   flexbpf.ProgramDemand(prog),
 	}
 	m.placed = append(m.placed, pl)
 	return pl, nil
@@ -227,19 +222,14 @@ func (m *rmtModel) free() flexbpf.Demand {
 	return f
 }
 
-// fungibility: with cross-stage reallocation all free resources are
-// claimable (after a repack); without it, only the best single stage's
-// contiguous free space is guaranteed claimable by a new table, so we
-// report the mean of per-stage best-case fractions.
+// fungibility: per-stage budgets are fixed, so only the best single
+// stage's contiguous free space is guaranteed claimable by a new table;
+// we report that stage's free fraction of the whole pipeline.
 func (m *rmtModel) fungibility() float64 {
 	cap := m.capacity()
 	capBits := float64(cap.SRAMBits + cap.TCAMBits)
 	if capBits == 0 {
 		return 0
-	}
-	if m.cfg.CrossStageRealloc {
-		f := m.free()
-		return float64(f.SRAMBits+f.TCAMBits) / capBits
 	}
 	best := 0
 	for s := range m.used {
@@ -249,35 +239,4 @@ func (m *rmtModel) fungibility() float64 {
 		}
 	}
 	return float64(best) / capBits
-}
-
-// repack re-derives every placement from scratch in install order,
-// counting moved items. Without CrossStageRealloc this is refused: the
-// device cannot move live tables between stages.
-func (m *rmtModel) repack() (int, error) {
-	if !m.cfg.CrossStageRealloc {
-		return 0, fmt.Errorf("dataplane: rmt: device does not support cross-stage reallocation")
-	}
-	scratch := make([]flexbpf.Demand, m.cfg.Stages)
-	newStages := make([]map[string]int, len(m.placed))
-	// Deterministic order: install order; big programs first within a
-	// from-scratch repack would be better packing, but stability wins.
-	for i, pl := range m.placed {
-		stageOf, err := m.tryAssign(scratch, pl.items, pl.deps)
-		if err != nil {
-			return 0, fmt.Errorf("dataplane: rmt: repack failed for %s: %w", pl.progName, err)
-		}
-		newStages[i] = stageOf
-	}
-	moves := 0
-	for i, pl := range m.placed {
-		for item, s := range newStages[i] {
-			if pl.stageOf[item] != s {
-				moves++
-			}
-		}
-		pl.stageOf = newStages[i]
-	}
-	m.used = scratch
-	return moves, nil
 }

@@ -189,10 +189,6 @@ func (m *tileModel) fungibility() float64 {
 	return float64(free) / float64(total)
 }
 
-// repack is a no-op: tiles of one type are interchangeable, so no
-// fragmentation arises at this granularity.
-func (m *tileModel) repack() (int, error) { return 0, nil }
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

@@ -118,10 +118,6 @@ type archModel interface {
 	// fungibility returns the fraction of total resources that could be
 	// reassigned to a new program right now (1.0 = fully fungible).
 	fungibility() float64
-	// repack re-derives all placements from scratch to defragment; it
-	// returns the number of moved allocation units, or an error if the
-	// current program set cannot be repacked (should not happen).
-	repack() (moves int, err error)
 }
 
 // placement is an opaque per-program resource reservation.
@@ -157,11 +153,6 @@ type Config struct {
 	PoolSRAMBits  int // dRMT/SoC/host: shared memory pool
 	PoolTCAMBits  int // dRMT: shared TCAM pool
 	CyclesBudget  int // dRMT/SoC/host: per-packet instruction budget (total)
-
-	// CrossStageRealloc enables the paper's "runtime support to
-	// reconfigure individual stages" on RMT, making all pipeline
-	// resources fungible rather than only same-stage resources.
-	CrossStageRealloc bool
 
 	Perf   PerfModel
 	Energy EnergyModel
@@ -596,16 +587,6 @@ func sortByPriority(insts []*ProgramInstance) []*ProgramInstance {
 // release unused resources").
 func (d *Device) RemoveProgram(name string) error {
 	return d.Swap(func(st *StagedConfig) error { return st.Remove(name) })
-}
-
-// Repack defragments device resources by re-deriving all placements
-// (RMT cross-stage reallocation, tile compaction). Returns allocation
-// units moved. Runtime engines call this during fungible compilation
-// (§3.3 "resource reallocation and garbage collection").
-func (d *Device) Repack() (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.model.repack()
 }
 
 // Parser returns the parse graph the device runs: the shared, read-only

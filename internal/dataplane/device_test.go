@@ -307,9 +307,7 @@ func TestSwapRollbackOnError(t *testing.T) {
 func TestSameNameReinstallFreesResources(t *testing.T) {
 	for _, arch := range []Arch{ArchRMT, ArchDRMT, ArchTile, ArchElasticPipe, ArchSoC, ArchHost} {
 		t.Run(arch.String(), func(t *testing.T) {
-			cfg := DefaultConfig("sw1", arch)
-			cfg.CrossStageRealloc = true
-			d := MustNew(cfg)
+			d := MustNew(DefaultConfig("sw1", arch))
 			before := d.Free()
 			if err := d.InstallProgram(dropDportProgram("p", 80)); err != nil {
 				t.Fatal(err)
@@ -326,11 +324,6 @@ func TestSameNameReinstallFreesResources(t *testing.T) {
 				}
 				if d.Free() != held {
 					t.Fatalf("update %d: free = %v, want %v as before it", i, d.Free(), held)
-				}
-			}
-			if arch == ArchRMT {
-				if _, err := d.Repack(); err != nil {
-					t.Fatalf("repack after updates: %v", err)
 				}
 			}
 			if err := d.RemoveProgram("p"); err != nil {
@@ -423,57 +416,6 @@ func TestRMTStagePlacementDependencies(t *testing.T) {
 	// 4 dependent tables cannot fit in 3 stages.
 	if err := d.InstallProgram(mk(4)); err == nil {
 		t.Fatal("4-table dependency chain placed in 3 stages")
-	}
-}
-
-func TestRMTFragmentationAndRepack(t *testing.T) {
-	cfg := DefaultConfig("sw1", ArchRMT)
-	cfg.Stages = 4
-	cfg.StageTables = 2
-	cfg.CrossStageRealloc = true
-	d := MustNew(cfg)
-	act := flexbpf.NewAsm().Ret().MustBuild()
-	single := func(name string) *flexbpf.Program {
-		return flexbpf.NewProgram(name).
-			Action("a", 0, act).
-			Table(&flexbpf.TableSpec{Name: name + "_t",
-				Keys:    []flexbpf.TableKey{{Field: "ipv4.dst", Kind: flexbpf.MatchExact, Bits: 32}},
-				Actions: []string{"a"}, Size: 16}).
-			Apply(name + "_t").
-			MustBuild()
-	}
-	// Fill all 8 table slots, then remove alternating programs to
-	// fragment, then repack and verify no moves needed for pool refill.
-	for i := 0; i < 8; i++ {
-		name := "p" + string(rune('0'+i))
-		if err := d.InstallProgram(single(name)); err != nil {
-			t.Fatalf("install %s: %v", name, err)
-		}
-	}
-	for i := 0; i < 8; i += 2 {
-		if err := d.RemoveProgram("p" + string(rune('0'+i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	moves, err := d.Repack()
-	if err != nil {
-		t.Fatalf("repack: %v", err)
-	}
-	if moves == 0 {
-		t.Log("note: greedy placement left nothing to move (acceptable)")
-	}
-	// After repack the device still reports consistent resources.
-	if d.Free().Tables != d.Capacity().Tables-4 {
-		t.Fatalf("free tables = %d", d.Free().Tables)
-	}
-}
-
-func TestRMTRepackRefusedWithoutCrossStage(t *testing.T) {
-	cfg := DefaultConfig("sw1", ArchRMT)
-	cfg.CrossStageRealloc = false
-	d := MustNew(cfg)
-	if _, err := d.Repack(); err == nil {
-		t.Fatal("rigid RMT allowed repack")
 	}
 }
 

@@ -40,7 +40,7 @@ func migrationBed(seed int64) (*fabric.Fabric, *controller.Controller, *netsim.S
 	if err := f.InstallBaseRouting(); err != nil {
 		panic(err)
 	}
-	ctl := controller.New(f, runtime.NewEngine(f.Sim, runtime.DefaultCosts()), compiler.StrategyBinPack)
+	ctl := controller.New(f, runtime.NewEngine(f.Sim, runtime.DefaultCosts()))
 	dp := &flexbpf.Datapath{Name: monURI, Segments: []*flexbpf.Program{apps.HeavyHitter("mon", 2, 512, 1<<62)}}
 	ctl.Deploy(context.Background(), monURI, dp, controller.DeployOptions{Path: []string{"s1"}}, func(err error) {
 		if err != nil {
@@ -241,7 +241,7 @@ func E13Energy(seed int64) *Table {
 		}
 		energy := compiler.New(compiler.StrategyEnergy)
 		place := func(i int, prog *flexbpf.Program) *dataplane.Device {
-			if strategy == 0 { // spread (latency-first baseline, hand-placed)
+			if strategy == 0 { // spread: app i on switch i mod 4, no compiler
 				return targets[i%len(targets)]
 			}
 			dp := &flexbpf.Datapath{Name: prog.Name, Segments: []*flexbpf.Program{prog}}
@@ -273,7 +273,7 @@ func E13Energy(seed int64) *Table {
 	a1, act1, w1, j1 := run(0)
 	a2, act2, w2, j2 := run(1)
 	t.Rows = [][]string{
-		{"spread (latency-first)", di(a1), di(act1), f2(w1), f2(j1)},
+		{"spread (hand-placed)", di(a1), di(act1), f2(w1), f2(j1)},
 		{"consolidate (energy-aware)", di(a2), di(act2), f2(w2), f2(j2)},
 	}
 	t.Finding = fmt.Sprintf("consolidating off-peak apps onto one device activates %d instead of %d devices, saving %.0f W of active power (%.1f%% of period energy) — idle devices could then be powered down entirely",

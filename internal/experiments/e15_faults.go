@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"flexnet/internal/apps"
-	"flexnet/internal/compiler"
 	"flexnet/internal/controller"
 	"flexnet/internal/dataplane"
 	"flexnet/internal/fabric"
@@ -52,33 +51,18 @@ func E15FaultRecovery(seed int64) *Table {
 			panic(err)
 		}
 		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-		ctl := controller.New(f, eng, compiler.StrategyFungible)
+		ctl := controller.New(f, eng)
 
-		// Each control-plane op takes tens of simulated milliseconds; wait
-		// for the callback so the fault schedule starts from committed
-		// intent.
-		await := func(op func(done func(error))) {
-			settled := false
-			op(func(err error) {
-				if err != nil {
-					panic(err)
-				}
-				settled = true
-			})
-			for i := 0; i < 20 && !settled; i++ {
-				f.Sim.RunFor(100 * time.Millisecond)
-			}
-			if !settled {
-				panic("e15: control-plane op never completed")
-			}
-		}
+		// Each control-plane op takes tens of simulated milliseconds;
+		// deploy waits for its callbacks so the fault schedule starts from
+		// committed intent.
 		deploy := func(uri, devA, devB string, prog *flexbpf.Program) {
 			dp := &flexbpf.Datapath{Name: uri, Segments: []*flexbpf.Program{prog}}
-			await(func(done func(error)) {
+			await(f, 100*time.Millisecond, func(done func(error)) {
 				ctl.Deploy(context.Background(), uri, dp, controller.DeployOptions{Path: []string{devA}}, done)
 			})
 			if devB != "" {
-				await(func(done func(error)) {
+				await(f, 100*time.Millisecond, func(done func(error)) {
 					ctl.ScaleOut(context.Background(), uri, prog.Name, devB, done)
 				})
 			}

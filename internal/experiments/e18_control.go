@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"flexnet/internal/compiler"
 	"flexnet/internal/controller"
 	"flexnet/internal/fabric"
 	"flexnet/internal/flexbpf"
@@ -74,23 +73,9 @@ func E18ControlPlane(seed int64) *Table {
 		f := fabric.New(seed)
 		must(fabric.BuildFatTree(f, fabric.FatTreeSpec{K: k, HostsPerEdge: 1}))
 		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-		ctl := controller.New(f, eng, compiler.StrategyBinPack)
+		ctl := controller.New(f, eng)
 		ctl.SetIncrementalPlacement(incremental)
 		ctx := context.Background()
-
-		await := func(op func(done func(error))) {
-			settled := false
-			op(func(err error) {
-				must(err)
-				settled = true
-			})
-			for i := 0; i < 100 && !settled; i++ {
-				f.Sim.RunFor(100 * time.Millisecond)
-			}
-			if !settled {
-				panic("e18: control-plane op never completed")
-			}
-		}
 
 		// One app per tenant, pinned to its pod's edge pair so placement
 		// is reproducible across modes.
@@ -108,7 +93,7 @@ func E18ControlPlane(seed int64) *Table {
 				segs[j] = seg(s, 512)
 			}
 			dp := &flexbpf.Datapath{Name: uri, Segments: segs}
-			await(func(done func(error)) {
+			await(f, 100*time.Millisecond, func(done func(error)) {
 				ctl.Deploy(ctx, uri, dp, controller.DeployOptions{
 					Tenant: name,
 					Path:   []string{fmt.Sprintf("p%d-e0", pod), fmt.Sprintf("p%d-e1", pod)},

@@ -7,7 +7,6 @@ import (
 
 	"flexnet/internal/apps"
 	"flexnet/internal/audit"
-	"flexnet/internal/compiler"
 	"flexnet/internal/controller"
 	"flexnet/internal/fabric"
 	"flexnet/internal/flexbpf"
@@ -148,29 +147,15 @@ func E19SpecReconcile(seed int64) *Table {
 
 	// setup builds a fat-tree, converges it onto spec A, and starts one
 	// cross-pod CBR flow per pod so convergence happens under load.
-	setup := func(k int) (*fabric.Fabric, *controller.Controller, func(op func(done func(error)))) {
+	setup := func(k int) (*fabric.Fabric, *controller.Controller) {
 		f := fabric.New(seed)
 		must(fabric.BuildFatTree(f, fabric.FatTreeSpec{K: k, HostsPerEdge: 1}))
 		must(f.InstallBaseRouting())
 		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-		ctl := controller.New(f, eng, compiler.StrategyBinPack)
+		ctl := controller.New(f, eng)
 		ctx := context.Background()
 
-		await := func(op func(done func(error))) {
-			settled := false
-			op(func(err error) {
-				must(err)
-				settled = true
-			})
-			for i := 0; i < 2000 && !settled; i++ {
-				f.Sim.RunFor(100 * time.Millisecond)
-			}
-			if !settled {
-				panic("e19: control-plane op never completed")
-			}
-		}
-
-		await(func(done func(error)) {
+		await(f, 100*time.Millisecond, func(done func(error)) {
 			ctl.ApplySpec(ctx, specA, controller.SpecOptions{}, func(_ *controller.SpecReport, err error) { done(err) })
 		})
 
@@ -185,7 +170,7 @@ func E19SpecReconcile(seed int64) *Table {
 			src.StartCBR(5000)
 		}
 		f.Sim.RunFor(20 * time.Millisecond) // warm the flows before measuring
-		return f, ctl, await
+		return f, ctl
 	}
 
 	checkReplay := func(ctl *controller.Controller) string {
@@ -204,10 +189,10 @@ func E19SpecReconcile(seed int64) *Table {
 
 	// runSpec converges A→B with one ApplySpec call.
 	runSpec := func(k int) result {
-		f, ctl, await := setup(k)
+		f, ctl := setup(k)
 		d0 := f.InfrastructureDrops()
 		var rep *controller.SpecReport
-		await(func(done func(error)) {
+		await(f, 100*time.Millisecond, func(done func(error)) {
 			ctl.ApplySpec(context.Background(), specB, controller.SpecOptions{}, func(r *controller.SpecReport, err error) {
 				rep = r
 				done(err)
@@ -230,7 +215,7 @@ func E19SpecReconcile(seed int64) *Table {
 	// compilation), 34 heavy-hitter scale-outs, deploy the SYN defense
 	// and scale it to 24. Every call is its own plan, serialized.
 	runImperative := func(k int) result {
-		f, ctl, await := setup(k)
+		f, ctl := setup(k)
 		ctx := context.Background()
 		exec := ctl.Executor()
 		base := exec.Completed()
@@ -243,37 +228,37 @@ func E19SpecReconcile(seed int64) *Table {
 		for i := 0; i < 6; i++ {
 			reps := ctl.App("flexnet://globex/rl").Replicas["rl"]
 			victim := reps[len(reps)-1]
-			await(func(done func(error)) { ctl.ScaleIn(ctx, "flexnet://globex/rl", "rl", victim, done) })
+			await(f, 100*time.Millisecond, func(done func(error)) { ctl.ScaleIn(ctx, "flexnet://globex/rl", "rl", victim, done) })
 			ops++
 		}
-		await(func(done func(error)) { ctl.Remove(ctx, "flexnet://infra/l2", done) })
+		await(f, 100*time.Millisecond, func(done func(error)) { ctl.Remove(ctx, "flexnet://infra/l2", done) })
 		ops++
-		await(func(done func(error)) { ctl.Remove(ctx, "flexnet://acme/fw", done) })
+		await(f, 100*time.Millisecond, func(done func(error)) { ctl.Remove(ctx, "flexnet://acme/fw", done) })
 		ops++
 		fw, err := apps.Builtin("firewall", "fw", []uint64{64, 2048, 0})
 		must(err)
-		await(func(done func(error)) {
+		await(f, 100*time.Millisecond, func(done func(error)) {
 			ctl.Deploy(ctx, "flexnet://acme/fw", &flexbpf.Datapath{Name: "flexnet://acme/fw", Segments: []*flexbpf.Program{fw}},
 				controller.DeployOptions{Tenant: "acme"}, done)
 		})
 		ops++
 		for i := 0; i < 3; i++ {
-			await(func(done func(error)) { ctl.ScaleOut(ctx, "flexnet://acme/fw", "fw", "", done) })
+			await(f, 100*time.Millisecond, func(done func(error)) { ctl.ScaleOut(ctx, "flexnet://acme/fw", "fw", "", done) })
 			ops++
 		}
 		for i := 0; i < 34; i++ {
-			await(func(done func(error)) { ctl.ScaleOut(ctx, "flexnet://acme/hh", "hh", "", done) })
+			await(f, 100*time.Millisecond, func(done func(error)) { ctl.ScaleOut(ctx, "flexnet://acme/hh", "hh", "", done) })
 			ops++
 		}
 		syn, err := apps.Builtin("syn-defense", "syn", []uint64{2048, 10})
 		must(err)
-		await(func(done func(error)) {
+		await(f, 100*time.Millisecond, func(done func(error)) {
 			ctl.Deploy(ctx, "flexnet://initech/syn", &flexbpf.Datapath{Name: "flexnet://initech/syn", Segments: []*flexbpf.Program{syn}},
 				controller.DeployOptions{Tenant: "initech"}, done)
 		})
 		ops++
 		for i := 0; i < 23; i++ {
-			await(func(done func(error)) { ctl.ScaleOut(ctx, "flexnet://initech/syn", "syn", "", done) })
+			await(f, 100*time.Millisecond, func(done func(error)) { ctl.ScaleOut(ctx, "flexnet://initech/syn", "syn", "", done) })
 			ops++
 		}
 

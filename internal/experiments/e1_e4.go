@@ -6,7 +6,6 @@ import (
 
 	"flexnet/internal/apps"
 	"flexnet/internal/baselines"
-	"flexnet/internal/compiler"
 	"flexnet/internal/controller"
 	"flexnet/internal/dataplane"
 	"flexnet/internal/fabric"
@@ -41,7 +40,7 @@ func lineFabric(seed int64, arch dataplane.Arch) (*fabric.Fabric, *netsim.Source
 // plan telemetry and audit records in f's registry; E1, E4, E5 and E16
 // neither punt nor read those, so their tables do not change.
 func newExecutor(f *fabric.Fabric) *runtime.Executor {
-	return controller.New(f, runtime.NewEngine(f.Sim, runtime.DefaultCosts()), compiler.StrategyBinPack).Executor()
+	return controller.New(f, runtime.NewEngine(f.Sim, runtime.DefaultCosts())).Executor()
 }
 
 // installPlan is a one-device plan installing prog under its own name.

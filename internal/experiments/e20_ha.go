@@ -8,7 +8,6 @@ import (
 
 	"flexnet/internal/apps"
 	"flexnet/internal/audit"
-	"flexnet/internal/compiler"
 	"flexnet/internal/controller"
 	"flexnet/internal/controller/cluster"
 	"flexnet/internal/errdefs"
@@ -112,39 +111,26 @@ func E20HAFailover(seed int64) *Table {
 		must(err)
 		must(f.InstallBaseRouting())
 		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-		ctl := controller.New(f, eng, compiler.StrategyBinPack)
+		ctl := controller.New(f, eng)
 		// HA first, so every deploy below already replicates to the
 		// standbys — the failover inherits a complete shadow chain.
 		ctl.EnableHA(3, cluster.HAConfig{Seed: seed})
 
 		ctx := context.Background()
-		await := func(op func(done func(error))) {
-			settled := false
-			op(func(err error) {
-				must(err)
-				settled = true
-			})
-			for i := 0; i < 2000 && !settled; i++ {
-				f.Sim.RunFor(10 * time.Millisecond)
-			}
-			if !settled {
-				panic("e20: control-plane op never completed")
-			}
-		}
 
 		// Marker v1 on the monitored flow's two edge switches.
-		await(func(done func(error)) {
+		await(f, 10*time.Millisecond, func(done func(error)) {
 			ctl.Deploy(ctx, markURI,
 				&flexbpf.Datapath{Name: markURI, Segments: []*flexbpf.Program{marker(1)}},
 				controller.DeployOptions{Path: []string{"p0-e0"}}, done)
 		})
-		await(func(done func(error)) { ctl.ScaleOut(ctx, markURI, "mark", "p1-e0", done) })
+		await(f, 10*time.Millisecond, func(done func(error)) { ctl.ScaleOut(ctx, markURI, "mark", "p1-e0", done) })
 
 		// The stateful stats app that the kill-post-commit scenario
 		// migrates p2-e0 → p3-e0 (both edges on busy cross-pod paths).
 		hh, err := apps.Builtin("heavy-hitter", "hh", []uint64{2, 128, 1 << 30})
 		must(err)
-		await(func(done func(error)) {
+		await(f, 10*time.Millisecond, func(done func(error)) {
 			ctl.Deploy(ctx, hhURI,
 				&flexbpf.Datapath{Name: hhURI, Segments: []*flexbpf.Program{hh}},
 				controller.DeployOptions{Path: []string{"p2-e0"}}, done)

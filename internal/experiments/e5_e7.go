@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"flexnet/internal/apps"
-	"flexnet/internal/compiler"
 	"flexnet/internal/controller"
 	"flexnet/internal/dataplane"
 	"flexnet/internal/fabric"
@@ -278,7 +277,7 @@ func E7TenantChurn(seed int64) *Table {
 			panic(err)
 		}
 		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-		ctl := controller.New(f, eng, compiler.StrategyFungible)
+		ctl := controller.New(f, eng)
 		liveTenants := map[string]bool{}
 		id := 0
 		var schedule func()

@@ -28,7 +28,7 @@ func exactTableProgram(name string, entries int) *flexbpf.Program {
 
 // E8FungibleCompile sweeps offered program load against devices that are
 // partially filled with *removable* programs, comparing the bin-packing
-// baseline with the fungible compiler (GC + reallocation rounds).
+// baseline with the fungible compiler (one garbage-collection round).
 func E8FungibleCompile(seed int64) *Table {
 	t := &Table{
 		ID:      "E8",

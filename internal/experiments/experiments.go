@@ -13,6 +13,9 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"time"
+
+	"flexnet/internal/fabric"
 )
 
 // Table is one experiment's result in printable form.
@@ -123,4 +126,23 @@ func All(seed int64) []*Table {
 		out = append(out, e.Run(seed))
 	}
 	return out
+}
+
+// await starts a control-plane op and runs the simulator in steps of
+// step until the op's completion callback fires. It panics if the op
+// fails or has not completed after 2000 steps.
+func await(f *fabric.Fabric, step time.Duration, op func(done func(error))) {
+	settled := false
+	op(func(err error) {
+		if err != nil {
+			panic(err)
+		}
+		settled = true
+	})
+	for i := 0; i < 2000 && !settled; i++ {
+		f.Sim.RunFor(step)
+	}
+	if !settled {
+		panic("experiments: control-plane op never completed")
+	}
 }

@@ -173,6 +173,13 @@ func TestE8Shape(t *testing.T) {
 	if cell(t, tab, 5, 2) > 10 {
 		t.Fatal("fungible 'succeeds' beyond physical capacity")
 	}
+	// Garbage collection is the one optimisation round: light load fits
+	// on the first try, loads 0.4–1.0 need exactly one reclaim round.
+	for row, want := range []float64{1, 2, 2, 2, 2} {
+		if got := cell(t, tab, row, 3); got != want {
+			t.Fatalf("load %s: fungible iterations = %v, want %v", tab.Rows[row][0], got, want)
+		}
+	}
 }
 
 func TestE9Shape(t *testing.T) {

@@ -50,9 +50,6 @@ func (d Demand) Fits(c Demand) bool {
 		d.ParserStates <= c.ParserStates
 }
 
-// IsZero reports whether all components are zero.
-func (d Demand) IsZero() bool { return d == Demand{} }
-
 func (d Demand) String() string {
 	return fmt.Sprintf("{sram=%db tcam=%db alus=%d tables=%d parser=%d}",
 		d.SRAMBits, d.TCAMBits, d.ALUs, d.Tables, d.ParserStates)

@@ -114,12 +114,6 @@ func (b *Builder) add(id HeaderID) {
 	}
 }
 
-// Ingress sets the ingress port.
-func (b *Builder) Ingress(port int) *Builder {
-	b.p.IngressPort = port
-	return b
-}
-
 // Build finalizes and returns the packet, and resets the builder for the
 // next one.
 func (b *Builder) Build() *Packet {

@@ -549,13 +549,6 @@ func (e *Engine) RoutesFor(device string) []Route {
 	return e.routes[i]
 }
 
-// Touched reports whether device's desired routes changed since the
-// last DrainTouched.
-func (e *Engine) Touched(device string) bool {
-	i, ok := e.nodeIdx[device]
-	return ok && e.touched[i]
-}
-
 // DrainTouched returns the sorted names of devices whose desired routes
 // changed since the previous drain, clearing the marks.
 func (e *Engine) DrainTouched() []string {

@@ -30,8 +30,7 @@ import (
 // through — there is no other way configuration reaches devices from
 // the control plane. Planning only reads devices: the compiler's
 // garbage collection refunds removable programs on its scratch view,
-// and its repack round rearranges a device's stage layout, never the
-// programs it runs.
+// and no compiler primitive writes to a device.
 //
 // Phase timing mirrors the engine's cost model: each device's prepare
 // takes its estimated reconfiguration latency of simulated time (traffic
