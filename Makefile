@@ -27,10 +27,18 @@ race:
 # and the array-map model check and the heavy-hitter migration check
 # against an array map whose Export drops slots written with 0 (build tag
 # state_array_mutant, internal/dataplane/state/slots_mutant.go) must
-# report a mismatch.
+# report a mismatch; and the packet lifetime check must fail against a
+# fabric that releases a forwarded packet to the pool while its link
+# still carries it (build tag packet_release_mutant,
+# internal/fabric/packet_release_mutant.go): the line passes only when
+# TestPacketConservationProperty reports FAIL, not on a build error.
 mutants:
 	$(GO) test -tags flowcache_reuse_mutant -run '^TestChaosSoakCatchesCacheReuse$$' -count=1 .
 	$(GO) test -tags state_array_mutant -run '^(TestArrayModelCatchesExportMutant|TestMigrationCatchesExportMutant)$$' -count=1 ./internal/dataplane/state ./internal/migrate
+	@out=$$($(GO) test -tags packet_release_mutant -run '^TestPacketConservationProperty$$' -count=1 ./internal/fabric 2>&1); \
+	if echo "$$out" | grep -q -- '--- FAIL: TestPacketConservationProperty'; then \
+		echo "packet_release_mutant: caught by TestPacketConservationProperty"; \
+	else echo "$$out"; echo "packet_release_mutant: TestPacketConservationProperty did not fail"; exit 1; fi
 
 # fuzz runs each native fuzz target for FUZZTIME (30 s) past its seed
 # corpus: the header chain against its []string model, and the flow

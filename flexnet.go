@@ -394,7 +394,9 @@ func (n *Network) HostReceived(host string) uint64 {
 	return h.Received
 }
 
-// OnHostReceive registers a delivery callback at a host.
+// OnHostReceive registers a delivery callback at a host. fn borrows the
+// packet for the duration of the call: the network reuses it once fn
+// returns, so a callback that keeps a packet keeps its Clone.
 func (n *Network) OnHostReceive(host string, fn func(*Packet)) error {
 	h := n.fab.Host(host)
 	if h == nil {

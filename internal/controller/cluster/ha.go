@@ -162,7 +162,7 @@ func NewHA(sim *netsim.Sim, n int, cfg HAConfig) *HAGroup {
 	}
 	for i := 0; i < n; i++ {
 		rep := &HAReplica{id: i, g: g, alive: true, votedFor: -1}
-		rep.router = drpc.NewRouter(baseIP+uint32(i), &g.seq, g.transportFor(rep))
+		rep.router = drpc.NewRouter(baseIP+uint32(i), &g.seq, sim.Packets(), g.transportFor(rep))
 		rep.router.SetScheduler(
 			func() uint64 { return uint64(sim.Now()) },
 			func(d uint64, fn func()) { sim.After(netsim.Time(d), fn) },
@@ -189,23 +189,20 @@ func NewHA(sim *netsim.Sim, n int, cfg HAConfig) *HAGroup {
 
 // transportFor builds one replica's mesh transport: decode the packet's
 // destination, honour partitions and liveness, and deliver after the
-// one-way delay.
+// one-way delay. Either way the packet then goes back to the
+// simulator's pool.
 func (g *HAGroup) transportFor(from *HAReplica) drpc.Transport {
 	return func(p *packet.Packet) {
-		if !from.alive {
-			return
-		}
 		to := g.byIP[uint32(p.Field("ipv4.dst"))]
-		if to == nil {
-			return
-		}
-		if g.partition != nil && g.partition(from.id, to.id) {
+		if !from.alive || to == nil || (g.partition != nil && g.partition(from.id, to.id)) {
+			g.sim.Packets().Release(p)
 			return
 		}
 		g.sim.After(delayNs, func() {
 			if to.alive {
 				to.router.Deliver(p)
 			}
+			g.sim.Packets().Release(p)
 		})
 	}
 }

@@ -175,7 +175,9 @@ type Controller struct {
 	// Punts buffers packets the data plane sends to the controller
 	// (bounded; see PuntRing).
 	Punts *PuntRing
-	// OnPunt, when set, is called for each punted packet.
+	// OnPunt, when set, is called for each punted packet. It borrows the
+	// packet for the duration of the call (fabric.Fabric.Punted); to
+	// keep it, Clone it.
 	OnPunt func(dev string, pkt *packet.Packet)
 
 	// audit is the append-only hash-chained trail of every control-plane

@@ -118,7 +118,7 @@ func (c *Controller) Probe(srcHost string, dstIP uint32, path []string, done fun
 				prev(p)
 			}
 		}
-		probe := packet.TCPPacket(0, h.IP, dstIP, probePort, 7, 0, 0)
+		probe := c.fab.Sim.Packets().TCPPacket(0, h.IP, dstIP, probePort, 7, 0, 0)
 		h.Send(probe)
 		// Watchdog: a lost probe must not leave the utility installed.
 		c.fab.Sim.After(500_000_000, func() {

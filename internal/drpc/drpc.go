@@ -122,6 +122,7 @@ type Router struct {
 	nextID   uint64
 	send     Transport
 	seq      *uint64
+	pool     *packet.Pool
 
 	// Simulated clock, wired by SetScheduler. Both nil until the fabric
 	// enables dRPC; CallOpt and delay verdicts need them.
@@ -147,14 +148,17 @@ type Router struct {
 }
 
 // NewRouter creates a router addressed by ip, sending through transport.
-// seq supplies packet IDs (shared with the fabric).
-func NewRouter(ip uint32, seq *uint64, send Transport) *Router {
+// seq supplies packet IDs (shared with the fabric) and pool the packets
+// (the simulator's; nil allocates each one). The transport owns every
+// packet it is given.
+func NewRouter(ip uint32, seq *uint64, pool *packet.Pool, send Transport) *Router {
 	return &Router{
 		IP:       ip,
 		services: map[uint64]Handler{},
 		pending:  map[uint64]func(Message, bool){},
 		send:     send,
 		seq:      seq,
+		pool:     pool,
 	}
 }
 
@@ -193,7 +197,7 @@ func (r *Router) newPacket(dst uint32, m Message) *packet.Packet {
 	*r.seq++
 	id := *r.seq
 	r.mu.Unlock()
-	p := packet.New(id)
+	p := r.pool.New(id)
 	// Neither add can fail: the chain is empty and has room for ChainCap.
 	_ = p.AddHeaderID(packet.HeaderEth)
 	p.SetFieldByID(fidEthType, packet.EtherTypeIPv4)
@@ -233,7 +237,8 @@ func (r *Router) Notify(dst uint32, service, method uint64, args [3]uint64) {
 }
 
 // Deliver processes an arriving dRPC packet addressed to this router.
-// It returns true when the packet was consumed.
+// It returns true when the packet was consumed. It reads p only during
+// the call; the caller still owns it.
 func (r *Router) Deliver(p *packet.Packet) bool {
 	m, ok := FromPacket(p)
 	if !ok {

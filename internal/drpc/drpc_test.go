@@ -11,8 +11,8 @@ import (
 func loopback() (*Router, *Router) {
 	var seq uint64
 	var a, b *Router
-	a = NewRouter(1, &seq, func(p *packet.Packet) { b.Deliver(p) })
-	b = NewRouter(2, &seq, func(p *packet.Packet) { a.Deliver(p) })
+	a = NewRouter(1, &seq, nil, func(p *packet.Packet) { b.Deliver(p) })
+	b = NewRouter(2, &seq, nil, func(p *packet.Packet) { a.Deliver(p) })
 	return a, b
 }
 
@@ -114,9 +114,9 @@ func TestCallIDsDistinctAcrossRouters(t *testing.T) {
 	sink := map[uint64]int{}
 	var target *Router
 	mkCaller := func(ip uint32) *Router {
-		return NewRouter(ip, &seq, func(p *packet.Packet) { target.Deliver(p) })
+		return NewRouter(ip, &seq, nil, func(p *packet.Packet) { target.Deliver(p) })
 	}
-	target = NewRouter(9, &seq, func(p *packet.Packet) {})
+	target = NewRouter(9, &seq, nil, func(p *packet.Packet) {})
 	target.Register(ServicePing, func(from uint32, m Message) *Message {
 		sink[m.CallID]++
 		return nil // no reply needed
@@ -167,13 +167,13 @@ func TestMessageRoundTripThroughPacket(t *testing.T) {
 	var seq uint64
 	var got Message
 	var from uint32
-	recv := NewRouter(7, &seq, nil)
+	recv := NewRouter(7, &seq, nil, nil)
 	recv.Register(ServiceUser, func(f uint32, m Message) *Message {
 		got = m
 		from = f
 		return nil
 	})
-	send := NewRouter(3, &seq, func(p *packet.Packet) {
+	send := NewRouter(3, &seq, nil, func(p *packet.Packet) {
 		// Serialize to wire bytes and back: the drpc header must survive
 		// a real parse.
 		raw, err := packet.Marshal(p)

@@ -90,13 +90,14 @@ func (r *Router) transmit(p *packet.Packet) {
 		r.mu.Lock()
 		r.Dropped++
 		r.mu.Unlock()
+		r.pool.Release(p)
 		return
 	}
 	if v.Duplicate {
 		r.mu.Lock()
 		r.Duplicated++
 		r.mu.Unlock()
-		dup := p.Clone()
+		dup := r.pool.Clone(p)
 		if v.DelayNs > 0 && after != nil {
 			after(v.DelayNs, func() { r.send(dup) })
 		} else {

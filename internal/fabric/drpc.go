@@ -26,7 +26,7 @@ func (f *Fabric) EnableDRPC(devName string, ip uint32) (*drpc.Router, error) {
 	// infrastructure routing program forwards it. inPort -1 skips the
 	// self-delivery check.
 	originate := func(p *packet.Packet, _ int) { f.deviceVisit(sw, p, -1, 0) }
-	r := drpc.NewRouter(ip, f.Seq(), func(p *packet.Packet) {
+	r := drpc.NewRouter(ip, f.Seq(), f.Sim.Packets(), func(p *packet.Packet) {
 		f.Sim.AtPacket(f.Sim.Now(), originate, p, 0)
 	})
 	r.SetScheduler(f.simNow, f.simAfter)
@@ -55,7 +55,7 @@ func (f *Fabric) EnableHostDRPC(hostName string) (*drpc.Router, error) {
 		return nil, fmt.Errorf("fabric: no host %q", hostName)
 	}
 	send := func(p *packet.Packet, _ int) { h.Node.Send(p, 0) }
-	r := drpc.NewRouter(h.IP, f.Seq(), func(p *packet.Packet) {
+	r := drpc.NewRouter(h.IP, f.Seq(), f.Sim.Packets(), func(p *packet.Packet) {
 		f.Sim.AtPacket(f.Sim.Now(), send, p, 0)
 	})
 	r.SetScheduler(f.simNow, f.simAfter)

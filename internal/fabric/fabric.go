@@ -36,7 +36,10 @@ type Host struct {
 	Name string
 	IP   uint32
 	Node *netsim.Node
-	// Recv is invoked for every packet delivered to this host.
+	// Recv is invoked for every packet delivered to this host. It may
+	// read the packet only for the duration of the call: the packet goes
+	// back to the simulator's pool when Recv returns, so a callback that
+	// keeps it keeps a Clone.
 	Recv func(*packet.Packet)
 	// Received counts delivered packets.
 	Received uint64
@@ -86,7 +89,8 @@ type Fabric struct {
 	// ContinueDrops counts packets that no program claimed (fell off the
 	// end of the chain with VerdictContinue).
 	ContinueDrops uint64
-	// Punted receives packets sent to the controller.
+	// Punted receives packets sent to the controller. Like Host.Recv,
+	// it borrows the packet for the duration of the call.
 	Punted func(dev string, pkt *packet.Packet)
 	// recircLimit bounds recirculation loops.
 	recircLimit int
@@ -169,10 +173,7 @@ func (f *Fabric) AddSwitchCfg(cfg dataplane.Config) *dataplane.Device {
 	node := f.Net.AddNode(cfg.Name)
 	f.routing.MarkDevice(cfg.Name)
 	sw := &swtch{Device: d}
-	sw.transmit = func(pkt *packet.Packet, _ int) {
-		f.events++
-		node.Send(pkt, pkt.EgressPort)
-	}
+	sw.transmit = func(pkt *packet.Packet, _ int) { f.transmit(node, pkt) }
 	sw.recirculate = func(pkt *packet.Packet, recirc int) {
 		f.deviceVisit(sw, pkt, pkt.IngressPort, recirc)
 	}
@@ -205,7 +206,8 @@ var fidIPv4Dst = packet.InternField("ipv4.dst")
 // chain and acts on the verdict. The egress transmit and a recirculation
 // are events of their own, LatencyNs later even when that is 0: folding
 // either into the visit would renumber the event stream and with it
-// every seeded output.
+// every seeded output. Every other verdict ends the packet's life, and
+// the packet goes back to the simulator's pool.
 func (f *Fabric) deviceVisit(sw *swtch, pkt *packet.Packet, inPort, recirc int) {
 	f.events++
 	d := sw.Device
@@ -213,6 +215,7 @@ func (f *Fabric) deviceVisit(sw *swtch, pkt *packet.Packet, inPort, recirc int) 
 	if inPort >= 0 && pkt.Headers.Has(packet.HeaderDRPC) {
 		if r := f.routers[d.Name()]; r != nil && uint32(pkt.FieldByID(fidIPv4Dst)) == r.IP {
 			r.Deliver(pkt)
+			f.Sim.Packets().Release(pkt)
 			return
 		}
 	}
@@ -221,12 +224,13 @@ func (f *Fabric) deviceVisit(sw *swtch, pkt *packet.Packet, inPort, recirc int) 
 	switch st.Verdict {
 	case packet.VerdictForward:
 		f.Sim.AtPacket(f.Sim.Now()+netsim.Time(st.LatencyNs), sw.transmit, pkt, 0)
+		return
 	case packet.VerdictRecirculate:
-		if recirc >= f.recircLimit {
-			f.ContinueDrops++
+		if recirc < f.recircLimit {
+			f.Sim.AtPacket(f.Sim.Now()+netsim.Time(st.LatencyNs), sw.recirculate, pkt, recirc+1)
 			return
 		}
-		f.Sim.AtPacket(f.Sim.Now()+netsim.Time(st.LatencyNs), sw.recirculate, pkt, recirc+1)
+		f.ContinueDrops++
 	case packet.VerdictToController:
 		if f.Punted != nil {
 			f.Punted(d.Name(), pkt)
@@ -236,6 +240,7 @@ func (f *Fabric) deviceVisit(sw *swtch, pkt *packet.Packet, inPort, recirc int) 
 	case packet.VerdictDrop:
 		// Dropped by policy; counted by the device.
 	}
+	f.Sim.Packets().Release(pkt)
 }
 
 // onTopoEvent mirrors topology changes into the routing engine. Node
@@ -285,6 +290,7 @@ func (f *Fabric) addHost(name string, ip uint32, routeShard int) *Host {
 		if h.Recv != nil {
 			h.Recv(pkt)
 		}
+		f.Sim.Packets().Release(pkt)
 	})
 	return h
 }
@@ -316,7 +322,9 @@ func (f *Fabric) Devices() []string { return f.devNames }
 func (f *Fabric) Hosts() []string { return f.hostNames }
 
 // Send injects a packet from a host into the fabric (via the host's
-// first port).
+// first port) and hands it over: the fabric releases it to the
+// simulator's pool when its life ends, so the caller must not touch it
+// again. Take it from the pool (Sim.Packets) to keep the pool balanced.
 func (h *Host) Send(pkt *packet.Packet) {
 	pkt.StampSent(uint64(h.fab.Sim.Now()))
 	h.Node.Send(pkt, 0)

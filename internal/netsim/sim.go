@@ -80,6 +80,9 @@ type Sim struct {
 	seq     uint64
 	rng     *rand.Rand
 	stopped bool
+	// packets is the free list every packet on this simulator is taken
+	// from and released to.
+	packets packet.Pool
 
 	// Processed counts events executed so far.
 	Processed uint64
@@ -92,6 +95,11 @@ func New(seed int64) *Sim {
 
 // Now returns the current simulation time.
 func (s *Sim) Now() Time { return s.now }
+
+// Packets returns the simulator's packet pool. Whoever creates a packet
+// for this simulator takes it from the pool, and whoever ends its life —
+// a drop, a delivery — releases it there.
+func (s *Sim) Packets() *packet.Pool { return &s.packets }
 
 // Rand returns the simulation's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }

@@ -9,7 +9,8 @@ import (
 
 // Handler receives packets arriving at a node. Implementations decide
 // what to do (process through a device, consume at a host, and so on)
-// and may call Node.Send to emit packets onward.
+// and may call Node.Send to emit packets onward. A handler owns the
+// packet: it sends it on or releases it to the simulator's pool.
 type Handler func(pkt *packet.Packet, inPort int)
 
 // Node is a point in the topology: a switch, NIC, or host. Packet
@@ -36,10 +37,13 @@ func (n *Node) Ports() int { return len(n.ports) }
 
 // Send transmits pkt out the given port. Sending on an unconnected port
 // counts as a drop. The packet is delivered to the neighbor after
-// serialization + propagation delay, subject to the link queue.
+// serialization + propagation delay, subject to the link queue. Send
+// owns pkt from then on: a packet it drops goes back to the simulator's
+// pool.
 func (n *Node) Send(pkt *packet.Packet, port int) {
 	if port < 0 || port >= len(n.ports) {
 		n.net.Drops++
+		n.net.sim.packets.Release(pkt)
 		return
 	}
 	n.ports[port].send(n.net.sim, pkt)
@@ -93,6 +97,7 @@ func (pe *portEnd) send(s *Sim, pkt *packet.Packet) {
 	if l.Down {
 		l.Drops++
 		l.net.Drops++
+		s.packets.Release(pkt)
 		return
 	}
 	d := pe.dir()
@@ -106,6 +111,7 @@ func (pe *portEnd) send(s *Sim, pkt *packet.Packet) {
 	if l.QueueBytes > 0 && queuedBytes+pkt.Len() > l.QueueBytes {
 		l.Drops++
 		l.net.Drops++
+		s.packets.Release(pkt)
 		return
 	}
 	if l.ECNThresholdBytes > 0 && queuedBytes > l.ECNThresholdBytes && pkt.Headers.Has(packet.HeaderIPv4) {
@@ -124,17 +130,21 @@ func (pe *portEnd) send(s *Sim, pkt *packet.Packet) {
 // arrival returns the handler of a packet's arrival at peer, bound once
 // per link direction at Connect. What can change while a packet is in
 // flight is read when it fires: a link that fails meanwhile loses the
-// packet, and the peer's handler is whichever is installed by then.
+// packet, and the peer's handler is whichever is installed by then. The
+// handler owns the packet; with none, the packet's life ends here.
 func (l *Link) arrival(peer *Node) Handler {
 	return func(pkt *packet.Packet, inPort int) {
 		if l.Down {
 			l.Drops++
 			l.net.Drops++
+			l.net.sim.packets.Release(pkt)
 			return
 		}
 		l.net.Delivered++
 		if peer.handler != nil {
 			peer.handler(pkt, inPort)
+		} else {
+			l.net.sim.packets.Release(pkt)
 		}
 	}
 }

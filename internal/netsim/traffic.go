@@ -19,7 +19,8 @@ type FlowSpec struct {
 
 // Source generates packets of one flow at a node with configurable
 // timing, injecting them via a send function (typically wrapping the
-// node's device ingress).
+// node's device ingress). It takes each packet from the simulator's pool
+// and hands it to the send function, which owns it from then on.
 type Source struct {
 	sim  *Sim
 	spec FlowSpec
@@ -49,10 +50,10 @@ func (s *Source) buildPacket(flags uint64) *packet.Packet {
 	*s.seq++
 	id := *s.seq
 	var p *packet.Packet
-	if s.spec.Proto == packet.ProtoUDP {
-		p = packet.UDPPacket(id, s.spec.Src, s.spec.Dst, s.spec.SrcPort, s.spec.DstPort, s.spec.PacketLen)
+	if pool := s.sim.Packets(); s.spec.Proto == packet.ProtoUDP {
+		p = pool.UDPPacket(id, s.spec.Src, s.spec.Dst, s.spec.SrcPort, s.spec.DstPort, s.spec.PacketLen)
 	} else {
-		p = packet.TCPPacket(id, s.spec.Src, s.spec.Dst, s.spec.SrcPort, s.spec.DstPort, flags, s.spec.PacketLen)
+		p = pool.TCPPacket(id, s.spec.Src, s.spec.Dst, s.spec.SrcPort, s.spec.DstPort, flags, s.spec.PacketLen)
 	}
 	if s.spec.VLAN != 0 {
 		// Insert the VLAN tag between eth and ipv4. It cannot fail: the
@@ -67,11 +68,9 @@ func (s *Source) buildPacket(flags uint64) *packet.Packet {
 }
 
 // EmitOne sends a single packet immediately with the given TCP flags.
-func (s *Source) EmitOne(flags uint64) *packet.Packet {
-	p := s.buildPacket(flags)
+func (s *Source) EmitOne(flags uint64) {
 	s.Sent++
-	s.emit(p)
-	return p
+	s.emit(s.buildPacket(flags))
 }
 
 // StartCBR emits packets at a constant rate (packets/sec) until Stop.

@@ -124,8 +124,8 @@ func (b *Builder) Build() *Packet {
 
 // ipv4Packet starts a full Eth/IPv4/<l4> packet: the header chain and
 // the Ethernet and IPv4 fields, by pre-interned ID.
-func ipv4Packet(id uint64, src, dst uint32, proto uint64, l4 HeaderID, payload int) *Packet {
-	p := New(id)
+func (pl *Pool) ipv4Packet(id uint64, src, dst uint32, proto uint64, l4 HeaderID, payload int) *Packet {
+	p := pl.New(id)
 	p.Headers = Chain{
 		ids:   [ChainCap]HeaderID{HeaderEth, HeaderIPv4, l4},
 		n:     3,
@@ -142,9 +142,21 @@ func ipv4Packet(id uint64, src, dst uint32, proto uint64, l4 HeaderID, payload i
 	return p
 }
 
-// TCPPacket is a convenience constructor for a full Eth/IPv4/TCP packet.
+// TCPPacket is a convenience constructor for a full Eth/IPv4/TCP packet:
+// Pool.TCPPacket on the nil pool.
 func TCPPacket(id uint64, src, dst uint32, sport, dport uint16, flags uint64, payload int) *Packet {
-	p := ipv4Packet(id, src, dst, ProtoTCP, HeaderTCP, payload)
+	return (*Pool)(nil).TCPPacket(id, src, dst, sport, dport, flags, payload)
+}
+
+// UDPPacket is a convenience constructor for a full Eth/IPv4/UDP packet:
+// Pool.UDPPacket on the nil pool.
+func UDPPacket(id uint64, src, dst uint32, sport, dport uint16, payload int) *Packet {
+	return (*Pool)(nil).UDPPacket(id, src, dst, sport, dport, payload)
+}
+
+// TCPPacket is TCPPacket with the packet taken from the pool.
+func (pl *Pool) TCPPacket(id uint64, src, dst uint32, sport, dport uint16, flags uint64, payload int) *Packet {
+	p := pl.ipv4Packet(id, src, dst, ProtoTCP, HeaderTCP, payload)
 	p.SetFieldByID(fidTCPSport, uint64(sport))
 	p.SetFieldByID(fidTCPDport, uint64(dport))
 	p.SetFieldByID(fidTCPFlags, flags)
@@ -152,9 +164,9 @@ func TCPPacket(id uint64, src, dst uint32, sport, dport uint16, flags uint64, pa
 	return p
 }
 
-// UDPPacket is a convenience constructor for a full Eth/IPv4/UDP packet.
-func UDPPacket(id uint64, src, dst uint32, sport, dport uint16, payload int) *Packet {
-	p := ipv4Packet(id, src, dst, ProtoUDP, HeaderUDP, payload)
+// UDPPacket is UDPPacket with the packet taken from the pool.
+func (pl *Pool) UDPPacket(id uint64, src, dst uint32, sport, dport uint16, payload int) *Packet {
+	p := pl.ipv4Packet(id, src, dst, ProtoUDP, HeaderUDP, payload)
 	p.SetFieldByID(fidUDPSport, uint64(sport))
 	p.SetFieldByID(fidUDPDport, uint64(dport))
 	p.SetFieldByID(fidUDPLen, uint64(8+payload))

@@ -18,9 +18,11 @@
 // is a bounds-checked array load, exactly as a compiled datapath would
 // address a PHV slot. The header chain is likewise a value of interned
 // HeaderIDs (Chain), not names: presence is an ID test, Len is O(1), and
-// two chains compare with ==. A packet is one allocation, whose struct
-// holds its chain, its PHV and the PHV's presence bitset. The
-// string-keyed accessors remain for control-plane and test convenience.
+// two chains compare with ==. A packet's struct holds its chain, its PHV
+// and the PHV's presence bitset, and a simulator takes it from a Pool
+// and gives it back when its life ends, so a packet costs no allocation
+// in steady state. The string-keyed accessors remain for control-plane
+// and test convenience.
 //
 // DESIGN.md §2 (S2) inventories the layer set; §7 documents the install-time linking fast path built on these views.
 package packet
@@ -70,8 +72,8 @@ func (v Verdict) String() string {
 // payload length (payload bytes themselves are not materialized; only
 // their length matters to the simulation).
 //
-// A Packet points into its own inline storage, so it is made by New or
-// Clone and never copied by value.
+// A Packet points into its own inline storage, so it is made by New,
+// Clone or a Pool and never copied by value.
 type Packet struct {
 	// ID is a unique packet identifier assigned by the traffic source.
 	ID uint64
@@ -102,6 +104,8 @@ type Packet struct {
 	// nothing stamped (see StampSent).
 	SentAt    uint64
 	HasSentAt bool
+	// released marks a packet handed back to a Pool (Pool.Release).
+	released bool
 
 	// Trace, when non-nil, accumulates the names of processing elements
 	// the packet visited; experiments use it to verify end-to-end paths.
@@ -121,14 +125,8 @@ const inlineFields = 60
 
 // New creates an empty packet with the given id. The PHV is sized to the
 // current intern table so steady-state field access never reallocates.
-func New(id uint64) *Packet { return newSized(id, NumFieldIDs()) }
-
-// newSized is New for a PHV of n fields.
-func newSized(id uint64, n int) *Packet {
-	p := &Packet{ID: id}
-	p.vals, p.present = p.phv(n)
-	return p
-}
+// It is Pool.New on the nil pool: the packet is a new allocation.
+func New(id uint64) *Packet { return (*Pool)(nil).New(id) }
 
 // phv returns a PHV of n fields and its presence bitset: the packet's
 // inline storage while n fits, one heap block past it.
@@ -141,27 +139,10 @@ func (p *Packet) phv(n int) (vals, present []uint64) {
 	return buf[:n:n], buf[n:]
 }
 
-// Clone deep-copies the packet. Clones are used when a device replicates
-// or recirculates traffic.
-func (p *Packet) Clone() *Packet {
-	q := &Packet{
-		ID:          p.ID,
-		Headers:     p.Headers,
-		PayloadLen:  p.PayloadLen,
-		IngressPort: p.IngressPort,
-		EgressPort:  p.EgressPort,
-		Epoch:       p.Epoch,
-		SentAt:      p.SentAt,
-		HasSentAt:   p.HasSentAt,
-	}
-	q.vals, q.present = q.phv(len(p.vals))
-	copy(q.vals, p.vals)
-	copy(q.present, p.present)
-	if p.Trace != nil {
-		q.Trace = append([]string(nil), p.Trace...)
-	}
-	return q
-}
+// Clone deep-copies the packet into a new allocation. Clones are used
+// when a device replicates or recirculates traffic, and by a Recv or
+// Punted callback that keeps a packet past the call.
+func (p *Packet) Clone() *Packet { return (*Pool)(nil).Clone(p) }
 
 // StampSent records now, in simulated nanoseconds, as the time the packet
 // was sent; latency sinks read it back from SentAt.

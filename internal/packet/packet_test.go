@@ -182,7 +182,7 @@ func TestCloneInlineStorage(t *testing.T) {
 // packet behaves the same.
 func TestNewPastInlineBitset(t *testing.T) {
 	n := 64 + 1
-	p := newSized(1, n)
+	p := (*Pool)(nil).sized(1, n)
 	if len(p.present) != 2 || len(p.vals) != n || &p.vals[0] == &p.valsBuf[0] {
 		t.Fatalf("present/vals = %d/%d words (inline %v), want 2/%d on the heap", len(p.present), len(p.vals), &p.vals[0] == &p.valsBuf[0], n)
 	}
@@ -330,4 +330,38 @@ func TestBuildersUnchanged(t *testing.T) {
 	if bytes := (after.TotalAlloc - before.TotalAlloc) / n; bytes > 640 {
 		t.Fatalf("a packet takes %d bytes from the allocator, past the 640-byte size class", bytes)
 	}
+}
+
+// TestPoolRecycles: a released packet reads as an empty packet to
+// whoever still holds it, the pool's next packet reuses it with a PHV
+// sized to the intern table, and releasing a packet twice panics.
+func TestPoolRecycles(t *testing.T) {
+	var pool Pool
+	p := pool.TCPPacket(7, 1, 2, 3, 4, TCPSyn, 100)
+	p.StampSent(5)
+	p.Trace = []string{"s1"}
+	pool.Release(p)
+	if p.ID != 0 || p.NumFields() != 0 || p.Headers.Len() != 0 || p.Len() != 0 || p.HasSentAt || p.Trace != nil {
+		t.Fatalf("a released packet reads %v (len %d, sent %v, trace %v), want empty", p, p.Len(), p.HasSentAt, p.Trace)
+	}
+	if pool.Live() != 0 || pool.Free() != 1 || pool.Peak() != 1 {
+		t.Fatalf("pool: %d live, %d free, peak %d; want 0, 1, 1", pool.Live(), pool.Free(), pool.Peak())
+	}
+	q := pool.UDPPacket(8, 1, 2, 3, 4, 10)
+	if q != p || len(q.vals) != NumFieldIDs() || &q.vals[0] != &q.valsBuf[0] {
+		t.Fatalf("the pool's next packet is not the released one with an inline PHV of %d fields", NumFieldIDs())
+	}
+	if want := UDPPacket(8, 1, 2, 3, 4, 10); q.String() != want.String() || q.Len() != want.Len() {
+		t.Fatalf("recycled packet = %v, want %v", q, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { pool.Release(pool.UDPPacket(1, 1, 2, 3, 4, 64)) }); n != 0 {
+		t.Fatalf("take and release: %v allocations, want 0", n)
+	}
+	pool.Release(q)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("releasing a packet twice did not panic")
+		}
+	}()
+	pool.Release(q)
 }

@@ -58,7 +58,7 @@ func (ep *Endpoint) handle(p *packet.Packet) bool {
 	if p.PayloadLen > 0 {
 		// Data: acknowledge, echoing congestion marks.
 		ep.AckedData++
-		ack := packet.TCPPacket(0, uint32(p.Field("ipv4.dst")), uint32(p.Field("ipv4.src")),
+		ack := ep.host.Sim().Packets().TCPPacket(0, uint32(p.Field("ipv4.dst")), uint32(p.Field("ipv4.src")),
 			uint16(p.Field("tcp.dport")), uint16(p.Field("tcp.sport")),
 			packet.TCPAck, 0)
 		ack.SetField("tcp.ack", p.Field("tcp.seq"))
@@ -179,7 +179,7 @@ func (fl *Flow) sendMore() {
 }
 
 func (fl *Flow) transmit(seq uint64, retx bool) {
-	p := packet.TCPPacket(0, fl.ep.host.IP, fl.dstIP, fl.sport, fl.dport, 0, MSS)
+	p := fl.sim.Packets().TCPPacket(0, fl.ep.host.IP, fl.dstIP, fl.sport, fl.dport, 0, MSS)
 	p.SetField("tcp.seq", seq)
 	sp := &sentPkt{at: fl.sim.Now(), retx: retx}
 	sp.timer = fl.sim.After(rtoFor(&fl.st), func() { fl.onTimeout(seq) })

@@ -55,6 +55,39 @@ func TestSingleFlowCompletes(t *testing.T) {
 	}
 }
 
+// TestPoolStaysAtPeakLive: with TCP traffic only — two lossy flows
+// whose data and ACKs both come from the simulator's packet pool — every
+// packet ends back in the pool, and the pool never holds more packets
+// than were live at once. A producer that allocated its own packets
+// would grow the pool past that peak by one packet per delivery.
+func TestPoolStaysAtPeakLive(t *testing.T) {
+	bn := netsim.LinkParams{BandwidthBps: 100_000_000, Delay: 10 * time.Microsecond, QueueBytes: 8 << 10}
+	f, eps, _ := dumbbell(t, 2, bn)
+	pool := f.Sim.Packets()
+	done := 0
+	for i, ep := range eps {
+		fl, err := ep.NewFlow(packet.IP(10, 0, 2, 1), uint16(5000+i), 80, Reno{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl.Total = 1000
+		fl.Start(func(*FlowStats) { done++ })
+	}
+	for done < len(eps) && f.Sim.Now() < 20*time.Second {
+		f.Sim.RunFor(time.Millisecond)
+		if pool.Free() > pool.Peak() {
+			t.Fatalf("at %v the pool holds %d packets, more than the %d ever live at once", f.Sim.Now(), pool.Free(), pool.Peak())
+		}
+	}
+	f.Sim.RunFor(10 * time.Millisecond)
+	if done != len(eps) {
+		t.Fatalf("%d of %d flows completed", done, len(eps))
+	}
+	if pool.Live() != 0 || pool.Free() > pool.Peak() || pool.Peak() == 0 {
+		t.Fatalf("pool: %d live, %d free, peak %d; want 0 live and free within the peak", pool.Live(), pool.Free(), pool.Peak())
+	}
+}
+
 func TestDuplicateSportRejected(t *testing.T) {
 	_, eps, _ := dumbbell(t, 1, netsim.DefaultLink())
 	if _, err := eps[0].NewFlow(1, 5000, 80, Reno{}); err != nil {
