@@ -2,9 +2,9 @@
 // subcommands into the daemon's JSON API and pretty-prints the
 // responses — the operator's handle on the app-level management plane.
 //
-// Each subcommand maps 1:1 onto one of the flexnet control requests
-// (DeployOptions, MigrateRequest, ScaleRequest, ...) and declares only
-// the flags that request actually has.
+// Each subcommand fills one api.Request, the type flexnetd decodes,
+// and declares only the flags its op reads; every flag writes straight
+// into a request field.
 //
 // Usage examples:
 //
@@ -22,6 +22,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,27 +33,17 @@ import (
 	"time"
 
 	"flexnet/internal/api"
+	"flexnet/internal/apps"
+	"flexnet/internal/telemetry"
 )
 
-// request is the JSON body sent to flexnetd.
-type request map[string]interface{}
-
-// command is one flexctl subcommand: its own FlagSet (declaring only
-// the flags its request has) plus a builder that turns parsed flags
-// into the wire request.
+// command is one flexctl subcommand: the request it sends and a
+// FlagSet whose flags write into that request.
 type command struct {
-	name    string
-	summary string
-	fs      *flag.FlagSet
-	build   func() (request, error)
-}
-
-func newCommand(name, summary string) *command {
-	return &command{
-		name:    name,
-		summary: summary,
-		fs:      flag.NewFlagSet("flexctl "+name, flag.ExitOnError),
-	}
+	fs  *flag.FlagSet
+	req api.Request
+	// finish, if set, completes the request once its flags are parsed.
+	finish func(r *api.Request) error
 }
 
 // splitCSV parses a comma-separated list, trimming blanks.
@@ -69,268 +60,115 @@ func splitCSV(s string) []string {
 	return out
 }
 
-// parseArgsCSV parses the numeric app-argument list.
-func parseArgsCSV(s string) ([]uint64, error) {
+// listFlag is a comma-separated string list flag.
+type listFlag []string
+
+func (l *listFlag) String() string     { return strings.Join(*l, ",") }
+func (l *listFlag) Set(s string) error { *l = splitCSV(s); return nil }
+
+// argsFlag is the comma-separated numeric app-argument list.
+type argsFlag []uint64
+
+func (a *argsFlag) String() string { return fmt.Sprint([]uint64(*a)) }
+
+func (a *argsFlag) Set(s string) error {
 	var args []uint64
 	for _, p := range splitCSV(s) {
 		var v uint64
 		if _, err := fmt.Sscanf(p, "%d", &v); err != nil {
-			return nil, fmt.Errorf("bad -args value %q", p)
+			return fmt.Errorf("bad -args value %q", p)
 		}
 		args = append(args, v)
 	}
-	return args, nil
+	*a = args
+	return nil
 }
 
-// commands builds the full subcommand table.
+// commands builds the subcommand table: one command per canonical op.
 func commands() map[string]*command {
-	cmds := map[string]*command{}
-	add := func(c *command) { cmds[c.name] = c }
+	cmds := make(map[string]*command, len(api.Ops))
+	for op := range api.Ops {
+		c := &command{fs: flag.NewFlagSet("flexctl "+op, flag.ContinueOnError)}
+		c.req.Op = op
+		cmds[op] = c
+	}
+	flags := func(op string) (*flag.FlagSet, *api.Request) { return cmds[op].fs, &cmds[op].req }
 
-	{
-		c := newCommand(api.OpStatus, api.Summary(api.OpStatus))
-		c.build = func() (request, error) { return request{"op": api.OpStatus}, nil }
-		add(c)
+	for _, op := range []string{api.OpDeploy, api.OpRemove, api.OpMigrate, api.OpScaleOut, api.OpScaleIn} {
+		fs, r := flags(op)
+		fs.StringVar(&r.URI, "uri", "", "app URI (flexnet://owner/name)")
+		fs.BoolVar(&r.DryRun, "dry-run", false, "validate the change plan without executing it")
 	}
-	{
-		c := newCommand(api.OpDevices, api.Summary(api.OpDevices))
-		c.build = func() (request, error) { return request{"op": api.OpDevices}, nil }
-		add(c)
+	for op, device := range map[string]string{api.OpMigrate: "destination device", api.OpScaleOut: "target device", api.OpScaleIn: "target device"} {
+		fs, r := flags(op)
+		fs.StringVar(&r.Segment, "segment", "", "app segment name")
+		fs.StringVar(&r.Device, "device", "", device)
 	}
-	{
-		c := newCommand(api.OpDeploy, api.Summary(api.OpDeploy))
-		uri := c.fs.String("uri", "", "app URI (flexnet://owner/name)")
-		app := c.fs.String("app", "", "builtin app name (syn-defense, heavy-hitter, rate-limiter, firewall, l2, int)")
-		args := c.fs.String("args", "", "comma-separated numeric app args")
-		path := c.fs.String("path", "", "comma-separated device path restricting placement")
-		tenant := c.fs.String("tenant", "", "owning tenant")
-		dry := c.fs.Bool("dry-run", false, "validate the change plan without executing it")
-		c.build = func() (request, error) {
-			req := request{"op": api.OpDeploy, "uri": *uri, "app": *app}
-			if a, err := parseArgsCSV(*args); err != nil {
-				return nil, err
-			} else if len(a) > 0 {
-				req["args"] = a
-			}
-			if p := splitCSV(*path); len(p) > 0 {
-				req["path"] = p
-			}
-			if *tenant != "" {
-				req["tenant"] = *tenant
-			}
-			if *dry {
-				req["dry_run"] = true
-			}
-			return req, nil
+	fs, r := flags(api.OpDeploy)
+	var kinds []string
+	for k := range apps.BuiltinKinds() {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	fs.StringVar(&r.App, "app", "", "builtin app name ("+strings.Join(kinds, ", ")+")")
+	fs.Var((*argsFlag)(&r.Args), "args", "comma-separated `list` of numeric app args")
+	fs.Var((*listFlag)(&r.Path), "path", "comma-separated device `list` restricting placement")
+	fs.StringVar(&r.Tenant, "tenant", "", "owning tenant")
+	fs, r = flags(api.OpMigrate)
+	fs.BoolVar(&r.DataPlane, "dp", false, "use data-plane state migration")
+	for _, op := range []string{api.OpTenantAdd, api.OpTenantRemove} {
+		fs, r := flags(op)
+		fs.StringVar(&r.Tenant, "tenant", "", "tenant name")
+	}
+	fs, r = flags(api.OpTraffic)
+	fs.StringVar(&r.SrcHost, "src", "", "traffic source host")
+	fs.StringVar(&r.DstIP, "dst", "", "traffic destination IP")
+	fs.Float64Var(&r.PPS, "pps", 10000, "packets per second")
+	fs, r = flags(api.OpRun)
+	fs.Int64Var(&r.Millis, "ms", 100, "simulated milliseconds to run")
+	fs, r = flags(api.OpHeal)
+	fs.Int64Var(&r.Millis, "ms", 5, "reconciliation scan period (simulated milliseconds)")
+	fs, r = flags(api.OpAudit)
+	fs.IntVar(&r.Limit, "n", 10, "number of trailing records to show")
+	fs, r = flags(api.OpSpecApply)
+	fs.BoolVar(&r.DryRun, "dry-run", false, "compute the diff and validate without executing")
+
+	fs, r = flags(api.OpTrace)
+	fs.StringVar(&r.Plan, "plan", "", "plan ID (empty or \"last\" = most recent)")
+	cmds[api.OpTrace].finish = func(r *api.Request) error {
+		if r.Plan == "last" {
+			r.Plan = ""
 		}
-		add(c)
+		return nil
 	}
-	{
-		c := newCommand(api.OpRemove, api.Summary(api.OpRemove))
-		uri := c.fs.String("uri", "", "app URI")
-		dry := c.fs.Bool("dry-run", false, "validate the change plan without executing it")
-		c.build = func() (request, error) {
-			req := request{"op": api.OpRemove, "uri": *uri}
-			if *dry {
-				req["dry_run"] = true
-			}
-			return req, nil
+	file := cmds[api.OpFaults].fs.String("file", "", "path to a fault schedule ({\"seed\": N, \"events\": [...]}; \"-\" = stdin)")
+	cmds[api.OpFaults].finish = func(r *api.Request) error {
+		data, err := readFileArg(*file, `faults needs -file (see README "Operations runbook")`)
+		if err != nil {
+			return err
 		}
-		add(c)
-	}
-	{
-		c := newCommand(api.OpMigrate, api.Summary(api.OpMigrate))
-		uri := c.fs.String("uri", "", "app URI")
-		segment := c.fs.String("segment", "", "app segment name")
-		device := c.fs.String("device", "", "destination device")
-		dp := c.fs.Bool("dp", false, "use data-plane state migration")
-		dry := c.fs.Bool("dry-run", false, "validate the change plan without executing it")
-		c.build = func() (request, error) {
-			req := request{"op": api.OpMigrate, "uri": *uri, "segment": *segment, "device": *device}
-			if *dp {
-				req["data_plane"] = true
-			}
-			if *dry {
-				req["dry_run"] = true
-			}
-			return req, nil
+		if err := json.Unmarshal(data, &r.Faults); err != nil {
+			return fmt.Errorf("bad schedule JSON: %w", err)
 		}
-		add(c)
+		return nil
 	}
-	for _, dir := range []string{api.OpScaleOut, api.OpScaleIn} {
-		dir := dir
-		c := newCommand(dir, api.Summary(dir))
-		uri := c.fs.String("uri", "", "app URI")
-		segment := c.fs.String("segment", "", "app segment name")
-		device := c.fs.String("device", "", "target device")
-		dry := c.fs.Bool("dry-run", false, "validate the change plan without executing it")
-		c.build = func() (request, error) {
-			req := request{"op": dir, "uri": *uri, "segment": *segment, "device": *device}
-			if *dry {
-				req["dry_run"] = true
-			}
-			return req, nil
+	for _, op := range []string{api.OpSpecApply, api.OpSpecDiff} {
+		file := cmds[op].fs.String("file", "", "declarative spec document (YAML or JSON; \"-\" = stdin)")
+		missing := strings.Replace(op, "-", " ", 1) + ` needs -file ("-" = stdin)`
+		cmds[op].finish = func(r *api.Request) error {
+			data, err := readFileArg(*file, missing)
+			r.Spec = string(data)
+			return err
 		}
-		add(c)
-	}
-	{
-		c := newCommand(api.OpTenantAdd, api.Summary(api.OpTenantAdd))
-		tenant := c.fs.String("tenant", "", "tenant name")
-		c.build = func() (request, error) { return request{"op": api.OpTenantAdd, "tenant": *tenant}, nil }
-		add(c)
-	}
-	{
-		c := newCommand(api.OpTenantRemove, api.Summary(api.OpTenantRemove))
-		tenant := c.fs.String("tenant", "", "tenant name")
-		c.build = func() (request, error) { return request{"op": api.OpTenantRemove, "tenant": *tenant}, nil }
-		add(c)
-	}
-	{
-		c := newCommand(api.OpTraffic, api.Summary(api.OpTraffic))
-		src := c.fs.String("src", "", "traffic source host")
-		dst := c.fs.String("dst", "", "traffic destination IP")
-		pps := c.fs.Float64("pps", 10000, "packets per second")
-		c.build = func() (request, error) {
-			return request{"op": api.OpTraffic, "src_host": *src, "dst_ip": *dst, "pps": *pps}, nil
-		}
-		add(c)
-	}
-	{
-		c := newCommand(api.OpTrafficStop, api.Summary(api.OpTrafficStop))
-		c.build = func() (request, error) { return request{"op": api.OpTrafficStop}, nil }
-		add(c)
-	}
-	{
-		c := newCommand(api.OpRun, api.Summary(api.OpRun))
-		ms := c.fs.Int64("ms", 100, "simulated milliseconds to run")
-		c.build = func() (request, error) { return request{"op": api.OpRun, "millis": *ms}, nil }
-		add(c)
-	}
-	{
-		c := newCommand(api.OpStats, api.Summary(api.OpStats))
-		c.build = func() (request, error) { return request{"op": api.OpStats}, nil }
-		add(c)
-	}
-	{
-		c := newCommand(api.OpTrace, api.Summary(api.OpTrace))
-		plan := c.fs.String("plan", "", "plan ID (empty = most recent)")
-		c.build = func() (request, error) {
-			req := request{"op": api.OpTrace}
-			if *plan != "" && *plan != "last" {
-				req["plan"] = *plan
-			}
-			return req, nil
-		}
-		add(c)
-	}
-	{
-		c := newCommand(api.OpReport, api.Summary(api.OpReport))
-		c.build = func() (request, error) { return request{"op": api.OpReport}, nil }
-		add(c)
-	}
-	{
-		c := newCommand(api.OpFaults, api.Summary(api.OpFaults))
-		file := c.fs.String("file", "", "path to a fault schedule ({\"seed\": N, \"events\": [...]}; \"-\" = stdin)")
-		c.build = func() (request, error) {
-			if *file == "" {
-				return nil, fmt.Errorf("faults needs -file (see README \"Operations runbook\")")
-			}
-			var data []byte
-			var err error
-			if *file == "-" {
-				data, err = io.ReadAll(os.Stdin)
-			} else {
-				data, err = os.ReadFile(*file)
-			}
-			if err != nil {
-				return nil, err
-			}
-			var sched json.RawMessage
-			if err := json.Unmarshal(data, &sched); err != nil {
-				return nil, fmt.Errorf("bad schedule JSON: %w", err)
-			}
-			return request{"op": api.OpFaults, "faults": sched}, nil
-		}
-		add(c)
-	}
-	{
-		c := newCommand(api.OpHeal, api.Summary(api.OpHeal))
-		ms := c.fs.Int64("ms", 5, "reconciliation scan period (simulated milliseconds)")
-		c.build = func() (request, error) { return request{"op": api.OpHeal, "millis": *ms}, nil }
-		add(c)
-	}
-	{
-		c := newCommand(api.OpHealStatus, api.Summary(api.OpHealStatus))
-		c.build = func() (request, error) { return request{"op": api.OpHealStatus}, nil }
-		add(c)
-	}
-	{
-		c := newCommand(api.OpSpecApply, api.Summary(api.OpSpecApply))
-		file := c.fs.String("file", "", "declarative spec document (YAML or JSON; \"-\" = stdin)")
-		dry := c.fs.Bool("dry-run", false, "compute the diff and validate without executing")
-		c.build = func() (request, error) {
-			data, err := readFileArg(*file, "spec apply")
-			if err != nil {
-				return nil, err
-			}
-			req := request{"op": api.OpSpecApply, "spec": string(data)}
-			if *dry {
-				req["dry_run"] = true
-			}
-			return req, nil
-		}
-		add(c)
-	}
-	{
-		c := newCommand(api.OpSpecDiff, api.Summary(api.OpSpecDiff))
-		file := c.fs.String("file", "", "declarative spec document (YAML or JSON; \"-\" = stdin)")
-		c.build = func() (request, error) {
-			data, err := readFileArg(*file, "spec diff")
-			if err != nil {
-				return nil, err
-			}
-			return request{"op": api.OpSpecDiff, "spec": string(data)}, nil
-		}
-		add(c)
-	}
-	{
-		c := newCommand(api.OpSpecStatus, api.Summary(api.OpSpecStatus))
-		c.build = func() (request, error) { return request{"op": api.OpSpecStatus}, nil }
-		add(c)
-	}
-	{
-		c := newCommand(api.OpAudit, api.Summary(api.OpAudit))
-		n := c.fs.Int("n", 10, "number of trailing records to show")
-		c.build = func() (request, error) { return request{"op": api.OpAudit, "limit": *n}, nil }
-		add(c)
-	}
-	{
-		c := newCommand(api.OpAuditVerify, api.Summary(api.OpAuditVerify))
-		c.build = func() (request, error) { return request{"op": api.OpAuditVerify}, nil }
-		add(c)
-	}
-	{
-		c := newCommand(api.OpAuditReplay, api.Summary(api.OpAuditReplay))
-		c.build = func() (request, error) { return request{"op": api.OpAuditReplay}, nil }
-		add(c)
-	}
-	{
-		c := newCommand(api.OpHAStatus, api.Summary(api.OpHAStatus))
-		c.build = func() (request, error) { return request{"op": api.OpHAStatus}, nil }
-		add(c)
-	}
-	{
-		c := newCommand(api.OpHAFailover, api.Summary(api.OpHAFailover))
-		c.build = func() (request, error) { return request{"op": api.OpHAFailover}, nil }
-		add(c)
 	}
 	return cmds
 }
 
-// readFileArg reads a -file argument ("-" = stdin).
-func readFileArg(path, what string) ([]byte, error) {
+// readFileArg reads a -file argument ("-" = stdin); missing is the
+// error when none was given.
+func readFileArg(path, missing string) ([]byte, error) {
 	if path == "" {
-		return nil, fmt.Errorf("%s needs -file (\"-\" = stdin)", what)
+		return nil, errors.New(missing)
 	}
 	if path == "-" {
 		return io.ReadAll(os.Stdin)
@@ -338,17 +176,12 @@ func readFileArg(path, what string) ([]byte, error) {
 	return os.ReadFile(path)
 }
 
-func usage(cmds map[string]*command) {
-	names := make([]string, 0, len(cmds))
-	for n := range cmds {
-		names = append(names, n)
+func usage(w io.Writer) {
+	fmt.Fprintf(w, "usage: flexctl [-addr host:port] <command> [flags]\n\ncommands:\n")
+	for _, n := range api.Names() {
+		fmt.Fprintf(w, "  %-14s %s\n", n, api.Summary(n))
 	}
-	sort.Strings(names)
-	fmt.Fprintf(os.Stderr, "usage: flexctl [-addr host:port] <command> [flags]\n\ncommands:\n")
-	for _, n := range names {
-		fmt.Fprintf(os.Stderr, "  %-14s %s\n", n, cmds[n].summary)
-	}
-	fmt.Fprintf(os.Stderr, `
+	fmt.Fprintf(w, `
 Run "flexctl <command> -h" for that command's flags.
 
 verb groups: "flexctl spec apply|diff|status",
@@ -364,62 +197,83 @@ shortcuts: "flexctl -stats" = "flexctl stats";
 change plan and prints its steps and cost estimate without mutating
 the network.
 `)
-	os.Exit(2)
 }
 
-func main() {
-	cmds := commands()
-	addr := flag.String("addr", "127.0.0.1:9177", "flexnetd address")
-	statsFlag := flag.Bool("stats", false, "print the telemetry snapshot (shortcut for the stats command)")
-	traceFlag := flag.String("trace", "", "print a plan's execution trace by ID; \"last\" = most recent")
-	flag.Usage = func() { usage(cmds) }
-	flag.Parse()
+// errUsage marks a command line flexctl cannot run; the reason and the
+// usage text have already been written.
+var errUsage = errors.New("usage")
 
-	name := ""
-	rest := flag.Args()
+// parse turns flexctl's arguments (without the program name) into the
+// daemon address and the request to send, writing usage text and flag
+// errors to w.
+func parse(args []string, w io.Writer) (addr string, req *api.Request, err error) {
+	top := flag.NewFlagSet("flexctl", flag.ContinueOnError)
+	top.SetOutput(w)
+	top.Usage = func() { usage(w) }
+	addrFlag := top.String("addr", "127.0.0.1:9177", "flexnetd address")
+	statsFlag := top.Bool("stats", false, "print the telemetry snapshot (shortcut for the stats command)")
+	traceFlag := top.String("trace", "", "print a plan's execution trace by ID; \"last\" = most recent")
+	if err := top.Parse(args); err != nil {
+		return "", nil, fmt.Errorf("%w: %w", errUsage, err)
+	}
+
+	cmds := commands()
+	name, rest := "", top.Args()
 	switch {
 	case *statsFlag:
-		name = "stats"
+		name = api.OpStats
 	case *traceFlag != "":
-		name = "trace"
-		if *traceFlag != "last" {
-			rest = []string{"-plan", *traceFlag}
-		}
+		name, rest = api.OpTrace, []string{"-plan", *traceFlag}
 	case len(rest) >= 1:
-		name = rest[0]
-		rest = rest[1:]
+		name, rest = rest[0], rest[1:]
 		// Verb groups: "flexctl spec apply", "flexctl audit verify" and
 		// "flexctl ha status" join onto the canonical dashed op names.
-		if (name == "spec" || name == "audit" || name == "ha") && len(rest) >= 1 {
-			if sub := name + "-" + rest[0]; cmds[sub] != nil {
-				name = sub
-				rest = rest[1:]
-			}
+		if (name == "spec" || name == "audit" || name == "ha") && len(rest) >= 1 && cmds[name+"-"+rest[0]] != nil {
+			name, rest = name+"-"+rest[0], rest[1:]
 		}
-		if name == "spec" {
+		switch name {
+		case "spec":
 			name = api.OpSpecStatus
-		}
-		if name == "ha" {
+		case "ha":
 			name = api.OpHAStatus
 		}
 	default:
-		usage(cmds)
+		usage(w)
+		return "", nil, errUsage
 	}
 	cmd := cmds[name]
 	if cmd == nil {
-		fmt.Fprintf(os.Stderr, "flexctl: unknown command %q\n\n", name)
-		usage(cmds)
+		fmt.Fprintf(w, "flexctl: unknown command %q\n\n", name)
+		usage(w)
+		return "", nil, errUsage
 	}
-	cmd.fs.Parse(rest)
-	req, err := cmd.build()
-	if err != nil {
+	cmd.fs.SetOutput(w)
+	if err := cmd.fs.Parse(rest); err != nil {
+		return "", nil, fmt.Errorf("%w: %w", errUsage, err)
+	}
+	if cmd.finish != nil {
+		if err := cmd.finish(&cmd.req); err != nil {
+			return "", nil, err
+		}
+	}
+	return *addrFlag, &cmd.req, nil
+}
+
+func main() {
+	addr, req, err := parse(os.Args[1:], os.Stderr)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
 		fmt.Fprintf(os.Stderr, "flexctl: %v\n", err)
 		os.Exit(1)
 	}
 
-	conn, err := net.Dial("tcp", *addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "flexctl: connect %s: %v\n", *addr, err)
+		fmt.Fprintf(os.Stderr, "flexctl: connect %s: %v\n", addr, err)
 		os.Exit(1)
 	}
 	defer conn.Close()
@@ -433,11 +287,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "flexctl: read: %v\n", err)
 		os.Exit(1)
 	}
-	var resp struct {
-		OK    bool            `json:"ok"`
-		Error string          `json:"error"`
-		Data  json.RawMessage `json:"data"`
-	}
+	var data json.RawMessage
+	resp := api.Response{Data: &data}
 	if err := json.Unmarshal(line, &resp); err != nil {
 		fmt.Fprintf(os.Stderr, "flexctl: malformed response: %v\n", err)
 		os.Exit(1)
@@ -446,51 +297,36 @@ func main() {
 		fmt.Fprintf(os.Stderr, "flexctl: %s\n", resp.Error)
 		os.Exit(1)
 	}
-	if len(resp.Data) > 0 {
-		switch name {
-		case "stats":
-			if out, ok := renderStats(resp.Data); ok {
-				fmt.Print(out)
-				return
-			}
-		case "trace":
-			if out, ok := renderTrace(resp.Data); ok {
-				fmt.Print(out)
-				return
-			}
-		}
-		var pretty interface{}
-		json.Unmarshal(resp.Data, &pretty)
-		out, _ := json.MarshalIndent(pretty, "", "  ")
-		fmt.Println(string(out))
-	} else {
+	if len(data) == 0 {
 		fmt.Println("ok")
+		return
 	}
+	fmt.Print(render(req.Op, data))
 }
 
-// renderStats pretty-prints a telemetry snapshot (falls back to raw JSON
-// on decode failure).
-func renderStats(raw json.RawMessage) (string, bool) {
-	var s struct {
-		Counters []struct {
-			Name  string `json:"name"`
-			Value int64  `json:"value"`
-		} `json:"counters"`
-		Gauges []struct {
-			Name  string `json:"name"`
-			Value int64  `json:"value"`
-		} `json:"gauges"`
-		Histograms []struct {
-			Name    string   `json:"name"`
-			Count   uint64   `json:"count"`
-			Sum     int64    `json:"sum"`
-			Bounds  []int64  `json:"bounds"`
-			Buckets []uint64 `json:"buckets"`
-		} `json:"histograms"`
+// render formats a reply's data for the terminal: a stats or trace
+// reply as a table, anything else as indented JSON.
+func render(op string, data json.RawMessage) string {
+	switch op {
+	case api.OpStats:
+		var s telemetry.Snapshot
+		if json.Unmarshal(data, &s) == nil {
+			return renderStats(s)
+		}
+	case api.OpTrace:
+		var t telemetry.TraceSnapshot
+		if json.Unmarshal(data, &t) == nil && t.ID != "" {
+			return renderTrace(t)
+		}
 	}
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return "", false
-	}
+	var pretty interface{}
+	json.Unmarshal(data, &pretty)
+	out, _ := json.MarshalIndent(pretty, "", "  ")
+	return string(out) + "\n"
+}
+
+// renderStats pretty-prints a telemetry snapshot.
+func renderStats(s telemetry.Snapshot) string {
 	var b strings.Builder
 	if len(s.Counters) > 0 {
 		b.WriteString("counters:\n")
@@ -510,28 +346,11 @@ func renderStats(raw json.RawMessage) (string, bool) {
 			fmt.Fprintf(&b, "  %-44s count=%d sum=%d\n", h.Name, h.Count, h.Sum)
 		}
 	}
-	return b.String(), true
+	return b.String()
 }
 
 // renderTrace pretty-prints a plan execution trace.
-func renderTrace(raw json.RawMessage) (string, bool) {
-	var t struct {
-		ID      string `json:"id"`
-		Label   string `json:"label"`
-		Outcome string `json:"outcome"`
-		StartNs int64  `json:"start_ns"`
-		EndNs   int64  `json:"end_ns"`
-		Spans   []struct {
-			Name    string `json:"name"`
-			Device  string `json:"device"`
-			StartNs int64  `json:"start_ns"`
-			EndNs   int64  `json:"end_ns"`
-			Err     string `json:"error"`
-		} `json:"spans"`
-	}
-	if err := json.Unmarshal(raw, &t); err != nil || t.ID == "" {
-		return "", false
-	}
+func renderTrace(t telemetry.TraceSnapshot) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace %s %q: %s, %v → %v (%v)\n", t.ID, t.Label, t.Outcome,
 		time.Duration(t.StartNs), time.Duration(t.EndNs), time.Duration(t.EndNs-t.StartNs))
@@ -546,5 +365,5 @@ func renderTrace(raw json.RawMessage) (string, bool) {
 		}
 		b.WriteByte('\n')
 	}
-	return b.String(), true
+	return b.String()
 }

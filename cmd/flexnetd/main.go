@@ -113,46 +113,6 @@ func buildNetwork(t *Topology) (*flexnet.Network, error) {
 	return b.Build()
 }
 
-// Request is one API call.
-type Request struct {
-	Op      string   `json:"op"`
-	URI     string   `json:"uri,omitempty"`
-	App     string   `json:"app,omitempty"` // builtin app name
-	Args    []uint64 `json:"args,omitempty"`
-	Segment string   `json:"segment,omitempty"`
-	Device  string   `json:"device,omitempty"`
-	Tenant  string   `json:"tenant,omitempty"`
-	Path    []string `json:"path,omitempty"`
-	// Traffic parameters.
-	SrcHost string  `json:"src_host,omitempty"`
-	DstIP   string  `json:"dst_ip,omitempty"`
-	PPS     float64 `json:"pps,omitempty"`
-	// Run duration in milliseconds.
-	Millis int64 `json:"millis,omitempty"`
-	// Migration mode.
-	DataPlane bool `json:"data_plane,omitempty"`
-	// Plan selects a plan ID for the "trace" op ("" = most recent).
-	Plan string `json:"plan,omitempty"`
-	// DryRun validates the operation's change plan and returns its steps
-	// and cost estimate without mutating the network.
-	DryRun bool `json:"dry_run,omitempty"`
-	// Faults carries a fault schedule for the "faults" op (seed +
-	// events; see internal/faults for the event format).
-	Faults *flexnet.FaultSchedule `json:"faults,omitempty"`
-	// Spec is the declarative spec document (YAML or JSON) for the
-	// spec-apply and spec-diff ops.
-	Spec string `json:"spec,omitempty"`
-	// Limit bounds list-shaped replies (the audit op's tail length).
-	Limit int `json:"limit,omitempty"`
-}
-
-// Response is one API reply.
-type Response struct {
-	OK    bool        `json:"ok"`
-	Error string      `json:"error,omitempty"`
-	Data  interface{} `json:"data,omitempty"`
-}
-
 // statusInfo and deviceInfo are the status and devices replies. The
 // fields are declared in the alphabetical order encoding/json gives map
 // keys, so the bytes on the wire are those of the maps they replaced.
@@ -204,9 +164,10 @@ func builtinApp(kind string, args []uint64) (*flexnet.Program, error) {
 	return apps.Builtin(kind, name, args)
 }
 
-// planData serializes a dry-run plan report for the wire: every step
-// with its validation status, plus the plan-level outcome and estimate.
-func planData(rep *flexnet.PlanReport) Response {
+// planData is a plan report's one wire encoding, for dry runs and the
+// report op: every step with its status, plus the plan-level outcome
+// and estimate. TestPlanRepliesGolden pins its bytes.
+func planData(rep *flexnet.PlanReport) api.Response {
 	steps := make([]map[string]interface{}, 0, len(rep.Steps))
 	for _, sr := range rep.Steps {
 		m := map[string]interface{}{
@@ -233,24 +194,24 @@ func planData(rep *flexnet.PlanReport) Response {
 	if rep.Err != nil {
 		data["error"] = rep.Err.Error()
 	}
-	return Response{OK: true, Data: data}
+	return api.Response{OK: true, Data: data}
 }
 
 // handle checks the op name against the shared table and dispatches.
-func (s *Server) handle(req *Request) Response {
+func (s *Server) handle(req *api.Request) api.Response {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !api.Known(req.Op) {
-		return Response{OK: false, Error: fmt.Sprintf("unknown op %q (have: %s)", req.Op, strings.Join(api.Names(), ", "))}
+		return api.Response{OK: false, Error: fmt.Sprintf("unknown op %q (have: %s)", req.Op, strings.Join(api.Names(), ", "))}
 	}
 	return s.dispatch(req)
 }
 
-func (s *Server) dispatch(req *Request) Response {
-	fail := func(err error) Response { return Response{OK: false, Error: err.Error()} }
+func (s *Server) dispatch(req *api.Request) api.Response {
+	fail := func(err error) api.Response { return api.Response{OK: false, Error: err.Error()} }
 	switch req.Op {
 	case api.OpStatus:
-		return Response{OK: true, Data: statusInfo{
+		return api.Response{OK: true, Data: statusInfo{
 			Apps:      s.net.Controller().Apps(),
 			Drops:     s.net.InfrastructureDrops(),
 			SimTimeMS: s.net.Now().Milliseconds(),
@@ -266,7 +227,7 @@ func (s *Server) dispatch(req *Request) Response {
 				Programs:    r.Programs,
 			})
 		}
-		return Response{OK: true, Data: out}
+		return api.Response{OK: true, Data: out}
 	case api.OpDeploy:
 		prog, err := builtinApp(req.App, req.Args)
 		if err != nil {
@@ -285,7 +246,7 @@ func (s *Server) dispatch(req *Request) Response {
 		if req.DryRun {
 			return planData(rep)
 		}
-		return Response{OK: true, Data: map[string]string{"uri": req.URI}}
+		return api.Response{OK: true, Data: map[string]string{"uri": req.URI}}
 	case api.OpRemove:
 		rep, err := s.net.Remove(context.Background(), req.URI,
 			flexnet.RemoveOptions{DryRun: req.DryRun})
@@ -295,7 +256,7 @@ func (s *Server) dispatch(req *Request) Response {
 		if req.DryRun {
 			return planData(rep)
 		}
-		return Response{OK: true}
+		return api.Response{OK: true}
 	case api.OpMigrate:
 		rep, planRep, err := s.net.Migrate(context.Background(), flexnet.MigrateRequest{
 			URI: req.URI, Segment: req.Segment, Dst: req.Device,
@@ -307,7 +268,7 @@ func (s *Server) dispatch(req *Request) Response {
 		if req.DryRun {
 			return planData(planRep)
 		}
-		return Response{OK: true, Data: map[string]interface{}{
+		return api.Response{OK: true, Data: map[string]interface{}{
 			"lost_updates": rep.LostUpdates,
 			"chunks":       rep.ChunksSent,
 			"duration_ms":  (rep.Done - rep.Started).Milliseconds(),
@@ -327,18 +288,18 @@ func (s *Server) dispatch(req *Request) Response {
 		if req.DryRun {
 			return planData(rep)
 		}
-		return Response{OK: true}
+		return api.Response{OK: true}
 	case api.OpTenantAdd:
 		tn, err := s.net.AddTenant(req.Tenant)
 		if err != nil {
 			return fail(err)
 		}
-		return Response{OK: true, Data: map[string]uint64{"vlan": tn.VLAN}}
+		return api.Response{OK: true, Data: map[string]uint64{"vlan": tn.VLAN}}
 	case api.OpTenantRemove:
 		if err := s.net.DeleteTenant(context.Background(), req.Tenant); err != nil {
 			return fail(err)
 		}
-		return Response{OK: true}
+		return api.Response{OK: true}
 	case api.OpTraffic:
 		dst, err := flexnet.ParseIP(req.DstIP)
 		if err != nil {
@@ -354,22 +315,22 @@ func (s *Server) dispatch(req *Request) Response {
 		s.nextSrc++
 		id := fmt.Sprintf("src%d", s.nextSrc)
 		s.sources[id] = src
-		return Response{OK: true, Data: map[string]string{"source": id}}
+		return api.Response{OK: true, Data: map[string]string{"source": id}}
 	case api.OpTrafficStop:
 		for _, src := range s.sources {
 			src.Stop()
 		}
 		s.sources = map[string]*flexnet.Source{}
-		return Response{OK: true}
+		return api.Response{OK: true}
 	case api.OpRun:
 		ms := req.Millis
 		if ms <= 0 {
 			ms = 100
 		}
 		s.net.RunFor(time.Duration(ms) * time.Millisecond)
-		return Response{OK: true, Data: map[string]int64{"sim_time_ms": s.net.Now().Milliseconds()}}
+		return api.Response{OK: true, Data: map[string]int64{"sim_time_ms": s.net.Now().Milliseconds()}}
 	case api.OpStats:
-		return Response{OK: true, Data: s.net.Stats()}
+		return api.Response{OK: true, Data: s.net.Stats()}
 	case api.OpTrace:
 		tr := s.net.Tracer()
 		id := req.Plan
@@ -384,7 +345,7 @@ func (s *Server) dispatch(req *Request) Response {
 		if t == nil {
 			return fail(fmt.Errorf("no trace for plan %q (retained: %v)", id, tr.IDs()))
 		}
-		return Response{OK: true, Data: t.Snapshot()}
+		return api.Response{OK: true, Data: t.Snapshot()}
 	case api.OpReport:
 		rep := s.net.LastPlanReport()
 		if rep == nil {
@@ -404,7 +365,7 @@ func (s *Server) dispatch(req *Request) Response {
 		if err := s.plane.Apply(req.Faults); err != nil {
 			return fail(err)
 		}
-		return Response{OK: true, Data: map[string]int{"scheduled": len(req.Faults.Events)}}
+		return api.Response{OK: true, Data: map[string]int{"scheduled": len(req.Faults.Events)}}
 	case api.OpHeal:
 		if s.healer != nil {
 			return fail(fmt.Errorf("healer already running"))
@@ -414,7 +375,7 @@ func (s *Server) dispatch(req *Request) Response {
 			ms = 5
 		}
 		s.healer = s.net.StartSelfHealing(time.Duration(ms) * time.Millisecond)
-		return Response{OK: true, Data: map[string]int64{"period_ms": ms}}
+		return api.Response{OK: true, Data: map[string]int64{"period_ms": ms}}
 	case api.OpHealStatus:
 		if s.healer == nil {
 			return fail(fmt.Errorf("healer not running (use the heal op first)"))
@@ -427,7 +388,7 @@ func (s *Server) dispatch(req *Request) Response {
 		if pending == nil {
 			pending = []string{}
 		}
-		return Response{OK: true, Data: map[string]interface{}{
+		return api.Response{OK: true, Data: map[string]interface{}{
 			"recovered":    s.healer.Recovered(),
 			"pending":      pending,
 			"intent_drift": drift,
@@ -443,7 +404,7 @@ func (s *Server) dispatch(req *Request) Response {
 		if err != nil {
 			return fail(err)
 		}
-		return Response{OK: true, Data: map[string]interface{}{
+		return api.Response{OK: true, Data: map[string]interface{}{
 			"version":        rep.Version,
 			"plans_emitted":  rep.PlansEmitted,
 			"imperative_ops": rep.Ops,
@@ -459,7 +420,7 @@ func (s *Server) dispatch(req *Request) Response {
 		if err != nil {
 			return fail(err)
 		}
-		return Response{OK: true, Data: map[string]interface{}{
+		return api.Response{OK: true, Data: map[string]interface{}{
 			"version":        d.Version,
 			"in_sync":        d.Empty(),
 			"imperative_ops": d.Ops(),
@@ -471,7 +432,7 @@ func (s *Server) dispatch(req *Request) Response {
 		if drift == nil {
 			drift = []string{}
 		}
-		return Response{OK: true, Data: map[string]interface{}{
+		return api.Response{OK: true, Data: map[string]interface{}{
 			"version":       st.Version,
 			"applied_at_ms": st.AppliedAt.Milliseconds(),
 			"in_sync":       st.InSync,
@@ -488,7 +449,7 @@ func (s *Server) dispatch(req *Request) Response {
 		if limit < len(records) {
 			records = records[len(records)-limit:]
 		}
-		return Response{OK: true, Data: map[string]interface{}{
+		return api.Response{OK: true, Data: map[string]interface{}{
 			"total":   s.net.Audit().Len(),
 			"records": records,
 		}}
@@ -496,7 +457,7 @@ func (s *Server) dispatch(req *Request) Response {
 		if err := s.net.Audit().Verify(); err != nil {
 			return fail(err)
 		}
-		return Response{OK: true, Data: map[string]interface{}{
+		return api.Response{OK: true, Data: map[string]interface{}{
 			"records": s.net.Audit().Len(),
 			"head":    s.net.Audit().Head(),
 		}}
@@ -505,13 +466,13 @@ func (s *Server) dispatch(req *Request) Response {
 		if !st.Enabled {
 			return fail(fmt.Errorf("HA not enabled (start flexnetd with -ha N)"))
 		}
-		return Response{OK: true, Data: st}
+		return api.Response{OK: true, Data: st}
 	case api.OpHAFailover:
 		killed, err := s.net.HAFailover()
 		if err != nil {
 			return fail(err)
 		}
-		return Response{OK: true, Data: map[string]interface{}{
+		return api.Response{OK: true, Data: map[string]interface{}{
 			"killed": killed,
 			"note":   "advance simulated time (run op) to let the standbys elect",
 		}}
@@ -530,7 +491,7 @@ func (s *Server) dispatch(req *Request) Response {
 			data["replayed"] = replayed
 			data["live"] = live
 		}
-		return Response{OK: true, Data: data}
+		return api.Response{OK: true, Data: data}
 	default:
 		return fail(fmt.Errorf("unknown op %q", req.Op))
 	}
@@ -550,10 +511,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		if line == "" {
 			continue
 		}
-		var req Request
-		resp := Response{}
+		var req api.Request
+		var resp api.Response
 		if err := json.Unmarshal([]byte(line), &req); err != nil {
-			resp = Response{OK: false, Error: "malformed request: " + err.Error()}
+			resp = api.Response{OK: false, Error: "malformed request: " + err.Error()}
 		} else {
 			resp = s.handle(&req)
 		}
@@ -566,7 +527,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// say why. Closing with the rest of the line unread would reset
 		// the connection and could take the reply with it, so read on
 		// (for a bounded time) until the client has hung up.
-		_ = enc.Encode(Response{OK: false, Error: "request exceeds 1 MiB"})
+		_ = enc.Encode(api.Response{OK: false, Error: "request exceeds 1 MiB"})
 		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		_, _ = io.Copy(io.Discard, conn)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"flexnet"
+	"flexnet/internal/api"
 )
 
 func demoServer(t *testing.T) *Server {
@@ -42,58 +43,58 @@ func TestArchByName(t *testing.T) {
 func TestHandleLifecycle(t *testing.T) {
 	s := demoServer(t)
 
-	r := s.handle(&Request{Op: "status"})
+	r := s.handle(&api.Request{Op: "status"})
 	if !r.OK {
 		t.Fatalf("status: %v", r.Error)
 	}
 
-	r = s.handle(&Request{Op: "deploy", URI: "flexnet://infra/d", App: "syn-defense", Args: []uint64{128, 5}, Path: []string{"s1"}})
+	r = s.handle(&api.Request{Op: "deploy", URI: "flexnet://infra/d", App: "syn-defense", Args: []uint64{128, 5}, Path: []string{"s1"}})
 	if !r.OK {
 		t.Fatalf("deploy: %v", r.Error)
 	}
-	r = s.handle(&Request{Op: "deploy", URI: "flexnet://infra/d", App: "syn-defense"})
+	r = s.handle(&api.Request{Op: "deploy", URI: "flexnet://infra/d", App: "syn-defense"})
 	if r.OK {
 		t.Fatal("duplicate deploy accepted")
 	}
-	r = s.handle(&Request{Op: "deploy", URI: "flexnet://infra/x", App: "no-such-app"})
+	r = s.handle(&api.Request{Op: "deploy", URI: "flexnet://infra/x", App: "no-such-app"})
 	if r.OK || !strings.Contains(r.Error, "unknown builtin") {
 		t.Fatalf("bad app: %+v", r)
 	}
 
-	r = s.handle(&Request{Op: "devices"})
+	r = s.handle(&api.Request{Op: "devices"})
 	if !r.OK {
 		t.Fatalf("devices: %v", r.Error)
 	}
 
-	r = s.handle(&Request{Op: "traffic", SrcHost: "h1", DstIP: "10.0.0.2", PPS: 1000})
+	r = s.handle(&api.Request{Op: "traffic", SrcHost: "h1", DstIP: "10.0.0.2", PPS: 1000})
 	if !r.OK {
 		t.Fatalf("traffic: %v", r.Error)
 	}
-	r = s.handle(&Request{Op: "run", Millis: 200})
+	r = s.handle(&api.Request{Op: "run", Millis: 200})
 	if !r.OK {
 		t.Fatalf("run: %v", r.Error)
 	}
-	r = s.handle(&Request{Op: "migrate", URI: "flexnet://infra/d", Segment: "syn", Device: "s2", DataPlane: true})
+	r = s.handle(&api.Request{Op: "migrate", URI: "flexnet://infra/d", Segment: "syn", Device: "s2", DataPlane: true})
 	if !r.OK {
 		t.Fatalf("migrate: %v", r.Error)
 	}
-	r = s.handle(&Request{Op: "traffic-stop"})
+	r = s.handle(&api.Request{Op: "traffic-stop"})
 	if !r.OK {
 		t.Fatal("traffic-stop failed")
 	}
-	r = s.handle(&Request{Op: "tenant-add", Tenant: "acme"})
+	r = s.handle(&api.Request{Op: "tenant-add", Tenant: "acme"})
 	if !r.OK {
 		t.Fatalf("tenant-add: %v", r.Error)
 	}
-	r = s.handle(&Request{Op: "tenant-remove", Tenant: "acme"})
+	r = s.handle(&api.Request{Op: "tenant-remove", Tenant: "acme"})
 	if !r.OK {
 		t.Fatalf("tenant-remove: %v", r.Error)
 	}
-	r = s.handle(&Request{Op: "remove", URI: "flexnet://infra/d"})
+	r = s.handle(&api.Request{Op: "remove", URI: "flexnet://infra/d"})
 	if !r.OK {
 		t.Fatalf("remove: %v", r.Error)
 	}
-	r = s.handle(&Request{Op: "frobnicate"})
+	r = s.handle(&api.Request{Op: "frobnicate"})
 	if r.OK {
 		t.Fatal("unknown op accepted")
 	}
@@ -139,7 +140,7 @@ func TestServeConnOverTCP(t *testing.T) {
 	defer conn.Close()
 	rd := bufio.NewReader(conn)
 
-	send := func(req string) Response {
+	send := func(req string) api.Response {
 		t.Helper()
 		if _, err := conn.Write([]byte(req + "\n")); err != nil {
 			t.Fatal(err)
@@ -148,7 +149,7 @@ func TestServeConnOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var resp Response
+		var resp api.Response
 		if err := json.Unmarshal(line, &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -170,28 +171,28 @@ func TestHandleTelemetryOps(t *testing.T) {
 	s := demoServer(t)
 
 	// Before any plan: trace and report must fail cleanly, stats succeed.
-	if r := s.handle(&Request{Op: "trace"}); r.OK {
+	if r := s.handle(&api.Request{Op: "trace"}); r.OK {
 		t.Fatal("trace succeeded before any plan executed")
 	}
-	if r := s.handle(&Request{Op: "report"}); r.OK {
+	if r := s.handle(&api.Request{Op: "report"}); r.OK {
 		t.Fatal("report succeeded before any plan executed")
 	}
-	if r := s.handle(&Request{Op: "stats"}); !r.OK {
+	if r := s.handle(&api.Request{Op: "stats"}); !r.OK {
 		t.Fatalf("stats: %v", r.Error)
 	}
 
-	if r := s.handle(&Request{Op: "deploy", URI: "flexnet://infra/d", App: "l2", Path: []string{"s1"}}); !r.OK {
+	if r := s.handle(&api.Request{Op: "deploy", URI: "flexnet://infra/d", App: "l2", Path: []string{"s1"}}); !r.OK {
 		t.Fatalf("deploy: %v", r.Error)
 	}
-	if r := s.handle(&Request{Op: "traffic", SrcHost: "h1", DstIP: "10.0.0.2", PPS: 1000}); !r.OK {
+	if r := s.handle(&api.Request{Op: "traffic", SrcHost: "h1", DstIP: "10.0.0.2", PPS: 1000}); !r.OK {
 		t.Fatalf("traffic: %v", r.Error)
 	}
-	if r := s.handle(&Request{Op: "run", Millis: 100}); !r.OK {
+	if r := s.handle(&api.Request{Op: "run", Millis: 100}); !r.OK {
 		t.Fatalf("run: %v", r.Error)
 	}
 
 	// stats reflects live instruments.
-	r := s.handle(&Request{Op: "stats"})
+	r := s.handle(&api.Request{Op: "stats"})
 	if !r.OK {
 		t.Fatalf("stats: %v", r.Error)
 	}
@@ -217,7 +218,7 @@ func TestHandleTelemetryOps(t *testing.T) {
 	}
 
 	// trace defaults to the most recent plan; an explicit ID works too.
-	for _, req := range []*Request{{Op: "trace"}, {Op: "trace", Plan: "plan-1"}} {
+	for _, req := range []*api.Request{{Op: "trace"}, {Op: "trace", Plan: "plan-1"}} {
 		r = s.handle(req)
 		if !r.OK {
 			t.Fatalf("trace %+v: %v", req, r.Error)
@@ -237,12 +238,12 @@ func TestHandleTelemetryOps(t *testing.T) {
 			t.Fatalf("trace = %+v", tr)
 		}
 	}
-	if r = s.handle(&Request{Op: "trace", Plan: "plan-99"}); r.OK {
+	if r = s.handle(&api.Request{Op: "trace", Plan: "plan-99"}); r.OK {
 		t.Fatal("trace for unknown plan ID succeeded")
 	}
 
 	// report re-serves the last plan report, carrying its trace ID.
-	r = s.handle(&Request{Op: "report"})
+	r = s.handle(&api.Request{Op: "report"})
 	if !r.OK {
 		t.Fatalf("report: %v", r.Error)
 	}
@@ -265,19 +266,19 @@ func TestHandleTelemetryOps(t *testing.T) {
 func TestLegacyOpNamesRejected(t *testing.T) {
 	s := demoServer(t)
 	for _, op := range []string{"tenant_add", "add-tenant"} {
-		r := s.handle(&Request{Op: op, Tenant: "acme"})
+		r := s.handle(&api.Request{Op: op, Tenant: "acme"})
 		if r.OK || !strings.Contains(r.Error, "unknown op") || !strings.Contains(r.Error, "tenant-add") {
 			t.Fatalf("legacy %s: want unknown-op error listing tenant-add, got %+v", op, r)
 		}
 	}
 	// The rejected spellings admitted nobody: the canonical op still can.
-	if r := s.handle(&Request{Op: "tenant-add", Tenant: "acme"}); !r.OK {
+	if r := s.handle(&api.Request{Op: "tenant-add", Tenant: "acme"}); !r.OK {
 		t.Fatalf("tenant-add: %v", r.Error)
 	}
-	if r := s.handle(&Request{Op: "remove-tenant", Tenant: "acme"}); r.OK {
+	if r := s.handle(&api.Request{Op: "remove-tenant", Tenant: "acme"}); r.OK {
 		t.Fatalf("legacy remove-tenant dispatched: %+v", r)
 	}
-	if r := s.handle(&Request{Op: "tenant-remove", Tenant: "acme"}); !r.OK {
+	if r := s.handle(&api.Request{Op: "tenant-remove", Tenant: "acme"}); !r.OK {
 		t.Fatalf("tenant-remove: %v", r.Error)
 	}
 }
@@ -293,11 +294,11 @@ apps:
 `
 
 // TestHandleSpecAndAuditOps drives the declarative surface end to end
-// over the daemon API: diff, apply, status, audit tail/verify/replay.
+// over the daemon API: diff, apply, status, audit, audit-verify, audit-replay.
 func TestHandleSpecAndAuditOps(t *testing.T) {
 	s := demoServer(t)
 
-	r := s.handle(&Request{Op: "spec-diff", Spec: demoSpec})
+	r := s.handle(&api.Request{Op: "spec-diff", Spec: demoSpec})
 	if !r.OK {
 		t.Fatalf("spec-diff: %v", r.Error)
 	}
@@ -314,10 +315,10 @@ func TestHandleSpecAndAuditOps(t *testing.T) {
 		t.Fatalf("diff = %+v", diff)
 	}
 
-	if r = s.handle(&Request{Op: "spec-apply", Spec: demoSpec}); !r.OK {
+	if r = s.handle(&api.Request{Op: "spec-apply", Spec: demoSpec}); !r.OK {
 		t.Fatalf("spec-apply: %v", r.Error)
 	}
-	if r = s.handle(&Request{Op: "spec-status"}); !r.OK {
+	if r = s.handle(&api.Request{Op: "spec-status"}); !r.OK {
 		t.Fatalf("spec-status: %v", r.Error)
 	}
 	raw, _ = json.Marshal(r.Data)
@@ -333,13 +334,13 @@ func TestHandleSpecAndAuditOps(t *testing.T) {
 		t.Fatalf("spec-status = %+v", st)
 	}
 
-	if r = s.handle(&Request{Op: "audit", Limit: 5}); !r.OK {
+	if r = s.handle(&api.Request{Op: "audit", Limit: 5}); !r.OK {
 		t.Fatalf("audit: %v", r.Error)
 	}
-	if r = s.handle(&Request{Op: "audit-verify"}); !r.OK {
+	if r = s.handle(&api.Request{Op: "audit-verify"}); !r.OK {
 		t.Fatalf("audit-verify: %v", r.Error)
 	}
-	r = s.handle(&Request{Op: "audit-replay"})
+	r = s.handle(&api.Request{Op: "audit-replay"})
 	if !r.OK {
 		t.Fatalf("audit-replay: %v", r.Error)
 	}
@@ -354,7 +355,7 @@ func TestHandleSpecAndAuditOps(t *testing.T) {
 		t.Fatalf("audit replay does not match live intent: %s", raw)
 	}
 
-	if r = s.handle(&Request{Op: "spec-apply"}); r.OK {
+	if r = s.handle(&api.Request{Op: "spec-apply"}); r.OK {
 		t.Fatal("spec-apply without a document succeeded")
 	}
 }
@@ -385,7 +386,7 @@ apps:
 	if err != nil {
 		t.Fatal(err)
 	}
-	var req Request
+	var req api.Request
 	if err := json.Unmarshal([]byte(`{"op":"spec-apply","max_plans":1,"spec":`+string(doc)+`}`), &req); err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +407,7 @@ func TestReadRepliesGolden(t *testing.T) {
 	s := demoServer(t)
 	reply := func(op string) string {
 		t.Helper()
-		b, err := json.Marshal(s.handle(&Request{Op: op}))
+		b, err := json.Marshal(s.handle(&api.Request{Op: op}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -421,7 +422,7 @@ func TestReadRepliesGolden(t *testing.T) {
 	check("status", `{"ok":true,"data":{"apps":null,"drops":0,"sim_time_ms":0}}`)
 	for _, app := range []string{"heavy-hitter", "firewall"} {
 		uri := "flexnet://infra/" + builtinSegName[app]
-		if r := s.handle(&Request{Op: "deploy", URI: uri, App: app, Path: []string{"s1"}}); !r.OK {
+		if r := s.handle(&api.Request{Op: "deploy", URI: uri, App: app, Path: []string{"s1"}}); !r.OK {
 			t.Fatalf("deploy %s: %v", uri, r.Error)
 		}
 	}
@@ -485,7 +486,7 @@ func TestSpecReadsBesideOps(t *testing.T) {
 					return
 				default:
 				}
-				if r := s.handle(&Request{Op: op, Spec: revs[i%2]}); !r.OK {
+				if r := s.handle(&api.Request{Op: op, Spec: revs[i%2]}); !r.OK {
 					t.Errorf("%s: %v", op, r.Error)
 					return
 				}
@@ -495,7 +496,7 @@ func TestSpecReadsBesideOps(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		// The spec names the whole network, so each apply also deletes
 		// the imperative app deployed after the previous one.
-		for _, req := range []*Request{
+		for _, req := range []*api.Request{
 			{Op: "spec-apply", Spec: revs[i%2]},
 			{Op: "deploy", URI: "flexnet://infra/hh", App: "heavy-hitter", Path: []string{"s1"}},
 			{Op: "scale-out", URI: "flexnet://infra/hh", Segment: "hh", Device: "s2"},
@@ -508,8 +509,46 @@ func TestSpecReadsBesideOps(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	r := s.handle(&Request{Op: "audit-replay"})
+	r := s.handle(&api.Request{Op: "audit-replay"})
 	if raw, _ := json.Marshal(r.Data); !r.OK || !strings.Contains(string(raw), `"match":true`) {
 		t.Fatalf("audit-replay after the run: %+v", r)
+	}
+}
+
+// TestPlanRepliesGolden pins the plan replies byte for byte: dry-run
+// deploy, scale-out, migrate and remove, and the report op re-serving
+// an executed plan. planData is the plan report's one wire encoding;
+// the bytes were captured before the request schema moved into
+// internal/api.
+func TestPlanRepliesGolden(t *testing.T) {
+	s := demoServer(t)
+	const uri = "flexnet://infra/hh"
+	for _, c := range []struct {
+		req  api.Request
+		want string
+	}{
+		{api.Request{Op: "deploy", URI: uri, App: "heavy-hitter", Path: []string{"s1"}, DryRun: true},
+			`{"ok":true,"data":{"estimated_ms":32.65,"outcome":"planned","plan":"deploy flexnet://infra/hh","steps":[{"status":"validated","step":"install flexnet://infra/hh#hh on s1"}]}}`},
+		{api.Request{Op: "deploy", URI: uri, App: "heavy-hitter", Path: []string{"s1"}},
+			`{"ok":true,"data":{"uri":"flexnet://infra/hh"}}`},
+		{api.Request{Op: "report"},
+			`{"ok":true,"data":{"estimated_ms":32.65,"id":"plan-1","outcome":"succeeded","plan":"deploy flexnet://infra/hh","steps":[{"status":"committed","step":"install flexnet://infra/hh#hh on s1"}]}}`},
+		{api.Request{Op: "scale-out", URI: uri, Segment: "hh", Device: "s2", DryRun: true},
+			`{"ok":true,"data":{"estimated_ms":32.65,"outcome":"planned","plan":"scale-out flexnet://infra/hh/hh -\u003e s2","steps":[{"status":"validated","step":"install flexnet://infra/hh#hh on s2"}]}}`},
+		{api.Request{Op: "migrate", URI: uri, Segment: "hh", Device: "s2", DataPlane: true, DryRun: true},
+			`{"ok":true,"data":{"estimated_ms":52.009,"outcome":"planned","plan":"migrate flexnet://infra/hh/hh s1 -\u003e s2","steps":[{"status":"validated","step":"install flexnet://infra/hh#hh on s2"},{"status":"validated","step":"migrate-state flexnet://infra/hh#hh: s1 -\u003e s2 (data-plane)"}]}}`},
+		{api.Request{Op: "remove", URI: uri, DryRun: true},
+			`{"ok":true,"data":{"estimated_ms":26,"outcome":"planned","plan":"remove flexnet://infra/hh","steps":[{"status":"validated","step":"remove flexnet://infra/hh#hh on s1"}]}}`},
+		// The dry runs executed nothing: report still serves plan-1.
+		{api.Request{Op: "report"},
+			`{"ok":true,"data":{"estimated_ms":32.65,"id":"plan-1","outcome":"succeeded","plan":"deploy flexnet://infra/hh","steps":[{"status":"committed","step":"install flexnet://infra/hh#hh on s1"}]}}`},
+	} {
+		b, err := json.Marshal(s.handle(&c.req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(b) != c.want {
+			t.Errorf("%s (dry_run=%v) reply:\n got %s\nwant %s", c.req.Op, c.req.DryRun, b, c.want)
+		}
 	}
 }

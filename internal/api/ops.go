@@ -1,6 +1,7 @@
 // Package api is the single source of truth for the management-plane
-// operation names shared by flexnetd (the JSON-lines daemon) and
-// flexctl (its CLI): one canonical table of op names and summaries.
+// wire schema shared by flexnetd (the JSON-lines daemon) and flexctl
+// (its CLI): one canonical table of op names and summaries, and the
+// Request and Response types every request and reply line encodes.
 // See DESIGN.md §14.4 for the surface it names.
 package api
 

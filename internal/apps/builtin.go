@@ -76,7 +76,7 @@ func Builtin(kind, name string, args []uint64) (*flexbpf.Program, error) {
 }
 
 // BuiltinKinds returns every builtin app kind with its one-line summary,
-// sorted by kind.
+// keyed by kind.
 func BuiltinKinds() map[string]string {
 	out := make(map[string]string, len(builtins))
 	for k, b := range builtins {

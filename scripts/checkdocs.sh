@@ -71,13 +71,19 @@ fi
 
 # Every `flexnetd -<flag>` / `flexbench -<flag>` / `flexctl … -<flag>`
 # invocation in the current docs must name a flag the command defines in
-# its main.go — flag.*("name", …), or for flexctl's subcommands
-# fs.*("name", …), which covers its -stats/-trace shortcuts too (-h/-help
-# come with the flag package). CHANGES.md, ROADMAP.md and BENCH_PR* are
+# its main.go: a flag-defining call on the flag package or a FlagSet,
+# either form — x.String("name", …) or x.StringVar(&v, "name", …), and
+# x.Var(v, "name", …) for a flag.Value (-h/-help come with the flag
+# package). A command with no flag found means the pattern missed its
+# form, which fails too. CHANGES.md, ROADMAP.md and BENCH_PR* are
 # history and are not scanned.
 docs="README.md DESIGN.md ARCHITECTURE.md EXPERIMENTS.md"
 for cmd in flexnetd flexbench flexctl; do
-    defined=$(sed -nE 's/.*(flag|fs)\.[A-Za-z0-9]+\("([^"]*)".*/\2/p' "cmd/$cmd/main.go")
+    defined=$(sed -nE 's/.*[A-Za-z0-9_]\.((Bool|Int|Int64|Uint|Uint64|String|Float64|Duration)(Var)?|Var|TextVar|Func|BoolFunc)\(([^",]*, *)?"([^"]*)".*/\5/p' "cmd/$cmd/main.go")
+    if [ -z "$defined" ]; then
+        echo "checkdocs: FAIL — found no flag definitions in cmd/$cmd/main.go" >&2
+        fail=1
+    fi
     # shellcheck disable=SC2086 # $docs is a word list
     used=$(grep -noE "(^|[^-A-Za-z])$cmd( +[^] \`|#;)]+)+" $docs |
         awk '{ n = split($0, w, " "); split(w[1], loc, ":")
