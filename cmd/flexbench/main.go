@@ -1,7 +1,9 @@
 // Command flexbench runs the FlexNet experiment suite (E1–E20, the
 // claim-by-claim reproduction of the paper's vision — see DESIGN.md §3)
-// and prints each result table. With -o it also writes the results as
-// the measurement section of EXPERIMENTS.md.
+// and prints each result table. With -o it also writes a markdown file:
+// a run header, the tables and a telemetry summary. At seed 1 the tables
+// are EXPERIMENTS.md's measured section and the rest is
+// BENCH_BASELINE.md (scripts/benchdiff.sh checks both).
 //
 // Usage:
 //

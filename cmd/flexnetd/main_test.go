@@ -135,19 +135,18 @@ func dialServer(t *testing.T, s *Server) (conn net.Conn, served <-chan struct{})
 	return conn, done
 }
 
-func TestServeConnOverTCP(t *testing.T) {
-	conn, _ := dialServer(t, demoServer(t))
-	defer conn.Close()
+// lineClient returns a function that sends one request line over conn
+// and decodes the reply line.
+func lineClient(t *testing.T, conn net.Conn) func(req string) api.Response {
 	rd := bufio.NewReader(conn)
-
-	send := func(req string) api.Response {
+	return func(req string) api.Response {
 		t.Helper()
 		if _, err := conn.Write([]byte(req + "\n")); err != nil {
 			t.Fatal(err)
 		}
 		line, err := rd.ReadBytes('\n')
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: no reply: %v", req, err)
 		}
 		var resp api.Response
 		if err := json.Unmarshal(line, &resp); err != nil {
@@ -155,6 +154,12 @@ func TestServeConnOverTCP(t *testing.T) {
 		}
 		return resp
 	}
+}
+
+func TestServeConnOverTCP(t *testing.T) {
+	conn, _ := dialServer(t, demoServer(t))
+	defer conn.Close()
+	send := lineClient(t, conn)
 
 	if r := send(`{"op":"status"}`); !r.OK {
 		t.Fatalf("status over TCP: %v", r.Error)
@@ -164,6 +169,30 @@ func TestServeConnOverTCP(t *testing.T) {
 	}
 	if r := send(`{"op":"deploy","uri":"flexnet://infra/z","app":"l2","path":["s1"]}`); !r.OK {
 		t.Fatalf("deploy over TCP: %v", r.Error)
+	}
+}
+
+// TestBadBuiltinArgsAnswered sends app arguments no constructor accepts
+// (out of range, or more than the kind takes), through deploy and through
+// a spec document: each gets an error reply naming the argument, and the
+// daemon still answers the next request.
+func TestBadBuiltinArgsAnswered(t *testing.T) {
+	conn, _ := dialServer(t, demoServer(t))
+	defer conn.Close()
+	send := lineClient(t, conn)
+	badSpec, _ := json.Marshal(strings.Replace(demoSpec, "[128, 5]", "[0]", 1))
+	for _, c := range []struct{ req, err string }{
+		{`{"op":"deploy","uri":"flexnet://infra/hh","app":"heavy-hitter","args":[5]}`, "heavy-hitter: argument rows = 5"},
+		{`{"op":"deploy","uri":"flexnet://infra/in","app":"int","args":[1,2,3]}`, "int: 3 arguments, takes 1 (deviceID)"},
+		{`{"op":"spec-diff","spec":` + string(badSpec) + `}`, "syn-defense: argument sources = 0"},
+		{`{"op":"spec-apply","spec":` + string(badSpec) + `}`, "syn-defense: argument sources = 0"},
+	} {
+		if r := send(c.req); r.OK || !strings.Contains(r.Error, c.err) {
+			t.Fatalf("%s: reply %+v, want error %q", c.req, r, c.err)
+		}
+		if r := send(`{"op":"status"}`); !r.OK {
+			t.Fatalf("status after %s: %v", c.req, r.Error)
+		}
 	}
 }
 

@@ -327,9 +327,8 @@ func (b *Builder) Build() (*Network, error) {
 	if err := b.fab.InstallBaseRouting(); err != nil {
 		return nil, err
 	}
-	eng := runtime.NewEngine(b.fab.Sim, b.costs)
-	ctl := controller.New(b.fab, eng)
-	return &Network{fab: b.fab, eng: eng, ctl: ctl}, nil
+	ctl := controller.New(b.fab, runtime.NewEngine(b.fab.Sim, b.costs))
+	return &Network{fab: b.fab, ctl: ctl}, nil
 }
 
 // MustBuild is Build that panics on error.
@@ -345,15 +344,11 @@ func (b *Builder) MustBuild() *Network {
 // controller.
 type Network struct {
 	fab *fabric.Fabric
-	eng *runtime.Engine
 	ctl *controller.Controller
 }
 
 // Controller returns the app-level controller.
 func (n *Network) Controller() *controller.Controller { return n.ctl }
-
-// Engine returns the reconfiguration cost model the executor prices plans with.
-func (n *Network) Engine() *runtime.Engine { return n.eng }
 
 // Fabric returns the underlying fabric (advanced use).
 func (n *Network) Fabric() *fabric.Fabric { return n.fab }

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"strings"
 	"testing"
 
 	"flexnet/internal/dataplane"
@@ -60,6 +61,80 @@ func TestAllAppsVerifyAndPlaceEverywhere(t *testing.T) {
 		for _, p := range progs {
 			if err := d.InstallProgram(p.Clone()); err != nil {
 				t.Errorf("%s rejected on %v: %v", p.Name, arch, err)
+			}
+		}
+	}
+}
+
+// TestBuiltinArgs feeds Builtin the argument vectors a wire request can
+// carry: each must build a program that verifies or be refused with an
+// error naming the kind and the argument, never panic.
+func TestBuiltinArgs(t *testing.T) {
+	for _, c := range []struct {
+		kind string
+		args []uint64
+		err  string // "" = builds
+	}{
+		{"heavy-hitter", []uint64{5}, "heavy-hitter: argument rows = 5"},
+		{"heavy-hitter", []uint64{0}, "heavy-hitter: argument rows = 0"},
+		{"heavy-hitter", []uint64{2, 0}, "heavy-hitter: argument cols = 0"},
+		{"heavy-hitter", []uint64{4, 1}, ""},
+		{"syn-defense", []uint64{0}, "syn-defense: argument sources = 0"},
+		{"syn-defense", []uint64{1, 0}, ""},
+		{"rate-limiter", []uint64{0}, "rate-limiter: argument classes = 0"},
+		{"rate-limiter", []uint64{8, 3_000_000}, "rate-limiter: argument pir = 2000000 is below cir = 3000000"},
+		{"rate-limiter", []uint64{8, 0, 0}, ""},
+		{"firewall", []uint64{0}, "firewall: argument aclSize = 0"},
+		{"firewall", []uint64{64, 0}, "firewall: argument connSize = 0"},
+		{"firewall", []uint64{1, 1, 1 << 63}, ""},
+		{"l2", []uint64{0}, "l2: argument tableSize = 0"},
+		{"l2", []uint64{1 << 63}, "l2: argument tableSize = 9223372036854775808"},
+		{"int", []uint64{0}, ""},
+		{"int", []uint64{1, 2, 3}, "builtin app int: 3 arguments, takes 1 (deviceID)"},
+		{"l2", []uint64{256, 1}, "builtin app l2: 2 arguments, takes 1 (tableSize)"},
+	} {
+		p, err := Builtin(c.kind, "b", c.args)
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%s %v: %v", c.kind, c.args, err)
+		case c.err == "" && flexbpf.Verify(p) != nil:
+			t.Errorf("%s %v does not verify: %v", c.kind, c.args, flexbpf.Verify(p))
+		case c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)):
+			t.Errorf("%s %v: error %v, want %q", c.kind, c.args, err, c.err)
+		}
+	}
+	// Every argument of every kind, at each end of its range and just
+	// past it, with the others at their defaults.
+	for kind, b := range builtins {
+		for i, p := range b.params {
+			at := func(v uint64) []uint64 {
+				args := make([]uint64, len(b.params))
+				for j, q := range b.params {
+					args[j] = q.def
+				}
+				args[i] = v
+				if kind == "rate-limiter" && i > 0 { // pir ≥ cir
+					args[1], args[2] = v, v
+				}
+				return args
+			}
+			for _, v := range []uint64{p.min, p.def, p.max} {
+				if prog, err := Builtin(kind, "b", at(v)); err != nil {
+					t.Errorf("%s %s=%d: %v", kind, p.name, v, err)
+				} else if err := flexbpf.Verify(prog); err != nil {
+					t.Errorf("%s %s=%d does not verify: %v", kind, p.name, v, err)
+				}
+			}
+			want := kind + ": argument " + p.name
+			if p.min > 0 {
+				if _, err := Builtin(kind, "b", at(p.min-1)); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s %s=%d: error %v, want %q", kind, p.name, p.min-1, err, want)
+				}
+			}
+			if p.max < ^uint64(0) {
+				if _, err := Builtin(kind, "b", at(p.max+1)); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("%s %s=%d: error %v, want %q", kind, p.name, p.max+1, err, want)
+				}
 			}
 		}
 	}

@@ -114,11 +114,12 @@ func diffStats(a, b ProcStats) string {
 }
 
 // TestFlowCacheEquivalenceProperty is the per-packet equivalence
-// property behind the benchdiff gate: a cached device and an uncached
-// twin fed the same packet stream produce identical ProcStats (verdict,
-// epoch, latency, Instrs/Lookups, program list) and identical packet
-// state — including across a config swap landing mid-stream and a table
-// mutation that bumps generations without an epoch change.
+// property behind E17's dev telemetry column (TestE17Shape): a cached
+// device and an uncached twin fed the same packet stream produce
+// identical ProcStats (verdict, epoch, latency, Instrs/Lookups, program
+// list) and identical packet state — including across a config swap
+// landing mid-stream and a table mutation that bumps generations
+// without an epoch change.
 func TestFlowCacheEquivalenceProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	cached := MustNew(DefaultConfig("sw", ArchDRMT))

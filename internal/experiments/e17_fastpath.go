@@ -18,8 +18,8 @@ import (
 // instead of executing (instructions and table lookups).
 // The "dev telemetry" column compares the default run's device counters
 // and delivery count against the oracle's: replay reproduces the
-// per-packet accounting exactly, so they must be identical — benchdiff
-// fails CI on any other word in that column.
+// per-packet accounting exactly, so they must be identical —
+// TestE17Shape fails on any other word in that column.
 //
 // Every column is computed from simulated-time quantities and
 // deterministic counters, so the table is byte-identical at a seed.

@@ -10,11 +10,11 @@ import (
 	"flexnet/internal/controller/cluster"
 )
 
-// cell parses a numeric table cell.
+// cell parses a numeric table cell, dropping a trailing "%" or "×".
 func cell(t *testing.T, tab *Table, row, col int) float64 {
 	t.Helper()
 	s := tab.Rows[row][col]
-	s = strings.TrimSuffix(s, "%")
+	s = strings.TrimSuffix(strings.TrimSuffix(s, "%"), "×")
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		t.Fatalf("%s cell [%d][%d] = %q not numeric", tab.ID, row, col, s)
@@ -290,6 +290,114 @@ func TestE14Shape(t *testing.T) {
 	}
 }
 
+func TestE15Shape(t *testing.T) {
+	tab := E15FaultRecovery(1)
+	if len(tab.Rows) != 6 {
+		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+	// Healing keeps committed intent whole; without it crashes strand it.
+	for i, row := range tab.Rows {
+		drift := cell(t, tab, i, 6)
+		switch row[1] {
+		case "reconcile":
+			if drift != 0 {
+				t.Fatalf("gap %s with reconciliation left %v drifted instances", row[0], drift)
+			}
+		case "none":
+			if drift == 0 {
+				t.Fatalf("gap %s without healing shows no drift — test not discriminating", row[0])
+			}
+		default:
+			t.Fatalf("row %d healing = %q", i, row[1])
+		}
+	}
+}
+
+func TestE16Shape(t *testing.T) {
+	tab := E16ScaleOut(1)
+	if len(tab.Rows) != 22 {
+		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+	commit := ""
+	for i, row := range tab.Rows {
+		switch row[3] {
+		case "initial build":
+			// A one-device commit costs the same at every scale.
+			if commit == "" {
+				commit = row[10]
+			}
+			if row[10] != commit {
+				t.Fatalf("%s plan commit = %s, want %s as at the first scale", row[0], row[10], commit)
+			}
+			continue
+		case "host link down":
+			if ratio := cell(t, tab, i, 7); ratio < 300 {
+				t.Fatalf("%s host link down: ratio %v× < 300×", row[0], ratio)
+			}
+		}
+		if row[9] != "identical" {
+			t.Fatalf("%s %s: route tables %s from the full recompute", row[0], row[3], row[9])
+		}
+	}
+}
+
+func TestE17Shape(t *testing.T) {
+	tab := E17FastPath(1)
+	if len(tab.Rows) != 6 {
+		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+	// Rows alternate off/on per flow count: the cache-off row is the
+	// oracle the cache-on row below it must match.
+	for i := 1; i < len(tab.Rows); i += 2 {
+		off, on := tab.Rows[i-1], tab.Rows[i]
+		if off[0] != "off" || on[0] != "on" || off[1] != on[1] {
+			t.Fatalf("rows %d/%d are %v/%v, want off/on at one flow count", i-1, i, off[:2], on[:2])
+		}
+		if on[6] != "identical" {
+			t.Fatalf("flows=%s: dev telemetry %s, want identical", on[1], on[6])
+		}
+		if on[2] != off[2] {
+			t.Fatalf("flows=%s: cache on delivered %s packets, oracle %s", on[1], on[2], off[2])
+		}
+		if hit := cell(t, tab, i, 3); hit < 99.98 {
+			t.Fatalf("flows=%s: hit rate %v%% < 99.98%%", on[1], hit)
+		}
+	}
+}
+
+func TestE18Shape(t *testing.T) {
+	tab := E18ControlPlane(1)
+	if len(tab.Rows) != 6 {
+		t.Fatalf("rows = %d", len(tab.Rows))
+	}
+	// Rows alternate incremental/full per k; k=16 is rows 4 and 5.
+	segs := ""
+	for i, row := range tab.Rows {
+		if ops := cell(t, tab, i, 4); ops < 1 {
+			t.Fatalf("%s %s ran %v ops", row[0], row[3], ops)
+		}
+		if row[11] != "identical" {
+			t.Fatalf("%s: %s placement %s from the other mode", row[0], row[3], row[11])
+		}
+		if row[3] != "incremental" {
+			continue
+		}
+		// The incremental planner's work has no fabric-size term.
+		if segs == "" {
+			segs = row[6]
+		}
+		if row[6] != segs {
+			t.Fatalf("%s incremental recompiled %s segments, want %s as at the first scale", row[0], row[6], segs)
+		}
+	}
+	if k16 := tab.Rows[4]; k16[0] != "fat-tree k=16" || k16[3] != "incremental" {
+		t.Fatalf("row 4 = %s %s, want fat-tree k=16 incremental", k16[0], k16[3])
+	}
+	if vs := cell(t, tab, 4, 10); vs < 5 {
+		t.Fatalf("k=16 incremental sustains %v× the full-recompute ops/s, want ≥ 5×", vs)
+	}
+}
+
 func TestE19Shape(t *testing.T) {
 	tab := E19SpecReconcile(1)
 	if len(tab.Rows) != 4 {
@@ -317,6 +425,12 @@ func TestE19Shape(t *testing.T) {
 	for i, row := range tab.Rows { // both modes must replay to live intent
 		if row[9] != "match" {
 			t.Fatalf("row %d audit replay = %q, want match", i, row[9])
+		}
+		if plans := cell(t, tab, i, 4); plans < 1 {
+			t.Fatalf("row %d compiled %v plans", i, plans)
+		}
+		if conv := parseNs(t, row[6]); conv <= 0 {
+			t.Fatalf("row %d convergence %q", i, row[6])
 		}
 	}
 }
@@ -347,12 +461,17 @@ func TestE20Shape(t *testing.T) {
 		if row[7] != "match" {
 			t.Fatalf("row %d audit replay = %q, want match", i, row[7])
 		}
+		// A failover must not shed traffic: every scenario delivers
+		// what the no-kill baseline does.
+		if row[8] != tab.Rows[0][8] {
+			t.Fatalf("row %d delivered %s kpps, no-kill baseline %s", i, row[8], tab.Rows[0][8])
+		}
 	}
-	// Bounded failover: both kill scenarios elect within 4×ElectionMax
-	// (default 240 ms), the same bound the chaos soak enforces.
+	// Bounded failover: both kill scenarios elect within 4×ElectionMax,
+	// the same bound the chaos soak enforces.
 	for _, i := range []int{1, 2} {
 		fo := parseNs(t, tab.Rows[i][2])
-		if fo <= 0 || fo > 4*240e6 {
+		if fo <= 0 || fo > 4*cluster.ElectionMaxNs {
 			t.Fatalf("row %d failover time %v ns out of bounds", i, fo)
 		}
 	}

@@ -8,8 +8,8 @@
 # explains it forces readers to reverse-engineer the mapping. It also
 # fails when README's fault "Kinds:" list and the Kind constants in
 # internal/faults/faults.go differ in either direction, and when a doc
-# cites a test no _test.go defines or a Go name nothing declares. CI
-# fails on any of these.
+# cites a make target the Makefile lacks, a test no _test.go defines or
+# a Go name nothing declares. CI fails on any of these.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -103,6 +103,25 @@ for cmd in flexnetd flexbench flexctl; do
 $used
 EOF
 done
+
+# Every `make <target>` the current docs cite must be a target the
+# Makefile defines, so a doc cannot keep sending readers to a gate that
+# was deleted or renamed.
+targets=" $(sed -nE 's/^([A-Za-z0-9_. -]+):([^=]|$).*/\1/p' Makefile | tr '\n' ' ') "
+# shellcheck disable=SC2086 # $docs is a word list
+cited_targets=$(grep -noE '`make [A-Za-z0-9_.-]+' $docs | sed -E 's/^([^:]*:[0-9]*):`make /\1 /')
+while read -r where name; do
+    [ -n "$name" ] || continue
+    case "$targets" in
+    *" $name "*) ;;
+    *)
+        echo "checkdocs: FAIL — $where: \`make $name\` names a target the Makefile does not define" >&2
+        fail=1
+        ;;
+    esac
+done <<EOF
+$cited_targets
+EOF
 
 # Every test the current docs cite by name — a backquoted Test*, Fuzz*
 # or Benchmark* name, optionally package-qualified (`fabric.TestX`) or
@@ -198,7 +217,7 @@ $cited_names
 EOF
 
 if [ "$fail" -ne 0 ]; then
-    echo "checkdocs: document every package ('// Package <name> ...'; internal packages cite their DESIGN.md section), keep README's fault Kinds: list in step with internal/faults, invoke flexnetd/flexbench/flexctl only with flags they define, cite only tests and Go names that exist, and cite ROADMAP.md without item numbers." >&2
+    echo "checkdocs: document every package ('// Package <name> ...'; internal packages cite their DESIGN.md section), keep README's fault Kinds: list in step with internal/faults, invoke flexnetd/flexbench/flexctl only with flags they define, cite only make targets, tests and Go names that exist, and cite ROADMAP.md without item numbers." >&2
     exit 1
 fi
-echo "checkdocs: OK — every package documented; internal packages cite DESIGN.md; README lists every fault kind; every documented flexnetd/flexbench/flexctl flag exists; every cited test and Go name exists; no ROADMAP item is cited by number."
+echo "checkdocs: OK — every package documented; internal packages cite DESIGN.md; README lists every fault kind; every documented flexnetd/flexbench/flexctl flag exists; every cited make target, test and Go name exists; no ROADMAP item is cited by number."
