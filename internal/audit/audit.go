@@ -87,9 +87,6 @@ type Log struct {
 	mu      sync.Mutex
 	records []Record
 	now     func() int64
-	// onAppend, when set, is called (outside the lock) after each
-	// append — the controller hangs a telemetry counter here.
-	onAppend func()
 	// onRecord, when set, receives each appended record (outside the
 	// lock) — the HA layer replicates the chain to standbys from here.
 	onRecord func(Record)
@@ -105,15 +102,8 @@ func NewLog(now func() int64) *Log {
 	return l
 }
 
-// OnAppend registers a callback invoked after every append (telemetry).
-func (l *Log) OnAppend(fn func()) {
-	l.mu.Lock()
-	l.onAppend = fn
-	l.mu.Unlock()
-}
-
 // OnAppendRecord registers a callback receiving every appended record —
-// the HA replication tap (DESIGN.md §15.2). It coexists with OnAppend.
+// the HA replication tap (DESIGN.md §15.2).
 func (l *Log) OnAppendRecord(fn func(Record)) {
 	l.mu.Lock()
 	l.onRecord = fn
@@ -131,13 +121,10 @@ func (l *Log) Append(r Record) Record {
 	r.Prev = prev.Hash
 	r.Hash = hashOf(r)
 	l.records = append(l.records, r)
-	fn, rfn := l.onAppend, l.onRecord
+	fn := l.onRecord
 	l.mu.Unlock()
 	if fn != nil {
-		fn()
-	}
-	if rfn != nil {
-		rfn(r)
+		fn(r)
 	}
 	return r
 }

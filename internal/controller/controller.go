@@ -40,7 +40,6 @@ import (
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/migrate"
 	"flexnet/internal/netsim"
-	"flexnet/internal/packet"
 	"flexnet/internal/plan"
 	"flexnet/internal/runtime"
 	"flexnet/internal/spec"
@@ -172,14 +171,6 @@ type Controller struct {
 	placeScans *telemetry.Counter
 	placeSegs  *telemetry.Counter
 
-	// Punts buffers packets the data plane sends to the controller
-	// (bounded; see PuntRing).
-	Punts *PuntRing
-	// OnPunt, when set, is called for each punted packet. It borrows the
-	// packet for the duration of the call (fabric.Fabric.Punted); to
-	// keep it, Clone it.
-	OnPunt func(dev string, pkt *packet.Packet)
-
 	// audit is the append-only hash-chained trail of every control-plane
 	// mutation: the executor's audit sink records each executed plan,
 	// and tenant admissions/departures append their own records. Always
@@ -193,18 +184,11 @@ type Controller struct {
 	ha *HA
 
 	// Declarative spec state (spec.go): the last successfully applied
-	// spec and when, plus the reconcile counter.
+	// spec and when.
 	specMu     sync.Mutex
 	lastSpec   *spec.Resolved
 	lastSpecAt netsim.Time
 	specApply  bool // an ApplySpec is in flight
-}
-
-// PuntRecord is one packet punted to the controller.
-type PuntRecord struct {
-	Device string
-	At     netsim.Time
-	FlowID uint64
 }
 
 // New creates a controller over the fabric. It places with the fungible
@@ -220,26 +204,15 @@ func New(fab *fabric.Fabric, eng *runtime.Engine) *Controller {
 		incremental: true,
 		placeScans:  fab.Metrics.Counter("ctl.placement.targets_scanned"),
 		placeSegs:   fab.Metrics.Counter("ctl.placement.segments_recompiled"),
-		Punts:       NewPuntRing(0),
-	}
-	c.Punts.onDrop = func() {
-		// Lazily created so punt-light runs export an unchanged snapshot.
-		fab.Metrics.Counter("ctl.punts_dropped").Inc()
 	}
 	c.exec = runtime.NewExecutor(eng, fab.Device, c.mig, fab)
 	c.exec.SetTelemetry(fab.Metrics, fab.Tracer)
 	c.audit = audit.NewLog(func() int64 { return int64(fab.Sim.Now()) })
-	auditRecords := fab.Metrics.Counter("ctl.audit.records")
-	c.audit.OnAppend(func() { auditRecords.Inc() })
+	// Every record after the genesis one is an appended mutation.
+	fab.Metrics.CounterView("ctl.audit.records", func() uint64 { return uint64(c.audit.Len() - 1) })
 	c.exec.SetAuditSink(func(r *plan.Report) {
 		c.audit.Append(audit.FromReport(r))
 	})
-	fab.Punted = func(dev string, pkt *packet.Packet) {
-		c.Punts.Append(PuntRecord{Device: dev, At: fab.Sim.Now(), FlowID: pkt.FlowKey().Hash()})
-		if c.OnPunt != nil {
-			c.OnPunt(dev, pkt)
-		}
-	}
 	return c
 }
 

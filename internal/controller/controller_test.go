@@ -141,14 +141,14 @@ func TestTenantIsolationDeployment(t *testing.T) {
 
 	// The tenant's defense applies only to its VLAN.
 	s1 := f.Device("s1")
-	var seq uint64
 	mk := func(vlan uint64, i int) *packet.Packet {
-		b := packet.NewBuilder(&seq).Eth(1, 2)
+		p := packet.TCPPacket(uint64(i+1), packet.IP(66, 0, 0, 1), packet.IP(10, 0, 0, 2), uint16(i), 80, packet.TCPSyn, 0)
 		if vlan != 0 {
-			b = b.VLAN(vlan)
+			if err := p.TagVLAN(vlan); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return b.IPv4(packet.IP(66, 0, 0, 1), packet.IP(10, 0, 0, 2)).
-			TCP(uint16(i), 80, packet.TCPSyn).Build()
+		return p
 	}
 	drops := 0
 	for i := 0; i < 10; i++ {
@@ -414,6 +414,64 @@ func TestMigrateResidualDropKeepsDestination(t *testing.T) {
 	}
 }
 
+// TestMigrateCancelAfterFlipCompletes cancels the plan's context after
+// the state move has flipped and before it is done. The source instance
+// is already gone, so the plan completes on the destination instead of
+// rolling it back, and the report notes the cancellation.
+func TestMigrateCancelAfterFlipCompletes(t *testing.T) {
+	f, c := testbed(t)
+	const uri, inst = "flexnet://infra/mon", "flexnet://infra/mon#hh"
+	dp := &flexbpf.Datapath{Name: "mon", Segments: []*flexbpf.Program{apps.HeavyHitter("hh", 2, 128, 1<<60)}}
+	deploy(t, f, c, uri, dp, DeployOptions{Path: []string{"s1"}})
+	// Traffic keeps running through the move, so there is a residual.
+	src := f.Host("h1").NewSource(netsim.FlowSpec{Dst: packet.IP(10, 0, 0, 2), Proto: packet.ProtoTCP, SrcPort: 1, DstPort: 80, PacketLen: 100})
+	src.StartCBR(20000)
+	f.Sim.RunFor(20 * time.Millisecond)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f.Router("s1").SetInterceptor(func(p *packet.Packet) drpc.Verdict {
+		if m, ok := drpc.FromPacket(p); ok && m.Method == migrate.MethodChunk && f.Device("s1").Instance(inst) == nil {
+			cancel() // a residual chunk after the flip
+		}
+		return drpc.Verdict{}
+	})
+	var rep *plan.MoveReport
+	var planRep *plan.Report
+	c.Migrate(ctx, MigrateRequest{URI: uri, Segment: "hh", Dst: "s2", DataPlane: true}, func(r plan.MoveReport) {
+		rep, planRep = &r, c.LastReport()
+	})
+	f.Sim.RunFor(2 * time.Second)
+	src.Stop()
+	if ctx.Err() == nil {
+		t.Fatal("no residual chunk crossed s1 after the flip; the context was never cancelled")
+	}
+	if rep == nil {
+		t.Fatal("migration never reported")
+	}
+	if rep.Flipped == 0 || rep.Err != nil {
+		t.Fatalf("move flipped at %d with err %v, want a flipped, clean move", rep.Flipped, rep.Err)
+	}
+	if planRep.Outcome != plan.OutcomeDegraded || len(planRep.Degraded) != 1 || !strings.Contains(planRep.Degraded[0], "cancelled") {
+		t.Fatalf("plan outcome %v, degraded %q: want degraded with the cancellation noted", planRep.Outcome, planRep.Degraded)
+	}
+	var live []string
+	for _, d := range f.Devices() {
+		if f.Device(d).Instance(inst) != nil {
+			live = append(live, d)
+		}
+	}
+	if len(live) != 1 || live[0] != "s2" {
+		t.Fatalf("live copies on %v, want exactly one, on s2", live)
+	}
+	if got := c.App(uri).Replicas["hh"][0]; got != "s2" {
+		t.Fatalf("replica registry at %s, want s2", got)
+	}
+	if drift := c.IntentDrift(); len(drift) != 0 {
+		t.Fatalf("intent drift after the move: %v", drift)
+	}
+}
+
 func TestResourceViewAndMarkRemovable(t *testing.T) {
 	f, c := testbed(t)
 	dp := &flexbpf.Datapath{Name: "sd", Segments: []*flexbpf.Program{apps.SYNDefense("sd", 128, 3)}}
@@ -435,16 +493,18 @@ func TestPuntsReachController(t *testing.T) {
 	// HeavyHitter with threshold 10 punts the heavy flow once.
 	dp := &flexbpf.Datapath{Name: "mon", Segments: []*flexbpf.Program{apps.HeavyHitter("hh", 2, 128, 10)}}
 	deploy(t, f, c, "flexnet://infra/mon", dp, DeployOptions{Path: []string{"s1"}})
+	var punts []string
+	f.Punted = func(dev string, _ *packet.Packet) { punts = append(punts, dev) }
 	h1 := f.Host("h1")
 	src := h1.NewSource(netsim.FlowSpec{Dst: packet.IP(10, 0, 0, 2), Proto: packet.ProtoTCP, SrcPort: 7, DstPort: 80, PacketLen: 100})
 	src.StartCBR(10000)
 	f.Sim.RunFor(100 * time.Millisecond)
 	src.Stop()
-	if c.Punts.Len() != 1 {
-		t.Fatalf("punts = %d, want 1", c.Punts.Len())
+	if len(punts) != 1 || punts[0] != "s1" {
+		t.Fatalf("punts reaching the fabric hook = %v, want [s1]", punts)
 	}
-	if c.Punts.All()[0].Device != "s1" {
-		t.Fatalf("punt from %s", c.Punts.All()[0].Device)
+	if got := f.Device("s1").Stats().Punted; got != 1 {
+		t.Fatalf("s1 Stats().Punted = %d, want 1", got)
 	}
 }
 

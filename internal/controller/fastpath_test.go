@@ -31,43 +31,6 @@ func resizeDelta(seg string, entries int) *delta.Delta {
 	}}
 }
 
-func TestPuntRingOverflowDropsOldest(t *testing.T) {
-	drops := 0
-	r := NewPuntRing(4)
-	r.onDrop = func() { drops++ }
-	for i := 0; i < 6; i++ {
-		r.Append(PuntRecord{Device: fmt.Sprintf("d%d", i)})
-	}
-	if r.Len() != 4 {
-		t.Fatalf("len = %d, want capacity 4", r.Len())
-	}
-	if r.Dropped() != 2 || drops != 2 {
-		t.Fatalf("dropped = %d (callback %d), want 2", r.Dropped(), drops)
-	}
-	all := r.All()
-	for i, rec := range all {
-		if want := fmt.Sprintf("d%d", i+2); rec.Device != want {
-			t.Fatalf("All()[%d] = %s, want %s (oldest-first, oldest two dropped)", i, rec.Device, want)
-		}
-	}
-}
-
-func TestPuntRingDropCounterWired(t *testing.T) {
-	f, c := testbed(t)
-	// Overflow the controller's own ring: the lazily-created
-	// ctl.punts_dropped counter must track exactly the overflow, and the
-	// ring must stay at capacity rather than growing without bound.
-	for i := 0; i < DefaultPuntRingSize+3; i++ {
-		c.Punts.Append(PuntRecord{Device: "s1", FlowID: uint64(i)})
-	}
-	if c.Punts.Len() != DefaultPuntRingSize {
-		t.Fatalf("ring len = %d, want %d", c.Punts.Len(), DefaultPuntRingSize)
-	}
-	if got := f.Metrics.CounterValue("ctl.punts_dropped"); got != 3 {
-		t.Fatalf("ctl.punts_dropped = %d, want 3", got)
-	}
-}
-
 func TestDeployUnknownPathDeviceIsSentinel(t *testing.T) {
 	f, c := testbed(t)
 	dp := &flexbpf.Datapath{Name: "x", Segments: []*flexbpf.Program{mapSeg("sa", 128)}}

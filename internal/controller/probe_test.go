@@ -188,6 +188,9 @@ func TestProbeIsAuditedAndLeavesIntentAlone(t *testing.T) {
 			t.Fatalf("probe record %q: kind %s outcome %s", r.Label, r.Kind, r.Outcome)
 		}
 	}
+	if got := f.Metrics.CounterValue("ctl.audit.records"); got != 3 {
+		t.Fatalf("ctl.audit.records = %d, want 3 (the deploy, inject and clean-up)", got)
+	}
 	if !replayMatchesIntent(t, c) {
 		t.Fatal("replay differs from intent after the probe")
 	}

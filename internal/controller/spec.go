@@ -3,8 +3,8 @@ package controller
 // This file is the controller half of FlexNet's declarative spec path
 // (DESIGN.md §14): snapshotting live intent into the spec vocabulary,
 // diffing it against a resolved spec, compiling the diff into a few
-// batched ChangePlans, and the continuous-reconcile loop that keeps
-// the network converged to the last applied spec.
+// batched ChangePlans, and the drift view against the last applied
+// spec.
 //
 // Plan compilation works in two waves so placement sees the truth:
 //
@@ -510,49 +510,4 @@ func (c *Controller) SpecStatus() SpecStatus {
 		st.Drift = d.Summary()
 	}
 	return st
-}
-
-// SpecReconciler is the continuous-reconcile loop: each period it
-// re-diffs the last applied spec against live state and re-applies it
-// when anything drifted (an imperative mutation, a failed partial
-// apply). The gitops analogue of the self-healer — heal.go repairs
-// devices back to controller intent; this repairs controller intent
-// back to the declared spec.
-type SpecReconciler struct {
-	c      *Controller
-	ticker *netsim.Ticker
-	// Applies counts corrective applies; LastErr is the most recent
-	// apply error (nil when converged).
-	Applies int
-	LastErr error
-}
-
-// StartSpecReconcile begins the loop. Off by default, so spec-free runs
-// are byte-identical with or without this code.
-func (c *Controller) StartSpecReconcile(every netsim.Time) *SpecReconciler {
-	r := &SpecReconciler{c: c}
-	r.ticker = c.fab.Sim.Every(every, r.tick)
-	return r
-}
-
-// Stop halts the loop (an in-flight corrective apply still finishes).
-func (r *SpecReconciler) Stop() { r.ticker.Stop() }
-
-func (r *SpecReconciler) tick() {
-	c := r.c
-	c.specMu.Lock()
-	last := c.lastSpec
-	busy := c.specApply
-	c.specMu.Unlock()
-	if last == nil || busy {
-		return
-	}
-	if c.DiffSpec(last).Empty() {
-		return
-	}
-	c.fab.Metrics.Counter("ctl.spec.reconciles").Inc()
-	c.ApplySpec(context.Background(), last, SpecOptions{}, func(_ *SpecReport, err error) {
-		r.Applies++
-		r.LastErr = err
-	})
 }

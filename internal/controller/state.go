@@ -1,8 +1,7 @@
 package controller
 
 // This file holds the controller's state structures (DESIGN.md §13.2):
-// the app/tenant registry, the generation-keyed compile-target cache, and
-// the bounded punt ring.
+// the app/tenant registry and the generation-keyed compile-target cache.
 //
 // The registry is two maps behind one mutex, so an app and its tenant's
 // app list always change together. Nothing drives the controller from two
@@ -174,77 +173,4 @@ func (tc *targetCache) size() int {
 	defer tc.mu.Unlock()
 	tc.refreshLocked()
 	return len(tc.all)
-}
-
-// DefaultPuntRingSize bounds the controller's punt buffer.
-const DefaultPuntRingSize = 4096
-
-// PuntRing is a bounded ring buffer of punted packets. The old
-// controller appended every punt to an unbounded slice, which grows
-// without limit under punt-heavy workloads; the ring keeps the newest
-// DefaultPuntRingSize records and counts overwritten ones
-// ("ctl.punts_dropped").
-type PuntRing struct {
-	mu      sync.Mutex
-	buf     []PuntRecord
-	head    int // index of the oldest record
-	n       int
-	dropped uint64
-	// onDrop fires once per overwritten record; the controller uses it
-	// to create the drop counter lazily so punt-light runs export an
-	// unchanged telemetry snapshot.
-	onDrop func()
-}
-
-// NewPuntRing creates a ring holding up to capacity records (<=0 uses
-// DefaultPuntRingSize).
-func NewPuntRing(capacity int) *PuntRing {
-	if capacity <= 0 {
-		capacity = DefaultPuntRingSize
-	}
-	return &PuntRing{buf: make([]PuntRecord, capacity)}
-}
-
-// Append records one punt, overwriting the oldest record when full.
-func (r *PuntRing) Append(rec PuntRecord) {
-	r.mu.Lock()
-	var drop func()
-	if r.n < len(r.buf) {
-		r.buf[(r.head+r.n)%len(r.buf)] = rec
-		r.n++
-	} else {
-		r.buf[r.head] = rec
-		r.head = (r.head + 1) % len(r.buf)
-		r.dropped++
-		drop = r.onDrop
-	}
-	r.mu.Unlock()
-	if drop != nil {
-		drop()
-	}
-}
-
-// Len returns the number of buffered records.
-func (r *PuntRing) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// All returns the buffered records, oldest first.
-func (r *PuntRing) All() []PuntRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]PuntRecord, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(r.head+i)%len(r.buf)])
-	}
-	return out
-}
-
-// Dropped returns how many records were overwritten.
-func (r *PuntRing) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }

@@ -207,14 +207,18 @@ func TestTenantFilterIsolation(t *testing.T) {
 	if err := d.InstallProgramOpt(dropDportProgram("tenant42", 22), InstallOptions{Filter: cond}); err != nil {
 		t.Fatal(err)
 	}
-	var seq uint64
-	inVLAN := packet.NewBuilder(&seq).Eth(1, 2).VLAN(42).IPv4(1, 2).TCP(5, 22, 0).Build()
-	st := d.Process(inVLAN)
+	tagged := func(id, vid uint64) *packet.Packet {
+		p := packet.TCPPacket(id, 1, 2, 5, 22, 0, 0)
+		if err := p.TagVLAN(vid); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	st := d.Process(tagged(1, 42))
 	if st.Verdict != packet.VerdictDrop {
 		t.Fatalf("tenant rule did not apply in its VLAN: %v", st.Verdict)
 	}
-	otherVLAN := packet.NewBuilder(&seq).Eth(1, 2).VLAN(7).IPv4(1, 2).TCP(5, 22, 0).Build()
-	st = d.Process(otherVLAN)
+	st = d.Process(tagged(2, 7))
 	if st.Verdict == packet.VerdictDrop {
 		t.Fatal("tenant rule leaked into another VLAN")
 	}

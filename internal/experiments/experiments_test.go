@@ -283,10 +283,23 @@ func TestE13Shape(t *testing.T) {
 
 func TestE14Shape(t *testing.T) {
 	tab := E14DRPC(1)
-	// dRPC latency strictly below controller-mediated.
-	// Latencies rendered with units; compare via finding ratio instead.
-	if !strings.Contains(tab.Finding, "x)") {
-		t.Fatalf("finding = %q", tab.Finding)
+	if len(tab.Rows) != 2 || !strings.Contains(tab.Rows[0][1], "dRPC") || !strings.Contains(tab.Rows[1][1], "controller") {
+		t.Fatalf("rows = %v, want the dRPC row then the controller-mediated one", tab.Rows)
+	}
+	latency := func(row int) time.Duration {
+		d, err := time.ParseDuration(tab.Rows[row][2])
+		if err != nil {
+			t.Fatalf("latency %q: %v", tab.Rows[row][2], err)
+		}
+		return d
+	}
+	// The in-network exchange beats the controller round trips on both
+	// latency and message count.
+	if dp, cp := latency(0), latency(1); dp <= 0 || dp >= cp {
+		t.Fatalf("dRPC latency %v, controller-mediated %v: want 0 < dRPC < controller", dp, cp)
+	}
+	if dp, cp := cell(t, tab, 0, 3), cell(t, tab, 1, 3); dp >= cp {
+		t.Fatalf("dRPC messages %v, controller-mediated %v: want fewer through dRPC", dp, cp)
 	}
 }
 

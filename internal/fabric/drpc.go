@@ -34,7 +34,7 @@ func (f *Fabric) EnableDRPC(devName string, ip uint32) (*drpc.Router, error) {
 	f.routerIPs[devName] = ip
 	// The control IP is a routable destination like any host, except the
 	// owning device needs no route to itself: delivery happens at ingress.
-	f.routing.AddDest("drpc:"+devName, ip, devName, devName, -1)
+	f.routing.AddDest("drpc:"+devName, ip, devName, devName)
 	return r, nil
 }
 

@@ -89,8 +89,9 @@ type Fabric struct {
 	// ContinueDrops counts packets that no program claimed (fell off the
 	// end of the chain with VerdictContinue).
 	ContinueDrops uint64
-	// Punted receives packets sent to the controller. Like Host.Recv,
-	// it borrows the packet for the duration of the call.
+	// Punted, when set, receives packets a program sends to the
+	// controller; each device also counts them in Stats().Punted. Like
+	// Host.Recv, it borrows the packet for the duration of the call.
 	Punted func(dev string, pkt *packet.Packet)
 	// recircLimit bounds recirculation loops.
 	recircLimit int
@@ -256,7 +257,7 @@ func (f *Fabric) onTopoEvent(ev netsim.TopoEvent) {
 		f.linkID[ev.Link] = f.routing.AddLink(a, b)
 	case netsim.TopoLinkUp:
 		f.routing.SetLinkState(f.linkID[ev.Link], true)
-	case netsim.TopoLinkDown, netsim.TopoLinkRemoved:
+	case netsim.TopoLinkDown:
 		f.routing.SetLinkState(f.linkID[ev.Link], false)
 	}
 }
@@ -272,15 +273,8 @@ func sortedInsert(s []string, v string) []string {
 
 // AddHost attaches a host with the given IP to a new node.
 func (f *Fabric) AddHost(name string, ip uint32) *Host {
-	return f.addHost(name, ip, -1)
-}
-
-// addHost is AddHost with an explicit routing shard: destinations with
-// the same shard (a pod, for generated fabrics) recompute as one unit
-// of parallel work; -1 gives the destination its own group.
-func (f *Fabric) addHost(name string, ip uint32, routeShard int) *Host {
 	node := f.Net.AddNode(name)
-	f.routing.AddDest(name, ip, name, "", routeShard)
+	f.routing.AddDest(name, ip, name, "")
 	h := &Host{Name: name, IP: ip, Node: node, fab: f}
 	f.hosts[name] = h
 	f.hostNames = sortedInsert(f.hostNames, name)

@@ -61,9 +61,8 @@ func defaultAccessLink(p netsim.LinkParams) netsim.LinkParams {
 
 // BuildFatTree populates f with a k-ary fat-tree. Naming: pod p's edge
 // switches are p{p}-e{j}, aggregation p{p}-a{j}, cores c{n}; host m
-// under p{p}-e{j} is p{p}-e{j}-h{m} with IP 10.p.j.(m+2). Hosts in the
-// same pod share a routing shard, so pod-local failures converge as one
-// unit of parallel work. Call InstallBaseRouting afterwards.
+// under p{p}-e{j} is p{p}-e{j}-h{m} with IP 10.p.j.(m+2). Call
+// InstallBaseRouting afterwards.
 func BuildFatTree(f *Fabric, spec FatTreeSpec) error {
 	k := spec.K
 	if k < 4 || k%2 != 0 {
@@ -105,7 +104,7 @@ func BuildFatTree(f *Fabric, spec FatTreeSpec) error {
 			for m := 0; m < hosts; m++ {
 				name := fmt.Sprintf("%s-h%d", edge, m)
 				ip := uint32(10<<24 | p<<16 | j<<8 | (m + 2))
-				f.addHost(name, ip, p)
+				f.AddHost(name, ip)
 				f.Connect(name, edge, acc)
 			}
 		}
@@ -133,8 +132,7 @@ func BuildFatTree(f *Fabric, spec FatTreeSpec) error {
 
 // BuildSpineLeaf populates f with a spine-leaf fabric. Naming: spines
 // s{i}, leaves l{j}, host m under leaf j is l{j}-h{m} with IP
-// 10.1.j.(m+2). Hosts under the same leaf share a routing shard. Call
-// InstallBaseRouting afterwards.
+// 10.1.j.(m+2). Call InstallBaseRouting afterwards.
 func BuildSpineLeaf(f *Fabric, spec SpineLeafSpec) error {
 	if spec.Spines < 1 || spec.Leaves < 1 {
 		return fmt.Errorf("fabric: spine-leaf needs spines >= 1 and leaves >= 1, got %d/%d", spec.Spines, spec.Leaves)
@@ -164,7 +162,7 @@ func BuildSpineLeaf(f *Fabric, spec SpineLeafSpec) error {
 		for m := 0; m < hosts; m++ {
 			name := fmt.Sprintf("%s-h%d", leaf, m)
 			ip := uint32(10<<24 | 1<<16 | j<<8 | (m + 2))
-			f.addHost(name, ip, j)
+			f.AddHost(name, ip)
 			f.Connect(name, leaf, acc)
 		}
 	}

@@ -6,13 +6,10 @@ import (
 	"testing"
 )
 
-// degreeOf counts links per node name (Removed links excluded).
+// degreeOf counts links per node name.
 func degreeOf(f *Fabric) map[string]int {
 	deg := map[string]int{}
 	for _, l := range f.Net.Links() {
-		if l.Removed {
-			continue
-		}
 		a, b := l.Ends()
 		deg[a]++
 		deg[b]++

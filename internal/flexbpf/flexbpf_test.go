@@ -198,8 +198,10 @@ func TestInterpHasHeaderCond(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := newTestEnv()
-	var seq uint64
-	withVLAN := packet.NewBuilder(&seq).Eth(1, 2).VLAN(5).IPv4(1, 2).UDP(1, 2).Build()
+	withVLAN := packet.UDPPacket(1, 1, 2, 1, 2, 0)
+	if err := withVLAN.TagVLAN(5); err != nil {
+		t.Fatal(err)
+	}
 	run(t, p, withVLAN, env)
 	if withVLAN.Field("meta.vlan") != 7 {
 		t.Fatal("vlan header not detected")
@@ -347,8 +349,10 @@ func TestInterpHeaderOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seq uint64
-	pkt := packet.NewBuilder(&seq).Eth(1, 2).VLAN(10).IPv4(1, 2).UDP(5, 6).Build()
+	pkt := packet.UDPPacket(1, 1, 2, 5, 6, 0)
+	if err := pkt.TagVLAN(10); err != nil {
+		t.Fatal(err)
+	}
 	run(t, p, pkt, newTestEnv())
 	if !pkt.Has("int") || pkt.Field("int.hopcount") != 9 {
 		t.Fatal("int header not added")

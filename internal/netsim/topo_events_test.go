@@ -22,7 +22,6 @@ func TestTopoEventStream(t *testing.T) {
 	l, _, _ := nw.Connect("a", "b", DefaultLink())
 	l.SetDown(true)
 	l.SetDown(false)
-	nw.RemoveLink(l)
 
 	want := []struct {
 		kind TopoEventKind
@@ -34,7 +33,6 @@ func TestTopoEventStream(t *testing.T) {
 		{TopoLinkAdded, nil, l},
 		{TopoLinkDown, nil, l},
 		{TopoLinkUp, nil, l},
-		{TopoLinkRemoved, nil, l},
 	}
 	if len(*evs) != len(want) {
 		t.Fatalf("got %d events, want %d", len(*evs), len(want))
@@ -69,36 +67,6 @@ func TestSetDownIdempotent(t *testing.T) {
 	}
 	if (*evs)[0].Kind != TopoLinkDown {
 		t.Fatalf("event kind = %v, want %v", (*evs)[0].Kind, TopoLinkDown)
-	}
-}
-
-// TestRemoveLinkPermanent checks removal semantics: the link is marked
-// Removed and Down, LinkBetween skips it, a second removal is a no-op,
-// and a later SetDown on the carcass cannot resurrect traffic.
-func TestRemoveLinkPermanent(t *testing.T) {
-	nw := NewNetwork(New(1))
-	nw.AddNode("a")
-	nw.AddNode("b")
-	l, _, _ := nw.Connect("a", "b", DefaultLink())
-	evs := recordEvents(nw)
-
-	nw.RemoveLink(l)
-	if !l.Removed || !l.Down {
-		t.Fatalf("after RemoveLink: Removed=%v Down=%v, want true/true", l.Removed, l.Down)
-	}
-	if got := nw.LinkBetween("a", "b"); got != nil {
-		t.Fatalf("LinkBetween returned removed link %v", got)
-	}
-	nw.RemoveLink(l) // no-op
-	nw.RemoveLink(nil)
-	if len(*evs) != 1 {
-		t.Fatalf("got %d events, want 1 (repeat/nil removals are silent)", len(*evs))
-	}
-
-	// A replacement link between the same nodes is found again.
-	l2, _, _ := nw.Connect("a", "b", DefaultLink())
-	if got := nw.LinkBetween("a", "b"); got != l2 {
-		t.Fatalf("LinkBetween = %v, want replacement link", got)
 	}
 }
 

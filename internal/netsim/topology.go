@@ -169,10 +169,6 @@ type Link struct {
 	// Change it with SetDown, which notifies topology subscribers; a
 	// direct write fails traffic but routing never learns of it.
 	Down bool
-	// Removed marks a link administratively removed from the topology:
-	// permanently down and excluded from LinkBetween lookups. Set via
-	// Network.RemoveLink.
-	Removed bool
 
 	dirs [2]linkDir
 
@@ -224,7 +220,7 @@ type TopoEventKind uint8
 
 // Topology-change event kinds. Node removal has no substrate support
 // (ports are positional), so a device leaving service is modelled by
-// removing or downing its links.
+// downing its links.
 const (
 	// TopoNodeAdded: a node joined the topology (Event.Node).
 	TopoNodeAdded TopoEventKind = iota
@@ -234,8 +230,6 @@ const (
 	TopoLinkUp
 	// TopoLinkDown: a link failed.
 	TopoLinkDown
-	// TopoLinkRemoved: a link was administratively removed (permanent).
-	TopoLinkRemoved
 )
 
 func (k TopoEventKind) String() string {
@@ -248,16 +242,14 @@ func (k TopoEventKind) String() string {
 		return "link-up"
 	case TopoLinkDown:
 		return "link-down"
-	case TopoLinkRemoved:
-		return "link-removed"
 	default:
 		return fmt.Sprintf("topo-event(%d)", uint8(k))
 	}
 }
 
 // TopoEvent is one topology change, delivered synchronously to
-// subscribers at the point of mutation (AddNode, Connect, SetDown,
-// RemoveLink). Node is set for node events, Link for link events.
+// subscribers at the point of mutation (AddNode, Connect, SetDown).
+// Node is set for node events, Link for link events.
 type TopoEvent struct {
 	Kind TopoEventKind
 	Node *Node
@@ -336,30 +328,12 @@ func (nw *Network) Connect(a, b string, p LinkParams) (*Link, int, int) {
 	return l, l.aPort, l.bPort
 }
 
-// RemoveLink administratively removes a link: it is marked down and
-// removed, excluded from LinkBetween, and subscribers are notified with
-// TopoLinkRemoved. The link object stays in place (ports are positional)
-// but never carries traffic again. Removing an already-removed link is a
-// no-op.
-func (nw *Network) RemoveLink(l *Link) {
-	if l == nil || l.Removed {
-		return
-	}
-	l.Removed = true
-	l.Down = true
-	nw.emit(TopoEvent{Kind: TopoLinkRemoved, Link: l})
-}
-
 // Links returns all links.
 func (nw *Network) Links() []*Link { return nw.links }
 
-// LinkBetween returns the first non-removed link between two nodes, or
-// nil.
+// LinkBetween returns the first link between two nodes, or nil.
 func (nw *Network) LinkBetween(a, b string) *Link {
 	for _, l := range nw.links {
-		if l.Removed {
-			continue
-		}
 		x, y := l.Ends()
 		if (x == a && y == b) || (x == b && y == a) {
 			return l

@@ -39,13 +39,6 @@ func NewSource(sim *Sim, spec FlowSpec, seq *uint64, emit func(*packet.Packet)) 
 	return &Source{sim: sim, spec: spec, emit: emit, seq: seq}
 }
 
-// The fields a VLAN-tagged source sets on every packet, resolved once.
-var (
-	fidEthType  = packet.InternField("eth.type")
-	fidVLANVid  = packet.InternField("vlan.vid")
-	fidVLANType = packet.InternField("vlan.type")
-)
-
 func (s *Source) buildPacket(flags uint64) *packet.Packet {
 	*s.seq++
 	id := *s.seq
@@ -56,12 +49,9 @@ func (s *Source) buildPacket(flags uint64) *packet.Packet {
 		p = pool.TCPPacket(id, s.spec.Src, s.spec.Dst, s.spec.SrcPort, s.spec.DstPort, flags, s.spec.PacketLen)
 	}
 	if s.spec.VLAN != 0 {
-		// Insert the VLAN tag between eth and ipv4. It cannot fail: the
-		// chain holds three headers of packet.ChainCap, none of them vlan.
-		_ = p.InsertHeaderID(1, packet.HeaderVLAN)
-		p.SetFieldByID(fidEthType, packet.EtherTypeVLAN)
-		p.SetFieldByID(fidVLANVid, s.spec.VLAN)
-		p.SetFieldByID(fidVLANType, packet.EtherTypeIPv4)
+		// It cannot fail: the chain holds three headers of
+		// packet.ChainCap, none of them vlan.
+		_ = p.TagVLAN(s.spec.VLAN)
 	}
 	p.StampSent(uint64(s.sim.Now()))
 	return p

@@ -27,7 +27,7 @@ type Chain struct {
 
 // headerSize is the wire size in bytes of each standard header, by ID;
 // registerHeader fills it at package init, and any other header is 0
-// bytes, as HeaderBytes reports.
+// bytes.
 var headerSize [MaxHeaderIDs + 1]uint16
 
 // Len returns the number of headers in the chain.

@@ -40,10 +40,10 @@ var fuzzHeaders = [16]string{"eth", "vlan", "ipv4", "tcp", "udp", "flexepoch", "
 // RemoveHeader / Clone / VLAN-insert / insert / chain-copy sequences
 // against a []string model of each, and after every step checks the
 // chain's order, names, Has for every header, Len() == PayloadLen + the
-// sum of HeaderBytes, Packet.String's header list, Marshal byte for byte
-// against encoding the model's headers one by one, and that the two
-// chains are == exactly when their name sequences are equal — the
-// property the flow cache's header validation rests on.
+// sum of the headers' wire sizes, Packet.String's header list, Marshal
+// byte for byte against encoding the model's headers one by one, and
+// that the two chains are == exactly when their name sequences are
+// equal — the property the flow cache's header validation rests on.
 //
 // Each op byte reads: bit 7 picks the packet, bits 4–6 the operation,
 // bits 0–3 the header or an insert position. Only the
@@ -123,7 +123,9 @@ func checkChain(p *Packet, m chainModel) error {
 	}
 	wantLen := p.PayloadLen
 	for _, h := range m {
-		wantLen += HeaderBytes(h)
+		if s := specNamed(h); s != nil {
+			wantLen += s.bytes
+		}
 	}
 	if p.Len() != wantLen {
 		return fmt.Errorf("Len() = %d, want %d for %v", p.Len(), wantLen, m)
@@ -134,7 +136,12 @@ func checkChain(p *Packet, m chainModel) error {
 	var ref []byte
 	var refErr error
 	for _, h := range m {
-		if ref, refErr = EncodeHeader(ref, h, p); refErr != nil {
+		s := specNamed(h)
+		if s == nil {
+			refErr = fmt.Errorf("no wire layout for %q", h)
+			break
+		}
+		if ref, refErr = s.encode(ref, p); refErr != nil {
 			break
 		}
 	}

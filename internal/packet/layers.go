@@ -1,9 +1,6 @@
 package packet
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // IP protocol numbers used by the simulator.
 const (
@@ -120,23 +117,7 @@ var (
 		fieldSpec{name: "callid", bits: 32}, fieldSpec{name: "arg0", bits: 64}, fieldSpec{name: "arg1", bits: 64}, fieldSpec{name: "arg2", bits: 64})
 )
 
-// HeaderBytes returns the wire size in bytes of the named header, or 0 if
-// the header type is unknown.
-func HeaderBytes(name string) int {
-	id, _ := HeaderIDOf(name)
-	return int(headerSize[id])
-}
-
-// EncodeHeader serializes the named header's fields from the packet into
-// wire bytes appended to dst.
-func EncodeHeader(dst []byte, name string, p *Packet) ([]byte, error) {
-	s := specNamed(name)
-	if s == nil {
-		return dst, fmt.Errorf("packet: unknown header %q", name)
-	}
-	return s.encode(dst, p)
-}
-
+// encode appends the header's fields, read from p, to dst in wire format.
 func (s *headerSpec) encode(dst []byte, p *Packet) ([]byte, error) {
 	var bitbuf uint64
 	bits := 0
@@ -167,16 +148,8 @@ func (s *headerSpec) encode(dst []byte, p *Packet) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeHeader parses the named header from src into the packet's fields
-// and returns the remaining bytes.
-func DecodeHeader(src []byte, name string, p *Packet) ([]byte, error) {
-	s := specNamed(name)
-	if s == nil {
-		return src, fmt.Errorf("packet: unknown header %q", name)
-	}
-	return s.decode(src, p)
-}
-
+// decode reads the header from the front of src into p's fields, adds
+// it to p's chain and returns the bytes after it.
 func (s *headerSpec) decode(src []byte, p *Packet) ([]byte, error) {
 	if len(src) < s.bytes {
 		return src, fmt.Errorf("packet: short buffer for header %q: have %d bytes, need %d", s.name, len(src), s.bytes)
@@ -226,48 +199,8 @@ func Marshal(p *Packet) ([]byte, error) {
 	return out, nil
 }
 
-// ipv4HeaderChecksum computes the standard IPv4 header checksum over a
-// serialized 20-byte header with its checksum field zeroed.
-func ipv4HeaderChecksum(hdr []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(hdr); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(hdr[i : i+2]))
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xffff + sum>>16
-	}
-	return ^uint16(sum)
-}
-
-// FixIPv4Checksum recomputes and stores "ipv4.csum" for the packet.
-func FixIPv4Checksum(p *Packet) error {
-	if !p.Headers.Has(HeaderIPv4) {
-		return fmt.Errorf("packet: no ipv4 header present")
-	}
-	p.SetFieldByID(fidIPv4Csum, 0)
-	raw, err := specIPv4.encode(nil, p)
-	if err != nil {
-		return err
-	}
-	p.SetFieldByID(fidIPv4Csum, uint64(ipv4HeaderChecksum(raw)))
-	return nil
-}
-
-// VerifyIPv4Checksum reports whether the stored checksum matches.
-func VerifyIPv4Checksum(p *Packet) bool {
-	want := p.FieldByID(fidIPv4Csum)
-	saved := want
-	p.SetFieldByID(fidIPv4Csum, 0)
-	raw, err := specIPv4.encode(nil, p)
-	p.SetFieldByID(fidIPv4Csum, saved)
-	if err != nil {
-		return false
-	}
-	return uint64(ipv4HeaderChecksum(raw)) == want
-}
-
 // Pre-resolved IDs of the fields the packet fast paths touch (flow keys,
-// checksums, the TCPPacket/UDPPacket constructors). Declared after the
+// the TCPPacket/UDPPacket constructors and TagVLAN). Declared after the
 // standard header registrations above so they resolve to the
 // already-interned IDs.
 var (
@@ -278,7 +211,6 @@ var (
 	fidIPv4Src     = InternField("ipv4.src")
 	fidIPv4Dst     = InternField("ipv4.dst")
 	fidIPv4Proto   = InternField("ipv4.proto")
-	fidIPv4Csum    = InternField("ipv4.csum")
 	fidTCPSport    = InternField("tcp.sport")
 	fidTCPDport    = InternField("tcp.dport")
 	fidTCPFlags    = InternField("tcp.flags")
@@ -286,4 +218,6 @@ var (
 	fidUDPSport    = InternField("udp.sport")
 	fidUDPDport    = InternField("udp.dport")
 	fidUDPLen      = InternField("udp.len")
+	fidVLANVid     = InternField("vlan.vid")
+	fidVLANType    = InternField("vlan.type")
 )

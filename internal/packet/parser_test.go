@@ -19,7 +19,7 @@ func TestStandardParseGraphWellFormed(t *testing.T) {
 		if st.Name != name {
 			t.Errorf("state %q is registered as %q", st.Name, name)
 		}
-		if st.Header != "" && HeaderBytes(st.Header) <= 0 {
+		if st.Header != "" && specNamed(st.Header) == nil {
 			t.Errorf("state %q extracts header %q, which has no wire layout", name, st.Header)
 		}
 		targets := []string{st.Default}

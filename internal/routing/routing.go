@@ -42,10 +42,9 @@
 //     state.
 //
 // Convergence parallelizes over destinations — each BFS reads the
-// shared immutable graph and writes only its own state — grouped by
-// shard (one shard per pod for generated fabrics) and claimed by a
-// worker pool; results merge in destination order, so the outcome is
-// byte-identical for any worker count.
+// shared immutable graph and writes only its own state — which a worker
+// pool claims one at a time; results merge in destination order, so the
+// outcome is byte-identical for any worker count.
 //
 // DESIGN.md §11 documents the engine, the delta model, and how deltas
 // ride the epoch-commit machinery.
@@ -86,11 +85,10 @@ type link struct {
 
 // dest is one routed destination and its last-converged BFS state.
 type dest struct {
-	name  string
-	ip    uint32
-	node  int32
-	skip  int32 // device that gets no entry for this dest (-1 = none)
-	shard int32 // convergence work-group (-1 = own group)
+	name string
+	ip   uint32
+	node int32
+	skip int32 // device that gets no entry for this dest (-1 = none)
 
 	computed bool
 	dist     []int32  // per node; -1 = unreachable
@@ -225,9 +223,8 @@ func (e *Engine) AddLink(a, b string) int {
 }
 
 // AddDest registers a routed destination: every device gets an entry
-// for ip toward node (except skipDevice, which may be empty). shard
-// groups destinations for parallel convergence (-1 = own group).
-func (e *Engine) AddDest(name string, ip uint32, nodeName, skipDevice string, shard int) {
+// for ip toward node (except skipDevice, which may be empty).
+func (e *Engine) AddDest(name string, ip uint32, nodeName, skipDevice string) {
 	if _, dup := e.destIdx[name]; dup {
 		panic(fmt.Sprintf("routing: duplicate destination %q", name))
 	}
@@ -245,7 +242,7 @@ func (e *Engine) AddDest(name string, ip uint32, nodeName, skipDevice string, sh
 	}
 	di := int32(len(e.dests))
 	e.destIdx[name] = di
-	e.dests = append(e.dests, dest{name: name, ip: ip, node: ni, skip: skip, shard: int32(shard)})
+	e.dests = append(e.dests, dest{name: name, ip: ip, node: ni, skip: skip})
 	e.dirty = append(e.dirty, false)
 	e.markDirty(int(di))
 }
@@ -340,31 +337,11 @@ func (e *Engine) Converge(workers int) Stats {
 		}
 	}
 
-	// Group by shard in first-appearance order; shard -1 destinations
-	// each form their own group. Groups are the unit workers claim.
-	type group struct{ members []int32 }
-	var groups []group
-	groupOf := map[int32]int{}
-	for _, di := range dirtyList {
-		sh := e.dests[di].shard
-		if sh < 0 {
-			groups = append(groups, group{members: []int32{di}})
-			continue
-		}
-		gi, ok := groupOf[sh]
-		if !ok {
-			gi = len(groups)
-			groupOf[sh] = gi
-			groups = append(groups, group{})
-		}
-		groups[gi].members = append(groups[gi].members, di)
-	}
-
 	if workers < 1 {
 		workers = 1
 	}
-	if workers > len(groups) {
-		workers = len(groups)
+	if workers > len(dirtyList) {
+		workers = len(dirtyList)
 	}
 	for len(e.scratches) < workers {
 		e.scratches = append(e.scratches, &scratch{})
@@ -374,26 +351,17 @@ func (e *Engine) Converge(workers int) Stats {
 	// parallel and merged serially in list order.
 	changesFor := make([][]devChange, len(dirtyList))
 	routesFor := make([]int, len(dirtyList))
-	posOf := make(map[int32]int, len(dirtyList))
-	for k, di := range dirtyList {
-		posOf[di] = k
-	}
-
-	runGroup := func(s *scratch, g *group) {
-		for _, di := range g.members {
-			d := &e.dests[di]
-			e.recompute(d, s)
-			k := posOf[di]
-			changesFor[k] = s.changes
-			routesFor[k] = s.routes
-			s.changes = nil
-		}
+	run := func(s *scratch, k int) {
+		e.recompute(&e.dests[dirtyList[k]], s)
+		changesFor[k] = s.changes
+		routesFor[k] = s.routes
+		s.changes = nil
 	}
 
 	if workers <= 1 {
 		s := e.scratches[0]
-		for gi := range groups {
-			runGroup(s, &groups[gi])
+		for k := range dirtyList {
+			run(s, k)
 		}
 	} else {
 		var next atomic.Int32
@@ -406,11 +374,11 @@ func (e *Engine) Converge(workers int) Stats {
 				defer func() { panics[slot] = recover() }()
 				s := e.scratches[slot]
 				for {
-					gi := int(next.Add(1)) - 1
-					if gi >= len(groups) {
+					k := int(next.Add(1)) - 1
+					if k >= len(dirtyList) {
 						return
 					}
-					runGroup(s, &groups[gi])
+					run(s, k)
 				}
 			}(w)
 		}

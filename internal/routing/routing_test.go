@@ -37,7 +37,7 @@ func (m *mirror) addDevice(name string) {
 func (m *mirror) addHost(name string, ip uint32) {
 	m.net.AddNode(name)
 	m.eng.AddNode(name)
-	m.eng.AddDest(name, ip, name, "", -1)
+	m.eng.AddDest(name, ip, name, "")
 	m.dests = append(m.dests, struct {
 		name, node, skip string
 		ip               uint32

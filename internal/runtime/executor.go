@@ -547,7 +547,10 @@ func (x *Executor) Execute(p *plan.ChangePlan, done func(*plan.Report)) {
 // cancelled between commit and its post steps reverts the activated
 // devices — either way the report carries ctx.Err() (wrapping
 // context.Canceled) and the network is back in its pre-plan
-// configuration. A nil ctx means no cancellation.
+// configuration. Once a state move has flipped, the source copy is gone
+// and the plan is past its commit point: a later cancellation lets it
+// complete and is noted in Report.Degraded. A nil ctx means no
+// cancellation.
 func (x *Executor) ExecuteCtx(ctx context.Context, p *plan.ChangePlan, done func(*plan.Report)) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -777,6 +780,22 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 		finish(plan.PhasePrepare, plan.OutcomeRolledBack, err)
 	}
 
+	// flipped is set once a state move has flipped: its source instance
+	// is gone, so rolling back would leave no copy. From then on a
+	// cancellation is noted, once, and the plan completes.
+	var flipped, cancelNoted bool
+	cancelled := func() error {
+		err := ctx.Err()
+		if err != nil && flipped {
+			if !cancelNoted {
+				cancelNoted = true
+				rep.Degraded = append(rep.Degraded, fmt.Sprintf("cancelled after a state move flipped; completed: %v", err))
+			}
+			return nil
+		}
+		return err
+	}
+
 	// Post steps run sequentially after all devices committed.
 	var runPost func(i int)
 	runPost = func(i int) {
@@ -790,7 +809,7 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 		var onDone func(error)
 		onDoneNow := func(err error) {
 			if err == nil {
-				err = ctx.Err() // cancellation between post steps rolls back
+				err = cancelled() // before a flip, cancellation between post steps rolls back
 			}
 			psp.Fail(err)
 			if err != nil {
@@ -819,7 +838,7 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 		onDone = func(err error) {
 			x.gate(ps, func() { onDoneNow(err) })()
 		}
-		if err := ctx.Err(); err != nil {
+		if err := cancelled(); err != nil {
 			onDone(err)
 			return
 		}
@@ -832,6 +851,7 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 					// is gone, so a residual-phase error stays on the
 					// move's report and must not roll the destination
 					// back.
+					flipped = true
 					onDone(nil)
 					return
 				}

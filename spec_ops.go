@@ -32,8 +32,6 @@ type (
 	// SpecStatusInfo is the drift view: last applied revision and
 	// whether live state still matches it.
 	SpecStatusInfo = controller.SpecStatus
-	// SpecReconciler is the continuous-reconcile loop handle.
-	SpecReconciler = controller.SpecReconciler
 	// AuditLog is the append-only hash-chained mutation trail.
 	AuditLog = audit.Log
 	// AuditRecord is one entry in the trail.
@@ -134,13 +132,6 @@ func (n *Network) DiffSpec(req SpecDiffRequest) (*SpecDiff, error) {
 // SpecStatus reports the last applied spec revision and whether live
 // state has drifted from it.
 func (n *Network) SpecStatus() SpecStatusInfo { return n.ctl.SpecStatus() }
-
-// StartSpecReconcile begins the continuous-reconcile loop: each period
-// the last applied spec is re-diffed against live state and corrective
-// plans are executed when anything drifted. Off by default.
-func (n *Network) StartSpecReconcile(every time.Duration) *SpecReconciler {
-	return n.ctl.StartSpecReconcile(every)
-}
 
 // Audit returns the append-only hash-chained trail of every
 // control-plane mutation: plans at commit/rollback, tenant changes,
