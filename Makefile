@@ -41,13 +41,15 @@ mutants:
 	else echo "$$out"; echo "packet_release_mutant: TestPacketConservationProperty did not fail"; exit 1; fi
 
 # fuzz runs each native fuzz target for FUZZTIME (30 s) past its seed
-# corpus: the header chain against its []string model, and the flow
-# cache's record→replay round trip against an uncached device. Go fuzzes
-# one target per invocation.
+# corpus: the header chain against its []string model, the flow
+# cache's record→replay round trip against an uncached device, and the
+# spec decoder against encoding/json. Go fuzzes one target per
+# invocation.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHeaderChain$$' -fuzztime $(FUZZTIME) ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzFlowCacheEquivalence$$' -fuzztime $(FUZZTIME) ./internal/dataplane
+	$(GO) test -run '^$$' -fuzz '^FuzzSpecLoad$$' -fuzztime $(FUZZTIME) ./internal/spec
 
 vet:
 	$(GO) vet ./...
@@ -88,8 +90,9 @@ bench-steady:
 # bench-control measures the control-plane fast path (DESIGN.md §13):
 # per-op planning cost incremental vs full-recompute, plus the E18
 # experiment end-to-end (the BENCH_PR8.md table comes from this target),
-# then the four spec operations on the storm's shape (§14.2) and what
-# one program install costs a device.
+# then the spec operations on the storm's shape — load, fingerprint,
+# resolve, diff, status and apply (§14.2) — and what one program
+# install costs a device.
 bench-control:
 	$(GO) test -bench 'BenchmarkControlPlaneOps|BenchmarkE18ControlPlane' -benchmem -benchtime 5x -run '^$$' .
 	$(GO) test -bench 'BenchmarkSpecOps' -benchmem -benchtime 50x -run '^$$' .

@@ -13,10 +13,13 @@ package flexnet
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
 
+	"flexnet/internal/apps"
+	"flexnet/internal/compiler"
 	"flexnet/internal/controller"
 	"flexnet/internal/dataplane"
 	"flexnet/internal/experiments"
@@ -160,13 +163,14 @@ func BenchmarkControlPlaneOps(b *testing.B) {
 	b.Run("full", func(b *testing.B) { benchControlPlaneOps(b, false) })
 }
 
-// BenchmarkSpecOps measures the four declarative-spec operations on the
+// BenchmarkSpecOps measures the declarative-spec operations on the
 // shape the control-plane storm (benchmark/ctl_storm.go) gives them: a
 // k=8 fat-tree carrying 70 single-segment apps over the six builtin
 // kinds, and two revisions of the whole-network spec that differ in six
-// apps' table size and replica count. resolve, diff and status leave the
-// network alone; apply alternates the revisions, so every iteration
-// swaps and rescales those six apps.
+// apps' table size and replica count. load reads the first revision's
+// JSON document; fingerprint hashes one program of each builtin kind;
+// resolve, diff and status leave the network alone; apply alternates
+// the revisions, so every iteration swaps and rescales those six apps.
 func BenchmarkSpecOps(b *testing.B) {
 	n, err := New(1).Topo("fat-tree:k=8").Build()
 	if err != nil {
@@ -218,6 +222,33 @@ func BenchmarkSpecOps(b *testing.B) {
 	if _, err := n.ApplySpec(ctx, SpecApplyRequest{Resolved: resolved[0]}); err != nil {
 		b.Fatal(err)
 	}
+	doc, err := json.Marshal(specs[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(doc)))
+		for i := 0; i < b.N; i++ {
+			if _, err := LoadSpec(doc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("fingerprint", func(b *testing.B) {
+		for _, k := range kinds {
+			prog, err := apps.Builtin(k.app, k.seg, k.args)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(k.app, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					compiler.Fingerprint(prog)
+				}
+			})
+		}
+	})
 	b.Run("resolve", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -25,6 +25,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -507,13 +508,15 @@ func (s *Server) serveConn(conn net.Conn) {
 	sc.Buffer(make([]byte, 1<<16), maxRequestBytes)
 	enc := json.NewEncoder(conn)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		// Decoded in place: the scanner's buffer is only read, and
+		// json.Unmarshal copies every string it keeps.
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
 		var req api.Request
 		var resp api.Response
-		if err := json.Unmarshal([]byte(line), &req); err != nil {
+		if err := json.Unmarshal(line, &req); err != nil {
 			resp = api.Response{OK: false, Error: "malformed request: " + err.Error()}
 		} else {
 			resp = s.handle(&req)

@@ -131,6 +131,9 @@ type segmentFP struct {
 	fp   uint64
 }
 
+// fingerprint is the package's one call of compiler.Fingerprint.
+var fingerprint = compiler.Fingerprint
+
 // instanceName is the device-level program name for an app segment.
 func instanceName(uri, segment string) string {
 	return uri + "#" + segment

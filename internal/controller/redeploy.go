@@ -116,14 +116,14 @@ func (c *Controller) PlanRedeploy(uri string, newDP *flexbpf.Datapath) (*plan.Ch
 		return nil, nil, err
 	}
 	// A segment changed unless its live fingerprint (remembered, see
-	// liveFP) equals the new program's. Fingerprint disassembles inline
-	// do blocks, which Dump summarises as "do {N instrs}".
+	// liveFP) equals the new program's. Fingerprint hashes inline do
+	// blocks instruction by instruction, so a changed immediate counts.
 	changed := func(name string) bool {
 		n := newDP.Segment(name)
 		if app.Datapath.Segment(name) == nil || n == nil {
 			return true
 		}
-		return c.liveFP(app, name) != compiler.Fingerprint(n)
+		return c.liveFP(app, name) != fingerprint(n)
 	}
 	filter := c.tenantFilter(app.Tenant)
 	cp := plan.New("redeploy " + uri)

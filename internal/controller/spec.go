@@ -29,7 +29,6 @@ import (
 	"sort"
 
 	"flexnet/internal/audit"
-	"flexnet/internal/compiler"
 	"flexnet/internal/netsim"
 	"flexnet/internal/plan"
 	"flexnet/internal/spec"
@@ -90,7 +89,7 @@ func (c *Controller) LiveSpecState() *spec.Live {
 }
 
 // liveFP returns compiler.Fingerprint of app's live segment program (0
-// for a segment the datapath does not have), dumping the program only
+// for a segment the datapath does not have), hashing the program only
 // when the segment's *flexbpf.Program pointer differs from the one the
 // remembered fingerprint was computed from. Comparing pointers is enough
 // because a live program is never edited in place: a segment gets a new
@@ -110,7 +109,7 @@ func (c *Controller) liveFP(app *App, seg string) uint64 {
 	if app.fps == nil {
 		app.fps = map[string]segmentFP{}
 	}
-	fp := compiler.Fingerprint(p)
+	fp := fingerprint(p)
 	app.fps[seg] = segmentFP{prog: p, fp: fp}
 	return fp
 }
@@ -174,7 +173,9 @@ func (c *Controller) specShrinkItems(d *spec.Diff) []item {
 
 // specGrowItems lowers the diff's additions and retunes. Called only
 // after the shrink wave committed, so placement sees freed resources
-// and swap/scale items read post-shrink replica sets.
+// and swap/scale items read post-shrink replica sets. It is the one
+// place a resolved spec's programs are copied: each item installs a
+// private clone (ResolvedSegment.Program, ResolvedApp.Datapath).
 func (c *Controller) specGrowItems(d *spec.Diff) ([]item, error) {
 	var items []item
 	for _, ra := range d.Create {
@@ -197,10 +198,10 @@ func (c *Controller) specGrowItems(d *spec.Diff) ([]item, error) {
 	}
 	for _, sw := range d.Swap {
 		app := c.state.app(sw.URI)
-		if app == nil || c.liveFP(app, sw.Segment) == sw.Seg.FP || len(app.Replicas[sw.Segment]) == 0 {
+		if app == nil || c.liveFP(app, sw.Segment) == sw.Seg.FP() || len(app.Replicas[sw.Segment]) == 0 {
 			continue // drift since diff: gone, already retuned or unplaced
 		}
-		items = append(items, c.swapItem(app, sw.Segment, sw.Seg.Program))
+		items = append(items, c.swapItem(app, sw.Segment, sw.Seg.Program()))
 	}
 	for _, su := range d.ScaleUp {
 		app := c.state.app(su.URI)
@@ -211,12 +212,13 @@ func (c *Controller) specGrowItems(d *spec.Diff) ([]item, error) {
 		// retuned, the swap item covers existing replicas and new ones
 		// start on the new program directly.
 		live := app.Replicas[su.Segment]
-		devs, scanned, err := c.placeReplicas(su.Seg.Program, app.Path, live, su.Seg.Scale-len(live))
+		prog := su.Seg.Program()
+		devs, scanned, err := c.placeReplicas(prog, app.Path, live, su.Seg.Scale-len(live))
 		if err != nil {
 			return nil, fmt.Errorf("spec: scale-up %s#%s: %w", su.URI, su.Segment, err)
 		}
 		if len(devs) > 0 {
-			items = append(items, c.addReplicasItem(app, su.Segment, su.Seg.Program, devs, scanned))
+			items = append(items, c.addReplicasItem(app, su.Segment, prog, devs, scanned))
 		}
 	}
 	return items, nil

@@ -348,27 +348,32 @@ func TestUpdateThenSpecSwapsBack(t *testing.T) {
 		t.Fatalf("status after swapping back = %+v", st)
 	}
 
-	// The swapped-in program is the one the resolved spec carries. A
-	// caller scribbling on it breaks the live-programs-are-never-edited
-	// contract for that app, but must not reach the resolver: the next
-	// Resolve of the same document is still the declared program.
+	// The swapped-in program is a copy the grow wave made of the
+	// resolved spec's. A caller scribbling on it breaks the
+	// live-programs-are-never-edited contract for that app, but must
+	// not reach the resolver: the resolved spec and the next Resolve of
+	// the same document still carry the declared program.
 	live := c.App(uri).Datapath.Segment("hh")
 	live.Maps[0].MaxEntries += 17
 	live.Pipeline = nil
+	if got := compiler.Fingerprint(r.Apps[uri].Segment("hh").Program()); got != declared {
+		t.Fatalf("editing a committed swap's program changed the resolved spec's: %x, want %x", got, declared)
+	}
 	r2, err := spec.Resolve(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seg := r2.Apps[uri].Segment("hh"); seg.FP != declared || compiler.Fingerprint(seg.Program) != declared {
+	if seg := r2.Apps[uri].Segment("hh"); seg.FP() != declared || compiler.Fingerprint(seg.Program()) != declared {
 		t.Fatalf("editing a committed swap's program changed what Resolve returns: %x / %x, want %x",
-			seg.FP, compiler.Fingerprint(seg.Program), declared)
+			seg.FP(), compiler.Fingerprint(seg.Program()), declared)
 	}
 }
 
-// TestDiffSpecWarmAllocs bounds a warm DiffSpec (and SpecStatus) of a
-// 70-app network below what one compiler.Fingerprint per live segment
-// would cost, so the per-segment program dump cannot come back
-// unnoticed.
+// TestDiffSpecWarmAllocs: on a 70-app network whose live fingerprints
+// are remembered, DiffSpec and SpecStatus fingerprint no segment, as
+// counted through the package's one compiler.Fingerprint call site;
+// with the memo dropped, one DiffSpec fingerprints every live segment
+// once, which shows the count sits on the path.
 func TestDiffSpecWarmAllocs(t *testing.T) {
 	f, c := fatTreeBed(t, 1, 8)
 	s := &spec.Spec{Version: "v1"}
@@ -390,12 +395,25 @@ func TestDiffSpecWarmAllocs(t *testing.T) {
 	if d := c.DiffSpec(r); !d.Empty() || len(c.Apps()) != 70 {
 		t.Fatalf("%d apps live, diff %v", len(c.Apps()), d.Summary())
 	}
-	prog := c.App("flexnet://infra/app0").Datapath.Segment("hh")
-	dumpAll := 70 * testing.AllocsPerRun(5, func() { compiler.Fingerprint(prog) })
+	calls := 0
+	orig := fingerprint
+	fingerprint = func(p *flexbpf.Program) uint64 { calls++; return orig(p) }
+	t.Cleanup(func() { fingerprint = orig })
+
 	diff := testing.AllocsPerRun(5, func() { c.DiffSpec(r) })
 	status := testing.AllocsPerRun(5, func() { c.SpecStatus() })
-	t.Logf("warm DiffSpec %.0f allocs, SpecStatus %.0f; one Fingerprint per segment: %.0f", diff, status, dumpAll)
-	if diff >= dumpAll/2 || status >= dumpAll/2 {
-		t.Fatalf("warm DiffSpec allocates %.0f times and SpecStatus %.0f; a Fingerprint per segment is %.0f — the memo is not being hit", diff, status, dumpAll)
+	t.Logf("warm DiffSpec %.0f allocs, SpecStatus %.0f; %d fingerprints", diff, status, calls)
+	if calls != 0 {
+		t.Fatalf("warm DiffSpec and SpecStatus fingerprinted %d segments — the memo is not being hit", calls)
+	}
+	for _, uri := range c.Apps() {
+		app := c.App(uri)
+		c.state.mu.Lock()
+		app.fps = nil
+		c.state.mu.Unlock()
+	}
+	c.DiffSpec(r)
+	if calls != 70 {
+		t.Fatalf("a DiffSpec with the memo dropped fingerprinted %d of 70 segments", calls)
 	}
 }

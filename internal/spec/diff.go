@@ -62,7 +62,7 @@ type Diff struct {
 type SegmentChange struct {
 	URI     string
 	Segment string
-	// Seg is the desired resolved segment (program + fingerprint).
+	// Seg is the desired resolved segment (program and fingerprint).
 	Seg *ResolvedSegment
 	// Replicas are the live devices the swap must cover.
 	Replicas []string
@@ -124,7 +124,7 @@ func Compute(want *Resolved, live *Live) *Diff {
 		for i := range ra.Segments {
 			seg := &ra.Segments[i]
 			ls := la.Segments[seg.Name]
-			if ls.FP != seg.FP {
+			if ls.FP != seg.FP() {
 				d.Swap = append(d.Swap, SegmentChange{
 					URI: uri, Segment: seg.Name, Seg: seg,
 					Replicas: append([]string(nil), ls.Replicas...),

@@ -5,24 +5,21 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strings"
 )
 
 // Load parses a spec document. JSON documents (first non-space byte
 // '{') decode directly; everything else goes through the YAML-subset
-// parser and is round-tripped through JSON so both formats share one
-// schema and identical type checking. The returned spec is validated
-// and normalized (tenants and apps in canonical order, default scale
-// counts filled in).
+// parser and is rendered to JSON, so both formats share one schema, one
+// decoder and identical type checking (decodeSpec). The returned spec
+// is validated and normalized (tenants and apps in canonical order,
+// default scale counts filled in).
 func Load(data []byte) (*Spec, error) {
 	trimmed := bytes.TrimSpace(data)
 	if len(trimmed) == 0 {
 		return nil, fmt.Errorf("spec: empty document")
 	}
-	var raw []byte
-	if trimmed[0] == '{' {
-		raw = trimmed
-	} else {
+	raw := trimmed
+	if trimmed[0] != '{' {
 		v, err := parseYAML(data)
 		if err != nil {
 			return nil, fmt.Errorf("spec: %w", err)
@@ -32,11 +29,9 @@ func Load(data []byte) (*Spec, error) {
 			return nil, fmt.Errorf("spec: %w", err)
 		}
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	s := &Spec{}
-	if err := dec.Decode(s); err != nil {
-		return nil, fmt.Errorf("spec: %v", translateDecodeErr(err))
+	s, err := decodeSpec(raw)
+	if err != nil {
+		return nil, fmt.Errorf("spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -68,20 +63,4 @@ func (s *Spec) Canonical() []byte {
 		panic(err)
 	}
 	return append(out, '\n')
-}
-
-// translateDecodeErr makes encoding/json's type errors readable for
-// spec authors ("apps[0].segments" instead of Go struct paths).
-func translateDecodeErr(err error) error {
-	if te, ok := err.(*json.UnmarshalTypeError); ok {
-		field := te.Field
-		if field == "" {
-			field = "document"
-		}
-		return fmt.Errorf("field %q: want %s, got %s", field, te.Type, te.Value)
-	}
-	if strings.Contains(err.Error(), "unknown field") {
-		return err
-	}
-	return err
 }

@@ -53,27 +53,36 @@ func (a *ResolvedApp) Segment(name string) *ResolvedSegment {
 	return nil
 }
 
-// Datapath builds the app's flexbpf datapath from the resolved segment
-// programs (cloned, so callers may mutate freely).
+// Datapath builds the app's flexbpf datapath from private copies of
+// the resolved segment programs, so callers may mutate it freely.
 func (a *ResolvedApp) Datapath() *flexbpf.Datapath {
 	segs := make([]*flexbpf.Program, len(a.Segments))
 	for i := range a.Segments {
-		segs[i] = a.Segments[i].Program.Clone()
+		segs[i] = a.Segments[i].Program()
 	}
 	return &flexbpf.Datapath{Name: a.URI, Owner: a.Tenant, Segments: segs}
 }
 
 // ResolvedSegment is one segment with its instantiated program.
 type ResolvedSegment struct {
-	Name    string
-	Kind    string
-	Args    []uint64
-	Scale   int
-	Program *flexbpf.Program
-	// FP is compiler.Fingerprint(Program) — the identity the differ
-	// compares against live segments.
-	FP uint64
+	Name  string
+	Kind  string
+	Args  []uint64
+	Scale int
+	// proto is the memo's program for (Kind, Name, Args), shared by
+	// every Resolve of that tuple; it never leaves this package.
+	proto *flexbpf.Program
+	fp    uint64
 }
+
+// Program returns a private copy of the segment's program: a caller
+// may edit it, install it or keep it, and nothing it does reaches
+// another resolved spec.
+func (g *ResolvedSegment) Program() *flexbpf.Program { return g.proto.Clone() }
+
+// FP is compiler.Fingerprint of the segment's program — the identity
+// the differ compares against live segments.
+func (g *ResolvedSegment) FP() uint64 { return g.fp }
 
 // builtinMemoBound caps the resolve memo. A network's specs name a few
 // hundred distinct (kind, segment name, args) tuples at most; past the
@@ -84,10 +93,11 @@ const builtinMemoBound = 1024
 // builtinMemo remembers, per (builtin kind, segment name, args), the
 // program apps.Builtin builds for that tuple and its fingerprint:
 // Builtin is a pure function of the tuple, and between two revisions of
-// a spec most segments are unchanged, so resolving one costs a Clone
-// instead of a build and a whole-program dump (DESIGN.md §14.2). The
-// prototypes never leave this file — callers get clones — which is why
-// a process-wide memo cannot carry one caller's edits to another.
+// a spec most segments are unchanged, so resolving one costs a map
+// lookup instead of a build and a fingerprint (DESIGN.md §14.2). The
+// prototypes are never handed out — ResolvedSegment.Program clones —
+// which is why a process-wide memo cannot carry one caller's edits to
+// another.
 var builtinMemo = struct {
 	sync.Mutex
 	m map[string]builtinProto
@@ -98,8 +108,11 @@ type builtinProto struct {
 	fp   uint64
 }
 
-// resolveBuiltin returns a private copy of the builtin program for the
-// tuple, and its fingerprint.
+// fingerprint is the package's one call of compiler.Fingerprint.
+var fingerprint = compiler.Fingerprint
+
+// resolveBuiltin returns the memo's prototype program for the tuple and
+// its fingerprint. The caller must not edit the prototype.
 func resolveBuiltin(kind, name string, args []uint64) (*flexbpf.Program, uint64, error) {
 	// Length-prefixed so no two tuples share a key.
 	key := make([]byte, 0, 64)
@@ -118,7 +131,7 @@ func resolveBuiltin(kind, name string, args []uint64) (*flexbpf.Program, uint64,
 		if err != nil {
 			return nil, 0, err
 		}
-		proto = builtinProto{prog: prog, fp: compiler.Fingerprint(prog)}
+		proto = builtinProto{prog: prog, fp: fingerprint(prog)}
 		builtinMemo.Lock()
 		if len(builtinMemo.m) >= builtinMemoBound {
 			for k := range builtinMemo.m {
@@ -129,11 +142,13 @@ func resolveBuiltin(kind, name string, args []uint64) (*flexbpf.Program, uint64,
 		builtinMemo.m[string(key)] = proto
 		builtinMemo.Unlock()
 	}
-	return proto.prog.Clone(), proto.fp, nil
+	return proto.prog, proto.fp, nil
 }
 
 // Resolve validates the spec and instantiates every segment's builtin
-// app kind into a program named after the segment.
+// app kind into a program named after the segment. It copies nothing
+// of a program: each segment refers to the memo's prototype, and
+// ResolvedSegment.Program clones it for the caller that installs it.
 func Resolve(s *Spec) (*Resolved, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -147,10 +162,26 @@ func Resolve(s *Spec) (*Resolved, error) {
 		r.Tenants = append(r.Tenants, t.Name)
 	}
 	sortStrings(r.Tenants)
+	// One allocation each for the apps, segments and args, which live
+	// as long as the resolved spec; every slice handed out is capped at
+	// its own length. A path gets its own copy: the app created from it
+	// keeps it.
+	var nsegs, nargs int
 	for _, a := range s.Apps {
-		ra := &ResolvedApp{URI: a.URI, Tenant: a.Tenant, Path: append([]string(nil), a.Path...)}
+		nsegs += len(a.Segments)
 		for _, g := range a.Segments {
-			prog, fp, err := resolveBuiltin(g.App, g.Name, g.Args)
+			nargs += len(g.Args)
+		}
+	}
+	ras := make([]ResolvedApp, len(s.Apps))
+	segs := make([]ResolvedSegment, 0, nsegs)
+	args := make([]uint64, 0, nargs)
+	for i, a := range s.Apps {
+		ra := &ras[i]
+		*ra = ResolvedApp{URI: a.URI, Tenant: a.Tenant, Path: append([]string(nil), a.Path...)}
+		first := len(segs)
+		for _, g := range a.Segments {
+			proto, fp, err := resolveBuiltin(g.App, g.Name, g.Args)
 			if err != nil {
 				return nil, fmt.Errorf("spec %s: app %s segment %s: %w", s.Version, a.URI, g.Name, err)
 			}
@@ -158,14 +189,16 @@ func Resolve(s *Spec) (*Resolved, error) {
 			if scale == 0 {
 				scale = 1
 			}
-			ra.Segments = append(ra.Segments, ResolvedSegment{
-				Name:    g.Name,
-				Kind:    g.App,
-				Args:    append([]uint64(nil), g.Args...),
-				Scale:   scale,
-				Program: prog,
-				FP:      fp,
-			})
+			var gargs []uint64
+			if len(g.Args) > 0 {
+				n := len(args)
+				args = append(args, g.Args...)
+				gargs = args[n:len(args):len(args)]
+			}
+			segs = append(segs, ResolvedSegment{Name: g.Name, Kind: g.App, Args: gargs, Scale: scale, proto: proto, fp: fp})
+		}
+		if len(segs) > first {
+			ra.Segments = segs[first:len(segs):len(segs)]
 		}
 		r.Apps[a.URI] = ra
 	}

@@ -74,10 +74,10 @@ func TestResolveMemoIsolation(t *testing.T) {
 		}
 		for uri, ra := range r.Apps {
 			seg := &ra.Segments[0]
-			if seg.FP != fps[uri] || compiler.Fingerprint(seg.Program) != fps[uri] {
-				t.Fatalf("%s: %s fingerprint %x (program %x), want %x", stage, uri, seg.FP, compiler.Fingerprint(seg.Program), fps[uri])
+			if seg.FP() != fps[uri] || compiler.Fingerprint(seg.Program()) != fps[uri] {
+				t.Fatalf("%s: %s fingerprint %x (program %x), want %x", stage, uri, seg.FP(), compiler.Fingerprint(seg.Program()), fps[uri])
 			}
-			if got := flexbpf.Dump(seg.Program); got != want[uri] {
+			if got := flexbpf.Dump(seg.Program()); got != want[uri] {
 				t.Fatalf("%s: %s resolved to\n%s\nwant\n%s", stage, uri, got, want[uri])
 			}
 		}
@@ -89,12 +89,13 @@ func TestResolveMemoIsolation(t *testing.T) {
 	}
 	r = check("after editing Datapath() programs")
 	for _, ra := range r.Apps {
-		scribble(ra.Segments[0].Program)
+		scribble(ra.Segments[0].Program())
 	}
 	r2 := check("after editing resolved segment programs")
 	for uri, ra := range r2.Apps {
-		if ra.Segments[0].Program == r.Apps[uri].Segments[0].Program {
-			t.Fatalf("%s: two Resolves share one program", uri)
+		seg := &ra.Segments[0]
+		if p := seg.Program(); p == seg.Program() || p == r.Apps[uri].Segments[0].Program() {
+			t.Fatalf("%s: one program handed out twice", uri)
 		}
 	}
 }
@@ -129,29 +130,51 @@ func TestResolveMemoBounded(t *testing.T) {
 	}
 }
 
-// TestResolveWarmAllocs bounds a warm Resolve of a 70-app spec below
-// what one compiler.Fingerprint per segment would cost, so the
-// per-segment program dump cannot come back unnoticed.
+// countFingerprints counts, until the test ends, the calls through the
+// package's one compiler.Fingerprint call site.
+func countFingerprints(t *testing.T) *int {
+	n := new(int)
+	orig := fingerprint
+	fingerprint = func(p *flexbpf.Program) uint64 { *n++; return orig(p) }
+	t.Cleanup(func() { fingerprint = orig })
+	return n
+}
+
+// TestResolveWarmAllocs: a cold Resolve fingerprints each distinct
+// (kind, name, args) tuple once; a warm one fingerprints no segment and
+// copies no program — it allocates less than half of what one Program
+// clone per segment would cost.
 func TestResolveWarmAllocs(t *testing.T) {
+	calls := countFingerprints(t)
+	builtinMemo.Lock()
+	builtinMemo.m = map[string]builtinProto{}
+	builtinMemo.Unlock()
 	s := stormSpec(70)
 	if _, err := Resolve(s); err != nil {
 		t.Fatal(err)
 	}
-	var perDump float64
+	if *calls != 6 {
+		t.Fatalf("cold Resolve of six distinct tuples fingerprinted %d programs", *calls)
+	}
+	var perClone float64
 	for _, a := range s.Apps[:6] {
 		g := a.Segments[0]
-		p, _ := apps.Builtin(g.App, g.Name, g.Args)
-		perDump += testing.AllocsPerRun(5, func() { compiler.Fingerprint(p) })
+		p, _, _ := resolveBuiltin(g.App, g.Name, g.Args)
+		perClone += testing.AllocsPerRun(5, func() { p.Clone() })
 	}
-	dumpAll := perDump / 6 * 70
+	cloneAll := perClone / 6 * 70
+	*calls = 0
 	got := testing.AllocsPerRun(5, func() {
 		if _, err := Resolve(s); err != nil {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("warm Resolve: %.0f allocs; one Fingerprint per segment: %.0f", got, dumpAll)
-	if got >= dumpAll/2 {
-		t.Fatalf("warm Resolve of 70 apps allocates %.0f times; a Fingerprint per segment is %.0f — the memo is not being hit", got, dumpAll)
+	t.Logf("warm Resolve: %.0f allocs, %d fingerprints; one Clone per segment: %.0f allocs", got, *calls, cloneAll)
+	if *calls != 0 {
+		t.Fatalf("warm Resolve of 70 apps fingerprinted %d segments — the memo is not being hit", *calls)
+	}
+	if got >= cloneAll/2 {
+		t.Fatalf("warm Resolve of 70 apps allocates %.0f times; a Clone per segment is %.0f — Resolve copies programs", got, cloneAll)
 	}
 }
 
@@ -174,7 +197,7 @@ func TestResolveConcurrent(t *testing.T) {
 					return
 				}
 				for _, ra := range r.Apps {
-					scribble(ra.Segments[0].Program)
+					scribble(ra.Segments[0].Program())
 				}
 			}
 		}()

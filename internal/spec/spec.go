@@ -19,7 +19,7 @@ package spec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -79,7 +79,7 @@ func (s *Spec) Validate() error {
 	if strings.TrimSpace(s.Version) == "" {
 		return fmt.Errorf("spec: version is required")
 	}
-	tenants := map[string]bool{}
+	tenants := make(map[string]bool, len(s.Tenants))
 	for _, t := range s.Tenants {
 		if t.Name == "" {
 			return fmt.Errorf("spec %s: tenant with empty name", s.Version)
@@ -89,7 +89,7 @@ func (s *Spec) Validate() error {
 		}
 		tenants[t.Name] = true
 	}
-	uris := map[string]bool{}
+	uris := make(map[string]bool, len(s.Apps))
 	for _, a := range s.Apps {
 		if err := validURI(a.URI); err != nil {
 			return fmt.Errorf("spec %s: %w", s.Version, err)
@@ -145,8 +145,8 @@ func validURI(uri string) error {
 // the author ordered the document. Segment order is preserved: it is
 // the datapath chain order and therefore semantic.
 func (s *Spec) normalize() {
-	sort.Slice(s.Tenants, func(i, j int) bool { return s.Tenants[i].Name < s.Tenants[j].Name })
-	sort.Slice(s.Apps, func(i, j int) bool { return s.Apps[i].URI < s.Apps[j].URI })
+	slices.SortFunc(s.Tenants, func(a, b TenantSpec) int { return strings.Compare(a.Name, b.Name) })
+	slices.SortFunc(s.Apps, func(a, b AppSpec) int { return strings.Compare(a.URI, b.URI) })
 	for i := range s.Apps {
 		if s.Apps[i].Segments == nil {
 			continue

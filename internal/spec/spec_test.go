@@ -1,6 +1,8 @@
 package spec
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -94,22 +96,41 @@ func TestLoadJSONEqualsYAML(t *testing.T) {
 	}
 }
 
+// loadErrors are documents Load must refuse, each with a substring of
+// its error. FuzzSpecLoad starts from them too.
+var loadErrors = []struct {
+	name, doc, want string
+}{
+	{"empty", "", "empty document"},
+	{"no version", "tenants:\n  - name: a", "version is required"},
+	{"tabs", "version: v1\n\tapps: []", "tabs are not allowed"},
+	{"unknown field", `{"version":"v1","bogus":1}`, "unknown field"},
+	{"bad uri", "version: v1\napps:\n  - uri: nope\n    segments:\n      - name: x\n        app: l2", "invalid app URI"},
+	{"dup tenant", "version: v1\ntenants:\n  - name: a\n  - name: a", "duplicate tenant"},
+	{"undeclared tenant", "version: v1\napps:\n  - uri: flexnet://a/b\n    tenant: ghost\n    segments:\n      - name: x\n        app: l2", "undeclared tenant"},
+	{"no segments", "version: v1\napps:\n  - uri: flexnet://a/b\n    segments: []", "no segments"},
+	{"dup segment", "version: v1\napps:\n  - uri: flexnet://a/b\n    segments:\n      - name: x\n        app: l2\n      - name: x\n        app: l2", "duplicate segment"},
+	{"negative scale", "version: v1\napps:\n  - uri: flexnet://a/b\n    segments:\n      - name: x\n        app: l2\n        scale: -1", "negative scale"},
+	// One document, then anything but whitespace, is refused: a second
+	// document would otherwise be dropped without a word.
+	{"trailing data", `{"version":"v1"} garbage`, "offset 17: trailing data after the document"},
+	{"two documents", `{"version":"v1","apps":[]}` + "\n" + `{"version":"v2"}`, "offset 27: trailing data after the document"},
+	// Errors name the JSON path of the value at fault, from either
+	// format.
+	{"fractional scale", `{"version":"v1","apps":[{"uri":"flexnet://a/b","segments":[{"name":"x","app":"l2","scale":1.5}]}]}`,
+		"apps[0].segments[0].scale: want integer, got number 1.5"},
+	{"negative arg", "version: v1\napps:\n  - uri: flexnet://a/b\n    segments:\n      - name: x\n        app: l2\n        args: [-1]",
+		"apps[0].segments[0].args[0]: want unsigned integer, got number -1"},
+	{"string path", `{"version":"v1","apps":[{"uri":"flexnet://a/b","path":"s1"}]}`, "apps[0].path: want array, got string"},
+	{"unknown nested field", `{"version":"v1","apps":[{"uri":"flexnet://a/b","segments":[{"name":"x","kind":"l2"}]}]}`,
+		`apps[0].segments[0]: unknown field "kind"`},
+	{"syntax", `{"version":"v1","apps":[{"uri" "flexnet://a/b"}]}`, "apps[0]: offset 31: want ':' after an object key"},
+	// A field set twice would otherwise keep only its last value.
+	{"duplicate field", `{"version":"v1","apps":[{"uri":"flexnet://a/b"}],"apps":[]}`, `duplicate field "apps"`},
+}
+
 func TestLoadErrors(t *testing.T) {
-	cases := []struct {
-		name, doc, want string
-	}{
-		{"empty", "", "empty document"},
-		{"no version", "tenants:\n  - name: a", "version is required"},
-		{"tabs", "version: v1\n\tapps: []", "tabs are not allowed"},
-		{"unknown field", `{"version":"v1","bogus":1}`, "unknown field"},
-		{"bad uri", "version: v1\napps:\n  - uri: nope\n    segments:\n      - name: x\n        app: l2", "invalid app URI"},
-		{"dup tenant", "version: v1\ntenants:\n  - name: a\n  - name: a", "duplicate tenant"},
-		{"undeclared tenant", "version: v1\napps:\n  - uri: flexnet://a/b\n    tenant: ghost\n    segments:\n      - name: x\n        app: l2", "undeclared tenant"},
-		{"no segments", "version: v1\napps:\n  - uri: flexnet://a/b\n    segments: []", "no segments"},
-		{"dup segment", "version: v1\napps:\n  - uri: flexnet://a/b\n    segments:\n      - name: x\n        app: l2\n      - name: x\n        app: l2", "duplicate segment"},
-		{"negative scale", "version: v1\napps:\n  - uri: flexnet://a/b\n    segments:\n      - name: x\n        app: l2\n        scale: -1", "negative scale"},
-	}
-	for _, tc := range cases {
+	for _, tc := range loadErrors {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Load([]byte(tc.doc))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -136,7 +157,7 @@ func TestResolve(t *testing.T) {
 		t.Fatalf("fw = %+v", fw)
 	}
 	seg := &fw.Segments[0]
-	if seg.Program == nil || seg.FP == 0 {
+	if seg.proto == nil || seg.FP() == 0 {
 		t.Fatalf("segment not resolved: %+v", seg)
 	}
 	// Retuning an arg must change the fingerprint; same args must not.
@@ -145,11 +166,11 @@ func TestResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Apps["flexnet://acme/fw"].Segments[0].FP == seg.FP {
+	if r2.Apps["flexnet://acme/fw"].Segments[0].FP() == seg.FP() {
 		t.Fatal("retuned args kept the same fingerprint")
 	}
 	r3, _ := Resolve(s)
-	if r3.Apps["flexnet://acme/fw"].Segments[0].FP != seg.FP {
+	if r3.Apps["flexnet://acme/fw"].Segments[0].FP() != seg.FP() {
 		t.Fatal("identical spec resolved to a different fingerprint")
 	}
 	// Unknown kinds fail with the known set named.
@@ -193,7 +214,7 @@ func TestDiffAgainstEmptyAndSelf(t *testing.T) {
 			for j := range devs {
 				devs[j] = "s1"
 			}
-			la.Segments[seg.Name] = LiveSegment{FP: seg.FP, Replicas: devs}
+			la.Segments[seg.Name] = LiveSegment{FP: seg.FP(), Replicas: devs}
 		}
 		live.Apps[uri] = la
 	}
@@ -210,11 +231,11 @@ func TestDiffChangeKinds(t *testing.T) {
 	live := &Live{Tenants: []string{"acme", "stale"}, Apps: map[string]*LiveApp{
 		// fw live with wrong FP and too many replicas -> swap + scale-down.
 		"flexnet://acme/fw": {Tenant: "acme", Segments: map[string]LiveSegment{
-			"fw": {FP: fw.Segments[0].FP + 1, Replicas: []string{"s1", "s2", "s3"}},
+			"fw": {FP: fw.Segments[0].FP() + 1, Replicas: []string{"s1", "s2", "s3"}},
 		}},
 		// mon live on a different path -> recreate.
 		"flexnet://infra/mon": {Tenant: "", Path: []string{"s9"}, Segments: map[string]LiveSegment{
-			"int": {FP: mon.Segments[0].FP, Replicas: []string{"s9"}},
+			"int": {FP: mon.Segments[0].FP(), Replicas: []string{"s9"}},
 		}},
 		// An app not in the spec -> delete.
 		"flexnet://old/gone": {Tenant: "acme", Segments: map[string]LiveSegment{
@@ -254,4 +275,29 @@ func TestDiffChangeKinds(t *testing.T) {
 			t.Errorf("summary missing %q:\n%s", want, sum)
 		}
 	}
+}
+
+// TestLoadPinsNoDocument: the strings of a loaded spec outlive it — an
+// app URI, a program name, the version in an audit record — so none
+// may be a window into the document, which would keep all of it alive.
+func TestLoadPinsNoDocument(t *testing.T) {
+	const docs, pad = 16, 1 << 20
+	var kept []string
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < docs; i++ {
+		doc := fmt.Sprintf(`{"version":"v%d",%s"apps":[]}`, i, strings.Repeat(" ", pad))
+		s, err := Load([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, s.Version)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > docs*pad/4 {
+		t.Fatalf("keeping %d versions keeps %d bytes of heap; %d documents of %d bytes were loaded", len(kept), grown, docs, pad)
+	}
+	runtime.KeepAlive(kept)
 }
