@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test benchmark-test race mutants fuzz vet fmt lint spec-check check bench bench-steady bench-control benchdiff checkdocs docs cover profile scale
+.PHONY: all build test benchmark-test race mutants fuzz vet fmt lint spec-check check bench bench-steady bench-control benchdiff checkdocs docs cover profile scale reach
 
 all: build
 
@@ -31,7 +31,9 @@ race:
 # fabric that releases a forwarded packet to the pool while its link
 # still carries it (build tag packet_release_mutant,
 # internal/fabric/packet_release_mutant.go): the line passes only when
-# TestPacketConservationProperty reports FAIL, not on a build error.
+# TestPacketConservationProperty reports FAIL, not on a build error; and
+# the reachability gate must fail and name the uncalled function a
+# reach_mutant build declares (internal/plan/reach_mutant.go).
 mutants:
 	$(GO) test -tags flowcache_reuse_mutant -run '^TestChaosSoakCatchesCacheReuse$$' -count=1 .
 	$(GO) test -tags state_array_mutant -run '^(TestArrayModelCatchesExportMutant|TestMigrationCatchesExportMutant)$$' -count=1 ./internal/dataplane/state ./internal/migrate
@@ -39,6 +41,10 @@ mutants:
 	if echo "$$out" | grep -q -- '--- FAIL: TestPacketConservationProperty'; then \
 		echo "packet_release_mutant: caught by TestPacketConservationProperty"; \
 	else echo "$$out"; echo "packet_release_mutant: TestPacketConservationProperty did not fail"; exit 1; fi
+	@out=$$($(GO) run ./scripts/reach -tags reach_mutant 2>&1); rc=$$?; \
+	if [ $$rc -ne 0 ] && echo "$$out" | grep -q -- 'flexnet/internal/plan.ReachMutant .* is linked into no product binary'; then \
+		echo "reach_mutant: caught by scripts/reach"; \
+	else echo "$$out"; echo "reach_mutant: scripts/reach did not fail on ReachMutant"; exit 1; fi
 
 # fuzz runs each native fuzz target for FUZZTIME (30 s) past its seed
 # corpus: the header chain against its []string model, the flow
@@ -74,8 +80,8 @@ spec-check:
 # examples, the tests (plain, race and mutants; what each experiment
 # table must show is its shape test in internal/experiments), the
 # benchmark module, the k=8 routing scale check, the byte-identity gate
-# on flexbench's output and the docs gate.
-check: fmt vet lint spec-check build test benchmark-test race mutants scale benchdiff docs
+# on flexbench's output, the reachability gate and the docs gate.
+check: fmt vet lint spec-check build test benchmark-test race mutants scale benchdiff reach docs
 
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run '^$$' . ./internal/flexbpf ./internal/telemetry ./internal/netsim ./internal/fabric ./internal/dataplane
@@ -122,6 +128,15 @@ benchdiff:
 # (see scripts/checkdocs.sh).
 checkdocs:
 	./scripts/checkdocs.sh
+
+# reach fails when non-test Go declares a function that no product
+# binary (flexnetd, flexctl, flexbench, the examples, benchmark/) links
+# and that scripts/reach.allow does not name with a reason: a reference
+# oracle, a fault or observation hook a named test needs, or root API a
+# doc shows. An allowlist entry that is linked now or no longer declared
+# fails too (see scripts/reach).
+reach:
+	$(GO) run ./scripts/reach
 
 docs: checkdocs
 

@@ -93,8 +93,6 @@ type (
 	Arch = dataplane.Arch
 	// Device is a runtime-programmable device.
 	Device = dataplane.Device
-	// DeviceConfig configures a device.
-	DeviceConfig = dataplane.Config
 	// Program is a verified FlexBPF program.
 	Program = flexbpf.Program
 	// ProgramBuilder builds Programs fluently.
@@ -155,10 +153,6 @@ var (
 	Verify = flexbpf.Verify
 	// Firewall builds a stateful firewall app.
 	Firewall = apps.Firewall
-	// NATApp builds a source-NAT app.
-	NATApp = apps.NAT
-	// LoadBalancer builds an L4 load balancer app.
-	LoadBalancer = apps.LoadBalancer
 	// HeavyHitter builds a count-min heavy-hitter monitor app.
 	HeavyHitter = apps.HeavyHitter
 	// SYNDefense builds the elastic SYN-flood defense app.
@@ -219,14 +213,6 @@ func New(seed int64) *Builder {
 func (b *Builder) Switch(name string, arch Arch) *Builder {
 	if b.err == nil {
 		b.fab.AddSwitch(name, arch)
-	}
-	return b
-}
-
-// SwitchCfg adds a device with an explicit configuration.
-func (b *Builder) SwitchCfg(cfg DeviceConfig) *Builder {
-	if b.err == nil {
-		b.fab.AddSwitchCfg(cfg)
 	}
 	return b
 }
@@ -362,12 +348,6 @@ func (n *Network) Now() time.Duration { return n.fab.Sim.Now() }
 // RunFor advances simulated time by d.
 func (n *Network) RunFor(d time.Duration) { n.fab.Sim.RunFor(d) }
 
-// RunUntil advances simulated time to the absolute instant t.
-func (n *Network) RunUntil(t time.Duration) { n.fab.Sim.RunUntil(t) }
-
-// At schedules fn at an absolute simulated time.
-func (n *Network) At(t time.Duration, fn func()) { n.fab.Sim.At(t, fn) }
-
 // After schedules fn after a simulated delay.
 func (n *Network) After(d time.Duration, fn func()) { n.fab.Sim.After(d, fn) }
 
@@ -427,7 +407,7 @@ type AppSpec struct {
 func (n *Network) AddTenant(name string) (*Tenant, error) { return n.ctl.AddTenant(name) }
 
 // LastPlanReport returns the report of the most recently executed
-// change plan — an operation's, a spec batch's, a heal or probe plan's
+// change plan — an operation's, a spec batch's or a heal plan's
 // (nil before the first). Each operation returns its own plan's report.
 func (n *Network) LastPlanReport() *PlanReport { return n.ctl.LastReport() }
 
@@ -478,8 +458,6 @@ var (
 	RenoCC CC = transport.Reno{}
 	// DCTCPCC is DCTCP (ECN-proportional, shallow queues).
 	DCTCPCC CC = transport.DCTCP{}
-	// TimelyCC is a delay-gradient controller.
-	TimelyCC CC = transport.Timely{}
 )
 
 // NewTransportEndpoint attaches transport behaviour (data ACKing, flow
@@ -502,19 +480,6 @@ func (n *Network) SetLinkECN(a, b string, thresholdBytes int) error {
 	l.ECNThresholdBytes = thresholdBytes
 	return nil
 }
-
-// SetLinkDown fails or restores the link between two members.
-func (n *Network) SetLinkDown(a, b string, down bool) error {
-	l := n.fab.Net.LinkBetween(a, b)
-	if l == nil {
-		return fmt.Errorf("flexnet: no link %s—%s", a, b)
-	}
-	l.SetDown(down)
-	return nil
-}
-
-// RefreshRoutes recomputes shortest-path routing (after failures).
-func (n *Network) RefreshRoutes() error { return n.fab.RefreshRoutes() }
 
 // Delta is an incremental program change (§3.2 of the paper): a list of
 // pattern-selected operations applied to a deployed app's program

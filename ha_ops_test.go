@@ -88,7 +88,7 @@ func haKillScenario(t *testing.T, seed int64, killAt time.Duration) (*Network, M
 	t.Helper()
 	nw := haNet(t, seed)
 	killed := -1
-	nw.At(killAt, func() {
+	nw.After(killAt-nw.Now(), func() {
 		if id, ok := nw.HA().KillActive(); ok {
 			killed = id
 		}

@@ -178,13 +178,10 @@ func TestIntegrationExperimentSuiteRuns(t *testing.T) {
 	if len(experiments.Suite) != 20 {
 		t.Fatalf("suite lists %d experiments, want 20", len(experiments.Suite))
 	}
-	tables := experiments.All(1)
-	if len(tables) != len(experiments.Suite) {
-		t.Fatalf("suite produced %d tables", len(tables))
-	}
-	for i, tab := range tables {
-		if tab.ID != experiments.Suite[i].ID {
-			t.Errorf("table %d is %s, want %s", i, tab.ID, experiments.Suite[i].ID)
+	for _, e := range experiments.Suite {
+		tab := e.Run(1)
+		if tab.ID != e.ID {
+			t.Errorf("experiment %s produced table %s", e.ID, tab.ID)
 		}
 		if len(tab.Rows) == 0 {
 			t.Errorf("%s has no rows", tab.ID)

@@ -22,7 +22,6 @@ const (
 	r3 = flexbpf.Reg(3)
 	r4 = flexbpf.Reg(4)
 	r5 = flexbpf.Reg(5)
-	r6 = flexbpf.Reg(6)
 )
 
 // symFlowHash emits code computing a direction-insensitive TCP flow hash
@@ -90,137 +89,6 @@ func Firewall(name string, aclSize, connSize int, trustedPort uint64) *flexbpf.P
 			[]flexbpf.Stmt{flexbpf.SDo(remember)},
 			[]flexbpf.Stmt{flexbpf.SDo(admit)}).
 		MustBuild()
-}
-
-// natKey emits code computing the return-path NAT key into rd: seen from
-// the *return* packet it is Hash(remote_ip)^Hash(remote_port<<16 |
-// local_port). The outbound path computes the same value from its own
-// field positions. Clobbers rd, tmp.
-func natKeyFromOutbound(a *flexbpf.Asm, rd, tmp flexbpf.Reg) *flexbpf.Asm {
-	// Outbound: remote = dst, remote_port = dport, local_port = sport.
-	return a.
-		LdField(rd, "ipv4.dst").
-		Hash(rd, rd).
-		LdField(tmp, "tcp.dport").
-		ShlImm(tmp, 16).
-		LdField(r6, "tcp.sport").
-		Or(tmp, r6).
-		Hash(tmp, tmp).
-		Xor(rd, tmp)
-}
-
-func natKeyFromReturn(a *flexbpf.Asm, rd, tmp flexbpf.Reg) *flexbpf.Asm {
-	// Return: remote = src, remote_port = sport, local_port = dport.
-	return a.
-		LdField(rd, "ipv4.src").
-		Hash(rd, rd).
-		LdField(tmp, "tcp.sport").
-		ShlImm(tmp, 16).
-		LdField(r6, "tcp.dport").
-		Or(tmp, r6).
-		Hash(tmp, tmp).
-		Xor(rd, tmp)
-}
-
-// NAT builds a source-NAT program for TCP: outbound flows (identified by
-// "meta.outbound" == 1, set by the infrastructure) have their source
-// rewritten to natIP and the original source remembered; return packets
-// to natIP have their destination restored.
-func NAT(name string, natIP uint32, poolSize int) *flexbpf.Program {
-	out := natKeyFromOutbound(flexbpf.NewAsm(), r0, r1).
-		LdField(r2, "ipv4.src").
-		MapStore(name+"_orig", r0, r2).
-		MovImm(r3, uint64(natIP)).
-		StField("ipv4.src", r3).
-		Ret().
-		MustBuild()
-	in := flexbpf.NewAsm().
-		LdField(r2, "ipv4.dst").
-		JNeImm(r2, uint64(natIP), "pass")
-	in = natKeyFromReturn(in, r0, r1).
-		MapHas(r3, name+"_orig", r0).
-		JEqImm(r3, 0, "pass").
-		MapLoad(r4, name+"_orig", r0).
-		StField("ipv4.dst", r4).
-		Label("pass").
-		Ret()
-	return flexbpf.NewProgram(name).
-		Headers("eth", "ipv4", "tcp").
-		Requires(flexbpf.Capabilities{PerFlowState: true}).
-		LRUMap(name+"_orig", poolSize, 32).SharedMap().
-		If(flexbpf.Cond{Field: "ipv4.proto", Op: flexbpf.CmpEq, Value: packet.ProtoTCP},
-			[]flexbpf.Stmt{
-				flexbpf.SIf(flexbpf.Cond{Field: "meta.outbound", Op: flexbpf.CmpEq, Value: 1},
-					[]flexbpf.Stmt{flexbpf.SDo(out)},
-					[]flexbpf.Stmt{flexbpf.SDo(in.MustBuild())}),
-			},
-			nil).
-		MustBuild()
-}
-
-// LBBackend is one load-balancer backend.
-type LBBackend struct {
-	IP   uint32
-	Port uint64 // egress port toward the backend
-}
-
-// LoadBalancer builds an L4 load balancer: packets to the VIP are
-// steered to one of n backends by flow hash; the chosen backend index is
-// pinned in a flow cache so connections never move when the backend set
-// scales (per-flow consistency, HULA-style simplified).
-func LoadBalancer(name string, vip uint32, backends []LBBackend, cacheSize int) *flexbpf.Program {
-	n := uint64(len(backends))
-	if n == 0 {
-		panic("apps: load balancer needs at least one backend")
-	}
-	steer := flexbpf.NewAsm().
-		FlowHash(r1).
-		MapHas(r2, name+"_pin", r1).
-		JEqImm(r2, 0, "choose").
-		MapLoad(r3, name+"_pin", r1).
-		Jmp("done").
-		Label("choose").
-		Mov(r3, r1).
-		MovImm(r4, n).
-		Mod(r3, r4).
-		MapStore(name+"_pin", r1, r3).
-		Label("done").
-		StField("meta.backend", r3).
-		Ret().
-		MustBuild()
-	fwd := flexbpf.NewAsm().
-		LdParam(r0, 0). // backend ip
-		StField("ipv4.dst", r0).
-		LdParam(r1, 1). // egress port
-		Forward(r1).
-		MustBuild()
-	return flexbpf.NewProgram(name).
-		Headers("eth", "ipv4").
-		Requires(flexbpf.Capabilities{PerFlowState: true}).
-		LRUMap(name+"_pin", cacheSize, 16).SharedMap().
-		Action(name+"_tobackend", 2, fwd).
-		Table(&flexbpf.TableSpec{
-			Name:    name + "_backends",
-			Keys:    []flexbpf.TableKey{{Field: "meta.backend", Kind: flexbpf.MatchExact, Bits: 16}},
-			Actions: []string{name + "_tobackend"},
-			Size:    len(backends) + 1,
-		}).
-		If(flexbpf.Cond{Field: "ipv4.dst", Op: flexbpf.CmpEq, Value: uint64(vip)},
-			[]flexbpf.Stmt{
-				flexbpf.SDo(steer),
-				flexbpf.SApply(name + "_backends"),
-			},
-			nil).
-		MustBuild()
-}
-
-// BackendEntries builds the LB backend table entries.
-func BackendEntries(name string, backends []LBBackend) []*flexbpf.TableEntry {
-	out := make([]*flexbpf.TableEntry, len(backends))
-	for i, be := range backends {
-		out[i] = flexbpf.ExactEntry(name+"_tobackend", []uint64{uint64(be.IP), be.Port}, uint64(i))
-	}
-	return out
 }
 
 // HeavyHitter builds a count-min-sketch heavy-hitter monitor: per-packet

@@ -25,8 +25,6 @@ func tcp(id uint64, src, dst uint32, sport, dport uint16, flags uint64) *packet.
 func TestAllAppsVerifyAndPlaceEverywhere(t *testing.T) {
 	progs := []*flexbpf.Program{
 		Firewall("fw", 64, 512, 0),
-		NAT("nat", packet.IP(5, 5, 5, 5), 256),
-		LoadBalancer("lb", packet.IP(10, 0, 0, 100), []LBBackend{{packet.IP(10, 0, 1, 1), 1}}, 128),
 		HeavyHitter("hh", 3, 512, 100),
 		SYNDefense("syn", 1024, 10),
 		RateLimiter("rl", 8, 1_000_000, 2_000_000),
@@ -195,84 +193,6 @@ func TestFirewallACL(t *testing.T) {
 	p.IngressPort = 0 // even trusted side
 	if st := d.Process(p); st.Verdict != packet.VerdictDrop {
 		t.Fatalf("ACL deny ignored: %v", st.Verdict)
-	}
-}
-
-func TestNATRewriteAndRestore(t *testing.T) {
-	natIP := packet.IP(5, 5, 5, 5)
-	d := dev(t, NAT("nat", natIP, 64))
-	inside := packet.IP(192, 168, 1, 10)
-	remote := packet.IP(8, 8, 8, 8)
-
-	out := tcp(1, inside, remote, 5555, 80, 0)
-	out.SetField("meta.outbound", 1)
-	d.Process(out)
-	if out.Field("ipv4.src") != uint64(natIP) {
-		t.Fatalf("src not rewritten: %x", out.Field("ipv4.src"))
-	}
-
-	ret := tcp(2, remote, natIP, 80, 5555, 0)
-	d.Process(ret)
-	if ret.Field("ipv4.dst") != uint64(inside) {
-		t.Fatalf("dst not restored: %x", ret.Field("ipv4.dst"))
-	}
-
-	// Return traffic for an unknown flow is untouched.
-	stranger := tcp(3, remote, natIP, 80, 9999, 0)
-	d.Process(stranger)
-	if stranger.Field("ipv4.dst") != uint64(natIP) {
-		t.Fatal("unknown return flow rewritten")
-	}
-}
-
-func TestLoadBalancerSteersAndPins(t *testing.T) {
-	vip := packet.IP(10, 0, 0, 100)
-	backends := []LBBackend{
-		{packet.IP(10, 0, 1, 1), 1},
-		{packet.IP(10, 0, 1, 2), 2},
-		{packet.IP(10, 0, 1, 3), 3},
-	}
-	prog := LoadBalancer("lb", vip, backends, 256)
-	d := dev(t, prog)
-	inst := d.Instance("lb")
-	for _, e := range BackendEntries("lb", backends) {
-		if err := inst.Table("lb_backends").Insert(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Same flow always goes to the same backend.
-	choice := map[uint64]int{}
-	for trial := 0; trial < 3; trial++ {
-		for fl := 0; fl < 50; fl++ {
-			p := tcp(uint64(fl), packet.IP(1, 1, 1, byte(fl)), vip, uint16(1000+fl), 80, 0)
-			st := d.Process(p)
-			if st.Verdict != packet.VerdictForward {
-				t.Fatalf("flow %d verdict %v", fl, st.Verdict)
-			}
-			if prev, ok := choice[uint64(fl)]; ok && prev != p.EgressPort {
-				t.Fatalf("flow %d moved backend: %d → %d", fl, prev, p.EgressPort)
-			}
-			choice[uint64(fl)] = p.EgressPort
-			if p.Field("ipv4.dst") == uint64(vip) {
-				t.Fatal("dst not rewritten to backend")
-			}
-		}
-	}
-	// All backends used.
-	used := map[int]bool{}
-	for _, port := range choice {
-		used[port] = true
-	}
-	if len(used) != 3 {
-		t.Fatalf("backends used: %v", used)
-	}
-
-	// Non-VIP traffic passes untouched.
-	p := tcp(999, 1, 2, 3, 4, 0)
-	st := d.Process(p)
-	if st.Verdict != packet.VerdictContinue {
-		t.Fatalf("non-VIP verdict %v", st.Verdict)
 	}
 }
 
@@ -451,7 +371,6 @@ func TestAppsDemandReasonable(t *testing.T) {
 	d := dataplane.MustNew(dataplane.DefaultConfig("sw", dataplane.ArchDRMT))
 	progs := []*flexbpf.Program{
 		Firewall("fw", 64, 512, 0),
-		LoadBalancer("lb", packet.IP(10, 0, 0, 100), []LBBackend{{packet.IP(10, 0, 1, 1), 1}}, 128),
 		HeavyHitter("hh", 3, 512, 100),
 		SYNDefense("syn", 1024, 10),
 		RateLimiter("rl", 8, 1_000_000, 2_000_000),

@@ -183,15 +183,6 @@ func (h *Hyper4) Load(sim *netsim.Sim, prog *flexbpf.Program, done func(error)) 
 	})
 }
 
-// Unload removes an emulated program.
-func (h *Hyper4) Unload(name string) error {
-	if !h.loaded[name] {
-		return fmt.Errorf("baselines: hyper4: %q not loaded", name)
-	}
-	delete(h.loaded, name)
-	return h.dev.RemoveProgram("hyper4." + name)
-}
-
 // Process runs a packet with emulation overhead applied: the packet's
 // processing latency and lookup count scale by Factor.
 func (h *Hyper4) Process(pkt *packet.Packet) dataplane.ProcStats {

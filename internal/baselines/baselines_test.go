@@ -139,14 +139,6 @@ func TestHyper4LoadAndOverhead(t *testing.T) {
 	if dev.InstalledDemand().SRAMBits <= native.InstalledDemand().SRAMBits {
 		t.Fatal("emulation does not inflate resources")
 	}
-
-	// Unload works; double unload errors.
-	if err := h.Unload("sd"); err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Unload("sd"); err == nil {
-		t.Fatal("double unload succeeded")
-	}
 }
 
 func TestCompileTimeChangeDropsTraffic(t *testing.T) {

@@ -435,8 +435,16 @@ func TestMergedSemanticsEquivalent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// The cross product of those entries: hit×hit, then each table's hit
+	// with the other's default action; a full miss runs skip+skip.
+	dscp, dst := flexbpf.MatchValue{Value: 0, Mask: 1<<6 - 1}, flexbpf.MatchValue{Value: uint64(packet.IP(10, 0, 0, 2)), Mask: 1<<32 - 1}
+	mergedEntries := []*flexbpf.TableEntry{
+		{Priority: 2_000_000, Match: []flexbpf.MatchValue{dscp, dst}, Action: "mark+fwd", Params: []uint64{7, 3}},
+		{Priority: 1_000_000, Match: []flexbpf.MatchValue{dscp, {}}, Action: "mark+skip", Params: []uint64{7}},
+		{Priority: 1_000_000, Match: []flexbpf.MatchValue{{}, dst}, Action: "skip+fwd", Params: []uint64{3}},
+	}
 	i2 := dev2.Instance("qosroute")
-	for _, e := range m.Entries(qosEntries, routeEntries) {
+	for _, e := range mergedEntries {
 		if err := i2.Table("qos+route").Insert(e); err != nil {
 			t.Fatal(err)
 		}

@@ -25,16 +25,13 @@ type MergeStats struct {
 	LatencySavedNs uint64
 }
 
-// Merge is the result of merging two tables: the transformed program and
-// an entry builder that keeps runtime entries semantically equivalent.
+// Merge is the result of merging two tables: the transformed program
+// and what the merge costs and saves.
 type Merge struct {
 	Program *flexbpf.Program
 	Stats   MergeStats
 	// MergedTable is the name of the cross-product table.
 	MergedTable string
-
-	t1, t2 *flexbpf.TableSpec
-	d1, d2 string // resolved default action names ("_noop" if absent)
 }
 
 const noopAction = "_noop"
@@ -182,8 +179,6 @@ func MergeTables(prog *flexbpf.Program, t1Name, t2Name string, perLookupNs uint6
 		Program:     out,
 		Stats:       stats,
 		MergedTable: mergedName,
-		t1:          t1, t2: t2,
-		d1: d1, d2: d2,
 	}, nil
 }
 
@@ -192,62 +187,6 @@ func ternaryKeys(keys []flexbpf.TableKey) []flexbpf.TableKey {
 	for i, k := range keys {
 		k.Kind = flexbpf.MatchTernary
 		out[i] = k
-	}
-	return out
-}
-
-// Entries builds the merged table's entries from the two original entry
-// sets, covering all hit/miss combinations:
-//
-//   - (e1, e2) hit×hit rows at highest priority;
-//   - (e1, *) rows running a1 + t2's default;
-//   - (*, e2) rows running t1's default + a2;
-//   - full miss falls to the merged table's default action.
-func (m *Merge) Entries(e1s, e2s []*flexbpf.TableEntry) []*flexbpf.TableEntry {
-	n1 := len(m.t1.Keys)
-	n2 := len(m.t2.Keys)
-	wild1 := make([]flexbpf.MatchValue, n1) // zero mask = match anything
-	wild2 := make([]flexbpf.MatchValue, n2)
-	full := func(ms []flexbpf.MatchValue, keys []flexbpf.TableKey) []flexbpf.MatchValue {
-		out := make([]flexbpf.MatchValue, len(ms))
-		for i, v := range ms {
-			if keys[i].Kind == flexbpf.MatchExact {
-				v.Mask = ^uint64(0)
-				if keys[i].Bits > 0 && keys[i].Bits < 64 {
-					v.Mask = 1<<uint(keys[i].Bits) - 1
-				}
-			}
-			out[i] = v
-		}
-		return out
-	}
-	var out []*flexbpf.TableEntry
-	for _, e1 := range e1s {
-		m1 := full(e1.Match, m.t1.Keys)
-		for _, e2 := range e2s {
-			out = append(out, &flexbpf.TableEntry{
-				Priority: 2_000_000 + e1.Priority*1000 + e2.Priority,
-				Match:    append(append([]flexbpf.MatchValue(nil), m1...), full(e2.Match, m.t2.Keys)...),
-				Action:   e1.Action + "+" + e2.Action,
-				Params:   append(append([]uint64(nil), e1.Params...), e2.Params...),
-			})
-		}
-		// t1 hit, t2 miss.
-		out = append(out, &flexbpf.TableEntry{
-			Priority: 1_000_000 + e1.Priority,
-			Match:    append(append([]flexbpf.MatchValue(nil), m1...), wild2...),
-			Action:   e1.Action + "+" + m.d2,
-			Params:   append(append([]uint64(nil), e1.Params...), m.t2.DefaultParams...),
-		})
-	}
-	for _, e2 := range e2s {
-		// t1 miss, t2 hit.
-		out = append(out, &flexbpf.TableEntry{
-			Priority: 1_000_000 + e2.Priority,
-			Match:    append(append([]flexbpf.MatchValue(nil), wild1...), full(e2.Match, m.t2.Keys)...),
-			Action:   m.d1 + "+" + e2.Action,
-			Params:   append(append([]uint64(nil), m.t1.DefaultParams...), e2.Params...),
-		})
 	}
 	return out
 }

@@ -20,7 +20,7 @@
 // replace a segment's program — has one lowering to plan steps (an item),
 // shared by the imperative op and ApplySpec; one change per app is
 // admitted at a time, and every plan the controller makes — app ops,
-// spec batches, heal and probe plans — executes through one run helper.
+// spec batches and heal plans — executes through one run helper.
 //
 // DESIGN.md §2 (S9) inventories the controller; operations execute as §5 change plans, and §10.3 specifies the self-healing loop (heal.go).
 package controller
@@ -309,9 +309,6 @@ func (c *Controller) AddTenant(name string) (*Tenant, error) {
 
 // Audit exposes the controller's append-only mutation trail.
 func (c *Controller) Audit() *audit.Log { return c.audit }
-
-// Tenant returns an admitted tenant, or nil.
-func (c *Controller) Tenant(name string) *Tenant { return c.state.tenant(name) }
 
 // RemoveTenant removes a tenant and all of its apps, reclaiming their
 // resources (§1.1 "Tenant departures trigger program removal to trim the

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"flexnet/internal/apps"
+	"flexnet/internal/audit"
 	"flexnet/internal/dataplane"
 	"flexnet/internal/drpc"
 	"flexnet/internal/fabric"
@@ -189,7 +190,7 @@ func TestRemoveTenantReclaimsResources(t *testing.T) {
 	if f.Device("s1").Free() != free0 {
 		t.Fatalf("resources not reclaimed: %v != %v", f.Device("s1").Free(), free0)
 	}
-	if c.Tenant("acme") != nil {
+	if c.state.tenant("acme") != nil {
 		t.Fatal("tenant still admitted")
 	}
 }
@@ -619,4 +620,15 @@ func TestOneChangePerApp(t *testing.T) {
 		}
 		agrees(t, c)
 	})
+}
+
+// replayMatchesIntent reports whether replaying the audit trail yields
+// the controller's live intent.
+func replayMatchesIntent(t *testing.T, c *Controller) bool {
+	t.Helper()
+	st, err := audit.Replay(c.Audit().Records())
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	return st.Canonical() == c.CanonicalIntent()
 }

@@ -70,7 +70,7 @@ func newAccountingChain(t *testing.T) *accountingChain {
 		If(onlyUDP, []flexbpf.Stmt{flexbpf.SDo(flexbpf.NewAsm().Punt().MustBuild())}, nil).
 		MustBuild(), InstallOptions{Priority: 20})
 	install(c2, flexbpf.NewProgram("recirc").
-		If(to8080, []flexbpf.Stmt{flexbpf.SDo(flexbpf.NewAsm().Recirc().MustBuild())}, nil).
+		If(to8080, []flexbpf.Stmt{flexbpf.SDo([]flexbpf.Instr{{Op: flexbpf.OpRecirc}})}, nil).
 		MustBuild(), InstallOptions{Priority: 30})
 	install(c2, cacheRouter("rt"), InstallOptions{Priority: PriorityInfra})
 	route(c2, "rt", "rt_t", "rt_fwd", dst2, 2)

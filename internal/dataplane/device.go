@@ -421,9 +421,6 @@ func (d *Device) Name() string { return d.name }
 // Arch returns the architecture class.
 func (d *Device) Arch() Arch { return d.cfg.Arch }
 
-// Ports returns the port count.
-func (d *Device) Ports() int { return d.cfg.Ports }
-
 // Capabilities returns hosted-program capabilities.
 func (d *Device) Capabilities() flexbpf.Capabilities { return d.caps }
 
@@ -793,9 +790,6 @@ type PreparedChange struct {
 	activated bool
 	released  bool
 }
-
-// Device returns the device this change is staged on.
-func (p *PreparedChange) Device() *Device { return p.dev }
 
 // Activate commits the staged change in one epoch bump. It fails — and
 // leaves the device untouched, staging intact — if the device is down,

@@ -118,9 +118,6 @@ func NewMap(name string, kind MapKind, max int) *Map {
 // Name returns the map name.
 func (m *Map) Name() string { return m.name }
 
-// Kind returns the map kind.
-func (m *Map) Kind() MapKind { return m.kind }
-
 // Load returns the value for key.
 //
 // Array maps return (0, true) for any in-range key — array slots always

@@ -19,9 +19,6 @@ import (
 
 // Well-known service IDs.
 const (
-	// ServiceRegistry answers discovery queries (§3.4 "Service discovery
-	// occurs either at control plane or via an in-network RPC registry").
-	ServiceRegistry uint64 = 1
 	// ServicePing is a liveness echo.
 	ServicePing uint64 = 2
 	// ServiceStatePush receives logical state chunks (data-plane
@@ -181,17 +178,6 @@ func (r *Router) Unregister(service uint64) {
 	delete(r.services, service)
 }
 
-// Services returns registered service IDs.
-func (r *Router) Services() []uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]uint64, 0, len(r.services))
-	for id := range r.services {
-		out = append(out, id)
-	}
-	return out
-}
-
 func (r *Router) newPacket(dst uint32, m Message) *packet.Packet {
 	r.mu.Lock()
 	*r.seq++
@@ -283,60 +269,6 @@ func (r *Router) Deliver(p *packet.Packet) bool {
 		r.transmit(r.newPacket(from, *resp))
 	}
 	return true
-}
-
-// Registry is the in-network service discovery directory: service ID →
-// provider IP. It runs as ServiceRegistry on some router (typically the
-// infrastructure's).
-type Registry struct {
-	mu      sync.Mutex
-	entries map[uint64]uint32
-}
-
-// Registry methods.
-const (
-	RegistryLookup uint64 = iota
-	RegistryAnnounce
-	RegistryWithdraw
-)
-
-// NewRegistry creates an empty registry and returns both it and the
-// handler to register on a router.
-func NewRegistry() (*Registry, Handler) {
-	reg := &Registry{entries: map[uint64]uint32{}}
-	h := func(from uint32, m Message) *Message {
-		switch m.Method {
-		case RegistryAnnounce:
-			reg.mu.Lock()
-			reg.entries[m.Args[0]] = uint32(m.Args[1])
-			reg.mu.Unlock()
-			return &Message{Args: [3]uint64{m.Args[0], m.Args[1], 0}}
-		case RegistryWithdraw:
-			reg.mu.Lock()
-			delete(reg.entries, m.Args[0])
-			reg.mu.Unlock()
-			return &Message{}
-		case RegistryLookup:
-			reg.mu.Lock()
-			ip, ok := reg.entries[m.Args[0]]
-			reg.mu.Unlock()
-			if !ok {
-				return &Message{Flags: FlagError}
-			}
-			return &Message{Args: [3]uint64{m.Args[0], uint64(ip), 0}}
-		default:
-			return &Message{Flags: FlagError}
-		}
-	}
-	return reg, h
-}
-
-// Lookup reads the registry locally (control-plane path).
-func (reg *Registry) Lookup(service uint64) (uint32, bool) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	ip, ok := reg.entries[service]
-	return ip, ok
 }
 
 // PingHandler returns a ServicePing handler echoing arg0.

@@ -137,32 +137,6 @@ func TestCallIDsDistinctAcrossRouters(t *testing.T) {
 	}
 }
 
-func TestRegistryHandler(t *testing.T) {
-	reg, h := NewRegistry()
-	// Announce then look up.
-	resp := h(1, Message{Method: RegistryAnnounce, Args: [3]uint64{ServiceUser, 42, 0}})
-	if resp == nil || resp.Flags&FlagError != 0 {
-		t.Fatal("announce failed")
-	}
-	resp = h(1, Message{Method: RegistryLookup, Args: [3]uint64{ServiceUser, 0, 0}})
-	if resp == nil || resp.Args[1] != 42 {
-		t.Fatalf("lookup = %+v", resp)
-	}
-	if ip, ok := reg.Lookup(ServiceUser); !ok || ip != 42 {
-		t.Fatal("local lookup broken")
-	}
-	// Withdraw.
-	h(1, Message{Method: RegistryWithdraw, Args: [3]uint64{ServiceUser, 0, 0}})
-	resp = h(1, Message{Method: RegistryLookup, Args: [3]uint64{ServiceUser, 0, 0}})
-	if resp.Flags&FlagError == 0 {
-		t.Fatal("withdrawn service still resolves")
-	}
-	// Unknown method.
-	if resp := h(1, Message{Method: 99}); resp.Flags&FlagError == 0 {
-		t.Fatal("unknown method accepted")
-	}
-}
-
 func TestMessageRoundTripThroughPacket(t *testing.T) {
 	var seq uint64
 	var got Message
@@ -192,14 +166,5 @@ func TestMessageRoundTripThroughPacket(t *testing.T) {
 	}
 	if from != 3 {
 		t.Fatalf("from = %d", from)
-	}
-}
-
-func TestServicesList(t *testing.T) {
-	a, _ := loopback()
-	a.Register(ServicePing, PingHandler())
-	a.Register(ServiceUser, PingHandler())
-	if got := len(a.Services()); got != 2 {
-		t.Fatalf("services = %d", got)
 	}
 }

@@ -32,13 +32,6 @@ type CallOpts struct {
 	MaxBackoffNs uint64
 }
 
-// DefaultCallOpts is a reasonable reliable-call policy for fabric RTTs:
-// 5 ms per-attempt deadline, 4 attempts, 1 ms base backoff capped at
-// 8 ms.
-func DefaultCallOpts() CallOpts {
-	return CallOpts{TimeoutNs: 5_000_000, Attempts: 4, BackoffNs: 1_000_000, MaxBackoffNs: 8_000_000}
-}
-
 // SetScheduler wires the router to simulated time: now reads the clock,
 // after schedules a callback. The fabric installs this when it enables
 // dRPC on a device or host. Without a scheduler, CallOpt falls back to

@@ -9,6 +9,10 @@ import (
 	"flexnet/internal/packet"
 )
 
+// testCallOpts is a reliable-call policy for loopback RTTs: 5 ms per
+// attempt, 4 attempts, 1 ms base backoff capped at 8 ms.
+var testCallOpts = CallOpts{TimeoutNs: 5_000_000, Attempts: 4, BackoffNs: 1_000_000, MaxBackoffNs: 8_000_000}
+
 // simLoopback is loopback() plus a simulated clock driving a's retry
 // machinery.
 func simLoopback(t *testing.T) (*netsim.Sim, *Router, *Router) {
@@ -43,7 +47,7 @@ func TestCallOptRetriesAfterDrop(t *testing.T) {
 	})
 	completions := 0
 	var got uint64
-	a.CallOpt(2, ServicePing, 0, [3]uint64{42, 0, 0}, DefaultCallOpts(), func(m Message, ok bool, err error) {
+	a.CallOpt(2, ServicePing, 0, [3]uint64{42, 0, 0}, testCallOpts, func(m Message, ok bool, err error) {
 		completions++
 		if !ok || err != nil {
 			t.Fatalf("retry failed: ok=%v err=%v", ok, err)
@@ -65,7 +69,7 @@ func TestCallOptExhaustion(t *testing.T) {
 	a.SetInterceptor(func(p *packet.Packet) Verdict { return Verdict{Drop: true} })
 	completions := 0
 	var gotErr error
-	a.CallOpt(2, ServicePing, 0, [3]uint64{1, 0, 0}, DefaultCallOpts(), func(m Message, ok bool, err error) {
+	a.CallOpt(2, ServicePing, 0, [3]uint64{1, 0, 0}, testCallOpts, func(m Message, ok bool, err error) {
 		completions++
 		if ok {
 			t.Fatal("ok despite total loss")
@@ -100,7 +104,7 @@ func TestCallOptDuplicateAtMostOnce(t *testing.T) {
 		return Verdict{}
 	})
 	completions := 0
-	a.CallOpt(2, ServicePing, 0, [3]uint64{9, 0, 0}, DefaultCallOpts(), func(m Message, ok bool, err error) {
+	a.CallOpt(2, ServicePing, 0, [3]uint64{9, 0, 0}, testCallOpts, func(m Message, ok bool, err error) {
 		completions++
 		if !ok || err != nil {
 			t.Fatalf("ok=%v err=%v", ok, err)
@@ -125,7 +129,7 @@ func TestCallOptWithoutScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := false
-	a.CallOpt(2, ServicePing, 0, [3]uint64{5, 0, 0}, DefaultCallOpts(), func(m Message, ok bool, err error) {
+	a.CallOpt(2, ServicePing, 0, [3]uint64{5, 0, 0}, testCallOpts, func(m Message, ok bool, err error) {
 		done = ok && err == nil && m.Args[0] == 5
 	})
 	if !done {
@@ -140,7 +144,7 @@ func TestInterceptorDelay(t *testing.T) {
 		return Verdict{DelayNs: uint64(2 * time.Millisecond)}
 	})
 	var doneAt time.Duration
-	a.CallOpt(2, ServicePing, 0, [3]uint64{1, 0, 0}, DefaultCallOpts(), func(m Message, ok bool, err error) {
+	a.CallOpt(2, ServicePing, 0, [3]uint64{1, 0, 0}, testCallOpts, func(m Message, ok bool, err error) {
 		doneAt = sim.Now()
 	})
 	sim.RunFor(100 * time.Millisecond)

@@ -93,7 +93,7 @@ type Experiment struct {
 	Run func(seed int64) *Table
 }
 
-// Suite lists every experiment in report order. All, cmd/flexbench and
+// Suite lists every experiment in report order. cmd/flexbench and
 // EXPERIMENTS.md generation read it.
 var Suite = []Experiment{
 	{"E1", E1Hitless},
@@ -116,16 +116,6 @@ var Suite = []Experiment{
 	{"E18", E18ControlPlane},
 	{"E19", E19SpecReconcile},
 	{"E20", E20HAFailover},
-}
-
-// All runs every experiment of the Suite at seed and returns the tables
-// in order.
-func All(seed int64) []*Table {
-	out := make([]*Table, 0, len(Suite))
-	for _, e := range Suite {
-		out = append(out, e.Run(seed))
-	}
-	return out
 }
 
 // await starts a control-plane op and runs the simulator in steps of

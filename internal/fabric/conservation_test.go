@@ -186,7 +186,7 @@ const (
 // destination port and lets every other packet continue.
 func policyProgram() *flexbpf.Program {
 	return flexbpf.NewProgram("policy").
-		Do(flexbpf.NewAsm().
+		Do(append(flexbpf.NewAsm().
 			LdField(0, "udp.dport").
 			JEqImm(0, portDrop, "drop").
 			JEqImm(0, portPunt, "punt").
@@ -194,7 +194,7 @@ func policyProgram() *flexbpf.Program {
 			Ret().
 			Label("drop").Drop().
 			Label("punt").Punt().
-			Label("recirc").Recirc().
-			MustBuild()).
+			Label("recirc").
+			MustBuild(), flexbpf.Instr{Op: flexbpf.OpRecirc})).
 		MustBuild()
 }

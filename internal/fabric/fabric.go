@@ -320,7 +320,6 @@ func (f *Fabric) Hosts() []string { return f.hostNames }
 // simulator's pool when its life ends, so the caller must not touch it
 // again. Take it from the pool (Sim.Packets) to keep the pool balanced.
 func (h *Host) Send(pkt *packet.Packet) {
-	pkt.StampSent(uint64(h.fab.Sim.Now()))
 	h.Node.Send(pkt, 0)
 }
 

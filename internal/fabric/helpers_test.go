@@ -5,7 +5,7 @@ import "flexnet/internal/flexbpf"
 // recircProgram always recirculates (loop-bound test).
 func recircProgram() *flexbpf.Program {
 	return flexbpf.NewProgram("recirc").
-		Do(flexbpf.NewAsm().Recirc().MustBuild()).
+		Do([]flexbpf.Instr{{Op: flexbpf.OpRecirc}}).
 		MustBuild()
 }
 

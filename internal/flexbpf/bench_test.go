@@ -148,7 +148,7 @@ func benchPipelineProgram(t testing.TB) *Program {
 		SubImm(0, 1).
 		StField("ipv4.ttl", 0).
 		LdField(1, "ipv4.dscp").
-		OrImm(1, 8).
+		emit(Instr{Op: OpOrImm, Rd: 1, Imm: 8}).
 		StField("ipv4.dscp", 1).
 		MustBuild()
 	allow := NewAsm().LdParam(0, 0).Forward(0).MustBuild()

@@ -73,9 +73,6 @@ func (a *Asm) MustBuild() []Instr {
 	return code
 }
 
-// Nop appends a no-op.
-func (a *Asm) Nop() *Asm { return a.emit(Instr{Op: OpNop}) }
-
 // MovImm sets rd = imm.
 func (a *Asm) MovImm(rd Reg, imm uint64) *Asm { return a.emit(Instr{Op: OpMovImm, Rd: rd, Imm: imm}) }
 
@@ -100,9 +97,6 @@ func (a *Asm) StField(field string, rs Reg) *Asm {
 // AddHdr marks a header present.
 func (a *Asm) AddHdr(header string) *Asm { return a.emit(Instr{Op: OpAddHdr, Sym: header}) }
 
-// RmHdr removes a header.
-func (a *Asm) RmHdr(header string) *Asm { return a.emit(Instr{Op: OpRmHdr, Sym: header}) }
-
 // LdParam loads action parameter idx into rd.
 func (a *Asm) LdParam(rd Reg, idx uint64) *Asm {
 	return a.emit(Instr{Op: OpLdParam, Rd: rd, Imm: idx})
@@ -113,20 +107,8 @@ func (a *Asm) LdParam(rd Reg, idx uint64) *Asm {
 // Add sets rd += rs.
 func (a *Asm) Add(rd, rs Reg) *Asm { return a.emit(Instr{Op: OpAdd, Rd: rd, Rs: rs}) }
 
-// Sub sets rd -= rs.
-func (a *Asm) Sub(rd, rs Reg) *Asm { return a.emit(Instr{Op: OpSub, Rd: rd, Rs: rs}) }
-
-// Mul sets rd *= rs.
-func (a *Asm) Mul(rd, rs Reg) *Asm { return a.emit(Instr{Op: OpMul, Rd: rd, Rs: rs}) }
-
-// Div sets rd /= rs (0 if rs is 0).
-func (a *Asm) Div(rd, rs Reg) *Asm { return a.emit(Instr{Op: OpDiv, Rd: rd, Rs: rs}) }
-
 // Mod sets rd %= rs (0 if rs is 0).
 func (a *Asm) Mod(rd, rs Reg) *Asm { return a.emit(Instr{Op: OpMod, Rd: rd, Rs: rs}) }
-
-// And sets rd &= rs.
-func (a *Asm) And(rd, rs Reg) *Asm { return a.emit(Instr{Op: OpAnd, Rd: rd, Rs: rs}) }
 
 // Or sets rd |= rs.
 func (a *Asm) Or(rd, rs Reg) *Asm { return a.emit(Instr{Op: OpOr, Rd: rd, Rs: rs}) }
@@ -134,17 +116,8 @@ func (a *Asm) Or(rd, rs Reg) *Asm { return a.emit(Instr{Op: OpOr, Rd: rd, Rs: rs
 // Xor sets rd ^= rs.
 func (a *Asm) Xor(rd, rs Reg) *Asm { return a.emit(Instr{Op: OpXor, Rd: rd, Rs: rs}) }
 
-// Shl sets rd <<= rs.
-func (a *Asm) Shl(rd, rs Reg) *Asm { return a.emit(Instr{Op: OpShl, Rd: rd, Rs: rs}) }
-
-// Shr sets rd >>= rs.
-func (a *Asm) Shr(rd, rs Reg) *Asm { return a.emit(Instr{Op: OpShr, Rd: rd, Rs: rs}) }
-
 // Min sets rd = min(rd, rs).
 func (a *Asm) Min(rd, rs Reg) *Asm { return a.emit(Instr{Op: OpMin, Rd: rd, Rs: rs}) }
-
-// Max sets rd = max(rd, rs).
-func (a *Asm) Max(rd, rs Reg) *Asm { return a.emit(Instr{Op: OpMax, Rd: rd, Rs: rs}) }
 
 // ALU immediate forms.
 
@@ -154,23 +127,14 @@ func (a *Asm) AddImm(rd Reg, imm uint64) *Asm { return a.emit(Instr{Op: OpAddImm
 // SubImm sets rd -= imm.
 func (a *Asm) SubImm(rd Reg, imm uint64) *Asm { return a.emit(Instr{Op: OpSubImm, Rd: rd, Imm: imm}) }
 
-// MulImm sets rd *= imm.
-func (a *Asm) MulImm(rd Reg, imm uint64) *Asm { return a.emit(Instr{Op: OpMulImm, Rd: rd, Imm: imm}) }
-
 // AndImm sets rd &= imm.
 func (a *Asm) AndImm(rd Reg, imm uint64) *Asm { return a.emit(Instr{Op: OpAndImm, Rd: rd, Imm: imm}) }
-
-// OrImm sets rd |= imm.
-func (a *Asm) OrImm(rd Reg, imm uint64) *Asm { return a.emit(Instr{Op: OpOrImm, Rd: rd, Imm: imm}) }
 
 // XorImm sets rd ^= imm.
 func (a *Asm) XorImm(rd Reg, imm uint64) *Asm { return a.emit(Instr{Op: OpXorImm, Rd: rd, Imm: imm}) }
 
 // ShlImm sets rd <<= imm.
 func (a *Asm) ShlImm(rd Reg, imm uint64) *Asm { return a.emit(Instr{Op: OpShlImm, Rd: rd, Imm: imm}) }
-
-// ShrImm sets rd >>= imm.
-func (a *Asm) ShrImm(rd Reg, imm uint64) *Asm { return a.emit(Instr{Op: OpShrImm, Rd: rd, Imm: imm}) }
 
 // Map operations.
 
@@ -189,11 +153,6 @@ func (a *Asm) MapStore(mapName string, rs, rt Reg) *Asm {
 	return a.emit(Instr{Op: OpMapStore, Rs: rs, Rt: rt, Sym: mapName})
 }
 
-// MapDelete deletes map[rs].
-func (a *Asm) MapDelete(mapName string, rs Reg) *Asm {
-	return a.emit(Instr{Op: OpMapDelete, Rs: rs, Sym: mapName})
-}
-
 // Intrinsics.
 
 // Hash sets rd = fnv64(rs).
@@ -204,9 +163,6 @@ func (a *Asm) FlowHash(rd Reg) *Asm { return a.emit(Instr{Op: OpFlowHash, Rd: rd
 
 // Now sets rd to the current time in nanoseconds.
 func (a *Asm) Now(rd Reg) *Asm { return a.emit(Instr{Op: OpNow, Rd: rd}) }
-
-// Rand sets rd to a pseudo-random value.
-func (a *Asm) Rand(rd Reg) *Asm { return a.emit(Instr{Op: OpRand, Rd: rd}) }
 
 // PktLen sets rd to the packet length.
 func (a *Asm) PktLen(rd Reg) *Asm { return a.emit(Instr{Op: OpPktLen, Rd: rd}) }
@@ -223,45 +179,14 @@ func (a *Asm) MeterExec(rd Reg, meter string, rs, rt Reg) *Asm {
 
 // Control flow (labels).
 
-// Jmp jumps unconditionally to label.
-func (a *Asm) Jmp(label string) *Asm { return a.jump(OpJmp, 0, 0, 0, label) }
-
-// JEq jumps to label if rs == rt.
-func (a *Asm) JEq(rs, rt Reg, label string) *Asm { return a.jump(OpJEq, rs, rt, 0, label) }
-
-// JNe jumps to label if rs != rt.
-func (a *Asm) JNe(rs, rt Reg, label string) *Asm { return a.jump(OpJNe, rs, rt, 0, label) }
-
-// JLt jumps to label if rs < rt.
-func (a *Asm) JLt(rs, rt Reg, label string) *Asm { return a.jump(OpJLt, rs, rt, 0, label) }
-
-// JGe jumps to label if rs >= rt.
-func (a *Asm) JGe(rs, rt Reg, label string) *Asm { return a.jump(OpJGe, rs, rt, 0, label) }
-
-// JGt jumps to label if rs > rt.
-func (a *Asm) JGt(rs, rt Reg, label string) *Asm { return a.jump(OpJGt, rs, rt, 0, label) }
-
-// JLe jumps to label if rs <= rt.
-func (a *Asm) JLe(rs, rt Reg, label string) *Asm { return a.jump(OpJLe, rs, rt, 0, label) }
-
 // JEqImm jumps to label if rs == imm.
 func (a *Asm) JEqImm(rs Reg, imm uint64, label string) *Asm {
 	return a.jump(OpJEqImm, rs, 0, imm, label)
 }
 
-// JNeImm jumps to label if rs != imm.
-func (a *Asm) JNeImm(rs Reg, imm uint64, label string) *Asm {
-	return a.jump(OpJNeImm, rs, 0, imm, label)
-}
-
 // JLtImm jumps to label if rs < imm.
 func (a *Asm) JLtImm(rs Reg, imm uint64, label string) *Asm {
 	return a.jump(OpJLtImm, rs, 0, imm, label)
-}
-
-// JGeImm jumps to label if rs >= imm.
-func (a *Asm) JGeImm(rs Reg, imm uint64, label string) *Asm {
-	return a.jump(OpJGeImm, rs, 0, imm, label)
 }
 
 // JGtImm jumps to label if rs > imm.
@@ -285,9 +210,6 @@ func (a *Asm) Forward(rs Reg) *Asm { return a.emit(Instr{Op: OpForward, Rs: rs})
 // Punt sends the packet to the controller.
 func (a *Asm) Punt() *Asm { return a.emit(Instr{Op: OpPunt}) }
 
-// Recirc recirculates the packet.
-func (a *Asm) Recirc() *Asm { return a.emit(Instr{Op: OpRecirc}) }
-
 // Ret ends the block without a terminal verdict.
 func (a *Asm) Ret() *Asm { return a.emit(Instr{Op: OpRet}) }
 
@@ -300,12 +222,6 @@ type ProgramBuilder struct {
 // NewProgram starts a builder for a program with the given name.
 func NewProgram(name string) *ProgramBuilder {
 	return &ProgramBuilder{p: &Program{Name: name, Actions: map[string]*Action{}}}
-}
-
-// Owner sets the owning tenant.
-func (b *ProgramBuilder) Owner(owner string) *ProgramBuilder {
-	b.p.Owner = owner
-	return b
 }
 
 // Requires declares required device capabilities.
@@ -416,13 +332,5 @@ func (b *ProgramBuilder) MustBuild() *Program {
 
 // Statement constructors for If branches.
 
-// SApply builds an apply statement.
-func SApply(table string) Stmt { return Stmt{Apply: table} }
-
 // SDo builds an inline block statement.
 func SDo(code []Instr) Stmt { return Stmt{Do: code} }
-
-// SIf builds a conditional statement.
-func SIf(cond Cond, then, els []Stmt) Stmt {
-	return Stmt{If: &IfStmt{Cond: cond, Then: then, Else: els}}
-}

@@ -205,9 +205,6 @@ type LinkedProgram struct {
 	mapNames, counterNames, meterNames []string
 }
 
-// Program returns the source program.
-func (lp *LinkedProgram) Program() *Program { return lp.prog }
-
 // MapSlots returns the map names in slot order.
 func (lp *LinkedProgram) MapSlots() []string { return lp.mapNames }
 

@@ -145,7 +145,7 @@ func controlFlowProgram(t *testing.T) *Program {
 		MapStore("seen", 1, 3).
 		Ret(). // mid-block return: lowered to a jump over the tail
 		Label("old").
-		MapDelete("seen", 1).
+		emit(Instr{Op: OpMapDelete, Rs: 1, Sym: "seen"}).
 		MustBuild()
 	meterDo := NewAsm().
 		LdField(0, "ipv4.len").

@@ -387,42 +387,6 @@ func totalPrefix(e *TableEntry) int {
 	return n
 }
 
-// Delete removes the first entry whose match exactly equals the given
-// components.
-func (ti *TableInstance) Delete(match []MatchValue) error {
-	ti.mu.Lock()
-	defer ti.mu.Unlock()
-	old := ti.load()
-	for i := range old.entries {
-		if matchEqual(old.entries[i].Match, match) {
-			next := &tableState{}
-			next.entries = make([]TableEntry, 0, len(old.entries)-1)
-			next.entries = append(next.entries, old.entries[:i]...)
-			next.entries = append(next.entries, old.entries[i+1:]...)
-			if old.exact != nil {
-				// Deletion shifts positions and open addressing would need
-				// tombstones; removals are control-plane rare, so rebuild.
-				next.exact = buildExactIndex(next.entries)
-			}
-			ti.publish(next)
-			return nil
-		}
-	}
-	return fmt.Errorf("flexbpf: table %s: entry not found", ti.Spec.Name)
-}
-
-func matchEqual(a, b []MatchValue) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Clear removes all entries.
 func (ti *TableInstance) Clear() {
 	ti.mu.Lock()

@@ -74,12 +74,11 @@ type Sim struct {
 	// its event's record in slots. free lists the slots no queued event
 	// holds: they are zero, so a fired event's packet or closure is not
 	// kept alive by the table.
-	queue   []key
-	slots   []record
-	free    []int32
-	seq     uint64
-	rng     *rand.Rand
-	stopped bool
+	queue []key
+	slots []record
+	free  []int32
+	seq   uint64
+	rng   *rand.Rand
 	// packets is the free list every packet on this simulator is taken
 	// from and released to.
 	packets packet.Pool
@@ -197,17 +196,13 @@ func (s *Sim) pop() (Time, record) {
 	return top.at, r
 }
 
-// Stop halts the run loop after the current event completes.
-func (s *Sim) Stop() { s.stopped = true }
-
 // ErrNoProgress is returned by RunUntil when the event queue drains before
 // the horizon is reached.
 var ErrNoProgress = errors.New("netsim: event queue empty before horizon")
 
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (s *Sim) Run() {
-	s.stopped = false
-	for len(s.queue) > 0 && !s.stopped {
+	for len(s.queue) > 0 {
 		s.step()
 	}
 }
@@ -218,9 +213,8 @@ func (s *Sim) Run() {
 // is often benign (e.g. traffic ended) but callers who expect a live
 // network can detect stalls.
 func (s *Sim) RunUntil(horizon Time) error {
-	s.stopped = false
 	drained := false
-	for !s.stopped {
+	for {
 		if len(s.queue) == 0 {
 			drained = true
 			break

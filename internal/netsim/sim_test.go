@@ -143,18 +143,3 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
-
-func TestStopHaltsRun(t *testing.T) {
-	s := New(1)
-	count := 0
-	s.Every(time.Millisecond, func() {
-		count++
-		if count == 5 {
-			s.Stop()
-		}
-	})
-	s.Run()
-	if count != 5 {
-		t.Fatalf("Stop did not halt run: count=%d", count)
-	}
-}

@@ -32,9 +32,6 @@ type portEnd struct {
 // SetHandler installs the node's packet handler.
 func (n *Node) SetHandler(h Handler) { n.handler = h }
 
-// Ports returns the number of connected ports.
-func (n *Node) Ports() int { return len(n.ports) }
-
 // Send transmits pkt out the given port. Sending on an unconnected port
 // counts as a drop. The packet is delivered to the neighbor after
 // serialization + propagation delay, subject to the link queue. Send
@@ -285,9 +282,6 @@ func (nw *Network) emit(ev TopoEvent) {
 func NewNetwork(sim *Sim) *Network {
 	return &Network{sim: sim, nodes: map[string]*Node{}}
 }
-
-// Sim returns the bound simulator.
-func (nw *Network) Sim() *Sim { return nw.sim }
 
 // AddNode creates a node. Duplicate names panic (topology bugs are
 // programming errors).

@@ -24,14 +24,14 @@ func TestLinkDelivery(t *testing.T) {
 	var at Time
 	b.SetHandler(func(p *packet.Packet, inPort int) {
 		got = p
-		at = nw.Sim().Now()
+		at = nw.sim.Now()
 		if inPort != 0 {
 			t.Errorf("inPort = %d", inPort)
 		}
 	})
 	pkt := packet.UDPPacket(1, 1, 2, 3, 4, 1000-14-20-8) // 1000B total
 	a.Send(pkt, 0)
-	nw.Sim().Run()
+	nw.sim.Run()
 	if got == nil {
 		t.Fatal("packet not delivered")
 	}
@@ -45,13 +45,13 @@ func TestLinkSerializationQueueing(t *testing.T) {
 	nw, a, b := line(t, LinkParams{BandwidthBps: 8_000_000, Delay: 0})
 	var arrivals []Time
 	b.SetHandler(func(p *packet.Packet, inPort int) {
-		arrivals = append(arrivals, nw.Sim().Now())
+		arrivals = append(arrivals, nw.sim.Now())
 	})
 	// Three 1000-byte packets sent back-to-back: 1 ms serialization each.
 	for i := 0; i < 3; i++ {
 		a.Send(packet.UDPPacket(uint64(i), 1, 2, 3, 4, 958), 0)
 	}
-	nw.Sim().Run()
+	nw.sim.Run()
 	if len(arrivals) != 3 {
 		t.Fatalf("delivered %d", len(arrivals))
 	}
@@ -69,7 +69,7 @@ func TestLinkQueueOverflow(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.Send(packet.UDPPacket(uint64(i), 1, 2, 3, 4, 958), 0)
 	}
-	nw.Sim().Run()
+	nw.sim.Run()
 	l := nw.LinkBetween("a", "b")
 	if l.Drops == 0 {
 		t.Fatal("no drops with tiny buffer")
@@ -86,7 +86,7 @@ func TestLinkDown(t *testing.T) {
 	l := nw.LinkBetween("a", "b")
 	l.Down = true
 	a.Send(packet.UDPPacket(1, 1, 2, 3, 4, 100), 0)
-	nw.Sim().Run()
+	nw.sim.Run()
 	if delivered != 0 || l.Drops != 1 {
 		t.Fatalf("down link delivered=%d drops=%d", delivered, l.Drops)
 	}
@@ -100,8 +100,8 @@ func TestLinkFailsWithPacketInFlight(t *testing.T) {
 	b.SetHandler(func(p *packet.Packet, inPort int) { called = true })
 	l := nw.LinkBetween("a", "b")
 	a.Send(packet.UDPPacket(1, 1, 2, 3, 4, 100), 0)
-	nw.Sim().After(l.Delay/2, func() { l.SetDown(true) })
-	nw.Sim().Run()
+	nw.sim.After(l.Delay/2, func() { l.SetDown(true) })
+	nw.sim.Run()
 	if called {
 		t.Fatal("handler called for a packet in flight on a failed link")
 	}
@@ -126,7 +126,7 @@ func TestBidirectional(t *testing.T) {
 	b.SetHandler(func(p *packet.Packet, inPort int) { gotB++ })
 	a.Send(packet.UDPPacket(1, 1, 2, 3, 4, 10), 0)
 	b.Send(packet.UDPPacket(2, 2, 1, 4, 3, 10), 0)
-	nw.Sim().Run()
+	nw.sim.Run()
 	if gotA != 1 || gotB != 1 {
 		t.Fatalf("gotA=%d gotB=%d", gotA, gotB)
 	}
@@ -274,7 +274,7 @@ func TestSourceVLANTagAllocFree(t *testing.T) {
 // the network, which releases it to the simulator's pool.
 func TestNetworkReleasesWhatItDrops(t *testing.T) {
 	nw, a, _ := line(t, LinkParams{BandwidthBps: 1_000_000, Delay: time.Millisecond, QueueBytes: 1500})
-	s, l := nw.Sim(), nw.Links()[0]
+	s, l := nw.sim, nw.Links()[0]
 	pool := s.Packets()
 	send := func(port int) { a.Send(pool.UDPPacket(1, 1, 2, 3, 4, 1000), port) }
 	send(7) // unconnected port

@@ -53,7 +53,6 @@ func (s *Source) buildPacket(flags uint64) *packet.Packet {
 		// packet.ChainCap, none of them vlan.
 		_ = p.TagVLAN(s.spec.VLAN)
 	}
-	p.StampSent(uint64(s.sim.Now()))
 	return p
 }
 

@@ -99,11 +99,6 @@ type Packet struct {
 	// packet is never processed by a mix of program versions.
 	Epoch uint64
 
-	// SentAt is the simulated time in nanoseconds at which a traffic
-	// source or host sent the packet; HasSentAt is false on a packet
-	// nothing stamped (see StampSent).
-	SentAt    uint64
-	HasSentAt bool
 	// released marks a packet handed back to a Pool (Pool.Release).
 	released bool
 
@@ -143,12 +138,6 @@ func (p *Packet) phv(n int) (vals, present []uint64) {
 // when a device replicates or recirculates traffic, and by a Recv or
 // Punted callback that keeps a packet past the call.
 func (p *Packet) Clone() *Packet { return (*Pool)(nil).Clone(p) }
-
-// StampSent records now, in simulated nanoseconds, as the time the packet
-// was sent; latency sinks read it back from SentAt.
-func (p *Packet) StampSent(now uint64) {
-	p.SentAt, p.HasSentAt = now, true
-}
 
 // Has reports whether the named header is in the chain. The packet path
 // tests an ID it resolved once instead: Headers.Has(id).
@@ -325,11 +314,6 @@ type FlowKey struct {
 
 func (k FlowKey) String() string {
 	return fmt.Sprintf("%s:%d>%s:%d/%d", ipString(k.SrcIP), k.SrcPort, ipString(k.DstIP), k.DstPort, k.Proto)
-}
-
-// Reverse returns the key of the opposite direction of the flow.
-func (k FlowKey) Reverse() FlowKey {
-	return FlowKey{SrcIP: k.DstIP, DstIP: k.SrcIP, SrcPort: k.DstPort, DstPort: k.SrcPort, Proto: k.Proto}
 }
 
 // Hash returns a 64-bit FNV-1a hash of the key, used by sketches and ECMP.

@@ -97,12 +97,10 @@ func TestShortBuffer(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	p := TCPPacket(1, 1, 2, 3, 4, 0, 10)
-	p.StampSent(1)
 	q := p.Clone()
 	q.SetField("ipv4.dst", 99)
-	q.StampSent(2)
 	q.AddHeader("vlan")
-	if p.Field("ipv4.dst") == 99 || p.SentAt == 2 || p.Has("vlan") {
+	if p.Field("ipv4.dst") == 99 || p.Has("vlan") {
 		t.Fatal("clone shares state with original")
 	}
 }
@@ -215,13 +213,7 @@ func TestFlowKey(t *testing.T) {
 	if k.SrcPort != 1000 || k.DstPort != 80 || k.Proto != 6 {
 		t.Fatalf("flow key = %+v", k)
 	}
-	r := k.Reverse()
-	if r.SrcIP != k.DstIP || r.SrcPort != k.DstPort {
-		t.Fatalf("reverse broken: %+v", r)
-	}
-	if r.Reverse() != k {
-		t.Fatal("double reverse is not identity")
-	}
+	r := TCPPacket(2, IP(10, 0, 0, 2), IP(10, 0, 0, 1), 80, 1000, 0, 0).FlowKey()
 	if k.Hash() == r.Hash() {
 		t.Fatal("hash collision between directions (suspicious)")
 	}
@@ -288,9 +280,6 @@ func TestBuildersUnchanged(t *testing.T) {
 		if !reflect.DeepEqual(got.Headers, want.Headers) {
 			t.Fatalf("headers = %v, want %v", got.Headers, want.Headers)
 		}
-		if got.SentAt != want.SentAt || got.HasSentAt != want.HasSentAt || got.HasSentAt {
-			t.Fatalf("sent at = %d/%v, want %d/%v", got.SentAt, got.HasSentAt, want.SentAt, want.HasSentAt)
-		}
 		for id := 0; id < NumFieldIDs(); id++ {
 			gv, gok := got.FieldOKByID(FieldID(id))
 			wv, wok := want.FieldOKByID(FieldID(id))
@@ -334,11 +323,10 @@ func TestBuildersUnchanged(t *testing.T) {
 func TestPoolRecycles(t *testing.T) {
 	var pool Pool
 	p := pool.TCPPacket(7, 1, 2, 3, 4, TCPSyn, 100)
-	p.StampSent(5)
 	p.Trace = []string{"s1"}
 	pool.Release(p)
-	if p.ID != 0 || p.NumFields() != 0 || p.Headers.Len() != 0 || p.Len() != 0 || p.HasSentAt || p.Trace != nil {
-		t.Fatalf("a released packet reads %v (len %d, sent %v, trace %v), want empty", p, p.Len(), p.HasSentAt, p.Trace)
+	if p.ID != 0 || p.NumFields() != 0 || p.Headers.Len() != 0 || p.Len() != 0 || p.Trace != nil {
+		t.Fatalf("a released packet reads %v (len %d, trace %v), want empty", p, p.Len(), p.Trace)
 	}
 	if pool.Live() != 0 || pool.Free() != 1 || pool.Peak() != 1 {
 		t.Fatalf("pool: %d live, %d free, peak %d; want 0, 1, 1", pool.Live(), pool.Free(), pool.Peak())

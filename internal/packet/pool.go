@@ -43,7 +43,6 @@ func (pl *Pool) Clone(p *Packet) *Packet {
 	copy(q.present, p.present)
 	q.Headers, q.PayloadLen = p.Headers, p.PayloadLen
 	q.IngressPort, q.EgressPort, q.Epoch = p.IngressPort, p.EgressPort, p.Epoch
-	q.SentAt, q.HasSentAt = p.SentAt, p.HasSentAt
 	if p.Trace != nil {
 		q.Trace = append([]string(nil), p.Trace...)
 	}

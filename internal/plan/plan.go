@@ -26,7 +26,6 @@ package plan
 
 import (
 	"fmt"
-	"strings"
 
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/netsim"
@@ -347,33 +346,6 @@ type Report struct {
 	Degraded []string
 	// Err is the first error (nil on success).
 	Err error
-}
-
-// Format renders the report as an operator-readable multi-line string.
-func (r *Report) Format() string {
-	var b strings.Builder
-	if r.ID != "" {
-		fmt.Fprintf(&b, "[%s] ", r.ID)
-	}
-	fmt.Fprintf(&b, "plan %q: %s (phase %s, est %v", r.Label, r.Outcome, r.Phase, r.Estimated)
-	if r.Outcome != OutcomePlanned {
-		fmt.Fprintf(&b, ", actual %v", r.Actual)
-	}
-	b.WriteString(")\n")
-	for i, sr := range r.Steps {
-		fmt.Fprintf(&b, "  %2d. %-10s %s", i+1, sr.Status, sr.Step)
-		if sr.Err != nil {
-			fmt.Fprintf(&b, " — %v", sr.Err)
-		}
-		b.WriteByte('\n')
-	}
-	for _, d := range r.Degraded {
-		fmt.Fprintf(&b, "  degraded: %s\n", d)
-	}
-	if r.Err != nil {
-		fmt.Fprintf(&b, "  error: %v\n", r.Err)
-	}
-	return b.String()
 }
 
 // StateMover executes OpMigrateState steps. internal/migrate implements

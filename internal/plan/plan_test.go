@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"strings"
 	"testing"
 
 	"flexnet/internal/flexbpf"
@@ -9,7 +8,7 @@ import (
 
 func prog(name string) *flexbpf.Program {
 	return flexbpf.NewProgram(name).
-		Do(flexbpf.NewAsm().Nop().MustBuild()).
+		Do([]flexbpf.Instr{{Op: flexbpf.OpNop}}).
 		MustBuild()
 }
 
@@ -71,21 +70,5 @@ func TestEnumStrings(t *testing.T) {
 	}
 	if StepPrepared.String() != "prepared" {
 		t.Fatal("step status strings")
-	}
-}
-
-func TestReportFormat(t *testing.T) {
-	p := New("deploy x").Install("s1", "x#a", prog("a"), nil, 0)
-	rep := &Report{
-		Label:   p.Label,
-		Steps:   []StepReport{{Step: p.Steps[0], Status: StepCommitted}},
-		Phase:   PhaseDone,
-		Outcome: OutcomeSucceeded,
-	}
-	out := rep.Format()
-	for _, frag := range []string{"deploy x", "succeeded", "committed", "install x#a on s1"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("Format() missing %q in:\n%s", frag, out)
-		}
 	}
 }

@@ -291,9 +291,6 @@ func (e *Engine) MarkAllDirty() {
 	}
 }
 
-// Dirty returns the number of destinations queued for recomputation.
-func (e *Engine) Dirty() int { return e.ndirty }
-
 func (e *Engine) markAffectedByUp(l *link) {
 	for i := range e.dests {
 		if e.dirty[i] {

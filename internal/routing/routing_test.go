@@ -221,7 +221,7 @@ func TestDirtinessIsSparse(t *testing.T) {
 
 	// h0's uplink down: only h0's destination can change.
 	m.setLink(2, true)
-	if got := m.eng.Dirty(); got != 1 {
+	if got := m.eng.ndirty; got != 1 {
 		t.Fatalf("host-link down dirtied %d dests, want 1", got)
 	}
 	st := m.eng.Converge(1)
@@ -237,7 +237,7 @@ func TestDirtinessIsSparse(t *testing.T) {
 
 	// Setting a link to its current state is a no-op.
 	m.eng.SetLinkState(0, true)
-	if got := m.eng.Dirty(); got != 0 {
+	if got := m.eng.ndirty; got != 0 {
 		t.Fatalf("idempotent SetLinkState dirtied %d dests", got)
 	}
 }

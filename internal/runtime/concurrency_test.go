@@ -110,11 +110,13 @@ func TestExecutorMigrateSourceIsPartOfFootprint(t *testing.T) {
 	}
 }
 
+// TestExecutorSerialModeMatchesConcurrentState: submitting every plan
+// at once (concurrent admission) leaves the devices as running each plan
+// to completion before submitting the next does.
 func TestExecutorSerialModeMatchesConcurrentState(t *testing.T) {
-	build := func(inflight int) (string, []string) {
+	build := func(serial bool) string {
 		f, _ := threeSwitchLine(t)
 		_, x := newTestExecutor(f, nil)
-		x.SetMaxInflight(inflight)
 		plans := []*plan.ChangePlan{
 			plan.New("A").Install("s1", "a", aclProgram("a"), nil, 0),
 			plan.New("B").Install("s3", "b", aclProgram("b"), nil, 0),
@@ -125,36 +127,27 @@ func TestExecutorSerialModeMatchesConcurrentState(t *testing.T) {
 		for _, p := range plans {
 			x.Execute(p, func(r *plan.Report) {
 				if r.Err != nil {
-					t.Fatalf("inflight=%d plan %s: %v", inflight, r.Label, r.Err)
+					t.Fatalf("serial=%v plan %s: %v", serial, r.Label, r.Err)
 				}
 				n++
 			})
+			if serial {
+				f.Sim.RunFor(5 * time.Second)
+			}
 		}
 		f.Sim.RunFor(5 * time.Second)
 		if n != len(plans) {
-			t.Fatalf("inflight=%d: only %d/%d plans finished", inflight, n, len(plans))
+			t.Fatalf("serial=%v: only %d/%d plans finished", serial, n, len(plans))
 		}
 		var snap string
 		for _, d := range []string{"s1", "s2", "s3"} {
 			snap += "== " + d + "\n" + deviceSnapshot(f.Device(d))
 		}
-		var labels []string
-		for _, r := range x.ReportsSince(0) {
-			labels = append(labels, r.Label)
-		}
-		return snap, labels
+		return snap
 	}
 
-	serialSnap, serialOrder := build(1)
-	concSnap, _ := build(0)
+	serialSnap, concSnap := build(true), build(false)
 	if serialSnap != concSnap {
 		t.Fatalf("device state diverged between serial and concurrent admission:\nserial:\n%s\nconcurrent:\n%s", serialSnap, concSnap)
-	}
-	// SetMaxInflight(1) must reproduce strict submission order.
-	want := []string{"A", "B", "C", "D"}
-	for i, l := range want {
-		if serialOrder[i] != l {
-			t.Fatalf("serial order %v, want %v", serialOrder, want)
-		}
 	}
 }

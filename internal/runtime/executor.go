@@ -25,10 +25,9 @@ import (
 // overlapping devices — and global plans (route updates, empty
 // footprints) — serialize exactly as before. Because the simulator's
 // event loop is single-threaded, concurrent admission stays
-// deterministic; SetMaxInflight(1) restores strict serial order. This
-// is the single abortable change path every controller operation goes
-// through — there is no other way configuration reaches devices from
-// the control plane. Planning only reads devices: the compiler's
+// deterministic. This is the single abortable change path every
+// controller operation goes through — there is no other way
+// configuration reaches devices from the control plane. Planning only reads devices: the compiler's
 // garbage collection refunds removable programs on its scratch view,
 // and no compiler primitive writes to a device.
 //
@@ -44,14 +43,13 @@ type Executor struct {
 	mover  plan.StateMover
 	routes plan.RouteUpdater
 
-	maxInflight int
-	running     []*runningPlan
-	queue       []queuedPlan
-	kicking     bool
-	rekick      bool
+	running []*runningPlan
+	queue   []queuedPlan
+	kicking bool
+	rekick  bool
 	// Reports holds the reports of the most recent reportsKept executed
 	// plans in completion order (identical to submission order when plans
-	// conflict or SetMaxInflight(1) is set); a report holds its plan's
+	// conflict); a report holds its plan's
 	// programs, so keeping every one grows with the daemon's history.
 	// completed counts every plan that finished, retained or not.
 	Reports   []*plan.Report
@@ -297,16 +295,6 @@ func (a footprint) conflicts(b footprint) bool {
 }
 
 func (a footprint) empty() bool { return !a.global && len(a.devs) == 0 }
-
-// SetMaxInflight bounds concurrently-running plans; n <= 0 means
-// unlimited (conflict-based admission only). SetMaxInflight(1)
-// reproduces the strict submission-order serial executor.
-func (x *Executor) SetMaxInflight(n int) {
-	if n < 0 {
-		n = 0
-	}
-	x.maxInflight = n
-}
 
 // NewExecutor creates an executor over the engine's simulator and cost
 // model. device resolves names to devices; mover and routes handle the
@@ -606,9 +594,6 @@ func (x *Executor) kickOnce() {
 }
 
 func (x *Executor) admissible(fp, blocked footprint) bool {
-	if x.maxInflight > 0 && len(x.running) >= x.maxInflight {
-		return false
-	}
 	if !blocked.empty() && fp.conflicts(blocked) {
 		return false
 	}

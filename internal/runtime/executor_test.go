@@ -49,16 +49,17 @@ func newTestExecutor(f *fabric.Fabric, mover plan.StateMover) (*Engine, *Executo
 
 // counterProgram is a pure-compute program that counts every packet.
 func counterProgram(name string, extraNops int) *flexbpf.Program {
-	a := flexbpf.NewAsm().
+	code := flexbpf.NewAsm().
 		MovImm(0, 0).
 		MovImm(1, 1).
-		Count(name+"_pkts", 0, 1)
+		Count(name+"_pkts", 0, 1).
+		MustBuild()
 	for i := 0; i < extraNops; i++ {
-		a.Nop()
+		code = append(code, flexbpf.Instr{Op: flexbpf.OpNop})
 	}
 	return flexbpf.NewProgram(name).
 		Counter(name+"_pkts", 1).
-		Do(a.Ret().MustBuild()).
+		Do(append(code, flexbpf.Instr{Op: flexbpf.OpRet})).
 		MustBuild()
 }
 

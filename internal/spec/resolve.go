@@ -145,14 +145,13 @@ func resolveBuiltin(kind, name string, args []uint64) (*flexbpf.Program, uint64,
 	return proto.prog, proto.fp, nil
 }
 
-// Resolve validates the spec and instantiates every segment's builtin
-// app kind into a program named after the segment. It copies nothing
-// of a program: each segment refers to the memo's prototype, and
-// ResolvedSegment.Program clones it for the caller that installs it.
+// Resolve instantiates every segment's builtin app kind into a program
+// named after the segment. It takes a spec that Load returned, or one
+// that passed Validate: it does not validate the document again. It
+// copies nothing of a program: each segment refers to the memo's
+// prototype, and ResolvedSegment.Program clones it for the caller that
+// installs it.
 func Resolve(s *Spec) (*Resolved, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
 	r := &Resolved{
 		Version: s.Version,
 		Source:  s,

@@ -70,14 +70,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of observations (zero for a nil receiver).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // HistogramSnapshot is a histogram's state in a Snapshot. Buckets[i]
 // counts observations <= Bounds[i]; the final element counts overflow.
 type HistogramSnapshot struct {

@@ -72,14 +72,6 @@ func (g *Gauge) Set(v int64) {
 	g.v.Store(v)
 }
 
-// Add adjusts the gauge by delta. No-op on a nil receiver.
-func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(delta)
-}
-
 // Value returns the current value (zero for a nil receiver).
 func (g *Gauge) Value() int64 {
 	if g == nil {

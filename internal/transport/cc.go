@@ -147,67 +147,6 @@ func (DCTCP) OnLoss(s *CCState) {
 	s.Cwnd = s.Ssthresh
 }
 
-// Timely is a delay-gradient controller (HPCC/TIMELY flavor): it keeps
-// RTT near the propagation floor, trading a little throughput for very
-// low queueing — the "after" of the CC-swap experiment on RTT-sensitive
-// workloads.
-type Timely struct {
-	// TargetQueueNs is the allowed queueing above base RTT (default 50µs).
-	TargetQueueNs float64
-}
-
-// Name implements CC.
-func (Timely) Name() string { return "timely" }
-
-// Init implements CC.
-func (Timely) Init(s *CCState) {
-	if s.Cwnd == 0 {
-		s.Cwnd = 10
-	}
-}
-
-func (t Timely) target() float64 {
-	if t.TargetQueueNs > 0 {
-		return t.TargetQueueNs
-	}
-	return 50_000
-}
-
-// OnAck implements CC.
-func (t Timely) OnAck(s *CCState, rttNs float64, marked bool) {
-	if s.BaseRTTNs == 0 {
-		return
-	}
-	queue := rttNs - s.BaseRTTNs
-	switch {
-	case queue < t.target():
-		s.Cwnd += 1 / s.Cwnd * 4 // gentle probe
-	case queue > 2*t.target():
-		s.Cwnd = math.Max(s.Cwnd*0.85, 2)
-	default:
-		// In band: hold.
-	}
-}
-
-// OnLoss implements CC.
-func (Timely) OnLoss(s *CCState) {
-	s.Cwnd = math.Max(s.Cwnd/2, 2)
-}
-
-// ByName returns a CC implementation by its name, or nil.
-func ByName(name string) CC {
-	switch name {
-	case "reno":
-		return Reno{}
-	case "dctcp":
-		return DCTCP{}
-	case "timely":
-		return Timely{}
-	default:
-		return nil
-	}
-}
-
 // rtoFor derives a retransmission timeout from RTT state.
 func rtoFor(s *CCState) netsim.Time {
 	base := s.LastRTTNs

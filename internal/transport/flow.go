@@ -39,9 +39,6 @@ func NewEndpoint(h *fabric.Host) *Endpoint {
 	return ep
 }
 
-// Host returns the endpoint's host.
-func (ep *Endpoint) Host() *fabric.Host { return ep.host }
-
 func (ep *Endpoint) handle(p *packet.Packet) bool {
 	if !p.Headers.Has(packet.HeaderTCP) {
 		return false
@@ -147,9 +144,6 @@ func (fl *Flow) Start(done func(*FlowStats)) {
 	fl.sendMore()
 }
 
-// CCName returns the active congestion controller's name.
-func (fl *Flow) CCName() string { return fl.cc.Name() }
-
 // SwapCC replaces the congestion controller mid-flow, preserving window
 // state — the transport-level runtime reprogramming primitive. The new
 // algorithm's Init only fills algorithm-specific fields it needs.
@@ -157,9 +151,6 @@ func (fl *Flow) SwapCC(cc CC) {
 	fl.cc = cc
 	cc.Init(&fl.st)
 }
-
-// Cwnd returns the current congestion window (diagnostics).
-func (fl *Flow) Cwnd() float64 { return fl.st.Cwnd }
 
 // Stats returns a copy of the flow statistics.
 func (fl *Flow) Stats() FlowStats { return fl.stats }

@@ -165,14 +165,6 @@ func TestDCTCPKeepsQueuesShorterThanReno(t *testing.T) {
 	}
 }
 
-func TestTimelyKeepsRTTLow(t *testing.T) {
-	renoRTT, _ := runIncast(t, func() CC { return Reno{} }, false)
-	timelyRTT, _ := runIncast(t, func() CC { return Timely{} }, false)
-	if timelyRTT >= renoRTT {
-		t.Fatalf("Timely mean RTT %.0fns not below Reno %.0fns", timelyRTT, renoRTT)
-	}
-}
-
 func TestSwapCCMidFlow(t *testing.T) {
 	bn := netsim.LinkParams{BandwidthBps: 1_000_000_000, Delay: 10 * time.Microsecond, QueueBytes: 256 << 10}
 	f, eps, _ := dumbbell(t, 1, bn)
@@ -180,7 +172,7 @@ func TestSwapCCMidFlow(t *testing.T) {
 	fl, _ := eps[0].NewFlow(packet.IP(10, 0, 2, 1), 5000, 80, Reno{})
 	fl.Total = 0 // unlimited
 	fl.Start(nil)
-	if fl.CCName() != "reno" {
+	if fl.cc.Name() != "reno" {
 		t.Fatal("wrong initial CC")
 	}
 	f.Sim.RunUntil(100 * time.Millisecond)
@@ -189,12 +181,12 @@ func TestSwapCCMidFlow(t *testing.T) {
 		t.Fatal("flow idle")
 	}
 	// Live swap: the window survives, the policy changes.
-	cwndBefore := fl.Cwnd()
+	cwndBefore := fl.st.Cwnd
 	fl.SwapCC(DCTCP{})
-	if fl.CCName() != "dctcp" {
+	if fl.cc.Name() != "dctcp" {
 		t.Fatal("swap did not take")
 	}
-	if fl.Cwnd() < 2 || (cwndBefore >= 2 && fl.Cwnd() == 0) {
+	if fl.st.Cwnd < 2 || (cwndBefore >= 2 && fl.st.Cwnd == 0) {
 		t.Fatal("swap reset the window")
 	}
 	f.Sim.RunUntil(200 * time.Millisecond)
@@ -228,16 +220,5 @@ func TestECNMarkingOnLink(t *testing.T) {
 	}
 	if marked == 0 || marked == 10 {
 		t.Fatalf("marked = %d, want some but not all", marked)
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, n := range []string{"reno", "dctcp", "timely"} {
-		if cc := ByName(n); cc == nil || cc.Name() != n {
-			t.Fatalf("ByName(%q) broken", n)
-		}
-	}
-	if ByName("bbr") != nil {
-		t.Fatal("unknown CC resolved")
 	}
 }

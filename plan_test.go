@@ -248,8 +248,8 @@ func TestDryRunDoesNotMutate(t *testing.T) {
 	if len(rep.Steps) != 1 || rep.Estimated <= 0 {
 		t.Fatalf("steps %d estimated %v", len(rep.Steps), rep.Estimated)
 	}
-	if out := rep.Format(); !strings.Contains(out, "install") || !strings.Contains(out, uri) {
-		t.Fatalf("report format: %s", out)
+	if step := rep.Steps[0].Step.String(); !strings.Contains(step, "install") || !strings.Contains(step, uri) {
+		t.Fatalf("dry run step: %s", step)
 	}
 	if n.Now() != t0 {
 		t.Fatal("dry run advanced simulated time")

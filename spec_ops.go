@@ -46,7 +46,8 @@ var (
 	LoadSpec = spec.Load
 	// LoadSpecFile reads and parses a spec file.
 	LoadSpecFile = spec.LoadFile
-	// ResolveSpec instantiates every segment's builtin app kind.
+	// ResolveSpec instantiates every segment's builtin app kind of a
+	// spec LoadSpec returned (it does not validate the spec again).
 	ResolveSpec = spec.Resolve
 	// ReplayAudit folds a verified audit chain into intent state.
 	ReplayAudit = audit.Replay
