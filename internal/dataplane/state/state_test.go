@@ -39,10 +39,6 @@ func TestHashMapCapacity(t *testing.T) {
 	if err := m.Store(1, 11); err != nil {
 		t.Fatalf("overwrite at capacity: %v", err)
 	}
-	m.Delete(2)
-	if err := m.Store(3, 30); err != nil {
-		t.Fatalf("store after delete: %v", err)
-	}
 	if m.Len() != 2 {
 		t.Fatalf("len = %d", m.Len())
 	}

@@ -21,8 +21,8 @@ import (
 // quiescence every packet taken from the simulator's pool has been
 // released to it exactly once (a second release panics), with traffic
 // reaching every release site — queue overflow, a link that fails with
-// packets in flight, policy drops, unroutable traffic, punts, the
-// recirculation limit, dRPC delivery and a dRPC interceptor's drops.
+// packets in flight, policy drops, unroutable traffic, punts, dRPC
+// delivery and a dRPC interceptor's drops.
 func TestPacketConservationProperty(t *testing.T) {
 	archs := []dataplane.Arch{dataplane.ArchRMT, dataplane.ArchDRMT, dataplane.ArchTile, dataplane.ArchSoC}
 	for trial := 0; trial < 8; trial++ {
@@ -81,8 +81,8 @@ func TestPacketConservationProperty(t *testing.T) {
 			if err := f.InstallBaseRouting(); err != nil {
 				t.Fatal(err)
 			}
-			// Every switch drops, punts or recirculates the flows sent to
-			// one of three ports, ahead of routing.
+			// Every switch drops or punts the flows sent to one of two
+			// ports, ahead of routing.
 			for _, dn := range f.Devices() {
 				if err := f.Device(dn).InstallProgram(policyProgram()); err != nil {
 					t.Fatal(err)
@@ -116,7 +116,7 @@ func TestPacketConservationProperty(t *testing.T) {
 				})
 				bad.StartCBR(1000)
 				sources = append(sources, bad)
-				for _, port := range []uint16{portDrop, portPunt, portRecirc} {
+				for _, port := range []uint16{portDrop, portPunt} {
 					policed := f.Host(fmt.Sprintf("h%d", i)).NewSource(netsim.FlowSpec{
 						Dst: packet.IP(10, 0, 0, byte((i+1)%nHosts+1)), Proto: packet.ProtoUDP, DstPort: port, PacketLen: 64,
 					})
@@ -175,26 +175,23 @@ func TestPacketConservationProperty(t *testing.T) {
 	}
 }
 
-// The destination ports policyProgram drops, punts and recirculates.
+// The destination ports policyProgram drops and punts.
 const (
-	portDrop   = 7001
-	portPunt   = 7002
-	portRecirc = 7003
+	portDrop = 7001
+	portPunt = 7002
 )
 
-// policyProgram drops, punts or recirculates a UDP packet by its
-// destination port and lets every other packet continue.
+// policyProgram drops or punts a UDP packet by its destination port and
+// lets every other packet continue.
 func policyProgram() *flexbpf.Program {
 	return flexbpf.NewProgram("policy").
-		Do(append(flexbpf.NewAsm().
+		Do(flexbpf.NewAsm().
 			LdField(0, "udp.dport").
 			JEqImm(0, portDrop, "drop").
 			JEqImm(0, portPunt, "punt").
-			JEqImm(0, portRecirc, "recirc").
 			Ret().
 			Label("drop").Drop().
 			Label("punt").Punt().
-			Label("recirc").
-			MustBuild(), flexbpf.Instr{Op: flexbpf.OpRecirc})).
+			MustBuild()).
 		MustBuild()
 }

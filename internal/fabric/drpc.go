@@ -25,7 +25,7 @@ func (f *Fabric) EnableDRPC(devName string, ip uint32) (*drpc.Router, error) {
 	// Originating at the device: run through its own pipeline so the
 	// infrastructure routing program forwards it. inPort -1 skips the
 	// self-delivery check.
-	originate := func(p *packet.Packet, _ int) { f.deviceVisit(sw, p, -1, 0) }
+	originate := func(p *packet.Packet, _ int) { f.deviceVisit(sw, p, -1) }
 	r := drpc.NewRouter(ip, f.Seq(), f.Sim.Packets(), func(p *packet.Packet) {
 		f.Sim.AtPacket(f.Sim.Now(), originate, p, 0)
 	})

@@ -93,8 +93,6 @@ type Fabric struct {
 	// controller; each device also counts them in Stats().Punted. Like
 	// Host.Recv, it borrows the packet for the duration of the call.
 	Punted func(dev string, pkt *packet.Packet)
-	// recircLimit bounds recirculation loops.
-	recircLimit int
 
 	// events counts device visits, egress transmits and host deliveries,
 	// on the simulator's goroutine; the registry reads it through a view.
@@ -116,20 +114,19 @@ type Fabric struct {
 func New(seed int64) *Fabric {
 	sim := netsim.New(seed)
 	f := &Fabric{
-		Sim:         sim,
-		Net:         netsim.NewNetwork(sim),
-		Metrics:     telemetry.NewRegistry(),
-		Tracer:      telemetry.NewTracer(func() int64 { return int64(sim.Now()) }),
-		switches:    map[string]*swtch{},
-		hosts:       map[string]*Host{},
-		routers:     map[string]*drpc.Router{},
-		routerIPs:   map[string]uint32{},
-		recircLimit: 4,
-		routing:     routing.New(),
-		linkID:      map[*netsim.Link]int{},
-		applied:     map[string]*flexbpf.TableInstance{},
-		flowCache:   true,
-		ectx:        flexbpf.NewExecContext(),
+		Sim:       sim,
+		Net:       netsim.NewNetwork(sim),
+		Metrics:   telemetry.NewRegistry(),
+		Tracer:    telemetry.NewTracer(func() int64 { return int64(sim.Now()) }),
+		switches:  map[string]*swtch{},
+		hosts:     map[string]*Host{},
+		routers:   map[string]*drpc.Router{},
+		routerIPs: map[string]uint32{},
+		routing:   routing.New(),
+		linkID:    map[*netsim.Link]int{},
+		applied:   map[string]*flexbpf.TableInstance{},
+		flowCache: true,
+		ectx:      flexbpf.NewExecContext(),
 	}
 	f.Metrics.CounterView("fabric.batch.events", func() uint64 { return f.events })
 	f.routeConverges = f.Metrics.Counter("fabric.routes.converges")
@@ -157,14 +154,13 @@ func (f *Fabric) AddSwitch(name string, arch dataplane.Arch) *dataplane.Device {
 	return f.AddSwitchCfg(dataplane.DefaultConfig(name, arch))
 }
 
-// AddSwitchCfg creates a device from an explicit config. When the config
-// leaves Seed at zero, the device's random source is derived from the
-// fabric simulator's seeded rng, so all per-device randomness descends
-// from the single simulation seed and runs replay bit-for-bit.
+// AddSwitchCfg creates a device from an explicit config.
 func (f *Fabric) AddSwitchCfg(cfg dataplane.Config) *dataplane.Device {
-	if cfg.Seed == 0 {
-		cfg.Seed = f.Sim.Rand().Int63()
-	}
+	// One unused draw per switch from the simulator's seeded rng: every
+	// later draw (traffic, faults, placement), and with it every seeded
+	// output, EXPERIMENTS.md's tables included, is pinned to this
+	// sequence.
+	f.Sim.Rand().Int63()
 	d := dataplane.MustNew(cfg)
 	if !f.flowCache {
 		d.DisableFlowCache()
@@ -175,41 +171,35 @@ func (f *Fabric) AddSwitchCfg(cfg dataplane.Config) *dataplane.Device {
 	f.routing.MarkDevice(cfg.Name)
 	sw := &swtch{Device: d}
 	sw.transmit = func(pkt *packet.Packet, _ int) { f.transmit(node, pkt) }
-	sw.recirculate = func(pkt *packet.Packet, recirc int) {
-		f.deviceVisit(sw, pkt, pkt.IngressPort, recirc)
-	}
 	f.switches[cfg.Name] = sw
 	f.devNames = sortedInsert(f.devNames, cfg.Name)
 	node.SetHandler(func(pkt *packet.Packet, inPort int) {
-		f.deviceVisit(sw, pkt, inPort, 0)
+		f.deviceVisit(sw, pkt, inPort)
 	})
 	return d
 }
 
-// swtch is a device with the handlers of the two events a visit to it
-// can schedule. They are bound once, at AddSwitchCfg, and take the packet
-// as their argument (netsim.Sim.AtPacket), so scheduling one allocates
+// swtch is a device with the handler of the one event a visit to it can
+// schedule. It is bound once, at AddSwitchCfg, and takes the packet as
+// its argument (netsim.Sim.AtPacket), so scheduling it allocates
 // nothing; what varies per packet is read from the packet when the event
 // fires.
 type swtch struct {
 	*dataplane.Device
 	// transmit sends the packet out of its EgressPort.
 	transmit netsim.Handler
-	// recirculate revisits the device on the packet's IngressPort; its
-	// int argument counts the recirculations so far.
-	recirculate netsim.Handler
 }
 
 // fidIPv4Dst is the field deviceVisit compares with a dRPC router's IP.
 var fidIPv4Dst = packet.InternField("ipv4.dst")
 
 // deviceVisit is a packet's visit to a device: it runs the program
-// chain and acts on the verdict. The egress transmit and a recirculation
-// are events of their own, LatencyNs later even when that is 0: folding
-// either into the visit would renumber the event stream and with it
-// every seeded output. Every other verdict ends the packet's life, and
-// the packet goes back to the simulator's pool.
-func (f *Fabric) deviceVisit(sw *swtch, pkt *packet.Packet, inPort, recirc int) {
+// chain and acts on the verdict. The egress transmit is an event of its
+// own, LatencyNs later even when that is 0: folding it into the visit
+// would renumber the event stream and with it every seeded output. Every
+// other verdict ends the packet's life, and the packet goes back to the
+// simulator's pool.
+func (f *Fabric) deviceVisit(sw *swtch, pkt *packet.Packet, inPort int) {
 	f.events++
 	d := sw.Device
 	// dRPC packets addressed to this device's control IP terminate here.
@@ -226,12 +216,6 @@ func (f *Fabric) deviceVisit(sw *swtch, pkt *packet.Packet, inPort, recirc int) 
 	case packet.VerdictForward:
 		f.Sim.AtPacket(f.Sim.Now()+netsim.Time(st.LatencyNs), sw.transmit, pkt, 0)
 		return
-	case packet.VerdictRecirculate:
-		if recirc < f.recircLimit {
-			f.Sim.AtPacket(f.Sim.Now()+netsim.Time(st.LatencyNs), sw.recirculate, pkt, recirc+1)
-			return
-		}
-		f.ContinueDrops++
 	case packet.VerdictToController:
 		if f.Punted != nil {
 			f.Punted(d.Name(), pkt)

@@ -105,23 +105,6 @@ func TestUnroutableDropped(t *testing.T) {
 	}
 }
 
-func TestRecirculationBounded(t *testing.T) {
-	f := New(1)
-	f.AddSwitch("sw", dataplane.ArchSoC)
-	f.AddHost("h1", packet.IP(10, 0, 0, 1))
-	f.Connect("h1", "sw", netsim.DefaultLink())
-	// A program that always recirculates: must be cut off by the limit.
-	prog := recircProgram()
-	if err := f.Device("sw").InstallProgram(prog); err != nil {
-		t.Fatal(err)
-	}
-	f.Host("h1").Send(packet.UDPPacket(1, 1, 2, 3, 4, 10))
-	f.Sim.Run()
-	if f.ContinueDrops != 1 {
-		t.Fatalf("recirc loop not bounded: drops=%d", f.ContinueDrops)
-	}
-}
-
 func TestPuntedCallback(t *testing.T) {
 	f := New(1)
 	f.AddSwitch("sw", dataplane.ArchDRMT)

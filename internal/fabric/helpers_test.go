@@ -2,13 +2,6 @@ package fabric
 
 import "flexnet/internal/flexbpf"
 
-// recircProgram always recirculates (loop-bound test).
-func recircProgram() *flexbpf.Program {
-	return flexbpf.NewProgram("recirc").
-		Do([]flexbpf.Instr{{Op: flexbpf.OpRecirc}}).
-		MustBuild()
-}
-
 // puntProgram punts everything to the controller.
 func puntProgram() *flexbpf.Program {
 	return flexbpf.NewProgram("punt").

@@ -22,10 +22,6 @@ func (m *benchMap) store(k, v uint64) {
 	i := k & 4095
 	m.vals[i], m.present[i] = v, true
 }
-func (m *benchMap) del(k uint64) {
-	i := k & 4095
-	m.vals[i], m.present[i] = 0, false
-}
 
 // benchEnv implements both Env and LinkedEnv over the same storage, with
 // the same addressing asymmetry the production dataplane has: the
@@ -64,21 +60,18 @@ func (e *benchEnv) MapStore(name string, k, v uint64) error {
 	e.object(name).store(k, v)
 	return nil
 }
-func (e *benchEnv) MapDelete(name string, k uint64)         { e.object(name).del(k) }
 func (e *benchEnv) CounterAdd(string, uint64, uint64)       {}
 func (e *benchEnv) MeterExec(string, uint64, uint64) uint64 { return 0 }
 func (e *benchEnv) TableLookup(t string, keys []uint64) (string, []uint64, bool) {
 	return e.tables[t].Lookup(keys)
 }
-func (e *benchEnv) Now() uint64  { return 0 }
-func (e *benchEnv) Rand() uint64 { return 0 }
+func (e *benchEnv) Now() uint64 { return 0 }
 
 func (e *benchEnv) MapLoadSlot(s int, k uint64) (uint64, bool) { return e.slots[s].load(k) }
 func (e *benchEnv) MapStoreSlot(s int, k, v uint64) error {
 	e.slots[s].store(k, v)
 	return nil
 }
-func (e *benchEnv) MapDeleteSlot(s int, k uint64)            { e.slots[s].del(k) }
 func (e *benchEnv) CounterAddSlot(int, uint64, uint64)       {}
 func (e *benchEnv) MeterExecSlot(int, uint64, uint64) uint64 { return 0 }
 
@@ -148,7 +141,7 @@ func benchPipelineProgram(t testing.TB) *Program {
 		SubImm(0, 1).
 		StField("ipv4.ttl", 0).
 		LdField(1, "ipv4.dscp").
-		emit(Instr{Op: OpOrImm, Rd: 1, Imm: 8}).
+		XorImm(1, 8).
 		StField("ipv4.dscp", 1).
 		MustBuild()
 	allow := NewAsm().LdParam(0, 0).Forward(0).MustBuild()

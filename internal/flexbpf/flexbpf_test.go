@@ -18,7 +18,6 @@ type testEnv struct {
 	meters map[string]map[uint64]uint64
 	tables map[string]*TableInstance
 	now    uint64
-	rnd    *rand.Rand
 }
 
 func newTestEnv() *testEnv {
@@ -27,7 +26,6 @@ func newTestEnv() *testEnv {
 		counters: map[string]map[uint64]uint64{},
 		meters:   map[string]map[uint64]uint64{},
 		tables:   map[string]*TableInstance{},
-		rnd:      rand.New(rand.NewSource(1)),
 	}
 }
 
@@ -42,7 +40,6 @@ func (e *testEnv) MapStore(m string, k, v uint64) error {
 	e.maps[m][k] = v
 	return nil
 }
-func (e *testEnv) MapDelete(m string, k uint64) { delete(e.maps[m], k) }
 func (e *testEnv) CounterAdd(c string, i, d uint64) {
 	if e.counters[c] == nil {
 		e.counters[c] = map[uint64]uint64{}
@@ -63,8 +60,7 @@ func (e *testEnv) TableLookup(t string, keys []uint64) (string, []uint64, bool) 
 	}
 	return ti.Lookup(keys)
 }
-func (e *testEnv) Now() uint64  { return e.now }
-func (e *testEnv) Rand() uint64 { return e.rnd.Uint64() }
+func (e *testEnv) Now() uint64 { return e.now }
 
 func run(t *testing.T, prog *Program, pkt *packet.Packet, env Env) ExecResult {
 	t.Helper()
@@ -220,24 +216,16 @@ func TestInterpALU(t *testing.T) {
 		want uint64
 	}{
 		{"add", func(a *Asm) *Asm { return a.MovImm(0, 7).MovImm(1, 5).Add(0, 1) }, 12},
-		{"sub", func(a *Asm) *Asm { return a.MovImm(0, 7).MovImm(1, 5).emit(Instr{Op: OpSub, Rd: 0, Rs: 1}) }, 2},
-		{"mul", func(a *Asm) *Asm { return a.MovImm(0, 7).MovImm(1, 5).emit(Instr{Op: OpMul, Rd: 0, Rs: 1}) }, 35},
-		{"div", func(a *Asm) *Asm { return a.MovImm(0, 35).MovImm(1, 5).emit(Instr{Op: OpDiv, Rd: 0, Rs: 1}) }, 7},
-		{"div0", func(a *Asm) *Asm { return a.MovImm(0, 35).MovImm(1, 0).emit(Instr{Op: OpDiv, Rd: 0, Rs: 1}) }, 0},
 		{"mod", func(a *Asm) *Asm { return a.MovImm(0, 37).MovImm(1, 5).Mod(0, 1) }, 2},
 		{"mod0", func(a *Asm) *Asm { return a.MovImm(0, 37).MovImm(1, 0).Mod(0, 1) }, 0},
-		{"and", func(a *Asm) *Asm { return a.MovImm(0, 0xF0).MovImm(1, 0x3C).emit(Instr{Op: OpAnd, Rd: 0, Rs: 1}) }, 0x30},
 		{"or", func(a *Asm) *Asm { return a.MovImm(0, 0xF0).MovImm(1, 0x0C).Or(0, 1) }, 0xFC},
 		{"xor", func(a *Asm) *Asm { return a.MovImm(0, 0xFF).MovImm(1, 0x0F).Xor(0, 1) }, 0xF0},
-		{"shl", func(a *Asm) *Asm { return a.MovImm(0, 1).MovImm(1, 4).emit(Instr{Op: OpShl, Rd: 0, Rs: 1}) }, 16},
-		{"shr", func(a *Asm) *Asm { return a.MovImm(0, 16).MovImm(1, 4).emit(Instr{Op: OpShr, Rd: 0, Rs: 1}) }, 1},
 		{"min", func(a *Asm) *Asm { return a.MovImm(0, 9).MovImm(1, 5).Min(0, 1) }, 5},
-		{"max", func(a *Asm) *Asm { return a.MovImm(0, 9).MovImm(1, 5).emit(Instr{Op: OpMax, Rd: 0, Rs: 1}) }, 9},
 		{"addi", func(a *Asm) *Asm { return a.MovImm(0, 9).AddImm(0, 5) }, 14},
 		{"subi", func(a *Asm) *Asm { return a.MovImm(0, 9).SubImm(0, 5) }, 4},
-		{"muli", func(a *Asm) *Asm { return a.MovImm(0, 9).emit(Instr{Op: OpMulImm, Rd: 0, Imm: 5}) }, 45},
+		{"andi", func(a *Asm) *Asm { return a.MovImm(0, 0xF0).AndImm(0, 0x3C) }, 0x30},
+		{"xori", func(a *Asm) *Asm { return a.MovImm(0, 0xFF).XorImm(0, 0x0F) }, 0xF0},
 		{"shli", func(a *Asm) *Asm { return a.MovImm(0, 3).ShlImm(0, 2) }, 12},
-		{"shri", func(a *Asm) *Asm { return a.MovImm(0, 12).emit(Instr{Op: OpShrImm, Rd: 0, Imm: 2}) }, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -256,10 +244,10 @@ func TestInterpALU(t *testing.T) {
 }
 
 func TestInterpJumps(t *testing.T) {
-	// if r0 >= 10 goto big; out=1; end. big: out=2
+	// if r0 > 9 goto big; out=1; end. big: out=2
 	code := NewAsm().
 		LdField(0, "meta.in").
-		jump(OpJGeImm, 0, 0, 10, "big").
+		JGtImm(0, 9, "big").
 		MovImm(1, 1).
 		jump(OpJmp, 0, 0, 0, "store").
 		Label("big").
@@ -291,8 +279,8 @@ func TestInterpMapOps(t *testing.T) {
 		StField("meta.has", 2).
 		MapLoad(3, "m", 0).
 		StField("meta.val", 3).
-		emit(Instr{Op: OpMapDelete, Rs: 0, Sym: "m"}).
-		MapHas(4, "m", 0).
+		MovImm(5, 43). // a key never stored
+		MapHas(4, "m", 5).
 		StField("meta.has2", 4).
 		Ret().
 		MustBuild()
@@ -342,7 +330,6 @@ func TestInterpHeaderOps(t *testing.T) {
 		AddHdr("int").
 		MovImm(0, 9).
 		StField("int.hopcount", 0).
-		emit(Instr{Op: OpRmHdr, Sym: "vlan"}).
 		Ret().
 		MustBuild()
 	p, err := NewProgram("hdrs").Do(code).Build()
@@ -357,8 +344,8 @@ func TestInterpHeaderOps(t *testing.T) {
 	if !pkt.Has("int") || pkt.Field("int.hopcount") != 9 {
 		t.Fatal("int header not added")
 	}
-	if pkt.Has("vlan") {
-		t.Fatal("vlan not removed")
+	if !pkt.Has("vlan") {
+		t.Fatal("adding int lost the vlan header")
 	}
 }
 
@@ -445,7 +432,7 @@ func TestVerifierRejections(t *testing.T) {
 		{
 			"unreachable code",
 			func() *ProgramBuilder {
-				return NewProgram("p").Do([]Instr{{Op: OpRet}, {Op: OpNop}})
+				return NewProgram("p").Do([]Instr{{Op: OpRet}, {Op: OpRet}})
 			},
 			"unreachable",
 		},
@@ -655,7 +642,7 @@ func TestAsmLabelErrors(t *testing.T) {
 	if _, err := NewAsm().jump(OpJmp, 0, 0, 0, "nowhere").Build(); err == nil {
 		t.Fatal("undefined label accepted")
 	}
-	if _, err := NewAsm().Label("l").emit(Instr{Op: OpNop}).jump(OpJmp, 0, 0, 0, "l").Build(); err == nil {
+	if _, err := NewAsm().Label("l").MovImm(0, 0).jump(OpJmp, 0, 0, 0, "l").Build(); err == nil {
 		t.Fatal("backward label accepted")
 	}
 	a := NewAsm().Label("x").Label("x")
@@ -668,9 +655,9 @@ func TestProgramClone(t *testing.T) {
 	p := aclProgram(t)
 	q := p.Clone()
 	q.Tables[0].Size = 9999
-	q.Actions["deny"].Body[0].Op = OpNop
+	q.Actions["deny"].Body[0].Op = OpRet
 	q.Maps[0].MaxEntries = 1
-	if p.Tables[0].Size == 9999 || p.Actions["deny"].Body[0].Op == OpNop || p.Maps[0].MaxEntries == 1 {
+	if p.Tables[0].Size == 9999 || p.Actions["deny"].Body[0].Op == OpRet || p.Maps[0].MaxEntries == 1 {
 		t.Fatal("clone shares storage with original")
 	}
 	if err := Verify(p); err != nil {

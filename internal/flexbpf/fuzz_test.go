@@ -8,21 +8,13 @@ import (
 	"flexnet/internal/packet"
 )
 
-// randomInstr draws an arbitrary (possibly invalid) instruction.
+// randomInstr draws an arbitrary (possibly invalid) instruction. The
+// opcode comes from the whole enum plus opMax and lopApply, which the
+// verifier must reject as source instructions.
 func randomInstr(r *rand.Rand) Instr {
-	ops := []Op{
-		OpNop, OpMovImm, OpMov, OpLdField, OpHasField, OpStField, OpAddHdr,
-		OpRmHdr, OpLdParam, OpAdd, OpSub, OpMul, OpDiv, OpMod, OpAnd, OpOr,
-		OpXor, OpShl, OpShr, OpMin, OpMax, OpAddImm, OpSubImm, OpMulImm,
-		OpAndImm, OpOrImm, OpXorImm, OpShlImm, OpShrImm, OpMapLoad, OpMapHas,
-		OpMapStore, OpMapDelete, OpHash, OpFlowHash, OpNow, OpRand, OpPktLen,
-		OpCount, OpMeterExec, OpJmp, OpJEq, OpJNe, OpJLt, OpJGe, OpJGt, OpJLe,
-		OpJEqImm, OpJNeImm, OpJLtImm, OpJGeImm, OpJGtImm, OpJLeImm, OpDrop,
-		OpForward, OpPunt, OpRecirc, OpRet,
-	}
 	syms := []string{"m", "c", "mt", "ipv4.dst", "tcp.flags", "meta.x", "int", "vlan", "ghost", ""}
 	return Instr{
-		Op:  ops[r.Intn(len(ops))],
+		Op:  Op(r.Intn(int(opMax) + 2)),
 		Rd:  Reg(r.Intn(20)), // sometimes out of range
 		Rs:  Reg(r.Intn(20)),
 		Rt:  Reg(r.Intn(20)),

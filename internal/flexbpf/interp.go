@@ -15,8 +15,6 @@ type Env interface {
 	MapLoad(mapName string, key uint64) (uint64, bool)
 	// MapStore writes key→val. It may fail when a bounded map is full.
 	MapStore(mapName string, key, val uint64) error
-	// MapDelete removes key. Deleting an absent key is a no-op.
-	MapDelete(mapName string, key uint64)
 	// CounterAdd adds delta to counter[idx].
 	CounterAdd(counter string, idx, delta uint64)
 	// MeterExec charges bytes to meter[idx] and returns the color
@@ -26,8 +24,6 @@ type Env interface {
 	TableLookup(table string, keys []uint64) (action string, params []uint64, hit bool)
 	// Now returns current time in nanoseconds of simulation time.
 	Now() uint64
-	// Rand returns a pseudo-random value from the device's seeded source.
-	Rand() uint64
 }
 
 // ExecResult summarizes one packet's trip through a program.
@@ -163,7 +159,6 @@ func (in Interp) runBlock(prog *Program, code []Instr, params []uint64, pkt *pac
 		res.Instrs++
 		pc++
 		switch ins.Op {
-		case OpNop:
 		case OpMovImm:
 			regs[ins.Rd] = ins.Imm
 		case OpMov:
@@ -182,8 +177,6 @@ func (in Interp) runBlock(prog *Program, code []Instr, params []uint64, pkt *pac
 			if err := pkt.AddHeader(ins.Sym); err != nil {
 				return &execError{prog.Name, pc - 1, err.Error()}
 			}
-		case OpRmHdr:
-			pkt.RemoveHeader(ins.Sym)
 		case OpLdParam:
 			if int(ins.Imm) < len(params) {
 				regs[ins.Rd] = params[ins.Imm]
@@ -192,56 +185,30 @@ func (in Interp) runBlock(prog *Program, code []Instr, params []uint64, pkt *pac
 			}
 		case OpAdd:
 			regs[ins.Rd] += regs[ins.Rs]
-		case OpSub:
-			regs[ins.Rd] -= regs[ins.Rs]
-		case OpMul:
-			regs[ins.Rd] *= regs[ins.Rs]
-		case OpDiv:
-			if regs[ins.Rs] == 0 {
-				regs[ins.Rd] = 0
-			} else {
-				regs[ins.Rd] /= regs[ins.Rs]
-			}
 		case OpMod:
 			if regs[ins.Rs] == 0 {
 				regs[ins.Rd] = 0
 			} else {
 				regs[ins.Rd] %= regs[ins.Rs]
 			}
-		case OpAnd:
-			regs[ins.Rd] &= regs[ins.Rs]
 		case OpOr:
 			regs[ins.Rd] |= regs[ins.Rs]
 		case OpXor:
 			regs[ins.Rd] ^= regs[ins.Rs]
-		case OpShl:
-			regs[ins.Rd] <<= regs[ins.Rs] & 63
-		case OpShr:
-			regs[ins.Rd] >>= regs[ins.Rs] & 63
 		case OpMin:
 			if regs[ins.Rs] < regs[ins.Rd] {
-				regs[ins.Rd] = regs[ins.Rs]
-			}
-		case OpMax:
-			if regs[ins.Rs] > regs[ins.Rd] {
 				regs[ins.Rd] = regs[ins.Rs]
 			}
 		case OpAddImm:
 			regs[ins.Rd] += ins.Imm
 		case OpSubImm:
 			regs[ins.Rd] -= ins.Imm
-		case OpMulImm:
-			regs[ins.Rd] *= ins.Imm
 		case OpAndImm:
 			regs[ins.Rd] &= ins.Imm
-		case OpOrImm:
-			regs[ins.Rd] |= ins.Imm
 		case OpXorImm:
 			regs[ins.Rd] ^= ins.Imm
 		case OpShlImm:
 			regs[ins.Rd] <<= ins.Imm & 63
-		case OpShrImm:
-			regs[ins.Rd] >>= ins.Imm & 63
 		case OpMapLoad:
 			v, _ := env.MapLoad(ins.Sym, regs[ins.Rs])
 			regs[ins.Rd] = v
@@ -256,16 +223,12 @@ func (in Interp) runBlock(prog *Program, code []Instr, params []uint64, pkt *pac
 			// matching hardware insert-miss semantics; programs that care
 			// use OpMapHas to verify.
 			_ = env.MapStore(ins.Sym, regs[ins.Rs], regs[ins.Rt])
-		case OpMapDelete:
-			env.MapDelete(ins.Sym, regs[ins.Rs])
 		case OpHash:
 			regs[ins.Rd] = fnv64(regs[ins.Rs])
 		case OpFlowHash:
 			regs[ins.Rd] = pkt.FlowKey().Hash()
 		case OpNow:
 			regs[ins.Rd] = env.Now()
-		case OpRand:
-			regs[ins.Rd] = env.Rand()
 		case OpPktLen:
 			regs[ins.Rd] = uint64(pkt.Len())
 		case OpCount:
@@ -274,11 +237,7 @@ func (in Interp) runBlock(prog *Program, code []Instr, params []uint64, pkt *pac
 			regs[ins.Rd] = env.MeterExec(ins.Sym, regs[ins.Rs], regs[ins.Rt])
 		case OpJmp:
 			pc += int(ins.Off)
-		case OpJEq, OpJNe, OpJLt, OpJGe, OpJGt, OpJLe:
-			if cmpRegs(ins.Op, regs[ins.Rs], regs[ins.Rt]) {
-				pc += int(ins.Off)
-			}
-		case OpJEqImm, OpJNeImm, OpJLtImm, OpJGeImm, OpJGtImm, OpJLeImm:
+		case OpJEqImm, OpJLtImm, OpJGtImm, OpJLeImm:
 			if cmpImm(ins.Op, regs[ins.Rs], ins.Imm) {
 				pc += int(ins.Off)
 			}
@@ -292,9 +251,6 @@ func (in Interp) runBlock(prog *Program, code []Instr, params []uint64, pkt *pac
 		case OpPunt:
 			res.Verdict = packet.VerdictToController
 			return nil
-		case OpRecirc:
-			res.Verdict = packet.VerdictRecirculate
-			return nil
 		case OpRet:
 			return nil
 		default:
@@ -307,34 +263,12 @@ func (in Interp) runBlock(prog *Program, code []Instr, params []uint64, pkt *pac
 	return nil
 }
 
-func cmpRegs(op Op, a, b uint64) bool {
-	switch op {
-	case OpJEq:
-		return a == b
-	case OpJNe:
-		return a != b
-	case OpJLt:
-		return a < b
-	case OpJGe:
-		return a >= b
-	case OpJGt:
-		return a > b
-	case OpJLe:
-		return a <= b
-	}
-	return false
-}
-
 func cmpImm(op Op, a, b uint64) bool {
 	switch op {
 	case OpJEqImm:
 		return a == b
-	case OpJNeImm:
-		return a != b
 	case OpJLtImm:
 		return a < b
-	case OpJGeImm:
-		return a >= b
 	case OpJGtImm:
 		return a > b
 	case OpJLeImm:

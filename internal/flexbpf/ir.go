@@ -45,7 +45,7 @@ type MapKind uint8
 const (
 	// MapArray is a dense array indexed 0..MaxEntries-1 (register file).
 	MapArray MapKind = iota
-	// MapHash is a sparse hash map with insert/delete.
+	// MapHash is a sparse hash map; inserts fail when it is full.
 	MapHash
 	// MapLRU is a hash map that evicts the least recently used entry
 	// when full rather than failing inserts (flow caches).
@@ -160,9 +160,8 @@ type Op uint8
 // Off is a forward jump offset in instructions (relative to the next
 // instruction, so Off=0 is a no-op jump).
 const (
-	OpNop Op = iota
 	// OpMovImm: rd = imm.
-	OpMovImm
+	OpMovImm Op = iota
 	// OpMov: rd = rs.
 	OpMov
 	// OpLdField: rd = pkt[Sym] (0 if field absent).
@@ -173,33 +172,21 @@ const (
 	OpStField
 	// OpAddHdr: mark header Sym present.
 	OpAddHdr
-	// OpRmHdr: remove header Sym and its fields.
-	OpRmHdr
 	// OpLdParam: rd = actionParams[Imm].
 	OpLdParam
 
 	// ALU: rd = rd OP rs.
 	OpAdd
-	OpSub
-	OpMul
-	OpDiv // rd = rd / rs; rs==0 yields 0 (hardware-style saturate)
-	OpMod // rs==0 yields 0
-	OpAnd
+	OpMod // rs==0 yields 0 (hardware-style saturate)
 	OpOr
 	OpXor
-	OpShl
-	OpShr
 	OpMin
-	OpMax
 	// ALU immediate forms: rd = rd OP imm.
 	OpAddImm
 	OpSubImm
-	OpMulImm
 	OpAndImm
-	OpOrImm
 	OpXorImm
 	OpShlImm
-	OpShrImm
 
 	// OpMapLoad: rd = map[Sym][rs] (0 if absent).
 	OpMapLoad
@@ -207,8 +194,6 @@ const (
 	OpMapHas
 	// OpMapStore: map[Sym][rs] = rt.
 	OpMapStore
-	// OpMapDelete: delete map[Sym][rs].
-	OpMapDelete
 
 	// OpHash: rd = fnv64(rs).
 	OpHash
@@ -216,8 +201,6 @@ const (
 	OpFlowHash
 	// OpNow: rd = current time in nanoseconds.
 	OpNow
-	// OpRand: rd = pseudo-random uint64.
-	OpRand
 	// OpPktLen: rd = packet length in bytes.
 	OpPktLen
 
@@ -229,18 +212,11 @@ const (
 
 	// Control flow (forward-only).
 	OpJmp // pc += Off
-	// Register-register conditionals: if rs CMP rt { pc += Off }.
-	OpJEq
-	OpJNe
-	OpJLt
-	OpJGe
-	OpJGt
-	OpJLe
-	// Register-immediate conditionals: if rs CMP imm { pc += Off }.
+	// Register-immediate conditionals: if rs CMP imm { pc += Off }. The
+	// linker's load-and-branch fusion tests the range OpJEqImm..OpJLeImm,
+	// so these four stay contiguous.
 	OpJEqImm
-	OpJNeImm
 	OpJLtImm
-	OpJGeImm
 	OpJGtImm
 	OpJLeImm
 
@@ -251,8 +227,6 @@ const (
 	OpForward
 	// OpPunt sends the packet to the controller.
 	OpPunt
-	// OpRecirc recirculates the packet through the pipeline.
-	OpRecirc
 	// OpRet ends the block without a terminal verdict.
 	OpRet
 

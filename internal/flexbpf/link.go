@@ -78,9 +78,9 @@ const (
 const regMask = NumRegs - 1
 
 // linstr is the linked instruction encoding: 16 bytes, scalar-only. The
-// source Instr's Sym string is resolved at link time (a header name of
-// OpAddHdr/OpRmHdr to its packet.HeaderID, carried in imm), so linked
-// code packs four instructions per cache line and holds no pointers.
+// source Instr's Sym string is resolved at link time (OpAddHdr's header
+// name to its packet.HeaderID, carried in imm), so linked code packs
+// four instructions per cache line and holds no pointers.
 type linstr struct {
 	op         Op
 	rd, rs, rt Reg
@@ -96,13 +96,10 @@ type linstr struct {
 type LinkedEnv interface {
 	MapLoadSlot(slot int, key uint64) (uint64, bool)
 	MapStoreSlot(slot int, key, val uint64) error
-	MapDeleteSlot(slot int, key uint64)
 	CounterAddSlot(slot int, idx, delta uint64)
 	MeterExecSlot(slot int, idx, bytes uint64) uint64
 	// Now returns current time in nanoseconds of simulation time.
 	Now() uint64
-	// Rand returns a pseudo-random value from the device's seeded source.
-	Rand() uint64
 }
 
 // LinkedCond is a pipeline condition with its field references resolved
@@ -329,13 +326,13 @@ func (lk *linker) lowerBlock(body []Instr, where string) ([]linstr, error) {
 		switch ins.Op {
 		case OpLdField, OpHasField, OpStField:
 			li.imm = uint64(packet.InternField(ins.Sym))
-		case OpAddHdr, OpRmHdr:
+		case OpAddHdr:
 			id, err := packet.InternHeader(ins.Sym)
 			if err != nil {
 				return nil, &linkError{lk.prog.Name, where, err.Error()}
 			}
 			li.imm = uint64(id)
-		case OpMapLoad, OpMapHas, OpMapStore, OpMapDelete:
+		case OpMapLoad, OpMapHas, OpMapStore:
 			slot, ok := lk.mapSlot[ins.Sym]
 			if !ok {
 				return nil, &linkError{lk.prog.Name, where, fmt.Sprintf("reference to undeclared map %q", ins.Sym)}
@@ -353,8 +350,7 @@ func (lk *linker) lowerBlock(body []Instr, where string) ([]linstr, error) {
 				return nil, &linkError{lk.prog.Name, where, fmt.Sprintf("reference to undeclared meter %q", ins.Sym)}
 			}
 			li.imm = uint64(slot)
-		case OpJmp, OpJEq, OpJNe, OpJLt, OpJGe, OpJGt, OpJLe,
-			OpJEqImm, OpJNeImm, OpJLtImm, OpJGeImm, OpJGtImm, OpJLeImm:
+		case OpJmp, OpJEqImm, OpJLtImm, OpJGtImm, OpJLeImm:
 			if ins.Off < 0 || pc+1+int(ins.Off) > len(body) {
 				return nil, &linkError{lk.prog.Name, where, fmt.Sprintf("jump at pc=%d out of block bounds", pc)}
 			}
@@ -413,9 +409,7 @@ func fuseBlock(code []linstr) []linstr {
 
 func isJump(op Op) bool {
 	switch op {
-	case OpJmp, OpJEq, OpJNe, OpJLt, OpJGe, OpJGt, OpJLe,
-		OpJEqImm, OpJNeImm, OpJLtImm, OpJGeImm, OpJGtImm, OpJLeImm,
-		lopLdJImm:
+	case OpJmp, OpJEqImm, OpJLtImm, OpJGtImm, OpJLeImm, lopLdJImm:
 		return true
 	}
 	return false
@@ -730,7 +724,6 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 		}
 		instrs++
 		switch ins.op {
-		case OpNop:
 		case OpMovImm:
 			regs[ins.rd&regMask] = ins.imm
 		case OpMov:
@@ -750,8 +743,6 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 				res.Instrs = instrs
 				return &execError{lp.prog.Name, pc - 1, err.Error()}
 			}
-		case OpRmHdr:
-			pkt.RemoveHeaderID(packet.HeaderID(ins.imm))
 		case OpLdParam:
 			if int(ins.imm) < len(params) {
 				regs[ins.rd&regMask] = params[ins.imm]
@@ -760,56 +751,30 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 			}
 		case OpAdd:
 			regs[ins.rd&regMask] += regs[ins.rs&regMask]
-		case OpSub:
-			regs[ins.rd&regMask] -= regs[ins.rs&regMask]
-		case OpMul:
-			regs[ins.rd&regMask] *= regs[ins.rs&regMask]
-		case OpDiv:
-			if regs[ins.rs&regMask] == 0 {
-				regs[ins.rd&regMask] = 0
-			} else {
-				regs[ins.rd&regMask] /= regs[ins.rs&regMask]
-			}
 		case OpMod:
 			if regs[ins.rs&regMask] == 0 {
 				regs[ins.rd&regMask] = 0
 			} else {
 				regs[ins.rd&regMask] %= regs[ins.rs&regMask]
 			}
-		case OpAnd:
-			regs[ins.rd&regMask] &= regs[ins.rs&regMask]
 		case OpOr:
 			regs[ins.rd&regMask] |= regs[ins.rs&regMask]
 		case OpXor:
 			regs[ins.rd&regMask] ^= regs[ins.rs&regMask]
-		case OpShl:
-			regs[ins.rd&regMask] <<= regs[ins.rs&regMask] & 63
-		case OpShr:
-			regs[ins.rd&regMask] >>= regs[ins.rs&regMask] & 63
 		case OpMin:
 			if regs[ins.rs&regMask] < regs[ins.rd&regMask] {
-				regs[ins.rd&regMask] = regs[ins.rs&regMask]
-			}
-		case OpMax:
-			if regs[ins.rs&regMask] > regs[ins.rd&regMask] {
 				regs[ins.rd&regMask] = regs[ins.rs&regMask]
 			}
 		case OpAddImm:
 			regs[ins.rd&regMask] += ins.imm
 		case OpSubImm:
 			regs[ins.rd&regMask] -= ins.imm
-		case OpMulImm:
-			regs[ins.rd&regMask] *= ins.imm
 		case OpAndImm:
 			regs[ins.rd&regMask] &= ins.imm
-		case OpOrImm:
-			regs[ins.rd&regMask] |= ins.imm
 		case OpXorImm:
 			regs[ins.rd&regMask] ^= ins.imm
 		case OpShlImm:
 			regs[ins.rd&regMask] <<= ins.imm & 63
-		case OpShrImm:
-			regs[ins.rd&regMask] >>= ins.imm & 63
 		case OpMapLoad:
 			v, _ := env.MapLoadSlot(int(ins.imm), regs[ins.rs&regMask])
 			regs[ins.rd&regMask] = v
@@ -823,16 +788,12 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 			// Store failures (map full) are silent at the data plane,
 			// matching hardware insert-miss semantics.
 			_ = env.MapStoreSlot(int(ins.imm), regs[ins.rs&regMask], regs[ins.rt&regMask])
-		case OpMapDelete:
-			env.MapDeleteSlot(int(ins.imm), regs[ins.rs&regMask])
 		case OpHash:
 			regs[ins.rd&regMask] = fnv64(regs[ins.rs&regMask])
 		case OpFlowHash:
 			regs[ins.rd&regMask] = pkt.FlowKey().Hash()
 		case OpNow:
 			regs[ins.rd&regMask] = env.Now()
-		case OpRand:
-			regs[ins.rd&regMask] = env.Rand()
 		case OpPktLen:
 			regs[ins.rd&regMask] = uint64(pkt.Len())
 		case OpCount:
@@ -841,11 +802,7 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 			regs[ins.rd&regMask] = env.MeterExecSlot(int(ins.imm), regs[ins.rs&regMask], regs[ins.rt&regMask])
 		case OpJmp:
 			pc += int(ins.off)
-		case OpJEq, OpJNe, OpJLt, OpJGe, OpJGt, OpJLe:
-			if cmpRegs(ins.op, regs[ins.rs&regMask], regs[ins.rt&regMask]) {
-				pc += int(ins.off)
-			}
-		case OpJEqImm, OpJNeImm, OpJLtImm, OpJGeImm, OpJGtImm, OpJLeImm:
+		case OpJEqImm, OpJLtImm, OpJGtImm, OpJLeImm:
 			if cmpImm(ins.op, regs[ins.rs&regMask], ins.imm) {
 				pc += int(ins.off)
 			}
@@ -861,10 +818,6 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 		case OpPunt:
 			res.Instrs = instrs
 			res.Verdict = packet.VerdictToController
-			return nil
-		case OpRecirc:
-			res.Instrs = instrs
-			res.Verdict = packet.VerdictRecirculate
 			return nil
 		case OpRet:
 			res.Instrs = instrs

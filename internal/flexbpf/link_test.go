@@ -23,9 +23,6 @@ func (e *linkedTestEnv) MapLoadSlot(slot int, k uint64) (uint64, bool) {
 func (e *linkedTestEnv) MapStoreSlot(slot int, k, v uint64) error {
 	return e.MapStore(e.lp.MapSlots()[slot], k, v)
 }
-func (e *linkedTestEnv) MapDeleteSlot(slot int, k uint64) {
-	e.MapDelete(e.lp.MapSlots()[slot], k)
-}
 func (e *linkedTestEnv) CounterAddSlot(slot int, i, d uint64) {
 	e.CounterAdd(e.lp.CounterSlots()[slot], i, d)
 }
@@ -131,7 +128,7 @@ func TestLinkedEquivalenceACL(t *testing.T) {
 
 // controlFlowProgram exercises every lowered construct: nested If/Else,
 // inline Do blocks with mid-block OpRet and forward jumps, an exact
-// table with a default action, map has/delete, meter, counter, and
+// table with a default action, map has/store, meter, counter, and
 // header ops.
 func controlFlowProgram(t *testing.T) *Program {
 	t.Helper()
@@ -145,7 +142,7 @@ func controlFlowProgram(t *testing.T) *Program {
 		MapStore("seen", 1, 3).
 		Ret(). // mid-block return: lowered to a jump over the tail
 		Label("old").
-		emit(Instr{Op: OpMapDelete, Rs: 1, Sym: "seen"}).
+		MapStore("seen", 1, 2).
 		MustBuild()
 	meterDo := NewAsm().
 		LdField(0, "ipv4.len").
@@ -261,7 +258,7 @@ func TestLinkedInstrCountsExact(t *testing.T) {
 		t.Fatalf("instrs=%d lookups=%d, want 14/1", res.Instrs, res.Lookups)
 	}
 	// Same flow again: classify takes the "old" path (6 instrs: the
-	// Ret-as-jump path is skipped, MapDelete runs instead, no Ret).
+	// Ret-as-jump path is skipped, a MapStore runs instead, no Ret).
 	pkt2 := packet.TCPPacket(2, packet.IP(1, 1, 1, 1), packet.IP(2, 0, 0, 1), 9, 80, 0, 64)
 	res2, err := lp.Run(pkt2, env, ctx)
 	if err != nil {

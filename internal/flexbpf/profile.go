@@ -19,9 +19,9 @@ import (
 type CacheProfile struct {
 	// Cacheable reports that the program's output depends only on the
 	// packet (Reads, headers, length) and its tables' contents: no
-	// per-flow state, counters, meters, clock, randomness, or header
-	// add/remove, and no punt/recirculate verdicts. Programs that fail
-	// this are never short-circuited by the flow cache.
+	// per-flow state, counters, meters, clock or header insertion, and
+	// no punt verdict. Programs that fail this are never
+	// short-circuited by the flow cache.
 	Cacheable bool
 	// Reads and Writes are the field IDs the program may read or write,
 	// sorted and deduplicated. Conservative over-approximations: every
@@ -68,12 +68,11 @@ func (ps *profileScan) block(code []linstr) {
 		case OpFlowHash:
 			// FlowKey's truncated 5-tuple is the cache key itself, so two
 			// packets sharing a cache entry share the hash by construction.
-		case OpMapLoad, OpMapHas, OpMapStore, OpMapDelete, lopMapInc, lopMapIncR,
-			OpCount, OpMeterExec, OpNow, OpRand,
-			OpAddHdr, OpRmHdr, OpPunt, OpRecirc:
-			// Per-flow state, clocks, randomness, header edits, and
-			// non-terminal verdicts: output is not a function of the
-			// validation set, or replay would skip required side effects.
+		case OpMapLoad, OpMapHas, OpMapStore, lopMapInc, lopMapIncR,
+			OpCount, OpMeterExec, OpNow, OpAddHdr, OpPunt:
+			// Per-flow state, clocks, header insertion and punts: output
+			// is not a function of the validation set, or replay would
+			// skip required side effects.
 			ps.cacheable = false
 		}
 	}

@@ -7,21 +7,16 @@ import (
 )
 
 var opNames = map[Op]string{
-	OpNop: "nop", OpMovImm: "movi", OpMov: "mov",
+	OpMovImm: "movi", OpMov: "mov",
 	OpLdField: "ldf", OpHasField: "hasf", OpStField: "stf",
-	OpAddHdr: "addh", OpRmHdr: "rmh", OpLdParam: "ldp",
-	OpAdd: "add", OpSub: "sub", OpMul: "mul", OpDiv: "div", OpMod: "mod",
-	OpAnd: "and", OpOr: "or", OpXor: "xor", OpShl: "shl", OpShr: "shr",
-	OpMin: "min", OpMax: "max",
-	OpAddImm: "addi", OpSubImm: "subi", OpMulImm: "muli",
-	OpAndImm: "andi", OpOrImm: "ori", OpXorImm: "xori",
-	OpShlImm: "shli", OpShrImm: "shri",
-	OpMapLoad: "mld", OpMapHas: "mhas", OpMapStore: "mst", OpMapDelete: "mdel",
-	OpHash: "hash", OpFlowHash: "fhash", OpNow: "now", OpRand: "rand", OpPktLen: "plen",
+	OpAddHdr: "addh", OpLdParam: "ldp",
+	OpAdd: "add", OpMod: "mod", OpOr: "or", OpXor: "xor", OpMin: "min",
+	OpAddImm: "addi", OpSubImm: "subi", OpAndImm: "andi", OpXorImm: "xori", OpShlImm: "shli",
+	OpMapLoad: "mld", OpMapHas: "mhas", OpMapStore: "mst",
+	OpHash: "hash", OpFlowHash: "fhash", OpNow: "now", OpPktLen: "plen",
 	OpCount: "cnt", OpMeterExec: "mtr",
-	OpJmp: "jmp", OpJEq: "jeq", OpJNe: "jne", OpJLt: "jlt", OpJGe: "jge", OpJGt: "jgt", OpJLe: "jle",
-	OpJEqImm: "jeqi", OpJNeImm: "jnei", OpJLtImm: "jlti", OpJGeImm: "jgei", OpJGtImm: "jgti", OpJLeImm: "jlei",
-	OpDrop: "drop", OpForward: "fwd", OpPunt: "punt", OpRecirc: "recirc", OpRet: "ret",
+	OpJmp: "jmp", OpJEqImm: "jeqi", OpJLtImm: "jlti", OpJGtImm: "jgti", OpJLeImm: "jlei",
+	OpDrop: "drop", OpForward: "fwd", OpPunt: "punt", OpRet: "ret",
 }
 
 // OpName returns the assembly mnemonic of op.
@@ -49,9 +44,8 @@ func (i Instr) String() string {
 		parts = append(parts, i.Sym)
 	}
 	switch i.Op {
-	case OpMovImm, OpLdParam, OpAddImm, OpSubImm, OpMulImm, OpAndImm, OpOrImm,
-		OpXorImm, OpShlImm, OpShrImm, OpJEqImm, OpJNeImm, OpJLtImm, OpJGeImm,
-		OpJGtImm, OpJLeImm:
+	case OpMovImm, OpLdParam, OpAddImm, OpSubImm, OpAndImm, OpXorImm, OpShlImm,
+		OpJEqImm, OpJLtImm, OpJGtImm, OpJLeImm:
 		parts = append(parts, fmt.Sprintf("#%d", i.Imm))
 	}
 	if cls.jump {

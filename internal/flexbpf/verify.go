@@ -202,70 +202,47 @@ const (
 )
 
 var opClasses = map[Op]opClass{
-	OpNop:      {},
 	OpMovImm:   {writesRd: true},
 	OpMov:      {readsRs: true, writesRd: true},
 	OpLdField:  {writesRd: true, sym: symField},
 	OpHasField: {writesRd: true, sym: symField},
 	OpStField:  {readsRs: true, sym: symField},
 	OpAddHdr:   {sym: symHeader},
-	OpRmHdr:    {sym: symHeader},
 	OpLdParam:  {writesRd: true},
 
 	OpAdd: {readsRs: true, readsRd: true, writesRd: true},
-	OpSub: {readsRs: true, readsRd: true, writesRd: true},
-	OpMul: {readsRs: true, readsRd: true, writesRd: true},
-	OpDiv: {readsRs: true, readsRd: true, writesRd: true},
 	OpMod: {readsRs: true, readsRd: true, writesRd: true},
-	OpAnd: {readsRs: true, readsRd: true, writesRd: true},
 	OpOr:  {readsRs: true, readsRd: true, writesRd: true},
 	OpXor: {readsRs: true, readsRd: true, writesRd: true},
-	OpShl: {readsRs: true, readsRd: true, writesRd: true},
-	OpShr: {readsRs: true, readsRd: true, writesRd: true},
 	OpMin: {readsRs: true, readsRd: true, writesRd: true},
-	OpMax: {readsRs: true, readsRd: true, writesRd: true},
 
 	OpAddImm: {readsRd: true, writesRd: true},
 	OpSubImm: {readsRd: true, writesRd: true},
-	OpMulImm: {readsRd: true, writesRd: true},
 	OpAndImm: {readsRd: true, writesRd: true},
-	OpOrImm:  {readsRd: true, writesRd: true},
 	OpXorImm: {readsRd: true, writesRd: true},
 	OpShlImm: {readsRd: true, writesRd: true},
-	OpShrImm: {readsRd: true, writesRd: true},
 
-	OpMapLoad:   {readsRs: true, writesRd: true, sym: symMap},
-	OpMapHas:    {readsRs: true, writesRd: true, sym: symMap},
-	OpMapStore:  {readsRs: true, readsRt: true, sym: symMap},
-	OpMapDelete: {readsRs: true, sym: symMap},
+	OpMapLoad:  {readsRs: true, writesRd: true, sym: symMap},
+	OpMapHas:   {readsRs: true, writesRd: true, sym: symMap},
+	OpMapStore: {readsRs: true, readsRt: true, sym: symMap},
 
 	OpHash:     {readsRs: true, writesRd: true},
 	OpFlowHash: {writesRd: true},
 	OpNow:      {writesRd: true},
-	OpRand:     {writesRd: true},
 	OpPktLen:   {writesRd: true},
 
 	OpCount:     {readsRs: true, readsRt: true, sym: symCounter},
 	OpMeterExec: {readsRs: true, readsRt: true, writesRd: true, sym: symMeter},
 
 	OpJmp:    {jump: true},
-	OpJEq:    {readsRs: true, readsRt: true, jump: true},
-	OpJNe:    {readsRs: true, readsRt: true, jump: true},
-	OpJLt:    {readsRs: true, readsRt: true, jump: true},
-	OpJGe:    {readsRs: true, readsRt: true, jump: true},
-	OpJGt:    {readsRs: true, readsRt: true, jump: true},
-	OpJLe:    {readsRs: true, readsRt: true, jump: true},
 	OpJEqImm: {readsRs: true, jump: true},
-	OpJNeImm: {readsRs: true, jump: true},
 	OpJLtImm: {readsRs: true, jump: true},
-	OpJGeImm: {readsRs: true, jump: true},
 	OpJGtImm: {readsRs: true, jump: true},
 	OpJLeImm: {readsRs: true, jump: true},
 
 	OpDrop:    {terminal: true},
 	OpForward: {readsRs: true, terminal: true},
 	OpPunt:    {terminal: true},
-	OpRecirc:  {terminal: true},
 	OpRet:     {terminal: true},
 }
 

@@ -32,7 +32,7 @@
 //     handed to the wrong configuration would show.
 //
 // Only pipelines whose static CacheProfile is cacheable (no per-flow
-// state, clocks, randomness, or header restructuring) are eligible; the
+// state, clocks or header insertion) are eligible; the
 // device layer enforces that before consulting the cache.
 package flowcache
 

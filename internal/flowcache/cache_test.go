@@ -54,9 +54,15 @@ func TestMatchValidations(t *testing.T) {
 		t.Fatal("entry must not match a packet with a different dependency field")
 	}
 
-	// A header-chain difference retires the match.
+	// A header-chain difference retires the match: the same fields
+	// under a chain without the L4 header.
 	hdrless := testPacket(5000)
-	hdrless.RemoveHeaderID(hdrless.Headers.At(hdrless.Headers.Len() - 1))
+	hdrless.Headers = packet.Chain{}
+	for _, id := range []packet.HeaderID{packet.HeaderEth, packet.HeaderIPv4} {
+		if err := hdrless.AddHeaderID(id); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if e.match(hdrless) {
 		t.Fatal("entry must not match a packet with a different header chain")
 	}

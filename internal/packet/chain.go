@@ -86,15 +86,3 @@ func (c *Chain) insert(i int, id HeaderID) error {
 	c.bytes += headerSize[id]
 	return nil
 }
-
-// remove takes id out of the chain, if it is there.
-func (c *Chain) remove(id HeaderID) {
-	i := c.index(id)
-	if i < 0 {
-		return
-	}
-	copy(c.ids[i:c.n], c.ids[i+1:c.n])
-	c.n--
-	c.ids[c.n] = 0
-	c.bytes -= headerSize[id]
-}

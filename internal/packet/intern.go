@@ -2,7 +2,6 @@ package packet
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -22,10 +21,6 @@ type FieldID int32
 type fieldTable struct {
 	byName map[string]FieldID
 	names  []string
-	// byHeader maps a header name to the IDs of all fields interned under
-	// its "<header>." prefix, in intern order. RemoveHeader uses it to
-	// clear a header's fields without scanning a map.
-	byHeader map[string][]FieldID
 }
 
 var (
@@ -35,10 +30,7 @@ var (
 	// emptyFields stands in before the first intern. Header registration
 	// runs during package-variable init, before any init() would run, so
 	// loads must tolerate a nil pointer.
-	emptyFields = &fieldTable{
-		byName:   map[string]FieldID{},
-		byHeader: map[string][]FieldID{},
-	}
+	emptyFields = &fieldTable{byName: map[string]FieldID{}}
 )
 
 func loadFields() *fieldTable {
@@ -63,25 +55,15 @@ func InternField(name string) FieldID {
 	}
 	id := FieldID(len(old.names))
 	next := &fieldTable{
-		byName:   make(map[string]FieldID, len(old.byName)+1),
-		names:    make([]string, len(old.names), len(old.names)+1),
-		byHeader: make(map[string][]FieldID, len(old.byHeader)+1),
+		byName: make(map[string]FieldID, len(old.byName)+1),
+		names:  make([]string, len(old.names), len(old.names)+1),
 	}
 	for k, v := range old.byName {
 		next.byName[k] = v
 	}
 	copy(next.names, old.names)
-	for k, v := range old.byHeader {
-		next.byHeader[k] = v
-	}
 	next.byName[name] = id
 	next.names = append(next.names, name)
-	if dot := strings.IndexByte(name, '.'); dot > 0 {
-		hdr := name[:dot]
-		// Copy-on-append so published slices stay immutable.
-		ids := next.byHeader[hdr]
-		next.byHeader[hdr] = append(append([]FieldID(nil), ids...), id)
-	}
 	fields.Store(next)
 	return id
 }
@@ -104,13 +86,6 @@ func FieldIDName(id FieldID) string {
 // NumFieldIDs returns the number of interned field names. IDs are dense:
 // every id in [0, NumFieldIDs()) is valid.
 func NumFieldIDs() int { return len(loadFields().names) }
-
-// HeaderFieldIDs returns the IDs of every interned field under the
-// "<header>." prefix. The returned slice is shared and must not be
-// mutated.
-func HeaderFieldIDs(header string) []FieldID {
-	return loadFields().byHeader[header]
-}
 
 // HeaderID is a dense handle for an interned header type name: what a
 // header chain (Chain) holds in place of the name, as the PHV is indexed

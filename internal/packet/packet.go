@@ -46,8 +46,6 @@ const (
 	VerdictDrop
 	// VerdictToController means the packet is punted to the control plane.
 	VerdictToController
-	// VerdictRecirculate means the packet re-enters the pipeline.
-	VerdictRecirculate
 )
 
 func (v Verdict) String() string {
@@ -60,8 +58,6 @@ func (v Verdict) String() string {
 		return "drop"
 	case VerdictToController:
 		return "to-controller"
-	case VerdictRecirculate:
-		return "recirculate"
 	default:
 		return fmt.Sprintf("verdict(%d)", uint8(v))
 	}
@@ -135,7 +131,7 @@ func (p *Packet) phv(n int) (vals, present []uint64) {
 }
 
 // Clone deep-copies the packet into a new allocation. Clones are used
-// when a device replicates or recirculates traffic, and by a Recv or
+// when a device replicates traffic, and by a Recv or
 // Punted callback that keeps a packet past the call.
 func (p *Packet) Clone() *Packet { return (*Pool)(nil).Clone(p) }
 
@@ -164,23 +160,6 @@ func (p *Packet) AddHeaderID(id HeaderID) error { return p.Headers.insert(ChainC
 // outermost; past the end appends), as a VLAN tag goes in after
 // Ethernet. A header already present stays where it is.
 func (p *Packet) InsertHeaderID(i int, id HeaderID) error { return p.Headers.insert(i, id) }
-
-// RemoveHeader removes the named header and all of its fields.
-func (p *Packet) RemoveHeader(header string) {
-	if id, ok := HeaderIDOf(header); ok {
-		p.Headers.remove(id)
-	}
-	for _, id := range HeaderFieldIDs(header) {
-		p.clearField(id)
-	}
-}
-
-// RemoveHeaderID is RemoveHeader by interned ID.
-func (p *Packet) RemoveHeaderID(id HeaderID) {
-	if name := HeaderName(id); name != "" {
-		p.RemoveHeader(name)
-	}
-}
 
 // grow extends the PHV to cover FieldID i (fields interned after this
 // packet was created).
@@ -225,17 +204,6 @@ func (p *Packet) SetFieldByID(id FieldID, v uint64) {
 	}
 	p.vals[i] = v
 	p.present[i/64] |= 1 << (uint(i) % 64)
-}
-
-func (p *Packet) clearField(id FieldID) {
-	i := int(id)
-	if i < 0 || i >= len(p.vals) {
-		return
-	}
-	p.vals[i] = 0
-	if i/64 < len(p.present) {
-		p.present[i/64] &^= 1 << (uint(i) % 64)
-	}
 }
 
 // Field returns the value of the named field, or 0 if absent.

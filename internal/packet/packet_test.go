@@ -107,7 +107,7 @@ func TestCloneIndependence(t *testing.T) {
 
 // TestCloneInlineStorage: a packet's PHV and presence bitset live in the
 // struct until they outgrow it, so a clone must point at its own copies.
-// Nothing done to either packet — headers added and removed, a field set
+// Nothing done to either packet — headers added or inserted, a field set
 // that was interned after both were made, a field past the inline PHV —
 // may show on the other.
 func TestCloneInlineStorage(t *testing.T) {
@@ -136,12 +136,12 @@ func TestCloneInlineStorage(t *testing.T) {
 	onOrig("fourth header", func(x *Packet) { x.AddHeader("int") })
 	onClone("fifth header", func(x *Packet) { x.AddHeader("flexepoch") })
 	onOrig("fifth header", func(x *Packet) { x.AddHeader("drpc") })
-	onClone("RemoveHeader", func(x *Packet) { x.RemoveHeader("tcp") })
-	onOrig("RemoveHeader", func(x *Packet) { x.RemoveHeader("ipv4") })
-	if want := []string{"eth", "ipv4", "vlan", "flexepoch"}; !reflect.DeepEqual(q.Headers.Names(), want) {
+	onClone("inserted header", func(x *Packet) { x.InsertHeaderID(0, HeaderUDP) })
+	onOrig("inserted header", func(x *Packet) { x.InsertHeaderID(1, HeaderVLAN) })
+	if want := []string{"udp", "eth", "ipv4", "tcp", "vlan", "flexepoch"}; !reflect.DeepEqual(q.Headers.Names(), want) {
 		t.Fatalf("clone headers = %v, want %v", q.Headers, want)
 	}
-	if want := []string{"eth", "tcp", "int", "drpc"}; !reflect.DeepEqual(p.Headers.Names(), want) {
+	if want := []string{"eth", "vlan", "ipv4", "tcp", "int", "drpc"}; !reflect.DeepEqual(p.Headers.Names(), want) {
 		t.Fatalf("original headers = %v, want %v", p.Headers, want)
 	}
 
@@ -168,7 +168,7 @@ func TestCloneInlineStorage(t *testing.T) {
 	if rWas != pWas {
 		t.Fatalf("clone of the grown packet differs:\n%s\n%s", rWas, pWas)
 	}
-	step("clearing a header on the grown original", p, r, &rWas, func(x *Packet) { x.RemoveHeader("eth") })
+	step("adding a header to the grown original", p, r, &rWas, func(x *Packet) { x.AddHeader("udp") })
 }
 
 // TestNewPastInlineBitset: with more fields interned than the inline PHV
@@ -190,20 +190,6 @@ func TestNewPastInlineBitset(t *testing.T) {
 	}
 	if q.FieldByID(last) != 6 || q.NumFields() != 2 {
 		t.Fatalf("clone = %d with %d fields, want 6 with 2", q.FieldByID(last), q.NumFields())
-	}
-}
-
-func TestRemoveHeader(t *testing.T) {
-	p := TCPPacket(1, 1, 2, 3, 4, 0, 0)
-	p.RemoveHeader("tcp")
-	if p.Has("tcp") {
-		t.Fatal("tcp still present")
-	}
-	if _, ok := p.FieldOK("tcp.sport"); ok {
-		t.Fatal("tcp fields not removed")
-	}
-	if !p.Has("ipv4") {
-		t.Fatal("ipv4 removed unexpectedly")
 	}
 }
 
@@ -239,7 +225,7 @@ func TestPacketLen(t *testing.T) {
 func TestVerdictString(t *testing.T) {
 	for v, want := range map[Verdict]string{
 		VerdictContinue: "continue", VerdictForward: "forward", VerdictDrop: "drop",
-		VerdictToController: "to-controller", VerdictRecirculate: "recirculate", Verdict(99): "verdict(99)",
+		VerdictToController: "to-controller", Verdict(99): "verdict(99)",
 	} {
 		if v.String() != want {
 			t.Errorf("Verdict(%d).String() = %q, want %q", v, v.String(), want)

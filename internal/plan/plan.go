@@ -8,7 +8,10 @@
 //	Prepare   stage new instances and placements on every device without
 //	          activating them; traffic still sees the old configuration.
 //	Commit    epoch-atomic activation, all devices at one simulated
-//	          instant, so no packet observes a mixed configuration.
+//	          instant: each device visit runs wholly under the old or
+//	          the new configuration, but a packet in flight between two
+//	          of the plan's devices at that instant ran the old one
+//	          upstream and meets the new one downstream.
 //
 // If any step fails in any phase, the executor (internal/runtime) rolls
 // back: staged-but-inactive changes are aborted, already-activated

@@ -8,7 +8,7 @@ import (
 
 func prog(name string) *flexbpf.Program {
 	return flexbpf.NewProgram(name).
-		Do([]flexbpf.Instr{{Op: flexbpf.OpNop}}).
+		Do([]flexbpf.Instr{{Op: flexbpf.OpRet}}).
 		MustBuild()
 }
 

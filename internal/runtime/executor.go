@@ -35,8 +35,10 @@ import (
 // takes its estimated reconfiguration latency of simulated time (traffic
 // keeps flowing under the old configuration), and every device then
 // activates at one simulated instant — the epoch-atomic network-wide
-// flip. Rollback also happens within a single instant, so no packet
-// ever observes a mixed configuration, even on failure.
+// flip. Rollback also happens within a single instant. A device visit
+// runs wholly under one configuration, but a packet in flight between
+// two footprint devices at a flip or a rollback runs the old
+// configuration upstream and the new one downstream.
 type Executor struct {
 	eng    *Engine
 	device func(string) *dataplane.Device

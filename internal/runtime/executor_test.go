@@ -47,7 +47,8 @@ func newTestExecutor(f *fabric.Fabric, mover plan.StateMover) (*Engine, *Executo
 	return eng, NewExecutor(eng, f.Device, mover, f)
 }
 
-// counterProgram is a pure-compute program that counts every packet.
+// counterProgram is a pure-compute program that counts every packet,
+// padded with extraNops instructions that change nothing visible.
 func counterProgram(name string, extraNops int) *flexbpf.Program {
 	code := flexbpf.NewAsm().
 		MovImm(0, 0).
@@ -55,7 +56,7 @@ func counterProgram(name string, extraNops int) *flexbpf.Program {
 		Count(name+"_pkts", 0, 1).
 		MustBuild()
 	for i := 0; i < extraNops; i++ {
-		code = append(code, flexbpf.Instr{Op: flexbpf.OpNop})
+		code = append(code, flexbpf.Instr{Op: flexbpf.OpMovImm, Rd: 2})
 	}
 	return flexbpf.NewProgram(name).
 		Counter(name+"_pkts", 1).
