@@ -26,7 +26,6 @@ import (
 	"flexnet/internal/fabric"
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/packet"
-	"flexnet/internal/runtime"
 	"flexnet/internal/spec"
 )
 
@@ -111,8 +110,7 @@ func benchControlPlaneOps(b *testing.B, incremental bool) {
 	if err := fabric.BuildFatTree(f, fabric.FatTreeSpec{K: 8, HostsPerEdge: 1}); err != nil {
 		b.Fatal(err)
 	}
-	eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-	ctl := controller.New(f, eng)
+	ctl := controller.New(f)
 	ctl.SetIncrementalPlacement(incremental)
 	ctx := context.Background()
 	mkSeg := func(entries int) *Program {

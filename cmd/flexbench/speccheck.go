@@ -10,7 +10,6 @@ import (
 
 	"flexnet/internal/controller"
 	"flexnet/internal/fabric"
-	flexrt "flexnet/internal/runtime"
 	"flexnet/internal/spec"
 )
 
@@ -52,7 +51,7 @@ func specCheck(seed int64, dir string) (string, error) {
 		if err := fabric.BuildFatTree(f, fabric.FatTreeSpec{K: 4, HostsPerEdge: 1}); err != nil {
 			return "", fmt.Errorf("spec-check: %w", err)
 		}
-		ctl := controller.New(f, flexrt.NewEngine(f.Sim, flexrt.DefaultCosts()))
+		ctl := controller.New(f)
 		var rep *controller.SpecReport
 		var applyErr error
 		done := false

@@ -49,7 +49,6 @@ import (
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
 	"flexnet/internal/plan"
-	"flexnet/internal/runtime"
 	"flexnet/internal/telemetry"
 	"flexnet/internal/transport"
 )
@@ -194,18 +193,16 @@ func MustParseIP(s string) uint32 {
 
 // Builder assembles a Network topology.
 type Builder struct {
-	fab   *fabric.Fabric
-	costs runtime.Costs
-	drpc  map[string]string // device → control IP
-	err   error
+	fab  *fabric.Fabric
+	drpc map[string]string // device → control IP
+	err  error
 }
 
 // New starts building a network with the given random seed.
 func New(seed int64) *Builder {
 	return &Builder{
-		fab:   fabric.New(seed),
-		costs: runtime.DefaultCosts(),
-		drpc:  map[string]string{},
+		fab:  fabric.New(seed),
+		drpc: map[string]string{},
 	}
 }
 
@@ -283,12 +280,6 @@ func (b *Builder) DRPC(device, ip string) *Builder {
 	return b
 }
 
-// ReconfigCosts overrides the runtime reconfiguration cost model.
-func (b *Builder) ReconfigCosts(c runtime.Costs) *Builder {
-	b.costs = c
-	return b
-}
-
 // Workers does nothing: the simulator runs one event at a time
 // (DESIGN.md §9), so any n builds the same network. It stays only until
 // benchmark/, which a product change may not edit, stops calling it.
@@ -313,7 +304,7 @@ func (b *Builder) Build() (*Network, error) {
 	if err := b.fab.InstallBaseRouting(); err != nil {
 		return nil, err
 	}
-	ctl := controller.New(b.fab, runtime.NewEngine(b.fab.Sim, b.costs))
+	ctl := controller.New(b.fab)
 	return &Network{fab: b.fab, ctl: ctl}, nil
 }
 

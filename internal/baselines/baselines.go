@@ -204,28 +204,11 @@ func (h *Hyper4) Process(pkt *packet.Packet) dataplane.ProcStats {
 // The device drains — dropping every arriving packet — for the cost
 // model's DrainLead+Reflash of simulated time, then prog is installed and
 // the device rejoins. done receives the install's error at redeploy.
-func StaticRecompile(sim *netsim.Sim, dev *dataplane.Device, costs runtime.Costs, prog *flexbpf.Program, done func(error)) {
+func StaticRecompile(sim *netsim.Sim, dev *dataplane.Device, prog *flexbpf.Program, done func(error)) {
 	dev.SetDraining(true)
-	sim.After(costs.DrainLead+costs.Reflash, func() {
+	sim.After(runtime.DrainLead+runtime.Reflash, func() {
 		err := dev.InstallProgram(prog)
 		dev.SetDraining(false)
 		done(err)
 	})
-}
-
-// ApproachComparison summarizes a dynamic-app scenario outcome for one
-// approach — the row type of experiment E4.
-type ApproachComparison struct {
-	Approach string
-	// DeployLatency is time from request to the app processing traffic.
-	DeployLatency netsim.Time
-	// DowntimeDrops counts packets lost during deployment.
-	DowntimeDrops uint64
-	// ResourceBits is steady-state memory consumed on the device.
-	ResourceBits int
-	// PerPacketLookups is the per-packet table-access cost afterwards.
-	PerPacketLookups int
-	// SupportsUnanticipated reports whether an app outside the
-	// compile-time set can be deployed at all.
-	SupportsUnanticipated bool
 }

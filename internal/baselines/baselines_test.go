@@ -158,7 +158,6 @@ func TestCompileTimeChangeDropsTraffic(t *testing.T) {
 		SrcPort: 1000, DstPort: 2000, PacketLen: 500,
 	})
 	src.StartCBR(10000)
-	costs := runtime.DefaultCosts()
 	dev := f.Device("sw1")
 
 	var latency netsim.Time
@@ -166,7 +165,7 @@ func TestCompileTimeChangeDropsTraffic(t *testing.T) {
 	var err error
 	f.Sim.At(50*time.Millisecond, func() {
 		start := f.Sim.Now()
-		StaticRecompile(f.Sim, dev, costs, apps.SYNDefense("sd", 128, 3), func(e error) {
+		StaticRecompile(f.Sim, dev, apps.SYNDefense("sd", 128, 3), func(e error) {
 			latency, redeployed, err = f.Sim.Now()-start, true, e
 		})
 		if !dev.Draining() {
@@ -183,7 +182,7 @@ func TestCompileTimeChangeDropsTraffic(t *testing.T) {
 	if dev.Draining() || dev.Instance("sd") == nil {
 		t.Fatal("device not redeployed with the new program")
 	}
-	outage := costs.DrainLead + costs.Reflash
+	outage := runtime.DrainLead + runtime.Reflash
 	if latency < outage {
 		t.Fatalf("baseline latency %v < outage %v", latency, outage)
 	}

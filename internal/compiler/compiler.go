@@ -95,7 +95,6 @@ type Assignment struct {
 
 // Plan is a compiled placement for a datapath.
 type Plan struct {
-	Datapath    string
 	Assignments []Assignment
 	// Iterations is how many compile rounds were needed (1 = first try).
 	Iterations int
@@ -109,7 +108,7 @@ type Plan struct {
 	EnergyWatts float64
 	// TargetsScanned counts candidate-device examinations performed while
 	// placing — the work term the control-plane cost model charges for
-	// (Costs.PlaceTarget). Full compilation scans every target per
+	// (runtime.EstimatePlacement). Full compilation scans every target per
 	// segment per round; incremental plans scan only around the touched
 	// segments.
 	TargetsScanned int
@@ -161,7 +160,7 @@ func (st *scratchTarget) freeNow() flexbpf.Demand {
 // through devices in path order; two segments may share a device). A nil
 // path allows any order (vertical-only placement).
 func (c *Compiler) Compile(dp *flexbpf.Datapath, targets []Target, path []string) (*Plan, error) {
-	plan := &Plan{Datapath: dp.Name}
+	plan := &Plan{}
 	scratch := make([]*scratchTarget, len(targets))
 	index := map[string]int{}
 	for i, t := range targets {

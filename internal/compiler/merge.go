@@ -30,8 +30,6 @@ type MergeStats struct {
 type Merge struct {
 	Program *flexbpf.Program
 	Stats   MergeStats
-	// MergedTable is the name of the cross-product table.
-	MergedTable string
 }
 
 const noopAction = "_noop"
@@ -175,11 +173,7 @@ func MergeTables(prog *flexbpf.Program, t1Name, t2Name string, perLookupNs uint6
 	stats.LookupsSaved = 1
 	stats.LatencySavedNs = perLookupNs
 
-	return &Merge{
-		Program:     out,
-		Stats:       stats,
-		MergedTable: mergedName,
-	}, nil
+	return &Merge{Program: out, Stats: stats}, nil
 }
 
 func ternaryKeys(keys []flexbpf.TableKey) []flexbpf.TableKey {

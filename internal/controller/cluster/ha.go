@@ -162,11 +162,8 @@ func NewHA(sim *netsim.Sim, n int, cfg HAConfig) *HAGroup {
 	}
 	for i := 0; i < n; i++ {
 		rep := &HAReplica{id: i, g: g, alive: true, votedFor: -1}
-		rep.router = drpc.NewRouter(baseIP+uint32(i), &g.seq, sim.Packets(), g.transportFor(rep))
-		rep.router.SetScheduler(
-			func() uint64 { return uint64(sim.Now()) },
-			func(d uint64, fn func()) { sim.After(netsim.Time(d), fn) },
-		)
+		rep.router = drpc.NewRouter(baseIP+uint32(i), &g.seq, sim.Packets(), g.transportFor(rep),
+			func(d uint64, fn func()) { sim.After(netsim.Time(d), fn) })
 		if err := rep.router.Register(drpc.ServiceHA, rep.handle); err != nil {
 			panic(err) // fresh router; cannot happen
 		}

@@ -149,7 +149,6 @@ type Tenant struct {
 // Controller pilots one fabric.
 type Controller struct {
 	fab  *fabric.Fabric
-	eng  *runtime.Engine
 	comp *compiler.Compiler
 	mig  *migrate.Migrator
 
@@ -196,19 +195,18 @@ type Controller struct {
 
 // New creates a controller over the fabric. It places with the fungible
 // compiler.
-func New(fab *fabric.Fabric, eng *runtime.Engine) *Controller {
+func New(fab *fabric.Fabric) *Controller {
 	c := &Controller{
 		fab:         fab,
-		eng:         eng,
 		comp:        compiler.New(compiler.StrategyFungible),
-		mig:         migrate.New(fab, eng),
+		mig:         migrate.New(fab),
 		state:       newRegistry(),
 		targets:     newTargetCache(fab),
 		incremental: true,
 		placeScans:  fab.Metrics.Counter("ctl.placement.targets_scanned"),
 		placeSegs:   fab.Metrics.Counter("ctl.placement.segments_recompiled"),
 	}
-	c.exec = runtime.NewExecutor(eng, fab.Device, c.mig, fab)
+	c.exec = runtime.NewExecutor(fab.Sim, fab.Device, c.mig, fab)
 	c.exec.SetTelemetry(fab.Metrics, fab.Tracer)
 	c.audit = audit.NewLog(func() int64 { return int64(fab.Sim.Now()) })
 	// Every record after the genesis one is an appended mutation.
@@ -254,7 +252,7 @@ func (c *Controller) planningCharge(scanned, segments int) netsim.Time {
 	if segments > 0 {
 		c.placeSegs.Add(uint64(segments))
 	}
-	return c.eng.EstimatePlacement(scanned, segments)
+	return runtime.EstimatePlacement(scanned, segments)
 }
 
 // Compiler exposes the placement compiler, for callers that plan

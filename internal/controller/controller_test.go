@@ -18,7 +18,6 @@ import (
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
 	"flexnet/internal/plan"
-	"flexnet/internal/runtime"
 	"flexnet/internal/spec"
 )
 
@@ -44,8 +43,7 @@ func testbed(t *testing.T) (*fabric.Fabric, *Controller) {
 	if err := f.InstallBaseRouting(); err != nil {
 		t.Fatal(err)
 	}
-	eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-	return f, New(f, eng)
+	return f, New(f)
 }
 
 func deploy(t *testing.T, f *fabric.Fabric, c *Controller, uri string, dp *flexbpf.Datapath, opts DeployOptions) {

@@ -85,7 +85,7 @@ func (c *Controller) EnableHA(n int, cfg cluster.HAConfig) *HA {
 		kills:      met.Counter("ha.leader_kills"),
 		resumed:    met.Counter("ha.plans_resumed"),
 		rolled:     met.Counter("ha.plans_rolled_back"),
-		failoverNs: met.Histogram("ha.failover_ns", telemetry.DefaultLatencyBounds),
+		failoverNs: met.Histogram("ha.failover_ns"),
 	}
 	// Bootstrap state transfer: every replica starts from the chain as
 	// it stands at enable time; from here shadows only advance through

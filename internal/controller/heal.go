@@ -11,7 +11,6 @@ import (
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/netsim"
 	"flexnet/internal/plan"
-	"flexnet/internal/telemetry"
 )
 
 // Healer is the controller's reconciler (DESIGN.md §10.3). Each scan
@@ -132,7 +131,7 @@ func (h *Healer) reconcile(name string, d *dataplane.Device, crashed bool, gen u
 		mttr := uint64(h.c.fab.Sim.Now()) - crashedAt
 		h.MTTRs = append(h.MTTRs, mttr)
 		met.Counter("heal.recovered").Inc()
-		met.Histogram("heal.mttr_ns", telemetry.DefaultLatencyBounds).Observe(int64(mttr))
+		met.Histogram("heal.mttr_ns").Observe(int64(mttr))
 	})
 }
 

@@ -192,7 +192,7 @@ func (c *Controller) Redeploy(ctx context.Context, uri string, newDP *flexbpf.Da
 			replicas[a.Segment] = devs
 		}
 		app.Datapath = newDP
-		app.Plan = &compiler.Plan{Datapath: newDP.Name, Assignments: assigns, Iterations: inc.Iterations, TargetsScanned: inc.TargetsScanned}
+		app.Plan = &compiler.Plan{Assignments: assigns, Iterations: inc.Iterations, TargetsScanned: inc.TargetsScanned}
 		app.Replicas = replicas
 	}}, err, done)
 }

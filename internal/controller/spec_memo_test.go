@@ -14,7 +14,6 @@ import (
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/flexbpf/delta"
 	"flexnet/internal/plan"
-	"flexnet/internal/runtime"
 	"flexnet/internal/spec"
 )
 
@@ -30,7 +29,7 @@ func fatTreeBed(t testing.TB, seed int64, k int) (*fabric.Fabric, *Controller) {
 	if err := fabric.BuildFatTree(f, fabric.FatTreeSpec{K: k, HostsPerEdge: 1}); err != nil {
 		t.Fatal(err)
 	}
-	return f, New(f, runtime.NewEngine(f.Sim, runtime.DefaultCosts()))
+	return f, New(f)
 }
 
 // await runs the simulator until op's completion callback has fired and

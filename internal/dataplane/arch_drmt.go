@@ -13,7 +13,6 @@ import (
 // to pool-capacity checks. This mirrors the Nvidia Spectrum architecture
 // the authors' runtime-programmable switch work builds on [66].
 type drmtModel struct {
-	cfg        Config
 	pool       flexbpf.Demand // remaining
 	total      flexbpf.Demand
 	parserUsed int
@@ -40,7 +39,6 @@ func newDRMTModel(cfg Config) *drmtModel {
 		Tables: cfg.Processors * 16,
 	}
 	return &drmtModel{
-		cfg:       cfg,
 		pool:      total,
 		total:     total,
 		parserCap: 64,

@@ -12,7 +12,6 @@ import (
 // software (no dedicated TCAM), and the binding compute constraint is a
 // per-packet cycle budget.
 type poolModel struct {
-	cfg        Config
 	freeBits   int
 	totalBits  int
 	freeCycles int
@@ -24,7 +23,6 @@ type poolModel struct {
 
 func newPoolModel(cfg Config) *poolModel {
 	return &poolModel{
-		cfg:        cfg,
 		freeBits:   cfg.PoolSRAMBits,
 		totalBits:  cfg.PoolSRAMBits,
 		freeCycles: cfg.CyclesBudget,

@@ -391,7 +391,7 @@ func New(cfg Config) (*Device, error) {
 		model:      model,
 		placements: map[string]placement{},
 		now:        func() uint64 { return 0 },
-		acct:       tally{lat: telemetry.NewLocalHistogram(telemetry.DefaultLatencyBounds)},
+		acct:       tally{lat: &telemetry.LocalHistogram{}},
 	}
 	d.current.Store(&config{epoch: 1, fc: flowcache.New(1)})
 	return d, nil

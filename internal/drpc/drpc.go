@@ -24,8 +24,6 @@ const (
 	// ServiceStatePush receives logical state chunks (data-plane
 	// migration).
 	ServiceStatePush uint64 = 3
-	// ServiceTelemetry reads counters remotely.
-	ServiceTelemetry uint64 = 4
 	// ServiceHA carries controller-replica coordination: heartbeats,
 	// leader-election votes, replication syncs, and backlog fetches
 	// (internal/controller/cluster, DESIGN.md §15).
@@ -121,9 +119,8 @@ type Router struct {
 	seq      *uint64
 	pool     *packet.Pool
 
-	// Simulated clock, wired by SetScheduler. Both nil until the fabric
-	// enables dRPC; CallOpt and delay verdicts need them.
-	now   func() uint64
+	// after schedules fn delayNs of simulated time from now: CallOpt's
+	// timeouts and backoff and the interceptor's delay verdicts run on it.
 	after func(delayNs uint64, fn func())
 	// jrng supplies deterministic retry jitter (lazily seeded from IP).
 	jrng *rand.Rand
@@ -147,8 +144,8 @@ type Router struct {
 // NewRouter creates a router addressed by ip, sending through transport.
 // seq supplies packet IDs (shared with the fabric) and pool the packets
 // (the simulator's; nil allocates each one). The transport owns every
-// packet it is given.
-func NewRouter(ip uint32, seq *uint64, pool *packet.Pool, send Transport) *Router {
+// packet it is given. after schedules on the simulated clock.
+func NewRouter(ip uint32, seq *uint64, pool *packet.Pool, send Transport, after func(delayNs uint64, fn func())) *Router {
 	return &Router{
 		IP:       ip,
 		services: map[uint64]Handler{},
@@ -156,6 +153,7 @@ func NewRouter(ip uint32, seq *uint64, pool *packet.Pool, send Transport) *Route
 		send:     send,
 		seq:      seq,
 		pool:     pool,
+		after:    after,
 	}
 }
 

@@ -3,21 +3,28 @@ package drpc
 import (
 	"testing"
 
+	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
 )
 
-// loopback wires two routers directly (no network): whatever either
-// sends is delivered to the other synchronously.
-func loopback() (*Router, *Router) {
+// simAfter schedules on sim, as the fabric's routers do.
+func simAfter(sim *netsim.Sim) func(uint64, func()) {
+	return func(d uint64, fn func()) { sim.After(netsim.Time(d), fn) }
+}
+
+// loopback wires two routers directly (no network) over one simulated
+// clock: whatever either sends is delivered to the other synchronously.
+func loopback() (*netsim.Sim, *Router, *Router) {
+	sim := netsim.New(1)
 	var seq uint64
 	var a, b *Router
-	a = NewRouter(1, &seq, nil, func(p *packet.Packet) { b.Deliver(p) })
-	b = NewRouter(2, &seq, nil, func(p *packet.Packet) { a.Deliver(p) })
-	return a, b
+	a = NewRouter(1, &seq, nil, func(p *packet.Packet) { b.Deliver(p) }, simAfter(sim))
+	b = NewRouter(2, &seq, nil, func(p *packet.Packet) { a.Deliver(p) }, simAfter(sim))
+	return sim, a, b
 }
 
 func TestCallReply(t *testing.T) {
-	a, b := loopback()
+	_, a, b := loopback()
 	if err := b.Register(ServicePing, PingHandler()); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +43,7 @@ func TestCallReply(t *testing.T) {
 }
 
 func TestUnknownServiceErrorReply(t *testing.T) {
-	a, b := loopback()
+	_, a, b := loopback()
 	gotErr := false
 	a.Call(2, 999, 0, [3]uint64{}, func(m Message, ok bool) { gotErr = !ok })
 	if !gotErr {
@@ -48,7 +55,7 @@ func TestUnknownServiceErrorReply(t *testing.T) {
 }
 
 func TestNotifyOneWay(t *testing.T) {
-	a, b := loopback()
+	_, a, b := loopback()
 	var seen []uint64
 	b.Register(ServiceUser, func(from uint32, m Message) *Message {
 		seen = append(seen, m.Args[0])
@@ -65,7 +72,7 @@ func TestNotifyOneWay(t *testing.T) {
 }
 
 func TestDuplicateRegister(t *testing.T) {
-	a, _ := loopback()
+	_, a, _ := loopback()
 	if err := a.Register(ServicePing, PingHandler()); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +86,7 @@ func TestDuplicateRegister(t *testing.T) {
 }
 
 func TestOrphanReply(t *testing.T) {
-	a, b := loopback()
+	_, a, b := loopback()
 	b.Register(ServicePing, PingHandler())
 	// Forge a reply with an unknown call id.
 	forged := packet.New(99)
@@ -100,7 +107,7 @@ func TestOrphanReply(t *testing.T) {
 }
 
 func TestDeliverNonDRPC(t *testing.T) {
-	a, _ := loopback()
+	_, a, _ := loopback()
 	p := packet.UDPPacket(1, 1, 2, 3, 4, 10)
 	if a.Deliver(p) {
 		t.Fatal("consumed a non-drpc packet")
@@ -113,10 +120,11 @@ func TestCallIDsDistinctAcrossRouters(t *testing.T) {
 	var seq uint64
 	sink := map[uint64]int{}
 	var target *Router
+	after := simAfter(netsim.New(1))
 	mkCaller := func(ip uint32) *Router {
-		return NewRouter(ip, &seq, nil, func(p *packet.Packet) { target.Deliver(p) })
+		return NewRouter(ip, &seq, nil, func(p *packet.Packet) { target.Deliver(p) }, after)
 	}
-	target = NewRouter(9, &seq, nil, func(p *packet.Packet) {})
+	target = NewRouter(9, &seq, nil, func(p *packet.Packet) {}, after)
 	target.Register(ServicePing, func(from uint32, m Message) *Message {
 		sink[m.CallID]++
 		return nil // no reply needed
@@ -141,7 +149,8 @@ func TestMessageRoundTripThroughPacket(t *testing.T) {
 	var seq uint64
 	var got Message
 	var from uint32
-	recv := NewRouter(7, &seq, nil, nil)
+	after := simAfter(netsim.New(1))
+	recv := NewRouter(7, &seq, nil, nil, after)
 	recv.Register(ServiceUser, func(f uint32, m Message) *Message {
 		got = m
 		from = f
@@ -159,7 +168,7 @@ func TestMessageRoundTripThroughPacket(t *testing.T) {
 			t.Fatal(err)
 		}
 		recv.Deliver(q)
-	})
+	}, after)
 	send.Notify(7, ServiceUser, 5, [3]uint64{0xDEADBEEF, 1 << 40, 7})
 	if got.Args[0] != 0xDEADBEEF || got.Args[1] != 1<<40 || got.Args[2] != 7 || got.Method != 5 {
 		t.Fatalf("message corrupted over the wire: %+v", got)

@@ -32,22 +32,11 @@ type CallOpts struct {
 	MaxBackoffNs uint64
 }
 
-// SetScheduler wires the router to simulated time: now reads the clock,
-// after schedules a callback. The fabric installs this when it enables
-// dRPC on a device or host. Without a scheduler, CallOpt falls back to
-// a plain Call and interceptor delay verdicts deliver immediately.
-func (r *Router) SetScheduler(now func() uint64, after func(delayNs uint64, fn func())) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.now = now
-	r.after = after
-}
-
 // Verdict is an interceptor's decision about one outgoing packet.
 type Verdict struct {
 	// Drop discards the packet (counted, never sent).
 	Drop bool
-	// DelayNs holds the packet back before sending (needs a scheduler).
+	// DelayNs holds the packet back before sending.
 	DelayNs uint64
 	// Duplicate sends a clone in addition to the original.
 	Duplicate bool
@@ -72,7 +61,6 @@ func (r *Router) SetInterceptor(ic Interceptor) {
 func (r *Router) transmit(p *packet.Packet) {
 	r.mu.Lock()
 	ic := r.icept
-	after := r.after
 	r.mu.Unlock()
 	if ic == nil {
 		r.send(p)
@@ -91,17 +79,17 @@ func (r *Router) transmit(p *packet.Packet) {
 		r.Duplicated++
 		r.mu.Unlock()
 		dup := r.pool.Clone(p)
-		if v.DelayNs > 0 && after != nil {
-			after(v.DelayNs, func() { r.send(dup) })
+		if v.DelayNs > 0 {
+			r.after(v.DelayNs, func() { r.send(dup) })
 		} else {
 			r.send(dup)
 		}
 	}
-	if v.DelayNs > 0 && after != nil {
+	if v.DelayNs > 0 {
 		r.mu.Lock()
 		r.Delayed++
 		r.mu.Unlock()
-		after(v.DelayNs, func() { r.send(p) })
+		r.after(v.DelayNs, func() { r.send(p) })
 		return
 	}
 	r.send(p)
@@ -127,14 +115,10 @@ func (r *Router) jitterLocked(span uint64) uint64 {
 // replies count as orphans — the completion is at-most-once even though
 // the request may be delivered (and served) more than once. cb receives
 // the reply, its success bit, and a nil error; on exhaustion it receives
-// a zero Message, false, and an error wrapping ErrTimeout. Requires a
-// scheduler (SetScheduler); without one, or with TimeoutNs == 0, this
-// degrades to a plain Call.
+// a zero Message, false, and an error wrapping ErrTimeout. With
+// TimeoutNs == 0 this degrades to a plain Call.
 func (r *Router) CallOpt(dst uint32, service, method uint64, args [3]uint64, opts CallOpts, cb func(Message, bool, error)) {
-	r.mu.Lock()
-	after := r.after
-	r.mu.Unlock()
-	if after == nil || opts.TimeoutNs == 0 {
+	if opts.TimeoutNs == 0 {
 		r.Call(dst, service, method, args, func(m Message, ok bool) {
 			if cb != nil {
 				cb(m, ok, nil)
@@ -173,7 +157,7 @@ func (r *Router) CallOpt(dst uint32, service, method uint64, args [3]uint64, opt
 	}
 	var arm func()
 	arm = func() {
-		after(opts.TimeoutNs, func() {
+		r.after(opts.TimeoutNs, func() {
 			r.mu.Lock()
 			if _, still := r.pending[id]; !still {
 				r.mu.Unlock()
@@ -197,7 +181,7 @@ func (r *Router) CallOpt(dst uint32, service, method uint64, args [3]uint64, opt
 			}
 			wait := backoff/2 + r.jitterLocked(backoff/2)
 			r.mu.Unlock()
-			after(wait, func() {
+			r.after(wait, func() {
 				send(false)
 				arm()
 			})

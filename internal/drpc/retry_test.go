@@ -13,20 +13,10 @@ import (
 // attempt, 4 attempts, 1 ms base backoff capped at 8 ms.
 var testCallOpts = CallOpts{TimeoutNs: 5_000_000, Attempts: 4, BackoffNs: 1_000_000, MaxBackoffNs: 8_000_000}
 
-// simLoopback is loopback() plus a simulated clock driving a's retry
-// machinery.
+// simLoopback is loopback() with b serving pings.
 func simLoopback(t *testing.T) (*netsim.Sim, *Router, *Router) {
 	t.Helper()
-	sim := netsim.New(1)
-	a, b := loopback()
-	sched := func(r *Router) {
-		r.SetScheduler(
-			func() uint64 { return uint64(sim.Now()) },
-			func(d uint64, fn func()) { sim.After(netsim.Time(d), fn) },
-		)
-	}
-	sched(a)
-	sched(b)
+	sim, a, b := loopback()
 	if err := b.Register(ServicePing, PingHandler()); err != nil {
 		t.Fatal(err)
 	}
@@ -122,18 +112,26 @@ func TestCallOptDuplicateAtMostOnce(t *testing.T) {
 	}
 }
 
-// Without a scheduler CallOpt degrades to a plain synchronous Call.
-func TestCallOptWithoutScheduler(t *testing.T) {
-	a, b := loopback()
-	if err := b.Register(ServicePing, PingHandler()); err != nil {
-		t.Fatal(err)
-	}
+// With TimeoutNs == 0 CallOpt degrades to a plain Call: the reply
+// completes it synchronously, and a lost request is neither retried nor
+// timed out.
+func TestCallOptWithoutTimeout(t *testing.T) {
+	sim, a, _ := simLoopback(t)
+	opts := testCallOpts
+	opts.TimeoutNs = 0
 	done := false
-	a.CallOpt(2, ServicePing, 0, [3]uint64{5, 0, 0}, testCallOpts, func(m Message, ok bool, err error) {
+	a.CallOpt(2, ServicePing, 0, [3]uint64{5, 0, 0}, opts, func(m Message, ok bool, err error) {
 		done = ok && err == nil && m.Args[0] == 5
 	})
 	if !done {
-		t.Fatal("fallback call did not complete synchronously")
+		t.Fatal("call without a timeout did not complete synchronously")
+	}
+	a.SetInterceptor(func(*packet.Packet) Verdict { return Verdict{Drop: true} })
+	settled := false
+	a.CallOpt(2, ServicePing, 0, [3]uint64{6, 0, 0}, opts, func(Message, bool, error) { settled = true })
+	sim.RunFor(100 * time.Millisecond)
+	if settled || a.Retries != 0 || a.Timeouts != 0 {
+		t.Fatalf("lost call without a timeout: settled=%v retries=%d timeouts=%d", settled, a.Retries, a.Timeouts)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
 	"flexnet/internal/plan"
-	"flexnet/internal/runtime"
 )
 
 // migrationBed builds h1 — s1 — s2 — h2 with dRPC on both switches and a
@@ -40,7 +39,7 @@ func migrationBed(seed int64) (*fabric.Fabric, *controller.Controller, *netsim.S
 	if err := f.InstallBaseRouting(); err != nil {
 		panic(err)
 	}
-	ctl := controller.New(f, runtime.NewEngine(f.Sim, runtime.DefaultCosts()))
+	ctl := controller.New(f)
 	dp := &flexbpf.Datapath{Name: monURI, Segments: []*flexbpf.Program{apps.HeavyHitter("mon", 2, 512, 1<<62)}}
 	ctl.Deploy(context.Background(), monURI, dp, controller.DeployOptions{Path: []string{"s1"}}, func(err error) {
 		if err != nil {

@@ -13,7 +13,6 @@ import (
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
-	"flexnet/internal/runtime"
 )
 
 // E15FaultRecovery drives the general fault plane (internal/faults)
@@ -50,8 +49,7 @@ func E15FaultRecovery(seed int64) *Table {
 		if err := f.InstallBaseRouting(); err != nil {
 			panic(err)
 		}
-		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-		ctl := controller.New(f, eng)
+		ctl := controller.New(f)
 
 		// Each control-plane op takes tens of simulated milliseconds;
 		// deploy waits for its callbacks so the fault schedule starts from

@@ -12,7 +12,6 @@ import (
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/flexbpf/delta"
 	"flexnet/internal/netsim"
-	"flexnet/internal/runtime"
 )
 
 // E18ControlPlane measures control-plane operation throughput and plan
@@ -21,8 +20,8 @@ import (
 // recompilation (DESIGN.md §13.1, the default) against the
 // full-recompute baseline where every operation replans the app over the
 // entire fabric's target list. The work metric is candidate targets
-// scanned and segment placements recompiled (the Costs.PlaceTarget /
-// Costs.PlaceSegment terms the executor charges as planning latency);
+// scanned and segment placements recompiled (the runtime.EstimatePlacement
+// terms the executor charges as planning latency);
 // the end-state placement of every app must be identical across modes —
 // the fast path is only allowed to be faster, never different.
 func E18ControlPlane(seed int64) *Table {
@@ -72,8 +71,7 @@ func E18ControlPlane(seed int64) *Table {
 	run := func(k int, incremental bool) result {
 		f := fabric.New(seed)
 		must(fabric.BuildFatTree(f, fabric.FatTreeSpec{K: k, HostsPerEdge: 1}))
-		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-		ctl := controller.New(f, eng)
+		ctl := controller.New(f)
 		ctl.SetIncrementalPlacement(incremental)
 		ctx := context.Background()
 

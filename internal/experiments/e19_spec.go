@@ -12,7 +12,6 @@ import (
 	"flexnet/internal/flexbpf"
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
-	"flexnet/internal/runtime"
 	"flexnet/internal/spec"
 )
 
@@ -151,8 +150,7 @@ func E19SpecReconcile(seed int64) *Table {
 		f := fabric.New(seed)
 		must(fabric.BuildFatTree(f, fabric.FatTreeSpec{K: k, HostsPerEdge: 1}))
 		must(f.InstallBaseRouting())
-		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-		ctl := controller.New(f, eng)
+		ctl := controller.New(f)
 		ctx := context.Background()
 
 		await(f, 100*time.Millisecond, func(done func(error)) {

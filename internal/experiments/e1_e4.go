@@ -40,7 +40,7 @@ func lineFabric(seed int64, arch dataplane.Arch) (*fabric.Fabric, *netsim.Source
 // plan telemetry and audit records in f's registry; E1, E4, E5 and E16
 // neither punt nor read those, so their tables do not change.
 func newExecutor(f *fabric.Fabric) *runtime.Executor {
-	return controller.New(f, runtime.NewEngine(f.Sim, runtime.DefaultCosts())).Executor()
+	return controller.New(f).Executor()
 }
 
 // installPlan is a one-device plan installing prog under its own name.
@@ -61,7 +61,7 @@ func committed(r *plan.Report) netsim.Time {
 // storing the outage (drain → reflash → redeploy) in *lat.
 func staticRecompile(f *fabric.Fabric, prog *flexbpf.Program, lat *netsim.Time) {
 	start := f.Sim.Now()
-	baselines.StaticRecompile(f.Sim, f.Device("sw"), runtime.DefaultCosts(), prog, func(err error) {
+	baselines.StaticRecompile(f.Sim, f.Device("sw"), prog, func(err error) {
 		if err != nil {
 			panic(err)
 		}
@@ -130,12 +130,11 @@ func E2ReconfigLatency(seed int64) *Table {
 		Columns: []string{"tables changed", "parser ops", "entry ops", "latency", "< 1s"},
 	}
 	// A change's latency is what the executor's cost model charges for it.
-	eng := runtime.NewEngine(netsim.New(seed), runtime.DefaultCosts())
 	maxLat := netsim.Time(0)
 	for _, tc := range []struct{ tables, parser, entries int }{
 		{1, 0, 0}, {2, 0, 16}, {4, 0, 64}, {8, 2, 256}, {16, 4, 1024}, {32, 4, 4096},
 	} {
-		lat := eng.EstimateOps(tc.tables, 0, tc.parser, tc.entries)
+		lat := runtime.EstimateOps(tc.tables, 0, tc.parser, tc.entries)
 		if lat > maxLat {
 			maxLat = lat
 		}

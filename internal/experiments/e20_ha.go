@@ -16,7 +16,6 @@ import (
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
 	"flexnet/internal/plan"
-	"flexnet/internal/runtime"
 )
 
 // E20HAFailover measures hitless controller failover (DESIGN.md §15): a
@@ -110,8 +109,7 @@ func E20HAFailover(seed int64) *Table {
 		_, err = f.EnableDRPC("p3-e0", packet.IP(172, 16, 0, 3))
 		must(err)
 		must(f.InstallBaseRouting())
-		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-		ctl := controller.New(f, eng)
+		ctl := controller.New(f)
 		// HA first, so every deploy below already replicates to the
 		// standbys — the failover inherits a complete shadow chain.
 		ctl.EnableHA(3, cluster.HAConfig{Seed: seed})

@@ -13,7 +13,6 @@ import (
 	"flexnet/internal/netsim"
 	"flexnet/internal/packet"
 	"flexnet/internal/plan"
-	"flexnet/internal/runtime"
 	"flexnet/internal/transport"
 )
 
@@ -276,8 +275,7 @@ func E7TenantChurn(seed int64) *Table {
 		if err := f.InstallBaseRouting(); err != nil {
 			panic(err)
 		}
-		eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-		ctl := controller.New(f, eng)
+		ctl := controller.New(f)
 		liveTenants := map[string]bool{}
 		id := 0
 		var schedule func()

@@ -28,8 +28,7 @@ func (f *Fabric) EnableDRPC(devName string, ip uint32) (*drpc.Router, error) {
 	originate := func(p *packet.Packet, _ int) { f.deviceVisit(sw, p, -1) }
 	r := drpc.NewRouter(ip, f.Seq(), f.Sim.Packets(), func(p *packet.Packet) {
 		f.Sim.AtPacket(f.Sim.Now(), originate, p, 0)
-	})
-	r.SetScheduler(f.simNow, f.simAfter)
+	}, f.simAfter)
 	f.routers[devName] = r
 	f.routerIPs[devName] = ip
 	// The control IP is a routable destination like any host, except the
@@ -38,10 +37,8 @@ func (f *Fabric) EnableDRPC(devName string, ip uint32) (*drpc.Router, error) {
 	return r, nil
 }
 
-// simNow/simAfter adapt the simulator clock for drpc.Router.SetScheduler
-// (per-attempt timeouts, retry backoff, delayed-delivery verdicts).
-func (f *Fabric) simNow() uint64 { return uint64(f.Sim.Now()) }
-
+// simAfter adapts the simulator clock for drpc.NewRouter (per-attempt
+// timeouts, retry backoff, delayed-delivery verdicts).
 func (f *Fabric) simAfter(delayNs uint64, fn func()) {
 	f.Sim.After(netsim.Time(delayNs), fn)
 }
@@ -57,8 +54,7 @@ func (f *Fabric) EnableHostDRPC(hostName string) (*drpc.Router, error) {
 	send := func(p *packet.Packet, _ int) { h.Node.Send(p, 0) }
 	r := drpc.NewRouter(h.IP, f.Seq(), f.Sim.Packets(), func(p *packet.Packet) {
 		f.Sim.AtPacket(f.Sim.Now(), send, p, 0)
-	})
-	r.SetScheduler(f.simNow, f.simAfter)
+	}, f.simAfter)
 	prev := h.Recv
 	h.Recv = func(p *packet.Packet) {
 		if p.Headers.Has(packet.HeaderDRPC) && r.Deliver(p) {

@@ -26,11 +26,6 @@ type FatTreeSpec struct {
 	// HostsPerEdge is the number of hosts per edge switch. Defaults to
 	// K/2 (the canonical full fat-tree). Max 253 (hosts share a /24).
 	HostsPerEdge int
-	// Arch is the switch architecture (zero value: ArchRMT).
-	Arch dataplane.Arch
-	// Fabric and Access override the switch-switch and host-edge link
-	// parameters; zero values get 40G/10G defaults.
-	Fabric, Access netsim.LinkParams
 }
 
 // SpineLeafSpec parameterizes a two-tier spine-leaf fabric: every leaf
@@ -39,25 +34,14 @@ type SpineLeafSpec struct {
 	Spines, Leaves int
 	// HostsPerLeaf defaults to 4. Max 253.
 	HostsPerLeaf int
-	// Arch is the switch architecture (zero value: ArchRMT).
-	Arch dataplane.Arch
-	// Fabric and Access override link parameters as in FatTreeSpec.
-	Fabric, Access netsim.LinkParams
 }
 
-func defaultFabricLink(p netsim.LinkParams) netsim.LinkParams {
-	if p.BandwidthBps == 0 {
-		p = netsim.LinkParams{BandwidthBps: 40_000_000_000, Delay: time.Microsecond, QueueBytes: 1 << 20}
-	}
-	return p
-}
-
-func defaultAccessLink(p netsim.LinkParams) netsim.LinkParams {
-	if p.BandwidthBps == 0 {
-		p = netsim.LinkParams{BandwidthBps: 10_000_000_000, Delay: 2 * time.Microsecond, QueueBytes: 1 << 20}
-	}
-	return p
-}
+// Generated fabrics are RMT switches joined by 40G switch-switch links
+// (fabricLink) and 10G host-edge links (accessLink).
+var (
+	fabricLink = netsim.LinkParams{BandwidthBps: 40_000_000_000, Delay: time.Microsecond, QueueBytes: 1 << 20}
+	accessLink = netsim.LinkParams{BandwidthBps: 10_000_000_000, Delay: 2 * time.Microsecond, QueueBytes: 1 << 20}
+)
 
 // BuildFatTree populates f with a k-ary fat-tree. Naming: pod p's edge
 // switches are p{p}-e{j}, aggregation p{p}-a{j}, cores c{n}; host m
@@ -78,21 +62,17 @@ func BuildFatTree(f *Fabric, spec FatTreeSpec) error {
 	if hosts < 1 || hosts > 253 {
 		return fmt.Errorf("fabric: fat-tree hosts-per-edge out of range [1,253]: %d", hosts)
 	}
-	arch := spec.Arch
-	fab := defaultFabricLink(spec.Fabric)
-	acc := defaultAccessLink(spec.Access)
-
 	half := k / 2
 	for p := 0; p < k; p++ {
 		for j := 0; j < half; j++ {
-			f.AddSwitch(fmt.Sprintf("p%d-e%d", p, j), arch)
+			f.AddSwitch(fmt.Sprintf("p%d-e%d", p, j), dataplane.ArchRMT)
 		}
 		for j := 0; j < half; j++ {
-			f.AddSwitch(fmt.Sprintf("p%d-a%d", p, j), arch)
+			f.AddSwitch(fmt.Sprintf("p%d-a%d", p, j), dataplane.ArchRMT)
 		}
 	}
 	for n := 0; n < half*half; n++ {
-		f.AddSwitch(fmt.Sprintf("c%d", n), arch)
+		f.AddSwitch(fmt.Sprintf("c%d", n), dataplane.ArchRMT)
 	}
 	// Hosts first on every edge switch: a host's only link must be its
 	// uplink (Host.Send transmits on port 0), and connecting access
@@ -105,7 +85,7 @@ func BuildFatTree(f *Fabric, spec FatTreeSpec) error {
 				name := fmt.Sprintf("%s-h%d", edge, m)
 				ip := uint32(10<<24 | p<<16 | j<<8 | (m + 2))
 				f.AddHost(name, ip)
-				f.Connect(name, edge, acc)
+				f.Connect(name, edge, accessLink)
 			}
 		}
 	}
@@ -113,7 +93,7 @@ func BuildFatTree(f *Fabric, spec FatTreeSpec) error {
 		for j := 0; j < half; j++ {
 			edge := fmt.Sprintf("p%d-e%d", p, j)
 			for a := 0; a < half; a++ {
-				f.Connect(edge, fmt.Sprintf("p%d-a%d", p, a), fab)
+				f.Connect(edge, fmt.Sprintf("p%d-a%d", p, a), fabricLink)
 			}
 		}
 	}
@@ -123,7 +103,7 @@ func BuildFatTree(f *Fabric, spec FatTreeSpec) error {
 		for j := 0; j < half; j++ {
 			agg := fmt.Sprintf("p%d-a%d", p, j)
 			for m := 0; m < half; m++ {
-				f.Connect(agg, fmt.Sprintf("c%d", j*half+m), fab)
+				f.Connect(agg, fmt.Sprintf("c%d", j*half+m), fabricLink)
 			}
 		}
 	}
@@ -147,15 +127,11 @@ func BuildSpineLeaf(f *Fabric, spec SpineLeafSpec) error {
 	if hosts < 1 || hosts > 253 {
 		return fmt.Errorf("fabric: spine-leaf hosts-per-leaf out of range [1,253]: %d", hosts)
 	}
-	arch := spec.Arch
-	fab := defaultFabricLink(spec.Fabric)
-	acc := defaultAccessLink(spec.Access)
-
 	for i := 0; i < spec.Spines; i++ {
-		f.AddSwitch(fmt.Sprintf("s%d", i), arch)
+		f.AddSwitch(fmt.Sprintf("s%d", i), dataplane.ArchRMT)
 	}
 	for j := 0; j < spec.Leaves; j++ {
-		f.AddSwitch(fmt.Sprintf("l%d", j), arch)
+		f.AddSwitch(fmt.Sprintf("l%d", j), dataplane.ArchRMT)
 	}
 	for j := 0; j < spec.Leaves; j++ {
 		leaf := fmt.Sprintf("l%d", j)
@@ -163,13 +139,13 @@ func BuildSpineLeaf(f *Fabric, spec SpineLeafSpec) error {
 			name := fmt.Sprintf("%s-h%d", leaf, m)
 			ip := uint32(10<<24 | 1<<16 | j<<8 | (m + 2))
 			f.AddHost(name, ip)
-			f.Connect(name, leaf, acc)
+			f.Connect(name, leaf, accessLink)
 		}
 	}
 	for j := 0; j < spec.Leaves; j++ {
 		leaf := fmt.Sprintf("l%d", j)
 		for i := 0; i < spec.Spines; i++ {
-			f.Connect(leaf, fmt.Sprintf("s%d", i), fab)
+			f.Connect(leaf, fmt.Sprintf("s%d", i), fabricLink)
 		}
 	}
 	return nil

@@ -180,13 +180,6 @@ type linkedTable struct {
 	missParams []uint64
 }
 
-// linkedAction is a lowered action body.
-type linkedAction struct {
-	name      string
-	numParams int
-	code      []linstr
-}
-
 // LinkedProgram is the flattened, symbol-resolved executable form of a
 // Program produced by Link. It is immutable after linking; epoch-atomic
 // config swaps publish a new LinkedProgram together with the rest of the
@@ -196,7 +189,7 @@ type LinkedProgram struct {
 	code    []linstr
 	conds   []LinkedCond
 	tables  []linkedTable
-	actions []linkedAction
+	actions [][]linstr // lowered action bodies, indexed as actIdx names them
 	actIdx  map[string]int32
 
 	mapNames, counterNames, meterNames []string
@@ -299,7 +292,7 @@ func Link(prog *Program, tables func(string) *TableInstance) (*LinkedProgram, er
 		// lopZero carries that semantic so the execution loop needs no
 		// per-call prologue; relative jump offsets are unaffected.
 		code = append([]linstr{{op: lopZero}}, code...)
-		lk.lp.actions = append(lk.lp.actions, linkedAction{name: n, numParams: act.NumParams, code: code})
+		lk.lp.actions = append(lk.lp.actions, code)
 		lk.lp.actIdx[n] = int32(i)
 	}
 	if err := lk.lowerStmts(prog.Pipeline); err != nil {
@@ -709,7 +702,7 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 				idx = t.missIdx - 1
 				aparams = t.missParams
 			}
-			if err := lp.exec(lp.actions[idx].code, aparams, pkt, env, ctx, res); err != nil {
+			if err := lp.exec(lp.actions[idx], aparams, pkt, env, ctx, res); err != nil {
 				return err
 			}
 			instrs = res.Instrs

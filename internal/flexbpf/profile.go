@@ -109,10 +109,10 @@ func (lp *LinkedProgram) CacheProfile() CacheProfile {
 		writes:    map[packet.FieldID]struct{}{},
 	}
 	ps.block(lp.code)
-	for i := range lp.actions {
+	for _, code := range lp.actions {
 		// Every action is reachable: table entries select actions by
 		// index or name at runtime.
-		ps.block(lp.actions[i].code)
+		ps.block(code)
 	}
 	for i := range lp.conds {
 		ps.cond(&lp.conds[i])

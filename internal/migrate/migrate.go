@@ -42,7 +42,6 @@ import (
 	"flexnet/internal/netsim"
 	"flexnet/internal/plan"
 	"flexnet/internal/runtime"
-	"flexnet/internal/telemetry"
 )
 
 // Migrator moves program instances between fabric devices. It
@@ -50,12 +49,11 @@ import (
 // steps inside ChangePlans rather than a private flow.
 type Migrator struct {
 	fab *fabric.Fabric
-	eng *runtime.Engine
 }
 
 // New creates a migrator.
-func New(fab *fabric.Fabric, eng *runtime.Engine) *Migrator {
-	return &Migrator{fab: fab, eng: eng}
+func New(fab *fabric.Fabric) *Migrator {
+	return &Migrator{fab: fab}
 }
 
 // record emits the migrate.* metrics of a finished move into the fabric
@@ -72,7 +70,7 @@ func (m *Migrator) record(rep *plan.MoveReport) {
 	met.Counter("migrate.entries_moved").Add(uint64(rep.ChunksSent))
 	met.Counter("migrate.lost_updates").Add(rep.LostUpdates)
 	met.Counter("migrate.inflight_merged").Add(rep.UpdatesDuringMigration - rep.LostUpdates)
-	met.Histogram("migrate.duration_ns", telemetry.DefaultLatencyBounds).Observe(int64(rep.Done - rep.Started))
+	met.Histogram("migrate.duration_ns").Observe(int64(rep.Done - rep.Started))
 }
 
 // ValidateMove implements plan.StateMover: it checks a move's
@@ -102,7 +100,7 @@ func (m *Migrator) EstimateMove(prog, src string, useDataPlane bool) netsim.Time
 	if sinst == nil {
 		return 0
 	}
-	return m.eng.MigrateLatency(logicalBytes(sinst.ExportState()))
+	return runtime.MigrateLatency(logicalBytes(sinst.ExportState()))
 }
 
 // MoveState implements plan.StateMover: it transfers the instance's
@@ -182,7 +180,7 @@ func (m *Migrator) transferControl(rep *plan.MoveReport, done func()) {
 	snapUpdates := instanceUpdates(sinst)
 	bytes := logicalBytes(snapshot)
 	rep.ChunksSent = logicalEntries(snapshot)
-	m.fab.Sim.After(m.eng.MigrateLatency(bytes), func() {
+	m.fab.Sim.After(runtime.MigrateLatency(bytes), func() {
 		if err := m.migrateFault(rep.Src, rep.Dst); err != nil {
 			fail(err)
 			return

@@ -67,7 +67,7 @@ func migrationFabric(t *testing.T) (*fabric.Fabric, *Migrator, *netsim.Source) {
 		t.Fatal(err)
 	}
 
-	m := New(f, runtime.NewEngine(f.Sim, runtime.DefaultCosts()))
+	m := New(f)
 	src := h1.NewSource(netsim.FlowSpec{
 		Dst: packet.IP(10, 0, 0, 2), Proto: packet.ProtoTCP,
 		SrcPort: 1111, DstPort: 80, PacketLen: 200,
@@ -86,7 +86,7 @@ func runMigration(f *fabric.Fabric, m *Migrator, prog, src, dst string, dp bool,
 		p.Install(dst, prog, sdev.Instance(prog).Program(), nil, 0)
 	}
 	p.MigrateState(prog, src, dst, dp)
-	runtime.NewExecutor(m.eng, f.Device, m, nil).Execute(p, func(r *plan.Report) {
+	runtime.NewExecutor(f.Sim, f.Device, m, nil).Execute(p, func(r *plan.Report) {
 		if mv := r.Steps[len(r.Steps)-1].Move; mv != nil {
 			done(*mv)
 			return
@@ -302,8 +302,7 @@ func TestMigrateErrors(t *testing.T) {
 	if err := f.InstallBaseRouting(); err != nil {
 		t.Fatal(err)
 	}
-	eng := runtime.NewEngine(f.Sim, runtime.DefaultCosts())
-	m := New(f, eng)
+	m := New(f)
 
 	var rep plan.MoveReport
 	runMigration(f, m, "ghost", "s1", "s2", true, func(r plan.MoveReport) { rep = r })

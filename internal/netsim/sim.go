@@ -30,7 +30,6 @@ type Time = time.Duration
 // Event is the handle of a callback scheduled with At or After: what the
 // caller keeps to Cancel it.
 type Event struct {
-	At   Time
 	Fn   func()
 	dead bool
 }
@@ -107,7 +106,7 @@ func (s *Sim) Rand() *rand.Rand { return s.rng }
 // (before Now) is an error that panics, since it indicates a causality bug
 // in the caller rather than a recoverable condition.
 func (s *Sim) At(at Time, fn func()) *Event {
-	e := &Event{At: at, Fn: fn}
+	e := &Event{Fn: fn}
 	s.schedule(at, record{ev: e})
 	return e
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // ChainCap is the number of headers one packet's chain holds: a full
-// Eth/VLAN/flexepoch/IPv4/L4 stack with room for eight more.
+// Eth/VLAN/IPv4/L4 stack with room for nine more.
 const ChainCap = 13
 
 // ErrChainFull is returned when a header would not fit in the chain.

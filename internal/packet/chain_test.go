@@ -28,8 +28,8 @@ func (m chainModel) insert(i int, name string) (chainModel, error) {
 }
 
 // fuzzHeaders is the alphabet FuzzHeaderChain draws from: every standard
-// header, and eight names no codec knows, so that a chain can fill.
-var fuzzHeaders = [16]string{"eth", "vlan", "ipv4", "tcp", "udp", "flexepoch", "int", "drpc",
+// header, and nine names no codec knows, so that a chain can fill.
+var fuzzHeaders = [16]string{"eth", "vlan", "ipv4", "tcp", "udp", "shim8", "int", "drpc",
 	"shim0", "shim1", "shim2", "shim3", "shim4", "shim5", "shim6", "shim7"}
 
 // FuzzHeaderChain drives two packets through random AddHeader / Clone /

@@ -106,7 +106,6 @@ const (
 	HeaderIPv4
 	HeaderTCP
 	HeaderUDP
-	HeaderFlexEpoch
 	HeaderINT
 	HeaderDRPC
 )

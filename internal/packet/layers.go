@@ -17,9 +17,6 @@ const (
 	EtherTypeIPv4 uint64 = 0x0800
 	EtherTypeVLAN uint64 = 0x8100
 	EtherTypeARP  uint64 = 0x0806
-	// EtherTypeFlexEpoch tags the packet with a FlexNet program epoch;
-	// inserted at ingress of a reconfiguring device, removed at egress.
-	EtherTypeFlexEpoch uint64 = 0x88B5 // IEEE local experimental
 )
 
 // TCP flag bits as exposed in field "tcp.flags".
@@ -105,9 +102,6 @@ var (
 		fieldSpec{name: "win", bits: 16}, fieldSpec{name: "csum", bits: 16}, fieldSpec{name: "urg", bits: 16})
 	specUDP = registerHeader(HeaderUDP, "udp",
 		fieldSpec{name: "sport", bits: 16}, fieldSpec{name: "dport", bits: 16}, fieldSpec{name: "len", bits: 16}, fieldSpec{name: "csum", bits: 16})
-	// FlexNet epoch shim: version epoch + original ethertype.
-	specFlexEpoch = registerHeader(HeaderFlexEpoch, "flexepoch",
-		fieldSpec{name: "epoch", bits: 32}, fieldSpec{name: "type", bits: 16})
 	// In-band network telemetry record (one hop).
 	_ = registerHeader(HeaderINT, "int",
 		fieldSpec{name: "hopcount", bits: 8}, fieldSpec{name: "device", bits: 16}, fieldSpec{name: "qdepth", bits: 24}, fieldSpec{name: "latency", bits: 32}, fieldSpec{name: "type", bits: 16})

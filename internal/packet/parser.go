@@ -130,9 +130,8 @@ func (st *ParseState) next(p *Packet) string {
 }
 
 // StandardParseGraph returns the infrastructure parser every device
-// runs: eth → (vlan) → ipv4 → tcp/udp/drpc, with an optional flexepoch
-// shim between eth and the rest. Every call returns the same graph;
-// callers must not modify it.
+// runs: eth → (vlan) → ipv4 → tcp/udp/drpc. Every call returns the same
+// graph; callers must not modify it.
 func StandardParseGraph() *ParseGraph { return standardParseGraph }
 
 var standardParseGraph = buildStandardParseGraph()
@@ -141,7 +140,6 @@ func buildStandardParseGraph() *ParseGraph {
 	g := newParseGraph("start")
 	g.addState(&ParseState{Name: "start", Default: "eth"})
 	g.addState(&ParseState{Name: "eth", Header: specEthernet.name, SelectField: "eth.type"})
-	g.addState(&ParseState{Name: "flexepoch", Header: specFlexEpoch.name, SelectField: "flexepoch.type"})
 	g.addState(&ParseState{Name: "vlan", Header: specVLAN.name, SelectField: "vlan.type"})
 	g.addState(&ParseState{Name: "ipv4", Header: specIPv4.name, SelectField: "ipv4.proto"})
 	g.addState(&ParseState{Name: "tcp", Header: specTCP.name})
@@ -149,9 +147,6 @@ func buildStandardParseGraph() *ParseGraph {
 	g.addState(&ParseState{Name: "drpc", Header: specDRPC.name})
 	g.addTransition("eth", EtherTypeIPv4, "ipv4")
 	g.addTransition("eth", EtherTypeVLAN, "vlan")
-	g.addTransition("eth", EtherTypeFlexEpoch, "flexepoch")
-	g.addTransition("flexepoch", EtherTypeIPv4, "ipv4")
-	g.addTransition("flexepoch", EtherTypeVLAN, "vlan")
 	g.addTransition("vlan", EtherTypeIPv4, "ipv4")
 	g.addTransition("ipv4", ProtoTCP, "tcp")
 	g.addTransition("ipv4", ProtoUDP, "udp")

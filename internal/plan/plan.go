@@ -126,7 +126,7 @@ type ChangePlan struct {
 	AllowDegraded bool
 	// PlanningLat is the simulated time the controller spent computing
 	// this plan (placement scans, segment recompiles — see
-	// runtime.Costs.EstimatePlacement). The executor charges it before
+	// runtime.EstimatePlacement). The executor charges it before
 	// Validate so control-plane latency reflects planning work, not just
 	// device churn.
 	PlanningLat netsim.Time

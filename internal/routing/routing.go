@@ -85,7 +85,6 @@ type link struct {
 
 // dest is one routed destination and its last-converged BFS state.
 type dest struct {
-	name string
 	ip   uint32
 	node int32
 	skip int32 // device that gets no entry for this dest (-1 = none)
@@ -120,10 +119,6 @@ type Stats struct {
 	// DeltaWrites is the number of entries that actually changed
 	// (inserts + deletes + modifies folded into device route lists).
 	DeltaWrites int
-	// TotalDests and TotalRoutes describe the full route state, for
-	// incremental-vs-full comparisons.
-	TotalDests  int
-	TotalRoutes int
 }
 
 // Engine holds delta-keyed route state for one fabric. It is not safe
@@ -242,7 +237,7 @@ func (e *Engine) AddDest(name string, ip uint32, nodeName, skipDevice string) {
 	}
 	di := int32(len(e.dests))
 	e.destIdx[name] = di
-	e.dests = append(e.dests, dest{name: name, ip: ip, node: ni, skip: skip})
+	e.dests = append(e.dests, dest{ip: ip, node: ni, skip: skip})
 	e.dirty = append(e.dirty, false)
 	e.markDirty(int(di))
 }
@@ -322,9 +317,8 @@ func (e *Engine) markAffectedByUp(l *link) {
 // count: each BFS touches only its destination's state, and merges run
 // in destination order.
 func (e *Engine) Converge(workers int) Stats {
-	st := Stats{TotalDests: len(e.dests)}
+	var st Stats
 	if e.ndirty == 0 {
-		st.TotalRoutes = e.totalRoutes
 		return st
 	}
 	dirtyList := make([]int32, 0, e.ndirty)
@@ -399,7 +393,6 @@ func (e *Engine) Converge(workers int) Stats {
 		}
 	}
 	e.ndirty = 0
-	st.TotalRoutes = e.totalRoutes
 	return st
 }
 

@@ -18,7 +18,7 @@ func submit(x *Executor, sim *netsim.Sim, p *plan.ChangePlan) (finished *netsim.
 
 func TestExecutorDisjointPlansRunConcurrently(t *testing.T) {
 	f, _ := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 
 	// s1 and s3 are disjoint footprints: both plans must be admitted at
 	// submission and prepare in parallel, so they finish at the same
@@ -42,7 +42,7 @@ func TestExecutorDisjointPlansRunConcurrently(t *testing.T) {
 
 func TestExecutorConflictingPlansSerializeFIFO(t *testing.T) {
 	f, _ := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 
 	// A and B both touch s1: B waits for A. C touches only s3 and
 	// conflicts with neither, so it overtakes B and finishes with A.
@@ -68,7 +68,7 @@ func TestExecutorConflictingPlansSerializeFIFO(t *testing.T) {
 
 func TestExecutorGlobalPlanBlocksEverything(t *testing.T) {
 	f, _ := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 
 	// A route update is a global footprint: the disjoint install behind
 	// it must NOT overtake (FIFO against a global plan), even though its
@@ -86,7 +86,7 @@ func TestExecutorGlobalPlanBlocksEverything(t *testing.T) {
 
 func TestExecutorMigrateSourceIsPartOfFootprint(t *testing.T) {
 	f, _ := threeSwitchLine(t)
-	_, x := newTestExecutor(f, &fakeMover{})
+	x := newTestExecutor(f, &fakeMover{})
 
 	if rep := runPlan(t, f, x, plan.New("seed").Install("s1", "m", counterProgram("m", 0), nil, 0)); rep.Err != nil {
 		t.Fatal(rep.Err)
@@ -116,7 +116,7 @@ func TestExecutorMigrateSourceIsPartOfFootprint(t *testing.T) {
 func TestExecutorSerialModeMatchesConcurrentState(t *testing.T) {
 	build := func(serial bool) string {
 		f, _ := threeSwitchLine(t)
-		_, x := newTestExecutor(f, nil)
+		x := newTestExecutor(f, nil)
 		plans := []*plan.ChangePlan{
 			plan.New("A").Install("s1", "a", aclProgram("a"), nil, 0),
 			plan.New("B").Install("s3", "b", aclProgram("b"), nil, 0),

@@ -25,74 +25,49 @@ import (
 	"flexnet/internal/netsim"
 )
 
-// Costs models the time each reconfiguration primitive takes on the
-// device's management path. Values are simulated durations.
-type Costs struct {
-	// Base is fixed per-change overhead (control channel, validation).
-	Base netsim.Time
-	// TableAdd / TableRemove per match/action table.
-	TableAdd    netsim.Time
-	TableRemove netsim.Time
-	// ParserOp per parser state or transition change.
-	ParserOp netsim.Time
-	// EntryOp per table entry insert/delete.
-	EntryOp netsim.Time
-	// StateBytes per byte of state migrated through the control plane.
-	StateByte netsim.Time
+// The cost model: the time each reconfiguration primitive takes on a
+// device's management path, in simulated time. The prices reflect the
+// paper's reported magnitudes: runtime changes complete well under a
+// second; compile-time reflash takes tens of seconds including draining
+// (the "Evolve or Die" operational reality).
+const (
+	// costBase is fixed per-change overhead (control channel, validation).
+	costBase = 20 * time.Millisecond
+	// costTableAdd / costTableRemove per match/action table.
+	costTableAdd    = 12 * time.Millisecond
+	costTableRemove = 6 * time.Millisecond
+	// costParserOp per parser state or transition change.
+	costParserOp = 15 * time.Millisecond
+	// costEntryOp per table entry insert/delete.
+	costEntryOp = 20 * time.Microsecond
+	// costStateByte per byte of state migrated through the control plane.
+	costStateByte = 50 * time.Nanosecond
 	// Reflash is the compile-time baseline's full-pipeline reprogram time
 	// (device must be drained throughout).
-	Reflash netsim.Time
+	Reflash = 8 * time.Second
 	// DrainLead is how long the baseline drains traffic before reflash.
-	DrainLead netsim.Time
-	// PlaceTarget is the planning cost of examining one candidate device
-	// during placement (resource query + feasibility check against the
-	// controller's inventory). Full compilation scans every fabric device
-	// per segment; incremental recompilation scans only around touched
-	// segments, which is what makes control-plane ops O(op) not O(fabric).
-	PlaceTarget netsim.Time
-	// PlaceSegment is the planning cost of (re)compiling one segment's
-	// placement decision (demand computation, SLA checks, plan assembly).
-	PlaceSegment netsim.Time
-}
-
-// DefaultCosts reflect the paper's reported magnitudes: runtime changes
-// complete well under a second; compile-time reflash takes tens of
-// seconds including draining (the "Evolve or Die" operational reality).
-func DefaultCosts() Costs {
-	return Costs{
-		Base:         20 * time.Millisecond,
-		TableAdd:     12 * time.Millisecond,
-		TableRemove:  6 * time.Millisecond,
-		ParserOp:     15 * time.Millisecond,
-		EntryOp:      20 * time.Microsecond,
-		StateByte:    50 * time.Nanosecond,
-		Reflash:      8 * time.Second,
-		DrainLead:    2 * time.Second,
-		PlaceTarget:  150 * time.Microsecond,
-		PlaceSegment: 500 * time.Microsecond,
-	}
-}
-
-// Engine binds the cost model to a simulator; the Executor schedules
-// every plan's phases on that simulator at the prices the Engine quotes.
-type Engine struct {
-	sim   *netsim.Sim
-	costs Costs
-}
-
-// NewEngine creates an engine with the given cost model.
-func NewEngine(sim *netsim.Sim, costs Costs) *Engine {
-	return &Engine{sim: sim, costs: costs}
-}
+	DrainLead = 2 * time.Second
+	// costPlaceTarget is the planning cost of examining one candidate
+	// device during placement (resource query + feasibility check against
+	// the controller's inventory). Full compilation scans every fabric
+	// device per segment; incremental recompilation scans only around
+	// touched segments, which is what makes control-plane ops O(op) not
+	// O(fabric).
+	costPlaceTarget = 150 * time.Microsecond
+	// costPlaceSegment is the planning cost of (re)compiling one
+	// segment's placement decision (demand computation, SLA checks, plan
+	// assembly).
+	costPlaceSegment = 500 * time.Microsecond
+)
 
 // EstimateOps prices a change from primitive-operation counts. This is
 // the one cost model: the executor prices every device's prepare here.
-func (e *Engine) EstimateOps(tablesAdded, tablesRemoved, parserOps, entryOps int) netsim.Time {
-	return e.costs.Base +
-		netsim.Time(tablesAdded)*e.costs.TableAdd +
-		netsim.Time(tablesRemoved)*e.costs.TableRemove +
-		netsim.Time(parserOps)*e.costs.ParserOp +
-		netsim.Time(entryOps)*e.costs.EntryOp
+func EstimateOps(tablesAdded, tablesRemoved, parserOps, entryOps int) netsim.Time {
+	return costBase +
+		netsim.Time(tablesAdded)*costTableAdd +
+		netsim.Time(tablesRemoved)*costTableRemove +
+		netsim.Time(parserOps)*costParserOp +
+		netsim.Time(entryOps)*costEntryOp
 }
 
 // EstimatePlacement prices the controller's planning work for one
@@ -100,13 +75,13 @@ func (e *Engine) EstimateOps(tablesAdded, tablesRemoved, parserOps, entryOps int
 // segments the number of segment placement decisions recomputed. It is
 // charged as ChangePlan.PlanningLat before Validate, so plan latency
 // reflects how much of the fabric the placement had to look at.
-func (e *Engine) EstimatePlacement(targets, segments int) netsim.Time {
-	return netsim.Time(targets)*e.costs.PlaceTarget +
-		netsim.Time(segments)*e.costs.PlaceSegment
+func EstimatePlacement(targets, segments int) netsim.Time {
+	return netsim.Time(targets)*costPlaceTarget +
+		netsim.Time(segments)*costPlaceSegment
 }
 
 // MigrateLatency estimates control-plane state copy time for the given
 // byte volume (used by the migration baseline).
-func (e *Engine) MigrateLatency(bytes int) netsim.Time {
-	return e.costs.Base + netsim.Time(bytes)*e.costs.StateByte
+func MigrateLatency(bytes int) netsim.Time {
+	return costBase + netsim.Time(bytes)*costStateByte
 }

@@ -86,7 +86,7 @@ func TestRuntimeChangeIsHitless(t *testing.T) {
 	// flow runs while an ACL program is installed mid-stream; zero
 	// packets may be lost and the change must commit in under a second.
 	f, src := lineFabric(t, dataplane.ArchDRMT)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 	src.StartCBR(50000)
 
 	var rep *plan.Report
@@ -123,13 +123,13 @@ func TestRuntimeChangeIsHitless(t *testing.T) {
 // prices a plan's prepare with it.
 func TestEstimateLatencyScalesWithChangeSize(t *testing.T) {
 	f, _ := lineFabric(t, dataplane.ArchDRMT)
-	eng, x := newTestExecutor(f, nil)
-	base := eng.EstimateOps(1, 0, 0, 0)
+	x := newTestExecutor(f, nil)
+	base := EstimateOps(1, 0, 0, 0)
 	for name, grown := range map[string]netsim.Time{
-		"tables added":   eng.EstimateOps(2, 0, 0, 0),
-		"tables removed": eng.EstimateOps(1, 1, 0, 0),
-		"parser ops":     eng.EstimateOps(1, 0, 1, 0),
-		"entry ops":      eng.EstimateOps(1, 0, 0, 1),
+		"tables added":   EstimateOps(2, 0, 0, 0),
+		"tables removed": EstimateOps(1, 1, 0, 0),
+		"parser ops":     EstimateOps(1, 0, 1, 0),
+		"entry ops":      EstimateOps(1, 0, 0, 1),
 	} {
 		if grown <= base {
 			t.Errorf("one more of %s (%v) not slower than the base change (%v)", name, grown, base)
@@ -172,14 +172,14 @@ func TestNetworkWideSimultaneous(t *testing.T) {
 	src := h1.NewSource(netsim.FlowSpec{Dst: packet.IP(10, 0, 0, 2), Proto: packet.ProtoUDP, PacketLen: 200})
 	src.StartCBR(20000)
 
-	eng, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 	switches := []string{"s1", "s2", "s3"}
 	p := plan.New("network-wide acl")
 	for i, sw := range switches {
 		p.Install(sw, "acl"+sw, tablesProgram("acl"+sw, i+1), nil, 0)
 	}
 	const submitAt = 30 * time.Millisecond
-	fastest, slowest := eng.EstimateOps(1, 0, 0, 0), eng.EstimateOps(len(switches), 0, 0, 0)
+	fastest, slowest := EstimateOps(1, 0, 0, 0), EstimateOps(len(switches), 0, 0, 0)
 	installed := func() (n int) {
 		for _, sw := range switches {
 			if f.Device(sw).Instance("acl"+sw) != nil {
@@ -214,8 +214,7 @@ func TestNetworkWideSimultaneous(t *testing.T) {
 }
 
 func TestMigrateLatencyMonotone(t *testing.T) {
-	eng := NewEngine(netsim.New(1), DefaultCosts())
-	if eng.MigrateLatency(1<<20) <= eng.MigrateLatency(1<<10) {
+	if MigrateLatency(1<<20) <= MigrateLatency(1<<10) {
 		t.Fatal("migrate latency not monotone in bytes")
 	}
 }

@@ -31,7 +31,7 @@ import (
 // garbage collection refunds removable programs on its scratch view,
 // and no compiler primitive writes to a device.
 //
-// Phase timing mirrors the engine's cost model: each device's prepare
+// Phase timing follows the cost model (costs.go): each device's prepare
 // takes its estimated reconfiguration latency of simulated time (traffic
 // keeps flowing under the old configuration), and every device then
 // activates at one simulated instant — the epoch-atomic network-wide
@@ -40,7 +40,7 @@ import (
 // two footprint devices at a flip or a rollback runs the old
 // configuration upstream and the new one downstream.
 type Executor struct {
-	eng    *Engine
+	sim    *netsim.Sim
 	device func(string) *dataplane.Device
 	mover  plan.StateMover
 	routes plan.RouteUpdater
@@ -234,8 +234,8 @@ func (x *Executor) SetTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 		succeeded:  reg.Counter("plan.succeeded"),
 		failed:     reg.Counter("plan.failed"),
 		rolledBack: reg.Counter("plan.rolled_back"),
-		execNs:     reg.Histogram("plan.exec_ns", telemetry.DefaultLatencyBounds),
-		prepareNs:  reg.Histogram("plan.prepare_ns", telemetry.DefaultLatencyBounds),
+		execNs:     reg.Histogram("plan.exec_ns"),
+		prepareNs:  reg.Histogram("plan.prepare_ns"),
 	}
 }
 
@@ -298,12 +298,12 @@ func (a footprint) conflicts(b footprint) bool {
 
 func (a footprint) empty() bool { return !a.global && len(a.devs) == 0 }
 
-// NewExecutor creates an executor over the engine's simulator and cost
-// model. device resolves names to devices; mover and routes handle the
-// post-commit step types (either may be nil if the corresponding step
-// type is never used).
-func NewExecutor(eng *Engine, device func(string) *dataplane.Device, mover plan.StateMover, routes plan.RouteUpdater) *Executor {
-	return &Executor{eng: eng, device: device, mover: mover, routes: routes}
+// NewExecutor creates an executor that schedules every phase on sim at
+// the cost model's prices. device resolves names to devices; mover and
+// routes handle the post-commit step types (either may be nil if the
+// corresponding step type is never used).
+func NewExecutor(sim *netsim.Sim, device func(string) *dataplane.Device, mover plan.StateMover, routes plan.RouteUpdater) *Executor {
+	return &Executor{sim: sim, device: device, mover: mover, routes: routes}
 }
 
 // group is one device's slice of a plan: the structural steps (install,
@@ -374,7 +374,7 @@ func (x *Executor) estimateGroup(p *plan.ChangePlan, g *group) netsim.Time {
 			ta += tables(s.Program)
 		}
 	}
-	return x.eng.EstimateOps(ta, tr, 0, 0)
+	return EstimateOps(ta, tr, 0, 0)
 }
 
 // estimate prices the whole plan: prepare proceeds on all devices in
@@ -396,7 +396,7 @@ func (x *Executor) estimate(p *plan.ChangePlan) netsim.Time {
 				total += x.mover.EstimateMove(s.Instance, s.Src, s.UseDataPlane)
 			}
 		case plan.OpRouteUpdate:
-			total += x.eng.EstimateOps(0, 0, 0, 0)
+			total += EstimateOps(0, 0, 0, 0)
 		}
 	}
 	return total
@@ -635,7 +635,7 @@ func (x *Executor) start(q queuedPlan) {
 func (x *Executor) run(ctx context.Context, p *plan.ChangePlan, done func(*plan.Report)) {
 	trace := x.tracer.StartTrace(p.Label)
 	x.met.executed.Inc()
-	started := x.eng.sim.Now()
+	started := x.sim.Now()
 	ps := &pipeState{label: p.Label}
 	x.pipes = append(x.pipes, ps)
 	if p.PlanningLat > 0 {
@@ -644,7 +644,7 @@ func (x *Executor) run(ctx context.Context, p *plan.ChangePlan, done func(*plan.
 		// latency reflects how much planning the operation needed — the
 		// quantity E18 contrasts between incremental and full placement.
 		psp := trace.StartSpan("plan", "")
-		x.eng.sim.After(p.PlanningLat, x.gate(ps, func() {
+		x.sim.After(p.PlanningLat, x.gate(ps, func() {
 			psp.EndSpan()
 			x.runPipeline(ctx, p, ps, trace, started, done)
 		}))
@@ -675,7 +675,7 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 		if rep.Err == nil {
 			rep.Err = err
 		}
-		rep.Actual = x.eng.sim.Now() - started
+		rep.Actual = x.sim.Now() - started
 		switch outcome {
 		case plan.OutcomeSucceeded:
 			x.met.succeeded.Inc()
@@ -845,7 +845,7 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 				onDone(mr.Err)
 			})
 		case plan.OpRouteUpdate:
-			x.eng.sim.After(x.eng.EstimateOps(0, 0, 0, 0), func() {
+			x.sim.After(EstimateOps(0, 0, 0, 0), func() {
 				onDone(x.routes.RefreshRoutesTouched(p.Devices()))
 			})
 		}
@@ -917,7 +917,7 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 	}
 
 	if len(groups) == 0 {
-		x.eng.sim.After(0, x.gate(ps, func() { commit(nil) }))
+		x.sim.After(0, x.gate(ps, func() { commit(nil) }))
 		return
 	}
 	// Prepare proceeds on all devices in parallel; the commit instant is
@@ -927,14 +927,14 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 	for gi, g := range groups {
 		gi, g := gi, g
 		psp := trace.StartSpan("prepare", g.dev.Name())
-		pstart := x.eng.sim.Now()
-		x.eng.sim.After(g.lat, x.gate(ps, func() {
+		pstart := x.sim.Now()
+		x.sim.After(g.lat, x.gate(ps, func() {
 			var pc *dataplane.PreparedChange
 			err := ctx.Err() // cancelled mid-prepare: stage nothing
 			if err == nil {
 				pc, err = x.prepareGroup(p, g)
 			}
-			x.met.prepareNs.Observe(int64(x.eng.sim.Now() - pstart))
+			x.met.prepareNs.Observe(int64(x.sim.Now() - pstart))
 			psp.Fail(err)
 			switch {
 			case err != nil && p.AllowDegraded && isDownErr(err):

@@ -42,9 +42,8 @@ func threeSwitchLine(t *testing.T) (*fabric.Fabric, *netsim.Source) {
 	return f, src
 }
 
-func newTestExecutor(f *fabric.Fabric, mover plan.StateMover) (*Engine, *Executor) {
-	eng := NewEngine(f.Sim, DefaultCosts())
-	return eng, NewExecutor(eng, f.Device, mover, f)
+func newTestExecutor(f *fabric.Fabric, mover plan.StateMover) *Executor {
+	return NewExecutor(f.Sim, f.Device, mover, f)
 }
 
 // counterProgram is a pure-compute program that counts every packet,
@@ -108,7 +107,7 @@ func runPlan(t *testing.T, f *fabric.Fabric, x *Executor, p *plan.ChangePlan) *p
 
 func TestExecutorCommitsMultiDevicePlan(t *testing.T) {
 	f, src := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 	src.StartCBR(20000)
 	f.Sim.RunFor(30 * time.Millisecond)
 
@@ -149,7 +148,7 @@ func TestExecutorCommitsMultiDevicePlan(t *testing.T) {
 
 func TestExecutorValidateIsPureDryRun(t *testing.T) {
 	f, _ := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 	p := plan.New("dry").Install("s1", "acl", aclProgram("acl"), nil, 0)
 	rep := x.Validate(p)
 	if rep.Err != nil {
@@ -171,7 +170,7 @@ func TestExecutorValidateIsPureDryRun(t *testing.T) {
 
 func TestExecutorValidateRejections(t *testing.T) {
 	f, _ := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 
 	bad := &flexbpf.Program{Name: "bad", Actions: map[string]*flexbpf.Action{}}
 	bad.Pipeline = []flexbpf.Stmt{{Apply: "ghost"}}
@@ -204,7 +203,7 @@ func TestExecutorValidateRejections(t *testing.T) {
 
 func TestExecutorValidateRejectsDownDevice(t *testing.T) {
 	f, _ := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 	f.Device("s2").SetDown(true)
 	rep := x.Validate(plan.New("x").Install("s2", "a", aclProgram("a"), nil, 0))
 	if !errors.Is(rep.Err, errdefs.ErrDeviceDown) {
@@ -214,7 +213,7 @@ func TestExecutorValidateRejectsDownDevice(t *testing.T) {
 
 func TestExecutorPrepareFaultAbortsWholePlan(t *testing.T) {
 	f, src := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 	injected := errors.New("flash write failed")
 	f.Device("s2").SetFaultInjector(func(dev string, op dataplane.FaultOp) error {
 		if op == dataplane.FaultPrepare {
@@ -254,7 +253,7 @@ func TestExecutorPrepareFaultAbortsWholePlan(t *testing.T) {
 
 func TestExecutorCommitFaultRollsBackByteIdentical(t *testing.T) {
 	f, src := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 
 	// Pre-plan network: a stateful counter runs on s2 and accumulates.
 	if err := f.Device("s2").InstallProgram(counterProgram("cnt", 0)); err != nil {
@@ -318,7 +317,7 @@ func TestExecutorCommitFaultRollsBackByteIdentical(t *testing.T) {
 
 func TestExecutorSwapCarriesState(t *testing.T) {
 	f, src := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 	if err := f.Device("s2").InstallProgram(counterProgram("cnt", 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +363,7 @@ func (m *fakeMover) MoveState(inst, src, dst string, dp bool, done func(plan.Mov
 func TestExecutorMigrateStepRunsAfterCommit(t *testing.T) {
 	f, _ := threeSwitchLine(t)
 	mover := &fakeMover{}
-	_, x := newTestExecutor(f, mover)
+	x := newTestExecutor(f, mover)
 	if err := f.Device("s1").InstallProgram(counterProgram("cnt", 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +389,7 @@ func TestExecutorMigrateFaultRollsBackInstall(t *testing.T) {
 	f, _ := threeSwitchLine(t)
 	injected := errors.New("state transfer stalled")
 	mover := &fakeMover{err: injected}
-	_, x := newTestExecutor(f, mover)
+	x := newTestExecutor(f, mover)
 	if err := f.Device("s1").InstallProgram(counterProgram("cnt", 0)); err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +420,7 @@ func TestExecutorMigrateFaultRollsBackInstall(t *testing.T) {
 // the count keeps the total, and ReportsSince clamps to what is left.
 func TestExecutorReportsBounded(t *testing.T) {
 	f, _ := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 	const total = reportsKept + 300
 	for i := 0; i < total; i++ {
 		// Alternate install/remove of one instance: conflicting
@@ -455,7 +454,7 @@ func TestExecutorReportsBounded(t *testing.T) {
 
 func TestExecutorSerializesPlans(t *testing.T) {
 	f, _ := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 	// Plan B removes what plan A installs: it can only validate after A
 	// commits, which is exactly the serialize-at-head-of-queue contract.
 	var repA, repB *plan.Report
@@ -480,7 +479,7 @@ func TestExecutorSerializesPlans(t *testing.T) {
 
 func TestExecutorRouteUpdateStep(t *testing.T) {
 	f, _ := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 	rep := runPlan(t, f, x, plan.New("routes").RouteUpdate())
 	if rep.Err != nil {
 		t.Fatalf("route update failed: %v", rep.Err)
@@ -505,7 +504,7 @@ func spanNames(tr *telemetry.Trace) []string {
 
 func TestExecutorEmitsTraceAndMetrics(t *testing.T) {
 	f, _ := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 	x.SetTelemetry(f.Metrics, f.Tracer)
 
 	p := plan.New("deploy acl").
@@ -543,14 +542,14 @@ func TestExecutorEmitsTraceAndMetrics(t *testing.T) {
 	if v := f.Metrics.CounterValue("plan.succeeded"); v != 1 {
 		t.Fatalf("plan.succeeded = %d", v)
 	}
-	if c := f.Metrics.Histogram("plan.prepare_ns", nil).Count(); c != 2 {
+	if c := f.Metrics.Histogram("plan.prepare_ns").Count(); c != 2 {
 		t.Fatalf("prepare_ns observations = %d, want 2 (one per device)", c)
 	}
 }
 
 func TestExecutorRollbackSpanAndCounters(t *testing.T) {
 	f, _ := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 	x.SetTelemetry(f.Metrics, f.Tracer)
 
 	injected := errors.New("asic commit fault")
@@ -602,7 +601,7 @@ func TestExecutorRollbackSpanAndCounters(t *testing.T) {
 // plans identically (nil-safe handles) and leave no trace behind.
 func TestExecutorNoTelemetryIsInert(t *testing.T) {
 	f, _ := threeSwitchLine(t)
-	_, x := newTestExecutor(f, nil)
+	x := newTestExecutor(f, nil)
 	rep := runPlan(t, f, x, plan.New("deploy").Install("s1", "acl1", aclProgram("acl1"), nil, 0))
 	if rep.Err != nil {
 		t.Fatalf("plan failed: %v", rep.Err)

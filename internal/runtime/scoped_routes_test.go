@@ -23,9 +23,8 @@ func (r *recordingRoutes) RefreshRoutesTouched(devices []string) error {
 // plan changed are refreshed.
 func TestRouteUpdateScopedToPlanDevices(t *testing.T) {
 	f, _ := threeSwitchLine(t)
-	eng := NewEngine(f.Sim, DefaultCosts())
 	rec := &recordingRoutes{}
-	x := NewExecutor(eng, f.Device, nil, rec)
+	x := NewExecutor(f.Sim, f.Device, nil, rec)
 
 	p := plan.New("scoped").
 		Install("s1", "acl1", aclProgram("acl1"), nil, 0).
@@ -44,9 +43,8 @@ func TestRouteUpdateScopedToPlanDevices(t *testing.T) {
 // plan (no structural steps, empty touch-set) refreshes everything.
 func TestRouteUpdateWithoutDevicesFallsBackToFull(t *testing.T) {
 	f, _ := threeSwitchLine(t)
-	eng := NewEngine(f.Sim, DefaultCosts())
 	rec := &recordingRoutes{}
-	x := NewExecutor(eng, f.Device, nil, rec)
+	x := NewExecutor(f.Sim, f.Device, nil, rec)
 
 	rep := runPlan(t, f, x, plan.New("bare").RouteUpdate())
 	if rep.Err != nil {

@@ -18,7 +18,6 @@ import (
 // QoS rate) produces a new fingerprint and therefore a hitless swap.
 type Resolved struct {
 	Version string
-	Source  *Spec
 	// Tenants is sorted.
 	Tenants []string
 	// Apps is keyed by URI; AppURIs gives deterministic order.
@@ -154,7 +153,6 @@ func resolveBuiltin(kind, name string, args []uint64) (*flexbpf.Program, uint64,
 func Resolve(s *Spec) (*Resolved, error) {
 	r := &Resolved{
 		Version: s.Version,
-		Source:  s,
 		Apps:    make(map[string]*ResolvedApp, len(s.Apps)),
 	}
 	for _, t := range s.Tenants {

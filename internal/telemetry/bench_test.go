@@ -18,7 +18,7 @@ func BenchmarkCounterAdd(b *testing.B) {
 // plus three atomics).
 func BenchmarkHistogramObserve(b *testing.B) {
 	r := NewRegistry()
-	h := r.Histogram("lat", nil)
+	h := r.Histogram("lat")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -45,7 +45,7 @@ func BenchmarkSnapshot(b *testing.B) {
 		r.Gauge(fmt64("g", i)).Set(int64(i))
 	}
 	for i := 0; i < 8; i++ {
-		r.Histogram(fmt64("h", i), nil).Observe(int64(i) * 1000)
+		r.Histogram(fmt64("h", i)).Observe(int64(i) * 1000)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

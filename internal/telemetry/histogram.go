@@ -2,12 +2,12 @@ package telemetry
 
 import "sync/atomic"
 
-// DefaultLatencyBounds are the shared bucket boundaries for latency
-// histograms, in nanoseconds: 1µs, 10µs, 100µs, 1ms, 10ms, 100ms, 1s,
-// 10s, plus an implicit +inf bucket. They are fixed so histogram output
-// is deterministic under the simulator at a given seed and comparable
+// latencyBounds are the bucket boundaries of every histogram, in
+// nanoseconds: 1µs, 10µs, 100µs, 1ms, 10ms, 100ms, 1s, 10s, plus an
+// implicit +inf bucket. They are fixed so histogram output is
+// deterministic under the simulator at a given seed and comparable
 // across devices and plans.
-var DefaultLatencyBounds = []int64{
+var latencyBounds = [...]int64{
 	1_000,          // 1µs
 	10_000,         // 10µs
 	100_000,        // 100µs
@@ -18,35 +18,24 @@ var DefaultLatencyBounds = []int64{
 	10_000_000_000, // 10s
 }
 
-// Histogram counts observations into fixed buckets. Buckets are
-// cumulative-upper-bound style: observation v lands in the first bucket
-// with v <= bound, or the overflow (+inf) bucket. Observe is lock-free.
+// numBuckets counts latencyBounds' buckets and the +inf one.
+const numBuckets = len(latencyBounds) + 1
+
+// Histogram counts observations into the latencyBounds buckets. Buckets
+// are cumulative-upper-bound style: observation v lands in the first
+// bucket with v <= bound, or the overflow (+inf) bucket. Observe is
+// lock-free. Registry.Histogram creates them.
 type Histogram struct {
-	bounds  []int64
-	buckets []atomic.Uint64 // len(bounds)+1; last is +inf
+	buckets [numBuckets]atomic.Uint64 // last is +inf
 	count   atomic.Uint64
 	sum     atomic.Int64
 }
 
-func newHistogram(bounds []int64) *Histogram {
-	b := copyBounds(bounds)
-	return &Histogram{bounds: b, buckets: make([]atomic.Uint64, len(b)+1)}
-}
-
-// copyBounds returns a private copy of bounds, DefaultLatencyBounds when
-// bounds is empty.
-func copyBounds(bounds []int64) []int64 {
-	if len(bounds) == 0 {
-		bounds = DefaultLatencyBounds
-	}
-	return append([]int64(nil), bounds...)
-}
-
 // bucket returns the index of the bucket v lands in: the first with
-// v <= bound, or len(bounds) for the overflow bucket.
-func bucket(bounds []int64, v int64) int {
+// v <= bound, or len(latencyBounds) for the overflow bucket.
+func bucket(v int64) int {
 	i := 0
-	for i < len(bounds) && v > bounds[i] {
+	for i < len(latencyBounds) && v > latencyBounds[i] {
 		i++
 	}
 	return i
@@ -57,7 +46,7 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	h.buckets[bucket(h.bounds, v)].Add(1)
+	h.buckets[bucket(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
 }
@@ -80,13 +69,13 @@ type HistogramSnapshot struct {
 	Buckets []uint64 `json:"buckets"`
 }
 
-func (h *Histogram) snapshot(name string) HistogramSnapshot {
+func (h *Histogram) snapshot(name string, bounds []int64) HistogramSnapshot {
 	s := HistogramSnapshot{
 		Name:    name,
 		Count:   h.count.Load(),
 		Sum:     h.sum.Load(),
-		Bounds:  h.bounds,
-		Buckets: make([]uint64, len(h.buckets)),
+		Bounds:  bounds,
+		Buckets: make([]uint64, numBuckets),
 	}
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
@@ -97,34 +86,27 @@ func (h *Histogram) snapshot(name string) HistogramSnapshot {
 // LocalHistogram is a Histogram for a single writer: the same buckets in
 // plain fields, so an observation is a bucket scan and three adds with no
 // locked instruction. Its owner publishes it with Registry.HistogramView;
-// whoever reads it (Snapshot) must be serialized with the writer.
+// whoever reads it (Snapshot) must be serialized with the writer. The
+// zero value is ready to use.
 type LocalHistogram struct {
-	bounds  []int64
-	buckets []uint64 // len(bounds)+1; last is +inf
+	buckets [numBuckets]uint64 // last is +inf
 	count   uint64
 	sum     int64
 }
 
-// NewLocalHistogram creates a single-writer histogram with the given
-// bucket boundaries (DefaultLatencyBounds when empty).
-func NewLocalHistogram(bounds []int64) *LocalHistogram {
-	b := copyBounds(bounds)
-	return &LocalHistogram{bounds: b, buckets: make([]uint64, len(b)+1)}
-}
-
 // Observe records one sample.
 func (h *LocalHistogram) Observe(v int64) {
-	h.buckets[bucket(h.bounds, v)]++
+	h.buckets[bucket(v)]++
 	h.count++
 	h.sum += v
 }
 
-func (h *LocalHistogram) snapshot(name string) HistogramSnapshot {
+func (h *LocalHistogram) snapshot(name string, bounds []int64) HistogramSnapshot {
 	return HistogramSnapshot{
 		Name:    name,
 		Count:   h.count,
 		Sum:     h.sum,
-		Bounds:  h.bounds,
-		Buckets: append([]uint64(nil), h.buckets...),
+		Bounds:  bounds,
+		Buckets: append([]uint64(nil), h.buckets[:]...),
 	}
 }

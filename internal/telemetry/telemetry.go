@@ -113,7 +113,7 @@ func (v counterView) Value() uint64 { return v() }
 // histSource is a histogram's state behind a name: a *Histogram or a
 // *LocalHistogram view.
 type histSource interface {
-	snapshot(name string) HistogramSnapshot
+	snapshot(name string, bounds []int64) HistogramSnapshot
 }
 
 // NewRegistry creates an empty registry.
@@ -176,11 +176,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram, creating it with the given
-// bucket boundaries if needed. Boundaries are fixed at creation; later
-// calls reuse the existing instrument regardless of bounds. Returns nil
-// on a nil registry. Panics if name is a view.
-func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
+// Histogram returns the named histogram, creating it if needed. Returns
+// nil on a nil registry. Panics if name is a view.
+func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -190,7 +188,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	case *Histogram:
 		return h
 	case nil:
-		nh := newHistogram(bounds)
+		nh := &Histogram{}
 		r.hists[name] = nh
 		return nh
 	default:
@@ -268,8 +266,10 @@ func (r *Registry) Snapshot() Snapshot {
 	for _, name := range sortedKeys(r.gauges) {
 		s.Gauges = append(s.Gauges, MetricPoint{Name: name, Value: r.gauges[name].Value()})
 	}
+	// The snapshot's histograms share one copy of latencyBounds.
+	bounds := append([]int64(nil), latencyBounds[:]...)
 	for _, name := range sortedKeys(r.hists) {
-		s.Histograms = append(s.Histograms, r.hists[name].snapshot(name))
+		s.Histograms = append(s.Histograms, r.hists[name].snapshot(name, bounds))
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -35,7 +36,7 @@ func TestNilSafety(t *testing.T) {
 	c := r.Counter("x")
 	c.Inc() // must not panic
 	r.Gauge("y").Set(3)
-	r.Histogram("z", nil).Observe(1)
+	r.Histogram("z").Observe(1)
 	if c.Value() != 0 || r.GaugeValue("y") != 0 {
 		t.Fatal("nil registry handles should be inert")
 	}
@@ -54,33 +55,34 @@ func TestNilSafety(t *testing.T) {
 
 func TestHistogramBucketEdges(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", []int64{10, 100})
-	for _, v := range []int64{1, 10, 11, 100, 101, 5000} {
+	h := r.Histogram("lat")
+	for _, v := range []int64{1, 1_000, 1_001, 10_000, 10_001, 50_000_000_000} {
 		h.Observe(v)
 	}
-	s := h.snapshot("lat")
-	// v <= 10 → bucket 0; 10 < v <= 100 → bucket 1; else overflow.
-	want := []uint64{2, 2, 2}
-	for i, w := range want {
-		if s.Buckets[i] != w {
-			t.Fatalf("bucket %d = %d, want %d (all: %v)", i, s.Buckets[i], w, s.Buckets)
-		}
+	s := h.snapshot("lat", latencyBounds[:])
+	// v <= 1µs → bucket 0; 1µs < v <= 10µs → bucket 1; 10µs < v <=
+	// 100µs → bucket 2; over 10s → overflow.
+	want := []uint64{2, 2, 1, 0, 0, 0, 0, 0, 1}
+	if !reflect.DeepEqual(s.Buckets, want) {
+		t.Fatalf("buckets = %v, want %v", s.Buckets, want)
 	}
-	if s.Count != 6 || s.Sum != 1+10+11+100+101+5000 {
+	if s.Count != 6 || s.Sum != 1+1_000+1_001+10_000+10_001+50_000_000_000 {
 		t.Fatalf("count/sum = %d/%d", s.Count, s.Sum)
 	}
 }
 
+// TestHistogramDefaultBounds: every snapshot reports the latency bounds
+// in a copy of its own.
 func TestHistogramDefaultBounds(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("lat", nil)
-	h.Observe(500) // <= 1µs bucket
-	s := h.snapshot("lat")
-	if len(s.Bounds) != len(DefaultLatencyBounds) {
-		t.Fatalf("bounds = %v, want defaults", s.Bounds)
+	r.Histogram("lat").Observe(500) // <= 1µs bucket
+	s := r.Snapshot().Histograms[0]
+	if !reflect.DeepEqual(s.Bounds, latencyBounds[:]) || s.Buckets[0] != 1 {
+		t.Fatalf("snapshot = %+v, want one sample in the first of bounds %v", s, latencyBounds)
 	}
-	if s.Buckets[0] != 1 {
-		t.Fatalf("first bucket = %d, want 1", s.Buckets[0])
+	s.Bounds[0] = 0
+	if again := r.Snapshot().Histograms[0]; again.Bounds[0] != latencyBounds[0] {
+		t.Fatalf("editing one snapshot's bounds changed the next: %v", again.Bounds)
 	}
 }
 
@@ -94,17 +96,19 @@ func TestSnapshotDeterministic(t *testing.T) {
 		r.Counter("z.last").Add(3)
 		r.Counter("a.first").Add(1)
 		r.Gauge("m.mid").Set(-4)
-		h := r.Histogram("lat", []int64{10, 100})
-		h.Observe(5)
-		h.Observe(50)
+		h := r.Histogram("lat")
+		// One sample in the first bucket, one in the 100µs bucket and
+		// one past the last bound.
 		h.Observe(500)
+		h.Observe(50_000)
+		h.Observe(50_000_000_000)
 		return r.Snapshot().Format()
 	}
 	a, b := build(), build()
 	if a != b {
 		t.Fatalf("snapshot format not deterministic:\n%s\nvs\n%s", a, b)
 	}
-	for _, want := range []string{"a.first", "z.last", "m.mid", "count=3"} {
+	for _, want := range []string{"a.first", "z.last", "m.mid", "count=3", "le 1000:", "le 100000:", "le +inf:"} {
 		if !strings.Contains(a, want) {
 			t.Fatalf("snapshot missing %q:\n%s", want, a)
 		}
@@ -127,7 +131,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				r.Counter("shared").Inc()
 				r.Gauge("g").Set(int64(i))
-				r.Histogram("h", nil).Observe(int64(i))
+				r.Histogram("h").Observe(int64(i))
 				if i%100 == 0 {
 					_ = r.Snapshot()
 				}
@@ -138,7 +142,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := r.CounterValue("shared"); got != workers*iters {
 		t.Fatalf("shared counter = %d, want %d", got, workers*iters)
 	}
-	if h := r.Histogram("h", nil); h.Count() != workers*iters {
+	if h := r.Histogram("h"); h.Count() != workers*iters {
 		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*iters)
 	}
 }
@@ -148,7 +152,7 @@ func TestRegistryConcurrent(t *testing.T) {
 // the same values would, and CounterValue reads a view by name.
 func TestViewsRenderLikeInstruments(t *testing.T) {
 	var pkts uint64
-	lat := NewLocalHistogram([]int64{10, 100})
+	lat := &LocalHistogram{}
 	views := NewRegistry()
 	views.Counter("a.first").Add(1)
 	views.CounterView("m.pkts", func() uint64 { return pkts })
@@ -158,11 +162,12 @@ func TestViewsRenderLikeInstruments(t *testing.T) {
 	insts := NewRegistry()
 	insts.Counter("a.first").Add(1)
 	insts.Counter("z.last").Add(3)
-	for _, v := range []int64{5, 50, 500} {
+	// First bucket, 100µs bucket and past the last bound.
+	for _, v := range []int64{500, 50_000, 50_000_000_000} {
 		pkts++
 		lat.Observe(v)
 		insts.Counter("m.pkts").Inc()
-		insts.Histogram("lat", []int64{10, 100}).Observe(v)
+		insts.Histogram("lat").Observe(v)
 	}
 	if got, want := views.Snapshot().Format(), insts.Snapshot().Format(); got != want {
 		t.Fatalf("views render differently from instruments:\n%s\nvs\n%s", got, want)
@@ -183,11 +188,11 @@ func TestViewNameClashPanics(t *testing.T) {
 		"Counter on a view":        func(r *Registry) { r.CounterView("n", read); r.Counter("n") },
 		"CounterView on a counter": func(r *Registry) { r.Counter("n"); r.CounterView("n", read) },
 		"CounterView twice":        func(r *Registry) { r.CounterView("n", read); r.CounterView("n", read) },
-		"Histogram on a view":      func(r *Registry) { r.HistogramView("n", NewLocalHistogram(nil)); r.Histogram("n", nil) },
-		"HistogramView on one":     func(r *Registry) { r.Histogram("n", nil); r.HistogramView("n", NewLocalHistogram(nil)) },
+		"Histogram on a view":      func(r *Registry) { r.HistogramView("n", &LocalHistogram{}); r.Histogram("n") },
+		"HistogramView on one":     func(r *Registry) { r.Histogram("n"); r.HistogramView("n", &LocalHistogram{}) },
 		"HistogramView twice": func(r *Registry) {
-			r.HistogramView("n", NewLocalHistogram(nil))
-			r.HistogramView("n", NewLocalHistogram(nil))
+			r.HistogramView("n", &LocalHistogram{})
+			r.HistogramView("n", &LocalHistogram{})
 		},
 	}
 	for name, register := range cases {

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"flexnet/internal/runtime"
 )
 
 // deployHH deploys the heavy-hitter app on s1 and fails the test on
@@ -268,14 +266,14 @@ func TestMigrateControlPlaneOnly(t *testing.T) {
 }
 
 // TestOpReturnsItsOwnReport: an op returns its own plan's report even
-// when other plans finish while it waits. Network.Scale onto s1 shares
-// its wait with a removal on s4 that commits just after it and with the
-// healer's reconcile of a restarted s2, which queues behind both and
-// finishes last. Plan costs are cut to milliseconds so all three land
-// inside one of the wait's simulation steps.
+// when other plans finish while it waits. Network.Scale onto s1 queues
+// behind the healer's reconcile of a restarted s2 (a route update, so it
+// runs alone) and commits 32.65 ms after it; a removal on s4, submitted
+// once the reconcile is done and disjoint from the scale, commits 1.35 ms
+// after the scale, inside the same 10 ms step of the scale's wait. Only a
+// disjoint plan can: any plan costs at least 20 ms.
 func TestOpReturnsItsOwnReport(t *testing.T) {
 	n := New(3).
-		ReconfigCosts(runtime.Costs{Base: 2 * time.Millisecond}).
 		Switch("s1", DRMT).
 		Switch("s2", DRMT).
 		Switch("s3", DRMT).
@@ -298,8 +296,11 @@ func TestOpReturnsItsOwnReport(t *testing.T) {
 		}
 	}
 	h := n.StartSelfHealing(time.Millisecond)
+	n.Device("s2").Crash()
+	n.Device("s2").Restart()
+	n.RunFor(time.Millisecond) // the healer's first scan submits the reconcile
 	removed := false
-	n.After(500*time.Microsecond, func() {
+	n.After(60*time.Millisecond, func() {
 		n.Controller().Remove(ctx, "flexnet://infra/gone", func(err error) {
 			if err != nil {
 				t.Errorf("remove: %v", err)
@@ -307,8 +308,6 @@ func TestOpReturnsItsOwnReport(t *testing.T) {
 			removed = true
 		})
 	})
-	n.After(600*time.Microsecond, n.Device("s2").Crash)
-	n.After(800*time.Microsecond, n.Device("s2").Restart)
 	rep, err := n.Scale(ctx, ScaleRequest{URI: "flexnet://infra/mon", Segment: "hh", Device: "s1"})
 	if err != nil {
 		t.Fatal(err)
@@ -319,8 +318,8 @@ func TestOpReturnsItsOwnReport(t *testing.T) {
 	if want := "scale-out flexnet://infra/mon/hh -> s1"; rep == nil || rep.Label != want {
 		t.Fatalf("Scale returned %+v, want its own plan %q", rep, want)
 	}
-	if last := n.LastPlanReport(); last.Label != "reconcile s2" {
-		t.Fatalf("last plan to finish = %q, want the heal", last.Label)
+	if last := n.LastPlanReport(); last.Label != "remove flexnet://infra/gone" {
+		t.Fatalf("last plan to finish = %q, want the removal", last.Label)
 	}
 }
 
