@@ -48,14 +48,16 @@ mutants:
 
 # fuzz runs each native fuzz target for FUZZTIME (30 s) past its seed
 # corpus: the header chain against its []string model, the flow
-# cache's record→replay round trip against an uncached device, and the
-# spec decoder against encoding/json. Go fuzzes one target per
-# invocation.
+# cache's record→replay round trip against an uncached device, the
+# spec decoder against encoding/json, and a linked whole FlexBPF
+# program (tables, actions, conditions) against the reference
+# interpreter. Go fuzzes one target per invocation.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHeaderChain$$' -fuzztime $(FUZZTIME) ./internal/packet
 	$(GO) test -run '^$$' -fuzz '^FuzzFlowCacheEquivalence$$' -fuzztime $(FUZZTIME) ./internal/dataplane
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecLoad$$' -fuzztime $(FUZZTIME) ./internal/spec
+	$(GO) test -run '^$$' -fuzz '^FuzzLinkedVsReference$$' -fuzztime $(FUZZTIME) ./internal/flexbpf
 
 vet:
 	$(GO) vet ./...

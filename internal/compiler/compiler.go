@@ -103,9 +103,6 @@ type Plan struct {
 	Reclaims []Reclaim
 	// EstLatencyNs is the summed device base latency along the placement.
 	EstLatencyNs uint64
-	// EnergyWatts is the added static power of devices activated by this
-	// plan.
-	EnergyWatts float64
 	// TargetsScanned counts candidate-device examinations performed while
 	// placing — the work term the control-plane cost model charges for
 	// (runtime.EstimatePlacement). Full compilation scans every target per
@@ -200,7 +197,7 @@ func (c *Compiler) Compile(dp *flexbpf.Datapath, targets []Target, path []string
 		return nil, fmt.Errorf("compiler: %s: placement failed after %d iteration(s): %w", dp.Name, plan.Iterations, err)
 	}
 	plan.Assignments = assignments
-	c.finish(plan, dp, scratch, index)
+	c.finish(plan, scratch, index)
 	return plan, nil
 }
 
@@ -313,17 +310,15 @@ func (c *Compiler) score(st *scratchTarget, free, need flexbpf.Demand, activated
 	}
 }
 
-// finish computes plan metrics.
-func (c *Compiler) finish(plan *Plan, dp *flexbpf.Datapath, scratch []*scratchTarget, index map[string]int) {
+// finish sums the base latency of every device the plan uses into
+// EstLatencyNs.
+func (c *Compiler) finish(plan *Plan, scratch []*scratchTarget, index map[string]int) {
 	seen := map[string]bool{}
 	for _, a := range plan.Assignments {
 		st := scratch[index[a.Device]]
 		if !seen[a.Device] {
 			seen[a.Device] = true
 			plan.EstLatencyNs += st.BaseLatencyNs()
-			if st.activated {
-				plan.EnergyWatts += st.IdleWatts() + st.ActiveWatts()
-			}
 		}
 	}
 }

@@ -162,9 +162,6 @@ func TestEnergyStrategyConsolidates(t *testing.T) {
 			t.Fatalf("energy strategy woke an idle device: %v", plan.Assignments)
 		}
 	}
-	if plan.EnergyWatts != 0 {
-		t.Fatalf("energy cost = %f, want 0", plan.EnergyWatts)
-	}
 }
 
 func TestSLAThroughputFilter(t *testing.T) {

@@ -7,7 +7,7 @@ import (
 )
 
 // Fingerprint computes a structural hash of a program that ignores its
-// name and owner: two tenants submitting the same extension (§3.2
+// name: two tenants submitting the same extension (§3.2
 // "different tenants may inject logically-sharable code that present
 // optimization opportunities") produce equal fingerprints even though
 // their programs are distinct objects.
@@ -20,7 +20,7 @@ import (
 // the hash reads each occurrence of the program name followed by '_'
 // or '.' as one placeholder: the same app built under two segment names
 // fingerprints equal. RequiredHeaders and Requires are derived charges,
-// not structure, and are left out, as Owner and Name are.
+// not structure, and are left out, as Name is.
 func Fingerprint(p *flexbpf.Program) uint64 {
 	h := fpHash{sum: fpOffset, prog: p.Name}
 	h.word(uint64(len(p.Maps)))
@@ -148,9 +148,6 @@ func (h *fpHash) stmts(stmts []flexbpf.Stmt) {
 			h.name(c.Cond.Field)
 			h.word(uint64(c.Cond.Op))
 			h.word(c.Cond.Value)
-			h.name(c.Cond.OtherField)
-			h.name(c.Cond.HasHeader)
-			h.bool(c.Cond.Negate)
 			h.stmts(c.Then)
 			h.stmts(c.Else)
 		} else {

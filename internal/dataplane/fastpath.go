@@ -73,9 +73,7 @@ func computeFastpath(cfg *config) *fastpathInfo {
 			writes[fid] = struct{}{}
 		}
 		if inst.lfilter != nil {
-			for _, fid := range inst.lfilter.Fields() {
-				fields[fid] = struct{}{}
-			}
+			fields[inst.lfilter.Field()] = struct{}{}
 		}
 		fp.usesLen = fp.usesLen || prof.UsesPktLen
 		fp.tables = append(fp.tables, lp.TableInstances()...)

@@ -47,11 +47,7 @@ func newInstance(prog *flexbpf.Program, filter *flexbpf.Cond, now func() uint64)
 		now:    now,
 	}
 	if filter != nil {
-		lf, err := flexbpf.CompileCond(filter)
-		if err != nil {
-			return nil, fmt.Errorf("program %s: filter: %w", prog.Name, err)
-		}
-		inst.lfilter = lf
+		inst.lfilter = flexbpf.CompileCond(filter)
 	}
 	for _, t := range prog.Tables {
 		inst.tables[t.Name] = flexbpf.NewTableInstance(t)

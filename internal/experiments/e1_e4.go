@@ -36,9 +36,9 @@ func lineFabric(seed int64, arch dataplane.Arch) (*fabric.Fabric, *netsim.Source
 
 // newExecutor returns the plan executor of a fresh controller over f at
 // the default costs: the one pipeline every runtime change in these
-// experiments rides. The controller also takes f's punt hook and files
-// plan telemetry and audit records in f's registry; E1, E4, E5 and E16
-// neither punt nor read those, so their tables do not change.
+// experiments rides. The controller also files plan telemetry and audit
+// records in f's registry; E1, E4, E5 and E16 do not read those, so
+// their tables do not change.
 func newExecutor(f *fabric.Fabric) *runtime.Executor {
 	return controller.New(f).Executor()
 }

@@ -30,7 +30,6 @@ func (f *Fabric) EnableDRPC(devName string, ip uint32) (*drpc.Router, error) {
 		f.Sim.AtPacket(f.Sim.Now(), originate, p, 0)
 	}, f.simAfter)
 	f.routers[devName] = r
-	f.routerIPs[devName] = ip
 	// The control IP is a routable destination like any host, except the
 	// owning device needs no route to itself: delivery happens at ingress.
 	f.routing.AddDest("drpc:"+devName, ip, devName, devName)

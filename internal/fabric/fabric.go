@@ -65,9 +65,8 @@ type Fabric struct {
 	// grows, so they are maintained by sorted insertion on Add.
 	devNames  []string
 	hostNames []string
-	// routers are per-device dRPC endpoints; routerIPs their control IPs.
-	routers   map[string]*drpc.Router
-	routerIPs map[string]uint32
+	// routers are per-device dRPC endpoints.
+	routers map[string]*drpc.Router
 	// seq issues unique packet IDs for all sources on this fabric.
 	seq uint64
 
@@ -89,11 +88,6 @@ type Fabric struct {
 	// ContinueDrops counts packets that no program claimed (fell off the
 	// end of the chain with VerdictContinue).
 	ContinueDrops uint64
-	// Punted, when set, receives packets a program sends to the
-	// controller; each device also counts them in Stats().Punted. Like
-	// Host.Recv, it borrows the packet for the duration of the call.
-	Punted func(dev string, pkt *packet.Packet)
-
 	// events counts device visits, egress transmits and host deliveries,
 	// on the simulator's goroutine; the registry reads it through a view.
 	// It keeps the registry name fabric.batch.events, though nothing is
@@ -121,7 +115,6 @@ func New(seed int64) *Fabric {
 		switches:  map[string]*swtch{},
 		hosts:     map[string]*Host{},
 		routers:   map[string]*drpc.Router{},
-		routerIPs: map[string]uint32{},
 		routing:   routing.New(),
 		linkID:    map[*netsim.Link]int{},
 		applied:   map[string]*flexbpf.TableInstance{},
@@ -216,14 +209,10 @@ func (f *Fabric) deviceVisit(sw *swtch, pkt *packet.Packet, inPort int) {
 	case packet.VerdictForward:
 		f.Sim.AtPacket(f.Sim.Now()+netsim.Time(st.LatencyNs), sw.transmit, pkt, 0)
 		return
-	case packet.VerdictToController:
-		if f.Punted != nil {
-			f.Punted(d.Name(), pkt)
-		}
 	case packet.VerdictContinue:
 		f.ContinueDrops++
-	case packet.VerdictDrop:
-		// Dropped by policy; counted by the device.
+	case packet.VerdictDrop, packet.VerdictToController:
+		// Dropped by policy or punted; counted by the device.
 	}
 	f.Sim.Packets().Release(pkt)
 }
@@ -361,7 +350,7 @@ func InfraRoutingProgramSized(size int) *flexbpf.Program {
 // the destination count (minimum 1024, then next power of two).
 func (f *Fabric) InstallBaseRouting() error {
 	size := 1024
-	if n := len(f.hosts) + len(f.routerIPs); n > size {
+	if n := len(f.hosts) + len(f.routers); n > size {
 		for size < n {
 			size <<= 1
 		}

@@ -105,6 +105,8 @@ func TestUnroutableDropped(t *testing.T) {
 	}
 }
 
+// TestPuntedCallback: a punted packet ends at its device, which counts
+// it in Stats().Punted, and goes back to the pool.
 func TestPuntedCallback(t *testing.T) {
 	f := New(1)
 	f.AddSwitch("sw", dataplane.ArchDRMT)
@@ -113,12 +115,13 @@ func TestPuntedCallback(t *testing.T) {
 	if err := f.Device("sw").InstallProgram(puntProgram()); err != nil {
 		t.Fatal(err)
 	}
-	var punted []string
-	f.Punted = func(dev string, pkt *packet.Packet) { punted = append(punted, dev) }
-	f.Host("h1").Send(packet.UDPPacket(1, 1, 2, 3, 4, 10))
+	f.Host("h1").Send(f.Sim.Packets().UDPPacket(1, 1, 2, 3, 4, 10))
 	f.Sim.Run()
-	if len(punted) != 1 || punted[0] != "sw" {
-		t.Fatalf("punts = %v", punted)
+	if got := f.Device("sw").Stats().Punted; got != 1 {
+		t.Fatalf("sw Stats().Punted = %d, want 1", got)
+	}
+	if live := f.Sim.Packets().Live(); live != 0 {
+		t.Fatalf("%d packets still live after the punt, want 0", live)
 	}
 }
 

@@ -185,30 +185,6 @@ func TestInterpIfElse(t *testing.T) {
 	}
 }
 
-func TestInterpHasHeaderCond(t *testing.T) {
-	setFlag := NewAsm().MovImm(0, 7).StField("meta.vlan", 0).Ret().MustBuild()
-	p, err := NewProgram("vlancheck").
-		If(Cond{HasHeader: "vlan"}, []Stmt{SDo(setFlag)}, nil).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := newTestEnv()
-	withVLAN := packet.UDPPacket(1, 1, 2, 1, 2, 0)
-	if err := withVLAN.TagVLAN(5); err != nil {
-		t.Fatal(err)
-	}
-	run(t, p, withVLAN, env)
-	if withVLAN.Field("meta.vlan") != 7 {
-		t.Fatal("vlan header not detected")
-	}
-	without := packet.UDPPacket(9, 1, 2, 3, 4, 0)
-	run(t, p, without, env)
-	if _, ok := without.FieldOK("meta.vlan"); ok {
-		t.Fatal("flag set on packet without vlan")
-	}
-}
-
 func TestInterpALU(t *testing.T) {
 	cases := []struct {
 		name string
@@ -420,6 +396,14 @@ func TestVerifierRejections(t *testing.T) {
 				return NewProgram("p").Do([]Instr{{Op: OpLdField, Rd: 0, Sym: "noheader"}})
 			},
 			"malformed field",
+		},
+		{
+			// Both executors would evaluate it false; Verify refuses it.
+			"unknown condition operator",
+			func() *ProgramBuilder {
+				return NewProgram("p").If(Cond{Field: "ipv4.ttl", Op: CmpGe + 1}, []Stmt{SDo([]Instr{{Op: OpDrop}})}, nil)
+			},
+			"unknown operator cmp(2)",
 		},
 		{
 			"param out of range",
@@ -675,7 +659,7 @@ func TestTableDependencies(t *testing.T) {
 		Action("a", 0, act).
 		Table(mk("t1")).Table(mk("t2")).Table(mk("t3")).
 		Apply("t1").
-		If(Cond{Field: "ipv4.ttl", Op: CmpGt, Value: 1},
+		If(Cond{Field: "ipv4.ttl", Op: CmpGe, Value: 2},
 			[]Stmt{{Apply: "t2"}},
 			nil).
 		Apply("t3").

@@ -2,6 +2,7 @@ package flexbpf
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -32,9 +33,9 @@ func randomInstr(r *rand.Rand) Instr {
 // fuzz program's declarations, and whose jumps go forward and stay inside
 // the block. An instruction with no fallthrough (a verdict or jmp) comes
 // only last or where an earlier jump lands on its successor, so no
-// instruction is unreachable. ldp is left out: a pipeline block has no
-// action parameters.
-func wellFormedBlock(r *rand.Rand, n int) []Instr {
+// instruction is unreachable. ldp appears only in an action body
+// (params > 0) and reads one of its params.
+func wellFormedBlock(r *rand.Rand, n, params int) []Instr {
 	fields := []string{"ipv4.dst", "tcp.flags", "tcp.dport", "meta.x"}
 	syms := map[symKind][]string{symField: fields, symHeader: {"int", "vlan"},
 		symMap: {"m"}, symCounter: {"c"}, symMeter: {"mt"}}
@@ -67,13 +68,16 @@ func wellFormedBlock(r *rand.Rand, n int) []Instr {
 				ins.Op = Op(r.Intn(int(opMax)))
 				cls := opClasses[ins.Op]
 				last := pc == len(code)-1
-				if ins.Op == OpLdParam || (cls.terminal || ins.Op == OpJmp) && !last && !reachable[pc+1] {
+				if ins.Op == OpLdParam && params == 0 || (cls.terminal || ins.Op == OpJmp) && !last && !reachable[pc+1] {
 					continue
 				}
 				break
 			}
 			cls := opClasses[ins.Op]
 			ins.Imm = uint64(r.Intn(64))
+			if ins.Op == OpLdParam {
+				ins.Imm = uint64(r.Intn(params))
+			}
 			if cls.readsRs {
 				ins.Rs = pick(set)
 			}
@@ -108,8 +112,113 @@ func wellFormedBlock(r *rand.Rand, n int) []Instr {
 	return code
 }
 
+// fuzzDecls gives a generated program the objects wellFormedBlock's
+// symbols name, plus the counter "br" the branch markers count into.
+func fuzzDecls(p *Program) *Program {
+	p.Name = "fuzz"
+	p.Actions = map[string]*Action{}
+	p.Maps = []*MapSpec{{Name: "m", Kind: MapHash, MaxEntries: 8, ValueBits: 32}}
+	p.Counters = []*CounterSpec{{Name: "c", Size: 4}, {Name: "br", Size: 2}}
+	p.Meters = []*MeterSpec{{Name: "mt", Size: 2, CIR: 100, PIR: 200, CBS: 50, PBS: 100}}
+	return p
+}
+
+// fuzzSrcs is the range of ipv4.src values a whole-program trial's
+// packets carry and its table "t" is keyed on, so lookups both hit and
+// miss.
+const fuzzSrcs = 8
+
+// branchMark is a Do block that adds one to counter "br" at index side
+// (0 then, 1 else), so the state shows which way each If went.
+func branchMark(side uint64) Stmt {
+	return SDo([]Instr{
+		{Op: OpMovImm, Rd: 0, Imm: side},
+		{Op: OpMovImm, Rd: 1, Imm: 1},
+		{Op: OpCount, Rs: 0, Rt: 1, Sym: "br"},
+	})
+}
+
+// fuzzParams draws n action parameters.
+func fuzzParams(r *rand.Rand, n int) []uint64 {
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = uint64(r.Intn(1 << 16))
+	}
+	return out
+}
+
+// fuzzStmts draws 1–3 pipeline statements: applies of table "t",
+// well-formed Do blocks, and (while depth > 0) If/Else over ==
+// and >= whose branches open with a branchMark.
+func fuzzStmts(r *rand.Rand, depth int) []Stmt {
+	fields := []string{"ipv4.src", "tcp.dport", "tcp.flags", "meta.x"}
+	out := make([]Stmt, 1+r.Intn(3))
+	for i := range out {
+		switch k := r.Intn(3); {
+		case k == 0:
+			out[i] = Stmt{Apply: "t"}
+		case k == 1 || depth == 0:
+			out[i] = SDo(wellFormedBlock(r, 1+r.Intn(8), 0))
+		default:
+			c := Cond{Field: fields[r.Intn(len(fields))], Op: []CmpOp{CmpEq, CmpGe}[r.Intn(2)], Value: uint64(r.Intn(fuzzSrcs))}
+			st := &IfStmt{Cond: c, Then: append([]Stmt{branchMark(0)}, fuzzStmts(r, depth-1)...)}
+			if r.Intn(3) > 0 {
+				st.Else = append([]Stmt{branchMark(1)}, fuzzStmts(r, depth-1)...)
+			}
+			out[i] = Stmt{If: st}
+		}
+	}
+	return out
+}
+
+// fuzzProgram draws a whole program, its table entries and the packets
+// to run through it: one exact-match table "t" on ipv4.src whose 1–3
+// actions have well-formed bodies that read their params with ldp, an
+// optional default action, entries for about half of the fuzzSrcs keys,
+// a pipeline from fuzzStmts, and four TCP packets.
+func fuzzProgram(r *rand.Rand) (*Program, map[string][]*TableEntry, []*packet.Packet) {
+	p := fuzzDecls(&Program{})
+	t := &TableSpec{Name: "t", Keys: []TableKey{{Field: "ipv4.src", Kind: MatchExact, Bits: 32}}, Size: fuzzSrcs}
+	for i, n := 0, 1+r.Intn(3); i < n; i++ {
+		name := fmt.Sprintf("a%d", i)
+		np := r.Intn(3)
+		p.Actions[name] = &Action{Name: name, NumParams: np, Body: wellFormedBlock(r, 1+r.Intn(8), np)}
+		t.Actions = append(t.Actions, name)
+	}
+	if r.Intn(2) == 0 {
+		t.DefaultAction = t.Actions[r.Intn(len(t.Actions))]
+		t.DefaultParams = fuzzParams(r, p.Actions[t.DefaultAction].NumParams)
+	}
+	p.Tables = []*TableSpec{t}
+	var entries []*TableEntry
+	for src := uint64(0); src < fuzzSrcs; src++ {
+		if r.Intn(2) == 0 {
+			a := t.Actions[r.Intn(len(t.Actions))]
+			entries = append(entries, ExactEntry(a, fuzzParams(r, p.Actions[a].NumParams), src))
+		}
+	}
+	p.Pipeline = fuzzStmts(r, 2)
+	pkts := make([]*packet.Packet, 4)
+	for i := range pkts {
+		pkts[i] = packet.TCPPacket(uint64(i), uint32(r.Intn(fuzzSrcs)), 2, 3, uint16(r.Intn(fuzzSrcs)), uint64(r.Intn(4)), 10)
+	}
+	return p, map[string][]*TableEntry{"t": entries}, pkts
+}
+
+// listing is Dump plus the instructions of every pipeline Do block.
+func listing(p *Program) string {
+	var b strings.Builder
+	b.WriteString(Dump(p))
+	walkStmts(p.Pipeline, func(s *Stmt) {
+		if s.Do != nil {
+			b.WriteString("  do:\n" + Disasm(s.Do))
+		}
+	})
+	return b.String()
+}
+
 // seededFuzzKeys is how many keys of the fuzz program's map "m" hold a
-// value before each block runs.
+// value before each program runs.
 const seededFuzzKeys = 64
 
 // seededFuzzEnv returns a test env whose map "m" holds keys
@@ -123,36 +232,116 @@ func seededFuzzEnv() *testEnv {
 	return e
 }
 
-// loadHitEnv counts the map loads that find their key.
-type loadHitEnv struct {
+// refEnv is the reference side's env: it counts the map loads that
+// find their key and the table lookups that hit and miss.
+type refEnv struct {
 	*testEnv
-	hits int
+	loadHits, tableHits, tableMisses int
 }
 
-func (e *loadHitEnv) MapLoad(m string, k uint64) (uint64, bool) {
+func (e *refEnv) MapLoad(m string, k uint64) (uint64, bool) {
 	v, ok := e.testEnv.MapLoad(m, k)
 	if ok {
-		e.hits++
+		e.loadHits++
 	}
 	return v, ok
 }
 
-// TestVerifierSoundnessFuzz: any random block the verifier ACCEPTS must
-// execute without runtime errors, terminate, and stay within the static
-// worst-case instruction bound — the §3.1 "certify bounded execution"
-// property, checked adversarially. The same block must also link, and
-// the linked program (the only form a device executes) must agree with
-// the reference interpreter on verdict, instruction and lookup counts,
-// every packet field, and the map/counter/meter state it leaves behind:
-// verifier-accepted ⇒ link succeeds ⇒ linked ≡ reference. Even trials
-// draw hostile blocks (randomInstr), which the verifier mostly rejects;
-// odd trials draw well-formed ones (wellFormedBlock), so the differential
-// runs on thousands of blocks and every opcode but ldp.
+func (e *refEnv) TableLookup(t string, keys []uint64) (string, []uint64, bool) {
+	a, params, ok := e.testEnv.TableLookup(t, keys)
+	if ok {
+		e.tableHits++
+	} else {
+		e.tableMisses++
+	}
+	return a, params, ok
+}
+
+// linkedVsReference runs pkts through the reference interpreter and
+// through p's linked form, each against its own seeded env whose tables
+// hold entries, and fails unless, after every packet, both agree on
+// verdict, instruction and lookup counts, every packet field and the
+// map/counter/meter state, and neither errs or exceeds
+// WorstCaseInstrs. p must be verified: verifier-accepted ⇒ link
+// succeeds ⇒ linked ≡ reference. It returns the reference env, whose
+// counts say what the run exercised.
+func linkedVsReference(t testing.TB, p *Program, entries map[string][]*TableEntry, pkts []*packet.Packet) *refEnv {
+	t.Helper()
+	ref, envL := &refEnv{testEnv: seededFuzzEnv()}, seededFuzzEnv()
+	for _, spec := range p.Tables {
+		ref.tables[spec.Name] = NewTableInstance(spec)
+		envL.tables[spec.Name] = NewTableInstance(spec)
+	}
+	lp, err := Link(p, func(name string) *TableInstance { return envL.tables[name] })
+	if err != nil {
+		t.Fatalf("verified program does not link: %v\n%s", err, listing(p))
+	}
+	for _, ti := range envL.tables {
+		ti.SetActionResolver(lp.ActionIndex)
+	}
+	for name, es := range entries {
+		for _, e := range es {
+			for _, env := range []*testEnv{ref.testEnv, envL} {
+				ec := *e
+				if err := env.tables[name].Insert(&ec); err != nil {
+					t.Fatalf("insert into %s: %v", name, err)
+				}
+			}
+		}
+	}
+	bound := WorstCaseInstrs(p)
+	ctx := NewExecContext()
+	for i, proto := range pkts {
+		pkt, pktL := proto.Clone(), proto.Clone()
+		res, err := Interp{}.Run(p, pkt, ref)
+		if err != nil {
+			t.Fatalf("pkt %d: verified program failed at runtime: %v\n%s", i, err, listing(p))
+		}
+		if res.Instrs > bound {
+			t.Fatalf("pkt %d: executed %d instrs, worst case %d (loop?)\n%s", i, res.Instrs, bound, listing(p))
+		}
+		resL, err := lp.Run(pktL, &linkedTestEnv{envL, lp}, ctx)
+		if err != nil {
+			t.Fatalf("pkt %d: linked program failed at runtime: %v\n%s", i, err, listing(p))
+		}
+		if resL != res {
+			t.Fatalf("pkt %d: result divergence: reference=%+v linked=%+v\n%s", i, res, resL, listing(p))
+		}
+		if pkt.String() != pktL.String() || pkt.EgressPort != pktL.EgressPort {
+			t.Fatalf("pkt %d: packet divergence:\nreference: %s egress=%d\nlinked:    %s egress=%d\n%s",
+				i, pkt, pkt.EgressPort, pktL, pktL.EgressPort, listing(p))
+		}
+		if !reflect.DeepEqual(ref.maps, envL.maps) || !reflect.DeepEqual(ref.counters, envL.counters) ||
+			!reflect.DeepEqual(ref.meters, envL.meters) {
+			t.Fatalf("pkt %d: state divergence after:\n%s", i, listing(p))
+		}
+	}
+	return ref
+}
+
+// TestVerifierSoundnessFuzz: any random program the verifier ACCEPTS
+// must execute without runtime errors, terminate, and stay within the
+// static worst-case instruction bound — the §3.1 "certify bounded
+// execution" property, checked adversarially. The same program must
+// also link, and the linked program (the only form a device executes)
+// must agree with the reference interpreter (linkedVsReference). The
+// block trials put one block in a pipeline Do: even ones draw hostile
+// blocks (randomInstr), which the verifier mostly rejects; odd ones draw
+// well-formed ones (wellFormedBlock), so the differential runs on
+// thousands of blocks and every opcode but ldp. The whole-program
+// trials then draw from fuzzProgram, which adds tables, actions that
+// read their params, and If/Else over both operators; the test fails
+// unless ldp, table hits and misses, and both sides of an If are
+// exercised.
 func TestVerifierSoundnessFuzz(t *testing.T) {
 	r := rand.New(rand.NewSource(2024))
-	ctx := NewExecContext()
 	accepted, seededHits := 0, 0
 	var perOp [opMax]int
+	count := func(code []Instr) {
+		for _, ins := range code {
+			perOp[ins.Op]++
+		}
+	}
 	const trials = 30000
 	for trial := 0; trial < trials; trial++ {
 		n := 1 + r.Intn(12)
@@ -163,60 +352,19 @@ func TestVerifierSoundnessFuzz(t *testing.T) {
 				code[i] = randomInstr(r)
 			}
 		} else {
-			code = wellFormedBlock(r, n)
+			code = wellFormedBlock(r, n, 0)
 		}
-		p := &Program{
-			Name:    "fuzz",
-			Actions: map[string]*Action{},
-			Maps:    []*MapSpec{{Name: "m", Kind: MapHash, MaxEntries: 8, ValueBits: 32}},
-			Counters: []*CounterSpec{
-				{Name: "c", Size: 4},
-			},
-			Meters:   []*MeterSpec{{Name: "mt", Size: 2, CIR: 100, PIR: 200, CBS: 50, PBS: 100}},
-			Pipeline: []Stmt{{Do: code}},
-		}
+		p := fuzzDecls(&Program{Pipeline: []Stmt{SDo(code)}})
 		if err := Verify(p); err != nil {
 			continue
 		}
 		accepted++
-		for _, ins := range code {
-			perOp[ins.Op]++
-		}
+		count(code)
 		// Fresh state per block keeps the state comparison O(block);
 		// both engines start from the same seeded map, so loads also
 		// hit entries the block did not store itself.
-		env, envL := seededFuzzEnv(), seededFuzzEnv()
-		ref := &loadHitEnv{testEnv: env}
-		pkt := packet.TCPPacket(uint64(trial), 1, 2, 3, 4, 0, 10)
-		res, err := Interp{}.Run(p, pkt, ref)
-		seededHits += ref.hits
-		if err != nil {
-			t.Fatalf("verified block failed at runtime: %v\n%s", err, Disasm(code))
-		}
-		if res.Instrs > len(code) {
-			t.Fatalf("executed %d instrs from a %d-instr block (loop?)\n%s", res.Instrs, len(code), Disasm(code))
-		}
-
-		lp, err := Link(p, func(string) *TableInstance { return nil })
-		if err != nil {
-			t.Fatalf("verified block does not link: %v\n%s", err, Disasm(code))
-		}
-		pktL := packet.TCPPacket(uint64(trial), 1, 2, 3, 4, 0, 10)
-		resL, err := lp.Run(pktL, &linkedTestEnv{envL, lp}, ctx)
-		if err != nil {
-			t.Fatalf("linked block failed at runtime: %v\n%s", err, Disasm(code))
-		}
-		if resL != res {
-			t.Fatalf("result divergence: reference=%+v linked=%+v\n%s", res, resL, Disasm(code))
-		}
-		if pkt.String() != pktL.String() || pkt.EgressPort != pktL.EgressPort {
-			t.Fatalf("packet divergence:\nreference: %s egress=%d\nlinked:    %s egress=%d\n%s",
-				pkt, pkt.EgressPort, pktL, pktL.EgressPort, Disasm(code))
-		}
-		if !reflect.DeepEqual(env.maps, envL.maps) || !reflect.DeepEqual(env.counters, envL.counters) ||
-			!reflect.DeepEqual(env.meters, envL.meters) {
-			t.Fatalf("state divergence after:\n%s", Disasm(code))
-		}
+		ref := linkedVsReference(t, p, nil, []*packet.Packet{packet.TCPPacket(uint64(trial), 1, 2, 3, 4, 0, 10)})
+		seededHits += ref.loadHits
 	}
 	if accepted < 6000 {
 		t.Fatalf("fuzz accepted only %d/%d blocks — too few to exercise the interpreters", accepted, trials)
@@ -226,11 +374,77 @@ func TestVerifierSoundnessFuzz(t *testing.T) {
 		t.Fatalf("only %d map loads found their key — the hit path is barely exercised", seededHits)
 	}
 	t.Logf("map loads that found their key: %d", seededHits)
+
+	const programs = 2000
+	var hits, misses, thens, elses int
+	for trial := 0; trial < programs; trial++ {
+		p, entries, pkts := fuzzProgram(r)
+		if err := Verify(p); err != nil {
+			t.Fatalf("generated program rejected: %v\n%s", err, listing(p))
+		}
+		for _, a := range p.Actions {
+			count(a.Body)
+		}
+		walkStmts(p.Pipeline, func(s *Stmt) { count(s.Do) })
+		ref := linkedVsReference(t, p, entries, pkts)
+		hits, misses = hits+ref.tableHits, misses+ref.tableMisses
+		thens, elses = thens+int(ref.counters["br"][0]), elses+int(ref.counters["br"][1])
+	}
+	t.Logf("whole programs: %d verified, linked, and ran identically; table hits=%d misses=%d; if branches then=%d else=%d",
+		programs, hits, misses, thens, elses)
 	var b strings.Builder
 	for op, c := range perOp {
 		fmt.Fprintf(&b, " %s=%d", OpName(Op(op)), c)
 	}
 	t.Logf("accepted instructions per opcode:%s", b.String())
+	if perOp[OpLdParam] == 0 || hits == 0 || misses == 0 || thens == 0 || elses == 0 {
+		t.Fatalf("the whole-program trials left a path unexercised: ldp=%d hits=%d misses=%d then=%d else=%d",
+			perOp[OpLdParam], hits, misses, thens, elses)
+	}
+}
+
+// byteSource is a rand.Source that decodes a fuzz input: while input
+// remains, each draw is the next byte (so Intn(n) yields byte%n), then a
+// splitmix64 stream seeded by an FNV-1a hash of the input takes over,
+// so every input decodes to a finite program.
+type byteSource struct {
+	data  []byte
+	state uint64
+}
+
+func newByteSource(data []byte) *byteSource {
+	h := fnv.New64a()
+	h.Write(data)
+	return &byteSource{data: data, state: h.Sum64()}
+}
+
+func (s *byteSource) Int63() int64 {
+	if len(s.data) > 0 {
+		b := s.data[0]
+		s.data = s.data[1:]
+		return int64(b) << 32 // Rand.Int31 is Int63 >> 32
+	}
+	s.state += 0x9e3779b97f4a7c15
+	z := s.state
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return int64((z ^ z>>31) >> 1)
+}
+
+func (s *byteSource) Seed(int64) {}
+
+// FuzzLinkedVsReference decodes its input (byteSource) into fuzzProgram's
+// whole program, entries and packets, and holds the linked program to
+// the reference interpreter on them (linkedVsReference).
+func FuzzLinkedVsReference(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, entries, pkts := fuzzProgram(rand.New(newByteSource(data)))
+		if err := Verify(p); err != nil {
+			t.Fatalf("generated program rejected: %v\n%s", err, listing(p))
+		}
+		linkedVsReference(t, p, entries, pkts)
+	})
 }
 
 // TestVerifierDeterministicFuzz: Verify is a pure function — accepting

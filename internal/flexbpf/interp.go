@@ -95,34 +95,14 @@ func (in Interp) runStmts(prog *Program, stmts []Stmt, pkt *packet.Packet, env E
 }
 
 func evalCond(c *Cond, pkt *packet.Packet) bool {
-	var r bool
-	if c.HasHeader != "" {
-		r = pkt.Has(c.HasHeader)
-	} else {
-		lhs := pkt.Field(c.Field)
-		rhs := c.Value
-		if c.OtherField != "" {
-			rhs = pkt.Field(c.OtherField)
-		}
-		switch c.Op {
-		case CmpEq:
-			r = lhs == rhs
-		case CmpNe:
-			r = lhs != rhs
-		case CmpLt:
-			r = lhs < rhs
-		case CmpGe:
-			r = lhs >= rhs
-		case CmpGt:
-			r = lhs > rhs
-		case CmpLe:
-			r = lhs <= rhs
-		}
+	lhs := pkt.Field(c.Field)
+	switch c.Op {
+	case CmpEq:
+		return lhs == c.Value
+	case CmpGe:
+		return lhs >= c.Value
 	}
-	if c.Negate {
-		r = !r
-	}
-	return r
+	return false
 }
 
 func (in Interp) applyTable(prog *Program, name string, pkt *packet.Packet, env Env, res *ExecResult) error {

@@ -269,45 +269,25 @@ type CmpOp uint8
 // Comparison operators.
 const (
 	CmpEq CmpOp = iota
-	CmpNe
-	CmpLt
 	CmpGe
-	CmpGt
-	CmpLe
 )
 
 func (c CmpOp) String() string {
 	switch c {
 	case CmpEq:
 		return "=="
-	case CmpNe:
-		return "!="
-	case CmpLt:
-		return "<"
 	case CmpGe:
 		return ">="
-	case CmpGt:
-		return ">"
-	case CmpLe:
-		return "<="
 	default:
 		return fmt.Sprintf("cmp(%d)", uint8(c))
 	}
 }
 
-// Cond compares a packet field against a constant or another field.
+// Cond compares a packet field against a constant.
 type Cond struct {
 	Field string
 	Op    CmpOp
-	// Value is used when OtherField is empty.
 	Value uint64
-	// OtherField, if set, compares two fields.
-	OtherField string
-	// HasHeader, if set, overrides the comparison: the condition is true
-	// iff the named header is present.
-	HasHeader string
-	// Negate inverts the result.
-	Negate bool
 }
 
 // CounterSpec declares an indexed packet/byte counter.
@@ -349,9 +329,6 @@ type Program struct {
 
 	// Requires declares capabilities the hosting device must provide.
 	Requires Capabilities
-
-	// Owner is the tenant that owns this program ("" = infrastructure).
-	Owner string
 }
 
 // Capabilities a program demands of its target (and devices advertise).
@@ -429,7 +406,6 @@ func (p *Program) Meter(name string) *MeterSpec {
 func (p *Program) Clone() *Program {
 	q := &Program{
 		Name:            p.Name,
-		Owner:           p.Owner,
 		Requires:        p.Requires,
 		RequiredHeaders: append([]string(nil), p.RequiredHeaders...),
 		Actions:         make(map[string]*Action, len(p.Actions)),

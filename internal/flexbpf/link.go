@@ -102,71 +102,30 @@ type LinkedEnv interface {
 	Now() uint64
 }
 
-// LinkedCond is a pipeline condition with its field references resolved
-// to interned IDs.
+// LinkedCond is a pipeline condition with its field resolved to an
+// interned ID.
 type LinkedCond struct {
-	fid      packet.FieldID
-	otherFid packet.FieldID
-	twoField bool
-	op       CmpOp
-	value    uint64
-	// hasHeader is the HasHeader condition's interned header (0: none).
-	hasHeader packet.HeaderID
-	negate    bool
+	fid   packet.FieldID
+	op    CmpOp
+	value uint64
 }
 
-// CompileCond resolves a condition's field and header references. The
-// result evaluates exactly as the tree interpreter's evalCond. It fails
-// only when a HasHeader name cannot be interned (the HeaderID space is
-// full).
-func CompileCond(c *Cond) (*LinkedCond, error) {
-	lc := &LinkedCond{op: c.Op, value: c.Value, negate: c.Negate}
-	if c.HasHeader != "" {
-		id, err := packet.InternHeader(c.HasHeader)
-		if err != nil {
-			return nil, err
-		}
-		lc.hasHeader = id
-		return lc, nil
-	}
-	lc.fid = packet.InternField(c.Field)
-	if c.OtherField != "" {
-		lc.otherFid = packet.InternField(c.OtherField)
-		lc.twoField = true
-	}
-	return lc, nil
+// CompileCond resolves a condition's field reference. The result
+// evaluates exactly as the tree interpreter's evalCond.
+func CompileCond(c *Cond) *LinkedCond {
+	return &LinkedCond{fid: packet.InternField(c.Field), op: c.Op, value: c.Value}
 }
 
 // Eval evaluates the condition against a packet.
 func (c *LinkedCond) Eval(pkt *packet.Packet) bool {
-	var r bool
-	if c.hasHeader != 0 {
-		r = pkt.Headers.Has(c.hasHeader)
-	} else {
-		lhs := pkt.FieldByID(c.fid)
-		rhs := c.value
-		if c.twoField {
-			rhs = pkt.FieldByID(c.otherFid)
-		}
-		switch c.op {
-		case CmpEq:
-			r = lhs == rhs
-		case CmpNe:
-			r = lhs != rhs
-		case CmpLt:
-			r = lhs < rhs
-		case CmpGe:
-			r = lhs >= rhs
-		case CmpGt:
-			r = lhs > rhs
-		case CmpLe:
-			r = lhs <= rhs
-		}
+	lhs := pkt.FieldByID(c.fid)
+	switch c.op {
+	case CmpEq:
+		return lhs == c.value
+	case CmpGe:
+		return lhs >= c.value
 	}
-	if c.negate {
-		r = !r
-	}
-	return r
+	return false
 }
 
 // linkedTable is a resolved table application site.
@@ -481,12 +440,8 @@ func (lk *linker) lowerStmts(stmts []Stmt) error {
 			}
 			lk.emit(linstr{op: lopApply, imm: uint64(idx)})
 		case s.If != nil:
-			lc, err := CompileCond(&s.If.Cond)
-			if err != nil {
-				return &linkError{lk.prog.Name, "if", err.Error()}
-			}
 			ci := len(lk.lp.conds)
-			lk.lp.conds = append(lk.lp.conds, *lc)
+			lk.lp.conds = append(lk.lp.conds, *CompileCond(&s.If.Cond))
 			br := lk.emit(linstr{op: lopBr, imm: uint64(ci)})
 			if err := lk.lowerStmts(s.If.Then); err != nil {
 				return err

@@ -175,9 +175,9 @@ func controlFlowProgram(t *testing.T) *Program {
 		If(Cond{Field: "ipv4.proto", Op: CmpEq, Value: packet.ProtoTCP},
 			[]Stmt{
 				{If: &IfStmt{
-					Cond: Cond{Field: "tcp.dport", Op: CmpLt, Value: 1024},
-					Then: []Stmt{{Apply: "route"}},
-					Else: []Stmt{{Do: meterDo}},
+					Cond: Cond{Field: "tcp.dport", Op: CmpGe, Value: 1024},
+					Then: []Stmt{{Do: meterDo}},
+					Else: []Stmt{{Apply: "route"}},
 				}},
 			},
 			[]Stmt{{Do: NewAsm().MovImm(0, 7).StField("meta.class", 0).MustBuild()}},

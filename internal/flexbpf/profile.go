@@ -78,18 +78,6 @@ func (ps *profileScan) block(code []linstr) {
 	}
 }
 
-// cond records a condition's field reads (HasHeader conditions read only
-// the header list, which the cache validates wholesale).
-func (ps *profileScan) cond(c *LinkedCond) {
-	if c.hasHeader != 0 {
-		return
-	}
-	ps.read(c.fid)
-	if c.twoField {
-		ps.read(c.otherFid)
-	}
-}
-
 func sortedFields(m map[packet.FieldID]struct{}) []packet.FieldID {
 	out := make([]packet.FieldID, 0, len(m))
 	for fid := range m {
@@ -115,7 +103,7 @@ func (lp *LinkedProgram) CacheProfile() CacheProfile {
 		ps.block(code)
 	}
 	for i := range lp.conds {
-		ps.cond(&lp.conds[i])
+		ps.read(lp.conds[i].fid)
 	}
 	for i := range lp.tables {
 		for _, fid := range lp.tables[i].keyIDs {
@@ -142,14 +130,5 @@ func (lp *LinkedProgram) TableInstances() []*TableInstance {
 	return out
 }
 
-// Fields returns the packet field IDs the condition reads (none for
-// header-presence conditions).
-func (c *LinkedCond) Fields() []packet.FieldID {
-	if c.hasHeader != 0 {
-		return nil
-	}
-	if c.twoField {
-		return []packet.FieldID{c.fid, c.otherFid}
-	}
-	return []packet.FieldID{c.fid}
-}
+// Field returns the packet field ID the condition reads.
+func (c *LinkedCond) Field() packet.FieldID { return c.fid }

@@ -67,11 +67,7 @@ func Disasm(code []Instr) string {
 // Dump renders a full program listing: declarations, actions, pipeline.
 func Dump(p *Program) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "program %s", p.Name)
-	if p.Owner != "" {
-		fmt.Fprintf(&b, " (tenant %s)", p.Owner)
-	}
-	b.WriteString("\n")
+	fmt.Fprintf(&b, "program %s\n", p.Name)
 	for _, m := range p.Maps {
 		shared := ""
 		if m.Shared {
@@ -130,16 +126,5 @@ func dumpStmts(b *strings.Builder, stmts []Stmt, indent string) {
 }
 
 func condString(c Cond) string {
-	neg := ""
-	if c.Negate {
-		neg = "!"
-	}
-	if c.HasHeader != "" {
-		return fmt.Sprintf("%shas(%s)", neg, c.HasHeader)
-	}
-	rhs := fmt.Sprintf("%d", c.Value)
-	if c.OtherField != "" {
-		rhs = c.OtherField
-	}
-	return fmt.Sprintf("%s%s %s %s", neg, c.Field, c.Op, rhs)
+	return fmt.Sprintf("%s %s %d", c.Field, c.Op, c.Value)
 }

@@ -159,11 +159,11 @@ func verifyStmts(p *Program, where string, stmts []Stmt) error {
 			}
 		case s.If != nil:
 			c := s.If.Cond
-			if c.HasHeader == "" && !validFieldName(c.Field) {
+			if !validFieldName(c.Field) {
 				return &VerifyError{p.Name, where, i, fmt.Sprintf("if condition has malformed field %q", c.Field)}
 			}
-			if c.OtherField != "" && !validFieldName(c.OtherField) {
-				return &VerifyError{p.Name, where, i, fmt.Sprintf("if condition has malformed other field %q", c.OtherField)}
+			if c.Op != CmpEq && c.Op != CmpGe {
+				return &VerifyError{p.Name, where, i, fmt.Sprintf("if condition has unknown operator %s", c.Op)}
 			}
 			sub := fmt.Sprintf("%s/if[%d]", where, i)
 			if err := verifyStmts(p, sub+"/then", s.If.Then); err != nil {

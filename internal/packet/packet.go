@@ -131,8 +131,8 @@ func (p *Packet) phv(n int) (vals, present []uint64) {
 }
 
 // Clone deep-copies the packet into a new allocation. Clones are used
-// when a device replicates traffic, and by a Recv or
-// Punted callback that keeps a packet past the call.
+// when a device replicates traffic, and by a Recv callback that keeps a
+// packet past the call.
 func (p *Packet) Clone() *Packet { return (*Pool)(nil).Clone(p) }
 
 // Has reports whether the named header is in the chain. The packet path
