@@ -885,11 +885,17 @@ func (st *StagedConfig) Install(prog *flexbpf.Program, cond *flexbpf.Cond) error
 }
 
 // InstallOpt stages a program installation with explicit options: the
-// program is verified, checked against the device's capabilities, placed,
-// and built into a linked instance. On error nothing is reserved.
+// program and its filter are verified, the program is checked against
+// the device's capabilities, placed, and built into a linked instance.
+// On error nothing is reserved.
 func (st *StagedConfig) InstallOpt(prog *flexbpf.Program, opts InstallOptions) error {
 	if err := flexbpf.Verify(prog); err != nil {
 		return fmt.Errorf("dataplane: %s: refusing unverified program: %w: %w", st.dev.name, errdefs.ErrVerifyFailed, err)
+	}
+	if opts.Filter != nil {
+		if err := flexbpf.VerifyCond(*opts.Filter); err != nil {
+			return fmt.Errorf("dataplane: %s: refusing filter of program %s: %w: %w", st.dev.name, prog.Name, errdefs.ErrVerifyFailed, err)
+		}
 	}
 	if !st.dev.caps.Satisfies(prog.Requires) {
 		return fmt.Errorf("dataplane: %s (%v) lacks capabilities for program %s", st.dev.name, st.dev.cfg.Arch, prog.Name)

@@ -106,6 +106,32 @@ func TestLinkFailureIsInstallError(t *testing.T) {
 	}
 }
 
+// TestInstallRejectsMalformedFilter: an install filter gets the
+// verifier's condition check. Unchecked, an unknown operator would match
+// no packet and a malformed field (which reads as 0) would match every
+// packet under >= 0.
+func TestInstallRejectsMalformedFilter(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		filter flexbpf.Cond
+	}{
+		{"unknown operator", flexbpf.Cond{Field: "tcp.dport", Op: flexbpf.CmpGe + 1, Value: 80}},
+		{"malformed field", flexbpf.Cond{Field: "nodot", Op: flexbpf.CmpGe, Value: 0}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := MustNew(DefaultConfig("sw1", ArchDRMT))
+			before := d.Free()
+			err := d.InstallProgramOpt(fwdProgram("fwd", 7), InstallOptions{Filter: &c.filter, Priority: PriorityExtension})
+			if !errors.Is(err, errdefs.ErrVerifyFailed) {
+				t.Fatalf("install with filter %+v: %v, want ErrVerifyFailed", c.filter, err)
+			}
+			if d.Free() != before || len(d.Programs()) != 0 {
+				t.Fatalf("refused install left state: free %v (was %v), programs %v", d.Free(), before, d.Programs())
+			}
+		})
+	}
+}
+
 // TestFailedInstanceBuildReleasesPlacement: when a program verifies and
 // places but its instance cannot be built, the reservation is returned on
 // every configuration door (they share one body). A map of unknown kind

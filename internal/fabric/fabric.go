@@ -12,7 +12,6 @@ package fabric
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"flexnet/internal/dataplane"
@@ -405,7 +404,7 @@ func (f *Fabric) RefreshRoutesFull() error {
 // (sorted, nil = all devices) bounds only the resync scan; devices the
 // engine touched are always rewritten.
 func (f *Fabric) refreshRoutes(scope []string) error {
-	stats := f.routing.Converge(runtime.GOMAXPROCS(0))
+	stats := f.routing.Converge()
 	f.lastRouteStats = stats
 	f.routeConverges.Add(1)
 	f.routeDests.Add(uint64(stats.RecomputedDests))

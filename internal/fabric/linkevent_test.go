@@ -45,3 +45,29 @@ func BenchmarkLinkEvent(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkConverge times one full route convergence on a converged
+// fat-tree: RefreshRoutesFull runs every destination's BFS, and since
+// nothing moved, rewrites no table. Divided by the destination count,
+// it is the BFS cost a link event pays per destination it dirties.
+func BenchmarkConverge(b *testing.B) {
+	for _, k := range []int{4, 8, 16} {
+		f := New(1)
+		if err := BuildFatTree(f, FatTreeSpec{K: k}); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.InstallBaseRouting(); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := f.RefreshRoutesFull(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if w := f.RouteStats().DeltaWrites; w != 0 {
+				b.Fatalf("full convergence of a converged fabric wrote %d routes", w)
+			}
+		})
+	}
+}

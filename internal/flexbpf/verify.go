@@ -158,12 +158,8 @@ func verifyStmts(p *Program, where string, stmts []Stmt) error {
 				return &VerifyError{p.Name, where, i, fmt.Sprintf("apply of undeclared table %q", s.Apply)}
 			}
 		case s.If != nil:
-			c := s.If.Cond
-			if !validFieldName(c.Field) {
-				return &VerifyError{p.Name, where, i, fmt.Sprintf("if condition has malformed field %q", c.Field)}
-			}
-			if c.Op != CmpEq && c.Op != CmpGe {
-				return &VerifyError{p.Name, where, i, fmt.Sprintf("if condition has unknown operator %s", c.Op)}
+			if err := VerifyCond(s.If.Cond); err != nil {
+				return &VerifyError{p.Name, where, i, "if " + err.Error()}
 			}
 			sub := fmt.Sprintf("%s/if[%d]", where, i)
 			if err := verifyStmts(p, sub+"/then", s.If.Then); err != nil {
@@ -177,6 +173,20 @@ func verifyStmts(p *Program, where string, stmts []Stmt) error {
 				return err
 			}
 		}
+	}
+	return nil
+}
+
+// VerifyCond checks a condition's form: a well-formed "header.field"
+// name and the operator == or >=. Verify applies it to every If; an
+// install filter, which lives outside the program, is checked with it
+// directly.
+func VerifyCond(c Cond) error {
+	if !validFieldName(c.Field) {
+		return fmt.Errorf("condition has malformed field %q", c.Field)
+	}
+	if c.Op != CmpEq && c.Op != CmpGe {
+		return fmt.Errorf("condition has unknown operator %s", c.Op)
 	}
 	return nil
 }

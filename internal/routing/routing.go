@@ -41,10 +41,9 @@
 //     after events 1..k, so rule evaluation for event k+1 sees exact
 //     state.
 //
-// Convergence parallelizes over destinations — each BFS reads the
-// shared immutable graph and writes only its own state — which a worker
-// pool claims one at a time; results merge in destination order, so the
-// outcome is byte-identical for any worker count.
+// Convergence is one serial pass in destination order: each dirty
+// destination's BFS runs and its next-hop diff is folded straight into
+// the device route lists.
 //
 // DESIGN.md §11 documents the engine, the delta model, and how deltas
 // ride the epoch-commit machinery.
@@ -53,8 +52,6 @@ package routing
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Route is one desired routing-table entry on a device: destination IP
@@ -143,29 +140,20 @@ type Engine struct {
 	anyTouched  bool
 	totalRoutes int
 
-	scratches []*scratch
+	scratch *scratch
 }
 
-// scratch is per-worker BFS workspace, reused across destinations.
+// scratch is BFS workspace, reused across destinations.
 type scratch struct {
 	dist  []int32
 	next  []int32
 	tree  []uint64
 	queue []int32
-	// changes collects (device, new port) pairs for the destination
-	// being recomputed; moved out after each BFS.
-	changes []devChange
-	routes  int // entries derived for the destination
-}
-
-type devChange struct {
-	v    int32
-	port int32
 }
 
 // New creates an empty engine.
 func New() *Engine {
-	return &Engine{nodeIdx: map[string]int32{}, destIdx: map[string]int32{}}
+	return &Engine{nodeIdx: map[string]int32{}, destIdx: map[string]int32{}, scratch: &scratch{}}
 }
 
 // AddNode registers a topology node. Nodes must be added in the same
@@ -311,94 +299,28 @@ func (e *Engine) markAffectedByUp(l *link) {
 	}
 }
 
-// Converge recomputes every dirty destination on up to workers
-// goroutines and folds the per-destination next-hop changes into the
-// per-device route lists. Results are byte-identical for any worker
-// count: each BFS touches only its destination's state, and merges run
-// in destination order.
-func (e *Engine) Converge(workers int) Stats {
+// Converge recomputes every dirty destination in destination order and
+// folds each one's next-hop changes into the per-device route lists.
+func (e *Engine) Converge() Stats {
 	var st Stats
 	if e.ndirty == 0 {
 		return st
 	}
-	dirtyList := make([]int32, 0, e.ndirty)
 	for i := range e.dests {
 		if e.dirty[i] {
-			dirtyList = append(dirtyList, int32(i))
-		}
-	}
-
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(dirtyList) {
-		workers = len(dirtyList)
-	}
-	for len(e.scratches) < workers {
-		e.scratches = append(e.scratches, &scratch{})
-	}
-
-	// changesFor[k] holds the diff for dirtyList position k, produced in
-	// parallel and merged serially in list order.
-	changesFor := make([][]devChange, len(dirtyList))
-	routesFor := make([]int, len(dirtyList))
-	run := func(s *scratch, k int) {
-		e.recompute(&e.dests[dirtyList[k]], s)
-		changesFor[k] = s.changes
-		routesFor[k] = s.routes
-		s.changes = nil
-	}
-
-	if workers <= 1 {
-		s := e.scratches[0]
-		for k := range dirtyList {
-			run(s, k)
-		}
-	} else {
-		var next atomic.Int32
-		var wg sync.WaitGroup
-		panics := make([]any, workers)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(slot int) {
-				defer wg.Done()
-				defer func() { panics[slot] = recover() }()
-				s := e.scratches[slot]
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(dirtyList) {
-						return
-					}
-					run(s, k)
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, p := range panics {
-			if p != nil {
-				panic(p)
-			}
-		}
-	}
-
-	// Serial merge in destination order.
-	for k, di := range dirtyList {
-		d := &e.dests[di]
-		e.dirty[di] = false
-		st.RecomputedDests++
-		st.RecomputedRoutes += routesFor[k]
-		for _, ch := range changesFor[k] {
-			e.applyChange(ch.v, d.ip, di, ch.port)
-			st.DeltaWrites++
+			e.dirty[i] = false
+			e.recompute(int32(i), &st)
 		}
 	}
 	e.ndirty = 0
 	return st
 }
 
-// recompute runs the BFS for d into s, records the next-hop diff and
-// derived-entry count in s, and installs the new state on d.
-func (e *Engine) recompute(d *dest, s *scratch) {
+// recompute runs the BFS for destination di, applies the next-hop diff
+// to the device route lists, counts it in st, and installs the new state
+// on the destination.
+func (e *Engine) recompute(di int32, st *Stats) {
+	d, s := &e.dests[di], e.scratch
 	nn, nl := len(e.nodes), len(e.links)
 	if cap(s.dist) < nn {
 		s.dist = make([]int32, nn)
@@ -442,17 +364,18 @@ func (e *Engine) recompute(d *dest, s *scratch) {
 	}
 
 	// Diff against the previous state over device nodes only.
-	s.routes = 0
+	st.RecomputedDests++
 	for _, v := range e.deviceList {
 		if v == d.skip {
 			continue
 		}
 		newPort := s.next[v]
 		if newPort >= 0 {
-			s.routes++
+			st.RecomputedRoutes++
 		}
 		if d.nextOf(v) != newPort {
-			s.changes = append(s.changes, devChange{v: v, port: newPort})
+			e.applyChange(v, d.ip, di, newPort)
+			st.DeltaWrites++
 		}
 	}
 

@@ -726,6 +726,17 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 		}
 	}
 
+	// abortStaged aborts every staged change and marks the plan rolled
+	// back.
+	abortStaged := func() {
+		for _, pc := range prepared {
+			if pc != nil {
+				pc.Abort()
+			}
+		}
+		rep.RolledBack = true
+	}
+
 	// rollback undoes everything: activated changes are reverted (reverse
 	// order), staged ones aborted. Runs within one simulated instant.
 	rollback := func() error {
@@ -736,12 +747,7 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 				firstErr = err
 			}
 		}
-		for _, pc := range prepared {
-			if pc != nil {
-				pc.Abort()
-			}
-		}
-		rep.RolledBack = true
+		abortStaged()
 		sp.Fail(firstErr)
 		return firstErr
 	}
@@ -752,13 +758,8 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 	// rolled-back with the failover sentinel.
 	ps.abort = func(err error) {
 		sp := trace.StartSpan("rollback", "")
-		for _, pc := range prepared {
-			if pc != nil {
-				pc.Abort()
-			}
-		}
+		abortStaged()
 		sp.EndSpan()
-		rep.RolledBack = true
 		for i := range rep.Steps {
 			if rep.Steps[i].Status != plan.StepSkipped {
 				rep.Steps[i].Status = plan.StepRolledBack
@@ -863,12 +864,7 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 			prepErr = ctx.Err()
 		}
 		if prepErr != nil {
-			for _, pc := range prepared {
-				if pc != nil {
-					pc.Abort()
-				}
-			}
-			rep.RolledBack = true
+			abortStaged()
 			finish(plan.PhasePrepare, plan.OutcomeFailed, prepErr)
 			return
 		}
