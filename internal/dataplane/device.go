@@ -223,10 +223,6 @@ func (a Arch) Capabilities() flexbpf.Capabilities {
 type config struct {
 	epoch     uint64
 	instances []*ProgramInstance
-	// names are the instances' program names in chain order; a packet's
-	// ProcStats.Programs is a prefix of it whenever no filter skipped an
-	// instance before the last one that ran.
-	names []string
 	// fc is this configuration's flow cache (nil on a DisableFlowCache
 	// oracle). Every commit publishes a new, empty one: invalidation is
 	// the epoch-atomic publication itself (DESIGN.md §12.1).
@@ -246,10 +242,6 @@ type ProcStats struct {
 	// Instrs and Lookups aggregate across all program instances run.
 	Instrs  int
 	Lookups int
-	// Programs lists the instance names that processed the packet. It is
-	// shared with the device (a slice of its configuration's program
-	// list, or of a flow-cache entry) and must not be modified.
-	Programs []string
 }
 
 // Counters aggregates device lifetime statistics.
@@ -448,10 +440,6 @@ func (d *Device) Epoch() uint64 { return d.snapshot().epoch }
 func (d *Device) commit(next *config) {
 	prev := d.snapshot()
 	next.epoch = prev.epoch + 1
-	next.names = make([]string, len(next.instances))
-	for i, inst := range next.instances {
-		next.names[i] = inst.prog.Name
-	}
 	if !d.noFlowCache {
 		next.fc = commitCache(prev, next.epoch)
 		d.fcInvalidations.Add(1)
@@ -525,7 +513,11 @@ func (d *Device) Instance(name string) *ProgramInstance {
 // InstallOptions tunes a program installation.
 type InstallOptions struct {
 	// Filter restricts which packets the instance processes (tenant VLAN
-	// isolation, §3 scenario).
+	// isolation, §3 scenario). It is lowered into the program as one
+	// leading If around the whole pipeline (flexbpf.Guard), verified and
+	// linked with it: a packet it refuses runs no counted instruction
+	// and no lookup and continues down the chain. The guarded program
+	// is held to the same per-packet budget (flexbpf.PacketBudget).
 	Filter *flexbpf.Cond
 	// Priority orders the device's program chain: lower runs first.
 	// Extensions default to PriorityExtension; the infrastructure
@@ -884,18 +876,19 @@ func (st *StagedConfig) Install(prog *flexbpf.Program, cond *flexbpf.Cond) error
 	return st.InstallOpt(prog, InstallOptions{Filter: cond, Priority: PriorityExtension})
 }
 
-// InstallOpt stages a program installation with explicit options: the
-// program and its filter are verified, the program is checked against
-// the device's capabilities, placed, and built into a linked instance.
-// On error nothing is reserved.
+// InstallOpt stages a program installation with explicit options: a
+// filter is lowered into the program as one leading If (flexbpf.Guard),
+// the result is verified, the program is checked against the device's
+// capabilities, placed, and built into a linked instance. Placement and
+// the instance's Program see the program without its filter. On error
+// nothing is reserved.
 func (st *StagedConfig) InstallOpt(prog *flexbpf.Program, opts InstallOptions) error {
-	if err := flexbpf.Verify(prog); err != nil {
-		return fmt.Errorf("dataplane: %s: refusing unverified program: %w: %w", st.dev.name, errdefs.ErrVerifyFailed, err)
-	}
+	linked := prog
 	if opts.Filter != nil {
-		if err := flexbpf.VerifyCond(*opts.Filter); err != nil {
-			return fmt.Errorf("dataplane: %s: refusing filter of program %s: %w: %w", st.dev.name, prog.Name, errdefs.ErrVerifyFailed, err)
-		}
+		linked = flexbpf.Guard(prog, *opts.Filter)
+	}
+	if err := flexbpf.Verify(linked); err != nil {
+		return fmt.Errorf("dataplane: %s: refusing unverified program: %w: %w", st.dev.name, errdefs.ErrVerifyFailed, err)
 	}
 	if !st.dev.caps.Satisfies(prog.Requires) {
 		return fmt.Errorf("dataplane: %s (%v) lacks capabilities for program %s", st.dev.name, st.dev.cfg.Arch, prog.Name)
@@ -910,7 +903,7 @@ func (st *StagedConfig) InstallOpt(prog *flexbpf.Program, opts InstallOptions) e
 	if err != nil {
 		return fmt.Errorf("dataplane: %s: %w: %w", st.dev.name, errdefs.ErrInsufficientResources, err)
 	}
-	inst, err := newInstance(prog, opts.Filter, st.dev.now)
+	inst, err := newInstance(prog, linked, st.dev.now)
 	if err != nil {
 		st.dev.model.release(pl)
 		return fmt.Errorf("dataplane: %s: %w", st.dev.name, err)
@@ -997,22 +990,10 @@ func (d *Device) ProcessCtx(pkt *packet.Packet, ectx *flexbpf.ExecContext) ProcS
 		}
 	}
 
-	skipped := false
-	for i, inst := range cfg.instances {
-		if !inst.accepts(pkt) {
-			skipped = true
-			continue
-		}
+	for _, inst := range cfg.instances {
 		res, err := inst.runCtx(pkt, ectx)
 		st.Instrs += res.Instrs
 		st.Lookups += res.Lookups
-		if skipped {
-			// A filter skipped an earlier instance: the list is no longer
-			// a prefix of the chain (append copies the prefix on first use).
-			st.Programs = append(st.Programs, inst.prog.Name)
-		} else {
-			st.Programs = cfg.names[: i+1 : i+1]
-		}
 		if err != nil {
 			a.c.Errors++
 			a.c.Dropped++

@@ -97,7 +97,7 @@ func TestLinkFailureIsInstallError(t *testing.T) {
 	d := MustNew(DefaultConfig("sw1", ArchDRMT))
 	ghost := flexbpf.NewAsm().MovImm(0, 1).MapStore("ghost", 0, 0).MustBuild()
 	unlinkable := &flexbpf.Program{Name: "bad", Pipeline: []flexbpf.Stmt{{Do: ghost}}}
-	inst, err := newInstance(unlinkable, nil, d.now)
+	inst, err := newInstance(unlinkable, unlinkable, d.now)
 	if inst != nil || !errors.Is(err, errdefs.ErrVerifyFailed) {
 		t.Fatalf("newInstance = (%v, %v), want nil instance and ErrVerifyFailed", inst, err)
 	}
@@ -208,21 +208,22 @@ func TestProgramChainOrder(t *testing.T) {
 	if err := d.InstallProgram(fwdProgram("fwd", 3)); err != nil {
 		t.Fatal(err)
 	}
+	// acl's drop is its one counted instruction; fwd's movi+fwd are two.
 	blocked := testPkt(1) // dport 80
 	st := d.Process(blocked)
 	if st.Verdict != packet.VerdictDrop {
 		t.Fatalf("acl did not run first: %v", st.Verdict)
 	}
-	if len(st.Programs) != 1 || st.Programs[0] != "acl" {
-		t.Fatalf("programs = %v", st.Programs)
+	if st.Instrs != 1 {
+		t.Fatalf("dropped packet ran %d instructions, want acl's 1 alone", st.Instrs)
 	}
 	ok := packet.TCPPacket(2, 1, 2, 3, 443, 0, 0)
 	st = d.Process(ok)
 	if st.Verdict != packet.VerdictForward || ok.EgressPort != 3 {
 		t.Fatalf("allowed packet: %v egress=%d", st.Verdict, ok.EgressPort)
 	}
-	if len(st.Programs) != 2 {
-		t.Fatalf("programs = %v", st.Programs)
+	if st.Instrs != 2 {
+		t.Fatalf("allowed packet ran %d instructions, want fwd's 2 after acl's 0", st.Instrs)
 	}
 }
 
@@ -290,9 +291,9 @@ func TestEpochAtomicity(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		pkt := testPkt(uint64(i))
 		st := d.Process(pkt)
-		// Exactly one forwarding program must have run.
-		if st.Verdict != packet.VerdictForward || len(st.Programs) != 1 {
-			t.Fatalf("packet %d: verdict=%v programs=%v", i, st.Verdict, st.Programs)
+		// Exactly one forwarding program (movi+fwd) must have run.
+		if st.Verdict != packet.VerdictForward || st.Instrs != 2 {
+			t.Fatalf("packet %d: verdict=%v instrs=%d", i, st.Verdict, st.Instrs)
 		}
 		if pkt.Epoch != st.Epoch {
 			t.Fatalf("packet %d: epoch mismatch %d != %d", i, pkt.Epoch, st.Epoch)

@@ -4,9 +4,9 @@ package dataplane
 // and the accounting every processed packet shares. The resolved
 // outcome of the first packet of a flow is recorded against the packet
 // state the pipeline depends on (static CacheProfile of every installed
-// instance, plus filter fields) and replayed for followers that match
-// it. Replay reproduces the exact per-packet
-// telemetry (Instrs, Lookups, latency, programs), so device counters are
+// instance, install filters included) and replayed for followers that
+// match it. Replay reproduces the exact per-packet
+// telemetry (Instrs, Lookups, latency), so device counters are
 // byte-identical to those of a device that runs the pipeline for every
 // packet (DisableFlowCache, the differential oracle); cache activity is
 // reported under separate "flowcache.<dev>.*" counters.
@@ -32,8 +32,8 @@ import (
 type fastpathInfo struct {
 	// cacheable: every instance's profile is cacheable.
 	cacheable bool
-	// fields is the validation set: reads ∪ writes ∪ filter-condition
-	// fields, sorted and deduplicated; no parser fields (DESIGN.md §5).
+	// fields is the validation set: reads ∪ writes, sorted and
+	// deduplicated; no parser fields (DESIGN.md §5).
 	fields []packet.FieldID
 	// writes is the combined write set (replayed on hits).
 	writes []packet.FieldID
@@ -71,9 +71,6 @@ func computeFastpath(cfg *config) *fastpathInfo {
 		for _, fid := range prof.Writes {
 			fields[fid] = struct{}{}
 			writes[fid] = struct{}{}
-		}
-		if inst.lfilter != nil {
-			fields[inst.lfilter.Field()] = struct{}{}
 		}
 		fp.usesLen = fp.usesLen || prof.UsesPktLen
 		fp.tables = append(fp.tables, lp.TableInstances()...)
@@ -140,7 +137,7 @@ func (d *Device) DisableFlowCache() {
 	defer d.mu.Unlock()
 	d.noFlowCache = true
 	cur := d.snapshot()
-	d.current.Store(&config{epoch: cur.epoch, instances: cur.instances, names: cur.names})
+	d.current.Store(&config{epoch: cur.epoch, instances: cur.instances})
 }
 
 // FlowCacheStats returns the cache's activity counters (zero Stats when
@@ -208,7 +205,6 @@ func (d *Device) tryFlowCache(pkt *packet.Packet, cfg *config, st *ProcStats) (*
 		st.Verdict = e.Verdict
 		st.Instrs = e.Instrs
 		st.Lookups = e.Lookups
-		st.Programs = e.Programs
 		fc.hits++
 		fc.replayedInstrs += uint64(e.Instrs)
 		fc.replayedLookups += uint64(e.Lookups)
@@ -256,7 +252,6 @@ func (d *Device) recordFlow(rec *flowRecord, pkt *packet.Packet, cfg *config, st
 		Egress:     pkt.EgressPort,
 		Instrs:     st.Instrs,
 		Lookups:    st.Lookups,
-		Programs:   st.Programs,
 	}
 	for i, fid := range fp.writes {
 		v, ok := pkt.FieldOKByID(fid)

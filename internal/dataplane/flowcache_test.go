@@ -42,18 +42,25 @@ func cacheMarker(name string) *flexbpf.Program {
 	return flexbpf.NewProgram(name).Do(code).MustBuild()
 }
 
-// cacheTestPipeline installs the identical three-stage pipeline on d:
-// marker, conditional dropper (tcp.dport == 443), then the router.
+// tenantFilter admits SYN packets only. Its field, tcp.flags, is outside
+// the flow key and read by no other stage of cacheTestPipeline, so only
+// the filter puts it in the cache's validation set.
+var tenantFilter = flexbpf.Cond{Field: "tcp.flags", Op: flexbpf.CmpEq, Value: packet.TCPSyn}
+
+// cacheTestPipeline installs the identical four-stage pipeline on d:
+// marker, conditional dropper (tcp.dport == 443), a tenant's dropper of
+// tcp.dport 8080 behind tenantFilter, then the router.
 func cacheTestPipeline(t *testing.T, d *Device, port uint64) {
 	t.Helper()
-	install := func(p *flexbpf.Program, prio int) {
-		if err := d.InstallProgramOpt(p, InstallOptions{Priority: prio}); err != nil {
+	install := func(p *flexbpf.Program, opts InstallOptions) {
+		if err := d.InstallProgramOpt(p, opts); err != nil {
 			t.Fatalf("install %s: %v", p.Name, err)
 		}
 	}
-	install(cacheMarker("mark"), 10)
-	install(dropDportProgram("guard", 443), 20)
-	install(cacheRouter("rt"), PriorityInfra)
+	install(cacheMarker("mark"), InstallOptions{Priority: 10})
+	install(dropDportProgram("guard", 443), InstallOptions{Priority: 20})
+	install(dropDportProgram("tenant", 8080), InstallOptions{Filter: &tenantFilter, Priority: 30})
+	install(cacheRouter("rt"), InstallOptions{Priority: PriorityInfra})
 	if err := d.Instance("rt").Table("rt_t").Insert(
 		flexbpf.ExactEntry("rt_fwd", []uint64{port}, uint64(packet.IP(10, 0, 0, 2)))); err != nil {
 		t.Fatal(err)
@@ -61,18 +68,20 @@ func cacheTestPipeline(t *testing.T, d *Device, port uint64) {
 }
 
 // randomCachePacket draws from a small flow pool with per-packet field
-// jitter so the cache sees hits, misses, and same-key variants.
+// jitter so the cache sees hits, misses, and same-key variants. Half
+// the packets are SYNs, so one flow to port 8080 is dropped by the
+// tenant or forwarded by turns.
 func randomCachePacket(r *rand.Rand, id uint64) *packet.Packet {
 	dport := uint16(80)
 	switch r.Intn(4) {
 	case 0:
 		dport = 443 // dropped by the guard
 	case 1:
-		dport = 8080
+		dport = 8080 // dropped by the tenant when its filter admits
 	}
 	p := packet.TCPPacket(id,
 		packet.IP(10, 0, 1, byte(1+r.Intn(3))), packet.IP(10, 0, 0, 2),
-		uint16(5000+r.Intn(4)), dport, 0, 100+10*r.Intn(3))
+		uint16(5000+r.Intn(4)), dport, uint64(r.Intn(2))*packet.TCPSyn, 100+10*r.Intn(3))
 	p.SetField("ipv4.ttl", uint64(1+r.Intn(3)))
 	return p
 }
@@ -106,8 +115,7 @@ func diffPacketState(a, b *packet.Packet) string {
 
 func diffStats(a, b ProcStats) string {
 	if a.Verdict != b.Verdict || a.Epoch != b.Epoch || a.LatencyNs != b.LatencyNs ||
-		a.Instrs != b.Instrs || a.Lookups != b.Lookups ||
-		!reflect.DeepEqual(a.Programs, b.Programs) {
+		a.Instrs != b.Instrs || a.Lookups != b.Lookups {
 		return fmt.Sprintf("%+v != %+v", a, b)
 	}
 	return ""
@@ -116,8 +124,8 @@ func diffStats(a, b ProcStats) string {
 // TestFlowCacheEquivalenceProperty is the per-packet equivalence
 // property behind E17's dev telemetry column (TestE17Shape): a cached
 // device and an uncached twin fed the same packet stream produce
-// identical ProcStats (verdict, epoch, latency, Instrs/Lookups, program
-// list) and identical packet state — including across a config swap
+// identical ProcStats (verdict, epoch, latency, Instrs/Lookups) and
+// identical packet state — including across a config swap
 // landing mid-stream and a table mutation that bumps generations
 // without an epoch change.
 func TestFlowCacheEquivalenceProperty(t *testing.T) {
@@ -223,7 +231,7 @@ func TestFlowCacheUncacheableBypass(t *testing.T) {
 	}
 }
 
-// cacheTestPipelineSwap installs the three-stage pipeline of
+// cacheTestPipelineSwap installs the four-stage pipeline of
 // cacheTestPipeline in one commit, with its route in place before the
 // commit publishes it: how a restarted device gets its pipeline back
 // without a window in which the router has no route.
@@ -233,6 +241,9 @@ func cacheTestPipelineSwap(d *Device, port uint64) error {
 			return err
 		}
 		if err := st.InstallOpt(dropDportProgram("guard", 443), InstallOptions{Priority: 20}); err != nil {
+			return err
+		}
+		if err := st.InstallOpt(dropDportProgram("tenant", 8080), InstallOptions{Filter: &tenantFilter, Priority: 30}); err != nil {
 			return err
 		}
 		if err := st.InstallOpt(cacheRouter("rt"), InstallOptions{Priority: PriorityInfra}); err != nil {
@@ -326,10 +337,10 @@ func TestFlowCacheSwapHammer(t *testing.T) {
 				}
 				switch {
 				case st.Verdict == packet.VerdictForward, st.Verdict == packet.VerdictDrop:
-				case st.Verdict == packet.VerdictContinue && st.Programs == nil && d == devs[0]:
+				case st.Verdict == packet.VerdictContinue && st.Instrs == 0 && st.Lookups == 0 && d == devs[0]:
 					// Between a restart and the reinstall the chain is empty.
 				default:
-					errs <- fmt.Errorf("%s packet %d: verdict %v after %v", d.Name(), i, st.Verdict, st.Programs)
+					errs <- fmt.Errorf("%s packet %d: verdict %v after %d instructions, %d lookups", d.Name(), i, st.Verdict, st.Instrs, st.Lookups)
 					return
 				}
 			}
@@ -360,14 +371,17 @@ func TestFlowCacheSwapHammer(t *testing.T) {
 }
 
 // FuzzFlowCacheEquivalence fuzzes the record→replay round trip: for an
-// arbitrary packet shape, a cached device's miss-then-hit pair must
-// match an uncached device bit-for-bit in stats and packet state, and
-// must keep matching after an epoch commit retires the entry.
+// arbitrary packet shape, a cached device's miss and its follower on the
+// same flow must match an uncached device bit-for-bit in stats and
+// packet state, and must keep matching after an epoch commit retires
+// the entry. The follower's TCP flags are the first packet's XOR flip,
+// so the tenant filter can refuse one and admit the other.
 func FuzzFlowCacheEquivalence(f *testing.F) {
-	f.Add(uint16(5000), uint16(80), uint8(64), uint8(100), false)
-	f.Add(uint16(5001), uint16(443), uint8(1), uint8(0), true)
-	f.Add(uint16(0), uint16(0), uint8(0), uint8(255), false)
-	f.Fuzz(func(t *testing.T, sport, dport uint16, ttl, plen uint8, swap bool) {
+	f.Add(uint16(5000), uint16(80), uint8(64), uint8(100), uint8(0), uint8(0), false)
+	f.Add(uint16(5001), uint16(443), uint8(1), uint8(0), uint8(2), uint8(0), true)
+	f.Add(uint16(0), uint16(0), uint8(0), uint8(255), uint8(0), uint8(0), false)
+	f.Add(uint16(5002), uint16(8080), uint8(64), uint8(100), uint8(0), uint8(2), true)
+	f.Fuzz(func(t *testing.T, sport, dport uint16, ttl, plen, flags, flip uint8, swap bool) {
 		cached := MustNew(DefaultConfig("sw", ArchDRMT))
 		cached.SetMetrics(telemetry.NewRegistry())
 		plain := MustNew(DefaultConfig("sw", ArchDRMT))
@@ -375,14 +389,14 @@ func FuzzFlowCacheEquivalence(f *testing.F) {
 		cacheTestPipeline(t, cached, 7)
 		cacheTestPipeline(t, plain, 7)
 
-		mk := func(id uint64) *packet.Packet {
+		mk := func(id uint64, flags uint8) *packet.Packet {
 			p := packet.TCPPacket(id, packet.IP(10, 0, 1, 1), packet.IP(10, 0, 0, 2),
-				sport, dport, 0, int(plen))
+				sport, dport, uint64(flags), int(plen))
 			p.SetField("ipv4.ttl", uint64(ttl))
 			return p
 		}
-		check := func(round string, id uint64) {
-			src := mk(id)
+		check := func(round string, id uint64, flags uint8) {
+			src := mk(id, flags)
 			pc, pp := src.Clone(), src.Clone()
 			if d := diffStats(cached.Process(pc), plain.Process(pp)); d != "" {
 				t.Fatalf("%s: stats diverge: %s", round, d)
@@ -391,8 +405,8 @@ func FuzzFlowCacheEquivalence(f *testing.F) {
 				t.Fatalf("%s: packet state diverges: %s", round, d)
 			}
 		}
-		check("miss", 1)
-		check("hit", 2)
+		check("miss", 1, flags)
+		check("follower", 2, flags^flip)
 		if swap {
 			for _, d := range []*Device{cached, plain} {
 				if err := d.Swap(func(st *StagedConfig) error {
@@ -404,7 +418,7 @@ func FuzzFlowCacheEquivalence(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
-			check("post-swap", 3)
+			check("post-swap", 3, flags)
 		}
 	})
 }

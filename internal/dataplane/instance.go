@@ -17,11 +17,11 @@ import (
 // with map/counter/meter references resolved to the slot slices below,
 // so the per-packet path performs no string lookups and no allocation.
 // Linking is part of installation: a program that does not link is not
-// installed (DESIGN.md §7).
+// installed (DESIGN.md §7). What is linked may be the program behind an
+// install filter (flexbpf.Guard); prog stays the program as submitted.
 type ProgramInstance struct {
 	prog     *flexbpf.Program
 	priority int
-	lfilter  *flexbpf.LinkedCond
 	tables   map[string]*flexbpf.TableInstance
 	store    *state.Store
 	now      func() uint64
@@ -39,15 +39,14 @@ type ProgramInstance struct {
 	ectx *flexbpf.ExecContext
 }
 
-func newInstance(prog *flexbpf.Program, filter *flexbpf.Cond, now func() uint64) (*ProgramInstance, error) {
+// newInstance builds prog's instance and links linked, which is prog
+// itself or prog behind its install filter (the two share declarations).
+func newInstance(prog, linked *flexbpf.Program, now func() uint64) (*ProgramInstance, error) {
 	inst := &ProgramInstance{
 		prog:   prog,
 		tables: make(map[string]*flexbpf.TableInstance, len(prog.Tables)),
 		store:  state.NewStore(),
 		now:    now,
-	}
-	if filter != nil {
-		inst.lfilter = flexbpf.CompileCond(filter)
 	}
 	for _, t := range prog.Tables {
 		inst.tables[t.Name] = flexbpf.NewTableInstance(t)
@@ -80,7 +79,7 @@ func newInstance(prog *flexbpf.Program, filter *flexbpf.Cond, now func() uint64)
 	}
 	// Install-time link: resolve symbols once so the per-packet path is
 	// map-free and allocation-free.
-	lp, err := flexbpf.Link(prog, func(name string) *flexbpf.TableInstance { return inst.tables[name] })
+	lp, err := flexbpf.Link(linked, func(name string) *flexbpf.TableInstance { return inst.tables[name] })
 	if err != nil {
 		return nil, fmt.Errorf("program %s does not link: %w: %w", prog.Name, errdefs.ErrVerifyFailed, err)
 	}
@@ -115,15 +114,6 @@ func (pi *ProgramInstance) Table(name string) *flexbpf.TableInstance { return pi
 
 // Tables returns all table instances keyed by name.
 func (pi *ProgramInstance) Tables() map[string]*flexbpf.TableInstance { return pi.tables }
-
-// accepts applies the tenant isolation filter. The filter is compiled to
-// a LinkedCond at instance creation so this is ID-indexed field access.
-func (pi *ProgramInstance) accepts(pkt *packet.Packet) bool {
-	if pi.lfilter == nil {
-		return true
-	}
-	return pi.lfilter.Eval(pkt)
-}
 
 // runCtx executes the instance with the caller's ExecContext. A nil ectx
 // uses the instance's private context; the fabric instead passes its one

@@ -5,7 +5,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"flexnet/internal/dataplane"
+	"flexnet/internal/flexbpf"
 )
 
 // routeTableFingerprint hashes every device's published routing table
@@ -160,5 +164,60 @@ func TestDevicesHostsCached(t *testing.T) {
 	devs = f.Devices()
 	if len(devs) != 4 || devs[0] != "a0" {
 		t.Fatalf("Devices() after add = %v, want a0 first", devs)
+	}
+}
+
+// deviceRoutes returns the entries of dev's live route table.
+func deviceRoutes(t *testing.T, f *Fabric, dev string) []*flexbpf.TableEntry {
+	t.Helper()
+	inst := f.Device(dev).Instance(InfraProgramName)
+	if inst == nil {
+		t.Fatalf("device %s has no routing program", dev)
+	}
+	return inst.Table(RouteTableName).Entries()
+}
+
+// TestStagedChangeKeepsRoutePublish: a configuration staged on a switch
+// shares the live infra instance, and with it the route table. A route
+// publish that lands between prepare and activate (a link fails and
+// RefreshRoutes runs) is therefore in the table the commit makes live:
+// nothing is lost at the flip.
+func TestStagedChangeKeepsRoutePublish(t *testing.T) {
+	f := New(1)
+	if err := BuildFatTree(f, FatTreeSpec{K: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.InstallBaseRouting(); err != nil {
+		t.Fatal(err)
+	}
+	const dev = "p0-e0"
+	d := f.Device(dev)
+	infra := d.Instance(InfraProgramName)
+	before := deviceRoutes(t, f, dev)
+	pc, err := d.PrepareChange(func(st *dataplane.StagedConfig) error {
+		return st.Install(nowProgram(), nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Net.LinkBetween(dev, "p0-a0").SetDown(true)
+	if err := f.RefreshRoutes(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pc.Activate(); err != nil {
+		t.Fatal(err)
+	}
+	if d.Instance(InfraProgramName) != infra {
+		t.Fatal("the commit replaced the infra instance it did not touch")
+	}
+	published := deviceRoutes(t, f, dev)
+	if reflect.DeepEqual(published, before) {
+		t.Fatal("the link failure did not change the switch's routes; the test shows nothing")
+	}
+	if err := f.RefreshRoutesFull(); err != nil {
+		t.Fatal(err)
+	}
+	if want := deviceRoutes(t, f, dev); !reflect.DeepEqual(published, want) {
+		t.Fatalf("committed route table holds %d entries that differ from the recomputed %d", len(published), len(want))
 	}
 }

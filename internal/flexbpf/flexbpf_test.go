@@ -779,6 +779,49 @@ func TestRuntimeBudgetGuard(t *testing.T) {
 	}
 }
 
+// movBlocks is a pipeline of blocks Do blocks, each n-1 movi and a ret:
+// n counted instructions per block, with no block over MaxInstrs.
+func movBlocks(blocks, n int) *Program {
+	p := &Program{Name: "long", Actions: map[string]*Action{}}
+	for b := 0; b < blocks; b++ {
+		code := make([]Instr, n)
+		for i := range code[:n-1] {
+			code[i] = Instr{Op: OpMovImm, Rd: 0, Imm: uint64(i)}
+		}
+		code[n-1] = Instr{Op: OpRet}
+		p.Pipeline = append(p.Pipeline, SDo(code))
+	}
+	return p
+}
+
+// TestVerifyEnforcesPacketBudget: the verifier and the executors share
+// one per-packet budget. Five blocks of 4,000 instructions each pass the
+// per-block bound, but 20,000 instructions per packet would stop both
+// executors at PacketBudget, so Verify refuses the program and names
+// both numbers. A program at exactly the budget verifies and runs to
+// its end on both executors.
+func TestVerifyEnforcesPacketBudget(t *testing.T) {
+	over := movBlocks(5, 4000)
+	err := Verify(over)
+	if err == nil {
+		t.Fatalf("program of %d instructions per packet verified; the executors stop at %d", WorstCaseInstrs(over), PacketBudget)
+	}
+	for _, want := range []string{"20000", "16384"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not name %s", err, want)
+		}
+	}
+	at := movBlocks(4, MaxInstrs)
+	if err := Verify(at); err != nil {
+		t.Fatalf("program at the budget refused: %v", err)
+	}
+	linkedVsReference(t, at, nil, []*packet.Packet{packet.New(1)})
+	res, err := Interp{}.Run(at, packet.New(2), newTestEnv())
+	if err != nil || res.Instrs != PacketBudget {
+		t.Fatalf("program at the budget: %d instructions, %v; want %d and no error", res.Instrs, err, PacketBudget)
+	}
+}
+
 func TestVerdictsTerminatePipeline(t *testing.T) {
 	first := NewAsm().Drop().MustBuild()
 	second := NewAsm().MovImm(0, 1).StField("meta.ran", 0).Ret().MustBuild()

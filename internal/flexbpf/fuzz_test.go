@@ -171,11 +171,18 @@ func fuzzStmts(r *rand.Rand, depth int) []Stmt {
 	return out
 }
 
+// guardField is the field a whole-program trial's install filter reads:
+// no other statement reads it, and each packet carries 0 or 1 there.
+const guardField = "meta.tenant"
+
 // fuzzProgram draws a whole program, its table entries and the packets
 // to run through it: one exact-match table "t" on ipv4.src whose 1–3
 // actions have well-formed bodies that read their params with ldp, an
 // optional default action, entries for about half of the fuzzSrcs keys,
-// a pipeline from fuzzStmts, and four TCP packets.
+// a pipeline from fuzzStmts, and four TCP packets. A quarter of the
+// programs then run behind an install filter on guardField, lowered as
+// a device lowers one (Guard). Those draws come last, so an input that
+// decoded to a program before still decodes to the same one.
 func fuzzProgram(r *rand.Rand) (*Program, map[string][]*TableEntry, []*packet.Packet) {
 	p := fuzzDecls(&Program{})
 	t := &TableSpec{Name: "t", Keys: []TableKey{{Field: "ipv4.src", Kind: MatchExact, Bits: 32}}, Size: fuzzSrcs}
@@ -202,7 +209,22 @@ func fuzzProgram(r *rand.Rand) (*Program, map[string][]*TableEntry, []*packet.Pa
 	for i := range pkts {
 		pkts[i] = packet.TCPPacket(uint64(i), uint32(r.Intn(fuzzSrcs)), 2, 3, uint16(r.Intn(fuzzSrcs)), uint64(r.Intn(4)), 10)
 	}
+	if r.Intn(4) == 0 {
+		p = Guard(p, Cond{Field: guardField, Op: []CmpOp{CmpEq, CmpGe}[r.Intn(2)], Value: uint64(r.Intn(2))})
+	}
+	for _, pkt := range pkts {
+		pkt.SetField(guardField, uint64(r.Intn(2)))
+	}
 	return p, map[string][]*TableEntry{"t": entries}, pkts
+}
+
+// guardOf returns the install filter fuzzProgram put in front of p, or
+// nil.
+func guardOf(p *Program) *Cond {
+	if s := p.Pipeline[0]; s.If != nil && s.If.Cond.Field == guardField {
+		return &s.If.Cond
+	}
+	return nil
 }
 
 // listing is Dump plus the instructions of every pipeline Do block.
@@ -330,9 +352,9 @@ func linkedVsReference(t testing.TB, p *Program, entries map[string][]*TableEntr
 // well-formed ones (wellFormedBlock), so the differential runs on
 // thousands of blocks and every opcode but ldp. The whole-program
 // trials then draw from fuzzProgram, which adds tables, actions that
-// read their params, and If/Else over both operators; the test fails
-// unless ldp, table hits and misses, and both sides of an If are
-// exercised.
+// read their params, If/Else over both operators and install filters;
+// the test fails unless ldp, table hits and misses, both sides of an If,
+// and a filter that admits and one that refuses are exercised.
 func TestVerifierSoundnessFuzz(t *testing.T) {
 	r := rand.New(rand.NewSource(2024))
 	accepted, seededHits := 0, 0
@@ -376,11 +398,20 @@ func TestVerifierSoundnessFuzz(t *testing.T) {
 	t.Logf("map loads that found their key: %d", seededHits)
 
 	const programs = 2000
-	var hits, misses, thens, elses int
+	var hits, misses, thens, elses, admitted, refused int
 	for trial := 0; trial < programs; trial++ {
 		p, entries, pkts := fuzzProgram(r)
 		if err := Verify(p); err != nil {
 			t.Fatalf("generated program rejected: %v\n%s", err, listing(p))
+		}
+		if c := guardOf(p); c != nil {
+			for _, pkt := range pkts {
+				if evalCond(c, pkt) {
+					admitted++
+				} else {
+					refused++
+				}
+			}
 		}
 		for _, a := range p.Actions {
 			count(a.Body)
@@ -390,16 +421,16 @@ func TestVerifierSoundnessFuzz(t *testing.T) {
 		hits, misses = hits+ref.tableHits, misses+ref.tableMisses
 		thens, elses = thens+int(ref.counters["br"][0]), elses+int(ref.counters["br"][1])
 	}
-	t.Logf("whole programs: %d verified, linked, and ran identically; table hits=%d misses=%d; if branches then=%d else=%d",
-		programs, hits, misses, thens, elses)
+	t.Logf("whole programs: %d verified, linked, and ran identically; table hits=%d misses=%d; if branches then=%d else=%d; filtered packets admitted=%d refused=%d",
+		programs, hits, misses, thens, elses, admitted, refused)
 	var b strings.Builder
 	for op, c := range perOp {
 		fmt.Fprintf(&b, " %s=%d", OpName(Op(op)), c)
 	}
 	t.Logf("accepted instructions per opcode:%s", b.String())
-	if perOp[OpLdParam] == 0 || hits == 0 || misses == 0 || thens == 0 || elses == 0 {
-		t.Fatalf("the whole-program trials left a path unexercised: ldp=%d hits=%d misses=%d then=%d else=%d",
-			perOp[OpLdParam], hits, misses, thens, elses)
+	if perOp[OpLdParam] == 0 || hits == 0 || misses == 0 || thens == 0 || elses == 0 || admitted == 0 || refused == 0 {
+		t.Fatalf("the whole-program trials left a path unexercised: ldp=%d hits=%d misses=%d then=%d else=%d admitted=%d refused=%d",
+			perOp[OpLdParam], hits, misses, thens, elses, admitted, refused)
 	}
 }
 

@@ -132,7 +132,7 @@ func (in Interp) runBlock(prog *Program, code []Instr, params []uint64, pkt *pac
 	var regs [NumRegs]uint64
 	pc := 0
 	for pc < len(code) {
-		if res.Instrs >= MaxInstrs*4 {
+		if res.Instrs >= PacketBudget {
 			return &execError{prog.Name, pc, "instruction budget exhausted (unverified program?)"}
 		}
 		ins := &code[pc]

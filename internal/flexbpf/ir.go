@@ -39,6 +39,12 @@ const NumRegs = 16
 // give a hard per-packet instruction bound.
 const MaxInstrs = 4096
 
+// PacketBudget is the most counted instructions one packet may run
+// through one program. Verify refuses a program whose WorstCaseInstrs
+// exceeds it, and both executors stop a packet that reaches it, so a
+// verified program never meets the run-time stop.
+const PacketBudget = MaxInstrs * 4
+
 // MapKind selects the logical behaviour of a key/value map.
 type MapKind uint8
 
@@ -435,6 +441,17 @@ func (p *Program) Clone() *Program {
 	}
 	q.Pipeline = cloneStmts(p.Pipeline)
 	return q
+}
+
+// Guard returns p with its whole pipeline behind one leading If on c: a
+// packet that fails c runs nothing of p. It is how a device lowers an
+// install filter into the program the filter guards. The copy is
+// shallow — it shares p's declarations and statements — and p is not
+// modified.
+func Guard(p *Program, c Cond) *Program {
+	q := *p
+	q.Pipeline = []Stmt{{If: &IfStmt{Cond: c, Then: p.Pipeline}}}
+	return &q
 }
 
 func cloneStmts(in []Stmt) []Stmt {

@@ -102,22 +102,16 @@ type LinkedEnv interface {
 	Now() uint64
 }
 
-// LinkedCond is a pipeline condition with its field resolved to an
-// interned ID.
-type LinkedCond struct {
+// linkedCond is a pipeline condition with its field resolved to an
+// interned ID. It evaluates exactly as the tree interpreter's evalCond.
+type linkedCond struct {
 	fid   packet.FieldID
 	op    CmpOp
 	value uint64
 }
 
-// CompileCond resolves a condition's field reference. The result
-// evaluates exactly as the tree interpreter's evalCond.
-func CompileCond(c *Cond) *LinkedCond {
-	return &LinkedCond{fid: packet.InternField(c.Field), op: c.Op, value: c.Value}
-}
-
-// Eval evaluates the condition against a packet.
-func (c *LinkedCond) Eval(pkt *packet.Packet) bool {
+// eval evaluates the condition against a packet.
+func (c *linkedCond) eval(pkt *packet.Packet) bool {
 	lhs := pkt.FieldByID(c.fid)
 	switch c.op {
 	case CmpEq:
@@ -146,7 +140,7 @@ type linkedTable struct {
 type LinkedProgram struct {
 	prog    *Program
 	code    []linstr
-	conds   []LinkedCond
+	conds   []linkedCond
 	tables  []linkedTable
 	actions [][]linstr // lowered action bodies, indexed as actIdx names them
 	actIdx  map[string]int32
@@ -441,7 +435,8 @@ func (lk *linker) lowerStmts(stmts []Stmt) error {
 			lk.emit(linstr{op: lopApply, imm: uint64(idx)})
 		case s.If != nil:
 			ci := len(lk.lp.conds)
-			lk.lp.conds = append(lk.lp.conds, *CompileCond(&s.If.Cond))
+			c := &s.If.Cond
+			lk.lp.conds = append(lk.lp.conds, linkedCond{fid: packet.InternField(c.Field), op: c.Op, value: c.Value})
 			br := lk.emit(linstr{op: lopBr, imm: uint64(ci)})
 			if err := lk.lowerStmts(s.If.Then); err != nil {
 				return err
@@ -543,12 +538,12 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 				pc += int(ins.off)
 				continue
 			case lopBr:
-				if !lp.conds[ins.imm].Eval(pkt) {
+				if !lp.conds[ins.imm].eval(pkt) {
 					pc += int(ins.off)
 				}
 				continue
 			case lopLd2:
-				if instrs >= MaxInstrs*4 {
+				if instrs >= PacketBudget {
 					res.Instrs = instrs
 					return &execError{lp.prog.Name, pc - 1, "instruction budget exhausted (unverified program?)"}
 				}
@@ -557,7 +552,7 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 				regs[ins.rs&regMask] = pkt.FieldByID(packet.FieldID(ins.off))
 				continue
 			case lopFldCp:
-				if instrs >= MaxInstrs*4 {
+				if instrs >= PacketBudget {
 					res.Instrs = instrs
 					return &execError{lp.prog.Name, pc - 1, "instruction budget exhausted (unverified program?)"}
 				}
@@ -567,7 +562,7 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 				pkt.SetFieldByID(packet.FieldID(ins.off), v)
 				continue
 			case lopMapInc, lopMapIncR:
-				if instrs >= MaxInstrs*4 {
+				if instrs >= PacketBudget {
 					res.Instrs = instrs
 					return &execError{lp.prog.Name, pc - 1, "instruction budget exhausted (unverified program?)"}
 				}
@@ -583,7 +578,7 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 				_ = env.MapStoreSlot(int(ins.imm), k, v)
 				continue
 			case lopLdJImm:
-				if instrs >= MaxInstrs*4 {
+				if instrs >= PacketBudget {
 					res.Instrs = instrs
 					return &execError{lp.prog.Name, pc - 1, "instruction budget exhausted (unverified program?)"}
 				}
@@ -595,7 +590,7 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 				}
 				continue
 			case lopAluSt:
-				if instrs >= MaxInstrs*4 {
+				if instrs >= PacketBudget {
 					res.Instrs = instrs
 					return &execError{lp.prog.Name, pc - 1, "instruction budget exhausted (unverified program?)"}
 				}
@@ -610,7 +605,7 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 				pkt.SetFieldByID(packet.FieldID(ins.imm), v)
 				continue
 			case lopLdParamFwd:
-				if instrs >= MaxInstrs*4 {
+				if instrs >= PacketBudget {
 					res.Instrs = instrs
 					return &execError{lp.prog.Name, pc - 1, "instruction budget exhausted (unverified program?)"}
 				}
@@ -666,7 +661,7 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 			}
 			continue
 		}
-		if instrs >= MaxInstrs*4 {
+		if instrs >= PacketBudget {
 			res.Instrs = instrs
 			return &execError{lp.prog.Name, pc - 1, "instruction budget exhausted (unverified program?)"}
 		}

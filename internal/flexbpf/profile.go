@@ -129,6 +129,3 @@ func (lp *LinkedProgram) TableInstances() []*TableInstance {
 	}
 	return out
 }
-
-// Field returns the packet field ID the condition reads.
-func (c *LinkedCond) Field() packet.FieldID { return c.fid }

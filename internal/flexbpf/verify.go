@@ -26,8 +26,9 @@ func (e *VerifyError) Error() string {
 // targets"). The rules are:
 //
 //  1. Bounded execution: all jumps are strictly forward and in-bounds,
-//     and no block exceeds MaxInstrs instructions, so per-packet work is
-//     statically bounded.
+//     no block exceeds MaxInstrs instructions, and the whole program's
+//     WorstCaseInstrs is at most PacketBudget, so per-packet work is
+//     statically bounded below the executors' run-time stop.
 //  2. Register safety: every register is written before it is read.
 //  3. Reference integrity: every map, counter, meter, table, action,
 //     header, and action-parameter reference resolves within the program.
@@ -52,7 +53,13 @@ func Verify(p *Program) error {
 		}
 	}
 	// Verify pipeline.
-	return verifyStmts(p, "pipeline", p.Pipeline)
+	if err := verifyStmts(p, "pipeline", p.Pipeline); err != nil {
+		return err
+	}
+	if wc := WorstCaseInstrs(p); wc > PacketBudget {
+		return &VerifyError{p.Name, "program", -1, fmt.Sprintf("worst case %d instructions per packet exceeds the budget of %d", wc, PacketBudget)}
+	}
+	return nil
 }
 
 func verifyDecls(p *Program) error {
@@ -158,8 +165,12 @@ func verifyStmts(p *Program, where string, stmts []Stmt) error {
 				return &VerifyError{p.Name, where, i, fmt.Sprintf("apply of undeclared table %q", s.Apply)}
 			}
 		case s.If != nil:
-			if err := VerifyCond(s.If.Cond); err != nil {
-				return &VerifyError{p.Name, where, i, "if " + err.Error()}
+			c := s.If.Cond
+			if !validFieldName(c.Field) {
+				return &VerifyError{p.Name, where, i, fmt.Sprintf("if condition has malformed field %q", c.Field)}
+			}
+			if c.Op != CmpEq && c.Op != CmpGe {
+				return &VerifyError{p.Name, where, i, fmt.Sprintf("if condition has unknown operator %s", c.Op)}
 			}
 			sub := fmt.Sprintf("%s/if[%d]", where, i)
 			if err := verifyStmts(p, sub+"/then", s.If.Then); err != nil {
@@ -173,20 +184,6 @@ func verifyStmts(p *Program, where string, stmts []Stmt) error {
 				return err
 			}
 		}
-	}
-	return nil
-}
-
-// VerifyCond checks a condition's form: a well-formed "header.field"
-// name and the operator == or >=. Verify applies it to every If; an
-// install filter, which lives outside the program, is checked with it
-// directly.
-func VerifyCond(c Cond) error {
-	if !validFieldName(c.Field) {
-		return fmt.Errorf("condition has malformed field %q", c.Field)
-	}
-	if c.Op != CmpEq && c.Op != CmpGe {
-		return fmt.Errorf("condition has unknown operator %s", c.Op)
 	}
 	return nil
 }

@@ -9,8 +9,8 @@
 //
 //   - Dependency fields: the recorded entry stores the *before* values
 //     (and presence bits) of every field the pipeline could read or
-//     write, and the program-filter condition fields. A follower packet
-//     must match them all. Write-set fields are included because replay
+//     write, the fields of its conditions and install filters included.
+//     A follower packet must match them all. Write-set fields are included because replay
 //     applies their *after* values: a conditional write that did not
 //     fire for the recorded packet must not be replayed onto a packet it
 //     would have fired for. Parser select fields are not: every device
@@ -84,13 +84,12 @@ type Entry struct {
 	// applies the present ones.
 	Post []FieldVal
 
-	// Verdict, Egress, Instrs, Lookups, and Programs replay the recorded
-	// processing outcome and its telemetry accounting.
-	Verdict  packet.Verdict
-	Egress   int
-	Instrs   int
-	Lookups  int
-	Programs []string
+	// Verdict, Egress, Instrs and Lookups replay the recorded processing
+	// outcome and its telemetry accounting.
+	Verdict packet.Verdict
+	Egress  int
+	Instrs  int
+	Lookups int
 }
 
 // match reports whether pkt still satisfies every validation the entry
@@ -132,7 +131,7 @@ func (e *Entry) stale() bool {
 
 // Replay applies the entry's recorded outcome to pkt: the write-set
 // after-values, and the egress port when the verdict forwards. The
-// caller replays the telemetry accounting (Instrs/Lookups/Programs).
+// caller replays the telemetry accounting (Instrs/Lookups).
 func (e *Entry) Replay(pkt *packet.Packet) {
 	for i := range e.Post {
 		if e.Post[i].Present {
