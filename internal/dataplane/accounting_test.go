@@ -26,8 +26,9 @@ const accountingGolden = "testdata/accounting_snapshot.golden"
 //     filtered to tcp.sport 5001, and an exact router;
 //   - c2 (uncacheable): a flow counter in a hash map, a UDP punter and
 //     a router;
-//   - c3 (cacheable): a router whose entry for 10.0.0.3 names an action
-//     the program does not have, so those packets fail in execution.
+//   - c3 (uncacheable): a router whose entry for 10.0.0.3 selects an
+//     action that adds more headers than the chain holds, so those
+//     packets fail in execution.
 type accountingChain struct {
 	reg  *telemetry.Registry
 	devs [3]*Device
@@ -76,8 +77,13 @@ func newAccountingChain(t *testing.T) *accountingChain {
 
 	c3 := ch.devs[2]
 	fwd := flexbpf.NewAsm().LdParam(0, 0).Forward(0).MustBuild()
+	stack := flexbpf.NewAsm()
+	for i := 0; i < packet.ChainCap; i++ {
+		stack.AddHdr(fmt.Sprintf("stack%d", i))
+	}
 	install(c3, flexbpf.NewProgram("rt3").
 		Action("fwd3", 1, fwd).
+		Action("stack", 0, stack.Ret().MustBuild()).
 		Table(&flexbpf.TableSpec{
 			Name:          "rt3_t",
 			Keys:          []flexbpf.TableKey{{Field: "ipv4.dst", Kind: flexbpf.MatchExact, Bits: 32}},
@@ -88,7 +94,7 @@ func newAccountingChain(t *testing.T) *accountingChain {
 		Apply("rt3_t").
 		MustBuild(), InstallOptions{Priority: PriorityInfra})
 	route(c3, "rt3", "rt3_t", "fwd3", dst2, 3)
-	route(c3, "rt3", "rt3_t", "ghost", dst3, 3)
+	route(c3, "rt3", "rt3_t", "stack", dst3, 3)
 	return ch
 }
 

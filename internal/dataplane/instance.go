@@ -78,7 +78,8 @@ func newInstance(prog, linked *flexbpf.Program, now func() uint64) (*ProgramInst
 		}
 	}
 	// Install-time link: resolve symbols once so the per-packet path is
-	// map-free and allocation-free.
+	// map-free and allocation-free. Link also binds the applied tables,
+	// so their entries are checked against the program's actions.
 	lp, err := flexbpf.Link(linked, func(name string) *flexbpf.TableInstance { return inst.tables[name] })
 	if err != nil {
 		return nil, fmt.Errorf("program %s does not link: %w: %w", prog.Name, errdefs.ErrVerifyFailed, err)
@@ -93,9 +94,6 @@ func newInstance(prog, linked *flexbpf.Program, now func() uint64) (*ProgramInst
 	}
 	for _, n := range lp.MeterSlots() {
 		inst.lmeters = append(inst.lmeters, inst.store.Meter(n))
-	}
-	for _, ti := range inst.tables {
-		ti.SetActionResolver(lp.ActionIndex)
 	}
 	return inst, nil
 }

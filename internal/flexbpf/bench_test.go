@@ -198,7 +198,6 @@ func benchSetup(b *testing.B) (*Program, *benchEnv, *LinkedProgram, []*packet.Pa
 	if err != nil {
 		b.Fatal(err)
 	}
-	tables["acl"].SetActionResolver(lp.ActionIndex)
 	env := newBenchEnv(lp, tables)
 	pkts := make([]*packet.Packet, 64)
 	for i := range pkts {

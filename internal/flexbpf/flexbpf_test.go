@@ -794,17 +794,21 @@ func movBlocks(blocks, n int) *Program {
 	return p
 }
 
-// TestVerifyEnforcesPacketBudget: the verifier and the executors share
-// one per-packet budget. Five blocks of 4,000 instructions each pass the
-// per-block bound, but 20,000 instructions per packet would stop both
-// executors at PacketBudget, so Verify refuses the program and names
-// both numbers. A program at exactly the budget verifies and runs to
-// its end on both executors.
+// TestVerifyEnforcesPacketBudget: the verifier holds a program to the
+// per-packet budget the linked executor relies on. Five blocks of 4,000
+// instructions each pass the per-block bound, but 20,000 instructions
+// per packet exceed PacketBudget (where the reference Interp stops), so
+// Verify refuses the program and names both numbers. A program at
+// exactly the budget verifies and runs to its end on both executors.
 func TestVerifyEnforcesPacketBudget(t *testing.T) {
 	over := movBlocks(5, 4000)
 	err := Verify(over)
 	if err == nil {
-		t.Fatalf("program of %d instructions per packet verified; the executors stop at %d", WorstCaseInstrs(over), PacketBudget)
+		// The linked run has no stop of its own; the reference stops at
+		// the budget, so the differential fails on this program.
+		t.Errorf("program of %d instructions per packet verified; the budget is %d", WorstCaseInstrs(over), PacketBudget)
+		linkedVsReference(t, over, nil, []*packet.Packet{packet.New(1)})
+		return
 	}
 	for _, want := range []string{"20000", "16384"} {
 		if !strings.Contains(err.Error(), want) {

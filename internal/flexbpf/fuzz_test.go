@@ -298,9 +298,6 @@ func linkedVsReference(t testing.TB, p *Program, entries map[string][]*TableEntr
 	if err != nil {
 		t.Fatalf("verified program does not link: %v\n%s", err, listing(p))
 	}
-	for _, ti := range envL.tables {
-		ti.SetActionResolver(lp.ActionIndex)
-	}
 	for name, es := range entries {
 		for _, e := range es {
 			for _, env := range []*testEnv{ref.testEnv, envL} {

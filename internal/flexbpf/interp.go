@@ -58,8 +58,10 @@ func (e *execError) Error() string {
 type Interp struct{}
 
 // Run executes prog over pkt in env and returns the result. Programs are
-// expected to be verified; Run still guards against runaway execution
-// with a hard instruction budget as defense in depth.
+// expected to be verified. Run still stops a packet at PacketBudget
+// counted instructions, which the linked executor does not: a verifier
+// that admits an over-budget program shows as an Interp error in the
+// linked ≡ reference differential.
 func (in Interp) Run(prog *Program, pkt *packet.Packet, env Env) (ExecResult, error) {
 	res := ExecResult{Verdict: packet.VerdictContinue}
 	err := in.runStmts(prog, prog.Pipeline, pkt, env, &res)

@@ -41,8 +41,9 @@ const MaxInstrs = 4096
 
 // PacketBudget is the most counted instructions one packet may run
 // through one program. Verify refuses a program whose WorstCaseInstrs
-// exceeds it, and both executors stop a packet that reaches it, so a
-// verified program never meets the run-time stop.
+// exceeds it. The linked executor has no run-time stop: a linked program
+// cannot loop, so the verified bound holds. Only the reference Interp
+// stops a packet that reaches the budget.
 const PacketBudget = MaxInstrs * 4
 
 // MapKind selects the logical behaviour of a key/value map.

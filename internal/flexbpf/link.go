@@ -124,8 +124,7 @@ func (c *linkedCond) eval(pkt *packet.Packet) bool {
 
 // linkedTable is a resolved table application site.
 type linkedTable struct {
-	name string
-	ti   *TableInstance
+	ti *TableInstance
 	// keyIDs are the interned key fields in spec order.
 	keyIDs []packet.FieldID
 	// missIdx is the default action index + 1 (0 = no default).
@@ -156,16 +155,6 @@ func (lp *LinkedProgram) CounterSlots() []string { return lp.counterNames }
 
 // MeterSlots returns the meter names in slot order.
 func (lp *LinkedProgram) MeterSlots() []string { return lp.meterNames }
-
-// ActionIndex returns the linked index of the named action, or -1. Table
-// instances install it as their action resolver so entries are annotated
-// at insert time.
-func (lp *LinkedProgram) ActionIndex(name string) int32 {
-	if j, ok := lp.actIdx[name]; ok {
-		return j
-	}
-	return -1
-}
 
 // ExecContext holds per-instance scratch reused across packets so the
 // steady-state path performs no allocation. One context must not be
@@ -205,7 +194,14 @@ type linker struct {
 // resolves a table name to the runtime instance the program will run
 // against (the caller owns instance creation). Link fails on unresolved
 // symbols or malformed blocks; a program that does not link cannot be
-// installed (every program Verify accepts links).
+// installed (every program Verify accepts links). prog must be verified:
+// the linked form runs with no instruction budget and no parameter
+// bounds of its own (see exec).
+//
+// Link binds every table the pipeline applies to the linked program, so
+// the table's Insert and ReplaceAll check each entry against the
+// program's actions; it fails if an entry already installed does not
+// pass that check.
 func Link(prog *Program, tables func(string) *TableInstance) (*LinkedProgram, error) {
 	lk := &linker{
 		prog:    prog,
@@ -250,6 +246,11 @@ func Link(prog *Program, tables func(string) *TableInstance) (*LinkedProgram, er
 	}
 	if err := lk.lowerStmts(prog.Pipeline); err != nil {
 		return nil, err
+	}
+	for _, t := range lk.lp.tables {
+		if err := t.ti.bind(lk.lp); err != nil {
+			return nil, err
+		}
 	}
 	return lk.lp, nil
 }
@@ -484,7 +485,7 @@ func (lk *linker) tableIndex(name string) (int, error) {
 	if ti == nil {
 		return 0, &linkError{lk.prog.Name, "pipeline", fmt.Sprintf("no instance for table %q", name)}
 	}
-	lt := linkedTable{name: name, ti: ti, keyIDs: make([]packet.FieldID, len(spec.Keys))}
+	lt := linkedTable{ti: ti, keyIDs: make([]packet.FieldID, len(spec.Keys))}
 	for i, k := range spec.Keys {
 		lt.keyIDs[i] = packet.InternField(k.Field)
 	}
@@ -512,6 +513,13 @@ func (lp *LinkedProgram) Run(pkt *packet.Packet, env LinkedEnv, ctx *ExecContext
 	return res, err
 }
 
+// exec runs one lowered block. It checks nothing that installation
+// already proved: Link admits only forward jumps and known opcodes, so
+// the loop ends; Verify bounds the counted instructions by PacketBudget
+// and every LdParam index by its action's NumParams and default params;
+// and a bound table's Insert and ReplaceAll admit only entries whose
+// action the program defines, with at least NumParams params. An
+// entry's actIdx of 0 therefore means exactly "no action".
 func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet, env LinkedEnv, ctx *ExecContext, res *ExecResult) error {
 	// No register prologue: every lowered block (inline Do and action
 	// body alike) begins with lopZero, so stale scratch from a previous
@@ -526,9 +534,8 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 		ins := code[pc]
 		pc++
 		// Synthetic linker opcodes replace statement-tree walks; the tree
-		// interpreter did not count those, so neither do they, and they
-		// are exempt from the budget check below. One compare routes them
-		// out of the hot dispatch.
+		// interpreter did not count those, so neither do they. One compare
+		// routes them out of the hot dispatch.
 		if ins.op > opMax {
 			switch ins.op {
 			case lopZero:
@@ -543,29 +550,17 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 				}
 				continue
 			case lopLd2:
-				if instrs >= PacketBudget {
-					res.Instrs = instrs
-					return &execError{lp.prog.Name, pc - 1, "instruction budget exhausted (unverified program?)"}
-				}
 				instrs += 2
 				regs[ins.rd&regMask] = pkt.FieldByID(packet.FieldID(ins.imm))
 				regs[ins.rs&regMask] = pkt.FieldByID(packet.FieldID(ins.off))
 				continue
 			case lopFldCp:
-				if instrs >= PacketBudget {
-					res.Instrs = instrs
-					return &execError{lp.prog.Name, pc - 1, "instruction budget exhausted (unverified program?)"}
-				}
 				instrs += 2
 				v := pkt.FieldByID(packet.FieldID(ins.imm))
 				regs[ins.rd&regMask] = v
 				pkt.SetFieldByID(packet.FieldID(ins.off), v)
 				continue
 			case lopMapInc, lopMapIncR:
-				if instrs >= PacketBudget {
-					res.Instrs = instrs
-					return &execError{lp.prog.Name, pc - 1, "instruction budget exhausted (unverified program?)"}
-				}
 				instrs += 3
 				k := regs[ins.rs&regMask]
 				v, _ := env.MapLoadSlot(int(ins.imm), k)
@@ -578,10 +573,6 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 				_ = env.MapStoreSlot(int(ins.imm), k, v)
 				continue
 			case lopLdJImm:
-				if instrs >= PacketBudget {
-					res.Instrs = instrs
-					return &execError{lp.prog.Name, pc - 1, "instruction budget exhausted (unverified program?)"}
-				}
 				instrs += 2
 				v := pkt.FieldByID(packet.FieldID(ins.imm >> 32))
 				regs[ins.rd&regMask] = v
@@ -590,10 +581,6 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 				}
 				continue
 			case lopAluSt:
-				if instrs >= PacketBudget {
-					res.Instrs = instrs
-					return &execError{lp.prog.Name, pc - 1, "instruction budget exhausted (unverified program?)"}
-				}
 				instrs += 2
 				v := regs[ins.rd&regMask]
 				if Op(ins.rs) == OpAddImm {
@@ -605,15 +592,8 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 				pkt.SetFieldByID(packet.FieldID(ins.imm), v)
 				continue
 			case lopLdParamFwd:
-				if instrs >= PacketBudget {
-					res.Instrs = instrs
-					return &execError{lp.prog.Name, pc - 1, "instruction budget exhausted (unverified program?)"}
-				}
 				instrs += 2
-				var v uint64
-				if int(ins.imm) < len(params) {
-					v = params[ins.imm]
-				}
+				v := params[ins.imm]
 				regs[ins.rd&regMask] = v
 				pkt.EgressPort = int(v)
 				res.Instrs = instrs
@@ -629,28 +609,12 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 			ctx.keys = keys
 			res.Instrs = instrs
 			res.Lookups++
-			e, hit := t.ti.LookupEntry(keys)
-			var idx int32
-			var aparams []uint64
-			if hit {
-				idx = e.actIdx - 1
-				aparams = e.Params
-				if idx < 0 {
-					if e.Action == "" {
-						continue
-					}
-					j, ok := lp.actIdx[e.Action]
-					if !ok {
-						return &execError{lp.prog.Name, -1, fmt.Sprintf("table %q selected unknown action %q", t.name, e.Action)}
-					}
-					idx = j
-				}
-			} else {
-				if t.missIdx == 0 {
-					continue
-				}
-				idx = t.missIdx - 1
-				aparams = t.missParams
+			idx, aparams := t.missIdx-1, t.missParams
+			if e, hit := t.ti.LookupEntry(keys); hit {
+				idx, aparams = e.actIdx-1, e.Params
+			}
+			if idx < 0 {
+				continue
 			}
 			if err := lp.exec(lp.actions[idx], aparams, pkt, env, ctx, res); err != nil {
 				return err
@@ -660,10 +624,6 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 				return nil
 			}
 			continue
-		}
-		if instrs >= PacketBudget {
-			res.Instrs = instrs
-			return &execError{lp.prog.Name, pc - 1, "instruction budget exhausted (unverified program?)"}
 		}
 		instrs++
 		switch ins.op {
@@ -687,11 +647,7 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 				return &execError{lp.prog.Name, pc - 1, err.Error()}
 			}
 		case OpLdParam:
-			if int(ins.imm) < len(params) {
-				regs[ins.rd&regMask] = params[ins.imm]
-			} else {
-				regs[ins.rd&regMask] = 0
-			}
+			regs[ins.rd&regMask] = params[ins.imm]
 		case OpAdd:
 			regs[ins.rd&regMask] += regs[ins.rs&regMask]
 		case OpMod:
@@ -765,9 +721,6 @@ func (lp *LinkedProgram) exec(code []linstr, params []uint64, pkt *packet.Packet
 		case OpRet:
 			res.Instrs = instrs
 			return nil
-		default:
-			res.Instrs = instrs
-			return &execError{lp.prog.Name, pc - 1, fmt.Sprintf("illegal opcode %d", ins.op)}
 		}
 	}
 	res.Instrs = instrs

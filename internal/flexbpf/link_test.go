@@ -1,7 +1,6 @@
 package flexbpf
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -41,9 +40,6 @@ func linkForTest(t *testing.T, prog *Program, entries map[string][]*TableEntry) 
 	lp, err := Link(prog, func(name string) *TableInstance { return env.tables[name] })
 	if err != nil {
 		t.Fatalf("link: %v", err)
-	}
-	for _, ti := range env.tables {
-		ti.SetActionResolver(lp.ActionIndex)
 	}
 	for name, es := range entries {
 		for _, e := range es {
@@ -417,17 +413,19 @@ func TestLinkedEntriesInsertedAfterLink(t *testing.T) {
 	}
 }
 
-// Ensure execError formatting is reachable from the linked engine (an
-// entry naming an unknown action on an unresolved instance).
-func TestLinkedUnknownActionError(t *testing.T) {
+// TestLinkedTableRefusesEntries checks that a table bound by Link refuses,
+// on Insert and on ReplaceAll, an entry whose action the program lacks
+// (the table declares only a default action, so the spec's action set
+// does not catch it) or that carries fewer params than its action reads,
+// and leaves the table unchanged; and that Link refuses a table already
+// holding such an entry.
+func TestLinkedTableRefusesEntries(t *testing.T) {
 	fwd := NewAsm().LdParam(0, 0).Forward(0).MustBuild()
 	prog, err := NewProgram("ua").
 		Action("fwd", 1, fwd).
 		Table(&TableSpec{
-			Name: "t",
-			Keys: []TableKey{{Field: "ipv4.dst", Kind: MatchExact, Bits: 32}},
-			// No declared action list: raw entries may name any action,
-			// which is how an unknown name reaches the linked engine.
+			Name:          "t",
+			Keys:          []TableKey{{Field: "ipv4.dst", Kind: MatchExact, Bits: 32}},
 			DefaultAction: "fwd",
 			DefaultParams: []uint64{1},
 			Size:          8,
@@ -437,25 +435,35 @@ func TestLinkedUnknownActionError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := newTestEnv()
-	ti := NewTableInstance(prog.Table("t"))
-	env.tables["t"] = ti
-	lp, lerr := Link(prog, func(name string) *TableInstance { return env.tables[name] })
-	if lerr != nil {
-		t.Fatal(lerr)
+	good := ExactEntry("fwd", []uint64{5}, 7)
+	_, env := linkForTest(t, prog, map[string][]*TableEntry{"t": {good}})
+	ti := env.tables["t"]
+	want, gen := ti.Entries(), ti.Generation()
+	for _, c := range []struct {
+		name string
+		bad  *TableEntry
+		msg  string
+	}{
+		{"unknown action", ExactEntry("ghost", nil, 2), `program ua has no action "ghost"`},
+		{"short params", ExactEntry("fwd", nil, 2), `action "fwd" reads 1 params, entry has 0`},
+	} {
+		if err := ti.Insert(c.bad); err == nil || !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("%s: Insert error %v, want one mentioning %s", c.name, err, c.msg)
+		}
+		if err := ti.ReplaceAll([]*TableEntry{good, c.bad}); err == nil || !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("%s: ReplaceAll error %v, want one mentioning %s", c.name, err, c.msg)
+		}
+		if got := ti.Entries(); ti.Generation() != gen || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: refused entry changed the table (%d entries)", c.name, len(got))
+		}
 	}
-	// No resolver installed: the entry's action index stays unresolved
-	// and names an action the program does not define.
-	if err := ti.Insert(ExactEntry("ghost", nil, 2)); err != nil {
+
+	// An unbound table accepts the entry; linking against it then fails.
+	raw := NewTableInstance(prog.Table("t"))
+	if err := raw.Insert(ExactEntry("ghost", nil, 2)); err != nil {
 		t.Fatal(err)
 	}
-	pkt := packet.TCPPacket(1, 1, 2, 3, 4, 0, 0)
-	_, rerr := lp.Run(pkt, &linkedTestEnv{env, lp}, NewExecContext())
-	if rerr == nil {
-		t.Fatal("expected unknown-action error")
-	}
-	want := fmt.Sprintf("table %q selected unknown action %q", "t", "ghost")
-	if got := rerr.Error(); !strings.Contains(got, want) {
-		t.Fatalf("error %q does not mention %q", got, want)
+	if _, err := Link(prog, func(string) *TableInstance { return raw }); err == nil || !strings.Contains(err.Error(), "ghost") {
+		t.Fatalf("Link over a ghost entry: error %v", err)
 	}
 }

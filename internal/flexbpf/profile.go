@@ -98,8 +98,8 @@ func (lp *LinkedProgram) CacheProfile() CacheProfile {
 	}
 	ps.block(lp.code)
 	for _, code := range lp.actions {
-		// Every action is reachable: table entries select actions by
-		// index or name at runtime.
+		// Every action is reachable: table entries select actions at
+		// runtime.
 		ps.block(code)
 	}
 	for i := range lp.conds {

@@ -6,19 +6,30 @@ import (
 	"testing"
 )
 
-func lpmTable(size int) *TableInstance {
+// bindForTest links a program that applies ti and defines each named
+// action, reading numParams parameters, so ti is bound to its actions.
+func bindForTest(t testing.TB, ti *TableInstance, numParams int, actions ...string) {
+	t.Helper()
+	p := &Program{Name: "bind", Tables: []*TableSpec{ti.Spec}, Actions: map[string]*Action{},
+		Pipeline: []Stmt{{Apply: ti.Spec.Name}}}
+	for _, a := range actions {
+		p.Actions[a] = &Action{Name: a, NumParams: numParams, Body: NewAsm().Ret().MustBuild()}
+	}
+	if _, err := Link(p, func(string) *TableInstance { return ti }); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// lpmTable is an LPM table bound to a program whose "route" action reads
+// one parameter.
+func lpmTable(t testing.TB, size int) *TableInstance {
 	ti := NewTableInstance(&TableSpec{
 		Name:    "routes",
 		Keys:    []TableKey{{Field: "ipv4.dst", Kind: MatchLPM, Bits: 32}},
 		Actions: []string{"route"},
 		Size:    size,
 	})
-	ti.SetActionResolver(func(name string) int32 {
-		if name == "route" {
-			return 0
-		}
-		return -1
-	})
+	bindForTest(t, ti, 1, "route")
 	return ti
 }
 
@@ -28,7 +39,7 @@ func TestReplaceAllMatchesInsert(t *testing.T) {
 	mk := func(i int, prefix int) *TableEntry {
 		return LPMEntry("route", []uint64{uint64(i)}, uint64(i)<<8, prefix)
 	}
-	a, b := lpmTable(64), lpmTable(64)
+	a, b := lpmTable(t, 64), lpmTable(t, 64)
 	var batch []*TableEntry
 	for i := 0; i < 10; i++ {
 		e := mk(i, 16+(i%3)*8)
@@ -55,10 +66,11 @@ func TestReplaceAllMatchesInsert(t *testing.T) {
 	}
 }
 
-// TestReplaceAllValidation checks size, arity, action, and exact-dup
-// errors, and that a failed call leaves the previous contents intact.
+// TestReplaceAllValidation checks size, arity, action, parameter-count
+// and exact-dup errors, and that a failed call leaves the previous
+// contents intact.
 func TestReplaceAllValidation(t *testing.T) {
-	ti := lpmTable(2)
+	ti := lpmTable(t, 2)
 	good := []*TableEntry{LPMEntry("route", []uint64{1}, 0x0a000001, 32)}
 	if err := ti.ReplaceAll(good); err != nil {
 		t.Fatal(err)
@@ -74,6 +86,9 @@ func TestReplaceAllValidation(t *testing.T) {
 		},
 		{ // unknown action
 			LPMEntry("nosuch", []uint64{1}, 1, 32),
+		},
+		{ // fewer params than the bound action reads
+			LPMEntry("route", nil, 1, 32),
 		},
 	}
 	for i, bad := range cases {
@@ -117,7 +132,7 @@ func TestReplaceAllValidation(t *testing.T) {
 // clear-then-reinsert path exposed an empty table mid-rewrite; the
 // atomic snapshot store must never miss.
 func TestReplaceAllNoEmptyWindow(t *testing.T) {
-	ti := lpmTable(64)
+	ti := lpmTable(t, 64)
 	stable := LPMEntry("route", []uint64{99}, 0x0a00ff00, 32)
 	if err := ti.ReplaceAll([]*TableEntry{stable}); err != nil {
 		t.Fatal(err)

@@ -52,10 +52,11 @@ type TableEntry struct {
 	Action   string
 	Params   []uint64
 
-	// actIdx caches the linked action index + 1 (0 = unresolved). It is
-	// annotated under the instance write lock before the entry is
-	// published, so the lock-free read path can jump straight to the
-	// lowered action body without a name lookup.
+	// actIdx is the linked action index + 1; 0 means the entry runs no
+	// action. A table bound by Link annotates it under the instance write
+	// lock before the entry is published, and admits no entry whose
+	// action the program lacks, so the lock-free read path jumps straight
+	// to the lowered action body without a name lookup.
 	actIdx int32
 }
 
@@ -98,9 +99,10 @@ type TableInstance struct {
 	// do not bump the device epoch (RefreshRoutes' ReplaceAll) safe to run
 	// under a populated cache.
 	gen atomic.Uint64
-	// resolve maps an action name to its linked action index (-1 if
-	// unknown). Installed once before the instance serves traffic.
-	resolve func(string) int32
+	// linked is the program whose actions the entries run; Link binds it
+	// before the instance serves traffic, and nil leaves entries checked
+	// against the spec alone.
+	linked *LinkedProgram
 }
 
 // NewTableInstance creates an empty instance of spec.
@@ -125,27 +127,66 @@ func (ti *TableInstance) publish(next *tableState) {
 }
 
 // Generation returns the table's state-publication counter. It advances
-// on every content change (Insert, Delete, Clear, ReplaceAll, resolver
-// annotation); equal generations imply identical published contents.
+// on every content change (Insert, Delete, Clear, ReplaceAll, binding
+// by Link); equal generations imply identical published contents.
 func (ti *TableInstance) Generation() uint64 { return ti.gen.Load() }
 
-// SetActionResolver installs the linked action-index resolver and
-// annotates entries. It must be called before the instance serves
-// traffic (the install path links programs before the config swap).
-func (ti *TableInstance) SetActionResolver(fn func(string) int32) {
+// bind makes lp the program whose actions the table's entries run: the
+// installed entries are checked and annotated against it, and so is
+// every later Insert and ReplaceAll. It fails, binding nothing, if an
+// installed entry does not pass. Link calls it before the linked program
+// serves traffic.
+func (ti *TableInstance) bind(lp *LinkedProgram) error {
 	ti.mu.Lock()
 	defer ti.mu.Unlock()
-	ti.resolve = fn
 	st := ti.load()
-	if len(st.entries) == 0 {
-		return
-	}
 	// Entry positions are unchanged, so the exact index carries over.
 	next := &tableState{entries: append([]TableEntry(nil), st.entries...), exact: st.exact}
 	for i := range next.entries {
-		next.entries[i].actIdx = fn(next.entries[i].Action) + 1
+		idx, err := ti.check(&next.entries[i], lp)
+		if err != nil {
+			return err
+		}
+		next.entries[i].actIdx = idx
 	}
-	ti.publish(next)
+	ti.linked = lp
+	if len(st.entries) > 0 {
+		ti.publish(next)
+	}
+	return nil
+}
+
+// check validates e for this table and returns its action index + 1 (0
+// when e names no action). e must have one match component per key and,
+// if the spec declares an action set, name one of its actions. With a
+// linked program lp, e's action must be one lp defines, and e must
+// carry at least the parameters that action reads: the linked executor
+// relies on both and checks neither.
+func (ti *TableInstance) check(e *TableEntry, lp *LinkedProgram) (int32, error) {
+	if len(e.Match) != len(ti.Spec.Keys) {
+		return 0, fmt.Errorf("flexbpf: table %s: entry has %d match components, spec has %d keys",
+			ti.Spec.Name, len(e.Match), len(ti.Spec.Keys))
+	}
+	if e.Action == "" {
+		return 0, nil
+	}
+	// Tables declaring an action set restrict entries to it; tables with
+	// no declared actions accept any action their program defines.
+	if len(ti.Spec.Actions) > 0 && !ti.Spec.HasAction(e.Action) {
+		return 0, fmt.Errorf("flexbpf: table %s: action %q not permitted", ti.Spec.Name, e.Action)
+	}
+	if lp == nil {
+		return 0, nil
+	}
+	j, ok := lp.actIdx[e.Action]
+	if !ok {
+		return 0, fmt.Errorf("flexbpf: table %s: program %s has no action %q", ti.Spec.Name, lp.prog.Name, e.Action)
+	}
+	if n := lp.prog.Actions[e.Action].NumParams; len(e.Params) < n {
+		return 0, fmt.Errorf("flexbpf: table %s: action %q reads %d params, entry has %d",
+			ti.Spec.Name, e.Action, n, len(e.Params))
+	}
+	return j + 1, nil
 }
 
 func (t *TableSpec) allExact() bool {
@@ -272,20 +313,15 @@ func (ti *TableInstance) Len() int {
 	return len(ti.load().entries)
 }
 
-// Insert installs an entry. It validates arity against the spec and
+// Insert installs an entry. It validates the entry as check does and
 // capacity against Spec.Size.
 func (ti *TableInstance) Insert(e *TableEntry) error {
-	if len(e.Match) != len(ti.Spec.Keys) {
-		return fmt.Errorf("flexbpf: table %s: entry has %d match components, spec has %d keys",
-			ti.Spec.Name, len(e.Match), len(ti.Spec.Keys))
-	}
-	// Tables declaring an action set restrict entries to it; tables with
-	// no declared actions (raw instances outside a Program) accept any.
-	if e.Action != "" && len(ti.Spec.Actions) > 0 && !ti.Spec.HasAction(e.Action) {
-		return fmt.Errorf("flexbpf: table %s: action %q not permitted", ti.Spec.Name, e.Action)
-	}
 	ti.mu.Lock()
 	defer ti.mu.Unlock()
+	idx, err := ti.check(e, ti.linked)
+	if err != nil {
+		return err
+	}
 	old := ti.load()
 	if ti.Spec.Size > 0 && len(old.entries) >= ti.Spec.Size {
 		return fmt.Errorf("flexbpf: table %s full (%d entries)", ti.Spec.Name, ti.Spec.Size)
@@ -294,13 +330,11 @@ func (ti *TableInstance) Insert(e *TableEntry) error {
 	if allExact && old.exact.find(old.entries, entryKeyWords(e)) >= 0 {
 		return fmt.Errorf("flexbpf: table %s: duplicate exact entry", ti.Spec.Name)
 	}
-	if ti.resolve != nil {
-		e.actIdx = ti.resolve(e.Action) + 1
-	}
 	next := &tableState{}
 	next.entries = make([]TableEntry, len(old.entries), len(old.entries)+1)
 	copy(next.entries, old.entries)
 	next.entries = append(next.entries, *e)
+	next.entries[len(old.entries)].actIdx = idx
 	if allExact {
 		// Exact storage stays append-ordered so existing index positions
 		// remain valid; only the new tail position is inserted.
@@ -331,23 +365,16 @@ func (ti *TableInstance) ReplaceAll(entries []*TableEntry) error {
 		return fmt.Errorf("flexbpf: table %s full (%d entries, %d offered)",
 			ti.Spec.Name, ti.Spec.Size, len(entries))
 	}
-	for _, e := range entries {
-		if len(e.Match) != len(ti.Spec.Keys) {
-			return fmt.Errorf("flexbpf: table %s: entry has %d match components, spec has %d keys",
-				ti.Spec.Name, len(e.Match), len(ti.Spec.Keys))
-		}
-		if e.Action != "" && len(ti.Spec.Actions) > 0 && !ti.Spec.HasAction(e.Action) {
-			return fmt.Errorf("flexbpf: table %s: action %q not permitted", ti.Spec.Name, e.Action)
-		}
-	}
 	ti.mu.Lock()
 	defer ti.mu.Unlock()
 	next := &tableState{entries: make([]TableEntry, len(entries))}
 	for i, e := range entries {
-		next.entries[i] = *e
-		if ti.resolve != nil {
-			next.entries[i].actIdx = ti.resolve(e.Action) + 1
+		idx, err := ti.check(e, ti.linked)
+		if err != nil {
+			return err
 		}
+		next.entries[i] = *e
+		next.entries[i].actIdx = idx
 	}
 	if ti.Spec.allExact() {
 		if len(next.entries) > 0 {

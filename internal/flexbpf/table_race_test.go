@@ -28,12 +28,7 @@ func TestTableConcurrentLookup(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			ti := NewTableInstance(spec)
-			ti.SetActionResolver(func(name string) int32 {
-				if name == "act" {
-					return 0
-				}
-				return -1
-			})
+			bindForTest(t, ti, 1, "act")
 			mkEntry := func(i int) *TableEntry {
 				if spec.Name == "lpm" {
 					return LPMEntry("act", []uint64{uint64(i)}, uint64(i)<<8, 24)
@@ -104,8 +99,8 @@ func TestTableConcurrentLookup(t *testing.T) {
 	}
 }
 
-// TestTableConcurrentResolver races SetActionResolver against lookups:
-// installing a linked program's resolver on a live table must not tear.
+// TestTableConcurrentResolver races Link's binding of a table against
+// lookups: binding a linked program to a live table must not tear.
 func TestTableConcurrentResolver(t *testing.T) {
 	spec := &TableSpec{
 		Name: "t",
@@ -138,8 +133,9 @@ func TestTableConcurrentResolver(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 100; i++ {
-		idx := int32(i % 4)
-		ti.SetActionResolver(func(string) int32 { return idx })
+		// Up to three actions sorting before "act" move its linked index.
+		actions := append([]string{"a0", "a1", "a2"}[:i%4], "act")
+		bindForTest(t, ti, 0, actions...)
 	}
 	close(stop)
 	wg.Wait()

@@ -28,7 +28,8 @@ func (e *VerifyError) Error() string {
 //  1. Bounded execution: all jumps are strictly forward and in-bounds,
 //     no block exceeds MaxInstrs instructions, and the whole program's
 //     WorstCaseInstrs is at most PacketBudget, so per-packet work is
-//     statically bounded below the executors' run-time stop.
+//     statically bounded. The linked executor relies on this bound and
+//     has no run-time stop of its own.
 //  2. Register safety: every register is written before it is read.
 //  3. Reference integrity: every map, counter, meter, table, action,
 //     header, and action-parameter reference resolves within the program.

@@ -1028,8 +1028,9 @@ func (x *Executor) captureCarries(p *plan.ChangePlan, g *group) ([]carry, error)
 // applyCarries restores captured state into the freshly-activated
 // replacement instances: objects that survive the swap keep their
 // values, vanished objects are dropped, new objects start empty.
-// Incompatible table entries are skipped (the delta report already told
-// the caller which tables changed shape).
+// Each table entry the new program refuses is skipped and the rest of
+// the table is still carried (the delta report already told the caller
+// which tables changed shape).
 func (x *Executor) applyCarries(dev *dataplane.Device, carries []carry) error {
 	for _, c := range carries {
 		inst := dev.Instance(c.instance)
@@ -1055,9 +1056,7 @@ func (x *Executor) applyCarries(dev *dataplane.Device, carries []carry) error {
 				continue
 			}
 			for _, e := range entries {
-				if err := ti.Insert(e); err != nil {
-					break
-				}
+				_ = ti.Insert(e)
 			}
 		}
 	}

@@ -343,6 +343,48 @@ func TestExecutorSwapCarriesState(t *testing.T) {
 	}
 }
 
+// TestExecutorSwapSkipsOnlyRefusedEntries swaps to a program whose table
+// no longer permits "deny": the deny entry, which sorts first, is not
+// carried, and the allow entry after it still is.
+func TestExecutorSwapSkipsOnlyRefusedEntries(t *testing.T) {
+	f, _ := threeSwitchLine(t)
+	x := newTestExecutor(f, nil)
+	acl := func(actions ...string) *flexbpf.Program {
+		return flexbpf.NewProgram("acl").
+			Action("deny", 0, flexbpf.NewAsm().Drop().MustBuild()).
+			Action("allow", 0, flexbpf.NewAsm().Ret().MustBuild()).
+			Table(&flexbpf.TableSpec{
+				Name:    "rules",
+				Keys:    []flexbpf.TableKey{{Field: "ipv4.src", Kind: flexbpf.MatchTernary, Bits: 32}},
+				Actions: actions,
+				Size:    8,
+			}).
+			Apply("rules").
+			MustBuild()
+	}
+	if err := f.Device("s2").InstallProgram(acl("deny", "allow")); err != nil {
+		t.Fatal(err)
+	}
+	rules := f.Device("s2").Instance("acl").Table("rules")
+	for _, e := range []*flexbpf.TableEntry{
+		{Priority: 1, Match: []flexbpf.MatchValue{{Value: 2, Mask: ^uint64(0)}}, Action: "allow"},
+		{Priority: 9, Match: []flexbpf.MatchValue{{Value: 1, Mask: ^uint64(0)}}, Action: "deny"},
+	} {
+		if err := rules.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rep := runPlan(t, f, x, plan.New("swap").Swap("s2", "acl", acl("allow"), nil))
+	if rep.Err != nil {
+		t.Fatalf("swap failed: %v", rep.Err)
+	}
+	got := f.Device("s2").Instance("acl").Table("rules").Entries()
+	if len(got) != 1 || got[0].Action != "allow" || got[0].Match[0].Value != 2 {
+		t.Fatalf("entries after swap: %+v, want only the allow entry", got)
+	}
+}
+
 // fakeMover implements plan.StateMover for executor-level tests.
 type fakeMover struct {
 	err   error
