@@ -125,7 +125,7 @@ func E16ScaleOut(seed int64) *Table {
 		switches, hosts := len(f.Devices()), len(f.Hosts())
 
 		// Plan-commit latency for a one-switch change at this scale. The
-		// executor scopes the RouteUpdate to the plan's touched devices.
+		// RouteUpdate refreshes every device.
 		x := newExecutor(f)
 		var rep *plan.Report
 		x.Execute(plan.New("e16-probe").Install(f.Devices()[0], "e16probe", probe, nil, 10).RouteUpdate(),

@@ -371,39 +371,12 @@ func (f *Fabric) InstallBaseRouting() error {
 // per-device route tables. Only destinations dirtied by topology events
 // since the last refresh are recomputed, and only devices whose routes
 // changed (or whose table instance was replaced, e.g. by crash-and-heal
-// reinstall) are rewritten. Each rewrite is a single atomic table-state
-// publish (flexbpf.TableInstance.ReplaceAll): in-flight lookups see
-// either the old table or the new one, never an empty window.
+// or a staged infra reinstall) are rewritten; finding the replaced ones
+// costs one lookup per device. Each rewrite is a single atomic
+// table-state publish (flexbpf.TableInstance.ReplaceAll): in-flight
+// lookups see either the old table or the new one, never an empty
+// window. It implements plan.RouteUpdater.
 func (f *Fabric) RefreshRoutes() error {
-	return f.refreshRoutes(nil)
-}
-
-// RefreshRoutesTouched is RefreshRoutes scoped to a change plan's
-// touched devices: routing deltas still reach every affected device,
-// but the full-fleet scan for replaced table instances is limited to
-// devs (empty means every device). It implements plan.RouteUpdater.
-func (f *Fabric) RefreshRoutesTouched(devs []string) error {
-	if len(devs) == 0 {
-		return f.refreshRoutes(nil)
-	}
-	scope := append([]string(nil), devs...)
-	sort.Strings(scope)
-	return f.refreshRoutes(scope)
-}
-
-// RefreshRoutesFull recomputes every destination from scratch and
-// rewrites every device, ignoring the engine's dirtiness tracking. The
-// equivalence tests use it as the ground-truth baseline; it is also the
-// escape hatch if route state is ever suspected stale.
-func (f *Fabric) RefreshRoutesFull() error {
-	f.routing.MarkAllDirty()
-	return f.refreshRoutes(nil)
-}
-
-// refreshRoutes converges the engine and applies table deltas. scope
-// (sorted, nil = all devices) bounds only the resync scan; devices the
-// engine touched are always rewritten.
-func (f *Fabric) refreshRoutes(scope []string) error {
 	stats := f.routing.Converge()
 	f.lastRouteStats = stats
 	f.routeConverges.Add(1)
@@ -412,15 +385,8 @@ func (f *Fabric) refreshRoutes(scope []string) error {
 	f.routeWrites.Add(uint64(stats.DeltaWrites))
 
 	touched := f.routing.DrainTouched()
-	scan := f.devNames
-	if scope != nil {
-		scan = scope
-	}
-	for _, dev := range mergeSorted(touched, scan) {
-		d := f.Device(dev)
-		if d == nil {
-			continue
-		}
+	for _, dev := range f.devNames {
+		d := f.switches[dev].Device
 		if d.Down() {
 			// A crashed device has lost its tables anyway; the healer's
 			// reconciliation plan rewrites them once it is back up.
@@ -458,6 +424,15 @@ func (f *Fabric) refreshRoutes(scope []string) error {
 	return nil
 }
 
+// RefreshRoutesFull recomputes every destination from scratch and
+// rewrites every device, ignoring the engine's dirtiness tracking. The
+// equivalence tests use it as the ground-truth baseline; it is also the
+// escape hatch if route state is ever suspected stale.
+func (f *Fabric) RefreshRoutesFull() error {
+	f.routing.MarkAllDirty()
+	return f.RefreshRoutes()
+}
+
 // routeError drops the applied-state cache so the next refresh rewrites
 // every device: a partial apply must not leave a device marked current.
 func (f *Fabric) routeError(err error) error {
@@ -472,28 +447,6 @@ func (f *Fabric) RouteStats() routing.Stats { return f.lastRouteStats }
 // TotalRoutes returns the number of route entries currently held by the
 // routing engine across all devices.
 func (f *Fabric) TotalRoutes() int { return f.routing.TotalRoutes() }
-
-// mergeSorted merges two sorted string slices, deduplicating.
-func mergeSorted(a, b []string) []string {
-	out := make([]string, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
 
 func contains(sorted []string, v string) bool {
 	i := sort.SearchStrings(sorted, v)

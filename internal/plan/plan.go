@@ -175,21 +175,6 @@ func (p *ChangePlan) RouteUpdate() *ChangePlan {
 	return p
 }
 
-// Devices returns the distinct devices the plan's structural steps
-// touch, in first-appearance order.
-func (p *ChangePlan) Devices() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range p.Steps {
-		if s.Device == "" || seen[s.Device] {
-			continue
-		}
-		seen[s.Device] = true
-		out = append(out, s.Device)
-	}
-	return out
-}
-
 // Phase identifies where in the lifecycle a plan (or its failure) is.
 type Phase uint8
 
@@ -368,9 +353,8 @@ type StateMover interface {
 }
 
 // RouteUpdater executes OpRouteUpdate steps (the fabric implements it).
-// The refresh is scoped to the devices a plan touched (nil means every
-// device); topology-driven route deltas still reach every affected
-// device (DESIGN.md §11).
+// A refresh covers every device, whichever devices the plan names
+// (DESIGN.md §11), so a route step adds nothing to its plan's footprint.
 type RouteUpdater interface {
-	RefreshRoutesTouched(devices []string) error
+	RefreshRoutes() error
 }

@@ -34,18 +34,6 @@ func TestFluentBuilders(t *testing.T) {
 	}
 }
 
-func TestDevicesFirstAppearanceOrder(t *testing.T) {
-	p := New("order").
-		Install("s2", "a", prog("a"), nil, 0).
-		Install("s1", "b", prog("b"), nil, 0).
-		Remove("s2", "c").
-		RouteUpdate()
-	devs := p.Devices()
-	if len(devs) != 2 || devs[0] != "s2" || devs[1] != "s1" {
-		t.Fatalf("devices = %v, want [s2 s1]", devs)
-	}
-}
-
 func TestStepStrings(t *testing.T) {
 	cases := map[string]Step{
 		"install a on s1":                        {Op: OpInstallInstance, Device: "s1", Instance: "a"},

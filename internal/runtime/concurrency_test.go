@@ -66,21 +66,26 @@ func TestExecutorConflictingPlansSerializeFIFO(t *testing.T) {
 	}
 }
 
-func TestExecutorGlobalPlanBlocksEverything(t *testing.T) {
+// TestExecutorRouteStepDoesNotBlockDisjointPlan: a route step adds no
+// device to its plan's footprint. An install on s3, submitted behind a
+// plan that installs on s1 and then refreshes routes, shares no device
+// with it, so it is admitted at once and commits before the route plan
+// finishes.
+func TestExecutorRouteStepDoesNotBlockDisjointPlan(t *testing.T) {
 	f, _ := threeSwitchLine(t)
 	x := newTestExecutor(f, nil)
 
-	// A route update is a global footprint: the disjoint install behind
-	// it must NOT overtake (FIFO against a global plan), even though its
-	// devices are free.
-	doneR, repR := submit(x, f.Sim, plan.New("routes").RouteUpdate())
-	doneB, _ := submit(x, f.Sim, plan.New("B").Install("s3", "b", aclProgram("b"), nil, 0))
+	doneR, repR := submit(x, f.Sim, plan.New("routes").Install("s1", "r", aclProgram("r"), nil, 0).RouteUpdate())
+	doneB, repB := submit(x, f.Sim, plan.New("B").Install("s3", "b", aclProgram("b"), nil, 0))
 	f.Sim.RunFor(2 * time.Second)
 	if *repR == nil || (*repR).Err != nil {
-		t.Fatalf("route update: %+v", *repR)
+		t.Fatalf("route plan: %+v", *repR)
 	}
-	if *doneB <= *doneR {
-		t.Fatalf("install overtook a global route update: B done %v, routes done %v", *doneB, *doneR)
+	if *repB == nil || (*repB).Err != nil {
+		t.Fatalf("B: %+v", *repB)
+	}
+	if *doneB >= *doneR {
+		t.Fatalf("disjoint install waited for the route plan: B done %v, routes done %v", *doneB, *doneR)
 	}
 }
 

@@ -20,13 +20,13 @@ import (
 //
 // Admission is conflict-based: a submitted plan starts immediately if
 // its device footprint is disjoint from every running plan and from
-// every earlier-queued plan it conflicts with (FIFO is preserved within
-// a conflict set; disjoint plans may overtake). Plans touching
-// overlapping devices — and global plans (route updates, empty
-// footprints) — serialize exactly as before. Because the simulator's
-// event loop is single-threaded, concurrent admission stays
-// deterministic. This is the single abortable change path every
-// controller operation goes through — there is no other way
+// every earlier-queued plan (FIFO is preserved within a conflict set;
+// disjoint plans may overtake). Only plans that share a device
+// serialize; a route step adds no device, because its refresh is one
+// atomic table publish per device at a single simulated instant.
+// Because the simulator's event loop is single-threaded, concurrent
+// admission stays deterministic. This is the single abortable change
+// path every controller operation goes through — there is no other way
 // configuration reaches devices from the control plane. Planning only reads devices: the compiler's
 // garbage collection refunds removable programs on its scratch view,
 // and no compiler primitive writes to a device.
@@ -252,39 +252,27 @@ type runningPlan struct {
 }
 
 // footprint is the conflict domain of one plan: the devices its steps
-// touch (including migration sources, which plan.Devices omits), or
-// "global" for plans that touch fabric-wide state — route updates, and
-// plans naming no device at all.
-type footprint struct {
-	devs   map[string]bool
-	global bool
-}
+// name, migration sources included. Two plans conflict only when their
+// footprints share a device; a plan that names none conflicts with
+// nothing.
+type footprint map[string]bool
 
 func planFootprint(p *plan.ChangePlan) footprint {
-	fp := footprint{devs: map[string]bool{}}
+	fp := footprint{}
 	for _, s := range p.Steps {
-		if s.Op == plan.OpRouteUpdate {
-			fp.global = true
-		}
 		if s.Device != "" {
-			fp.devs[s.Device] = true
+			fp[s.Device] = true
 		}
 		if s.Src != "" {
-			fp.devs[s.Src] = true
+			fp[s.Src] = true
 		}
-	}
-	if len(fp.devs) == 0 {
-		fp.global = true
 	}
 	return fp
 }
 
 // conflicts reports whether two footprints may not run concurrently.
 func (a footprint) conflicts(b footprint) bool {
-	if a.global || b.global {
-		return true
-	}
-	small, big := a.devs, b.devs
+	small, big := a, b
 	if len(big) < len(small) {
 		small, big = big, small
 	}
@@ -295,8 +283,6 @@ func (a footprint) conflicts(b footprint) bool {
 	}
 	return false
 }
-
-func (a footprint) empty() bool { return !a.global && len(a.devs) == 0 }
 
 // NewExecutor creates an executor that schedules every phase on sim at
 // the cost model's prices. device resolves names to devices; mover and
@@ -578,7 +564,7 @@ func (x *Executor) kickOnce() {
 	// blocked accumulates the footprints of plans left waiting ahead in
 	// the queue: a later plan may only overtake them if it conflicts with
 	// none (FIFO within a conflict set).
-	blocked := footprint{devs: map[string]bool{}}
+	blocked := footprint{}
 	i := 0
 	for i < len(x.queue) {
 		q := x.queue[i]
@@ -587,16 +573,15 @@ func (x *Executor) kickOnce() {
 			x.start(q)
 			continue
 		}
-		blocked.global = blocked.global || q.fp.global
-		for d := range q.fp.devs {
-			blocked.devs[d] = true
+		for d := range q.fp {
+			blocked[d] = true
 		}
 		i++
 	}
 }
 
 func (x *Executor) admissible(fp, blocked footprint) bool {
-	if !blocked.empty() && fp.conflicts(blocked) {
+	if fp.conflicts(blocked) {
 		return false
 	}
 	for _, r := range x.running {
@@ -847,7 +832,7 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 			})
 		case plan.OpRouteUpdate:
 			x.sim.After(EstimateOps(0, 0, 0, 0), func() {
-				onDone(x.routes.RefreshRoutesTouched(p.Devices()))
+				onDone(x.routes.RefreshRoutes())
 			})
 		}
 	}

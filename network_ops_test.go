@@ -266,12 +266,12 @@ func TestMigrateControlPlaneOnly(t *testing.T) {
 }
 
 // TestOpReturnsItsOwnReport: an op returns its own plan's report even
-// when other plans finish while it waits. Network.Scale onto s1 queues
-// behind the healer's reconcile of a restarted s2 (a route update, so it
-// runs alone) and commits 32.65 ms after it; a removal on s4, submitted
-// once the reconcile is done and disjoint from the scale, commits 1.35 ms
-// after the scale, inside the same 10 ms step of the scale's wait. Only a
-// disjoint plan can: any plan costs at least 20 ms.
+// when other plans finish while it waits. The healer submits a 52 ms
+// reconcile of a restarted s2 at 1 ms. Network.Scale onto s1, submitted
+// at 15 ms, commits at 47.65 ms, and its wait runs the simulator in
+// 10 ms steps to 55 ms. Inside that last step the reconcile finishes,
+// and then a removal on s4, submitted at 28 ms, at 54 ms. Only plans
+// disjoint from the scale can: any plan costs at least 20 ms.
 func TestOpReturnsItsOwnReport(t *testing.T) {
 	n := New(3).
 		Switch("s1", DRMT).
@@ -298,9 +298,9 @@ func TestOpReturnsItsOwnReport(t *testing.T) {
 	h := n.StartSelfHealing(time.Millisecond)
 	n.Device("s2").Crash()
 	n.Device("s2").Restart()
-	n.RunFor(time.Millisecond) // the healer's first scan submits the reconcile
+	n.RunFor(15 * time.Millisecond) // the healer's first scan, at 1 ms, submits the reconcile
 	removed := false
-	n.After(60*time.Millisecond, func() {
+	n.After(13*time.Millisecond, func() {
 		n.Controller().Remove(ctx, "flexnet://infra/gone", func(err error) {
 			if err != nil {
 				t.Errorf("remove: %v", err)
