@@ -31,7 +31,11 @@ race:
 # fabric that releases a forwarded packet to the pool while its link
 # still carries it (build tag packet_release_mutant,
 # internal/fabric/packet_release_mutant.go): the line passes only when
-# TestPacketConservationProperty reports FAIL, not on a build error; and
+# TestPacketConservationProperty reports FAIL, not on a build error; the
+# HA takeover check must fail against replicated audit payloads whose
+# chain link is blanked (build tag ha_payload_mutant,
+# internal/controller/ha_payload_mutant.go): the line passes only when
+# TestHAKillAfterCommitResumes reports FAIL through HA.LastErr; and
 # the reachability gate must fail and name the uncalled function a
 # reach_mutant build declares (internal/plan/reach_mutant.go).
 mutants:
@@ -41,6 +45,10 @@ mutants:
 	if echo "$$out" | grep -q -- '--- FAIL: TestPacketConservationProperty'; then \
 		echo "packet_release_mutant: caught by TestPacketConservationProperty"; \
 	else echo "$$out"; echo "packet_release_mutant: TestPacketConservationProperty did not fail"; exit 1; fi
+	@out=$$($(GO) test -tags ha_payload_mutant -run '^TestHAKillAfterCommitResumes$$' -count=1 . 2>&1); \
+	if echo "$$out" | grep -q -- '--- FAIL: TestHAKillAfterCommitResumes' && echo "$$out" | grep -q 'replicated audit chain mismatch'; then \
+		echo "ha_payload_mutant: caught by TestHAKillAfterCommitResumes"; \
+	else echo "$$out"; echo "ha_payload_mutant: TestHAKillAfterCommitResumes did not fail on LastErr"; exit 1; fi
 	@out=$$($(GO) run ./scripts/reach -tags reach_mutant 2>&1); rc=$$?; \
 	if [ $$rc -ne 0 ] && echo "$$out" | grep -q -- 'flexnet/internal/plan.ReachMutant .* is linked into no product binary'; then \
 		echo "reach_mutant: caught by scripts/reach"; \

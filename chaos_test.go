@@ -333,7 +333,7 @@ func haChaosSoak(t *testing.T, seed int64, horizon time.Duration) string {
 		t.Fatalf("audit chain broken: %v", err)
 	}
 	if err := nw.HA().LastErr(); err != nil {
-		t.Fatalf("replayed shadow chain mismatched the leader's: %v", err)
+		t.Fatalf("replicated audit chain failed verification at takeover: %v", err)
 	}
 	bound := 4 * time.Duration(cluster.ElectionMaxNs)
 	for i, d := range nw.HA().FailoverNs {

@@ -14,9 +14,9 @@ var errHADisabled = errors.New("flexnet: HA not enabled (call EnableHA)")
 // plain network has a single implicit controller and byte-identical
 // behaviour to earlier releases. Enabling it starts a replica group
 // whose active member is the controller; the group replicates the
-// audit chain and the executor's plan journal to standbys, and a
-// leader kill fails over with in-flight plans resumed or rolled back
-// through the normal transactional executor.
+// audit chain to standbys, and a leader kill fails over with in-flight
+// plans resumed or rolled back through the normal transactional
+// executor.
 type (
 	// HA is the controller's replica manager.
 	HA = controller.HA

@@ -148,8 +148,8 @@ func TestHAKillAfterCommitResumes(t *testing.T) {
 
 // assertHAFailoverClean checks the invariants every failover owes the
 // operator: exactly one failover happened, a standby (not the dead
-// boot leader) now serves, the executor is unfrozen, the replayed
-// shadow chain verified against the dead leader's audit trail, and the
+// boot leader) now serves, the executor is unfrozen, the new leader's
+// copy of the replicated audit chain verified at activation, and the
 // ha.* counters agree with the expected plan resolution.
 func assertHAFailoverClean(t *testing.T, nw *Network, resumed, rolled uint64) {
 	t.Helper()
@@ -164,7 +164,7 @@ func assertHAFailoverClean(t *testing.T, nw *Network, resumed, rolled uint64) {
 		t.Fatal("executor still frozen after failover")
 	}
 	if err := nw.HA().LastErr(); err != nil {
-		t.Fatalf("audit shadow chain mismatch: %v", err)
+		t.Fatalf("replicated audit chain mismatch: %v", err)
 	}
 	if err := nw.Audit().Verify(); err != nil {
 		t.Fatalf("audit chain broken after failover: %v", err)
@@ -223,8 +223,8 @@ func TestHAOperatorFailoverDrill(t *testing.T) {
 			if !r.Alive || r.Role == "leader" {
 				t.Fatalf("old leader did not rejoin as standby: %+v", r)
 			}
-			if r.Applied != st.LogLen {
-				t.Fatalf("rejoined standby applied %d of %d", r.Applied, st.LogLen)
+			if r.Known != st.LogLen {
+				t.Fatalf("rejoined standby knows %d of %d", r.Known, st.LogLen)
 			}
 		}
 	}

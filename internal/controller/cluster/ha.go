@@ -6,10 +6,11 @@
 // It is an active/standby replica group (DESIGN.md §15) whose members
 // coordinate over dRPC — heartbeats with seeded jitter, term-numbered
 // leader election under a single-writer lease, and continuous
-// replication of the controller's durable log (audit records + plan
-// lifecycle journal) with backlog replay for standbys that fall behind.
-// The group replicates the *observed mutation log*, so a standby takes
-// over the one live fabric without re-running operations.
+// replication of the controller's durable log (the audit chain) with
+// backlog replay for standbys that fall behind. The group replicates the
+// *observed mutation log*, so a standby takes over the one live fabric
+// without re-running operations. The log is one store the whole group
+// shares; a replica's copy of it is that store up to its watermark.
 //
 // The wire pattern follows osvbng's pkg/ha: the active replica pushes
 // each appended record to every standby (sync), heartbeats advertise
@@ -39,7 +40,7 @@ import (
 // HA method IDs on drpc.ServiceHA.
 const (
 	// HAHeartbeat: args = {term, leader log head, leader id};
-	// reply = {term, receiver's known head, receiver's applied head}.
+	// reply = {term, receiver's known head, 0}.
 	HAHeartbeat uint64 = iota
 	// HAVote: args = {term, candidate log head, candidate id};
 	// reply = {granted (1/0), voter term, 0}.
@@ -53,14 +54,11 @@ const (
 	HAFetch
 )
 
-// SyncRecord is one entry of the replicated controller log: an audit
-// record or a plan lifecycle event, identified by a 1-based sequence
-// number. Payload is opaque to the group (the controller layer encodes
-// audit records as canonical JSON).
+// SyncRecord is one entry of the replicated controller log, identified
+// by a 1-based sequence number. Payload is opaque to the group (the
+// controller layer encodes audit records as canonical JSON).
 type SyncRecord struct {
 	Seq     uint64
-	Kind    string // "audit", "plan-submit", "plan-commit", "plan-done"
-	Label   string
 	Payload []byte
 }
 
@@ -126,17 +124,13 @@ type HAGroup struct {
 
 	// store is the durable replicated log: the active replica appends,
 	// standbys learn entries through sync pushes and backlog fetches.
-	// A replica's view of the log is its known/applied watermarks.
+	// A replica's copy of the log is store[:known].
 	store []SyncRecord
 
 	// partition, when non-nil, reports whether the mesh drops messages
 	// between two replicas (split-brain tests).
 	partition func(a, b int) bool
 
-	// OnApply fires as a replica applies one log record it learned from
-	// the active (never for the appender itself, whose live state is
-	// already ahead of the log).
-	OnApply func(replica int, rec SyncRecord)
 	// OnActivate fires when a replica wins an election AND has replayed
 	// its backlog to the log head — the moment it may serve.
 	OnActivate func(replica int, term uint64)
@@ -255,20 +249,16 @@ func (g *HAGroup) ServingCount() int {
 
 // Append adds one record to the replicated log on behalf of replica
 // `from` (the active leader) and pushes it to every peer. The appender's
-// own watermarks advance silently — its live state is the source of the
-// record, so re-applying it would double-count.
-func (g *HAGroup) Append(from int, kind, label string, payload []byte) (uint64, error) {
+// watermark moves to the new head at once; its peers' follow the push.
+// The log keeps payload: the caller must not modify it afterwards.
+func (g *HAGroup) Append(from int, payload []byte) error {
 	rep := g.reps[from]
 	if !rep.alive || rep.role != leader {
-		return 0, fmt.Errorf("cluster: replica %d is not the active leader", from)
+		return fmt.Errorf("cluster: replica %d is not the active leader", from)
 	}
-	rec := SyncRecord{Seq: uint64(len(g.store)) + 1, Kind: kind, Label: label}
-	if len(payload) > 0 {
-		rec.Payload = append([]byte(nil), payload...)
-	}
+	rec := SyncRecord{Seq: uint64(len(g.store)) + 1, Payload: payload}
 	g.store = append(g.store, rec)
-	rep.known = uint64(len(g.store))
-	rep.applied = rep.known
+	rep.known = rec.Seq
 	g.event("sync", 1)
 	for _, peer := range g.reps {
 		if peer.id == rep.id {
@@ -277,7 +267,7 @@ func (g *HAGroup) Append(from int, kind, label string, payload []byte) (uint64, 
 		rep.router.CallOpt(peer.router.IP, drpc.ServiceHA, HASync,
 			[3]uint64{rec.Seq, 0, uint64(rep.id)}, g.callOpts(2), nil)
 	}
-	return rec.Seq, nil
+	return nil
 }
 
 func (g *HAGroup) event(kind string, n uint64) {
@@ -309,11 +299,9 @@ type HAReplica struct {
 	votedFor int
 	votes    int
 
-	// known/applied are this replica's log watermarks: how far its copy
-	// of the replicated log extends, and how much of it has been applied
-	// through OnApply. They only differ transiently inside a replay.
-	known   uint64
-	applied uint64
+	// known is this replica's log watermark: its copy of the replicated
+	// log is the group's store up to here.
+	known uint64
 
 	serving    bool
 	leaseUntil netsim.Time
@@ -338,8 +326,9 @@ func (rep *HAReplica) Alive() bool { return rep.alive }
 // Known returns the replica's log head watermark.
 func (rep *HAReplica) Known() uint64 { return rep.known }
 
-// Applied returns how many log records the replica has applied.
-func (rep *HAReplica) Applied() uint64 { return rep.applied }
+// Log returns the replica's copy of the replicated log, records 1..Known
+// in order. The slice is shared with the group; do not modify it.
+func (rep *HAReplica) Log() []SyncRecord { return rep.g.store[:rep.known] }
 
 // Serving reports whether this replica is currently entitled to act as
 // the controller: it is the leader AND holds an unexpired majority
@@ -373,23 +362,6 @@ func (rep *HAReplica) Revive() {
 	rep.resetElectionTimer()
 }
 
-// learnTo applies log records (known, upTo] in order, firing OnApply
-// for each. It is the single path by which a non-appending replica's
-// state advances.
-func (rep *HAReplica) learnTo(upTo uint64) {
-	if upTo > uint64(len(rep.g.store)) {
-		upTo = uint64(len(rep.g.store))
-	}
-	for rep.known < upTo {
-		rec := rep.g.store[rep.known]
-		rep.known++
-		if rep.g.OnApply != nil {
-			rep.g.OnApply(rep.id, rec)
-		}
-		rep.applied = rep.known
-	}
-}
-
 // fetchBacklog pulls the log head from the active leader and replays
 // everything missing — the osvbng sync-receiver catch-up path.
 func (rep *HAReplica) fetchBacklog(leaderIP uint32) {
@@ -406,7 +378,7 @@ func (rep *HAReplica) fetchBacklog(leaderIP uint32) {
 			}
 			if head := m.Args[0]; head > rep.known {
 				n := head - rep.known
-				rep.learnTo(head)
+				rep.known = head
 				rep.g.event("backlog", n)
 			}
 		})
@@ -459,15 +431,15 @@ func (rep *HAReplica) startElection() {
 }
 
 // becomeActive promotes an election winner. Before it may serve it must
-// replay any backlog it has not applied — the new leader's first duty
-// is to catch its state up to the log head, so activation (and the
-// OnActivate failover hook) always observes applied == LogLen.
+// replay any backlog it has not learned — the new leader's first duty
+// is to catch its copy up to the log head, so activation (and the
+// OnActivate failover hook) always observes known == LogLen.
 func (rep *HAReplica) becomeActive() {
 	g := rep.g
 	rep.role = leader
 	if rep.known < uint64(len(g.store)) {
 		n := uint64(len(g.store)) - rep.known
-		rep.learnTo(uint64(len(g.store)))
+		rep.known = uint64(len(g.store))
 		g.event("backlog", n)
 	}
 	rep.serving = true
@@ -563,7 +535,7 @@ func (rep *HAReplica) handle(from uint32, m drpc.Message) *drpc.Message {
 	case HAHeartbeat:
 		term, head := m.Args[0], m.Args[1]
 		if term < rep.term {
-			return &drpc.Message{Flags: drpc.FlagError, Args: [3]uint64{rep.term, rep.known, rep.applied}}
+			return &drpc.Message{Flags: drpc.FlagError, Args: [3]uint64{rep.term, rep.known, 0}}
 		}
 		if term > rep.term || rep.role != follower {
 			rep.stepDown(term)
@@ -574,7 +546,7 @@ func (rep *HAReplica) handle(from uint32, m drpc.Message) *drpc.Message {
 		if head > rep.known {
 			rep.fetchBacklog(from)
 		}
-		return &drpc.Message{Args: [3]uint64{rep.term, rep.known, rep.applied}}
+		return &drpc.Message{Args: [3]uint64{rep.term, rep.known, 0}}
 
 	case HAVote:
 		term, head := m.Args[0], m.Args[1]
@@ -607,7 +579,7 @@ func (rep *HAReplica) handle(from uint32, m drpc.Message) *drpc.Message {
 		seq := m.Args[0]
 		switch {
 		case seq == rep.known+1:
-			rep.learnTo(seq)
+			rep.known = seq
 		case seq > rep.known:
 			// Out of order — a push was lost or delayed. Pull the gap.
 			rep.fetchBacklog(from)

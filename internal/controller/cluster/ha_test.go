@@ -13,8 +13,8 @@ import (
 type haHarness struct {
 	sim *netsim.Sim
 	g   *HAGroup
-	// events is the ordered protocol trace: "apply:<rep>:<seq>",
-	// "activate:<rep>:<applied>/<loglen>", "event:<kind>:<n>".
+	// events is the ordered protocol trace:
+	// "activate:<rep>:<known>/<loglen>", "event:<kind>:<n>".
 	events []string
 }
 
@@ -22,12 +22,9 @@ func newHAHarness(t *testing.T, n int, seed int64) *haHarness {
 	t.Helper()
 	h := &haHarness{sim: netsim.New(1)}
 	h.g = NewHA(h.sim, n, HAConfig{Seed: seed})
-	h.g.OnApply = func(rep int, rec SyncRecord) {
-		h.events = append(h.events, fmt.Sprintf("apply:%d:%d", rep, rec.Seq))
-	}
 	h.g.OnActivate = func(rep int, term uint64) {
 		h.events = append(h.events,
-			fmt.Sprintf("activate:%d:%d/%d", rep, h.g.Replica(rep).Applied(), h.g.LogLen()))
+			fmt.Sprintf("activate:%d:%d/%d", rep, h.g.Replica(rep).Known(), h.g.LogLen()))
 	}
 	h.g.OnEvent = func(kind string, n uint64) {
 		if kind != "heartbeat" { // too chatty for a trace
@@ -44,7 +41,7 @@ func (h *haHarness) appendN(t *testing.T, n int) {
 		t.Fatal("no active replica to append through")
 	}
 	for i := 0; i < n; i++ {
-		if _, err := h.g.Append(act.ID(), "audit", fmt.Sprintf("rec-%d", i), nil); err != nil {
+		if err := h.g.Append(act.ID(), []byte(fmt.Sprintf("rec-%d", i))); err != nil {
 			t.Fatalf("append: %v", err)
 		}
 	}
@@ -59,8 +56,8 @@ func TestHABootAndReplication(t *testing.T) {
 	h.sim.RunFor(50 * time.Millisecond)
 	for i := 0; i < 3; i++ {
 		rep := h.g.Replica(i)
-		if rep.Known() != 5 || rep.Applied() != 5 {
-			t.Fatalf("replica %d: known=%d applied=%d, want 5/5", i, rep.Known(), rep.Applied())
+		if rep.Known() != 5 {
+			t.Fatalf("replica %d: known=%d, want 5", i, rep.Known())
 		}
 	}
 	if n := h.g.ServingCount(); n != 1 {
@@ -83,8 +80,8 @@ func TestHALeaderKillFailsOver(t *testing.T) {
 	if act.ID() == 0 {
 		t.Fatal("dead replica still active")
 	}
-	if act.Applied() != h.g.LogLen() {
-		t.Fatalf("new leader applied %d of %d", act.Applied(), h.g.LogLen())
+	if act.Known() != h.g.LogLen() {
+		t.Fatalf("new leader knows %d of %d", act.Known(), h.g.LogLen())
 	}
 	if n := h.g.ServingCount(); n != 1 {
 		t.Fatalf("serving count %d, want 1", n)
@@ -99,8 +96,8 @@ func TestHALeaderKillFailsOver(t *testing.T) {
 	if rep0.Role() == "leader" {
 		t.Fatal("revived replica should be a standby")
 	}
-	if rep0.Applied() != h.g.LogLen() {
-		t.Fatalf("revived replica applied %d of %d", rep0.Applied(), h.g.LogLen())
+	if rep0.Known() != h.g.LogLen() {
+		t.Fatalf("revived replica knows %d of %d", rep0.Known(), h.g.LogLen())
 	}
 }
 
@@ -148,7 +145,7 @@ func TestHASplitBrainPrevention(t *testing.T) {
 // TestHAStaleBacklogReplaysBeforeServing cuts the leader off, appends
 // records only it knows (the syncs are dropped by the partition), and
 // checks that the standby that takes over replays every missed record
-// before its activation fires — applied == log head at OnActivate.
+// before its activation fires — known == log head at OnActivate.
 func TestHAStaleBacklogReplaysBeforeServing(t *testing.T) {
 	h := newHAHarness(t, 3, 13)
 	h.appendN(t, 2)
@@ -179,8 +176,8 @@ func TestHAStaleBacklogReplaysBeforeServing(t *testing.T) {
 	if !found {
 		t.Fatalf("no %q in trace %v", want, h.events)
 	}
-	if act.Applied() != 6 {
-		t.Fatalf("new leader applied %d, want 6", act.Applied())
+	if act.Known() != 6 {
+		t.Fatalf("new leader knows %d, want 6", act.Known())
 	}
 }
 
@@ -188,7 +185,7 @@ func TestHAAppendOnStandbyRejected(t *testing.T) {
 	h := newHAHarness(t, 3, 3)
 	h.sim.RunFor(100 * time.Millisecond)
 	for i := 1; i < 3; i++ {
-		if _, err := h.g.Append(i, "audit", "x", nil); err == nil {
+		if err := h.g.Append(i, []byte("x")); err == nil {
 			t.Fatalf("standby %d accepted an append", i)
 		}
 	}
@@ -199,7 +196,7 @@ func TestHAAppendOnStandbyRejected(t *testing.T) {
 
 // TestHALeaderFailoverFiveReplicas kills the leader of a 5-replica group:
 // a successor takes over, and after more appends through it every
-// survivor has applied the whole log.
+// survivor knows the whole log.
 func TestHALeaderFailoverFiveReplicas(t *testing.T) {
 	h := newHAHarness(t, 5, 4)
 	h.appendN(t, 5)
@@ -216,8 +213,8 @@ func TestHALeaderFailoverFiveReplicas(t *testing.T) {
 		t.Fatalf("log length %d, want 15", h.g.LogLen())
 	}
 	for i := 1; i < 5; i++ {
-		if rep := h.g.Replica(i); rep.Applied() != h.g.LogLen() {
-			t.Fatalf("survivor %d applied %d of %d", i, rep.Applied(), h.g.LogLen())
+		if rep := h.g.Replica(i); rep.Known() != h.g.LogLen() {
+			t.Fatalf("survivor %d knows %d of %d", i, rep.Known(), h.g.LogLen())
 		}
 	}
 }
@@ -239,7 +236,7 @@ func TestHAMinorityStopsServing(t *testing.T) {
 	if ld.Serving() {
 		t.Fatal("leader still serving without a majority")
 	}
-	if _, err := h.g.Append(0, "audit", "doomed", nil); err == nil {
+	if err := h.g.Append(0, []byte("doomed")); err == nil {
 		t.Fatal("minority leader accepted an append")
 	}
 	for i := 0; i < 2000; i++ {
@@ -250,23 +247,20 @@ func TestHAMinorityStopsServing(t *testing.T) {
 	}
 }
 
-// appliedInOrder checks that replica rep applied exactly records
-// 1..want through OnApply, each once and in log order.
-func (h *haHarness) appliedInOrder(t *testing.T, rep int, want uint64) {
+// knownInOrder checks that replica rep's watermark is want and that its
+// copy of the log is exactly records 1..want, each once and in log
+// order, carrying the payloads appendN wrote.
+func (h *haHarness) knownInOrder(t *testing.T, rep int, want uint64) {
 	t.Helper()
-	prefix := fmt.Sprintf("apply:%d:", rep)
-	var next uint64 = 1
-	for _, ev := range h.events {
-		if !strings.HasPrefix(ev, prefix) {
-			continue
-		}
-		if got := ev[len(prefix):]; got != fmt.Sprint(next) {
-			t.Fatalf("replica %d applied seq %s, want %d", rep, got, next)
-		}
-		next++
+	r := h.g.Replica(rep)
+	if r.Known() != want {
+		t.Fatalf("replica %d knows %d records, want %d", rep, r.Known(), want)
 	}
-	if next-1 != want {
-		t.Fatalf("replica %d applied %d records, want %d", rep, next-1, want)
+	for i, rec := range r.Log() {
+		if rec.Seq != uint64(i+1) || string(rec.Payload) != fmt.Sprintf("rec-%d", i) {
+			t.Fatalf("replica %d log[%d] = seq %d %q, want seq %d %q",
+				rep, i, rec.Seq, rec.Payload, i+1, fmt.Sprintf("rec-%d", i))
+		}
 	}
 }
 
@@ -305,7 +299,7 @@ func TestLeaderElection(t *testing.T) {
 }
 
 // TestReplicationAndApply appends 10 records through the leader and
-// checks that every standby applies all of them, in log order.
+// checks that every standby learns all of them, in log order.
 func TestReplicationAndApply(t *testing.T) {
 	h := newHAHarness(t, 3, 2)
 	h.sim.RunFor(100 * time.Millisecond)
@@ -315,17 +309,12 @@ func TestReplicationAndApply(t *testing.T) {
 		t.Fatalf("log length %d, want 10", h.g.LogLen())
 	}
 	for i := 0; i < 3; i++ {
-		if rep := h.g.Replica(i); rep.Applied() != 10 {
-			t.Fatalf("replica %d applied %d/10", i, rep.Applied())
-		}
-	}
-	for i := 1; i < 3; i++ {
-		h.appliedInOrder(t, i, 10)
+		h.knownInOrder(t, i, 10)
 	}
 }
 
 // TestCrashedNodeCatchesUpOnRevive kills a standby, appends 8 records
-// while it is down, and checks that it applies none of them until it is
+// while it is down, and checks that it learns none of them until it is
 // revived and then all of them, in order.
 func TestCrashedNodeCatchesUpOnRevive(t *testing.T) {
 	h := newHAHarness(t, 3, 5)
@@ -334,16 +323,13 @@ func TestCrashedNodeCatchesUpOnRevive(t *testing.T) {
 	h.g.Replica(victim).Kill()
 	h.appendN(t, 8)
 	h.sim.RunFor(time.Second)
-	if got := h.g.Replica(victim).Applied(); got != 0 {
-		t.Fatalf("dead replica applied %d records", got)
+	if got := h.g.Replica(victim).Known(); got != 0 {
+		t.Fatalf("dead replica learned %d records", got)
 	}
 	h.g.Replica(victim).Revive()
 	h.sim.RunFor(2 * time.Second)
-	if got := h.g.Replica(victim).Applied(); got != 8 {
-		t.Fatalf("revived replica applied %d/8", got)
-	}
-	h.appliedInOrder(t, victim, 8)
-	h.appliedInOrder(t, 2, 8)
+	h.knownInOrder(t, victim, 8)
+	h.knownInOrder(t, 2, 8)
 }
 
 // TestDeterministicElections reruns a 5-replica leader kill at one seed
@@ -368,12 +354,24 @@ func TestDeterministicElections(t *testing.T) {
 }
 
 // TestHADeterministicTrace reruns the same failover scenario and
-// requires the full protocol event trace to be identical.
+// requires the full protocol event trace to be identical across runs
+// and equal to the pinned one: the election that follows the kill, and
+// the successor's activation at the log head.
 func TestHADeterministicTrace(t *testing.T) {
-	for _, n := range []int{3, 5} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+	syncs := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = "event:sync:1"
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		n         int
+		successor int
+	}{{3, 2}, {5, 1}} {
+		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
 			run := func() []string {
-				h := newHAHarness(t, n, 7)
+				h := newHAHarness(t, tc.n, 7)
 				h.appendN(t, 3)
 				h.sim.RunFor(100 * time.Millisecond)
 				h.g.Replica(0).Kill()
@@ -383,13 +381,11 @@ func TestHADeterministicTrace(t *testing.T) {
 				h.sim.RunFor(time.Second)
 				return h.events
 			}
-			a, b := run(), run()
-			if len(a) != len(b) {
-				t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("trace diverges at %d: %q vs %q", i, a[i], b[i])
+			want := append(syncs(3), "event:election:1", fmt.Sprintf("activate:%d:3/3", tc.successor))
+			want = append(want, syncs(2)...)
+			for range 2 {
+				if got := run(); strings.Join(got, " ") != strings.Join(want, " ") {
+					t.Fatalf("trace\n%v\nwant\n%v", got, want)
 				}
 			}
 		})

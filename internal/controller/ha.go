@@ -1,10 +1,9 @@
 package controller
 
 // HA glue (DESIGN.md §15): couples the controller's durable log — the
-// audit chain plus the executor's plan lifecycle journal — to a
-// cluster.HAGroup replica set, and turns replica activation into the
-// executor's freeze/recover failover protocol. The replicas themselves
-// (election, leases, replication transport) live in
+// audit chain — to a cluster.HAGroup replica set, and turns replica
+// activation into the executor's freeze/recover failover protocol. The
+// replicas themselves (election, leases, replication transport) live in
 // internal/controller/cluster; this file is the tap on one side and the
 // takeover choreography on the other.
 
@@ -33,14 +32,6 @@ type haMetrics struct {
 	failoverNs *telemetry.Histogram
 }
 
-// bufferedRec is an append that arrived while no replica was serving
-// (the window between a leader kill and the next activation); it is
-// flushed into the log by the new leader before its failover marker.
-type bufferedRec struct {
-	kind, label string
-	payload     []byte
-}
-
 // HA manages the controller's replica set.
 type HA struct {
 	c *Controller
@@ -49,14 +40,13 @@ type HA struct {
 	activeID    int
 	killedAt    netsim.Time
 	killPending bool
-	// shadows[i] is replica i's replicated copy of the audit chain,
-	// decoded from sync payloads. On activation it is verified and
-	// becomes the new leader's proof that it converged on the dead
-	// leader's history. Plan-journal records are replicated too (they
-	// count in LogLen) but leave no shadow state: the executor's own
-	// parked plans are what Recover resolves.
-	shadows  [][]audit.Record
-	buffered []bufferedRec
+	// base is the audit chain as it stood at enable time, the state every
+	// replica boots from; the replicated log carries each record after it.
+	base []audit.Record
+	// buffered holds the payloads appended while no replica was serving
+	// (the window between a leader kill and the next activation); the new
+	// leader flushes them into the log before its failover marker.
+	buffered [][]byte
 	lastErr  error
 	met      haMetrics
 
@@ -87,26 +77,11 @@ func (c *Controller) EnableHA(n int, cfg cluster.HAConfig) *HA {
 		rolled:     met.Counter("ha.plans_rolled_back"),
 		failoverNs: met.Histogram("ha.failover_ns"),
 	}
-	// Bootstrap state transfer: every replica starts from the chain as
-	// it stands at enable time; from here shadows only advance through
-	// replication.
-	base := c.audit.Records()
-	for i := 0; i < h.g.Size(); i++ {
-		h.shadows = append(h.shadows, append([]audit.Record(nil), base...))
-	}
-	// Replication taps: every audit append and every executor journal
-	// event becomes one replicated log record.
-	c.audit.OnAppendRecord(func(r audit.Record) {
-		b, err := json.Marshal(r)
-		if err != nil {
-			panic(err) // Record marshals by construction (see audit.hashOf)
-		}
-		h.append("audit", fmt.Sprintf("%s#%d", r.Kind, r.Seq), b)
-	})
-	c.exec.SetJournal(func(event, label string) {
-		h.append("plan-"+event, label, nil)
-	})
-	h.g.OnApply = h.apply
+	// Bootstrap state transfer: every replica starts from the chain as it
+	// stands at enable time, and every audit append from here on becomes
+	// one replicated log record.
+	h.base = c.audit.Records()
+	c.audit.OnAppendRecord(func(r audit.Record) { h.append(haPayload(r)) })
 	h.g.OnActivate = h.activate
 	h.g.OnEvent = func(kind string, n uint64) {
 		switch kind {
@@ -129,35 +104,34 @@ func (c *Controller) EnableHA(n int, cfg cluster.HAConfig) *HA {
 // HA returns the controller's replica manager, or nil when HA is off.
 func (c *Controller) HA() *HA { return c.ha }
 
-// LastErr returns the most recent takeover verification error (a shadow
-// chain that failed audit.VerifyRecords), or nil.
+// LastErr returns the most recent takeover verification error (a
+// replicated chain that failed audit.VerifyRecords), or nil.
 func (h *HA) LastErr() error { return h.lastErr }
 
 // append replicates one durable-log record through the active replica.
 // With no replica serving (mid-failover) the record is buffered and
 // flushed by the next leader, so the replicated log never drops events.
-func (h *HA) append(kind, label string, payload []byte) {
-	seq, err := h.g.Append(h.activeID, kind, label, payload)
-	if err != nil {
-		h.buffered = append(h.buffered, bufferedRec{kind: kind, label: label, payload: payload})
-		return
+func (h *HA) append(payload []byte) {
+	if err := h.g.Append(h.activeID, payload); err != nil {
+		h.buffered = append(h.buffered, payload)
 	}
-	// Mirror the record into the appender's own shadow: followers learn
-	// it through sync/OnApply, but the group never re-applies a record
-	// to its appender — without this, a leader's shadow would miss its
-	// own tenure and fail chain verification if it is ever re-elected.
-	h.apply(h.activeID, cluster.SyncRecord{Seq: seq, Kind: kind, Label: label, Payload: payload})
 }
 
-// apply advances one replica's shadow chain by one replicated record.
-func (h *HA) apply(replica int, rec cluster.SyncRecord) {
-	if rec.Kind != "audit" {
-		return
+// verifyChain decodes a replica's copy of the log onto the enable-time
+// chain and verifies the whole hash chain: the new leader's proof that
+// it converged on the dead leader's history.
+func (h *HA) verifyChain(replica int) error {
+	log := h.g.Replica(replica).Log()
+	chain := make([]audit.Record, len(h.base), len(h.base)+len(log))
+	copy(chain, h.base)
+	for _, rec := range log {
+		var r audit.Record
+		if err := json.Unmarshal(rec.Payload, &r); err != nil {
+			return fmt.Errorf("controller: replicated record %d: %w", rec.Seq, err)
+		}
+		chain = append(chain, r)
 	}
-	var r audit.Record
-	if err := json.Unmarshal(rec.Payload, &r); err == nil {
-		h.shadows[replica] = append(h.shadows[replica], r)
-	}
+	return audit.VerifyRecords(chain)
 }
 
 // activate is the takeover choreography (DESIGN.md §15.3): runs when a
@@ -175,14 +149,14 @@ func (h *HA) activate(replica int, term uint64) {
 		h.FailoverNs = append(h.FailoverNs, uint64(d))
 	}
 	h.activeID = replica
-	if err := audit.VerifyRecords(h.shadows[replica]); err != nil {
+	if err := h.verifyChain(replica); err != nil {
 		h.lastErr = err
 		h.c.fab.Metrics.Counter("ha.chain_mismatch").Inc()
 	}
 	buffered := h.buffered
 	h.buffered = nil
 	for _, b := range buffered {
-		h.append(b.kind, b.label, b.payload)
+		h.append(b)
 	}
 	h.c.audit.Append(audit.Record{
 		Kind:  "failover",
@@ -243,7 +217,6 @@ type HAReplicaStatus struct {
 	Serving bool   `json:"serving"`
 	Term    uint64 `json:"term"`
 	Known   uint64 `json:"known"`
-	Applied uint64 `json:"applied"`
 }
 
 // HAStatus is the cluster view served by `flexnetd ha-status` and
@@ -281,7 +254,6 @@ func (h *HA) Status() HAStatus {
 			Serving: rep.Serving(),
 			Term:    rep.Term(),
 			Known:   rep.Known(),
-			Applied: rep.Applied(),
 		})
 	}
 	return st

@@ -111,7 +111,7 @@ func E20HAFailover(seed int64) *Table {
 		must(f.InstallBaseRouting())
 		ctl := controller.New(f)
 		// HA first, so every deploy below already replicates to the
-		// standbys — the failover inherits a complete shadow chain.
+		// standbys — the failover verifies a complete replicated chain.
 		ctl.EnableHA(3, cluster.HAConfig{Seed: seed})
 
 		ctx := context.Background()

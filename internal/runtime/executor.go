@@ -45,6 +45,8 @@ type Executor struct {
 	mover  plan.StateMover
 	routes plan.RouteUpdater
 
+	// running holds every admitted plan until its report is out: its
+	// footprint for admission and its freeze fence for failover.
 	running []*runningPlan
 	queue   []queuedPlan
 	kicking bool
@@ -80,13 +82,8 @@ type Executor struct {
 	// is admitted and every in-flight pipeline parks at its next phase
 	// boundary. Recover, called by the newly-activated leader, resumes
 	// plans past their commit instant and aborts the rest through the
-	// normal rollback path. Both fields are inert in non-HA runs.
+	// normal rollback path. Inert in non-HA runs.
 	frozen bool
-	pipes  []*pipeState
-	// journal, when set, receives plan lifecycle events ("submit",
-	// "commit", "done") with the plan's label — the HA layer replicates
-	// them so a standby knows which plans are in flight at takeover.
-	journal func(event, label string)
 }
 
 // reportsKept bounds Executor.Reports.
@@ -107,11 +104,13 @@ func (x *Executor) ReportsSince(n int) []*plan.Report {
 	return x.Reports[start:]
 }
 
-// pipeState fences one in-flight pipeline across a failover: fenced
+// runningPlan is one admitted plan. fp is its conflict domain for
+// admission; the rest fences its pipeline across a failover: fenced
 // parks continuations, resolved drops stale timers after the plan has
 // finished (or was aborted), committed records whether the plan passed
 // its epoch-atomic commit instant — the resume-vs-rollback pivot.
-type pipeState struct {
+type runningPlan struct {
+	fp        footprint
 	label     string
 	committed bool
 	fenced    bool
@@ -120,30 +119,19 @@ type pipeState struct {
 	abort     func(error)
 }
 
-// gate wraps a pipeline continuation with the pipe's freeze fence:
-// resolved pipes drop the (stale) event, fenced pipes park it for
-// Recover, live pipes run it immediately. Without HA every pipe stays
-// unfenced, so the wrapper is a plain call — byte-identical schedules.
-func (x *Executor) gate(ps *pipeState, fn func()) func() {
+// gate wraps a pipeline continuation with the plan's freeze fence:
+// resolved plans drop the (stale) event, fenced plans park it for
+// Recover, live plans run it immediately. Without HA no plan is ever
+// fenced, so the wrapper is a plain call — byte-identical schedules.
+func (x *Executor) gate(rp *runningPlan, fn func()) func() {
 	return func() {
 		switch {
-		case ps.resolved:
-		case ps.fenced:
-			ps.parked = append(ps.parked, fn)
+		case rp.resolved:
+		case rp.fenced:
+			rp.parked = append(rp.parked, fn)
 		default:
 			fn()
 		}
-	}
-}
-
-// SetJournal registers the plan-lifecycle journal tap (HA replication).
-func (x *Executor) SetJournal(fn func(event, label string)) {
-	x.journal = fn
-}
-
-func (x *Executor) journalEvent(event, label string) {
-	if x.journal != nil {
-		x.journal(event, label)
 	}
 }
 
@@ -154,8 +142,8 @@ func (x *Executor) journalEvent(event, label string) {
 // continues — freezing governs the control decisions, not the wire.
 func (x *Executor) Freeze() {
 	x.frozen = true
-	for _, ps := range x.pipes {
-		ps.fenced = true
+	for _, rp := range x.running {
+		rp.fenced = true
 	}
 }
 
@@ -169,9 +157,9 @@ func (x *Executor) Idle() bool { return len(x.running) == 0 && len(x.queue) == 0
 // Inflight returns the labels of fenced or running pipelines, for
 // ha-status reporting.
 func (x *Executor) Inflight() []string {
-	out := make([]string, 0, len(x.pipes))
-	for _, ps := range x.pipes {
-		out = append(out, ps.label)
+	out := make([]string, 0, len(x.running))
+	for _, rp := range x.running {
+		out = append(out, rp.label)
 	}
 	return out
 }
@@ -186,19 +174,19 @@ func (x *Executor) Inflight() []string {
 // continue — nothing was staged. Queued plans are then re-admitted.
 func (x *Executor) Recover() (resumed, rolledBack int) {
 	x.frozen = false
-	pipes := append([]*pipeState(nil), x.pipes...)
-	for _, ps := range pipes {
-		ps.fenced = false
-		if ps.committed || ps.abort == nil {
+	running := append([]*runningPlan(nil), x.running...)
+	for _, rp := range running {
+		rp.fenced = false
+		if rp.committed || rp.abort == nil {
 			resumed++
-			parked := ps.parked
-			ps.parked = nil
+			parked := rp.parked
+			rp.parked = nil
 			for _, fn := range parked {
 				fn()
 			}
 		} else {
 			rolledBack++
-			ps.abort(fmt.Errorf("plan %q: %w", ps.label, errdefs.ErrFailover))
+			rp.abort(fmt.Errorf("plan %q: %w", rp.label, errdefs.ErrFailover))
 		}
 	}
 	x.kick()
@@ -244,11 +232,6 @@ type queuedPlan struct {
 	p    *plan.ChangePlan
 	done func(*plan.Report)
 	fp   footprint
-}
-
-// runningPlan tracks one in-flight plan's footprint for admission.
-type runningPlan struct {
-	fp footprint
 }
 
 // footprint is the conflict domain of one plan: the devices its steps
@@ -531,7 +514,6 @@ func (x *Executor) ExecuteCtx(ctx context.Context, p *plan.ChangePlan, done func
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	x.journalEvent("submit", p.Label)
 	x.queue = append(x.queue, queuedPlan{ctx: ctx, p: p, done: done, fp: planFootprint(p)})
 	x.kick()
 }
@@ -593,9 +575,9 @@ func (x *Executor) admissible(fp, blocked footprint) bool {
 }
 
 func (x *Executor) start(q queuedPlan) {
-	r := &runningPlan{fp: q.fp}
-	x.running = append(x.running, r)
-	x.run(q.ctx, q.p, func(rep *plan.Report) {
+	rp := &runningPlan{fp: q.fp, label: q.p.Label}
+	x.running = append(x.running, rp)
+	x.run(q.ctx, q.p, rp, func(rep *plan.Report) {
 		x.completed++
 		x.Reports = append(x.Reports, rep)
 		if len(x.Reports) > reportsKept {
@@ -604,8 +586,8 @@ func (x *Executor) start(q queuedPlan) {
 			x.Reports[0] = nil
 			x.Reports = x.Reports[1:]
 		}
-		for i, rr := range x.running {
-			if rr == r {
+		for i, r := range x.running {
+			if r == rp {
 				x.running = append(x.running[:i], x.running[i+1:]...)
 				break
 			}
@@ -617,28 +599,26 @@ func (x *Executor) start(q queuedPlan) {
 	})
 }
 
-func (x *Executor) run(ctx context.Context, p *plan.ChangePlan, done func(*plan.Report)) {
+func (x *Executor) run(ctx context.Context, p *plan.ChangePlan, rp *runningPlan, done func(*plan.Report)) {
 	trace := x.tracer.StartTrace(p.Label)
 	x.met.executed.Inc()
 	started := x.sim.Now()
-	ps := &pipeState{label: p.Label}
-	x.pipes = append(x.pipes, ps)
 	if p.PlanningLat > 0 {
 		// The controller's placement work (ChangePlan.PlanningLat) is
 		// charged here as simulated time, before validation, so plan
 		// latency reflects how much planning the operation needed — the
 		// quantity E18 contrasts between incremental and full placement.
 		psp := trace.StartSpan("plan", "")
-		x.sim.After(p.PlanningLat, x.gate(ps, func() {
+		x.sim.After(p.PlanningLat, x.gate(rp, func() {
 			psp.EndSpan()
-			x.runPipeline(ctx, p, ps, trace, started, done)
+			x.runPipeline(ctx, p, rp, trace, started, done)
 		}))
 		return
 	}
-	x.runPipeline(ctx, p, ps, trace, started, done)
+	x.runPipeline(ctx, p, rp, trace, started, done)
 }
 
-func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipeState, trace *telemetry.Trace, started netsim.Time, done func(*plan.Report)) {
+func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, rp *runningPlan, trace *telemetry.Trace, started netsim.Time, done func(*plan.Report)) {
 	vspan := trace.StartSpan("validate", "")
 	rep := x.Validate(p)
 	vspan.Fail(rep.Err)
@@ -646,13 +626,7 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 		rep.ID = trace.ID
 	}
 	finish := func(phase plan.Phase, outcome plan.Outcome, err error) {
-		ps.resolved = true
-		for i, pp := range x.pipes {
-			if pp == ps {
-				x.pipes = append(x.pipes[:i], x.pipes[i+1:]...)
-				break
-			}
-		}
+		rp.resolved = true
 		if outcome == plan.OutcomeSucceeded && len(rep.Degraded) > 0 {
 			outcome = plan.OutcomeDegraded
 		}
@@ -682,7 +656,6 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 		if x.auditFn != nil {
 			x.auditFn(rep)
 		}
-		x.journalEvent("done", p.Label)
 		done(rep)
 	}
 	if rep.Err == nil && ctx.Err() != nil {
@@ -741,7 +714,7 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 	// reached its commit instant, so nothing was activated — aborting
 	// the staged changes is a complete rollback, and the plan finishes
 	// rolled-back with the failover sentinel.
-	ps.abort = func(err error) {
+	rp.abort = func(err error) {
 		sp := trace.StartSpan("rollback", "")
 		abortStaged()
 		sp.EndSpan()
@@ -809,7 +782,7 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 		// freeze fence: a state move that lands while the fabric has no
 		// leader parks until the new leader's Recover resumes the plan.
 		onDone = func(err error) {
-			x.gate(ps, func() { onDoneNow(err) })()
+			x.gate(rp, func() { onDoneNow(err) })()
 		}
 		if err := cancelled(); err != nil {
 			onDone(err)
@@ -892,13 +865,12 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 		// The commit instant has passed: every device now runs the new
 		// configuration. From here a failover resumes the plan rather
 		// than rolling it back (DESIGN.md §15.3).
-		ps.committed = true
-		x.journalEvent("commit", p.Label)
+		rp.committed = true
 		runPost(0)
 	}
 
 	if len(groups) == 0 {
-		x.sim.After(0, x.gate(ps, func() { commit(nil) }))
+		x.sim.After(0, x.gate(rp, func() { commit(nil) }))
 		return
 	}
 	// Prepare proceeds on all devices in parallel; the commit instant is
@@ -909,7 +881,7 @@ func (x *Executor) runPipeline(ctx context.Context, p *plan.ChangePlan, ps *pipe
 		gi, g := gi, g
 		psp := trace.StartSpan("prepare", g.dev.Name())
 		pstart := x.sim.Now()
-		x.sim.After(g.lat, x.gate(ps, func() {
+		x.sim.After(g.lat, x.gate(rp, func() {
 			var pc *dataplane.PreparedChange
 			err := ctx.Err() // cancelled mid-prepare: stage nothing
 			if err == nil {
